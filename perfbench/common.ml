@@ -44,20 +44,72 @@ let alternate ~started ~seconds ~min f g =
   in
   (List.map fst both, List.map snd both)
 
+(* ---- host speed ----
+
+   The shared host slows down in episodes of seconds to minutes, by up to
+   1.7x, as neighbours contend for the shared cache: raw wall times of the
+   same code drift between runs by more than any useful bound. Every timed
+   window is therefore bracketed by runs of a fixed reference workload that
+   uses none of the repository's code (an xorshift walk doing integer
+   arithmetic and random reads and writes over an 8 MB table outside the
+   heap, allocating nothing; a compute-only loop does not see these
+   slowdowns), and reported times are scaled to the speed at which the
+   reference takes [reference_s]: a window's wall time times [reference_s]
+   over the mean of the reference runs before and after it. The wall times
+   are printed on standard error and reported by the traced run. *)
+
+let reference_s = 0.05
+
+(* Outside the OCaml heap, so it moves neither peak heap nor GC work. *)
+let reference_table =
+  lazy
+    (let t = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (1 lsl 20) in
+     for i = 0 to (1 lsl 20) - 1 do
+       Bigarray.Array1.unsafe_set t i ((i * 0x9E3779B1) land 0xFFFFFF)
+     done;
+     t)
+
+let reference_work () =
+  let table = Lazy.force reference_table in
+  let x = ref 0x2545F491 and acc = ref 0 in
+  for _ = 1 to 4_000_000 do
+    x := !x lxor ((!x lsl 13) land 0x3FFFFFFFFFFF);
+    x := !x lxor (!x lsr 7);
+    x := !x lxor ((!x lsl 17) land 0x3FFFFFFFFFFF);
+    let i = !x land 0xFFFFF in
+    let v = Bigarray.Array1.unsafe_get table i in
+    Bigarray.Array1.unsafe_set table i (v + 1);
+    acc := (!acc * 31) + (v * !x) + (!acc lsr 11)
+  done;
+  !acc
+
+(* Seconds one reference run takes now. *)
+let reference () =
+  let t0 = now () in
+  ignore (Sys.opaque_identity (reference_work ()));
+  now () -. t0
+
+(* [raw] seconds measured between reference runs of [before] and [after]
+   seconds, at the reference speed. *)
+let at_reference_speed ~before ~after raw = raw *. reference_s /. ((before +. after) /. 2.0)
+
 (* Set up [times] times, keeping only the last set-up; every earlier one
    is disposed of (and its memory collected) before the next starts, so
-   peak heap reflects one set-up. Returns the median set-up time and the
-   kept value. *)
+   peak heap reflects one set-up. Returns the median set-up time, at the
+   reference speed, and the kept value. *)
 let set_up_median ~times ~dispose f =
   let rec go k acc =
     Gc.compact ();
+    let before = reference () in
     let t0 = now () in
     let v = f () in
     let dt = now () -. t0 in
-    if k + 1 >= times then (median (dt :: acc), v)
+    let scaled = at_reference_speed ~before ~after:(reference ()) dt in
+    Printf.eprintf "set-up %d: %.3f s, %.3f s at reference speed\n%!" (k + 1) dt scaled;
+    if k + 1 >= times then (median (scaled :: acc), v)
     else begin
       dispose v;
-      go (k + 1) (dt :: acc)
+      go (k + 1) (scaled :: acc)
     end
   in
   go 0 []

@@ -5,13 +5,10 @@
 
    Untraced, the library's [Net_deployment] runs the rounds. Traced, the
    benchmark runs the same rounds itself over [Proto] RPCs, with a span
-   around every call, on a fresh set of server processes. *)
+   around every call (layered.ml). *)
 
-module Drbg = Alpenhorn_crypto.Drbg
-module Params = Alpenhorn_pairing.Params
 module Ibe = Alpenhorn_ibe.Ibe
 module Pkg = Alpenhorn_pkg.Pkg
-module Mailbox = Alpenhorn_mixnet.Mailbox
 module Config = Alpenhorn_core.Config
 module Client = Alpenhorn_core.Client
 module Rpc = Alpenhorn_net.Rpc
@@ -23,8 +20,6 @@ let clients = 48
 (* Dialing noise raised so each dialing hop relays thousands of onions, as
    noise dominates dialing traffic in the paper's deployment. *)
 let config = { Config.test with Config.n_pkgs = 1; dialing_noise_mu = 500.0 }
-
-let span = Spans.span
 
 (* ---- server processes ---- *)
 
@@ -123,7 +118,7 @@ let dispose f =
 
 let untraced ~cli ~seed ~seconds ~setups =
   let setup_s, f = Common.set_up_median ~times:setups ~dispose (fun () -> set_up_fleet ~cli ~seed) in
-  let pairs = Common.repeat ~seconds ~min:3 (fun () -> Scenario.pair f.sc) in
+  let pairs = Common.repeat ~seconds ~min:3 (fun () -> Scenario.logged (Scenario.pair f.sc)) in
   dispose f;
   let attempted, failed = Scenario.tally f.sc in
   {
@@ -137,16 +132,6 @@ let untraced ~cli ~seed ~seconds ~setups =
 (* ---- traced: the same rounds over Proto, call by call ---- *)
 
 type net = { mutable calls : int; mutable pkg_s : float; mutable mix_s : float; mutable connects : int }
-
-type stack = {
-  params : Params.t;
-  pkg : Rpc.Client.t;
-  mix : Rpc.Client.t array;
-  net : net;
-  mutable clock : int;
-  mutable af_round : int;
-  mutable dial_round : int;
-}
 
 let connect net port =
   net.connects <- net.connects + 1;
@@ -163,153 +148,59 @@ let rpc net ~pkg f =
   if pkg then net.pkg_s <- net.pkg_s +. dt else net.mix_s <- net.mix_s +. dt;
   match r with Ok v -> v | Error m -> failwith ("rpc: " ^ m)
 
-let pkg_rpc st f = rpc st.net ~pkg:true (fun () -> f st.pkg)
-let mix_rpc st i f = rpc st.net ~pkg:false (fun () -> f st.mix.(i))
-let num_mailboxes = Scenario.num_mailboxes ~config
-
-let each_mixer st f = Array.iteri (fun i _ -> mix_rpc st i f) st.mix
-
-(* Net_deployment's run_chain: liveness pings, one process RPC per hop,
-   key erasure on every mixer. *)
-let run_chain tr st ~chain ~server_pks ~noise_mu ~num_mailboxes ~mpk_agg batch =
-  span tr "mixnet.keys" (fun () -> each_mixer st Proto.mix_ping);
-  let pks = Array.of_list server_pks and n = Array.length st.mix in
-  let current = ref batch in
-  for i = 0 to n - 1 do
-    let downstream_pks = Array.to_list (Array.sub pks (i + 1) (n - i - 1)) in
-    current :=
-      fst
-        (span tr "mixnet.hop" (fun () ->
-             mix_rpc st i (fun c ->
-                 Proto.mix_process c ~params:st.params ~chain ~downstream_pks ~noise_mu
-                   ~laplace_b:config.Config.laplace_b ~num_mailboxes ~mpk_agg ~batch:!current)))
-  done;
-  span tr "mixnet.keys" (fun () -> each_mixer st (fun c -> Proto.mix_end_round c ~chain));
-  !current
-
-let new_round_keys tr st ~chain =
-  span tr "mixnet.keys" (fun () ->
-      Array.to_list
-        (Array.mapi (fun i _ -> mix_rpc st i (fun c -> Proto.mix_new_round c ~params:st.params ~chain)) st.mix))
-
-let addfriend tr st cs () =
-  st.af_round <- st.af_round + 1;
-  let round = st.af_round and params = st.params in
-  let mpk_agg =
-    span tr "pkg.rotate" (fun () ->
-        let commitment = pkg_rpc st (fun c -> Proto.pkg_begin_round c ~round) in
-        match pkg_rpc st (fun c -> Proto.pkg_reveal c ~params ~round) with
+(* Net_deployment's calls, one RPC each: registration through the PKG's
+   simulated email provider, liveness pings before the hops, one process
+   RPC per hop, key erasure on every mixer. *)
+let backend net ~pkg ~mix =
+  let params = Config.params config in
+  let pkg_rpc f = rpc net ~pkg:true (fun () -> f pkg) in
+  let mix_rpc i f = rpc net ~pkg:false (fun () -> f mix.(i)) in
+  let each_mixer f = Array.iteri (fun i _ -> mix_rpc i f) mix in
+  let chain = function `AddFriend -> Proto.Af | `Dialing -> Proto.Dial in
+  {
+    Layered.config;
+    pkg_public_keys = [ pkg_rpc (fun p -> Proto.pkg_info p ~params) ];
+    register =
+      (fun c ->
+        let email = Client.email c and pk = Client.signing_public c in
+        Scenario.registered (pkg_rpc (fun p -> Proto.pkg_register p ~params ~now:0 ~email ~pk));
+        let token =
+          match pkg_rpc (fun p -> Proto.pkg_inbox p ~email) with
+          | tok :: _ -> tok
+          | [] -> failwith "no confirmation email"
+        in
+        Scenario.registered (pkg_rpc (fun p -> Proto.pkg_confirm p ~now:0 ~email ~token)));
+    rotate =
+      (fun ~round ->
+        let commitment = pkg_rpc (fun c -> Proto.pkg_begin_round c ~round) in
+        match pkg_rpc (fun c -> Proto.pkg_reveal c ~params ~round) with
         | Error e -> failwith ("reveal: " ^ Pkg.error_to_string e)
         | Ok (mpk, opening) ->
           if not (Pkg.verify_commitment params ~commitment ~mpk ~opening) then
             failwith "PKG commitment mismatch";
-          Ibe.aggregate_public params [ mpk ])
-  in
-  let num_mailboxes = num_mailboxes ~clients:(List.length cs) ~noise_mu:config.Config.addfriend_noise_mu in
-  let server_pks = new_round_keys tr st ~chain:Proto.Af in
-  let contexts =
-    List.map
-      (fun c ->
-        span tr "client.begin_addfriend" (fun () ->
-            match
-              Client.begin_addfriend_round_with c ~round ~n_pkgs:1 ~extract:(fun _ ~email ~signature ->
-                  span tr "pkg.extract" (fun () ->
-                      pkg_rpc st (fun p ->
-                          Proto.pkg_extract p ~params ~now:st.clock ~round ~email ~signature)))
-            with
-            | Ok ctx -> (c, ctx)
-            | Error e -> failwith ("extract: " ^ Pkg.error_to_string e)))
-      cs
-  in
-  let batch =
-    List.map
-      (fun (c, ctx) ->
-        span tr "client.submit" (fun () ->
-            Client.addfriend_submission c ctx ~mpk_agg ~num_mailboxes ~server_pks))
-      contexts
-  in
-  let final =
-    run_chain tr st ~chain:Proto.Af ~server_pks ~noise_mu:config.Config.addfriend_noise_mu
-      ~num_mailboxes
-      ~mpk_agg:(if config.Config.faithful_noise then Ibe.master_public_bytes params mpk_agg else "")
-      (Array.of_list batch)
-  in
-  let mailboxes, _ =
-    span tr "mailbox.distribute" (fun () -> Mailbox.distribute ~num_mailboxes ~mode:`AddFriend final)
-  in
-  let buckets = Mailbox.plain_exn mailboxes in
-  let events =
-    List.concat_map
-      (fun (c, ctx) ->
-        let mb = Mailbox.mailbox_of_identity (Client.email c) ~num_mailboxes in
-        span tr "client.scan_addfriend" (fun () -> Client.scan_addfriend_mailbox c ctx buckets.(mb))
-        |> List.map (fun ev -> (Client.email c, ev)))
-      contexts
-  in
-  span tr "pkg.rotate" (fun () -> pkg_rpc st (fun c -> Proto.pkg_end_round c ~round));
-  st.clock <- st.clock + config.Config.addfriend_round_seconds;
-  { Scenario.events; af_download = Scenario.largest (Mailbox.size_bytes mailboxes) }
-
-let dialing tr st cs () =
-  let round = st.dial_round + 1 in
-  st.dial_round <- round;
-  let num_mailboxes = num_mailboxes ~clients:(List.length cs) ~noise_mu:config.Config.dialing_noise_mu in
-  span tr "client.scan_dialing" (fun () -> List.iter (fun c -> Client.advance_dialing c ~round) cs);
-  let server_pks = new_round_keys tr st ~chain:Proto.Dial in
-  let batch =
-    List.map
-      (fun c ->
-        span tr "client.submit" (fun () -> Client.dialing_submission c ~num_mailboxes ~server_pks))
-      cs
-  in
-  let final =
-    run_chain tr st ~chain:Proto.Dial ~server_pks ~noise_mu:config.Config.dialing_noise_mu
-      ~num_mailboxes ~mpk_agg:"" (Array.of_list batch)
-  in
-  let mailboxes, _ =
-    span tr "mailbox.distribute" (fun () -> Mailbox.distribute ~num_mailboxes ~mode:`Dialing final)
-  in
-  let filters = Mailbox.filters_exn mailboxes in
-  List.iter
-    (fun c ->
-      let mb = Mailbox.mailbox_of_identity (Client.email c) ~num_mailboxes in
-      ignore (span tr "client.scan_dialing" (fun () -> Client.scan_dialing_mailbox c filters.(mb))))
-    cs;
-  st.clock <- st.clock + config.Config.dialing_round_seconds;
-  Scenario.largest (Mailbox.size_bytes mailboxes)
-
-(* Same client derivation as Net_deployment.new_client, registration
-   through the PKG's simulated provider as Net_deployment.register. *)
-let set_up_stack tr ~servers ~seed =
-  let params = Config.params config in
-  let net = { calls = 0; pkg_s = 0.0; mix_s = 0.0; connects = 0 } in
-  let pkg = connect net servers.pkg_child.port in
-  let mix = Array.map (fun c -> connect net c.port) servers.mixer_children in
-  let rng = Drbg.create ~seed:("deployment" ^ seed) in
-  let pkg_key = rpc net ~pkg:true (fun () -> Proto.pkg_info pkg ~params) in
-  let st = { params; pkg; mix; net; clock = 0; af_round = 0; dial_round = 0 } in
-  let sc =
-    Scenario.create ~n:clients ~max_intents:config.Config.max_intents
-      ~make_client:(fun ~email ~callbacks ->
-        Client.create ~config ~rng:(Drbg.derive rng ("client-" ^ email)) ~email
-          ~pkg_public_keys:[ pkg_key ] ~callbacks)
-      ~runner:(fun cs ->
-        let cs = Array.to_list cs in
-        { Scenario.addfriend = addfriend tr st cs; dialing = dialing tr st cs })
-  in
-  Array.iter
-    (fun c ->
-      let email = Client.email c and pk = Client.signing_public c in
-      Scenario.registered (pkg_rpc st (fun p -> Proto.pkg_register p ~params ~now:0 ~email ~pk));
-      let token =
-        match pkg_rpc st (fun p -> Proto.pkg_inbox p ~email) with
-        | tok :: _ -> tok
-        | [] -> failwith "no confirmation email"
-      in
-      Scenario.registered (pkg_rpc st (fun p -> Proto.pkg_confirm p ~now:0 ~email ~token)))
-    sc.Scenario.clients;
-  Scenario.set_up sc;
-  (st, sc)
+          Ibe.aggregate_public params [ mpk ]);
+    extract =
+      (fun _ ~now ~round ~email ~signature ->
+        pkg_rpc (fun p -> Proto.pkg_extract p ~params ~now ~round ~email ~signature));
+    end_pkg_round = (fun ~round -> pkg_rpc (fun c -> Proto.pkg_end_round c ~round));
+    new_round_keys =
+      (fun mode ->
+        Array.to_list
+          (Array.mapi (fun i _ -> mix_rpc i (fun c -> Proto.mix_new_round c ~params ~chain:(chain mode))) mix));
+    chain_start = (fun _ -> each_mixer Proto.mix_ping);
+    hop =
+      (fun mode i ~downstream_pks ~noise_mu ~num_mailboxes ~mpk_agg batch ->
+        let mpk_agg =
+          match mpk_agg with
+          | Some mpk when config.Config.faithful_noise -> Ibe.master_public_bytes params mpk
+          | _ -> ""
+        in
+        fst
+          (mix_rpc i (fun c ->
+               Proto.mix_process c ~params ~chain:(chain mode) ~downstream_pks ~noise_mu
+                 ~laplace_b:config.Config.laplace_b ~num_mailboxes ~mpk_agg ~batch)));
+    end_chain = (fun mode -> each_mixer (fun c -> Proto.mix_end_round c ~chain:(chain mode)));
+  }
 
 (* rchar+wchar and syscr+syscw of this process so far. *)
 let proc_io () =
@@ -324,22 +215,38 @@ let proc_io () =
   let get k = Option.value ~default:0.0 (Hashtbl.find_opt fields k) in
   (get "rchar" +. get "wchar", get "syscr" +. get "syscw")
 
+(* What reading /proc/self/io at both ends of a window adds to the window:
+   the median delta of back-to-back reads. *)
+let proc_io_cost () =
+  let deltas =
+    List.init 5 (fun _ ->
+        let b0, s0 = proc_io () in
+        let b1, s1 = proc_io () in
+        (b1 -. b0, s1 -. s0))
+  in
+  (Common.median (List.map fst deltas), Common.median (List.map snd deltas))
+
 let traced ~cli ~seed ~seconds =
-  let base = set_up_fleet ~cli ~seed in
   let servers = with_servers ~cli ~seed in
   let tr = Spans.create () in
-  let st, layered = set_up_stack (Some tr) ~servers ~seed in
-  (* socket traffic and RPC counts of the layered pairs only *)
+  let net = { calls = 0; pkg_s = 0.0; mix_s = 0.0; connects = 0 } in
+  let pkg = connect net servers.pkg_child.port in
+  let mix = Array.map (fun c -> connect net c.port) servers.mixer_children in
+  let sc = Layered.create tr (backend net ~pkg ~mix) ~seed ~clients in
+  (* socket traffic and RPC counts of the traced pairs only *)
+  let io_bytes_cost, io_sys_cost = proc_io_cost () in
   let io = ref (0.0, 0.0) and calls = ref 0 and pkg_s = ref 0.0 and mix_s = ref 0.0 in
   let around f =
     let bytes0, sys0 = proc_io () in
-    let calls0 = st.net.calls and pkg0 = st.net.pkg_s and mix0 = st.net.mix_s in
+    let calls0 = net.calls and pkg0 = net.pkg_s and mix0 = net.mix_s in
     let p = f () in
     let bytes1, sys1 = proc_io () in
-    io := (fst !io +. bytes1 -. bytes0, snd !io +. sys1 -. sys0);
-    calls := !calls + st.net.calls - calls0;
-    pkg_s := !pkg_s +. st.net.pkg_s -. pkg0;
-    mix_s := !mix_s +. st.net.mix_s -. mix0;
+    io :=
+      ( fst !io +. bytes1 -. bytes0 -. io_bytes_cost,
+        snd !io +. sys1 -. sys0 -. io_sys_cost );
+    calls := !calls + net.calls - calls0;
+    pkg_s := !pkg_s +. net.pkg_s -. pkg0;
+    mix_s := !mix_s +. net.mix_s -. mix0;
     p
   in
   let started () =
@@ -348,30 +255,29 @@ let traced ~cli ~seed ~seconds =
     pkg_s := 0.0;
     mix_s := 0.0
   in
-  let base_pairs, pairs, gc =
-    Scenario.traced_pairs ~around ~started ~seconds ~base:base.sc ~layered tr
+  let untraced, pairs, gc =
+    Scenario.traced_pairs ~around ~started ~seconds ~pair:(fun () -> Scenario.pair sc) tr
   in
-  dispose base;
-  Rpc.Client.close st.pkg;
-  Array.iter Rpc.Client.close st.mix;
+  Rpc.Client.close pkg;
+  Array.iter Rpc.Client.close mix;
   stop servers;
   let n = List.length pairs in
   let per x = x /. float_of_int n in
-  let a0, f0 = Scenario.tally base.sc and a1, f1 = Scenario.tally layered in
+  let attempted, failed = Scenario.tally sc in
   {
-    Common.attempted = a0 + a1;
-    failed = f0 + f1;
+    Common.attempted;
+    failed;
     metrics =
       Scenario.layer_metrics tr ~pairs:n
-      @ Common.pairing_probe st.params ~calls:50
+      @ Common.pairing_probe (Config.params config) ~calls:50
       @ Common.gc_metrics gc ~pairs:n
-      @ Scenario.trace_metrics tr ~base:base_pairs ~traced:pairs
+      @ Scenario.trace_metrics tr ~untraced ~traced:pairs
       @ [
           ("net.rpc_calls", per (float_of_int !calls));
           ("net.rpc_pkg_s", per !pkg_s);
           ("net.rpc_mix_s", per !mix_s);
           ("net.syscalls", per (snd !io));
-          ("net.connects", float_of_int st.net.connects);
+          ("net.connects", float_of_int net.connects);
           ("net.wire_bytes_per_pair", per (fst !io));
         ];
   }

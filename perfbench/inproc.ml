@@ -3,16 +3,14 @@
    Untraced, the library's own [Deployment] runs the rounds. Traced, the
    benchmark runs the same rounds itself through each layer's public
    functions — PKGs, mixnet servers, mailboxes, clients — with a span
-   around every call. Both are built from the same seed along the same
-   DRBG derivations, so they do the same cryptographic work. *)
+   around every call (layered.ml over in-process handles). Both are built
+   from the same seed along the same DRBG derivations. *)
 
 module Drbg = Alpenhorn_crypto.Drbg
 module Util = Alpenhorn_crypto.Util
-module Params = Alpenhorn_pairing.Params
 module Ibe = Alpenhorn_ibe.Ibe
 module Pkg = Alpenhorn_pkg.Pkg
 module Server = Alpenhorn_mixnet.Server
-module Mailbox = Alpenhorn_mixnet.Mailbox
 module Config = Alpenhorn_core.Config
 module Client = Alpenhorn_core.Client
 module Deployment = Alpenhorn_core.Deployment
@@ -22,7 +20,6 @@ module Tel = Alpenhorn_telemetry.Telemetry
 
 let clients = 12
 let config = { Config.test with Config.param_name = "production" }
-let span = Spans.span
 
 (* Deployment, registration and friendships: everything before the first
    measured round pair. *)
@@ -42,139 +39,10 @@ let set_up_deployment ~seed =
 
 (* ---- the same deployment, driven layer by layer ---- *)
 
-type stack = {
-  params : Params.t;
-  rng : Drbg.t;
-  pkgs : Pkg.t array;
-  af_servers : Server.t array;
-  dial_servers : Server.t array;
-  mutable clock : int;
-  mutable af_round : int;
-  mutable dial_round : int;
-}
-
-let num_mailboxes cs ~noise_mu = Scenario.num_mailboxes ~config ~clients:(List.length cs) ~noise_mu
-
-(* Chain.run_round's pipeline: one [Server.process] per hop, then round
-   key erasure. *)
-let run_chain tr servers ~server_pks ~noise_mu ~num_mailboxes ~noise_body batch =
-  let pks = Array.of_list server_pks and n = Array.length servers in
-  let current = ref batch in
-  Array.iteri
-    (fun i s ->
-      let downstream_pks = Array.to_list (Array.sub pks (i + 1) (n - i - 1)) in
-      current :=
-        fst
-          (span tr "mixnet.hop" (fun () ->
-               Server.process s ~downstream_pks ~noise_mu ~laplace_b:config.Config.laplace_b
-                 ~num_mailboxes
-                 ~noise_body:(fun ~mailbox:_ -> span tr "mixnet.noise" noise_body)
-                 !current)))
-    servers;
-  span tr "mixnet.keys" (fun () -> Array.iter Server.end_round servers);
-  !current
-
-let new_round_keys tr servers =
-  span tr "mixnet.keys" (fun () -> Array.to_list (Array.map Server.new_round servers))
-
-(* Deployment.run_addfriend_round, step by step. *)
-let addfriend tr st cs () =
-  st.af_round <- st.af_round + 1;
-  let round = st.af_round and params = st.params in
-  let mpk_agg =
-    span tr "pkg.rotate" (fun () ->
-        let commitments = Array.map (fun pkg -> Pkg.begin_round pkg ~round) st.pkgs in
-        Array.to_list st.pkgs
-        |> List.mapi (fun i pkg ->
-               match Pkg.reveal_round pkg ~round with
-               | Error e -> failwith ("reveal: " ^ Pkg.error_to_string e)
-               | Ok (mpk, opening) ->
-                 if not (Pkg.verify_commitment params ~commitment:commitments.(i) ~mpk ~opening)
-                 then failwith "PKG commitment mismatch";
-                 mpk)
-        |> Ibe.aggregate_public params)
-  in
-  let num_mailboxes = num_mailboxes cs ~noise_mu:config.Config.addfriend_noise_mu in
-  let server_pks = new_round_keys tr st.af_servers in
-  let contexts =
-    List.map
-      (fun c ->
-        span tr "client.begin_addfriend" (fun () ->
-            match
-              Client.begin_addfriend_round_with c ~round ~n_pkgs:(Array.length st.pkgs)
-                ~extract:(fun i ~email ~signature ->
-                  span tr "pkg.extract" (fun () ->
-                      Pkg.extract st.pkgs.(i) ~now:st.clock ~round ~email ~signature))
-            with
-            | Ok ctx -> (c, ctx)
-            | Error e -> failwith ("extract: " ^ Pkg.error_to_string e)))
-      cs
-  in
-  let batch =
-    List.map
-      (fun (c, ctx) ->
-        span tr "client.submit" (fun () ->
-            Client.addfriend_submission c ctx ~mpk_agg ~num_mailboxes ~server_pks))
-      contexts
-  in
-  (* faithful noise, as Deployment's af_noise_body *)
-  let noise_body () =
-    let id = "noise-" ^ Util.to_hex (Drbg.bytes st.rng 8) in
-    Ibe.encrypt params st.rng mpk_agg ~id (Drbg.bytes st.rng (Wire.request_plaintext_size params))
-  in
-  let final =
-    run_chain tr st.af_servers ~server_pks ~noise_mu:config.Config.addfriend_noise_mu ~num_mailboxes
-      ~noise_body (Array.of_list batch)
-  in
-  let mailboxes, _ =
-    span tr "mailbox.distribute" (fun () -> Mailbox.distribute ~num_mailboxes ~mode:`AddFriend final)
-  in
-  let buckets = Mailbox.plain_exn mailboxes in
-  let events =
-    List.concat_map
-      (fun (c, ctx) ->
-        let mb = Mailbox.mailbox_of_identity (Client.email c) ~num_mailboxes in
-        span tr "client.scan_addfriend" (fun () -> Client.scan_addfriend_mailbox c ctx buckets.(mb))
-        |> List.map (fun ev -> (Client.email c, ev)))
-      contexts
-  in
-  span tr "pkg.rotate" (fun () -> Array.iter (fun pkg -> Pkg.end_round pkg ~round) st.pkgs);
-  st.clock <- st.clock + config.Config.addfriend_round_seconds;
-  { Scenario.events; af_download = Scenario.largest (Mailbox.size_bytes mailboxes) }
-
-(* Deployment.run_dialing_round, step by step (unsharded, no faults). *)
-let dialing tr st cs () =
-  let round = st.dial_round + 1 in
-  st.dial_round <- round;
-  let num_mailboxes = num_mailboxes cs ~noise_mu:config.Config.dialing_noise_mu in
-  span tr "client.scan_dialing" (fun () -> List.iter (fun c -> Client.advance_dialing c ~round) cs);
-  let server_pks = new_round_keys tr st.dial_servers in
-  let batch =
-    List.map
-      (fun c ->
-        span tr "client.submit" (fun () -> Client.dialing_submission c ~num_mailboxes ~server_pks))
-      cs
-  in
-  let final =
-    run_chain tr st.dial_servers ~server_pks ~noise_mu:config.Config.dialing_noise_mu ~num_mailboxes
-      ~noise_body:(fun () -> Drbg.bytes st.rng Wire.dial_token_size)
-      (Array.of_list batch)
-  in
-  let mailboxes, _ =
-    span tr "mailbox.distribute" (fun () -> Mailbox.distribute ~num_mailboxes ~mode:`Dialing final)
-  in
-  let filters = Mailbox.filters_exn mailboxes in
-  List.iter
-    (fun c ->
-      let mb = Mailbox.mailbox_of_identity (Client.email c) ~num_mailboxes in
-      ignore (span tr "client.scan_dialing" (fun () -> Client.scan_dialing_mailbox c filters.(mb))))
-    cs;
-  st.clock <- st.clock + config.Config.dialing_round_seconds;
-  Scenario.largest (Mailbox.size_bytes mailboxes)
-
-(* Same DRBG derivations as Deployment.create / Chain.create /
-   Deployment.new_client, and the same email-confirmation registration. *)
-let set_up_stack tr ~seed =
+(* In-process PKGs and mixnet servers, along the same DRBG derivations as
+   Deployment.create / Chain.create, with the same email-confirmation
+   registration and faithful noise. *)
+let backend tr ~seed =
   let params = Config.params config in
   let rng = Drbg.create ~seed:("deployment" ^ seed) in
   let inbox = Hashtbl.create 64 in
@@ -192,39 +60,54 @@ let set_up_stack tr ~seed =
           ~rng:(Drbg.derive chain_rng (Printf.sprintf "mix-server-%d" i))
           ~position:i ~chain_length:config.Config.chain_length)
   in
-  let pkg_public_keys = Array.to_list (Array.map Pkg.long_term_public pkgs) in
-  let st =
-    {
-      params;
-      rng;
-      pkgs;
-      af_servers = servers "af-chain";
-      dial_servers = servers "dial-chain";
-      clock = 0;
-      af_round = 0;
-      dial_round = 0;
-    }
-  in
-  let sc =
-    Scenario.create ~n:clients ~max_intents:config.Config.max_intents
-      ~make_client:(fun ~email ~callbacks ->
-        Client.create ~config ~rng:(Drbg.derive rng ("client-" ^ email)) ~email ~pkg_public_keys
-          ~callbacks)
-      ~runner:(fun cs ->
-        let cs = Array.to_list cs in
-        { Scenario.addfriend = addfriend tr st cs; dialing = dialing tr st cs })
-  in
-  Array.iter
-    (fun c ->
-      let email = Client.email c and pk = Client.signing_public c in
-      Array.iteri
-        (fun i pkg ->
-          Scenario.registered (Pkg.register pkg ~now:0 ~email ~pk);
-          Scenario.registered (Pkg.confirm pkg ~now:0 ~email ~token:(Hashtbl.find inbox (i, email))))
-        pkgs)
-    sc.Scenario.clients;
-  Scenario.set_up sc;
-  sc
+  let af_servers = servers "af-chain" and dial_servers = servers "dial-chain" in
+  let chain = function `AddFriend -> af_servers | `Dialing -> dial_servers in
+  {
+    Layered.config;
+    pkg_public_keys = Array.to_list (Array.map Pkg.long_term_public pkgs);
+    register =
+      (fun c ->
+        let email = Client.email c and pk = Client.signing_public c in
+        Array.iteri
+          (fun i pkg ->
+            Scenario.registered (Pkg.register pkg ~now:0 ~email ~pk);
+            Scenario.registered
+              (Pkg.confirm pkg ~now:0 ~email ~token:(Hashtbl.find inbox (i, email))))
+          pkgs);
+    rotate =
+      (fun ~round ->
+        let commitments = Array.map (fun pkg -> Pkg.begin_round pkg ~round) pkgs in
+        Array.to_list pkgs
+        |> List.mapi (fun i pkg ->
+               match Pkg.reveal_round pkg ~round with
+               | Error e -> failwith ("reveal: " ^ Pkg.error_to_string e)
+               | Ok (mpk, opening) ->
+                 if not (Pkg.verify_commitment params ~commitment:commitments.(i) ~mpk ~opening)
+                 then failwith "PKG commitment mismatch";
+                 mpk)
+        |> Ibe.aggregate_public params);
+    extract =
+      (fun i ~now ~round ~email ~signature -> Pkg.extract pkgs.(i) ~now ~round ~email ~signature);
+    end_pkg_round = (fun ~round -> Array.iter (fun pkg -> Pkg.end_round pkg ~round) pkgs);
+    new_round_keys = (fun mode -> Array.to_list (Array.map Server.new_round (chain mode)));
+    chain_start = ignore;
+    hop =
+      (fun mode i ~downstream_pks ~noise_mu ~num_mailboxes ~mpk_agg batch ->
+        (* faithful noise, as Deployment's noise bodies *)
+        let noise_body () =
+          match mpk_agg with
+          | Some mpk ->
+            let id = "noise-" ^ Util.to_hex (Drbg.bytes rng 8) in
+            Ibe.encrypt params rng mpk ~id (Drbg.bytes rng (Wire.request_plaintext_size params))
+          | None -> Drbg.bytes rng Wire.dial_token_size
+        in
+        fst
+          (Server.process (chain mode).(i) ~downstream_pks ~noise_mu
+             ~laplace_b:config.Config.laplace_b ~num_mailboxes
+             ~noise_body:(fun ~mailbox:_ -> Spans.span tr "mixnet.noise" noise_body)
+             batch));
+    end_chain = (fun mode -> Array.iter Server.end_round (chain mode));
+  }
 
 (* ---- the workload ---- *)
 
@@ -232,7 +115,7 @@ let untraced ~seed ~seconds ~setups =
   let setup_s, sc =
     Common.set_up_median ~times:setups ~dispose:ignore (fun () -> set_up_deployment ~seed)
   in
-  let pairs = Common.repeat ~seconds ~min:3 (fun () -> Scenario.pair sc) in
+  let pairs = Common.repeat ~seconds ~min:3 (fun () -> Scenario.logged (Scenario.pair sc)) in
   let attempted, failed = Scenario.tally sc in
   {
     Common.attempted;
@@ -282,11 +165,10 @@ let costmodel_residuals params ~n_users ~measured_scan ~measured_unwrap ~measure
     rows
 
 let traced ~seed ~seconds =
-  let base = set_up_deployment ~seed in
   let tr = Spans.create () in
-  let layered = set_up_stack (Some tr) ~seed in
+  let sc = Layered.create tr (backend tr ~seed) ~seed ~clients in
   (* the unwrap layer's own timer (Server's mix.unwrap_seconds), read
-     around the layered pairs only *)
+     around the traced pairs only *)
   let unwrap = ref 0.0 in
   let around f =
     ignore (Tel.Snapshot.take ~reset:true Tel.default);
@@ -294,8 +176,10 @@ let traced ~seed ~seconds =
     unwrap := !unwrap +. Tel.Snapshot.hist_sum (Tel.Snapshot.take Tel.default) "mix.unwrap_seconds";
     p
   in
-  let base_pairs, pairs, gc =
-    Scenario.traced_pairs ~around ~started:(fun () -> unwrap := 0.0) ~seconds ~base ~layered tr
+  let untraced, pairs, gc =
+    Scenario.traced_pairs ~around ~started:(fun () -> unwrap := 0.0) ~seconds
+      ~pair:(fun () -> Scenario.pair sc)
+      tr
   in
   let n = List.length pairs in
   let per x = x /. float_of_int n in
@@ -308,14 +192,14 @@ let traced ~seed ~seconds =
       ~measured_extract:(per (Spans.self_s tr "pkg.extract"))
       ~mailbox_requests:(last.Scenario.af_bytes / Wire.request_ciphertext_size params)
   in
-  let a0, f0 = Scenario.tally base and a1, f1 = Scenario.tally layered in
+  let attempted, failed = Scenario.tally sc in
   {
-    Common.attempted = a0 + a1;
-    failed = f0 + f1;
+    Common.attempted;
+    failed;
     metrics =
       Scenario.layer_metrics tr ~pairs:n
       @ residuals
       @ Common.pairing_probe params ~calls:10
       @ Common.gc_metrics gc ~pairs:n
-      @ Scenario.trace_metrics tr ~base:base_pairs ~traced:pairs;
+      @ Scenario.trace_metrics tr ~untraced ~traced:pairs;
   }

@@ -31,7 +31,7 @@ let active = clients / 20
    mailbox per shard, so the shard count sets the round size: 15 shards
    (one per 64k clients, Scale.run's default) make a 1.2M-token dialing
    round that runs 2.1-4.4 s on the reference host, too few rounds per run
-   for a steady fastest round; 5 shards (200k clients each) make 425k. *)
+   for a steady median; 5 shards (200k clients each) make 425k. *)
 let shards = 5
 let servers = 3
 let dial_sample = 4096
@@ -160,19 +160,13 @@ let dialing tr c inp =
   Array.fold_left max 0 (Mailbox.sharded_size_bytes content)
 
 let pair tr c inp =
-  let w0 = Spans.words () in
-  let t0 = Unix.gettimeofday () in
-  let af = addfriend tr c inp in
-  let t1 = Unix.gettimeofday () in
-  let dial = dialing tr c inp in
-  let t2 = Unix.gettimeofday () in
-  Printf.eprintf "pair: addfriend %.3f s, dialing %.3f s\n%!" (t1 -. t0) (t2 -. t1);
-  { Scenario.af_s = t1 -. t0; dial_s = t2 -. t1; words = Spans.words () -. w0; af_bytes = af; dial_bytes = dial }
+  Scenario.timed_pair ~addfriend:(fun () -> addfriend tr c inp) ~dialing:(fun () -> dialing tr c inp)
 
 let untraced ~seed ~seconds ~setups =
   let setup_s, inp = Common.set_up_median ~times:setups ~dispose:ignore (fun () -> set_up ~seed) in
   let c = { Scenario.attempted = 0; failed = 0 } in
-  let pairs = Common.repeat ~seconds ~min:3 (fun () -> pair None c inp) in
+  let tr = Spans.create () in
+  let pairs = Common.repeat ~seconds ~min:3 (fun () -> Scenario.logged (pair tr c inp)) in
   {
     Common.attempted = c.attempted;
     failed = c.failed;
@@ -184,16 +178,8 @@ let untraced ~seed ~seconds ~setups =
 let traced ~seed ~seconds =
   let inp = set_up ~seed in
   let c = { Scenario.attempted = 0; failed = 0 } in
-  let tr = Spans.create () and gc = Common.gc_meter () in
-  let base, pairs =
-    Common.alternate
-      ~started:(fun () ->
-        Spans.reset tr;
-        Common.gc_reset gc)
-      ~seconds ~min:2
-      (fun () -> pair None c inp)
-      (fun () -> Common.gc_metered gc (fun () -> pair (Some tr) c inp))
-  in
+  let tr = Spans.create () in
+  let untraced, pairs, gc = Scenario.traced_pairs ~seconds ~pair:(fun () -> pair tr c inp) tr in
   let n = List.length pairs in
   {
     Common.attempted = c.attempted;
@@ -211,5 +197,5 @@ let traced ~seed ~seconds =
         ~mwords:[ ("mailbox.distribute_sharded_mwords", "mailbox.distribute_sharded") ]
       @ Common.pairing_probe (Params.production ()) ~calls:10
       @ Common.gc_metrics gc ~pairs:n
-      @ Scenario.trace_metrics tr ~base ~traced:pairs;
+      @ Scenario.trace_metrics tr ~untraced ~traced:pairs;
   }

@@ -1,6 +1,6 @@
 (* The round-pair scenario both pair workloads run, whatever drives the
    rounds (the library's deployment or the benchmark's own layer-by-layer
-   driver), plus the checks that feed [failed].
+   driver, layered.ml), plus the checks that feed [failed].
 
    n clients (n divisible by 4) split into groups A = [0, n/2) and
    B = [n/2, n). Call partners are i and i xor 1, always inside one group.
@@ -177,68 +177,102 @@ let set_up t =
   ignore (addfriend t (churn t));
   ignore (dialing t ~calls:true)
 
-type pair = { af_s : float; dial_s : float; words : float; af_bytes : int; dial_bytes : int }
+type pair = {
+  af_s : float;  (** wall seconds *)
+  dial_s : float;
+  af_ref_s : float;  (** the same, at the reference speed *)
+  dial_ref_s : float;
+  reference_s : float;  (** mean of the pair's three reference runs *)
+  words : float;
+  af_bytes : int;
+  dial_bytes : int;
+}
 
-(* One measured round pair: timed, with the allocation of the driving
-   process and the bytes one client downloads (largest mailbox plus
-   largest filter). *)
-let pair t =
+(* One measured round pair, [addfriend] then [dialing] (each returns the
+   bytes one client downloads): timed, each phase between reference runs,
+   with the allocation of the driving process. *)
+let timed_pair ~addfriend ~dialing =
+  let now = Unix.gettimeofday in
+  let r0 = Common.reference () in
   let w0 = Spans.words () in
-  let t0 = Unix.gettimeofday () in
-  let af = addfriend t (churn t) in
-  let t1 = Unix.gettimeofday () in
-  let dial = dialing t ~calls:true in
-  let t2 = Unix.gettimeofday () in
-  Printf.eprintf "pair: addfriend %.3f s, dialing %.3f s\n%!" (t1 -. t0) (t2 -. t1);
-  { af_s = t1 -. t0; dial_s = t2 -. t1; words = Spans.words () -. w0; af_bytes = af; dial_bytes = dial }
+  let t0 = now () in
+  let af_bytes = addfriend () in
+  let af_s = now () -. t0 in
+  let r1 = Common.reference () in
+  let t1 = now () in
+  let dial_bytes = dialing () in
+  let dial_s = now () -. t1 in
+  let words = Spans.words () -. w0 in
+  let r2 = Common.reference () in
+  {
+    af_s;
+    dial_s;
+    af_ref_s = Common.at_reference_speed ~before:r0 ~after:r1 af_s;
+    dial_ref_s = Common.at_reference_speed ~before:r1 ~after:r2 dial_s;
+    reference_s = (r0 +. r1 +. r2) /. 3.0;
+    words;
+    af_bytes;
+    dial_bytes;
+  }
+
+let pair t = timed_pair ~addfriend:(fun () -> addfriend t (churn t)) ~dialing:(fun () -> dialing t ~calls:true)
+
+(* Progress on stderr, printed outside every measured window. *)
+let logged p =
+  Printf.eprintf "pair: addfriend %.3f s (%.3f s at reference speed), dialing %.3f s (%.3f s)\n%!"
+    p.af_s p.af_ref_s p.dial_s p.dial_ref_s;
+  p
 
 let tally t = (t.tally.attempted, t.tally.failed)
 
-(* The pair metrics of a run. Round times are the fastest round of the
-   run: on a shared host the CPU's speed swings by up to 1.7x within
-   seconds as neighbours come and go, and those swings only ever add time,
-   so the fastest round is the stable estimate of a round's cost. Counts
-   are medians. *)
+(* The pair metrics of a run: medians over its round pairs, round times at
+   the reference speed (common.ml). *)
 let metrics pairs =
-  let fastest f = List.fold_left (fun acc p -> Float.min acc (f p)) infinity pairs in
   let med f = Common.median (List.map f pairs) in
   [
-    ("addfriend_round_s", fastest (fun p -> p.af_s));
-    ("dialing_round_s", fastest (fun p -> p.dial_s));
+    ("addfriend_round_s", med (fun p -> p.af_ref_s));
+    ("dialing_round_s", med (fun p -> p.dial_ref_s));
     ("alloc_mwords", med (fun p -> p.words /. 1e6));
     ("client_download_bytes", med (fun p -> float_of_int (p.af_bytes + p.dial_bytes)));
   ]
 
 (* ---- traced runs ---- *)
 
-(* Alternate round pairs of the library's driver ([base]) and the
-   benchmark's layered driver ([layered], spans into [tr]); [around] wraps
-   each layered pair outside its timing, and [started] runs once the
-   warm-up pairs are done. Returns both pair lists and the collections
-   seen during the layered pairs. *)
-let traced_pairs ?(around = fun f -> f ()) ?(started = ignore) ~seconds ~base ~layered tr =
+(* Alternate untraced and traced round pairs of one driver, [pair ()],
+   whose spans go to [tr]; [around] wraps each traced pair outside its
+   timing, and [started] runs once the warm-up pairs are done. Returns
+   both pair lists, in run order, and the collections seen during the
+   traced pairs. *)
+let traced_pairs ?(around = fun f -> f ()) ?(started = ignore) ~seconds ~pair tr =
   let gc = Common.gc_meter () in
-  let b, l =
+  let untraced, traced =
     Common.alternate
       ~started:(fun () ->
         Spans.reset tr;
         Common.gc_reset gc;
         started ())
       ~seconds ~min:2
-      (fun () -> pair base)
-      (fun () -> around (fun () -> Common.gc_metered gc (fun () -> pair layered)))
+      (fun () -> logged (pair ()))
+      (fun () ->
+        logged (around (fun () -> Common.gc_metered gc (fun () -> Spans.traced tr pair))))
   in
-  (b, l, gc)
+  (untraced, traced, gc)
 
-(* Span coverage of the traced round wall time, and the traced pair's
-   median against the untraced one's. *)
-let trace_metrics tr ~base ~traced =
+(* Span coverage of the traced round wall time; the tracing cost, as the
+   median over alternating pairs of traced / untraced pair time; the
+   median wall times of the untraced rounds and of the reference runs
+   around them. *)
+let trace_metrics tr ~untraced ~traced =
   let pair_s p = p.af_s +. p.dial_s in
   let wall = List.fold_left (fun acc p -> acc +. pair_s p) 0.0 traced in
+  let med f = Common.median (List.map f untraced) in
   [
     ("trace.coverage", Spans.covered_s tr /. wall);
     ( "trace.overhead_frac",
-      (Common.median (List.map pair_s traced) /. Common.median (List.map pair_s base)) -. 1.0 );
+      Common.median (List.map2 (fun t u -> pair_s t /. pair_s u) traced untraced) -. 1.0 );
+    ("round.addfriend_wall_s", med (fun p -> p.af_s));
+    ("round.dialing_wall_s", med (fun p -> p.dial_s));
+    ("host.reference_ms", med (fun p -> p.reference_s *. 1e3));
   ]
 
 (* The pair workloads' layer spans, as per-pair metrics. *)

@@ -7,7 +7,9 @@
    minus those of the spans nested directly inside it, so the per-layer
    figures add up to the covered share of the round without double
    counting. Spans are aggregated per name in memory; nothing is written
-   while a round runs. *)
+   while a round runs. A tracer records only while [traced] runs; at other
+   times [span] just calls its function, so the same driver runs traced and
+   untraced. *)
 
 type frame = {
   name : string;
@@ -19,9 +21,9 @@ type frame = {
 
 type total = { mutable self_s : float; mutable self_w : float }
 
-type t = { mutable stack : frame list; totals : (string, total) Hashtbl.t }
+type t = { mutable on : bool; mutable stack : frame list; totals : (string, total) Hashtbl.t }
 
-let create () = { stack = []; totals = Hashtbl.create 32 }
+let create () = { on = false; stack = []; totals = Hashtbl.create 32 }
 
 (* Words allocated by this domain so far: minor allocations plus direct
    major allocations (promotions are already counted as minor words). *)
@@ -49,14 +51,18 @@ let close t fr =
     parent.child_w <- parent.child_w +. w
   | [] -> ()
 
-(* [span None] is the untraced path: the call runs with no bookkeeping. *)
-let span tr name f =
-  match tr with
-  | None -> f ()
-  | Some t ->
+let span t name f =
+  if not t.on then f ()
+  else begin
     let fr = { name; t0 = Unix.gettimeofday (); w0 = words (); child_s = 0.0; child_w = 0.0 } in
     t.stack <- fr :: t.stack;
     Fun.protect ~finally:(fun () -> close t fr) f
+  end
+
+(* [f ()] with [t] recording. *)
+let traced t f =
+  t.on <- true;
+  Fun.protect ~finally:(fun () -> t.on <- false) f
 
 let self_s t name = match Hashtbl.find_opt t.totals name with Some x -> x.self_s | None -> 0.0
 let self_words t name = match Hashtbl.find_opt t.totals name with Some x -> x.self_w | None -> 0.0
