@@ -139,8 +139,6 @@ let () =
   Unix.putenv "ALPENHORN_DOMAINS" "1";
   Parallel.set_default_size 1;
   host_context ();
-  (* the reference's table is built and paged in before any timed window *)
-  ignore (Common.reference ());
   let seed = Printf.sprintf "perfbench-%d" !seed and seconds = !seconds and traced = !trace = 1 in
   (* a set-up takes ~3-5 s on the pair workloads and ~0.4 s on scale-1m *)
   let setups = if !setups > 0 then !setups else if !workload = "scale-1m" then 9 else 3 in

@@ -177,50 +177,21 @@ let set_up t =
   ignore (addfriend t (churn t));
   ignore (dialing t ~calls:true)
 
-type pair = {
-  af_s : float;  (** wall seconds *)
-  dial_s : float;
-  af_ref_s : float;  (** the same, at the reference speed *)
-  dial_ref_s : float;
-  reference_s : float;  (** mean of the pair's three reference runs *)
-  words : float;
-  af_bytes : int;
-  dial_bytes : int;
-}
+type pair = { af : Common.window; dial : Common.window; af_bytes : int; dial_bytes : int }
 
 (* One measured round pair, [addfriend] then [dialing] (each returns the
-   bytes one client downloads): timed, each phase between reference runs,
-   with the allocation of the driving process. *)
+   bytes one client downloads), each phase its own timed window. *)
 let timed_pair ~addfriend ~dialing =
-  let now = Unix.gettimeofday in
-  let r0 = Common.reference () in
-  let w0 = Spans.words () in
-  let t0 = now () in
-  let af_bytes = addfriend () in
-  let af_s = now () -. t0 in
-  let r1 = Common.reference () in
-  let t1 = now () in
-  let dial_bytes = dialing () in
-  let dial_s = now () -. t1 in
-  let words = Spans.words () -. w0 in
-  let r2 = Common.reference () in
-  {
-    af_s;
-    dial_s;
-    af_ref_s = Common.at_reference_speed ~before:r0 ~after:r1 af_s;
-    dial_ref_s = Common.at_reference_speed ~before:r1 ~after:r2 dial_s;
-    reference_s = (r0 +. r1 +. r2) /. 3.0;
-    words;
-    af_bytes;
-    dial_bytes;
-  }
+  let af_bytes, af = Common.timed addfriend in
+  let dial_bytes, dial = Common.timed dialing in
+  { af; dial; af_bytes; dial_bytes }
 
 let pair t = timed_pair ~addfriend:(fun () -> addfriend t (churn t)) ~dialing:(fun () -> dialing t ~calls:true)
 
 (* Progress on stderr, printed outside every measured window. *)
 let logged p =
   Printf.eprintf "pair: addfriend %.3f s (%.3f s at reference speed), dialing %.3f s (%.3f s)\n%!"
-    p.af_s p.af_ref_s p.dial_s p.dial_ref_s;
+    p.af.wall_s p.af.scaled_s p.dial.wall_s p.dial.scaled_s;
   p
 
 let tally t = (t.tally.attempted, t.tally.failed)
@@ -230,9 +201,9 @@ let tally t = (t.tally.attempted, t.tally.failed)
 let metrics pairs =
   let med f = Common.median (List.map f pairs) in
   [
-    ("addfriend_round_s", med (fun p -> p.af_ref_s));
-    ("dialing_round_s", med (fun p -> p.dial_ref_s));
-    ("alloc_mwords", med (fun p -> p.words /. 1e6));
+    ("addfriend_round_s", med (fun p -> p.af.scaled_s));
+    ("dialing_round_s", med (fun p -> p.dial.scaled_s));
+    ("alloc_mwords", med (fun p -> (p.af.words +. p.dial.words) /. 1e6));
     ("client_download_bytes", med (fun p -> float_of_int (p.af_bytes + p.dial_bytes)));
   ]
 
@@ -259,20 +230,21 @@ let traced_pairs ?(around = fun f -> f ()) ?(started = ignore) ~seconds ~pair tr
   (untraced, traced, gc)
 
 (* Span coverage of the traced round wall time; the tracing cost, as the
-   median over alternating pairs of traced / untraced pair time; the
-   median wall times of the untraced rounds and of the reference runs
-   around them. *)
+   median over alternating pairs of traced / untraced pair time (at the
+   reference speed); the median wall times of the untraced rounds and of
+   the reference runs around them. *)
 let trace_metrics tr ~untraced ~traced =
-  let pair_s p = p.af_s +. p.dial_s in
-  let wall = List.fold_left (fun acc p -> acc +. pair_s p) 0.0 traced in
+  let wall p = p.af.Common.wall_s +. p.dial.Common.wall_s in
+  let scaled p = p.af.Common.scaled_s +. p.dial.Common.scaled_s in
+  let traced_wall = List.fold_left (fun acc p -> acc +. wall p) 0.0 traced in
   let med f = Common.median (List.map f untraced) in
   [
-    ("trace.coverage", Spans.covered_s tr /. wall);
+    ("trace.coverage", Spans.covered_s tr /. traced_wall);
     ( "trace.overhead_frac",
-      Common.median (List.map2 (fun t u -> pair_s t /. pair_s u) traced untraced) -. 1.0 );
-    ("round.addfriend_wall_s", med (fun p -> p.af_s));
-    ("round.dialing_wall_s", med (fun p -> p.dial_s));
-    ("host.reference_ms", med (fun p -> p.reference_s *. 1e3));
+      Common.median (List.map2 (fun t u -> scaled t /. scaled u) traced untraced) -. 1.0 );
+    ("round.addfriend_wall_s", med (fun p -> p.af.Common.wall_s));
+    ("round.dialing_wall_s", med (fun p -> p.dial.Common.wall_s));
+    ("host.reference_ms", med (fun p -> p.af.Common.reference_s *. 1e3));
   ]
 
 (* The pair workloads' layer spans, as per-pair metrics. *)
