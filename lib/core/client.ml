@@ -410,13 +410,15 @@ let scan_addfriend_mailbox t af ciphertexts =
     Tel.Span.with_ Tel.default "client.scan_addfriend" (fun () ->
         Tel.Counter.add m_scan_attempts (List.length ciphertexts);
         (* Trial decryption is the expensive, randomness-free part of the
-           scan: fan it out across the domain pool. The hits are then
-           processed sequentially in mailbox order, because
+           scan: prepare the key once, then fan the decryptions out across
+           the domain pool, which only reads the prepared table. The hits
+           are then processed sequentially in mailbox order, because
            [process_request] draws DH keys from the client's DRBG. *)
         let pool = Parallel.get () in
         if Parallel.size pool > 1 then Pairing.warmup t.params;
         let plaintexts =
-          Parallel.map_list pool (fun ctxt -> Ibe.decrypt t.params identity_key ctxt) ciphertexts
+          Ibe.with_prepared_key t.params identity_key (fun key ->
+              Parallel.map_list pool (fun ctxt -> Ibe.decrypt_prepared t.params key ctxt) ciphertexts)
         in
         List.filter_map
           (fun plaintext ->

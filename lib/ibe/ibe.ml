@@ -47,12 +47,13 @@ let encrypt (params : Params.t) rng mpk ~id msg =
   (* e(H(id), mpk) is fixed per (recipient, PKG) — every request to the
      same master key hits the pairing cache *)
   let g_id = Pairing.pair_cached params (Pairing.hash_to_group params id) mpk in
-  let mask = h2 (Pairing.gt_bytes params (Alpenhorn_pairing.Fp2.pow fp g_id r)) in
+  let mask = h2 (Pairing.gt_bytes params (Pairing.gt_pow params g_id r)) in
   let v = Util.xor sigma mask in
   let w = Chacha20.xor_stream ~key:(h4 sigma) ~nonce:stream_nonce msg in
   Curve.to_bytes fp u ^ v ^ w
 
-let decrypt (params : Params.t) d_id ctxt =
+(* [pair_u u] is e(d_id, U) for the decrypting key *)
+let decrypt_with (params : Params.t) pair_u ctxt =
   let fp = params.fp in
   let pb = Curve.point_bytes fp in
   if String.length ctxt < pb + 32 then None
@@ -60,18 +61,30 @@ let decrypt (params : Params.t) d_id ctxt =
     match Curve.of_bytes fp (String.sub ctxt 0 pb) with
     | None | Some Curve.Inf -> None
     | Some u ->
-      if Curve.equal d_id Curve.Inf then None
-      else begin
-        let v = String.sub ctxt pb 32 in
-        let w = String.sub ctxt (pb + 32) (String.length ctxt - pb - 32) in
-        let mask = h2 (Pairing.gt_bytes params (Pairing.pair params d_id u)) in
-        let sigma = Util.xor v mask in
-        let msg = Chacha20.xor_stream ~key:(h4 sigma) ~nonce:stream_nonce w in
-        let r = h3 params sigma msg in
-        (* Fujisaki-Okamoto consistency check: U must equal rP *)
-        if Curve.equal u (Params.mul_g params r) then Some msg else None
-      end
+      let v = String.sub ctxt pb 32 in
+      let w = String.sub ctxt (pb + 32) (String.length ctxt - pb - 32) in
+      let mask = h2 (Pairing.gt_bytes params (pair_u u)) in
+      let sigma = Util.xor v mask in
+      let msg = Chacha20.xor_stream ~key:(h4 sigma) ~nonce:stream_nonce w in
+      let r = h3 params sigma msg in
+      (* Fujisaki-Okamoto consistency check: U must equal rP *)
+      if Curve.equal u (Params.mul_g params r) then Some msg else None
   end
+
+let decrypt (params : Params.t) d_id ctxt =
+  if Curve.equal d_id Curve.Inf then None else decrypt_with params (Pairing.pair params d_id) ctxt
+
+(* None for the point at infinity, which decrypts nothing *)
+type prepared_key = Pairing.prepared option
+
+let with_prepared_key (params : Params.t) d_id f =
+  if Curve.equal d_id Curve.Inf then f None
+  else Pairing.with_prepared params d_id (fun k -> f (Some k))
+
+let decrypt_prepared (params : Params.t) key ctxt =
+  match key with
+  | None -> None
+  | Some k -> decrypt_with params (Pairing.pair_prepared k) ctxt
 
 let master_public_bytes (params : Params.t) pk = Curve.to_bytes params.fp pk
 let master_public_of_bytes (params : Params.t) s = Curve.of_bytes params.fp s

@@ -429,10 +429,13 @@ let of_bytes f s =
       match Field.of_bytes_opt f (String.sub s 0 n) with
       | None -> None
       | Some x ->
-        let rhs = Field.add f (Field.mul f (Field.sqr f x) x) Bigint.one in
-        (match Field.sqrt f rhs with
+        let ctx = Field.mont_ctx f in
+        let xm = Mont.of_bigint ctx x in
+        let rhs = Mont.add ctx (Mont.mul ctx (Mont.sqr ctx xm) xm) (Mont.one ctx) in
+        (match Mont.sqrt ctx rhs with
          | None -> None
          | Some y ->
+           let y = Mont.to_bigint ctx y in
            let want_odd = s.[n] = '\x01' in
            let y = if Bigint.is_even y = want_odd then Field.neg f y else y in
            Some (Affine { x; y }))

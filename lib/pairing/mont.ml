@@ -26,6 +26,7 @@ type ctx = {
   one_m : el; (* R mod p = Montgomery form of 1 *)
   one_raw : el; (* plain 1; mont-mul by it converts out of Montgomery form *)
   pm2 : Bigint.t; (* p − 2, the Fermat inversion exponent *)
+  sqrt_exp : Bigint.t; (* (p + 1)/4, the square-root exponent when p ≡ 3 (mod 4) *)
   p_big : Bigint.t;
   scratch : int array Domain.DLS.key; (* n+2 limbs reused by [mul], one per domain *)
   c_mul : Tel.Counter.t; (* kernel invocations ("pairing.mont_mul") *)
@@ -64,11 +65,13 @@ let create p_big =
     one_m = limbs_of_bigint n (Bigint.rem r p_big);
     one_raw;
     pm2 = Bigint.sub p_big Bigint.two;
+    sqrt_exp = Bigint.shift_right (Bigint.add p_big Bigint.one) 2;
     p_big;
     scratch = Domain.DLS.new_key (fun () -> Array.make (n + 2) 0);
     c_mul = Tel.Counter.v Tel.default "pairing.mont_mul";
   }
 
+let limbs ctx = ctx.n
 let zero ctx = Array.make ctx.n 0
 let one ctx = Array.copy ctx.one_m
 
@@ -233,6 +236,12 @@ let inv ctx a =
   if is_zero a then raise Division_by_zero;
   pow ctx a ctx.pm2
 
+(* for p ≡ 3 (mod 4), a^((p+1)/4) squares to a exactly when a is a square *)
+let sqrt ctx a =
+  if not (Bigint.testbit ctx.p_big 1) then invalid_arg "Mont.sqrt: modulus must be 3 mod 4";
+  let r = pow ctx a ctx.sqrt_exp in
+  if equal (sqr ctx r) a then Some r else None
+
 (* ---- F_p² = F_p[i]/(i² + 1), components in Montgomery form ----
 
    Mirrors [Fp2] exactly (same Karatsuba 3-mult product, same inversion by
@@ -260,6 +269,7 @@ module F2 = struct
   let add ctx a b = { re = el_add ctx a.re b.re; im = el_add ctx a.im b.im }
   let sub ctx a b = { re = el_sub ctx a.re b.re; im = el_sub ctx a.im b.im }
   let neg ctx a = { re = el_neg ctx a.re; im = el_neg ctx a.im }
+  let conj ctx a = { a with im = el_neg ctx a.im }
 
   (* subtract a base-field element (touches only the real component) *)
   let sub_el ctx a c = { a with re = el_sub ctx a.re c }

@@ -34,6 +34,9 @@ val create : Bigint.t -> ctx
 (** Precompute a context for an odd modulus.
     @raise Invalid_argument if the modulus is even or not positive. *)
 
+val limbs : ctx -> int
+(** Limb count [n] of every element of this context. *)
+
 val zero : ctx -> el
 val one : ctx -> el
 
@@ -66,6 +69,11 @@ val inv : ctx -> el -> el
 (** Fermat inversion [a^(p−2)]; p must be prime (true for every field
     this repo constructs). @raise Division_by_zero on zero. *)
 
+val sqrt : ctx -> el -> el option
+(** [Some (a^((p+1)/4))] when that squares to [a], else [None] ([a] is a
+    non-residue) — the same root {!Field.sqrt} returns.
+    @raise Invalid_argument unless p ≡ 3 (mod 4). *)
+
 (** [F_p² = F_p[i]/(i²+1)] with components in Montgomery form — mirrors
     {!Fp2} operation for operation so the Miller loop and final
     exponentiation never leave Montgomery representation. *)
@@ -80,6 +88,7 @@ module F2 : sig
   val add : ctx -> f2 -> f2 -> f2
   val sub : ctx -> f2 -> f2 -> f2
   val neg : ctx -> f2 -> f2
+  val conj : ctx -> f2 -> f2
   val sub_el : ctx -> f2 -> el -> f2
   val mul : ctx -> f2 -> f2 -> f2
   val sqr : ctx -> f2 -> f2

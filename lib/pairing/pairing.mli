@@ -6,15 +6,18 @@
     (ê(g, g) ≠ 1), which is what Boneh-Franklin IBE and BLS signatures
     need. Bilinearity: ê(aP, bQ) = ê(P, Q)^{ab}.
 
-    Denominators are kept separate during the Miller loop and inverted once
-    at the end (denominator elimination does not apply: the distorted
-    point's x-coordinate is not in F_p).
+    Denominator elimination does not apply (the distorted point's
+    x-coordinate is not in F_p), so every vertical stays a factor.
 
     [pair] runs the Miller loop in Jacobian coordinates over the
     fixed-limb Montgomery kernel ({!Mont}) — no field inversions inside
     the loop, every line scaled by factors in F_p* that the final
-    exponentiation kills. [pair_reference] is the affine Bigint+Barrett
-    implementation it is property-tested against. *)
+    exponentiation kills, verticals multiplied in conjugated rather than
+    divided out, and {!final_exp} in place of the full power.
+    {!with_prepared}/{!pair_prepared} split it for a first argument that
+    pairs with many second arguments. [pair_reference] is the affine
+    Bigint+Barrett implementation all of them are property-tested
+    against. *)
 
 module Bigint = Alpenhorn_bigint.Bigint
 
@@ -33,6 +36,39 @@ val pair_cached : Params.t -> Curve.point -> Curve.point -> Fp2.el
     key, BLS verification against known signers — use this; hit and miss
     counts land on the ["pairing.cache_hits"/"pairing.cache_misses"]
     telemetry counters. *)
+
+type prepared
+(** A first argument with its Miller chain precomputed: every line and
+    vertical of the loop, divided by its leading coefficient, in a flat
+    table. It decrypts exactly as the point does. *)
+
+val with_prepared : Params.t -> Curve.point -> (prepared -> 'a) -> 'a
+(** [with_prepared params a f] prepares [a] (about two prepared
+    pairings' work, a little less than one [pair]),
+    runs [f] on it and then zeroes the table, also when [f] raises. The
+    table lives in a buffer of the calling domain, borrowed for the
+    scope; [f] may hand the key to pool workers, which only read it.
+    @raise Invalid_argument if [a] is the point at infinity. *)
+
+val pair_prepared : prepared -> Curve.point -> Fp2.el
+(** [pair_prepared k b] is [pair params a b] for the key [k] prepared
+    from [a], at about 40% of its cost.
+    @raise Invalid_argument after [k]'s [with_prepared] scope has ended,
+    or if [b] is the point at infinity. *)
+
+val prepared_table : prepared -> int array
+(** The table itself, not a copy — exposed so tests can check that the
+    scope's release zeroes it. *)
+
+val final_exp : Params.t -> Mont.F2.f2 -> Mont.F2.f2
+(** [f^((p²−1)/q)], computed as [(conj(f)²/N(f))^(12l)]: Frobenius is
+    conjugation on F_p² because p ≡ 3 (mod 4), so [f^(p−1) =
+    conj(f)/f]. Equal to [Mont.F2.pow f tate_exp].
+    @raise Division_by_zero on zero. *)
+
+val gt_pow : Params.t -> Fp2.el -> Bigint.t -> Fp2.el
+(** Exponentiation in GT on the Montgomery kernel; equal to
+    [Fp2.pow]. *)
 
 val pair_product : Params.t -> (Curve.point * Curve.point) list -> Fp2.el
 (** [pair_product params \[(a1,b1); …; (an,bn)\]] is [Π ê(ai, bi)],

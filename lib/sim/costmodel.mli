@@ -30,7 +30,8 @@ type machine = {
   cores : int;  (** per mixnet/PKG server *)
   client_cores : int;
   t_unwrap : float;  (** s/core per onion layer (DH + AEAD) *)
-  t_ibe_decrypt : float;  (** s/core per mailbox-scan attempt *)
+  t_ibe_prepare : float;  (** s per mailbox scan: preparing the identity key *)
+  t_ibe_decrypt : float;  (** s/core per mailbox-scan attempt under the prepared key *)
   t_ibe_encrypt : float;  (** s/core per noise request (add-friend) *)
   t_token : float;  (** s/core per dial-token hash *)
   t_pairing : float;  (** s/core per Tate pairing (the IBE/BLS kernel) *)
@@ -48,6 +49,10 @@ val measure_local : ?pool:Alpenhorn_parallel.Parallel.t -> Params.t -> machine
     assumed from its size — so the pipeline model predicts with the
     parallelism this host actually delivers. Without a pool, [cores] is
     1. *)
+
+val addfriend_scan_seconds : machine -> requests:float -> float
+(** One client's add-friend mailbox scan: [t_ibe_prepare] once, then
+    [requests] trial decryptions spread over [client_cores]. *)
 
 val pp_machine : Format.formatter -> machine -> unit
 (** Human-readable calibration record. *)

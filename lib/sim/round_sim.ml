@@ -318,8 +318,7 @@ let addfriend m ?tracer ?events ?faults ?fault_round ?policy (pc : Costmodel.pro
     ~msg_bytes:(float_of_int (pc.Costmodel.request_bytes + pc.Costmodel.payload_header_bytes))
     ~mailbox_bytes:(requests_in_mailbox *. float_of_int pc.Costmodel.request_bytes)
     ~mailbox_load:requests_in_mailbox
-    ~scan_seconds:
-      (requests_in_mailbox *. m.Costmodel.t_ibe_decrypt /. float_of_int m.Costmodel.client_cores)
+    ~scan_seconds:(Costmodel.addfriend_scan_seconds m ~requests:requests_in_mailbox)
     ~chunks ()
 
 let dialing m ?tracer ?events ?faults ?fault_round ?policy ?(num_shards = 0)

@@ -107,6 +107,33 @@ let unit_tests =
           (match Ibe.master_public_of_bytes pr (Ibe.master_public_bytes pr mpk) with
            | Some m -> Curve.equal m mpk
            | None -> false));
+    Alcotest.test_case "prepared key decrypts exactly as the key" `Quick (fun () ->
+        let pr = p () and rng = rng () in
+        let msk, mpk = Ibe.setup pr rng in
+        let d = Ibe.extract pr msk "alice@example.org" in
+        let mine = Ibe.encrypt pr rng mpk ~id:"alice@example.org" "for alice" in
+        let tampered = Bytes.of_string mine in
+        Bytes.set tampered 3 (Char.chr (Char.code (Bytes.get tampered 3) lxor 1));
+        let mailbox =
+          [
+            mine;
+            Ibe.encrypt pr rng mpk ~id:"bob@example.org" "for bob";
+            Bytes.to_string tampered;
+            "";
+            String.make (Ibe.ciphertext_overhead pr + 10) '\xAB';
+            Ibe.encrypt pr rng mpk ~id:"alice@example.org" "";
+          ]
+        in
+        let prepared =
+          Ibe.with_prepared_key pr d (fun key -> List.map (Ibe.decrypt_prepared pr key) mailbox)
+        in
+        Alcotest.(check (list (option string))) "same results" (List.map (Ibe.decrypt pr d) mailbox)
+          prepared;
+        Alcotest.(check (option string)) "only its own" (Some "for alice") (List.hd prepared);
+        Alcotest.(check (list (option string))) "infinity decrypts nothing"
+          (List.map (fun _ -> None) mailbox)
+          (Ibe.with_prepared_key pr Curve.Inf (fun key ->
+               List.map (Ibe.decrypt_prepared pr key) mailbox)));
     Alcotest.test_case "distinct randomness yields distinct ciphertexts" `Quick (fun () ->
         let pr = p () and rng = rng () in
         let _, mpk = Ibe.setup pr rng in

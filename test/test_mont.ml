@@ -71,6 +71,16 @@ let inv_pow f a b =
   check_b "pow" (Field.pow f a b) (Mont.to_bigint ctx (Mont.pow ctx am b));
   check_b "pow 0 = 1" B.one (Mont.to_bigint ctx (Mont.pow ctx am B.zero))
 
+let roots f a _ =
+  let ctx = Field.mont_ctx f in
+  let root x = Option.map (Mont.to_bigint ctx) (Mont.sqrt ctx (Mont.of_bigint ctx x)) in
+  Alcotest.(check (option string)) "sqrt"
+    (Option.map B.to_string (Field.sqrt f a))
+    (Option.map B.to_string (root a));
+  Alcotest.(check (option string)) "sqrt of a square"
+    (Option.map B.to_string (Field.sqrt f (Field.sqr f a)))
+    (Option.map B.to_string (root (Field.sqr f a)))
+
 let f2_ops f a b =
   let ctx = Field.mont_ctx f in
   let module Fp2 = Alpenhorn_pairing.Fp2 in
@@ -103,6 +113,7 @@ let kernel_tests =
     t "roundtrip" roundtrip;
     t "ring ops" ring_ops;
     t "inv and pow" inv_pow;
+    t "sqrt" roots;
     t "fp2 ops" f2_ops;
   ]
 

@@ -6,9 +6,13 @@ module Fp2 = Alpenhorn_pairing.Fp2
 module Params = Alpenhorn_pairing.Params
 module Pairing = Alpenhorn_pairing.Pairing
 module Drbg = Alpenhorn_crypto.Drbg
+module Field = Alpenhorn_pairing.Field
+module Mont = Alpenhorn_pairing.Mont
+module Parallel = Alpenhorn_parallel.Parallel
 
 let params = lazy (Params.test ())
 let p () = Lazy.force params
+let two_torsion pr = Curve.make pr.Params.fp ~x:(Field.neg pr.Params.fp B.one) ~y:B.zero
 
 let unit_tests =
   [
@@ -59,6 +63,15 @@ let unit_tests =
         Alcotest.(check bool) "in (0, q)" true (B.sign s1 > 0 && B.compare s1 pr.Params.q < 0);
         Alcotest.(check bool) "differs by msg" false
           (B.equal s1 (Pairing.hash_to_scalar pr "other")));
+    Alcotest.test_case "gt_pow equals Fp2.pow" `Quick (fun () ->
+        let pr = p () in
+        let e = Pairing.pair pr pr.Params.g pr.Params.g in
+        let rng = Drbg.create ~seed:"gt-pow" in
+        List.iter
+          (fun r ->
+            Alcotest.(check bool) "same element" true
+              (Fp2.equal (Pairing.gt_pow pr e r) (Fp2.pow pr.Params.fp e r)))
+          [ B.zero; B.one; pr.Params.q; Drbg.bigint_below rng pr.Params.q ]);
     Alcotest.test_case "gt serialization is canonical" `Quick (fun () ->
         let pr = p () in
         let e = Pairing.pair pr pr.Params.g pr.Params.g in
@@ -68,12 +81,11 @@ let unit_tests =
 (* regression: the 2-torsion point (-1, 0) used to hit the tangent branch
    with y = 0 and raise Division_by_zero; the tangent there is vertical *)
 let two_torsion_tests =
-  let tt pr = Curve.make pr.Params.fp ~x:(Alpenhorn_pairing.Field.neg pr.Params.fp B.one) ~y:B.zero in
   [
     Alcotest.test_case "line_and_add doubles 2-torsion as a vertical" `Quick (fun () ->
         let pr = p () in
         let f = pr.Params.fp in
-        let t = tt pr in
+        let t = two_torsion pr in
         let xq = Fp2.mul_fp f pr.Params.zeta (B.of_int 7) and yq = Fp2.of_fp (B.of_int 9) in
         let l, v, sum = Pairing.line_and_add f t t ~xq ~yq in
         Alcotest.(check bool) "t + t = O" true (Curve.equal sum Curve.Inf);
@@ -83,10 +95,11 @@ let two_torsion_tests =
           (Fp2.equal l (Fp2.sub f xq (Fp2.of_fp (Alpenhorn_pairing.Field.neg f B.one)))));
     Alcotest.test_case "Curve.double of 2-torsion is O" `Quick (fun () ->
         let pr = p () in
-        Alcotest.(check bool) "double" true (Curve.equal (Curve.double pr.Params.fp (tt pr)) Curve.Inf));
+        Alcotest.(check bool) "double" true
+          (Curve.equal (Curve.double pr.Params.fp (two_torsion pr)) Curve.Inf));
     Alcotest.test_case "pairing with a 2-torsion first argument does not raise" `Quick (fun () ->
         let pr = p () in
-        let t = tt pr in
+        let t = two_torsion pr in
         (* the Miller loop doubles through y = 0 immediately; both paths
            must survive and agree *)
         Alcotest.(check bool) "fast = reference" true
@@ -132,6 +145,118 @@ let fast_path_tests =
           (Tel.Snapshot.counter_sum snap "pairing.cache_misses" >= 1));
   ]
 
+(* ---- the prepared first argument ---- *)
+
+(* G1 points, curve points outside G1 (no cofactor clearing) and the
+   2-torsion point *)
+let sample_points pr ~seed ~g1 ~off =
+  let f = pr.Params.fp in
+  let rng = Drbg.create ~seed in
+  let rec off_g1 () =
+    let y = Drbg.bigint_below rng (Field.modulus f) in
+    let y2m1 = Field.sub f (Field.sqr f y) B.one in
+    if Field.is_zero y2m1 then off_g1 () else Curve.make f ~x:(Field.cbrt f y2m1) ~y
+  in
+  List.init g1 (fun _ ->
+      Params.mul_g pr (B.add B.one (Drbg.bigint_below rng (B.sub pr.Params.q B.one))))
+  @ List.init off (fun _ -> off_g1 ())
+  @ [ two_torsion pr ]
+
+(* every point as the prepared first argument against every point *)
+let prepared_agrees pr pts =
+  List.iter
+    (fun a ->
+      Pairing.with_prepared pr a (fun k ->
+          List.iter
+            (fun b ->
+              let e = Pairing.pair pr a b in
+              Alcotest.(check bool) "prepared = pair" true (Fp2.equal (Pairing.pair_prepared k b) e);
+              Alcotest.(check bool) "pair = reference" true
+                (Fp2.equal e (Pairing.pair_reference pr a b)))
+            pts))
+    pts
+
+let prepared_tests =
+  let all_zero t = Array.for_all (( = ) 0) t in
+  [
+    Alcotest.test_case "prepared key equals pair and the reference on the test curve" `Quick
+      (fun () ->
+        let pr = p () in
+        prepared_agrees pr (sample_points pr ~seed:"prep-test" ~g1:3 ~off:2));
+    Alcotest.test_case "prepared key equals pair and the reference on the production curve" `Slow
+      (fun () ->
+        let pr = Params.production () in
+        prepared_agrees pr (sample_points pr ~seed:"prep-prod" ~g1:1 ~off:1));
+    Alcotest.test_case "one prepared key at many second arguments across 4 domains" `Quick
+      (fun () ->
+        let pr = p () in
+        Pairing.warmup pr;
+        let a = Pairing.hash_to_group pr "shared-key" in
+        let bs =
+          Array.of_list
+            (sample_points pr ~seed:"prep-shared" ~g1:24 ~off:3
+            @ List.init 4 (fun i -> Pairing.hash_to_group pr (string_of_int i)))
+        in
+        let expected = Array.map (Pairing.pair pr a) bs in
+        let pool = Parallel.create ~domains:4 in
+        let got =
+          Fun.protect
+            ~finally:(fun () -> Parallel.shutdown pool)
+            (fun () ->
+              Pairing.with_prepared pr a (fun k -> Parallel.map pool (Pairing.pair_prepared k) bs))
+        in
+        Array.iteri
+          (fun i e -> Alcotest.(check bool) (Printf.sprintf "point %d" i) true (Fp2.equal got.(i) e))
+          expected);
+    Alcotest.test_case "prepared key dies with its scope, which zeroes the table" `Quick (fun () ->
+        let pr = p () in
+        let g = pr.Params.g and h = Pairing.hash_to_group pr "scope" in
+        let k, table =
+          Pairing.with_prepared pr g (fun k ->
+              let t = Pairing.prepared_table k in
+              Alcotest.(check bool) "filled inside the scope" false (all_zero t);
+              (k, t))
+        in
+        Alcotest.(check bool) "zeroed on release" true (all_zero table);
+        Alcotest.check_raises "used after its scope"
+          (Invalid_argument "Pairing.pair_prepared: key used after its with_prepared scope")
+          (fun () -> ignore (Pairing.pair_prepared k h));
+        let seen = ref [||] in
+        Alcotest.check_raises "the callback's exception passes through" (Failure "scan aborted")
+          (fun () ->
+            Pairing.with_prepared pr g (fun k ->
+                seen := Pairing.prepared_table k;
+                failwith "scan aborted"));
+        Alcotest.(check bool) "zeroed when the callback raises" true
+          (Array.length !seen > 0 && all_zero !seen);
+        (* a nested preparation on the same domain gets its own table *)
+        Pairing.with_prepared pr g (fun outer ->
+            let inner = Pairing.with_prepared pr h (fun inner -> Pairing.pair_prepared inner g) in
+            Alcotest.(check bool) "inner" true (Fp2.equal inner (Pairing.pair pr h g));
+            Alcotest.(check bool) "outer still live" true
+              (Fp2.equal (Pairing.pair_prepared outer h) (Pairing.pair pr g h)));
+        Alcotest.check_raises "infinity" (Invalid_argument "Pairing.with_prepared: point at infinity")
+          (fun () -> Pairing.with_prepared pr Curve.Inf ignore));
+    Alcotest.test_case "final_exp equals the full power" `Quick (fun () ->
+        List.iter
+          (fun pr ->
+            let ctx = Field.mont_ctx pr.Params.fp in
+            let rng = Drbg.create ~seed:"final-exp" in
+            let el () = Mont.of_bigint ctx (Drbg.bigint_below rng (Field.modulus pr.Params.fp)) in
+            let fs =
+              { Mont.F2.re = Mont.one ctx; im = Mont.zero ctx }
+              :: { Mont.F2.re = el (); im = Mont.zero ctx }
+              :: List.init 10 (fun _ -> { Mont.F2.re = el (); im = el () })
+            in
+            List.iter
+              (fun f ->
+                if not (Mont.F2.is_zero f) then
+                  Alcotest.(check bool) "final_exp" true
+                    (Mont.F2.equal (Pairing.final_exp pr f) (Mont.F2.pow ctx f pr.Params.tate_exp)))
+              fs)
+          [ p (); Params.production () ]);
+  ]
+
 let prop name ?(count = 15) arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
 let property_tests =
@@ -160,4 +285,4 @@ let property_tests =
           (Pairing.pair pr (Curve.mul f (B.of_int b) g) (Curve.mul f (B.of_int a) h)));
   ]
 
-let suite = unit_tests @ two_torsion_tests @ fast_path_tests @ property_tests
+let suite = unit_tests @ two_torsion_tests @ fast_path_tests @ prepared_tests @ property_tests
