@@ -145,15 +145,33 @@ let mul_jacobian f k p =
 
 (* Jacobian coordinates over the fixed-limb Montgomery kernel: the same
    dbl-2009-l / add-2007-bl formulas as [Jac], but every field operation is
-   a flat int-array CIOS multiplication instead of Bigint + Barrett. This
-   is what [mul], the fixed-base tables and the pairing's Miller loop run
-   on; [Jac] and [mul_affine] stay as the references the property tests
-   compare against. *)
+   an in-place FIOS multiplication on flat int arrays instead of Bigint +
+   Barrett. This is what [mul] and the fixed-base tables run on; [Jac] and
+   [mul_affine] stay as the references the property tests compare
+   against. *)
 module Jm = struct
+  (* the coordinates' arrays are updated in place; Z = 0 is infinity *)
   type t = { x : Mont.el; y : Mont.el; z : Mont.el }
+
+  (* the formulas' temporaries: one per ladder, never shared across domains *)
+  type scratch = {
+    a : Mont.el;
+    b : Mont.el;
+    c : Mont.el;
+    d : Mont.el;
+    e : Mont.el;
+    f : Mont.el;
+    g : Mont.el;
+    h : Mont.el;
+  }
+
+  let scratch ctx =
+    let el () = Mont.zero ctx in
+    { a = el (); b = el (); c = el (); d = el (); e = el (); f = el (); g = el (); h = el () }
 
   let infinity ctx = { x = Mont.one ctx; y = Mont.one ctx; z = Mont.zero ctx }
   let is_infinity p = Mont.is_zero p.z
+  let copy p = { x = Array.copy p.x; y = Array.copy p.y; z = Array.copy p.z }
 
   let of_affine ctx = function
     | Inf -> infinity ctx
@@ -171,52 +189,81 @@ module Jm = struct
         }
     end
 
-  let double ctx p =
-    if is_infinity p || Mont.is_zero p.y then infinity ctx
+  (* p ← 2p (dbl-2009-l, 2M + 5S) *)
+  let double_into ctx s p =
+    if is_infinity p then ()
+    else if Mont.is_zero p.y then Mont.zero_into p.z
     else begin
-      let a = Mont.sqr ctx p.x in
-      let b = Mont.sqr ctx p.y in
-      let c = Mont.sqr ctx b in
-      let t = Mont.sqr ctx (Mont.add ctx p.x b) in
-      let d = Mont.mul_small ctx (Mont.sub ctx (Mont.sub ctx t a) c) 2 in
-      let e = Mont.mul_small ctx a 3 in
-      let ff = Mont.sqr ctx e in
-      let x3 = Mont.sub ctx ff (Mont.mul_small ctx d 2) in
-      let y3 = Mont.sub ctx (Mont.mul ctx e (Mont.sub ctx d x3)) (Mont.mul_small ctx c 8) in
-      let z3 = Mont.mul_small ctx (Mont.mul ctx p.y p.z) 2 in
-      { x = x3; y = y3; z = z3 }
+      Mont.mul_into ctx s.a p.x p.x;
+      Mont.mul_into ctx s.b p.y p.y;
+      Mont.mul_into ctx s.c s.b s.b;
+      (* D = 2((X + B)² − A − C) *)
+      Mont.add_into ctx s.d p.x s.b;
+      Mont.mul_into ctx s.d s.d s.d;
+      Mont.sub_into ctx s.d s.d s.a;
+      Mont.sub_into ctx s.d s.d s.c;
+      Mont.mul_small_into ctx s.d s.d 2;
+      (* E = 3A, F = E² *)
+      Mont.mul_small_into ctx s.e s.a 3;
+      Mont.mul_into ctx s.f s.e s.e;
+      (* Z3 = 2YZ, X3 = F − 2D, Y3 = E(D − X3) − 8C *)
+      Mont.mul_into ctx p.z p.y p.z;
+      Mont.mul_small_into ctx p.z p.z 2;
+      Mont.mul_small_into ctx s.g s.d 2;
+      Mont.sub_into ctx p.x s.f s.g;
+      Mont.sub_into ctx s.d s.d p.x;
+      Mont.mul_into ctx s.d s.e s.d;
+      Mont.mul_small_into ctx s.c s.c 8;
+      Mont.sub_into ctx p.y s.d s.c
     end
 
-  let add ctx p q =
-    if is_infinity p then q
-    else if is_infinity q then p
+  (* acc ← acc + q (add-2007-bl, 11M + 5S). [q] is only read and must not
+     be [acc]; an infinite [acc] takes a copy of [q], never [q] itself. *)
+  let add_into ctx s acc q =
+    if is_infinity q then ()
+    else if is_infinity acc then begin
+      Mont.copy_into acc.x q.x;
+      Mont.copy_into acc.y q.y;
+      Mont.copy_into acc.z q.z
+    end
     else begin
-      let z1z1 = Mont.sqr ctx p.z in
-      let z2z2 = Mont.sqr ctx q.z in
-      let u1 = Mont.mul ctx p.x z2z2 in
-      let u2 = Mont.mul ctx q.x z1z1 in
-      let s1 = Mont.mul ctx p.y (Mont.mul ctx q.z z2z2) in
-      let s2 = Mont.mul ctx q.y (Mont.mul ctx p.z z1z1) in
-      if Mont.equal u1 u2 then begin
-        if Mont.equal s1 s2 then double ctx p else infinity ctx
+      Mont.mul_into ctx s.a acc.z acc.z (* Z1Z1 *);
+      Mont.mul_into ctx s.b q.z q.z (* Z2Z2 *);
+      Mont.mul_into ctx s.c acc.x s.b (* U1 *);
+      Mont.mul_into ctx s.d q.x s.a (* U2 *);
+      Mont.mul_into ctx s.e q.z s.b;
+      Mont.mul_into ctx s.e acc.y s.e (* S1 *);
+      Mont.mul_into ctx s.f acc.z s.a;
+      Mont.mul_into ctx s.f q.y s.f (* S2 *);
+      if Mont.equal s.c s.d then begin
+        if Mont.equal s.e s.f then double_into ctx s acc else Mont.zero_into acc.z
       end
       else begin
-        let h = Mont.sub ctx u2 u1 in
-        let i = Mont.sqr ctx (Mont.mul_small ctx h 2) in
-        let j = Mont.mul ctx h i in
-        let r = Mont.mul_small ctx (Mont.sub ctx s2 s1) 2 in
-        let v = Mont.mul ctx u1 i in
-        let x3 = Mont.sub ctx (Mont.sub ctx (Mont.sqr ctx r) j) (Mont.mul_small ctx v 2) in
-        let y3 =
-          Mont.sub ctx (Mont.mul ctx r (Mont.sub ctx v x3))
-            (Mont.mul_small ctx (Mont.mul ctx s1 j) 2)
-        in
-        let z3 =
-          Mont.mul ctx
-            (Mont.sub ctx (Mont.sqr ctx (Mont.add ctx p.z q.z)) (Mont.add ctx z1z1 z2z2))
-            h
-        in
-        { x = x3; y = y3; z = z3 }
+        (* H = U2 − U1, I = (2H)², J = H·I, r = 2(S2 − S1), V = U1·I *)
+        Mont.sub_into ctx s.d s.d s.c;
+        Mont.mul_small_into ctx s.g s.d 2;
+        Mont.mul_into ctx s.g s.g s.g;
+        Mont.mul_into ctx s.h s.d s.g;
+        Mont.sub_into ctx s.f s.f s.e;
+        Mont.mul_small_into ctx s.f s.f 2;
+        Mont.mul_into ctx s.c s.c s.g;
+        (* Z3 = ((Z1 + Z2)² − Z1Z1 − Z2Z2)·H *)
+        Mont.add_into ctx acc.z acc.z q.z;
+        Mont.mul_into ctx acc.z acc.z acc.z;
+        Mont.sub_into ctx acc.z acc.z s.a;
+        Mont.sub_into ctx acc.z acc.z s.b;
+        Mont.mul_into ctx acc.z acc.z s.d;
+        (* X3 = r² − J − 2V *)
+        Mont.mul_into ctx acc.x s.f s.f;
+        Mont.sub_into ctx acc.x acc.x s.h;
+        Mont.mul_small_into ctx s.g s.c 2;
+        Mont.sub_into ctx acc.x acc.x s.g;
+        (* Y3 = r(V − X3) − 2·S1·J *)
+        Mont.sub_into ctx s.c s.c acc.x;
+        Mont.mul_into ctx s.c s.f s.c;
+        Mont.mul_into ctx s.e s.e s.h;
+        Mont.mul_small_into ctx s.e s.e 2;
+        Mont.sub_into ctx acc.y s.c s.e
       end
     end
 end
@@ -233,31 +280,33 @@ let digit k w =
 
 (* odd multiples would halve the table, but 1..15 keeps the window loop
    branch-free: one add per nonzero digit, no signed recoding *)
-let small_multiples ctx base =
+let small_multiples ctx s base =
   let tbl = Array.make 16 base in
   tbl.(0) <- Jm.infinity ctx;
   for i = 2 to 15 do
-    tbl.(i) <- (if i land 1 = 0 then Jm.double ctx tbl.(i lsr 1) else Jm.add ctx tbl.(i - 1) base)
+    let even = i land 1 = 0 in
+    let pt = Jm.copy tbl.(if even then i lsr 1 else i - 1) in
+    if even then Jm.double_into ctx s pt else Jm.add_into ctx s pt base;
+    tbl.(i) <- pt
   done;
   tbl
 
 (* windowed ladder core: [p] must be affine, [k] positive; the result
    stays Jacobian so callers can share the affine-conversion inversion *)
 let mul_jm ctx k p =
-  let tbl = small_multiples ctx (Jm.of_affine ctx p) in
+  let s = Jm.scratch ctx in
+  let tbl = small_multiples ctx s (Jm.of_affine ctx p) in
   let nwin = (Bigint.numbits k + window_bits - 1) / window_bits in
-  let acc = ref (Jm.infinity ctx) in
+  let acc = Jm.infinity ctx in
   for w = nwin - 1 downto 0 do
-    if w < nwin - 1 then begin
-      acc := Jm.double ctx !acc;
-      acc := Jm.double ctx !acc;
-      acc := Jm.double ctx !acc;
-      acc := Jm.double ctx !acc
-    end;
+    if w < nwin - 1 then
+      for _ = 1 to window_bits do
+        Jm.double_into ctx s acc
+      done;
     let d = digit k w in
-    if d <> 0 then acc := Jm.add ctx !acc tbl.(d)
+    if d <> 0 then Jm.add_into ctx s acc tbl.(d)
   done;
-  !acc
+  acc
 
 let mul f k p =
   if Bigint.sign k < 0 then invalid_arg "Curve.mul: negative scalar";
@@ -338,24 +387,23 @@ let msm_jm ctx kps =
   match kps with
   | [] -> Jm.infinity ctx
   | kps ->
-    let terms = List.map (fun (k, p) -> (k, small_multiples ctx (Jm.of_affine ctx p))) kps in
+    let s = Jm.scratch ctx in
+    let terms = List.map (fun (k, p) -> (k, small_multiples ctx s (Jm.of_affine ctx p))) kps in
     let maxbits = List.fold_left (fun m (k, _) -> Stdlib.max m (Bigint.numbits k)) 0 kps in
     let nwin = (maxbits + window_bits - 1) / window_bits in
-    let acc = ref (Jm.infinity ctx) in
+    let acc = Jm.infinity ctx in
+    let add_digit w (k, tbl) =
+      let d = digit k w in
+      if d <> 0 then Jm.add_into ctx s acc tbl.(d)
+    in
     for w = nwin - 1 downto 0 do
-      if w < nwin - 1 then begin
-        acc := Jm.double ctx !acc;
-        acc := Jm.double ctx !acc;
-        acc := Jm.double ctx !acc;
-        acc := Jm.double ctx !acc
-      end;
-      List.iter
-        (fun (k, tbl) ->
-          let d = digit k w in
-          if d <> 0 then acc := Jm.add ctx !acc tbl.(d))
-        terms
+      if w < nwin - 1 then
+        for _ = 1 to window_bits do
+          Jm.double_into ctx s acc
+        done;
+      List.iter (add_digit w) terms
     done;
-    !acc
+    acc
 
 let msm f kps =
   let ctx = Field.mont_ctx f in
@@ -380,15 +428,20 @@ module Fixed_base = struct
       (* cover any scalar below p; protocol scalars are below q < p *)
       let nwin = (Bigint.numbits (Field.modulus f) + window_bits - 1) / window_bits in
       let windows = Array.make nwin [||] in
+      let s = Jm.scratch ctx in
       let b = ref (Jm.of_affine ctx p) in
       for i = 0 to nwin - 1 do
         let row = Array.make 15 !b in
         for j = 1 to 14 do
-          row.(j) <- Jm.add ctx row.(j - 1) !b
+          let pt = Jm.copy row.(j - 1) in
+          Jm.add_into ctx s pt !b;
+          row.(j) <- pt
         done;
         windows.(i) <- row;
         (* 2^(4(i+1))·P = 2 · (8·2^(4i)·P) *)
-        b := Jm.double ctx row.(7)
+        let next = Jm.copy row.(7) in
+        Jm.double_into ctx s next;
+        b := next
       done;
       { point = p; windows }
 
@@ -402,12 +455,12 @@ module Fixed_base = struct
       if Bigint.numbits k > window_bits * nwin then mul f k tbl.point
       else begin
         let ctx = Field.mont_ctx f in
-        let acc = ref (Jm.infinity ctx) in
+        let s = Jm.scratch ctx and acc = Jm.infinity ctx in
         for w = 0 to nwin - 1 do
           let d = digit k w in
-          if d <> 0 then acc := Jm.add ctx !acc tbl.windows.(w).(d - 1)
+          if d <> 0 then Jm.add_into ctx s acc tbl.windows.(w).(d - 1)
         done;
-        Jm.to_affine ctx !acc
+        Jm.to_affine ctx acc
       end
 end
 
@@ -437,8 +490,12 @@ let of_bytes f s =
          | Some y ->
            let y = Mont.to_bigint ctx y in
            let want_odd = s.[n] = '\x01' in
-           let y = if Bigint.is_even y = want_odd then Field.neg f y else y in
-           Some (Affine { x; y }))
+           (* −0 = 0 keeps its parity: (x, 0) has only the even encoding *)
+           if want_odd && Bigint.is_zero y then None
+           else begin
+             let y = if Bigint.is_even y = want_odd then Field.neg f y else y in
+             Some (Affine { x; y })
+           end)
     end
     | _ -> None
   end

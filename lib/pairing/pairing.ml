@@ -93,100 +93,177 @@ let pair_reference (params : Params.t) a b =
        v = Z'²·xq − X'
 
    The squared Z of the current point is carried alongside (X, Y, Z) so
-   each step reuses it instead of re-squaring. *)
+   each step reuses it instead of re-squaring. Everything runs in place:
+   T, the step's line and every temporary are buffers of the chain and of
+   one scratch record per Miller loop (or preparation, or prepared
+   evaluation), so no step allocates. *)
 
 module M = Mont
 module F2 = Mont.F2
 
-(* A step's factors as F_p coefficients of functions of the distorted
-   second argument Q = (xq, yq): a vertical is vx·xq − x (vx ≠ 0); a line
-   is ly·yq − m·xq + c0 (ly ≠ 0), a vertical, or absent. *)
-type vertical = { vx : M.el; x : M.el }
-type line = No_line | Line of { ly : M.el; m : M.el; c0 : M.el } | Vert of vertical
+(* What a step leaves in its chain, as bits of the tag it returns (and of
+   the prepared table's slot tags): [line], the line ly·yq − m·xq + c0
+   (ly ≠ 0) in the chain's line buffers; or [vert_line], a line that is
+   the vertical tzz·xq − tx through the chain's T after the step; and
+   [vertical], the vertical tzz·xq − tx at the new T. Both verticals are
+   read off T itself, so only lines need buffers of their own. *)
+let line = 1
+let vert_line = 2
+let vertical = 4
 
-(* the running multiple T of the first argument P = (px, py): Jacobian
-   with cached Z², infinity iff Z = 0 *)
+(* the running multiple T of the first argument P = (px, py), Jacobian
+   with cached Z² and infinity iff Z = 0, and the last step's line *)
 type chain = {
   px : M.el;
   py : M.el;
-  mutable tx : M.el;
-  mutable ty : M.el;
-  mutable tz : M.el;
-  mutable tzz : M.el;
+  tx : M.el;
+  ty : M.el;
+  tz : M.el;
+  tzz : M.el;
+  ly : M.el;
+  m : M.el;
+  c0 : M.el;
 }
+
+(* one operation's temporaries: the step formulas' t0–t6, the F_p²
+   products' scratch, the accumulator [f] and the factor [l] *)
+type scratch = {
+  t0 : M.el;
+  t1 : M.el;
+  t2 : M.el;
+  t3 : M.el;
+  t4 : M.el;
+  t5 : M.el;
+  t6 : M.el;
+  w : F2.scratch;
+  f : F2.f2;
+  l : F2.f2;
+}
+
+let scratch ctx =
+  let el () = M.zero ctx in
+  {
+    t0 = el ();
+    t1 = el ();
+    t2 = el ();
+    t3 = el ();
+    t4 = el ();
+    t5 = el ();
+    t6 = el ();
+    w = F2.scratch ctx;
+    f = F2.zero ctx;
+    l = F2.zero ctx;
+  }
 
 let chain_of ctx x y =
   let px = M.of_bigint ctx x and py = M.of_bigint ctx y in
-  { px; py; tx = px; ty = py; tz = M.one ctx; tzz = M.one ctx }
+  {
+    px;
+    py;
+    tx = Array.copy px;
+    ty = Array.copy py;
+    tz = M.one ctx;
+    tzz = M.one ctx;
+    ly = M.zero ctx;
+    m = M.zero ctx;
+    c0 = M.zero ctx;
+  }
 
-(* T ← 2T (dbl-2009-l), returning the tangent at T and the vertical at 2T *)
-let dbl_step ctx t =
-  if M.is_zero t.tz then (No_line, None)
+(* T ← 2T (dbl-2009-l): the tangent at T and the vertical at 2T *)
+let dbl_step ctx s t =
+  if M.is_zero t.tz then 0
   else if M.is_zero t.ty then begin
-    (* 2-torsion: the tangent at y = 0 is the vertical through T *)
-    let l = Vert { vx = t.tzz; x = t.tx } in
-    t.tz <- M.zero ctx;
-    (l, None)
+    (* 2-torsion: the tangent at y = 0 is the vertical through T; 2T = O *)
+    M.zero_into t.tz;
+    vert_line
   end
   else begin
     let x = t.tx and y = t.ty and z = t.tz and zz = t.tzz in
-    let a2 = M.sqr ctx x in
-    let b = M.sqr ctx y in
-    let c = M.sqr ctx b in
-    let d = M.mul_small ctx (M.sub ctx (M.sub ctx (M.sqr ctx (M.add ctx x b)) a2) c) 2 in
-    let e = M.mul_small ctx a2 3 in
-    let x3 = M.sub ctx (M.sqr ctx e) (M.mul_small ctx d 2) in
-    let y3 = M.sub ctx (M.mul ctx e (M.sub ctx d x3)) (M.mul_small ctx c 8) in
-    let z3 = M.mul_small ctx (M.mul ctx y z) 2 in
-    let zz3 = M.sqr ctx z3 in
-    let c0 = M.sub ctx (M.mul ctx e x) (M.mul_small ctx b 2) in
-    let l = Line { ly = M.mul ctx z3 zz; m = M.mul ctx e zz; c0 } in
-    t.tx <- x3;
-    t.ty <- y3;
-    t.tz <- z3;
-    t.tzz <- zz3;
-    (l, Some { vx = zz3; x = x3 })
+    M.mul_into ctx s.t0 x x (* A = X² *);
+    M.mul_into ctx s.t1 y y (* B = Y² *);
+    M.mul_into ctx s.t2 s.t1 s.t1 (* C = B² *);
+    (* D = 2((X + B)² − A − C), E = 3A *)
+    M.add_into ctx s.t3 x s.t1;
+    M.mul_into ctx s.t3 s.t3 s.t3;
+    M.sub_into ctx s.t3 s.t3 s.t0;
+    M.sub_into ctx s.t3 s.t3 s.t2;
+    M.mul_small_into ctx s.t3 s.t3 2;
+    M.mul_small_into ctx s.t4 s.t0 3;
+    (* the tangent: c0 = E·X − 2B, m = E·ZZ, ly = Z3·ZZ with Z3 = 2YZ *)
+    M.mul_into ctx s.t5 s.t4 x;
+    M.mul_small_into ctx s.t6 s.t1 2;
+    M.sub_into ctx t.c0 s.t5 s.t6;
+    M.mul_into ctx t.m s.t4 zz;
+    M.mul_into ctx z y z;
+    M.mul_small_into ctx z z 2;
+    M.mul_into ctx t.ly z zz;
+    (* X3 = E² − 2D, Y3 = E(D − X3) − 8C, ZZ3 = Z3² *)
+    M.mul_into ctx s.t5 s.t4 s.t4;
+    M.mul_small_into ctx s.t6 s.t3 2;
+    M.sub_into ctx x s.t5 s.t6;
+    M.sub_into ctx s.t3 s.t3 x;
+    M.mul_into ctx s.t3 s.t4 s.t3;
+    M.mul_small_into ctx s.t2 s.t2 8;
+    M.sub_into ctx y s.t3 s.t2;
+    M.mul_into ctx zz z z;
+    line lor vertical
   end
 
-(* T ← T + P (madd-2007-bl), returning the chord and the vertical at T + P *)
-let add_step ctx t =
+(* T ← T + P (madd-2007-bl): the chord through T and P and the vertical
+   at T + P *)
+let add_step ctx s t =
   if M.is_zero t.tz then begin
     (* O + P = P; the "line" is the vertical through P *)
-    t.tx <- t.px;
-    t.ty <- t.py;
-    t.tz <- M.one ctx;
-    t.tzz <- M.one ctx;
-    (Vert { vx = M.one ctx; x = t.px }, None)
+    M.copy_into t.tx t.px;
+    M.copy_into t.ty t.py;
+    M.one_into ctx t.tz;
+    M.one_into ctx t.tzz;
+    vert_line
   end
   else begin
     let x = t.tx and y = t.ty and z = t.tz and zz = t.tzz in
-    let u2 = M.mul ctx t.px zz in
-    let s2 = M.mul ctx t.py (M.mul ctx z zz) in
-    if M.equal u2 x then begin
-      if M.equal s2 y then dbl_step ctx t
+    M.mul_into ctx s.t0 t.px zz (* U2 *);
+    M.mul_into ctx s.t1 z zz;
+    M.mul_into ctx s.t1 t.py s.t1 (* S2 *);
+    if M.equal s.t0 x then begin
+      if M.equal s.t1 y then dbl_step ctx s t
       else begin
         (* P = −T: the chord is the vertical through T; T + P = O *)
-        t.tz <- M.zero ctx;
-        (Vert { vx = zz; x }, None)
+        M.zero_into z;
+        vert_line
       end
     end
     else begin
-      let h = M.sub ctx u2 x in
-      let hh = M.sqr ctx h in
-      let i = M.mul_small ctx hh 4 in
-      let j = M.mul ctx h i in
-      let r = M.mul_small ctx (M.sub ctx s2 y) 2 in
-      let v = M.mul ctx x i in
-      let x3 = M.sub ctx (M.sub ctx (M.sqr ctx r) j) (M.mul_small ctx v 2) in
-      let y3 = M.sub ctx (M.mul ctx r (M.sub ctx v x3)) (M.mul_small ctx (M.mul ctx y j) 2) in
-      let z3 = M.sub ctx (M.sub ctx (M.sqr ctx (M.add ctx z h)) zz) hh in
-      let zz3 = M.sqr ctx z3 in
-      let l = Line { ly = z3; m = r; c0 = M.sub ctx (M.mul ctx r t.px) (M.mul ctx z3 t.py) } in
-      t.tx <- x3;
-      t.ty <- y3;
-      t.tz <- z3;
-      t.tzz <- zz3;
-      (l, Some { vx = zz3; x = x3 })
+      (* H = U2 − X, HH = H², I = 4HH, J = H·I, r = 2(S2 − Y), V = X·I *)
+      M.sub_into ctx s.t0 s.t0 x;
+      M.mul_into ctx s.t2 s.t0 s.t0;
+      M.mul_small_into ctx s.t3 s.t2 4;
+      M.mul_into ctx s.t4 s.t0 s.t3;
+      M.sub_into ctx s.t1 s.t1 y;
+      M.mul_small_into ctx t.m s.t1 2;
+      M.mul_into ctx s.t3 x s.t3;
+      (* X3 = r² − J − 2V, Y3 = r(V − X3) − 2Y·J *)
+      M.mul_into ctx s.t5 t.m t.m;
+      M.sub_into ctx s.t5 s.t5 s.t4;
+      M.mul_small_into ctx s.t6 s.t3 2;
+      M.sub_into ctx x s.t5 s.t6;
+      M.sub_into ctx s.t3 s.t3 x;
+      M.mul_into ctx s.t3 t.m s.t3;
+      M.mul_into ctx s.t4 y s.t4;
+      M.mul_small_into ctx s.t4 s.t4 2;
+      M.sub_into ctx y s.t3 s.t4;
+      (* Z3 = (Z + H)² − ZZ − HH, ZZ3 = Z3² *)
+      M.add_into ctx z z s.t0;
+      M.mul_into ctx z z z;
+      M.sub_into ctx z z zz;
+      M.sub_into ctx z z s.t2;
+      M.mul_into ctx zz z z;
+      (* the chord: ly = Z3, m = r, c0 = r·px − Z3·py *)
+      M.copy_into t.ly z;
+      M.mul_into ctx t.c0 t.m t.px;
+      M.mul_into ctx s.t5 z t.py;
+      M.sub_into ctx t.c0 t.c0 s.t5;
+      line lor vertical
     end
   end
 
@@ -210,57 +287,77 @@ let distort (params : Params.t) ctx bx by =
       im = M.mul ctx (M.of_bigint ctx params.zeta.Fp2.im) bx;
     }
   in
-  { xq; nxq = F2.neg ctx xq; yq = M.of_bigint ctx by }
+  { xq; nxq = { re = M.neg ctx xq.re; im = M.neg ctx xq.im }; yq = M.of_bigint ctx by }
 
-(* f·l(Q)·conj(v(Q)) *)
-let absorb ctx f q (l, v) =
-  let f =
-    match l with
-    | No_line -> f
-    | Line { ly; m; c0 } ->
-      F2.mul ctx f
-        {
-          re = M.add ctx (M.add ctx (M.mul ctx ly q.yq) c0) (M.mul ctx m q.nxq.re);
-          im = M.mul ctx m q.nxq.im;
-        }
-    | Vert { vx; x } -> F2.mul ctx f (F2.sub_el ctx (F2.mul_el ctx q.xq vx) x)
-  in
-  match v with
-  | None -> f
-  | Some { vx; x } -> F2.mul ctx f (F2.conj ctx (F2.sub_el ctx (F2.mul_el ctx q.xq vx) x))
+(* f ← f·l(Q)·conj(v(Q)) for the factors a step left in [t] *)
+let absorb ctx s q t tag =
+  let l = s.l in
+  if tag land line <> 0 then begin
+    (* ly·yq + c0 − m·xq *)
+    M.mul_into ctx l.re t.ly q.yq;
+    M.add_into ctx l.re l.re t.c0;
+    M.mul_into ctx l.im t.m q.nxq.re;
+    M.add_into ctx l.re l.re l.im;
+    M.mul_into ctx l.im t.m q.nxq.im;
+    F2.mul_into ctx s.w s.f s.f l
+  end;
+  if tag land (vert_line lor vertical) <> 0 then begin
+    (* tzz·xq − tx, conjugated when it is the step's vertical *)
+    M.mul_into ctx l.re q.xq.re t.tzz;
+    M.sub_into ctx l.re l.re t.tx;
+    M.mul_into ctx l.im q.xq.im t.tzz;
+    if tag land vertical <> 0 then M.neg_into ctx l.im l.im;
+    F2.mul_into ctx s.w s.f s.f l
+  end
 
-(* Π f_{q,a_i}(φ(b_i)) up to F_p* factors: every pair's chain steps in
-   lockstep over one accumulator, so the accumulator squarings are paid
-   once per iteration for all pairs (f ← f²·Π l_i·conj v_i) *)
-let miller_product (params : Params.t) ctx pairs =
-  let f = ref (F2.one ctx) in
-  let step next = List.iter (fun (t, q) -> f := absorb ctx !f q (next ctx t)) pairs in
+(* Π f_{q,a_i}(φ(b_i)) up to F_p* factors, into [s.f]: every pair's chain
+   steps in lockstep over one accumulator, so the accumulator squarings
+   are paid once per iteration for all pairs (f ← f²·Π l_i·conj v_i) *)
+let miller_product (params : Params.t) ctx s pairs =
+  let dbl (t, q) = absorb ctx s q t (dbl_step ctx s t)
+  and add (t, q) = absorb ctx s q t (add_step ctx s t) in
+  F2.one_into ctx s.f;
   iter_schedule params.q
     ~dbl:(fun () ->
-      f := F2.sqr ctx !f;
-      step dbl_step)
-    ~add:(fun () -> step add_step);
-  !f
+      F2.sqr_into ctx s.w s.f s.f;
+      List.iter dbl pairs)
+    ~add:(fun () -> List.iter add pairs)
 
-(* f^((p²−1)/q) = (f^(p−1))^(12l). Frobenius on F_p² = F_p[i] is
-   conjugation, since p ≡ 3 (mod 4) makes i^p = −i, so
+(* dst ← f^((p²−1)/q) = (f^(p−1))^(12l), overwriting [f]. Frobenius on
+   F_p² = F_p[i] is conjugation, since p ≡ 3 (mod 4) makes i^p = −i, so
    f^(p−1) = conj(f)/f = conj(f)²/N(f) with N(f) = f·conj(f) ∈ F_p: one
    base-field inversion and a power of bit length |12l| replace the
    (p²−1)/q-bit power. *)
+let final_exp_into (params : Params.t) ctx s dst (f : F2.f2) =
+  M.mul_into ctx s.t0 f.re f.re;
+  M.mul_into ctx s.t1 f.im f.im;
+  M.add_into ctx s.t0 s.t0 s.t1;
+  M.inv_into ctx s.t1 s.t0;
+  F2.conj_into ctx f f;
+  F2.sqr_into ctx s.w f f;
+  F2.mul_el_into ctx f f s.t1;
+  F2.pow_into ctx s.w dst f params.cofactor
+
 let final_exp (params : Params.t) f =
   let ctx = Field.mont_ctx params.fp in
-  let norm = M.add ctx (M.sqr ctx f.F2.re) (M.sqr ctx f.F2.im) in
-  let u = F2.mul_el ctx (F2.sqr ctx (F2.conj ctx f)) (M.inv ctx norm) in
-  F2.pow ctx u params.cofactor
+  let s = scratch ctx and r = F2.zero ctx in
+  F2.copy_into s.f f;
+  final_exp_into params ctx s r s.f;
+  r
 
 let lower ctx (g : F2.f2) = Fp2.make (M.to_bigint ctx g.re) (M.to_bigint ctx g.im)
+
+(* the Miller loop leaves [s.f]; the factor buffer [s.l] takes the result *)
+let miller_final (params : Params.t) ctx s pairs =
+  miller_product params ctx s pairs;
+  final_exp_into params ctx s s.l s.f;
+  lower ctx s.l
 
 let pair (params : Params.t) a b =
   match (a, b) with
   | Curve.Affine { x = ax; y = ay }, Curve.Affine { x = bx; y = by } ->
     let ctx = Field.mont_ctx params.fp in
-    let f = miller_product params ctx [ (chain_of ctx ax ay, distort params ctx bx by) ] in
-    lower ctx (final_exp params f)
+    miller_final params ctx (scratch ctx) [ (chain_of ctx ax ay, distort params ctx bx by) ]
   | Curve.Inf, _ | _, Curve.Inf -> invalid_arg "Pairing.pair: point at infinity"
 
 (* Batch verification (Bls.verify_batch) needs Π e(a_i, b_i): the Miller
@@ -277,7 +374,7 @@ let pair_product (params : Params.t) pairs =
         | Curve.Inf, _ | _, Curve.Inf -> invalid_arg "Pairing.pair_product: point at infinity")
       pairs
   in
-  lower ctx (final_exp params (miller_product params ctx pairs))
+  miller_final params ctx (scratch ctx) pairs
 
 (* ---- prepared first argument ----
 
@@ -292,9 +389,8 @@ let pair_product (params : Params.t) pairs =
    f ← f²·l·conj(v).
 
    Everything lives in one flat int array, n = limb count:
-   - the table, one [1 + 3n]-int slot per step: a tag (line kind in bits
-     0–1: 0 none, 1 line, 2 vertical; bit 2: vertical present), then b (or
-     the vertical line's x), c, and the vertical's x;
+   - the table, one [1 + 3n]-int slot per step: the step's tag, then b
+     (or the vertical line's x), c, and the vertical's x;
    - after it, the batch inversion's work area: one [2n] entry per leading
      coefficient in step order (at most two per step), holding the
      coefficient and the product of all coefficients up to it.
@@ -314,76 +410,93 @@ let steps (params : Params.t) =
 
 let buffer_words params n = steps params * (slot_words n + (4 * n))
 
+let load buf off (dst : M.el) =
+  for i = 0 to Array.length dst - 1 do
+    dst.(i) <- buf.(off + i)
+  done
+
+let store buf off (src : M.el) =
+  for i = 0 to Array.length src - 1 do
+    buf.(off + i) <- src.(i)
+  done
+
 let prepare_into (params : Params.t) ctx ax ay buf =
   let n = M.limbs ctx in
-  let get off = Array.sub buf off n and put off el = Array.blit el 0 buf off n in
   let work = steps params * slot_words n in
+  let s = scratch ctx and t = chain_of ctx ax ay in
   (* forward: run the chain, storing numerators in the slots and leading
      coefficients with their running product in the work area *)
-  let t = chain_of ctx ax ay in
-  let slot = ref 0 and entries = ref 0 and prod = ref (M.one ctx) in
+  let prod = M.one ctx in
+  let slot = ref 0 and entries = ref 0 in
   let lead c =
     let w = work + (!entries * 2 * n) in
-    prod := M.mul ctx !prod c;
-    put w c;
-    put (w + n) !prod;
+    M.mul_into ctx prod prod c;
+    store buf w c;
+    store buf (w + n) prod;
     incr entries
   in
-  let record (l, v) =
-    let kind =
-      match l with
-      | No_line -> 0
-      | Line { ly; m; c0 } ->
-        put (!slot + 1) m;
-        put (!slot + 1 + n) c0;
-        lead ly;
-        1
-      | Vert { vx; x } ->
-        put (!slot + 1) x;
-        lead vx;
-        2
-    in
-    let vert =
-      match v with
-      | None -> 0
-      | Some { vx; x } ->
-        put (!slot + 1 + (2 * n)) x;
-        lead vx;
-        4
-    in
-    buf.(!slot) <- kind lor vert;
+  let record tag =
+    if tag land line <> 0 then begin
+      store buf (!slot + 1) t.m;
+      store buf (!slot + 1 + n) t.c0;
+      lead t.ly
+    end
+    else if tag land vert_line <> 0 then begin
+      store buf (!slot + 1) t.tx;
+      lead t.tzz
+    end;
+    if tag land vertical <> 0 then begin
+      store buf (!slot + 1 + (2 * n)) t.tx;
+      lead t.tzz
+    end;
+    buf.(!slot) <- tag;
     slot := !slot + slot_words n
   in
   iter_schedule params.q
-    ~dbl:(fun () -> record (dbl_step ctx t))
-    ~add:(fun () -> record (add_step ctx t));
+    ~dbl:(fun () -> record (dbl_step ctx s t))
+    ~add:(fun () -> record (add_step ctx s t));
   (* backward: u = 1/(c_0⋯c_e) peels one coefficient per entry
      (Montgomery's trick), normalising the numerators in place *)
-  let u = ref (M.inv ctx !prod) in
+  let u = M.zero ctx and inv = M.zero ctx and c = M.zero ctx in
+  M.inv_into ctx u prod;
   let inverse () =
     decr entries;
     let w = work + (!entries * 2 * n) in
-    let inv = if !entries = 0 then !u else M.mul ctx !u (get (w - n)) in
-    u := M.mul ctx !u (get w);
-    inv
+    if !entries = 0 then M.copy_into inv u
+    else begin
+      load buf (w - n) c;
+      M.mul_into ctx inv u c
+    end;
+    load buf w c;
+    M.mul_into ctx u u c
   in
-  let scale off inv = put off (M.mul ctx (get off) inv) in
+  let scale ?(negate = false) off =
+    load buf off c;
+    M.mul_into ctx c c inv;
+    if negate then M.neg_into ctx c c;
+    store buf off c
+  in
   while !slot > 0 do
     slot := !slot - slot_words n;
     let tag = buf.(!slot) in
-    if tag land 4 <> 0 then scale (!slot + 1 + (2 * n)) (inverse ());
-    match tag land 3 with
-    | 1 ->
-      let inv = inverse () in
-      put (!slot + 1) (M.neg ctx (M.mul ctx (get (!slot + 1)) inv));
-      scale (!slot + 1 + n) inv
-    | 2 -> scale (!slot + 1) (inverse ())
-    | _ -> ()
+    if tag land vertical <> 0 then begin
+      inverse ();
+      scale (!slot + 1 + (2 * n))
+    end;
+    if tag land line <> 0 then begin
+      inverse ();
+      scale ~negate:true (!slot + 1);
+      scale (!slot + 1 + n)
+    end
+    else if tag land vert_line <> 0 then begin
+      inverse ();
+      scale (!slot + 1)
+    end
   done
 
-type scratch = { mutable buf : int array; mutable busy : bool }
+type borrowed = { mutable buf : int array; mutable busy : bool }
 
-let scratch = Domain.DLS.new_key (fun () -> { buf = [||]; busy = false })
+let table_buffer = Domain.DLS.new_key (fun () -> { buf = [||]; busy = false })
 
 let with_prepared (params : Params.t) a f =
   match a with
@@ -391,7 +504,7 @@ let with_prepared (params : Params.t) a f =
   | Curve.Affine { x; y } ->
     let ctx = Field.mont_ctx params.fp in
     let words = buffer_words params (M.limbs ctx) in
-    let s = Domain.DLS.get scratch in
+    let s = Domain.DLS.get table_buffer in
     (* a preparation nested inside another on this domain gets its own buffer *)
     let borrowed = not s.busy in
     let table =
@@ -424,34 +537,45 @@ let pair_prepared prep b =
     let n = M.limbs ctx in
     let q = distort params ctx bx by in
     (* coefficients are copied out of the shared table, never written to it *)
-    let b = Array.make n 0 and c = Array.make n 0 and x = Array.make n 0 in
-    let f = ref (F2.one ctx) in
+    let s = scratch ctx in
+    let f = s.f and l = s.l and b = s.t0 and c = s.t1 in
     let base = ref 0 in
     let step () =
       let tag = tbl.(!base) in
-      (match tag land 3 with
-       | 1 ->
-         Array.blit tbl (!base + 1) b 0 n;
-         Array.blit tbl (!base + 1 + n) c 0 n;
-         f :=
-           F2.mul ctx !f
-             { re = M.add ctx (M.add ctx q.yq c) (M.mul ctx b q.xq.re); im = M.mul ctx b q.xq.im }
-       | 2 ->
-         Array.blit tbl (!base + 1) b 0 n;
-         f := F2.mul ctx !f (F2.sub_el ctx q.xq b)
-       | _ -> ());
-      if tag land 4 <> 0 then begin
-        Array.blit tbl (!base + 1 + (2 * n)) x 0 n;
-        f := F2.mul ctx !f { re = M.sub ctx q.xq.re x; im = q.nxq.im }
+      if tag land line <> 0 then begin
+        (* yq + b·xq + c *)
+        load tbl (!base + 1) b;
+        load tbl (!base + 1 + n) c;
+        M.mul_into ctx l.re b q.xq.re;
+        M.add_into ctx l.re l.re q.yq;
+        M.add_into ctx l.re l.re c;
+        M.mul_into ctx l.im b q.xq.im;
+        F2.mul_into ctx s.w f f l
+      end
+      else if tag land vert_line <> 0 then begin
+        (* xq − x *)
+        load tbl (!base + 1) b;
+        M.sub_into ctx l.re q.xq.re b;
+        M.copy_into l.im q.xq.im;
+        F2.mul_into ctx s.w f f l
+      end;
+      if tag land vertical <> 0 then begin
+        (* conj(xq − x) *)
+        load tbl (!base + 1 + (2 * n)) b;
+        M.sub_into ctx l.re q.xq.re b;
+        M.copy_into l.im q.nxq.im;
+        F2.mul_into ctx s.w f f l
       end;
       base := !base + slot_words n
     in
+    F2.one_into ctx f;
     iter_schedule params.q
       ~dbl:(fun () ->
-        f := F2.sqr ctx !f;
+        F2.sqr_into ctx s.w f f;
         step ())
       ~add:step;
-    lower ctx (final_exp params !f)
+    final_exp_into params ctx s l f;
+    lower ctx l
 
 (* ---- fixed-argument pairing cache ----
 
@@ -510,7 +634,7 @@ let gt_pow (params : Params.t) (g : Fp2.el) e =
 
 let hash_to_group (params : Params.t) id =
   let fp = params.fp in
-  let p = Field.modulus fp in
+  let p = Field.modulus fp and ctx = Field.mont_ctx fp in
   let rec attempt ctr =
     if ctr > 255 then failwith "Pairing.hash_to_group: exhausted"
     else begin
@@ -520,10 +644,11 @@ let hash_to_group (params : Params.t) id =
         Alpenhorn_crypto.Hmac.hkdf ~info:(Printf.sprintf "alpenhorn-h2g-%d" ctr) ~len:need id
       in
       let y = Bigint.rem (Bigint.of_bytes_be stream) p in
-      let y2m1 = Field.sub fp (Field.sqr fp y) Bigint.one in
-      if Field.is_zero y2m1 then attempt (ctr + 1)
+      let y2m1 = M.sqr ctx (M.of_bigint ctx y) in
+      M.sub_into ctx y2m1 y2m1 (M.one ctx);
+      if M.is_zero y2m1 then attempt (ctr + 1)
       else begin
-        let x = Field.cbrt fp y2m1 in
+        let x = M.to_bigint ctx (M.cbrt ctx y2m1) in
         let pt = Curve.Affine { x; y } in
         match Curve.mul fp params.cofactor pt with
         | Curve.Inf -> attempt (ctr + 1)

@@ -68,7 +68,19 @@ let unit_tests =
         Alcotest.(check bool) "short" true (Curve.of_bytes f "xx" = None);
         let bad = Bytes.of_string (Curve.to_bytes f pr.Params.g) in
         Bytes.set bad (Bytes.length bad - 1) '\x07';
-        Alcotest.(check bool) "bad parity byte" true (Curve.of_bytes f (Bytes.to_string bad) = None));
+        Alcotest.(check bool) "bad parity byte" true (Curve.of_bytes f (Bytes.to_string bad) = None);
+        (* x = −1 has the single root y = 0, so (−1, 0) encodes only with
+           the even parity byte; the odd one must not decode to it *)
+        List.iter
+          (fun f ->
+            let x = Field.to_bytes f (Field.neg f B.one) in
+            let two_torsion = Curve.make f ~x:(Field.neg f B.one) ~y:B.zero in
+            Alcotest.(check bool) "(p−1)‖00 is (−1, 0)" true
+              (Curve.of_bytes f (x ^ "\x00") = Some two_torsion);
+            Alcotest.(check string) "(−1, 0) encodes as (p−1)‖00" (x ^ "\x00")
+              (Curve.to_bytes f two_torsion);
+            Alcotest.(check bool) "(p−1)‖01 rejected" true (Curve.of_bytes f (x ^ "\x01") = None))
+          [ f; (Params.production ()).Params.fp ]);
   ]
 
 let prop name ?(count = 40) arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)

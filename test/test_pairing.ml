@@ -9,9 +9,14 @@ module Drbg = Alpenhorn_crypto.Drbg
 module Field = Alpenhorn_pairing.Field
 module Mont = Alpenhorn_pairing.Mont
 module Parallel = Alpenhorn_parallel.Parallel
+module Tel = Alpenhorn_telemetry.Telemetry
 
 let params = lazy (Params.test ())
 let p () = Lazy.force params
+let print_point = function
+  | Curve.Inf -> "Inf"
+  | Curve.Affine { x; y } -> Printf.sprintf "(%s, %s)" (B.to_hex x) (B.to_hex y)
+
 let two_torsion pr = Curve.make pr.Params.fp ~x:(Field.neg pr.Params.fp B.one) ~y:B.zero
 
 let unit_tests =
@@ -56,6 +61,36 @@ let unit_tests =
         let h3 = Pairing.hash_to_group pr "bob@example.org" in
         Alcotest.(check bool) "deterministic" true (Curve.equal h1 h2);
         Alcotest.(check bool) "distinct ids distinct points" false (Curve.equal h1 h3));
+    Alcotest.test_case "hash_to_group points match the Bigint formulation" `Quick (fun () ->
+        (* the admissible encoding on the reference path: Field's cube root
+           and the affine ladder *)
+        let reference (pr : Params.t) id =
+          let fp = pr.Params.fp in
+          let rec attempt ctr =
+            let stream =
+              Alpenhorn_crypto.Hmac.hkdf
+                ~info:(Printf.sprintf "alpenhorn-h2g-%d" ctr)
+                ~len:(Field.element_bytes fp + 16) id
+            in
+            let y = B.rem (B.of_bytes_be stream) (Field.modulus fp) in
+            let y2m1 = Field.sub fp (Field.sqr fp y) B.one in
+            if Field.is_zero y2m1 then attempt (ctr + 1)
+            else
+              match Curve.mul_affine fp pr.Params.cofactor (Curve.Affine { x = Field.cbrt fp y2m1; y }) with
+              | Curve.Inf -> attempt (ctr + 1)
+              | g -> g
+          in
+          attempt 0
+        in
+        List.iter
+          (fun pr ->
+            List.iter
+              (fun id ->
+                Alcotest.(check string) id
+                  (print_point (reference pr id))
+                  (print_point (Pairing.hash_to_group pr id)))
+              [ "alice@example.org"; "bob@example.org"; ""; "x"; String.make 200 'z' ])
+          [ p (); Params.production () ]);
     Alcotest.test_case "hash_to_scalar in range and deterministic" `Quick (fun () ->
         let pr = p () in
         let s1 = Pairing.hash_to_scalar pr "msg" and s2 = Pairing.hash_to_scalar pr "msg" in
@@ -131,7 +166,6 @@ let fast_path_tests =
           (Fp2.equal (Pairing.pair pr pr.Params.g h) (Pairing.pair_reference pr pr.Params.g h)));
     Alcotest.test_case "pair_cached equals pair and hits on repeats" `Quick (fun () ->
         let pr = p () in
-        let module Tel = Alpenhorn_telemetry.Telemetry in
         let h = Pairing.hash_to_group pr "cache-probe" in
         ignore (Tel.Snapshot.take ~reset:true Tel.default);
         let e1 = Pairing.pair_cached pr h pr.Params.g in
@@ -257,6 +291,35 @@ let prepared_tests =
           [ p (); Params.production () ]);
   ]
 
+(* Words allocated and kernel multiplications per call on the production
+   curve. The word budgets are a tenth of what the allocating kernel
+   spent (248 k per pair, 108 k per prepared pairing, 90 k per scalar
+   multiplication); the multiplication counts are the allocating
+   kernel's, which the in-place one must not exceed. *)
+let budget_tests =
+  [
+    Alcotest.test_case "allocation and multiplication budgets on the production curve" `Quick
+      (fun () ->
+        let pr = Params.production () in
+        let a = Pairing.hash_to_group pr "budget-a" and b = Pairing.hash_to_group pr "budget-b" in
+        let muls = Tel.Counter.v Tel.default "pairing.mont_mul" in
+        let cost name ~words ?max_muls op =
+          ignore (op ());
+          let m0 = Tel.Counter.value muls and w0 = Gc.minor_words () in
+          ignore (Sys.opaque_identity (op ()));
+          let w = Gc.minor_words () -. w0 and m = Tel.Counter.value muls - m0 in
+          if w > words then Alcotest.failf "%s allocates %.0f words (budget %.0f)" name w words;
+          Option.iter
+            (fun budget ->
+              if m > budget then Alcotest.failf "%s runs %d multiplications (at most %d)" name m budget)
+            max_muls
+        in
+        cost "pair" ~words:25_000. ~max_muls:8030 (fun () -> Pairing.pair pr a b);
+        Pairing.with_prepared pr a (fun key ->
+            cost "pair_prepared" ~words:11_000. ~max_muls:3399 (fun () -> Pairing.pair_prepared key b));
+        cost "Curve.mul" ~words:9_000. (fun () -> Curve.mul pr.Params.fp (B.sub pr.Params.q B.one) a));
+  ]
+
 let prop name ?(count = 15) arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
 let property_tests =
@@ -285,4 +348,5 @@ let property_tests =
           (Pairing.pair pr (Curve.mul f (B.of_int b) g) (Curve.mul f (B.of_int a) h)));
   ]
 
-let suite = unit_tests @ two_torsion_tests @ fast_path_tests @ prepared_tests @ property_tests
+let suite =
+  unit_tests @ two_torsion_tests @ fast_path_tests @ prepared_tests @ budget_tests @ property_tests
