@@ -15,42 +15,52 @@ let create ~expected_elements =
   let nbits = n * bits_per_element in
   { bits = Bytes.make ((nbits + 7) / 8) '\000'; nbits; k = optimal_hashes; n = 0 }
 
+(* Bounds the per-lookup work a decoded header can ask for; the paper's
+   operating point uses 33. *)
+let max_hashes = 64
+
 let create_custom ~bits ~hashes =
-  if bits <= 0 || hashes <= 0 then invalid_arg "Bloom.create_custom";
+  if bits <= 0 || hashes <= 0 || hashes > max_hashes then invalid_arg "Bloom.create_custom";
   { bits = Bytes.make ((bits + 7) / 8) '\000'; nbits = bits; k = hashes; n = 0 }
 
-(* Derive k indices via double hashing over two independent 64-bit values
-   (Kirsch-Mitzenmacher), which preserves the asymptotic FP rate. *)
-let indices_of_digest t d =
-  let h1 = Util.read_be64 d 0 land max_int and h2 = Util.read_be64 d 8 land max_int in
-  let h2 = if h2 mod t.nbits = 0 then h2 + 1 else h2 in
-  Array.init t.k (fun i -> abs (h1 + (i * h2)) mod t.nbits)
+(* Digest words of "bloom" ‖ element, one array per domain: filters are
+   built per shard on the domain pool and queried from pool domains. *)
+let words = Domain.DLS.new_key (fun () -> Array.make 8 0)
 
-let indices t elem = indices_of_digest t (Sha256.digest ("bloom" ^ elem))
-
-(* Same digest as [indices], streamed over a slice of a flat buffer: the
-   sharded distribution paths add millions of tokens straight out of one
-   preallocated [Bytes.t] without a substring per token. *)
-let indices_sub t buf ~pos ~len =
-  let c = Sha256.init () in
-  Sha256.update c "bloom";
-  Sha256.update_bytes c buf pos len;
-  indices_of_digest t (Sha256.finalize c)
-
-let set_bit b i = Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8))))
-let get_bit b i = (Char.code (Bytes.get b (i / 8)) lsr (i mod 8)) land 1 = 1
-
-let add t elem =
-  Array.iter (set_bit t.bits) (indices t elem);
-  t.n <- t.n + 1
-
-let mem t elem = Array.for_all (get_bit t.bits) (indices t elem)
+(* Double hashing (Kirsch-Mitzenmacher) over two 62-bit values, which
+   preserves the asymptotic FP rate: h1 and h2 are digest bytes 0-7 and
+   8-15 read big-endian, [land max_int]; index i is
+   [abs (h1 + i*h2) mod nbits], wrapping as OCaml's 63-bit ints do. With
+   [set], sets every index and reports whether all were set already;
+   otherwise stops at the first clear bit. *)
+let walk t ~set buf ~pos ~len =
+  let d = Domain.DLS.get words in
+  Sha256.digest_words_into d ~prefix:"bloom" buf ~pos ~len;
+  let h1 = ((d.(0) lsl 32) lor d.(1)) land max_int
+  and h2 = ((d.(2) lsl 32) lor d.(3)) land max_int in
+  let nbits = t.nbits and bits = t.bits in
+  let h2 = if h2 mod nbits = 0 then h2 + 1 else h2 in
+  let all = ref true and i = ref 0 in
+  while !i < t.k && (set || !all) do
+    (* abs min_int is negative: Bytes.get rejects that index *)
+    let idx = abs (h1 + (!i * h2)) mod nbits in
+    let byte = idx lsr 3 and m = 1 lsl (idx land 7) in
+    let b = Char.code (Bytes.get bits byte) in
+    if b land m = 0 then begin
+      all := false;
+      if set then Bytes.unsafe_set bits byte (Char.unsafe_chr (b lor m))
+    end;
+    incr i
+  done;
+  !all
 
 let add_sub t buf ~pos ~len =
-  Array.iter (set_bit t.bits) (indices_sub t buf ~pos ~len);
+  ignore (walk t ~set:true buf ~pos ~len);
   t.n <- t.n + 1
 
-let mem_sub t buf ~pos ~len = Array.for_all (get_bit t.bits) (indices_sub t buf ~pos ~len)
+let mem_sub t buf ~pos ~len = walk t ~set:false buf ~pos ~len
+let add t elem = add_sub t (Bytes.unsafe_of_string elem) ~pos:0 ~len:(String.length elem)
+let mem t elem = mem_sub t (Bytes.unsafe_of_string elem) ~pos:0 ~len:(String.length elem)
 
 let fill_ratio t =
   let set = ref 0 in
@@ -75,7 +85,7 @@ let of_bytes s =
   if String.length s < 12 then None
   else begin
     let nbits = Util.read_be32 s 0 and k = Util.read_be32 s 4 and n = Util.read_be32 s 8 in
-    if nbits <= 0 || k <= 0 || String.length s <> 12 + ((nbits + 7) / 8) then None
+    if nbits <= 0 || k <= 0 || k > max_hashes || String.length s <> 12 + ((nbits + 7) / 8) then None
     else Some { bits = Bytes.of_string (String.sub s 12 (String.length s - 12)); nbits; k; n }
   end
 

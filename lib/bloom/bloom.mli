@@ -6,9 +6,29 @@
     which at the optimal operating point costs ~48 bits and ~33 hash
     functions per element. No false negatives: a call is never missed.
 
-    Index derivation is deterministic from the element bytes (SHA-256
-    expanded), so the server that builds the filter and the client that
-    queries it need no shared state beyond the filter itself. *)
+    Index derivation is deterministic from the element bytes, so the
+    server that builds the filter and the client that queries it need no
+    shared state beyond the filter itself. For an element [e] and a filter
+    of [nbits] bits and [k] hash functions:
+    - [d = SHA-256("bloom" ‖ e)];
+    - [h1] is [d\[0..7\]] read as a big-endian 64-bit integer, keeping its
+      low 62 bits (OCaml's [land max_int]);
+    - [h2] is [d\[8..15\]] read the same way, plus 1 when
+      [h2 mod nbits = 0];
+    - index [i], for [0 <= i < k], is [abs (h1 + i*h2) mod nbits], the sum
+      and product wrapping modulo 2^63 as OCaml's native ints do, then
+      read as a signed 63-bit integer;
+    - bit [j] of the filter is bit [j mod 8] (least significant first) of
+      byte [j / 8] of the bit array.
+
+    [abs min_int] is negative: an index that lands there (a chance of
+    about 2^-63) makes {!add} and {!mem} raise [Invalid_argument] rather
+    than touch memory outside the filter. [k] is at most {!max_hashes}.
+
+    An element of at most 50 bytes (dial tokens are 32) costs one SHA-256
+    compression and no allocation: the digest words land in a
+    domain-local array and feed the index loop directly. Longer elements
+    stream through a SHA-256 context into the same loop. *)
 
 type t
 
@@ -22,8 +42,13 @@ val create : expected_elements:int -> t
 (** Filter sized for [expected_elements] at the paper's operating point.
     At least one element is always provisioned. *)
 
+val max_hashes : int
+(** 64: the most hash functions a filter may use, so a decoded header
+    cannot ask for unbounded work per lookup. *)
+
 val create_custom : bits:int -> hashes:int -> t
-(** Explicit geometry, for ablations. *)
+(** Explicit geometry, for ablations. Raises [Invalid_argument] unless
+    [bits > 0] and [0 < hashes <= max_hashes]. *)
 
 val add : t -> string -> unit
 val mem : t -> string -> bool
@@ -50,6 +75,8 @@ val to_bytes : t -> string
 (** Wire format: geometry header + bit array. *)
 
 val of_bytes : string -> t option
+(** [None] on a short or inconsistent encoding, or a hash count outside
+    [\[1, max_hashes\]]. *)
 
 val false_positive_estimate : t -> float
 (** Expected FP rate at the current load. *)

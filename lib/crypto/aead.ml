@@ -1,11 +1,18 @@
 let overhead = 16
 
-let mac_key ~key ~nonce = Hmac.hmac_sha256 ~key ("aead-mac" ^ nonce)
+let mac_key ~key ~nonce =
+  let h = Hmac.init ~key in
+  Hmac.update h "aead-mac";
+  Hmac.update h nonce;
+  Hmac.finalize h
 
+(* HMAC(mac_key, be64 |ad| ‖ ad ‖ body), truncated to 16 bytes *)
 let tag ~key ~nonce ~ad body =
-  String.sub
-    (Hmac.hmac_sha256 ~key:(mac_key ~key ~nonce) (Util.be64 (String.length ad) ^ ad ^ body))
-    0 16
+  let h = Hmac.init ~key:(mac_key ~key ~nonce) in
+  Hmac.update h (Util.be64 (String.length ad));
+  Hmac.update h ad;
+  Hmac.update h body;
+  String.sub (Hmac.finalize h) 0 16
 
 let seal ~key ~nonce ?(ad = "") msg =
   let body = Chacha20.xor_stream ~key ~nonce msg in

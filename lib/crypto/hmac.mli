@@ -5,7 +5,20 @@
     session symmetric keys. *)
 
 val hmac_sha256 : key:string -> string -> string
-(** 32-byte tag. *)
+(** 32-byte tag. The key is XORed into one pad buffer, and the inner
+    (ipad ‖ msg) and outer (opad ‖ inner) hashes run through one SHA-256
+    context. *)
+
+type t
+(** An HMAC-SHA256 computation in progress, for a message given in
+    pieces: [init], any number of [update]s, then one [finalize]. Equal to
+    {!hmac_sha256} of the pieces' concatenation, without building it. *)
+
+val init : key:string -> t
+val update : t -> string -> unit
+
+val finalize : t -> string
+(** 32-byte tag. The computation must not be used afterwards. *)
 
 val hkdf_extract : salt:string -> ikm:string -> string
 (** 32-byte pseudorandom key. *)

@@ -7,6 +7,7 @@ module Payload = Alpenhorn_mixnet.Payload
 module Server = Alpenhorn_mixnet.Server
 module Chain = Alpenhorn_mixnet.Chain
 module Mailbox = Alpenhorn_mixnet.Mailbox
+module Mailbox_id = Alpenhorn_mixnet.Mailbox_id
 module Bloom = Alpenhorn_bloom.Bloom
 module Drbg = Alpenhorn_crypto.Drbg
 
@@ -15,6 +16,25 @@ let p () = Lazy.force params
 
 let unit_tests =
   [
+    Alcotest.test_case "mailbox id golden values" `Quick (fun () ->
+        (* "mailbox" plus up to 48 identity bytes is one SHA-256 block;
+           the 49- and 60-byte identities take two. [max_int] mailboxes
+           pins all 62 bits of the hash. *)
+        let ids =
+          [ ""; "alice@example.org"; "bob@example.com"; String.make 48 'x'; String.make 49 'y';
+            String.make 60 'z' ]
+        in
+        let got =
+          List.concat_map
+            (fun id ->
+              List.map
+                (fun k -> string_of_int (Mailbox_id.of_identity id ~num_mailboxes:k))
+                [ 1; 7; 1000; max_int ])
+            ids
+        in
+        Alcotest.(check string) "ids"
+          "0,0,904,1350698173699281904,0,3,398,749736561826619398,0,1,254,1417235886904741254,0,5,984,3477905517180597984,0,2,140,2034957326531855140,0,6,384,3913859722983126384"
+          (String.concat "," got));
     Alcotest.test_case "onion wrap/unwrap through three layers" `Quick (fun () ->
         let pr = p () in
         let rng = Drbg.create ~seed:"onion" in
@@ -288,7 +308,14 @@ let corrupt_encoding_tests =
         no_raise_b "truncated" (fun () -> Bloom.of_bytes (String.sub enc 0 11));
         (match Bloom.of_bytes ("\x7f\xff\xff\xff" ^ String.sub enc 4 (String.length enc - 4)) with
         | Some _ -> Alcotest.fail "inconsistent header must be rejected"
-        | None -> ()));
+        | None -> ());
+        (* a hash count of 2^32 - 1 would make every lookup walk that many
+           indices *)
+        let huge_k = String.sub enc 0 4 ^ "\xff\xff\xff\xff" ^ String.sub enc 8 (String.length enc - 8) in
+        no_raise_b "huge k" (fun () -> Bloom.of_bytes huge_k);
+        match Bloom.of_bytes huge_k with
+        | Some _ -> Alcotest.fail "hash count 2^32 - 1 must be rejected"
+        | None -> ());
   ]
 
 let prop name ?(count = 15) arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)

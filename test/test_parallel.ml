@@ -11,6 +11,8 @@ module Onion = Alpenhorn_mixnet.Onion
 module Payload = Alpenhorn_mixnet.Payload
 module Mailbox = Alpenhorn_mixnet.Mailbox
 module Drbg = Alpenhorn_crypto.Drbg
+module Sha256 = Alpenhorn_crypto.Sha256
+module Bloom = Alpenhorn_bloom.Bloom
 
 let params = lazy (Params.test ())
 let p () = Lazy.force params
@@ -120,6 +122,53 @@ let hammer_tests =
         Alcotest.(check int) "histogram count exact" n snap.Tel.Histogram.count);
   ]
 
+(* The hashing kernel's scratch and the Bloom filter's digest words are
+   domain-local: filters are built per shard on the pool, and clients probe
+   a shared filter from pool domains. Every job builds a filter, hashes its
+   tokens one-block into words and probes a shared filter, on four domains
+   at once; the submitting domain compares each job with its one-domain
+   result. *)
+let hash_hammer_tests =
+  [
+    Alcotest.test_case "4-domain hammer: Bloom filters + one-block digests" `Quick (fun () ->
+        let rng = Drbg.create ~seed:"hash-hammer" in
+        let jobs = 16 and per_job = 256 in
+        let tokens = Bytes.of_string (Drbg.bytes rng (32 * jobs * per_job)) in
+        let shared = Bloom.create ~expected_elements:(jobs * per_job / 2) in
+        for t = 0 to (jobs * per_job / 2) - 1 do
+          Bloom.add_sub shared tokens ~pos:(32 * t) ~len:32
+        done;
+        let job j =
+          let f = Bloom.create ~expected_elements:per_job in
+          let digests = Array.make (8 * per_job) 0 and d = Array.make 8 0 and hits = ref 0 in
+          for t = 0 to per_job - 1 do
+            let pos = 32 * ((j * per_job) + t) in
+            Bloom.add_sub f tokens ~pos ~len:32;
+            Sha256.digest_words_into d ~prefix:"hammer" tokens ~pos ~len:32;
+            Array.blit d 0 digests (8 * t) 8;
+            if Bloom.mem_sub shared tokens ~pos ~len:32 then incr hits
+          done;
+          (Bloom.to_bytes f, digests, !hits)
+        in
+        let expected = Array.init jobs job in
+        with_pool 4 (fun pool ->
+            for round = 1 to 3 do
+              let got = Parallel.map pool job (Array.init jobs Fun.id) in
+              Array.iteri
+                (fun j (filter, digests, hits) ->
+                  let e_filter, e_digests, e_hits = expected.(j) in
+                  let what = Printf.sprintf "round %d job %d" round j in
+                  Alcotest.(check bool) (what ^ " filter bytes") true (String.equal e_filter filter);
+                  Alcotest.(check (array int)) (what ^ " digests") e_digests digests;
+                  Alcotest.(check int) (what ^ " shared-filter hits") e_hits hits)
+                got
+            done);
+        (* the first half of the jobs' tokens went into the shared filter *)
+        Array.iteri
+          (fun j (_, _, hits) -> if j < jobs / 2 then Alcotest.(check int) "members found" per_job hits)
+          expected);
+  ]
+
 (* Satellite: pool size must not affect results. The same seeded chain
    round is run at 1, 2 and 4 domains; mailbox contents must be
    byte-identical and the event-log narrative identical. *)
@@ -179,4 +228,4 @@ let determinism_tests =
         Alcotest.(check int) "env parse" expected (Parallel.default_size_from_env ()));
   ]
 
-let suite = map_semantics @ hammer_tests @ determinism_tests
+let suite = map_semantics @ hammer_tests @ hash_hammer_tests @ determinism_tests
