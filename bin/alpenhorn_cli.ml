@@ -226,6 +226,7 @@ let run_session caller callee intent seed metrics metrics_json trace events slo 
   let server = start_metrics_server serve_port in
   let tracer = make_tracer trace_sample in
   let d = Deployment.create ~config:Config.test ~seed in
+  Deployment.set_tracer d tracer;
   let secret_caller = ref None and secret_callee = ref None in
   let mk email on_place on_ring =
     Deployment.new_client d ~email
@@ -255,15 +256,15 @@ let run_session caller callee intent seed metrics metrics_json trace events slo 
     [ a; b ];
   Printf.printf "\n> /addfriend %s\n" callee;
   Client.add_friend a ~email:callee ();
-  ignore (Deployment.run_addfriend_round d ?tracer ());
-  ignore (Deployment.run_addfriend_round d ?tracer ());
+  ignore (Deployment.run_addfriend_round d ());
+  ignore (Deployment.run_addfriend_round d ());
   Printf.printf "friendship established (keywheels synchronized)\n";
   Printf.printf "\n> /call %s %d\n" callee intent;
   Client.call a ~email:callee ~intent;
   let guard = ref 0 in
   while !secret_callee = None && !guard < 6 do
     incr guard;
-    ignore (Deployment.run_dialing_round d ?tracer ())
+    ignore (Deployment.run_dialing_round d ())
   done;
   let slo_rules =
     if slo then
@@ -1017,21 +1018,46 @@ let pp_dial_event (Client.Incoming_call { peer; intent; session_key }) =
 let pp_events evs = String.concat ", " (List.map (fun (who, ev) -> who ^ "<-" ^ ev) evs)
 
 (* The scripted scenario both deployments run: three clients, two
-   friendships, two calls. [af] and [dial] run one round of each phase and
-   return (attempts, canonical event strings). *)
-let run_scenario ~register ~new_client ~add_friend ~call ~af ~dial ~rounds =
-  let emails = [ "alice@example.org"; "bob@example.org"; "carol@example.org" ] in
-  let clients = List.map new_client emails in
-  List.iter register clients;
+   friendships, two calls. Returns, per round of each phase, the attempts
+   and the canonical event strings; [on_round] sees each round's summary. *)
+let run_scenario d ~rounds ~on_round =
+  let clients =
+    List.map
+      (fun email -> Deployment.new_client d ~email ~callbacks:Client.null_callbacks)
+      [ "alice@example.org"; "bob@example.org"; "carol@example.org" ]
+  in
+  List.iter
+    (fun cl ->
+      match Deployment.register d cl with
+      | Ok () -> ()
+      | Error e -> failwith (Alpenhorn_pkg.Pkg.error_to_string e))
+    clients;
   let a, b, c =
     match clients with [ a; b; c ] -> (a, b, c) | _ -> assert false
   in
-  add_friend a "bob@example.org";
-  add_friend c "bob@example.org";
-  let af_log = List.init rounds (fun _ -> af ()) in
-  call a "bob@example.org" 1;
-  call b "carol@example.org" 2;
-  let dial_log = List.init rounds (fun _ -> dial ()) in
+  let round name number ~in_ ~noise attempts events =
+    on_round (Printf.sprintf "%s round %d" name number)
+      (Printf.sprintf "%d in, %d noise, attempts %d — %s" in_ noise attempts (pp_events events));
+    (attempts, events)
+  in
+  Client.add_friend a ~email:"bob@example.org" ();
+  Client.add_friend c ~email:"bob@example.org" ();
+  let af_log =
+    List.init rounds (fun _ ->
+        let s = Deployment.run_addfriend_round d () in
+        round "af" s.Deployment.af_round ~in_:s.Deployment.requests_in
+          ~noise:s.Deployment.noise_added s.Deployment.af_attempts
+          (List.map (fun (w, e) -> (w, pp_af_event e)) s.Deployment.events))
+  in
+  Client.call a ~email:"bob@example.org" ~intent:1;
+  Client.call b ~email:"carol@example.org" ~intent:2;
+  let dial_log =
+    List.init rounds (fun _ ->
+        let s = Deployment.run_dialing_round d () in
+        round "dial" s.Deployment.dial_round ~in_:s.Deployment.tokens_in
+          ~noise:s.Deployment.dial_noise_added s.Deployment.dial_attempts
+          (List.map (fun (w, e) -> (w, pp_dial_event e)) s.Deployment.calls))
+  in
   (af_log, dial_log)
 
 let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
@@ -1107,13 +1133,13 @@ let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
       ~pkgs:(Array.map (fun c -> localhost c.port) pkg_children)
       ~mixers ()
   in
-  Net_deployment.set_faults nd fault_view;
+  Deployment.set_faults nd fault_view;
   let coll =
     if not with_metrics then None
     else begin
       (* trace every round: all span ids are minted by this tracer, and
          servers replay carried identities, so merged snapshots stitch *)
-      Net_deployment.set_tracer nd (Some (Trace.create Tel.default));
+      Deployment.set_tracer nd (Some (Trace.create Tel.default));
       let fetch ~host ~port path = Listener.fetch ~host ~port path in
       let remote (c : child) = Collector.Remote { host = "127.0.0.1"; port = c.metrics } in
       let insts =
@@ -1139,32 +1165,9 @@ let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
   if fault_view <> None then
     Printf.printf "fault schedule: %s\n%!" (Faults.to_string faults);
   let net_af, net_dial =
-    run_scenario ~rounds
-      ~new_client:(fun email -> Net_deployment.new_client nd ~email ~callbacks:Client.null_callbacks)
-      ~register:(fun cl ->
-        match Net_deployment.register nd cl with
-        | Ok () -> ()
-        | Error e -> failwith (Alpenhorn_pkg.Pkg.error_to_string e))
-      ~add_friend:(fun cl email -> Client.add_friend cl ~email ())
-      ~call:(fun cl email intent -> Client.call cl ~email ~intent)
-      ~af:(fun () ->
-        let s = Net_deployment.run_addfriend_round nd () in
-        Printf.printf "af round %d over TCP: %d in, %d noise, attempts %d — %s\n%!"
-          s.Deployment.af_round s.Deployment.requests_in s.Deployment.noise_added
-          s.Deployment.af_attempts
-          (pp_events (List.map (fun (w, e) -> (w, pp_af_event e)) s.Deployment.events));
-        scrape_now ();
-        ( s.Deployment.af_attempts,
-          List.map (fun (w, e) -> (w, pp_af_event e)) s.Deployment.events ))
-      ~dial:(fun () ->
-        let s = Net_deployment.run_dialing_round nd () in
-        Printf.printf "dial round %d over TCP: %d in, %d noise, attempts %d — %s\n%!"
-          s.Deployment.dial_round s.Deployment.tokens_in s.Deployment.dial_noise_added
-          s.Deployment.dial_attempts
-          (pp_events (List.map (fun (w, e) -> (w, pp_dial_event e)) s.Deployment.calls));
-        scrape_now ();
-        ( s.Deployment.dial_attempts,
-          List.map (fun (w, e) -> (w, pp_dial_event e)) s.Deployment.calls ))
+    run_scenario nd ~rounds ~on_round:(fun name summary ->
+        Printf.printf "%s over TCP: %s\n%!" name summary;
+        scrape_now ())
   in
   Net_deployment.close nd;
   (* ---- fleet observability checks (--scrape / --fleet-slo) ---- *)
@@ -1244,24 +1247,7 @@ let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
        attempts must match) — and demand identical protocol results *)
     let d = Deployment.create ~config ~seed in
     Deployment.set_faults d fault_view;
-    let ref_af, ref_dial =
-      run_scenario ~rounds
-        ~new_client:(fun email -> Deployment.new_client d ~email ~callbacks:Client.null_callbacks)
-        ~register:(fun cl ->
-          match Deployment.register d cl with
-          | Ok () -> ()
-          | Error e -> failwith (Alpenhorn_pkg.Pkg.error_to_string e))
-        ~add_friend:(fun cl email -> Client.add_friend cl ~email ())
-        ~call:(fun cl email intent -> Client.call cl ~email ~intent)
-        ~af:(fun () ->
-          let s = Deployment.run_addfriend_round d () in
-          ( s.Deployment.af_attempts,
-            List.map (fun (w, e) -> (w, pp_af_event e)) s.Deployment.events ))
-        ~dial:(fun () ->
-          let s = Deployment.run_dialing_round d () in
-          ( s.Deployment.dial_attempts,
-            List.map (fun (w, e) -> (w, pp_dial_event e)) s.Deployment.calls ))
-    in
+    let ref_af, ref_dial = run_scenario d ~rounds ~on_round:(fun _ _ -> ()) in
     let ref_events = ref_af @ ref_dial in
     if net_events = ref_events then begin
       Printf.printf

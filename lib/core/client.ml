@@ -206,59 +206,48 @@ let rollback t cp =
 
 (* ---- add-friend rounds (Algorithm 1) ---- *)
 
+(* Aggregate the identity keys and attestations PKGs [0 .. n_pkgs-1]
+   answered ([answer j]), in order, stopping at the first error. *)
+let aggregate_extractions t ~round ~n_pkgs answer =
+  let rec collect j keys sigs =
+    if j = n_pkgs then
+      Ok
+        {
+          af_round_num = round;
+          identity_key = Some (Ibe.aggregate_identity t.params keys);
+          pkg_sigs = Bls.aggregate t.params sigs;
+        }
+    else begin
+      match answer j with
+      | Error e -> Error e
+      | Ok (key, att) -> collect (j + 1) (key :: keys) (att :: sigs)
+    end
+  in
+  collect 0 [] []
+
 (* The transport seam: extraction as an abstract per-PKG call, so the same
    client code runs against in-process [Pkg.t] handles or a network-backed
    transport (Alpenhorn_remote speaks this through its framed RPC). *)
 let begin_addfriend_round_with t ~round ~n_pkgs ~extract =
   let signature = sign_extraction_request t ~round in
-  let rec collect i keys sigs =
-    if i = n_pkgs then Ok (keys, sigs)
-    else begin
-      match extract i ~email:t.email ~signature with
-      | Error e -> Error e
-      | Ok (key, att) -> collect (i + 1) (key :: keys) (att :: sigs)
-    end
-  in
-  match collect 0 [] [] with
-  | Error e -> Error e
-  | Ok (keys, sigs) ->
-    Ok
-      {
-        af_round_num = round;
-        identity_key = Some (Ibe.aggregate_identity t.params keys);
-        pkg_sigs = Bls.aggregate t.params sigs;
-      }
+  aggregate_extractions t ~round ~n_pkgs (fun j -> extract j ~email:t.email ~signature)
 
 let begin_addfriend_round t ~round ~now ~pkgs =
   begin_addfriend_round_with t ~round ~n_pkgs:(Array.length pkgs) ~extract:(fun i ~email ~signature ->
       Pkg.extract pkgs.(i) ~now ~round ~email ~signature)
 
-(* Batched variant for a whole deployment: one Pkg.extract_batch call per
-   PKG covers every client, so the per-request verify/extract/sign work
-   fans out across the domain pool.  Per client the per-PKG results are
-   consumed in the same order, with the same first-error short-circuit, as
-   [begin_addfriend_round], so the healthy path is value-identical. *)
-let begin_addfriend_round_batch clients ~round ~now ~pkgs =
-  let arr = Array.of_list clients in
-  let requests = Array.map (fun c -> (c.email, sign_extraction_request c ~round)) arr in
-  let per_pkg = Array.map (fun pkg -> Pkg.extract_batch pkg ~now ~round requests) pkgs in
-  Array.to_list arr
-  |> List.mapi (fun i c ->
-         let rec collect j keys sigs =
-           if j = Array.length pkgs then
-             Ok
-               {
-                 af_round_num = round;
-                 identity_key = Some (Ibe.aggregate_identity c.params keys);
-                 pkg_sigs = Bls.aggregate c.params sigs;
-               }
-           else begin
-             match per_pkg.(j).(i) with
-             | Error e -> Error e
-             | Ok (key, att) -> collect (j + 1) (key :: keys) (att :: sigs)
-           end
-         in
-         (c, collect 0 [] []))
+(* Batched variant for a whole deployment: one [extract_batch] call per
+   PKG covers every client (in process, {!Pkg.extract_batch} fans the
+   verify/extract/sign work across the domain pool), then each client's
+   answers are aggregated exactly as in [begin_addfriend_round_with]. *)
+let begin_addfriend_round_batch clients ~round ~n_pkgs ~extract_batch =
+  let requests =
+    Array.of_list (List.map (fun c -> (c.email, sign_extraction_request c ~round)) clients)
+  in
+  let per_pkg = Array.init n_pkgs (fun j -> extract_batch j requests) in
+  List.mapi
+    (fun i c -> (c, aggregate_extractions c ~round ~n_pkgs (fun j -> per_pkg.(j).(i))))
+    clients
 
 (* DialingRound for a fresh keywheel entry: safely ahead of the wheel's
    clock so both clients can still reach it (Fig 5). *)

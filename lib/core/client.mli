@@ -153,14 +153,19 @@ val begin_addfriend_round_with :
 val begin_addfriend_round_batch :
   t list ->
   round:int ->
-  now:int ->
-  pkgs:Pkg.t array ->
+  n_pkgs:int ->
+  extract_batch:
+    (int ->
+    (string * Bls.signature) array ->
+    (Ibe.identity_key * Bls.signature, Pkg.error) result array) ->
   (t * (af_round, Pkg.error) result) list
-(** {!begin_addfriend_round} for a whole deployment at once: one
-    {!Pkg.extract_batch} per PKG covers every client, fanning the
-    verify/extract/sign work across the domain pool. Result order matches
-    the input client list; per client the outcome (including which error
-    is reported first) matches the sequential call. *)
+(** {!begin_addfriend_round_with} for a whole deployment at once:
+    [extract_batch j requests] answers every client's [(email, signature)]
+    extraction request at the [j]th PKG in one call (in process,
+    {!Pkg.extract_batch}, which fans the work across the domain pool).
+    Result order matches the input client list; per client the outcome
+    (including which error is reported first) matches the sequential
+    call. *)
 
 val addfriend_submission :
   t ->

@@ -22,13 +22,14 @@ type t = {
           a relatively long time", e.g. a day); older rounds are erased and
           offline clients advance their keywheels past them. *)
   dial_shards : int;
-      (** when > 0, the dialing round distributes into this many
-          contiguous-mailbox-range shards (§5.1 CDN model,
+      (** the number S of contiguous-mailbox-range shards every dialing
+          round distributes into (§5.1 CDN model,
           {!Alpenhorn_mixnet.Mailbox.distribute_sharded}): one Bloom filter
           per shard, clients download the shard covering their mailbox.
-          The effective mailbox count is raised to at least the shard
-          count. 0 (the default in both presets) keeps the per-mailbox
-          filters. *)
+          The effective mailbox count is raised to at least S. 0 (the
+          default in both presets) means one shard per mailbox (S = K),
+          whose filters and downloads are byte-identical to per-mailbox
+          distribution. *)
 }
 
 val paper : t

@@ -2,6 +2,7 @@ module Drbg = Alpenhorn_crypto.Drbg
 module Params = Alpenhorn_pairing.Params
 module Ibe = Alpenhorn_ibe.Ibe
 module Bls = Alpenhorn_bls.Bls
+module Dh = Alpenhorn_dh.Dh
 module Pkg = Alpenhorn_pkg.Pkg
 module Chain = Alpenhorn_mixnet.Chain
 module Mailbox = Alpenhorn_mixnet.Mailbox
@@ -25,68 +26,70 @@ type fault_view = {
 
 exception Round_failed of { phase : string; round : int; attempts : int }
 
-(* One archived dialing round (§5.1): either per-mailbox filters (legacy)
-   or per-shard filters (Config.dial_shards > 0). Either way a client's
-   download for that round is a single Bloom filter, found by its email. *)
-type archived =
-  | Per_mailbox of Bloom.t array * int (* filters, K *)
-  | Per_shard of Bloom.t array * Shard.t
+type mode = [ `AddFriend | `Dialing ]
 
-let archived_lookup entry ~email =
-  match entry with
-  | Per_mailbox (filters, k) -> filters.(Mailbox.mailbox_of_identity email ~num_mailboxes:k)
-  | Per_shard (filters, shard) -> filters.(Shard.of_identity shard email)
+(* The seam between the rounds below, written once, and the servers they
+   run on: in process (function calls into Pkg.t and Chain.t, built by [create])
+   or over framed TCP RPC (Alpenhorn_remote.Net_deployment). *)
+type backend = {
+  pkg_public_keys : Bls.public list;
+  register : int -> now:int -> email:string -> pk:Bls.public -> (unit, Pkg.error) result;
+  inbox : int -> email:string -> string list;
+  confirm : int -> now:int -> email:string -> token:string -> (unit, Pkg.error) result;
+  begin_round : int -> round:int -> string;
+  reveal : int -> round:int -> (Ibe.master_public * string, Pkg.error) result;
+  extract_batch :
+    int ->
+    now:int ->
+    round:int ->
+    (string * Bls.signature) array ->
+    (Ibe.identity_key * Bls.signature, Pkg.error) result array;
+  end_round : int -> round:int -> unit;
+  new_round_keys : mode -> Dh.public list;
+  mix :
+    mode ->
+    tracer:Trace.t option ->
+    noise_mu:float ->
+    num_mailboxes:int ->
+    mpk_agg:Ibe.master_public option ->
+    (string * Trace.ctx option) array ->
+    string array * int * (int * Trace.ctx) list;
+  crash : mode -> server:int -> unit;
+  recover : mode -> unit;
+  trace_round : 'a. Trace.t -> phase:string -> round:int -> (Trace.t option -> 'a) -> 'a;
+  close : unit -> unit;
+}
 
 type t = {
   config : Config.t;
   params : Params.t;
-  rng : Drbg.t;
-  pkgs : Pkg.t array;
-  af_chain : Chain.t;
-  dial_chain : Chain.t;
-  inboxes : (string, (int * string) list ref) Hashtbl.t; (* simulated email provider *)
-  dial_archive : (int, archived) Hashtbl.t; (* round -> that round's filters (§5.1) *)
+  rng : Drbg.t; (* deployment root: client derivations, in-process noise *)
+  b : backend;
+  local_pkgs : Pkg.t array; (* in process only; empty behind RPC *)
+  dial_archive : (int, Bloom.t array * Shard.t) Hashtbl.t; (* round -> its filters (§5.1) *)
   mutable clients : Client.t list; (* registered clients *)
   mutable af_round : int;
   mutable dial_round : int;
   mutable clock : int;
   mutable faults : fault_view option;
   mutable policy : Client.retry_policy;
+  mutable tracer : Trace.t option;
   mutable abort_streak : int; (* consecutive aborted attempts; 0 after a good round *)
   mutable worst_streak : int;
 }
 
-let create ~config ~seed =
-  (match Config.validate config with Ok () -> () | Error m -> invalid_arg ("Deployment.create: " ^ m));
-  let params = Config.params config in
-  let rng = Drbg.create ~seed:("deployment" ^ seed) in
-  let inboxes = Hashtbl.create 256 in
-  let deliver pkg_index ~to_ ~token =
-    let box =
-      match Hashtbl.find_opt inboxes to_ with
-      | Some b -> b
-      | None ->
-        let b = ref [] in
-        Hashtbl.replace inboxes to_ b;
-        b
-    in
-    box := (pkg_index, token) :: !box
-  in
-  let pkgs =
-    Array.init config.Config.n_pkgs (fun i ->
-        Pkg.create params
-          ~rng:(Drbg.derive rng (Printf.sprintf "pkg-%d" i))
-          ~send_email:(deliver i) ())
-  in
+let root_rng ~seed = Drbg.create ~seed:("deployment" ^ seed)
+
+let validate ~where config =
+  match Config.validate config with Ok () -> () | Error m -> invalid_arg (where ^ ": " ^ m)
+
+let make ~config ~rng ~local_pkgs b =
   {
     config;
-    params;
+    params = Config.params config;
     rng;
-    pkgs;
-    af_chain = Chain.create params ~rng:(Drbg.derive rng "af-chain") ~chain_length:config.Config.chain_length;
-    dial_chain =
-      Chain.create params ~rng:(Drbg.derive rng "dial-chain") ~chain_length:config.Config.chain_length;
-    inboxes;
+    b;
+    local_pkgs;
     dial_archive = Hashtbl.create 64;
     clients = [];
     af_round = 0;
@@ -94,42 +97,109 @@ let create ~config ~seed =
     clock = 0;
     faults = None;
     policy = Client.default_retry_policy;
+    tracer = None;
     abort_streak = 0;
     worst_streak = 0;
   }
 
+let of_backend ~config ~seed b =
+  validate ~where:"Deployment.of_backend" config;
+  make ~config ~rng:(root_rng ~seed) ~local_pkgs:[||] b
+
+(* ---- the in-process backend ---- *)
+
+let create ~config ~seed =
+  validate ~where:"Deployment.create" config;
+  let params = Config.params config in
+  let rng = root_rng ~seed in
+  (* the simulated email provider: (pkg, address) -> tokens, newest first *)
+  let inboxes = Hashtbl.create 256 in
+  let inbox i ~email = Option.value ~default:[] (Hashtbl.find_opt inboxes (i, email)) in
+  let pkgs =
+    Array.init config.Config.n_pkgs (fun i ->
+        Pkg.create params
+          ~rng:(Drbg.derive rng (Printf.sprintf "pkg-%d" i))
+          ~send_email:(fun ~to_ ~token ->
+            Hashtbl.replace inboxes (i, to_) (token :: inbox i ~email:to_))
+          ())
+  in
+  let chain_of label =
+    Chain.create params ~rng:(Drbg.derive rng label) ~chain_length:config.Config.chain_length
+  in
+  let af_chain = chain_of "af-chain" and dial_chain = chain_of "dial-chain" in
+  let chain = function `AddFriend -> af_chain | `Dialing -> dial_chain in
+  make ~config ~rng ~local_pkgs:pkgs
+    {
+      pkg_public_keys = Array.to_list (Array.map Pkg.long_term_public pkgs);
+      register = (fun i ~now ~email ~pk -> Pkg.register pkgs.(i) ~now ~email ~pk);
+      inbox;
+      confirm = (fun i ~now ~email ~token -> Pkg.confirm pkgs.(i) ~now ~email ~token);
+      begin_round = (fun i ~round -> Pkg.begin_round pkgs.(i) ~round);
+      reveal = (fun i ~round -> Pkg.reveal_round pkgs.(i) ~round);
+      extract_batch = (fun i ~now ~round reqs -> Pkg.extract_batch pkgs.(i) ~now ~round reqs);
+      end_round = (fun i ~round -> Pkg.end_round pkgs.(i) ~round);
+      new_round_keys = (fun mode -> Chain.begin_round (chain mode));
+      (* noise bodies come from the deployment root, in the chain's order *)
+      mix =
+        (fun mode ~tracer ~noise_mu ~num_mailboxes ~mpk_agg batch ->
+          Chain.mix (chain mode) ~noise_mu ~laplace_b:config.Config.laplace_b ~num_mailboxes
+            ~noise_body:
+              (Wire.noise_body params rng mode
+                 ~mpk_agg:(if config.Config.faithful_noise then mpk_agg else None))
+            ?tracer batch);
+      crash = (fun mode ~server -> Chain.crash_server (chain mode) ~server);
+      recover =
+        (fun mode ->
+          let c = chain mode in
+          Chain.abort_round c;
+          for s = 0 to Chain.chain_length c - 1 do
+            if Chain.server_down c ~server:s then Chain.restart_server c ~server:s
+          done);
+      (* messages carry their trace contexts out of band through the chain *)
+      trace_round = (fun tr ~phase:_ ~round:_ f -> f (Some tr));
+      close = ignore;
+    }
+
 let config t = t.config
 let params t = t.params
-let pkgs t = t.pkgs
-let pkg_public_keys t = Array.to_list (Array.map Pkg.long_term_public t.pkgs)
+
+let pkgs t =
+  if Array.length t.local_pkgs = 0 then invalid_arg "Deployment.pkgs: the PKGs are remote";
+  t.local_pkgs
+
+let pkg_public_keys t = t.b.pkg_public_keys
 let now t = t.clock
 let advance_clock t ~seconds = t.clock <- t.clock + seconds
 let addfriend_round_number t = t.af_round
 let dialing_round_number t = t.dial_round
+let set_tracer t tr = t.tracer <- tr
+let close t = t.b.close ()
+let n_pkgs t = t.config.Config.n_pkgs
 
 let new_client t ~email ~callbacks =
   Client.create ~config:t.config
     ~rng:(Drbg.derive t.rng ("client-" ^ email))
     ~email ~pkg_public_keys:(pkg_public_keys t) ~callbacks
 
-let inbox t ~email = match Hashtbl.find_opt t.inboxes email with Some b -> !b | None -> []
+let inbox t ~email =
+  List.concat (List.init (n_pkgs t) (fun i -> List.map (fun tok -> (i, tok)) (t.b.inbox i ~email)))
 
 let register t client =
   let email = Client.email client in
   let pk = Client.signing_public client in
   let rec per_pkg i =
-    if i = Array.length t.pkgs then Ok ()
+    if i = n_pkgs t then Ok ()
     else begin
-      match Pkg.register t.pkgs.(i) ~now:t.clock ~email ~pk with
+      match t.b.register i ~now:t.clock ~email ~pk with
       | Error e -> Error e
       | Ok () ->
         (* the user reads the confirmation email and echoes the token *)
         let token =
-          match List.assoc_opt i (inbox t ~email) with
-          | Some tok -> tok
-          | None -> "" (* no email delivered: confirmation will fail below *)
+          match t.b.inbox i ~email with
+          | tok :: _ -> tok
+          | [] -> "" (* no email delivered: confirmation will fail below *)
         in
-        (match Pkg.confirm t.pkgs.(i) ~now:t.clock ~email ~token with
+        (match t.b.confirm i ~now:t.clock ~email ~token with
          | Error e -> Error e
          | Ok () -> per_pkg (i + 1))
     end
@@ -164,22 +234,24 @@ let record_abort t =
   Tel.Gauge.set g_consec (float_of_int t.worst_streak);
   Tel.Counter.inc c_aborts
 
-(* Apply this attempt's scheduled faults. Called right after the chain's
-   [begin_round] — a crash injected here models a server dying after it
-   announced its round key, the case the anytrust abort path exists for. *)
-let inject_faults t chain ~phase ~round ~attempt =
+(* Apply this attempt's scheduled faults. Called right after the chain
+   announced its round keys — a crash injected here models a server dying
+   after it announced its round key, the case the anytrust abort path
+   exists for. *)
+let inject_faults t mode ~phase ~round ~attempt =
   match t.faults with
   | None -> ()
   | Some fv ->
-    for s = 0 to Chain.chain_length chain - 1 do
+    let servers = t.config.Config.chain_length in
+    for s = 0 to servers - 1 do
       if fv.fv_crash_attempts ~round ~server:s >= attempt then begin
-        Chain.crash_server chain ~server:s;
+        t.b.crash mode ~server:s;
         Tel.Counter.inc (c_injected "crash")
       end
     done;
     if attempt = 1 then begin
       let stall = ref 0.0 in
-      for s = 0 to Chain.chain_length chain - 1 do
+      for s = 0 to servers - 1 do
         stall := !stall +. fv.fv_stall_seconds ~round ~server:s
       done;
       if !stall > 0.0 then begin
@@ -209,17 +281,18 @@ let inject_faults t chain ~phase ~round ~attempt =
 
 (* The recovery loop around one round: checkpoint every participating
    client, run the round body, and on a clean abort (any server down, or a
-   stall past the timeout) roll everything per-round back — chain keys,
-   crashed servers restarted, client queues and DH state, [cleanup] for
-   phase-specific state (PKG round secrets) — then re-run after
-   deterministic backoff, up to the policy's attempt budget. *)
-let with_recovery t ~phase ~round ~chain ~clients ~cleanup body =
+   stall past the timeout) roll everything per-round back — the backend
+   erases round keys and restarts crashed servers, client queues and DH
+   state are restored, [cleanup] drops phase-specific state (PKG round
+   secrets) — then re-run after deterministic backoff, up to the policy's
+   attempt budget. *)
+let with_recovery t mode ~phase ~round ~clients ~cleanup body =
   let policy = t.policy in
   let seed = match t.faults with Some fv -> fv.fv_seed | None -> "faults" in
   let checkpoints = List.map (fun c -> (c, Client.checkpoint c)) clients in
   let first_abort_clock = ref None in
   let rec attempt n =
-    match body ~after_begin:(fun () -> inject_faults t chain ~phase ~round ~attempt:n) with
+    match body ~after_begin:(fun () -> inject_faults t mode ~phase ~round ~attempt:n) with
     | result ->
       t.abort_streak <- 0;
       (match !first_abort_clock with
@@ -235,10 +308,7 @@ let with_recovery t ~phase ~round ~chain ~clients ~cleanup body =
     | exception (Chain.Aborted _ | Stall_timeout) ->
       if !first_abort_clock = None then first_abort_clock := Some t.clock;
       record_abort t;
-      Chain.abort_round chain;
-      for s = 0 to Chain.chain_length chain - 1 do
-        if Chain.server_down chain ~server:s then Chain.restart_server chain ~server:s
-      done;
+      t.b.recover mode;
       List.iter (fun (c, cp) -> Client.rollback c cp) checkpoints;
       cleanup ();
       if n >= policy.Client.max_attempts then begin
@@ -265,32 +335,102 @@ let with_recovery t ~phase ~round ~chain ~clients ~cleanup body =
   in
   attempt 1
 
-(* Split out the clients the schedule holds offline this round, identified
-   by registration index (stable across the whole run). *)
-let online_clients t ~round clients =
+(* The round's participants minus the clients the schedule holds offline,
+   identified by registration index (stable across the whole run). *)
+let online_clients t ~phase ~round participants =
+  let clients = match participants with Some l -> l | None -> t.clients in
   match t.faults with
-  | None -> (clients, [])
+  | None -> clients
   | Some fv ->
     let index c =
       let rec go i = function [] -> -1 | x :: rest -> if x == c then i else go (i + 1) rest in
       go 0 t.clients
     in
-    List.partition
-      (fun c ->
-        let i = index c in
-        i < 0 || not (fv.fv_client_offline ~round ~client:i))
-      clients
+    let online, offline =
+      List.partition
+        (fun c ->
+          let i = index c in
+          i < 0 || not (fv.fv_client_offline ~round ~client:i))
+        clients
+    in
+    if offline <> [] then begin
+      Tel.Counter.add (c_injected "offline") (List.length offline);
+      Events.log Events.default
+        ~labels:[ ("phase", phase) ]
+        ~detail:(Printf.sprintf "round %d: %d clients offline" round (List.length offline))
+        "client.offline"
+    end;
+    online
 
-let log_offline ~phase ~round offline =
-  if offline <> [] then begin
-    Tel.Counter.add (c_injected "offline") (List.length offline);
-    Events.log Events.default
-      ~labels:[ ("phase", phase) ]
-      ~detail:(Printf.sprintf "round %d: %d clients offline" round (List.length offline))
-      "client.offline"
-  end
+(* ---- the rounds, written once for every backend ---- *)
 
-(* ---- add-friend round (Algorithm 1, orchestrated) ---- *)
+let g_mailbox_load = Tel.Gauge.v Tel.default "mailbox.max_load"
+
+(* §6 mailbox-count policy: real traffic and noise roughly balanced. A
+   dialing round has at least one mailbox per shard (§5.1). *)
+let num_mailboxes t mode ~participants =
+  let c = t.config in
+  let noise_mu =
+    match mode with
+    | `AddFriend -> c.Config.addfriend_noise_mu
+    | `Dialing -> c.Config.dialing_noise_mu
+  in
+  let expected_real =
+    int_of_float (Float.round (float_of_int participants *. c.Config.active_fraction))
+  in
+  let k = Mailbox.num_mailboxes_for ~expected_real ~noise_mu ~chain_length:c.Config.chain_length in
+  match mode with `AddFriend -> k | `Dialing -> Stdlib.max k c.Config.dial_shards
+
+let log_round ~phase name detail =
+  Events.log Events.default ~labels:[ ("phase", phase) ] ~detail name
+
+(* One round, retries included: [round.start] before, and at the close the
+   completed-round count, a runtime/GC reading and one sample on the
+   process-wide time-series ring, so a live scrape (or [top]) sees history
+   filling while rounds run. The tracer, if any, goes to the backend's
+   round trace. *)
+let run_round t mode ~phase ~round ~clients ~cleanup body =
+  log_round ~phase "round.start"
+    (Printf.sprintf "round %d, %d clients" round (List.length clients));
+  let run tracer = with_recovery t mode ~phase ~round ~clients ~cleanup (body ~tracer) in
+  let result, attempts =
+    match t.tracer with None -> run None | Some tr -> t.b.trace_round tr ~phase ~round run
+  in
+  Tel.Counter.inc (Tel.Counter.v Tel.default ~labels:[ ("phase", phase) ] "round.completed");
+  Runtime_stats.sample (Runtime_stats.get_default ());
+  Timeseries.record Timeseries.default;
+  (result, attempts)
+
+(* Every client downloads its own mailbox and runs its [scan] on it; under
+   per-message tracing, the scan is stitched onto each traced message
+   published into that mailbox. *)
+let scan_all ~tracer ~num_mailboxes ~published scans =
+  Tel.Span.with_ Tel.default "client.scan" @@ fun () ->
+  List.concat_map
+    (fun (c, scan) ->
+      let email = Client.email c in
+      let mb = Mailbox.mailbox_of_identity email ~num_mailboxes in
+      let t0 = Tel.now Tel.default in
+      let evs = scan mb in
+      Option.iter
+        (fun tr ->
+          List.iter
+            (fun (pmb, pctx) ->
+              if pmb = mb then
+                Trace.emit tr (Trace.child tr pctx)
+                  ~labels:[ ("client", email) ]
+                  ~name:"client.scan" ~ts:t0 ~dur:(Tel.now Tel.default -. t0) ())
+            published)
+        tracer;
+      List.map (fun ev -> (email, ev)) evs)
+    scans
+
+(* Close event: what went in, what the chain added, what was dropped. *)
+let log_close ~phase ~round ~real_in ~noise ~dropped =
+  log_round ~phase "round.close"
+    (Printf.sprintf "round %d: %d in, %d noise, %d dropped" round real_in noise dropped)
+
+(* ---- add-friend round (Algorithm 1) ---- *)
 
 type af_stats = {
   af_round : int;
@@ -303,83 +443,41 @@ type af_stats = {
   events : (string * Client.af_event) list;
 }
 
-let aggregate_mpk t ~round =
-  let mpks =
-    Array.to_list t.pkgs
-    |> List.map (fun pkg ->
-           match Pkg.master_public pkg ~round with
-           | Some mpk -> mpk
-           | None -> failwith "Deployment: PKG did not reveal round key")
-  in
-  Ibe.aggregate_public t.params mpks
+(* PKGs rotate master keys: commit, then reveal; verify every opening and
+   aggregate the revealed keys. *)
+let rotate t ~round =
+  let commitments = Array.init (n_pkgs t) (fun i -> t.b.begin_round i ~round) in
+  List.init (n_pkgs t) (fun i ->
+      match t.b.reveal i ~round with
+      | Error e -> failwith ("Deployment: reveal failed: " ^ Pkg.error_to_string e)
+      | Ok (mpk, opening) ->
+        if not (Pkg.verify_commitment t.params ~commitment:commitments.(i) ~mpk ~opening) then
+          failwith "Deployment: PKG commitment mismatch";
+        mpk)
+  |> Ibe.aggregate_public t.params
 
-let num_af_mailboxes t ~participants =
-  let expected_real =
-    int_of_float (Float.round (float_of_int participants *. t.config.Config.active_fraction))
-  in
-  Mailbox.num_mailboxes_for ~expected_real ~noise_mu:t.config.Config.addfriend_noise_mu
-    ~chain_length:t.config.Config.chain_length
+let end_pkg_round t ~round =
+  for i = 0 to n_pkgs t - 1 do
+    t.b.end_round i ~round
+  done
 
-let af_noise_body t ~mpk_agg ~mailbox:_ =
-  if t.config.Config.faithful_noise then begin
-    (* genuine IBE encryption of random bytes to a random identity: relies
-       on ciphertext anonymity (§4.3) *)
-    let id = "noise-" ^ Alpenhorn_crypto.Util.to_hex (Drbg.bytes t.rng 8) in
-    let body = Drbg.bytes t.rng (Wire.request_plaintext_size t.params) in
-    Ibe.encrypt t.params t.rng mpk_agg ~id body
-  end
-  else Drbg.bytes t.rng (Wire.request_ciphertext_size t.params)
-
-let g_mailbox_load = Tel.Gauge.v Tel.default "mailbox.max_load"
-
-(* Live-telemetry round boundary: count the completed round, refresh the
-   runtime/GC readings, and append one sample to the process-wide
-   time-series ring so a live scrape (or [top]) sees history filling
-   while rounds run. *)
-let observe_round_close ~phase =
-  Tel.Counter.inc (Tel.Counter.v Tel.default ~labels:[ ("phase", phase) ] "round.completed");
-  Runtime_stats.sample (Runtime_stats.get_default ());
-  Timeseries.record Timeseries.default
-
-(* Record the modeled §6 mailbox-load ceiling input: the fullest mailbox of
-   this round, in entries. *)
-let set_mailbox_load counts =
-  Tel.Gauge.set g_mailbox_load (float_of_int (Array.fold_left Stdlib.max 0 counts))
-
-let run_addfriend_round t ?tracer ?participants () =
-  let clients = match participants with Some l -> l | None -> t.clients in
+let run_addfriend_round (t : t) ?participants () =
   t.af_round <- t.af_round + 1;
-  let round = t.af_round in
-  let clients, offline = online_clients t ~round clients in
-  log_offline ~phase:"addfriend" ~round offline;
-  Events.log Events.default
-    ~labels:[ ("phase", "addfriend") ]
-    ~detail:(Printf.sprintf "round %d, %d clients" round (List.length clients))
-    "round.start";
-  let body ~after_begin =
+  let round = t.af_round and phase = "addfriend" in
+  let clients = online_clients t ~phase ~round participants in
+  let body ~tracer ~after_begin =
     Tel.Span.with_ Tel.default "round.addfriend" @@ fun () ->
-    (* 1. PKGs rotate master keys: commit, then reveal; verify the openings *)
-    let mpk_agg =
-      Tel.Span.with_ Tel.default "pkg.rotate" @@ fun () ->
-      let commitments = Array.map (fun pkg -> Pkg.begin_round pkg ~round) t.pkgs in
-      Array.iteri
-        (fun i pkg ->
-          match Pkg.reveal_round pkg ~round with
-          | Error e -> failwith ("Deployment: reveal failed: " ^ Pkg.error_to_string e)
-          | Ok (mpk, opening) ->
-            if not (Pkg.verify_commitment t.params ~commitment:commitments.(i) ~mpk ~opening) then
-              failwith "Deployment: PKG commitment mismatch")
-        t.pkgs;
-      aggregate_mpk t ~round
-    in
-    let num_mailboxes = num_af_mailboxes t ~participants:(List.length clients) in
+    (* 1. PKGs rotate master keys *)
+    let mpk_agg = Tel.Span.with_ Tel.default "pkg.rotate" (fun () -> rotate t ~round) in
+    let num_mailboxes = num_mailboxes t `AddFriend ~participants:(List.length clients) in
     (* 2. every client extracts identity keys and submits one onion *)
-    let server_pks = Chain.begin_round t.af_chain in
+    let server_pks = t.b.new_round_keys `AddFriend in
     after_begin ();
     let contexts, batch =
       Tel.Span.with_ Tel.default "client.submit" @@ fun () ->
       let contexts =
-        Client.begin_addfriend_round_batch clients ~round ~now:t.clock ~pkgs:t.pkgs
+        Client.begin_addfriend_round_batch clients ~round ~n_pkgs:(n_pkgs t)
+          ~extract_batch:(fun i -> t.b.extract_batch i ~now:t.clock ~round)
         |> List.map (fun (c, result) ->
                match result with
                | Error e -> failwith ("Deployment: extraction failed: " ^ Pkg.error_to_string e)
@@ -395,64 +493,40 @@ let run_addfriend_round t ?tracer ?participants () =
       (contexts, batch)
     in
     (* 3. the mixnet chain runs the round *)
-    let mailboxes, stats, published =
-      Chain.run_round_traced t.af_chain ~mode:`AddFriend
-        ~noise_mu:t.config.Config.addfriend_noise_mu ~laplace_b:t.config.Config.laplace_b
-        ~num_mailboxes
-        ~noise_body:(fun ~mailbox -> af_noise_body t ~mpk_agg ~mailbox)
-        ?tracer batch
+    let final, noise_added, published =
+      t.b.mix `AddFriend ~tracer ~noise_mu:t.config.Config.addfriend_noise_mu ~num_mailboxes
+        ~mpk_agg:(Some mpk_agg) batch
     in
+    let mailboxes, dropped = Mailbox.distribute ~num_mailboxes ~mode:`AddFriend final in
     let buckets = Mailbox.plain_exn mailboxes in
-    set_mailbox_load (Array.map List.length buckets);
+    (* the modeled §6 mailbox-load ceiling input: the fullest mailbox *)
+    Tel.Gauge.set g_mailbox_load
+      (float_of_int (Array.fold_left (fun m l -> Stdlib.max m (List.length l)) 0 buckets));
     (* 4-6. every client downloads its mailbox and scans *)
     let events =
-      Tel.Span.with_ Tel.default "client.scan" @@ fun () ->
-      List.concat_map
-        (fun (c, ctx) ->
-          let mb = Mailbox.mailbox_of_identity (Client.email c) ~num_mailboxes in
-          let t0 = Tel.now Tel.default in
-          let evs = Client.scan_addfriend_mailbox c ctx buckets.(mb) in
-          (match tracer with
-          | Some tr ->
-            (* stitch the recipient-side scan onto each traced message that
-               landed in this client's mailbox *)
-            List.iter
-              (fun (pmb, pctx) ->
-                if pmb = mb then
-                  Trace.emit tr (Trace.child tr pctx)
-                    ~labels:[ ("client", Client.email c) ]
-                    ~name:"client.scan" ~ts:t0 ~dur:(Tel.now Tel.default -. t0) ())
-              published
-          | None -> ());
-          List.map (fun ev -> (Client.email c, ev)) evs)
-        contexts
+      scan_all ~tracer ~num_mailboxes ~published
+        (List.map
+           (fun (c, ctx) -> (c, fun mb -> Client.scan_addfriend_mailbox c ctx buckets.(mb)))
+           contexts)
     in
     (* PKGs erase master secrets *)
-    Array.iter (fun pkg -> Pkg.end_round pkg ~round) t.pkgs;
+    end_pkg_round t ~round;
     advance_clock t ~seconds:t.config.Config.addfriend_round_seconds;
-    Events.log Events.default
-      ~labels:[ ("phase", "addfriend") ]
-      ~detail:
-        (Printf.sprintf "round %d: %d in, %d noise, %d dropped" round stats.Chain.real_in
-           stats.Chain.noise_added stats.Chain.dropped)
-      "round.close";
+    log_close ~phase ~round ~real_in:(Array.length batch) ~noise:noise_added ~dropped;
     {
       af_round = round;
       af_attempts = 1;
-      requests_in = stats.Chain.real_in;
-      noise_added = stats.Chain.noise_added;
-      dropped = stats.Chain.dropped;
+      requests_in = Array.length batch;
+      noise_added;
+      dropped;
       num_mailboxes;
       mailbox_bytes = Mailbox.size_bytes mailboxes;
       events;
     }
   in
   let stats, attempts =
-    with_recovery t ~phase:"addfriend" ~round ~chain:t.af_chain ~clients
-      ~cleanup:(fun () -> Array.iter (fun pkg -> Pkg.end_round pkg ~round) t.pkgs)
-      body
+    run_round t `AddFriend ~phase ~round ~clients ~cleanup:(fun () -> end_pkg_round t ~round) body
   in
-  observe_round_close ~phase:"addfriend";
   { stats with af_attempts = attempts }
 
 (* ---- dialing round (§5) ---- *)
@@ -468,156 +542,10 @@ type dial_stats = {
   calls : (string * Client.dial_event) list;
 }
 
-let num_dial_mailboxes t ~participants =
-  let expected_real =
-    int_of_float (Float.round (float_of_int participants *. t.config.Config.active_fraction))
-  in
-  Mailbox.num_mailboxes_for ~expected_real ~noise_mu:t.config.Config.dialing_noise_mu
-    ~chain_length:t.config.Config.chain_length
-
-let run_dialing_round t ?tracer ?participants () =
-  let clients = match participants with Some l -> l | None -> t.clients in
-  let round = t.dial_round + 1 in
-  let clients, offline = online_clients t ~round clients in
-  log_offline ~phase:"dialing" ~round offline;
-  (* A faulted client coming back online first replays the archived filters
-     of the rounds it slept through (§5.1/§5.3) — before this round runs,
-     so its keywheel is caught up and this round's tokens still reach it.
-     Only under a fault schedule: plain [?participants] churn keeps the
-     explicit [catch_up_client] contract. *)
-  let recovered =
-    if t.faults = None then []
-    else
-      List.concat_map
-        (fun c ->
-          let first = Client.dialing_round c + 1 in
-          if first > t.dial_round then []
-          else begin
-            let through =
-              List.init
-                (t.dial_round - first + 1)
-                (fun i ->
-                  let r = first + i in
-                  match Hashtbl.find_opt t.dial_archive r with
-                  | None -> (r, None)
-                  | Some entry -> (r, Some (archived_lookup entry ~email:(Client.email c))))
-            in
-            List.map (fun ev -> (Client.email c, ev)) (Client.catch_up_dialing c ~through)
-          end)
-        clients
-  in
-  t.dial_round <- round;
-  Events.log Events.default
-    ~labels:[ ("phase", "dialing") ]
-    ~detail:(Printf.sprintf "round %d, %d clients" round (List.length clients))
-    "round.start";
-  let body ~after_begin =
-    Tel.Span.with_ Tel.default "round.dialing" @@ fun () ->
-    let num_shards = t.config.Config.dial_shards in
-    (* Sharded mode (§5.1): the mailbox count must be at least the shard
-       count so every shard covers a non-empty mailbox range. *)
-    let num_mailboxes =
-      Stdlib.max (num_dial_mailboxes t ~participants:(List.length clients)) num_shards
-    in
-    List.iter (fun c -> Client.advance_dialing c ~round) clients;
-    let server_pks = Chain.begin_round t.dial_chain in
-    after_begin ();
-    let batch =
-      Tel.Span.with_ Tel.default "client.submit" @@ fun () ->
-      List.map (fun c -> Client.dialing_submission_traced c ?tracer ~num_mailboxes ~server_pks ())
-        clients
-      |> Array.of_list
-    in
-    let noise_body ~mailbox:_ = Drbg.bytes t.rng Wire.dial_token_size in
-    (* Run the chain, then express the result uniformly: the filter a given
-       client downloads, the per-download sizes, and the archive entry.
-       Both paths share the whole mix pipeline (Chain.run_pipeline), so the
-       dial tokens are byte-identical; only the last-hop grouping differs.
-       Trace stitching stays a per-mailbox concern ([published] is empty in
-       sharded mode). *)
-    let filter_for, sizes, stats, published, archive_entry =
-      if num_shards = 0 then begin
-        let mailboxes, stats, published =
-          Chain.run_round_traced t.dial_chain ~mode:`Dialing
-            ~noise_mu:t.config.Config.dialing_noise_mu ~laplace_b:t.config.Config.laplace_b
-            ~num_mailboxes ~noise_body ?tracer batch
-        in
-        let filters = Mailbox.filters_exn mailboxes in
-        ( (fun email -> filters.(Mailbox.mailbox_of_identity email ~num_mailboxes)),
-          Mailbox.size_bytes mailboxes,
-          stats,
-          published,
-          Per_mailbox (filters, num_mailboxes) )
-      end
-      else begin
-        let shard = Shard.create ~num_shards ~num_mailboxes in
-        let shards, stats =
-          Chain.run_round_sharded t.dial_chain ~mode:`Dialing
-            ~noise_mu:t.config.Config.dialing_noise_mu ~laplace_b:t.config.Config.laplace_b ~shard
-            ~noise_body (Array.map fst batch)
-        in
-        let filters = Mailbox.filter_shards_exn shards in
-        ( (fun email -> filters.(Shard.of_identity shard email)),
-          Mailbox.sharded_size_bytes shards,
-          stats,
-          [],
-          Per_shard (filters, shard) )
-      end
-    in
-    (* archive this round's filters; erase rounds past the retention window.
-       Only a completed round is archived — an aborted attempt never
-       publishes, not even partially. *)
-    Hashtbl.replace t.dial_archive round archive_entry;
-    Hashtbl.remove t.dial_archive (round - t.config.Config.dial_archive_rounds);
-    let calls =
-      Tel.Span.with_ Tel.default "client.scan" @@ fun () ->
-      List.concat_map
-        (fun c ->
-          let mb = Mailbox.mailbox_of_identity (Client.email c) ~num_mailboxes in
-          let t0 = Tel.now Tel.default in
-          let evs = Client.scan_dialing_mailbox c (filter_for (Client.email c)) in
-          (match tracer with
-          | Some tr ->
-            List.iter
-              (fun (pmb, pctx) ->
-                if pmb = mb then
-                  Trace.emit tr (Trace.child tr pctx)
-                    ~labels:[ ("client", Client.email c) ]
-                    ~name:"client.scan" ~ts:t0 ~dur:(Tel.now Tel.default -. t0) ())
-              published
-          | None -> ());
-          List.map (fun ev -> (Client.email c, ev)) evs)
-        clients
-    in
-    advance_clock t ~seconds:t.config.Config.dialing_round_seconds;
-    Events.log Events.default
-      ~labels:[ ("phase", "dialing") ]
-      ~detail:
-        (Printf.sprintf "round %d: %d in, %d noise, %d dropped" round stats.Chain.real_in
-           stats.Chain.noise_added stats.Chain.dropped)
-      "round.close";
-    {
-      dial_round = round;
-      dial_attempts = 1;
-      tokens_in = stats.Chain.real_in;
-      dial_noise_added = stats.Chain.noise_added;
-      dial_dropped = stats.Chain.dropped;
-      dial_num_mailboxes = num_mailboxes;
-      filter_bytes = sizes;
-      calls;
-    }
-  in
-  let stats, attempts =
-    with_recovery t ~phase:"dialing" ~round ~chain:t.dial_chain ~clients ~cleanup:(fun () -> ())
-      body
-  in
-  observe_round_close ~phase:"dialing";
-  { stats with dial_attempts = attempts; calls = recovered @ stats.calls }
-
 let archived_filter (t : t) ~round ~email =
-  match Hashtbl.find_opt t.dial_archive round with
-  | None -> None
-  | Some entry -> Some (archived_lookup entry ~email)
+  Option.map
+    (fun (filters, shard) -> filters.(Shard.of_identity shard email))
+    (Hashtbl.find_opt t.dial_archive round)
 
 let catch_up_client (t : t) client =
   let first = Client.dialing_round client + 1 in
@@ -629,3 +557,71 @@ let catch_up_client (t : t) client =
         (round, archived_filter t ~round ~email:(Client.email client)))
   in
   Client.catch_up_dialing client ~through
+
+let run_dialing_round (t : t) ?participants () =
+  let round = t.dial_round + 1 and phase = "dialing" in
+  let clients = online_clients t ~phase ~round participants in
+  (* A faulted client coming back online first replays the archived filters
+     of the rounds it slept through (§5.1/§5.3) — before this round runs,
+     so its keywheel is caught up and this round's tokens still reach it.
+     Only under a fault schedule: plain [?participants] churn keeps the
+     explicit [catch_up_client] contract. *)
+  let recovered =
+    if t.faults = None then []
+    else
+      List.concat_map
+        (fun c -> List.map (fun ev -> (Client.email c, ev)) (catch_up_client t c))
+        clients
+  in
+  t.dial_round <- round;
+  let body ~tracer ~after_begin =
+    Tel.Span.with_ Tel.default "round.dialing" @@ fun () ->
+    let num_mailboxes = num_mailboxes t `Dialing ~participants:(List.length clients) in
+    List.iter (fun c -> Client.advance_dialing c ~round) clients;
+    let server_pks = t.b.new_round_keys `Dialing in
+    after_begin ();
+    let batch =
+      Tel.Span.with_ Tel.default "client.submit" @@ fun () ->
+      List.map (fun c -> Client.dialing_submission_traced c ?tracer ~num_mailboxes ~server_pks ())
+        clients
+      |> Array.of_list
+    in
+    let final, noise_added, published =
+      t.b.mix `Dialing ~tracer ~noise_mu:t.config.Config.dialing_noise_mu ~num_mailboxes
+        ~mpk_agg:None batch
+    in
+    (* §5.1 CDN model: one Bloom filter per shard of contiguous mailboxes;
+       with no shard count configured, one shard per mailbox *)
+    let num_shards =
+      if t.config.Config.dial_shards = 0 then num_mailboxes else t.config.Config.dial_shards
+    in
+    let shard = Shard.create ~num_shards ~num_mailboxes in
+    let shards, dropped = Mailbox.distribute_sharded ~shard ~mode:`Dialing final in
+    let filters = Mailbox.filter_shards_exn shards in
+    (* archive this round's filters; erase rounds past the retention window.
+       Only a completed round is archived — an aborted attempt never
+       publishes, not even partially. *)
+    Hashtbl.replace t.dial_archive round (filters, shard);
+    Hashtbl.remove t.dial_archive (round - t.config.Config.dial_archive_rounds);
+    let calls =
+      scan_all ~tracer ~num_mailboxes ~published
+        (List.map
+           (fun c ->
+             (c, fun mb -> Client.scan_dialing_mailbox c filters.(Shard.of_mailbox shard mb)))
+           clients)
+    in
+    advance_clock t ~seconds:t.config.Config.dialing_round_seconds;
+    log_close ~phase ~round ~real_in:(Array.length batch) ~noise:noise_added ~dropped;
+    {
+      dial_round = round;
+      dial_attempts = 1;
+      tokens_in = Array.length batch;
+      dial_noise_added = noise_added;
+      dial_dropped = dropped;
+      dial_num_mailboxes = num_mailboxes;
+      filter_bytes = Mailbox.sharded_size_bytes shards;
+      calls;
+    }
+  in
+  let stats, attempts = run_round t `Dialing ~phase ~round ~clients ~cleanup:ignore body in
+  { stats with dial_attempts = attempts; calls = recovered @ stats.calls }

@@ -1,12 +1,19 @@
-(** In-process Alpenhorn deployment: N PKGs, an add-friend mixnet chain, a
-    dialing mixnet chain, a simulated email provider for registration, and
-    any number of clients — all driven round by round.
+(** An Alpenhorn deployment: N PKGs, an add-friend mixnet chain, a dialing
+    mixnet chain, an email provider for registration, and any number of
+    clients — all driven round by round.
 
-    This is the real protocol end to end (every onion layer, IBE
-    ciphertext, signature and Bloom filter is genuine); only the network is
-    collapsed into function calls. Examples and integration tests run on
-    it; the latency/bandwidth figures of §8 use {!Alpenhorn_sim} instead,
-    which prices the same message flows with a hardware cost model. *)
+    This module is the one implementation of the rounds (DESIGN.md §13):
+    the add-friend round of Algorithm 1, the dialing round of §5, the §4.5
+    anytrust abort with the §10 recovery loop, and the §5.1 dialing
+    archive. It reaches the PKGs and mixnet servers only through a
+    {!backend} of closures. {!create} builds the in-process backend: the
+    real protocol end to end (every onion layer, IBE ciphertext, signature
+    and Bloom filter is genuine) with the network collapsed into function
+    calls.
+    [Alpenhorn_remote.Net_deployment] builds a backend that reaches server
+    processes over framed TCP RPC. The latency/bandwidth figures of §8 use
+    {!Alpenhorn_sim} instead, which prices the same message flows with a
+    hardware cost model. *)
 
 module Drbg = Alpenhorn_crypto.Drbg
 module Params = Alpenhorn_pairing.Params
@@ -16,10 +23,21 @@ module Pkg = Alpenhorn_pkg.Pkg
 type t
 
 val create : config:Config.t -> seed:string -> t
+(** The in-process deployment. Every server derives its DRBG from [seed]:
+    PKG [i] along ["pkg-i"], the chains along ["af-chain"] and
+    ["dial-chain"]; clients along ["client-"^email]. Noise bodies are drawn
+    from the deployment's root DRBG. *)
+
 val config : t -> Config.t
 val params : t -> Params.t
+
 val pkgs : t -> Pkg.t array
+(** The in-process PKG handles, for compromise tests.
+    @raise Invalid_argument for a deployment whose PKGs are remote. *)
+
 val pkg_public_keys : t -> Bls.public list
+(** The PKGs' long-term signing keys, pre-distributed to clients (§3.3). *)
+
 val now : t -> int
 val advance_clock : t -> seconds:int -> unit
 
@@ -29,12 +47,15 @@ val new_client : t -> email:string -> callbacks:Client.callbacks -> Client.t
 
 val register : t -> Client.t -> (unit, Pkg.error) result
 (** Fig 1 [Register]: register the client's long-term key with every PKG,
-    completing the email-confirmation flow through the simulated provider
-    (§4.6). *)
+    completing the email-confirmation flow through the provider (§4.6). *)
 
 val inbox : t -> email:string -> (int * string) list
-(** Tokens the simulated email provider delivered to [email]:
-    (pkg index, token) pairs, most recent first. For compromise tests. *)
+(** Tokens the email provider delivered to [email]: (pkg index, token)
+    pairs, by PKG, each PKG's most recent first. For compromise tests. *)
+
+val close : t -> unit
+(** Release the backend's resources (RPC connections); servers are not
+    touched. A no-op in process. *)
 
 (** {1 Fault injection and recovery (DESIGN.md §10)} *)
 
@@ -61,13 +82,30 @@ val set_faults : t -> fault_view option -> unit
 (** Install (or clear) the fault schedule applied to subsequent rounds.
     Faults are injected just after the chain announces its round keys —
     the server-dies-mid-round case the anytrust abort path (§4.5) exists
-    for. An aborted round rolls every participant back and re-runs after
-    deterministic exponential backoff (clock time, {!advance_clock});
-    aborts, retries and recovery time land in the [faults.*] metrics. *)
+    for; a crash goes through the backend's [crash]. An aborted round
+    rolls every participant back and re-runs after deterministic
+    exponential backoff (clock time, {!advance_clock}); aborts, retries,
+    injected faults and recovery time land in the [faults.*] metrics and
+    the [round.*] events, whatever the backend. *)
 
 val set_retry_policy : t -> Client.retry_policy -> unit
 val retry_policy : t -> Client.retry_policy
 (** Defaults to {!Client.default_retry_policy}. *)
+
+(** {1 Tracing} *)
+
+val set_tracer : t -> Alpenhorn_telemetry.Trace.t option -> unit
+(** Attach a tracer (default none) to every later round. The backend
+    chooses the trace shape ({!backend}'s [trace_round]). In process,
+    sampled real submissions get stitched per-message traces
+    ([client.submit] → per-server [mix.hop] → [mailbox.publish] →
+    [client.scan]); trace contexts ride out of band and the wire bytes are
+    unchanged (DESIGN.md §9). Over RPC, each round runs under one
+    [net.round] root whose children are the round's [rpc.call] spans, and
+    each server emits its handler span under the context the call carried
+    (DESIGN.md §14). *)
+
+(** {1 Rounds} *)
 
 type af_stats = {
   af_round : int;
@@ -80,22 +118,22 @@ type af_stats = {
   events : (string * Client.af_event) list;  (** (client email, event) *)
 }
 
-val run_addfriend_round :
-  t -> ?tracer:Alpenhorn_telemetry.Trace.t -> ?participants:Client.t list -> unit -> af_stats
+val run_addfriend_round : t -> ?participants:Client.t list -> unit -> af_stats
 (** One complete add-friend round (Algorithm 1): PKG key rotation with
     commit-reveal verification, per-client key extraction, submission,
     mixing with noise, mailbox distribution, download and scan, key
     erasure. [participants] defaults to every registered client.
 
-    With [?tracer], sampled real submissions get stitched causal traces
-    (client.submit → per-server mix.hop → mailbox.publish → client.scan);
-    trace contexts ride out-of-band and the wire bytes are unchanged
-    (DESIGN.md §9). The round also logs [round.start]/[round.close] events
-    and sets the [mailbox.max_load] gauge for the SLO engine.
+    The round logs [round.start]/[round.close] events, sets the
+    [mailbox.max_load] gauge for the SLO engine, and at its close counts
+    [round.completed], samples the runtime stats and records one
+    time-series sample.
 
     Under a fault schedule ({!set_faults}) the round may abort and re-run;
     [af_attempts] reports how many tries it took.
-    @raise Round_failed when the retry budget is exhausted. *)
+    @raise Round_failed when the retry budget is exhausted.
+    @raise Failure when a PKG fails (PKGs are trusted infrastructure; only
+    mixnet servers are crashed by the fault schedule). *)
 
 type dial_stats = {
   dial_round : int;
@@ -104,16 +142,18 @@ type dial_stats = {
   dial_noise_added : int;
   dial_dropped : int;
   dial_num_mailboxes : int;
-  filter_bytes : int array;
+  filter_bytes : int array;  (** download size of each shard *)
   calls : (string * Client.dial_event) list;
 }
 
-val run_dialing_round :
-  t -> ?tracer:Alpenhorn_telemetry.Trace.t -> ?participants:Client.t list -> unit -> dial_stats
+val run_dialing_round : t -> ?participants:Client.t list -> unit -> dial_stats
 (** One dialing round (§5); same observability hooks as
-    {!run_addfriend_round}. Under a fault schedule, a round may abort and
-    re-run (see {!set_faults}; [calls] then also carries events recovered
-    by returning offline clients replaying archived filters).
+    {!run_addfriend_round}. Distribution is always sharded (§5.1,
+    {!Alpenhorn_mixnet.Mailbox.distribute_sharded}): [Config.dial_shards]
+    shards, or one per mailbox when it is 0. Under a fault schedule, a
+    round may abort and re-run (see {!set_faults}; [calls] then also
+    carries events recovered by returning offline clients replaying
+    archived filters, as {!catch_up_client} does).
     @raise Round_failed when the retry budget is exhausted. *)
 
 val addfriend_round_number : t -> int
@@ -122,10 +162,79 @@ val dialing_round_number : t -> int
 (** {1 Offline clients (§5.1)} *)
 
 val archived_filter : t -> round:int -> email:string -> Alpenhorn_bloom.Bloom.t option
-(** The dialing mailbox [email] would download for [round], if the archive
-    still holds that round ([Config.dial_archive_rounds] retention). *)
+(** The dialing filter [email] would download for [round] (its shard's),
+    if the archive still holds that round ([Config.dial_archive_rounds]
+    retention). *)
 
 val catch_up_client : t -> Client.t -> Client.dial_event list
 (** Bring a client that skipped dialing rounds up to the current round:
     scan every archived round it missed, advance its keywheel past the
     expired ones (§5.1's give-up rule). *)
+
+(** {1 The backend seam}
+
+    Everything the rounds ask of the servers. PKGs are addressed by index
+    [0 .. n_pkgs-1]; mixnet servers by chain position, one chain per
+    {!mode}. A PKG failure is fatal ([Failure]); a mixnet server that is
+    down or unreachable is the anytrust abort signal,
+    {!Alpenhorn_mixnet.Chain.Aborted}, which the recovery loop answers
+    with [recover] and a retry. *)
+
+type mode = [ `AddFriend | `Dialing ]
+
+type backend = {
+  pkg_public_keys : Bls.public list;  (** fetched once, at creation *)
+  register : int -> now:int -> email:string -> pk:Bls.public -> (unit, Pkg.error) result;
+  inbox : int -> email:string -> string list;
+      (** confirmation tokens PKG [i] mailed to [email], most recent first *)
+  confirm : int -> now:int -> email:string -> token:string -> (unit, Pkg.error) result;
+  begin_round : int -> round:int -> string;  (** the commitment to the round key *)
+  reveal :
+    int -> round:int -> (Alpenhorn_ibe.Ibe.master_public * string, Pkg.error) result;
+      (** the round's master public key and the commitment opening *)
+  extract_batch :
+    int ->
+    now:int ->
+    round:int ->
+    (string * Bls.signature) array ->
+    (Alpenhorn_ibe.Ibe.identity_key * Bls.signature, Pkg.error) result array;
+      (** every client's extraction request at PKG [i], answers in order *)
+  end_round : int -> round:int -> unit;  (** erase the round's master secret *)
+  new_round_keys : mode -> Alpenhorn_dh.Dh.public list;
+      (** rotate every server's round key; the public keys in chain order *)
+  mix :
+    mode ->
+    tracer:Alpenhorn_telemetry.Trace.t option ->
+    noise_mu:float ->
+    num_mailboxes:int ->
+    mpk_agg:Alpenhorn_ibe.Ibe.master_public option ->
+    (string * Alpenhorn_telemetry.Trace.ctx option) array ->
+    string array * int * (int * Alpenhorn_telemetry.Trace.ctx) list;
+      (** one pass of the batch over the chain, then round key erasure:
+          the final payloads, the noise count, and the published trace
+          contexts as in {!Alpenhorn_mixnet.Chain.mix}. [mpk_agg] is the
+          round's aggregate IBE key in add-friend rounds (faithful noise).
+          @raise Alpenhorn_mixnet.Chain.Aborted when a server is down or
+          unreachable. *)
+  crash : mode -> server:int -> unit;  (** the fault schedule's crash: erase the key, stop *)
+  recover : mode -> unit;  (** after an abort: erase round keys, restart crashed servers *)
+  trace_round :
+    'a.
+    Alpenhorn_telemetry.Trace.t ->
+    phase:string ->
+    round:int ->
+    (Alpenhorn_telemetry.Trace.t option -> 'a) ->
+    'a;
+      (** run one round, retries included, under the given tracer. A
+          backend whose messages carry trace contexts out of band hands
+          the tracer on ([Some]) and the rounds trace each sampled
+          message; a backend that traces the round itself hands on
+          [None]. *)
+  close : unit -> unit;
+}
+
+val of_backend : config:Config.t -> seed:string -> backend -> t
+(** A deployment driven through [backend]. Clients derive from [seed]
+    exactly as in {!create}, so a backend whose servers derive along the
+    same labels reproduces the in-process protocol results.
+    @raise Invalid_argument on a bad config. *)

@@ -77,3 +77,12 @@ let decode_request (params : Params.t) s =
       end
     end
   end
+
+let noise_body params rng mode ~mpk_agg ~mailbox:_ =
+  match (mode, mpk_agg) with
+  | `Dialing, _ -> Alpenhorn_crypto.Drbg.bytes rng dial_token_size
+  | `AddFriend, Some mpk ->
+    let id = "noise-" ^ Util.to_hex (Alpenhorn_crypto.Drbg.bytes rng 8) in
+    let body = Alpenhorn_crypto.Drbg.bytes rng (request_plaintext_size params) in
+    Alpenhorn_ibe.Ibe.encrypt params rng mpk ~id body
+  | `AddFriend, None -> Alpenhorn_crypto.Drbg.bytes rng (request_ciphertext_size params)

@@ -44,3 +44,16 @@ val decode_request : Params.t -> string -> friend_request option
 
 val dial_token_size : int
 (** 32 bytes (the paper's 256-bit dial tokens). *)
+
+val noise_body :
+  Params.t ->
+  Alpenhorn_crypto.Drbg.t ->
+  [ `AddFriend | `Dialing ] ->
+  mpk_agg:Alpenhorn_ibe.Ibe.master_public option ->
+  mailbox:int ->
+  string
+(** One noise message body a mixnet server adds, drawn from [rng]: a
+    random dial token in dialing rounds; in add-friend rounds a genuine
+    IBE encryption of random bytes to a random identity under [mpk_agg]
+    (faithful noise, relying on ciphertext anonymity, §4.3), or random
+    bytes of {!request_ciphertext_size} when [mpk_agg] is [None]. *)

@@ -52,12 +52,13 @@ let round_pks t =
          | Some pk -> pk
          | None -> invalid_arg "Chain.round_pks: round not started")
 
-(* The mix pipeline shared by the unsharded and sharded round runners:
-   abort checks, the per-hop unwrap/noise/shuffle passes, key erasure, and
-   the traced-publish bookkeeping. Distribution into mailboxes (or shards)
-   happens on the result, so both runners emit byte-identical final
-   payloads for the same inputs. *)
-let run_pipeline t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch =
+(* One pass of a batch over the whole chain: abort checks, the per-hop
+   unwrap/noise/shuffle passes, key erasure, and the traced-publish
+   bookkeeping. Distribution into mailboxes (or shards) is the caller's,
+   on the final payloads. *)
+let mix t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch =
+  Tel.Span.with_ Tel.default "mix.round" @@ fun () ->
+  Tel.Counter.inc (Tel.Counter.v Tel.default "mix.rounds");
   let n = Array.length t.servers in
   (* Anytrust: one dead server kills the round. Abort cleanly — every
      per-round key is erased, nothing reaches a mailbox (no partial
@@ -120,26 +121,11 @@ let run_pipeline t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch
   (Array.map fst !current, !total_noise, published)
 
 let run_round_traced t ~mode ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch =
-  Tel.Span.with_ Tel.default "mix.round" (fun () ->
-      Tel.Counter.inc (Tel.Counter.v Tel.default "mix.rounds");
-      let final, noise_added, published =
-        run_pipeline t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch
-      in
-      let mailboxes, dropped = Mailbox.distribute ~num_mailboxes ~mode final in
-      ( mailboxes,
-        { real_in = Array.length batch; noise_added; dropped; num_mailboxes },
-        published ))
-
-let run_round_sharded t ~mode ~noise_mu ~laplace_b ~shard ~noise_body batch =
-  Tel.Span.with_ Tel.default "mix.round" (fun () ->
-      Tel.Counter.inc (Tel.Counter.v Tel.default "mix.rounds");
-      let num_mailboxes = Shard.num_mailboxes shard in
-      let final, noise_added, _ =
-        run_pipeline t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body
-          (Array.map (fun onion -> (onion, None)) batch)
-      in
-      let shards, dropped = Mailbox.distribute_sharded ~shard ~mode final in
-      (shards, { real_in = Array.length batch; noise_added; dropped; num_mailboxes }))
+  let final, noise_added, published =
+    mix t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch
+  in
+  let mailboxes, dropped = Mailbox.distribute ~num_mailboxes ~mode final in
+  (mailboxes, { real_in = Array.length batch; noise_added; dropped; num_mailboxes }, published)
 
 let run_round t ~mode ~noise_mu ~laplace_b ~num_mailboxes ~noise_body batch =
   let mailboxes, stats, _ =

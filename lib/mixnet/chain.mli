@@ -18,7 +18,7 @@ type stats = {
 }
 
 exception Aborted of { server : int }
-(** Raised by {!run_round} / {!run_round_traced} when a server is down:
+(** Raised by {!mix} (and the round runners over it) when a server is down:
     the anytrust design (§4.5) cannot complete a round without every
     server, so the round aborts {e cleanly} — all per-round keys erased,
     no mailbox published (not even partially), a severity-[Error]
@@ -60,20 +60,23 @@ val run_round :
 (** Process one batch end-to-end and erase all round keys.
     @raise Aborted when any server is down. *)
 
-val run_round_sharded :
+val mix :
   t ->
-  mode:[ `AddFriend | `Dialing ] ->
   noise_mu:float ->
   laplace_b:float ->
-  shard:Shard.t ->
+  num_mailboxes:int ->
   noise_body:Server.noise_body ->
-  string array ->
-  Mailbox.sharded * stats
-(** Like {!run_round} but the last hop distributes into contiguous
-    mailbox-range shards ({!Mailbox.distribute_sharded}, §5.1) instead of
-    individual mailboxes. Shares the entire mix pipeline with
-    {!run_round}, so the final payloads — and therefore the dial tokens —
-    are byte-identical to the unsharded path on the same inputs.
+  ?tracer:Alpenhorn_telemetry.Trace.t ->
+  (string * Alpenhorn_telemetry.Trace.ctx option) array ->
+  string array * int * (int * Alpenhorn_telemetry.Trace.ctx) list
+(** One pass of a batch over the whole chain, without distribution: every
+    server's unwrap/noise/shuffle in order, then key erasure. Returns the
+    final payloads (mailbox header included), the total noise added, and
+    the traced payloads that reached a valid mailbox as [(mailbox, ctx)]
+    pairs, [ctx] being the [mailbox.publish] span — parent for the
+    recipient's [client.scan]. Each submission carries an optional
+    out-of-band trace context (see {!Server.process_traced}; contexts never
+    touch the wire).
     @raise Aborted when any server is down. *)
 
 val run_round_traced :
@@ -86,8 +89,5 @@ val run_round_traced :
   ?tracer:Alpenhorn_telemetry.Trace.t ->
   (string * Alpenhorn_telemetry.Trace.ctx option) array ->
   Mailbox.t * stats * (int * Alpenhorn_telemetry.Trace.ctx) list
-(** Like {!run_round} but each submission carries an optional out-of-band
-    trace context (see {!Server.process_traced}; contexts never touch the
-    wire). Returns additionally the traced payloads that survived to a
-    mailbox, as [(mailbox, ctx)] pairs whose [ctx] is the [mailbox.publish]
-    span — parent for the recipient's [client.scan]. *)
+(** {!mix} followed by {!Mailbox.distribute}: {!run_round} with
+    out-of-band trace contexts, returning {!mix}'s published contexts too. *)

@@ -1,38 +1,26 @@
-(* Network-backed deployment orchestrator: the round sequencing of
-   [Alpenhorn_core.Deployment], with the PKGs and mixnet servers reached
-   over framed TCP RPC instead of function calls. Clients live in this
-   process (the client library is transport-agnostic); the orchestrator
-   plays the role [Chain.run_round] plays in-process — it threads the
-   batch through the mixer processes hop by hop and distributes the final
-   payloads into mailboxes locally.
+(* The RPC backend of [Alpenhorn_core.Deployment]: every PKG and mixnet
+   server operation of its rounds becomes a framed TCP call
+   ([Proto]) to a server process. Clients live in this process (the client
+   library is transport-agnostic); the orchestrator relays the batch
+   through the mixer processes hop by hop, and [Deployment] distributes the
+   final payloads into mailboxes locally.
 
-   Determinism: created from the same seed, this deployment and the
-   in-process one produce the same client-visible protocol results (events
-   and session keys) — server processes derive their DRBGs along the same
-   paths ([Servers]), clients are derived identically here, and the
-   recovery loop mirrors [Deployment.with_recovery] step for step
-   (including backoff arithmetic on the logical clock), so client RNG
-   consumption matches even across aborted attempts. Wire-level bytes
-   (noise, round keys after a process respawn) legitimately differ.
+   Determinism: server processes derive their DRBGs along the in-process
+   deployment's labels ([Servers]) and clients derive identically in
+   [Deployment], so this backend reproduces the in-process protocol results
+   (events and session keys), even across aborted attempts. Wire-level
+   bytes (noise, round keys after a process respawn) legitimately differ.
 
-   Faults: the same [Deployment.fault_view] schedule drives real process
-   kills here — a crash entry SIGKILLs the mixer (via the harness's [kill]
-   callback) and recovery respawns it ([restart]). The anytrust abort is
-   detected as a transport failure: a dead mixer fails the pre-processing
-   ping (mirroring [Chain.run_round]'s up-front down-check, so no mixer
-   processes a batch on an aborted attempt) or a mid-pipeline call. *)
+   Faults: a crash in the schedule kills the mixer's process (the
+   harness's [kill]) and recovery respawns it ([restart]). The anytrust
+   abort is detected as a transport failure: a dead mixer fails the
+   pre-processing ping (no mixer processes a batch on an aborted attempt)
+   or a mid-pipeline call. *)
 
-module Drbg = Alpenhorn_crypto.Drbg
-module Params = Alpenhorn_pairing.Params
-module Bls = Alpenhorn_bls.Bls
-module Ibe = Alpenhorn_ibe.Ibe
-module Pkg = Alpenhorn_pkg.Pkg
 module Config = Alpenhorn_core.Config
-module Client = Alpenhorn_core.Client
 module Deployment = Alpenhorn_core.Deployment
-module Wire = Alpenhorn_core.Wire
-module Mailbox = Alpenhorn_mixnet.Mailbox
-module Bloom = Alpenhorn_bloom.Bloom
+module Ibe = Alpenhorn_ibe.Ibe
+module Chain = Alpenhorn_mixnet.Chain
 module Rpc = Alpenhorn_net.Rpc
 module Events = Alpenhorn_telemetry.Events
 module Tel = Alpenhorn_telemetry.Telemetry
@@ -46,28 +34,186 @@ type mixer = {
   restart : unit -> endpoint;
 }
 
-type t = {
-  config : Config.t;
-  params : Params.t;
-  rng : Drbg.t; (* deployment root; only pure derivations are taken here *)
-  pkg_eps : endpoint array;
-  mixers : mixer array;
-  conns : (string, Rpc.Client.t) Hashtbl.t;
+type t = Deployment.t
+
+type conns = {
   call_timeout : float;
-  dial_archive : (int, Bloom.t array * int) Hashtbl.t;
-  killed : bool array;
-  mutable clients : Client.t list;
-  mutable af_round : int;
-  mutable dial_round : int;
-  mutable clock : int;
-  mutable faults : Deployment.fault_view option;
-  mutable policy : Client.retry_policy;
-  mutable tracer : Trace.t option;
-  mutable round_ctx : Trace.ctx option; (* root ctx of the round in flight *)
+  cache : (string, Rpc.Client.t) Hashtbl.t; (* one connection per endpoint *)
+  mutable round : (Trace.t * Trace.ctx) option; (* the traced round in flight *)
 }
 
-exception Aborted of int
-exception Stall_timeout
+let ep_key ep = Printf.sprintf "%s:%d" ep.host ep.port
+
+let drop_conn n ep =
+  let key = ep_key ep in
+  Option.iter
+    (fun conn ->
+      Rpc.Client.close conn;
+      Hashtbl.remove n.cache key)
+    (Hashtbl.find_opt n.cache key)
+
+let conn n ep =
+  let key = ep_key ep in
+  match Hashtbl.find_opt n.cache key with
+  | Some c -> Ok c
+  | None ->
+    Result.map
+      (fun c ->
+        Hashtbl.replace n.cache key c;
+        c)
+      (Rpc.Client.connect ~timeout:n.call_timeout ~host:ep.host ~port:ep.port ())
+
+(* Cross-process trace propagation (DESIGN.md §14): under a traced round
+   each RPC gets two child contexts of the round's root — [call_ctx] names
+   the client-side "rpc.call" span, and [wire_ctx] (its child) rides the
+   frame envelope to the server, which emits its handler span under that
+   identity verbatim. Merged fleet snapshots therefore stitch client →
+   server spans into one timeline. Contexts never touch protocol payloads,
+   only the RPC envelope, so onions stay byte-identical (§9). *)
+let call n ep ~peer f =
+  match conn n ep with
+  | Error m -> Error m
+  | Ok c -> (
+    let r =
+      match n.round with
+      | None -> f c
+      | Some (tr, ctx) ->
+        let call_ctx = Trace.child tr ctx in
+        Rpc.Client.set_trace c (Some (Trace.labels_of (Trace.child tr call_ctx)));
+        let t0 = Tel.now (Trace.registry tr) in
+        Fun.protect
+          ~finally:(fun () ->
+            Trace.emit tr call_ctx
+              ~labels:[ ("peer", peer) ]
+              ~name:"rpc.call" ~ts:t0
+              ~dur:(Tel.now (Trace.registry tr) -. t0)
+              ())
+          (fun () -> f c)
+    in
+    if Result.is_error r then drop_conn n ep;
+    r)
+
+let backend ~config ~call_timeout ~pkgs ~mixers =
+  let params = Config.params config in
+  let n = { call_timeout; cache = Hashtbl.create 8; round = None } in
+  (* PKGs are trusted infrastructure (the fault grammar targets mixers and
+     clients): a PKG transport failure is fatal. *)
+  let pkg i f =
+    match call n pkgs.(i) ~peer:(Printf.sprintf "pkg-%d" i) f with
+    | Ok v -> v
+    | Error m -> failwith (Printf.sprintf "pkg %d: %s" i m)
+  in
+  (* A mixer transport failure is the anytrust abort signal. *)
+  let killed = Array.make (Array.length mixers) false in
+  let mixer i f =
+    if killed.(i) then raise (Chain.Aborted { server = i });
+    match call n mixers.(i).ep ~peer:(Printf.sprintf "mixer-%d" i) f with
+    | Ok v -> v
+    | Error _ -> raise (Chain.Aborted { server = i })
+  in
+  let each_mixer f = Array.iteri (fun i _ -> mixer i f) mixers in
+  let chain = function `AddFriend -> Proto.Af | `Dialing -> Proto.Dial in
+  let round_pks = Hashtbl.create 2 in
+  {
+    Deployment.pkg_public_keys =
+      List.init (Array.length pkgs) (fun i -> pkg i (fun c -> Proto.pkg_info c ~params));
+    register =
+      (fun i ~now ~email ~pk -> pkg i (fun c -> Proto.pkg_register c ~params ~now ~email ~pk));
+    inbox = (fun i ~email -> pkg i (fun c -> Proto.pkg_inbox c ~email));
+    confirm = (fun i ~now ~email ~token -> pkg i (fun c -> Proto.pkg_confirm c ~now ~email ~token));
+    begin_round = (fun i ~round -> pkg i (fun c -> Proto.pkg_begin_round c ~round));
+    reveal = (fun i ~round -> pkg i (fun c -> Proto.pkg_reveal c ~params ~round));
+    extract_batch =
+      (fun i ~now ~round requests ->
+        Array.map
+          (fun (email, signature) ->
+            pkg i (fun c -> Proto.pkg_extract c ~params ~now ~round ~email ~signature))
+          requests);
+    end_round = (fun i ~round -> pkg i (fun c -> Proto.pkg_end_round c ~round));
+    new_round_keys =
+      (fun mode ->
+        let pks =
+          List.init (Array.length mixers) (fun i ->
+              mixer i (fun c -> Proto.mix_new_round c ~params ~chain:(chain mode)))
+        in
+        Hashtbl.replace round_pks (chain mode) (Array.of_list pks);
+        pks);
+    (* [Chain.mix], distributed: an up-front liveness ping, then one
+       [process] call per hop threading the batch, then key erasure
+       everywhere. Trace contexts do not cross processes. *)
+    mix =
+      (fun mode ~tracer:_ ~noise_mu ~num_mailboxes ~mpk_agg batch ->
+        let chain = chain mode in
+        each_mixer Proto.mix_ping;
+        let mpk_agg =
+          match mpk_agg with
+          | Some mpk when config.Config.faithful_noise -> Ibe.master_public_bytes params mpk
+          | _ -> ""
+        in
+        let pks = Hashtbl.find round_pks chain and hops = Array.length mixers in
+        let noise = ref 0 and current = ref (Array.map fst batch) in
+        for i = 0 to hops - 1 do
+          let downstream_pks = Array.to_list (Array.sub pks (i + 1) (hops - i - 1)) in
+          let out, added =
+            mixer i (fun c ->
+                Proto.mix_process c ~params ~chain ~downstream_pks ~noise_mu
+                  ~laplace_b:config.Config.laplace_b ~num_mailboxes ~mpk_agg ~batch:!current)
+          in
+          noise := !noise + added;
+          current := out
+        done;
+        each_mixer (fun c -> Proto.mix_end_round c ~chain);
+        (!current, !noise, []));
+    crash =
+      (fun _ ~server ->
+        if not killed.(server) then begin
+          drop_conn n mixers.(server).ep;
+          mixers.(server).kill ();
+          killed.(server) <- true;
+          Events.log Events.default ~severity:Warn
+            ~labels:[ ("server", string_of_int server) ]
+            ~detail:"mixer process killed by fault schedule" "net.mixer_killed"
+        end);
+    recover =
+      (fun mode ->
+        (* end-of-round key erasure on every mixer that still answers; a
+           killed process lost its round key with the process *)
+        Array.iteri
+          (fun i _ ->
+            try mixer i (fun c -> Proto.mix_end_round c ~chain:(chain mode))
+            with Chain.Aborted _ -> ())
+          mixers;
+        Array.iteri
+          (fun i m ->
+            if killed.(i) then begin
+              m.ep <- m.restart ();
+              killed.(i) <- false;
+              Events.log Events.default
+                ~labels:[ ("server", string_of_int i) ]
+                ~detail:(Printf.sprintf "mixer respawned on port %d" m.ep.port)
+                "net.mixer_restarted"
+            end)
+          mixers);
+    (* one sampled root per round (retries included): "net.round", with
+       every RPC of the round as a child *)
+    trace_round =
+      (fun tr ~phase ~round f ->
+        match Trace.sample tr with
+        | None -> f None
+        | Some ctx ->
+          n.round <- Some (tr, ctx);
+          Fun.protect
+            ~finally:(fun () -> n.round <- None)
+            (fun () ->
+              Trace.with_ tr ctx
+                ~labels:[ ("phase", phase); ("round", string_of_int round) ]
+                "net.round"
+                (fun () -> f None)));
+    close =
+      (fun () ->
+        Hashtbl.iter (fun _ c -> Rpc.Client.close c) n.cache;
+        Hashtbl.reset n.cache);
+  }
 
 let create ?(call_timeout = 10.0) ~config ~seed ~pkgs ~mixers () =
   (match Config.validate config with
@@ -77,518 +223,10 @@ let create ?(call_timeout = 10.0) ~config ~seed ~pkgs ~mixers () =
     invalid_arg "Net_deployment.create: pkg endpoint count <> n_pkgs";
   if Array.length mixers <> config.Config.chain_length then
     invalid_arg "Net_deployment.create: mixer count <> chain_length";
-  {
-    config;
-    params = Config.params config;
-    rng = Drbg.create ~seed:("deployment" ^ seed);
-    pkg_eps = pkgs;
-    mixers;
-    conns = Hashtbl.create 8;
-    call_timeout;
-    dial_archive = Hashtbl.create 16;
-    killed = Array.make (Array.length mixers) false;
-    clients = [];
-    af_round = 0;
-    dial_round = 0;
-    clock = 0;
-    faults = None;
-    policy = Client.default_retry_policy;
-    tracer = None;
-    round_ctx = None;
-  }
+  Deployment.of_backend ~config ~seed (backend ~config ~call_timeout ~pkgs ~mixers)
 
-let config t = t.config
-let params t = t.params
-let now t = t.clock
-let advance_clock t ~seconds = t.clock <- t.clock + seconds
-let addfriend_round_number t = t.af_round
-let dialing_round_number t = t.dial_round
-let set_faults t fv = t.faults <- fv
-let set_retry_policy t p = t.policy <- p
-let retry_policy t = t.policy
-let set_tracer t tr = t.tracer <- tr
-
-(* ---- cross-process trace propagation (DESIGN.md §14) ----
-
-   The orchestrator's tracer mints every span id in the fleet. Each RPC
-   under a traced round gets two child contexts: [call_ctx] names the
-   client-side "rpc.call" span, and [wire_ctx] (its child) rides the
-   frame envelope to the server, which emits its handler span under that
-   identity verbatim. Merged fleet snapshots therefore stitch
-   client → server spans into one timeline with correct parentage.
-   Contexts never touch protocol payloads — only the RPC envelope — so
-   onions and mailbox entries stay byte-identical (§9 invariant). *)
-
-let traced_rpc t ~peer c f =
-  match (t.tracer, t.round_ctx) with
-  | Some tr, Some ctx ->
-    let call_ctx = Trace.child tr ctx in
-    let wire_ctx = Trace.child tr call_ctx in
-    Rpc.Client.set_trace c (Some (Trace.labels_of wire_ctx));
-    let reg = Trace.registry tr in
-    let t0 = Tel.now reg in
-    let finish () =
-      Trace.emit tr call_ctx
-        ~labels:[ ("peer", peer) ]
-        ~name:"rpc.call" ~ts:t0
-        ~dur:(Tel.now reg -. t0)
-        ()
-    in
-    (match f c with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e)
-  | _ -> f c
-
-(* A child span of the round for orchestrator-local work (mailbox
-   distribution). *)
-let traced_local t ~name f =
-  match (t.tracer, t.round_ctx) with
-  | Some tr, Some ctx -> Trace.with_ tr (Trace.child tr ctx) name f
-  | _ -> f ()
-
-(* The per-round root span: sample one context for the whole round
-   (retries included) and run [f] under it as "net.round". *)
-let with_round_trace t ~phase ~round f =
-  match t.tracer with
-  | None -> f ()
-  | Some tr ->
-    let ctx = Trace.sample tr in
-    t.round_ctx <- ctx;
-    Fun.protect
-      ~finally:(fun () -> t.round_ctx <- None)
-      (fun () ->
-        match ctx with
-        | None -> f ()
-        | Some ctx ->
-          Trace.with_ tr ctx
-            ~labels:[ ("phase", phase); ("round", string_of_int round) ]
-            "net.round" f)
-
-(* ---- connection cache ---- *)
-
-let ep_key ep = Printf.sprintf "%s:%d" ep.host ep.port
-
-let drop_conn t ep =
-  let key = ep_key ep in
-  match Hashtbl.find_opt t.conns key with
-  | None -> ()
-  | Some conn ->
-    Rpc.Client.close conn;
-    Hashtbl.remove t.conns key
-
-let conn t ep =
-  let key = ep_key ep in
-  match Hashtbl.find_opt t.conns key with
-  | Some c -> Ok c
-  | None -> (
-    match Rpc.Client.connect ~timeout:t.call_timeout ~host:ep.host ~port:ep.port () with
-    | Ok c ->
-      Hashtbl.replace t.conns key c;
-      Ok c
-    | Error _ as e -> e)
-
-let close t =
-  Hashtbl.iter (fun _ c -> Rpc.Client.close c) t.conns;
-  Hashtbl.reset t.conns
-
-(* PKG processes are trusted infrastructure in this harness (the fault
-   grammar targets mixers and clients); a PKG transport failure is fatal. *)
-let pkg_call t i f =
-  let ep = t.pkg_eps.(i) in
-  match conn t ep with
-  | Error m -> failwith (Printf.sprintf "pkg %d: %s" i m)
-  | Ok c -> (
-    match traced_rpc t ~peer:(Printf.sprintf "pkg-%d" i) c f with
-    | Ok v -> v
-    | Error m ->
-      drop_conn t ep;
-      failwith (Printf.sprintf "pkg %d: %s" i m))
-
-(* A mixer transport failure is the anytrust abort signal. *)
-let mixer_call t i f =
-  let ep = t.mixers.(i).ep in
-  match conn t ep with
-  | Error _ ->
-    drop_conn t ep;
-    raise (Aborted i)
-  | Ok c -> (
-    match traced_rpc t ~peer:(Printf.sprintf "mixer-%d" i) c f with
-    | Ok v -> v
-    | Error _ ->
-      drop_conn t ep;
-      raise (Aborted i))
-
-(* ---- clients and registration ---- *)
-
-let pkg_public_keys t =
-  Array.to_list
-    (Array.mapi (fun i _ -> pkg_call t i (fun c -> Proto.pkg_info c ~params:t.params)) t.pkg_eps)
-
-(* Same derivation as [Deployment.new_client]; [Drbg.derive] is pure, so
-   the client stream matches the in-process one byte for byte. *)
-let new_client t ~email ~callbacks =
-  Client.create ~config:t.config
-    ~rng:(Drbg.derive t.rng ("client-" ^ email))
-    ~email ~pkg_public_keys:(pkg_public_keys t) ~callbacks
-
-let register t client =
-  let email = Client.email client in
-  let pk = Client.signing_public client in
-  let rec per_pkg i =
-    if i = Array.length t.pkg_eps then Ok ()
-    else begin
-      match pkg_call t i (fun c -> Proto.pkg_register c ~params:t.params ~now:t.clock ~email ~pk) with
-      | Error e -> Error e
-      | Ok () ->
-        (* the user reads the confirmation email and echoes the token *)
-        let token =
-          match pkg_call t i (fun c -> Proto.pkg_inbox c ~email) with
-          | tok :: _ -> tok
-          | [] -> "" (* no email delivered: confirmation will fail below *)
-        in
-        (match pkg_call t i (fun c -> Proto.pkg_confirm c ~now:t.clock ~email ~token) with
-        | Error e -> Error e
-        | Ok () -> per_pkg (i + 1))
-    end
-  in
-  match per_pkg 0 with
-  | Error e -> Error e
-  | Ok () ->
-    if not (List.memq client t.clients) then t.clients <- t.clients @ [ client ];
-    Ok ()
-
-(* ---- fault injection and recovery (mirrors Deployment) ---- *)
-
-let kill_mixer t s =
-  if not t.killed.(s) then begin
-    drop_conn t t.mixers.(s).ep;
-    t.mixers.(s).kill ();
-    t.killed.(s) <- true;
-    Events.log Events.default ~severity:Warn
-      ~labels:[ ("server", string_of_int s) ]
-      ~detail:"mixer process killed by fault schedule" "net.mixer_killed"
-  end
-
-let restart_killed t =
-  Array.iteri
-    (fun s killed ->
-      if killed then begin
-        t.mixers.(s).ep <- t.mixers.(s).restart ();
-        t.killed.(s) <- false;
-        Events.log Events.default
-          ~labels:[ ("server", string_of_int s) ]
-          ~detail:(Printf.sprintf "mixer respawned on port %d" t.mixers.(s).ep.port)
-          "net.mixer_restarted"
-      end)
-    t.killed
-
-(* Same injection point and stall arithmetic as [Deployment.inject_faults];
-   a crash entry kills the OS process instead of flipping a flag. *)
-let inject_faults t ~round ~attempt =
-  match t.faults with
-  | None -> ()
-  | Some fv ->
-    for s = 0 to Array.length t.mixers - 1 do
-      if fv.Deployment.fv_crash_attempts ~round ~server:s >= attempt then kill_mixer t s
-    done;
-    if attempt = 1 then begin
-      let stall = ref 0.0 in
-      for s = 0 to Array.length t.mixers - 1 do
-        stall := !stall +. fv.Deployment.fv_stall_seconds ~round ~server:s
-      done;
-      if !stall > 0.0 then begin
-        let timeout = t.policy.Client.round_timeout in
-        if !stall > timeout then begin
-          advance_clock t ~seconds:(int_of_float (Float.ceil timeout));
-          raise Stall_timeout
-        end
-        else advance_clock t ~seconds:(int_of_float (Float.ceil !stall))
-      end
-    end
-
-(* End-of-round key erasure on every mixer that still answers; a killed
-   process lost its round key with the process — the same forward-secrecy
-   outcome [Chain.abort_round] forces. *)
-let abort_chain t ~chain =
-  Array.iteri
-    (fun s _ ->
-      if not t.killed.(s) then
-        try mixer_call t s (fun c -> Proto.mix_end_round c ~chain) with Aborted _ -> ())
-    t.mixers
-
-let with_recovery t ~phase ~round ~chain ~clients ~cleanup body =
-  let policy = t.policy in
-  let seed = match t.faults with Some fv -> fv.Deployment.fv_seed | None -> "faults" in
-  let checkpoints = List.map (fun c -> (c, Client.checkpoint c)) clients in
-  let rec attempt n =
-    match body ~after_begin:(fun () -> inject_faults t ~round ~attempt:n) with
-    | result -> (result, n)
-    | exception (Aborted _ | Stall_timeout) ->
-      abort_chain t ~chain;
-      restart_killed t;
-      List.iter (fun (c, cp) -> Client.rollback c cp) checkpoints;
-      cleanup ();
-      if n >= policy.Client.max_attempts then
-        raise (Deployment.Round_failed { phase; round; attempts = n })
-      else begin
-        (* identical backoff seed and ceil-to-seconds clock advance as the
-           in-process loop: logical clocks stay in lockstep *)
-        let delay =
-          Client.backoff_delay policy
-            ~seed:(Printf.sprintf "%s:%s:%d" seed phase round)
-            ~attempt:n
-        in
-        advance_clock t ~seconds:(int_of_float (Float.ceil delay));
-        Events.log Events.default ~severity:Warn
-          ~labels:[ ("phase", phase); ("round", string_of_int round) ]
-          ~detail:(Printf.sprintf "attempt %d aborted; retrying after %.1f s backoff" n delay)
-          "round.retry";
-        attempt (n + 1)
-      end
-  in
-  attempt 1
-
-let online_clients t ~round clients =
-  match t.faults with
-  | None -> (clients, [])
-  | Some fv ->
-    let index c =
-      let rec go i = function [] -> -1 | x :: rest -> if x == c then i else go (i + 1) rest in
-      go 0 t.clients
-    in
-    List.partition
-      (fun c ->
-        let i = index c in
-        i < 0 || not (fv.Deployment.fv_client_offline ~round ~client:i))
-      clients
-
-(* ---- the mixnet round over RPC ---- *)
-
-let begin_chain_round t ~chain =
-  Array.to_list
-    (Array.mapi
-       (fun i _ -> mixer_call t i (fun c -> Proto.mix_new_round c ~params:t.params ~chain))
-       t.mixers)
-
-(* [Chain.run_round]'s processing half, distributed: up-front liveness
-   check (ping), then one [process] RPC per hop threading the batch, then
-   key erasure everywhere, then local mailbox distribution. *)
-let run_chain t ~chain ~mode ~noise_mu ~laplace_b ~num_mailboxes ~mpk_agg ~server_pks batch =
-  let n = Array.length t.mixers in
-  for i = 0 to n - 1 do
-    if t.killed.(i) then raise (Aborted i);
-    mixer_call t i Proto.mix_ping
-  done;
-  let pks = Array.of_list server_pks in
-  let total_noise = ref 0 in
-  let current = ref batch in
-  for i = 0 to n - 1 do
-    let downstream_pks = Array.to_list (Array.sub pks (i + 1) (n - i - 1)) in
-    let out, noise =
-      mixer_call t i (fun c ->
-          Proto.mix_process c ~params:t.params ~chain ~downstream_pks ~noise_mu ~laplace_b
-            ~num_mailboxes ~mpk_agg ~batch:!current)
-    in
-    total_noise := !total_noise + noise;
-    current := out
-  done;
-  Array.iteri
-    (fun i _ -> mixer_call t i (fun c -> Proto.mix_end_round c ~chain))
-    t.mixers;
-  let mailboxes, dropped =
-    traced_local t ~name:"mailbox.publish" (fun () ->
-        Mailbox.distribute ~num_mailboxes ~mode !current)
-  in
-  (mailboxes, !total_noise, dropped)
-
-(* ---- add-friend round (Algorithm 1 over the wire) ---- *)
-
-let num_af_mailboxes t ~participants =
-  let expected_real =
-    int_of_float (Float.round (float_of_int participants *. t.config.Config.active_fraction))
-  in
-  Mailbox.num_mailboxes_for ~expected_real ~noise_mu:t.config.Config.addfriend_noise_mu
-    ~chain_length:t.config.Config.chain_length
-
-let run_addfriend_round t ?participants () =
-  let clients = match participants with Some l -> l | None -> t.clients in
-  t.af_round <- t.af_round + 1;
-  let round = t.af_round in
-  let clients, _offline = online_clients t ~round clients in
-  let body ~after_begin =
-    (* 1. PKGs rotate master keys: commit, then reveal; verify the openings *)
-    let commitments =
-      Array.mapi (fun i _ -> pkg_call t i (fun c -> Proto.pkg_begin_round c ~round)) t.pkg_eps
-    in
-    let mpks =
-      Array.to_list
-        (Array.mapi
-           (fun i _ ->
-             match pkg_call t i (fun c -> Proto.pkg_reveal c ~params:t.params ~round) with
-             | Error e -> failwith ("Net_deployment: reveal failed: " ^ Pkg.error_to_string e)
-             | Ok (mpk, opening) ->
-               if
-                 not
-                   (Pkg.verify_commitment t.params ~commitment:commitments.(i) ~mpk ~opening)
-               then failwith "Net_deployment: PKG commitment mismatch";
-               mpk)
-           t.pkg_eps)
-    in
-    let mpk_agg = Ibe.aggregate_public t.params mpks in
-    let num_mailboxes = num_af_mailboxes t ~participants:(List.length clients) in
-    (* 2. every client extracts identity keys over RPC and submits one onion *)
-    let server_pks = begin_chain_round t ~chain:Proto.Af in
-    after_begin ();
-    let contexts =
-      List.map
-        (fun cl ->
-          let result =
-            Client.begin_addfriend_round_with cl ~round ~n_pkgs:(Array.length t.pkg_eps)
-              ~extract:(fun i ~email ~signature ->
-                pkg_call t i (fun c ->
-                    Proto.pkg_extract c ~params:t.params ~now:t.clock ~round ~email ~signature))
-          in
-          match result with
-          | Error e -> failwith ("Net_deployment: extraction failed: " ^ Pkg.error_to_string e)
-          | Ok ctx -> (cl, ctx))
-        clients
-    in
-    let batch =
-      Array.of_list
-        (List.map
-           (fun (cl, ctx) ->
-             Client.addfriend_submission cl ctx ~mpk_agg ~num_mailboxes ~server_pks)
-           contexts)
-    in
-    (* 3. the mixer processes run the round *)
-    let mailboxes, noise_added, dropped =
-      run_chain t ~chain:Proto.Af ~mode:`AddFriend ~noise_mu:t.config.Config.addfriend_noise_mu
-        ~laplace_b:t.config.Config.laplace_b ~num_mailboxes
-        ~mpk_agg:(if t.config.Config.faithful_noise then Ibe.master_public_bytes t.params mpk_agg else "")
-        ~server_pks batch
-    in
-    let buckets = Mailbox.plain_exn mailboxes in
-    (* 4-6. every client downloads its mailbox and scans *)
-    let events =
-      List.concat_map
-        (fun (cl, ctx) ->
-          let mb = Mailbox.mailbox_of_identity (Client.email cl) ~num_mailboxes in
-          List.map
-            (fun ev -> (Client.email cl, ev))
-            (Client.scan_addfriend_mailbox cl ctx buckets.(mb)))
-        contexts
-    in
-    (* PKGs erase master secrets *)
-    Array.iteri (fun i _ -> pkg_call t i (fun c -> Proto.pkg_end_round c ~round)) t.pkg_eps;
-    advance_clock t ~seconds:t.config.Config.addfriend_round_seconds;
-    {
-      Deployment.af_round = round;
-      af_attempts = 1;
-      requests_in = Array.length batch;
-      noise_added;
-      dropped;
-      num_mailboxes;
-      mailbox_bytes = Mailbox.size_bytes mailboxes;
-      events;
-    }
-  in
-  let stats, attempts =
-    with_round_trace t ~phase:"addfriend" ~round (fun () ->
-        with_recovery t ~phase:"addfriend" ~round ~chain:Proto.Af ~clients
-          ~cleanup:(fun () ->
-            Array.iteri (fun i _ -> pkg_call t i (fun c -> Proto.pkg_end_round c ~round)) t.pkg_eps)
-          body)
-  in
-  { stats with Deployment.af_attempts = attempts }
-
-(* ---- dialing round (§5 over the wire) ---- *)
-
-let num_dial_mailboxes t ~participants =
-  let expected_real =
-    int_of_float (Float.round (float_of_int participants *. t.config.Config.active_fraction))
-  in
-  Mailbox.num_mailboxes_for ~expected_real ~noise_mu:t.config.Config.dialing_noise_mu
-    ~chain_length:t.config.Config.chain_length
-
-let run_dialing_round t ?participants () =
-  let clients = match participants with Some l -> l | None -> t.clients in
-  let round = t.dial_round + 1 in
-  let clients, _offline = online_clients t ~round clients in
-  (* returning offline clients replay the archived filters they missed,
-     before this round runs (§5.1/§5.3) — as in [Deployment] *)
-  let recovered =
-    if t.faults = None then []
-    else
-      List.concat_map
-        (fun cl ->
-          let first = Client.dialing_round cl + 1 in
-          if first > t.dial_round then []
-          else begin
-            let through =
-              List.init
-                (t.dial_round - first + 1)
-                (fun i ->
-                  let r = first + i in
-                  match Hashtbl.find_opt t.dial_archive r with
-                  | None -> (r, None)
-                  | Some (filters, k) ->
-                    ( r,
-                      Some filters.(Mailbox.mailbox_of_identity (Client.email cl) ~num_mailboxes:k)
-                    ))
-            in
-            List.map (fun ev -> (Client.email cl, ev)) (Client.catch_up_dialing cl ~through)
-          end)
-        clients
-  in
-  t.dial_round <- round;
-  let body ~after_begin =
-    let num_mailboxes = num_dial_mailboxes t ~participants:(List.length clients) in
-    List.iter (fun cl -> Client.advance_dialing cl ~round) clients;
-    let server_pks = begin_chain_round t ~chain:Proto.Dial in
-    after_begin ();
-    let batch =
-      Array.of_list
-        (List.map (fun cl -> Client.dialing_submission cl ~num_mailboxes ~server_pks) clients)
-    in
-    let mailboxes, noise_added, dropped =
-      run_chain t ~chain:Proto.Dial ~mode:`Dialing ~noise_mu:t.config.Config.dialing_noise_mu
-        ~laplace_b:t.config.Config.laplace_b ~num_mailboxes ~mpk_agg:"" ~server_pks batch
-    in
-    let filters = Mailbox.filters_exn mailboxes in
-    Hashtbl.replace t.dial_archive round (filters, num_mailboxes);
-    Hashtbl.remove t.dial_archive (round - t.config.Config.dial_archive_rounds);
-    let calls =
-      List.concat_map
-        (fun cl ->
-          let mb = Mailbox.mailbox_of_identity (Client.email cl) ~num_mailboxes in
-          List.map (fun ev -> (Client.email cl, ev)) (Client.scan_dialing_mailbox cl filters.(mb)))
-        clients
-    in
-    advance_clock t ~seconds:t.config.Config.dialing_round_seconds;
-    {
-      Deployment.dial_round = round;
-      dial_attempts = 1;
-      tokens_in = Array.length batch;
-      dial_noise_added = noise_added;
-      dial_dropped = dropped;
-      dial_num_mailboxes = num_mailboxes;
-      filter_bytes = Mailbox.size_bytes mailboxes;
-      calls;
-    }
-  in
-  let stats, attempts =
-    with_round_trace t ~phase:"dialing" ~round (fun () ->
-        with_recovery t ~phase:"dialing" ~round ~chain:Proto.Dial ~clients
-          ~cleanup:(fun () -> ())
-          body)
-  in
-  { stats with Deployment.dial_attempts = attempts; calls = recovered @ stats.Deployment.calls }
-
-let archived_filter t ~round ~email =
-  match Hashtbl.find_opt t.dial_archive round with
-  | None -> None
-  | Some (filters, k) -> Some filters.(Mailbox.mailbox_of_identity email ~num_mailboxes:k)
+let close = Deployment.close
+let new_client = Deployment.new_client
+let register = Deployment.register
+let run_addfriend_round = Deployment.run_addfriend_round
+let run_dialing_round = Deployment.run_dialing_round

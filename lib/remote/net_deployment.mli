@@ -1,32 +1,29 @@
-(** Network-backed Alpenhorn deployment: the round sequencing of
-    {!Alpenhorn_core.Deployment} with the PKGs and mixnet servers reached
-    over framed TCP RPC ({!Proto}) instead of function calls.
+(** The RPC backend of {!Alpenhorn_core.Deployment}: the same rounds,
+    with the PKGs and mixnet servers reached over framed TCP RPC
+    ({!Proto}) instead of function calls.
 
     Clients live in the orchestrator process — the client library is
     transport-agnostic — while each PKG and each mixnet chain position is
     a separate server (an OS process spawned by [alpenhorn_cli serve-pkg]
     / [serve-mixer], or an {!Alpenhorn_net.Rpc.Server} in a test domain).
+    The orchestrator relays each batch through the mixers hop by hop and
+    distributes the final payloads itself.
 
     {b Determinism.} Built from the same seed, this deployment reproduces
     the in-process one's client-visible protocol results — the same
     per-client events and session keys, round for round — provided both
-    run the same fault schedule (client RNG consumption on aborted
-    attempts must match). Noise bytes and post-respawn round keys differ;
-    no client event depends on them.
+    run the same fault schedule. Noise bytes and post-respawn round keys
+    differ; no client event depends on them.
 
-    {b Faults.} The same {!Alpenhorn_core.Deployment.fault_view} schedule
-    drives {e real process kills}: a crash entry invokes the mixer's
-    [kill] callback, the abort is detected as a transport failure, and
-    recovery invokes [restart] and re-runs the round after deterministic
-    backoff on the logical clock — the full
-    {!Alpenhorn_core.Deployment.with_recovery} loop over live sockets. *)
+    {b Faults.} A crash in the schedule invokes the mixer's [kill]; the
+    abort is detected as a transport failure ({!Alpenhorn_mixnet.Chain.Aborted}),
+    and recovery invokes [restart] before the round re-runs.
 
-module Bloom = Alpenhorn_bloom.Bloom
-module Config = Alpenhorn_core.Config
-module Client = Alpenhorn_core.Client
-module Deployment = Alpenhorn_core.Deployment
-module Params = Alpenhorn_pairing.Params
-module Pkg = Alpenhorn_pkg.Pkg
+    {b Tracing.} Under {!Alpenhorn_core.Deployment.set_tracer}, each round
+    runs under one [net.round] root span; every RPC emits a client-side
+    [rpc.call] span and carries a child context to the server on the
+    frame envelope ({!Alpenhorn_net.Framing.encode_traced}), so the fleet
+    collector stitches one cross-process timeline per round. *)
 
 type endpoint = { host : string; port : int }
 
@@ -36,11 +33,11 @@ type mixer = {
   restart : unit -> endpoint;  (** respawn it; returns the new endpoint *)
 }
 
-type t
+type t = Alpenhorn_core.Deployment.t
 
 val create :
   ?call_timeout:float ->
-  config:Config.t ->
+  config:Alpenhorn_core.Config.t ->
   seed:string ->
   pkgs:endpoint array ->
   mixers:mixer array ->
@@ -48,57 +45,23 @@ val create :
   t
 (** [pkgs] must have [config.n_pkgs] entries and [mixers]
     [config.chain_length] (mixer [i] serves position [i] of both chains).
-    Connections are opened lazily and cached per endpoint.
-    @raise Invalid_argument on a bad config or count mismatch. *)
+    Fetches the PKGs' long-term keys once ({!Proto.pkg_info}); other
+    connections are opened lazily and cached per endpoint.
+    @raise Invalid_argument on a bad config or count mismatch.
+    @raise Failure when a PKG is unreachable. *)
 
 val close : t -> unit
 (** Close every cached connection (servers are not touched). *)
 
-val config : t -> Config.t
-val params : t -> Params.t
-val now : t -> int
-val advance_clock : t -> seconds:int -> unit
-val addfriend_round_number : t -> int
-val dialing_round_number : t -> int
+(** {1 Aliases of {!Alpenhorn_core.Deployment}} *)
 
-val set_faults : t -> Deployment.fault_view option -> unit
-val set_retry_policy : t -> Client.retry_policy -> unit
-val retry_policy : t -> Client.retry_policy
+val new_client :
+  t -> email:string -> callbacks:Alpenhorn_core.Client.callbacks -> Alpenhorn_core.Client.t
 
-val set_tracer : t -> Alpenhorn_telemetry.Trace.t option -> unit
-(** Attach a tracer (default none): each round then runs under a root
-    [net.round] span, every RPC emits a client-side [rpc.call] span and
-    carries a child context to the server on the frame envelope
-    ({!Alpenhorn_net.Framing.encode_traced}), and mailbox distribution is
-    a [mailbox.publish] child span — so the fleet collector stitches one
-    cross-process timeline per round. All span ids are minted here, on
-    the orchestrator; servers replay carried identities verbatim.
-    Contexts ride only the RPC envelope, never protocol payloads
-    (DESIGN.md §9/§14). *)
+val register : t -> Alpenhorn_core.Client.t -> (unit, Alpenhorn_pkg.Pkg.error) result
 
-val pkg_public_keys : t -> Alpenhorn_bls.Bls.public list
-(** Fetched over RPC ({!Proto.pkg_info}), then treated as pre-distributed
-    (§3.3). *)
+val run_addfriend_round :
+  t -> ?participants:Alpenhorn_core.Client.t list -> unit -> Alpenhorn_core.Deployment.af_stats
 
-val new_client : t -> email:string -> callbacks:Client.callbacks -> Client.t
-(** Same DRBG derivation as {!Alpenhorn_core.Deployment.new_client}. *)
-
-val register : t -> Client.t -> (unit, Pkg.error) result
-(** Register with every PKG over RPC, completing each confirmation-token
-    flow through the PKG's simulated provider ({!Proto.pkg_inbox}). *)
-
-val run_addfriend_round : t -> ?participants:Client.t list -> unit -> Deployment.af_stats
-(** One complete add-friend round (Algorithm 1) over the wire: PKG
-    commit/reveal RPCs, per-client extraction RPCs, one [process] RPC per
-    mixer hop, local mailbox distribution and scanning. Under a fault
-    schedule the round may abort (a mixer process dies) and re-run after
-    [restart]; [af_attempts] reports the tries.
-    @raise Deployment.Round_failed when the retry budget is exhausted.
-    @raise Failure on a PKG transport failure (PKGs are trusted
-    infrastructure in this harness; only mixers are killable). *)
-
-val run_dialing_round : t -> ?participants:Client.t list -> unit -> Deployment.dial_stats
-(** One dialing round (§5) over the wire; same recovery semantics, plus
-    the archived-filter replay for returning offline clients. *)
-
-val archived_filter : t -> round:int -> email:string -> Bloom.t option
+val run_dialing_round :
+  t -> ?participants:Alpenhorn_core.Client.t list -> unit -> Alpenhorn_core.Deployment.dial_stats

@@ -206,22 +206,6 @@ module Mixer_server = struct
 
   let server t = function Proto.Af -> t.af | Proto.Dial -> t.dial
 
-  (* The noise bodies [Deployment] builds for the in-process chains, drawn
-     from this mixer's own stream: faithful IBE noise when the round's
-     aggregate master key rides in (§4.3 ciphertext anonymity), sized
-     random bytes otherwise. *)
-  let noise_body t ~chain ~mpk_agg : Server.noise_body =
-    match chain with
-    | Proto.Dial -> fun ~mailbox:_ -> Drbg.bytes t.noise_rng Wire.dial_token_size
-    | Proto.Af -> (
-      match mpk_agg with
-      | None -> fun ~mailbox:_ -> Drbg.bytes t.noise_rng (Wire.request_ciphertext_size t.params)
-      | Some mpk ->
-        fun ~mailbox:_ ->
-          let id = "noise-" ^ Alpenhorn_crypto.Util.to_hex (Drbg.bytes t.noise_rng 8) in
-          let body = Drbg.bytes t.noise_rng (Wire.request_plaintext_size t.params) in
-          Ibe.encrypt t.params t.noise_rng mpk ~id body)
-
   let handler t (request : Framing.frame) =
     let tag = request.Framing.tag in
     let c = F.cursor request.Framing.payload in
@@ -267,7 +251,10 @@ module Mixer_server = struct
       in
       let out, noise =
         Server.process (server t ch) ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes
-          ~noise_body:(noise_body t ~chain:ch ~mpk_agg)
+          ~noise_body:
+            (Wire.noise_body t.params t.noise_rng
+               (match ch with Proto.Af -> `AddFriend | Proto.Dial -> `Dialing)
+               ~mpk_agg)
           batch
       in
       Proto.respond tag

@@ -37,4 +37,5 @@ let () =
       ("collector", Test_collector.suite);
       ("shard", Test_shard.suite);
       ("scale", Test_scale.suite);
+      ("golden", Test_golden.suite);
     ]

@@ -1,7 +1,8 @@
 (* Wire-protocol tests: the framing codec, framed RPC over real sockets,
-   the HTTP listener fed one byte at a time, and a Net_deployment round
-   with a mixer server killed mid-round and restarted — every socket in
-   this file is a real TCP socket on localhost. *)
+   the HTTP listener fed one byte at a time, and Net_deployment rounds —
+   a mixer server killed mid-round and restarted, sharded dialing, and an
+   archive catch-up — each checked against the in-process deployment.
+   Every socket in this file is a real TCP socket on localhost. *)
 
 module F = Alpenhorn_net.Framing
 module Rpc = Alpenhorn_net.Rpc
@@ -411,101 +412,193 @@ let scenario ~register ~new_client ~af_round ~dial_round =
   let dials = List.init 3 (fun _ -> dial_round ()) in
   (s1, s2, dials)
 
+(* One PKG and one mixer per chain position, each an RPC server in its own
+   domain, derived from [seed]; a mixer's [kill] stops its server and
+   [restart] hosts a fresh one. [f] runs against a Net_deployment over
+   them. *)
+let with_fleet ~config ~seed f =
+  let pkg_hosted =
+    host (Servers.Pkg_server.handler (Servers.Pkg_server.create ~config ~seed ~index:0))
+  in
+  let mixer_at i =
+    host (Servers.Mixer_server.handler (Servers.Mixer_server.create ~config ~seed ~position:i))
+  in
+  let hosted = Array.init config.Config.chain_length (fun i -> ref (mixer_at i)) in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_hosted pkg_hosted;
+      Array.iter (fun r -> try stop_hosted !r with _ -> ()) hosted)
+    (fun () ->
+      let ep h = { Net_deployment.host = "127.0.0.1"; port = Rpc.Server.port h.srv } in
+      let mixers =
+        Array.init config.Config.chain_length (fun i ->
+            {
+              Net_deployment.ep = ep !(hosted.(i));
+              kill = (fun () -> stop_hosted !(hosted.(i)));
+              restart =
+                (fun () ->
+                  hosted.(i) := mixer_at i;
+                  ep !(hosted.(i)));
+            })
+      in
+      let nd = Net_deployment.create ~config ~seed ~pkgs:[| ep pkg_hosted |] ~mixers () in
+      Fun.protect ~finally:(fun () -> Net_deployment.close nd) (fun () -> f nd))
+
+(* The §10 fault metrics, read off the process-wide registry. *)
+let fault_metrics () =
+  let snap = Tel.Snapshot.take Tel.default in
+  let counter ?labels name =
+    Option.value ~default:0 (Tel.Snapshot.find_counter snap ?labels name)
+  in
+  [
+    ("faults.rounds_aborted", counter "faults.rounds_aborted");
+    ("faults.retries", counter "faults.retries");
+    ("faults.injected{kind=crash}", counter ~labels:[ ("kind", "crash") ] "faults.injected");
+    ( "faults.recovery_seconds count",
+      List.fold_left
+        (fun acc (name, _, (h : Tel.Histogram.snap)) ->
+          if name = "faults.recovery_seconds" then acc + h.count else acc)
+        0 snap.Tel.Snapshot.histograms );
+  ]
+
+(* [f ()] and how much each fault metric rose while it ran. *)
+let with_fault_deltas f =
+  let before = fault_metrics () in
+  let r = f () in
+  (r, List.map2 (fun (k, a) (_, b) -> (k, b - a)) before (fault_metrics ()))
+
+let deltas = Alcotest.(list (pair string int))
+
+let killed_mixer ~dial_shards () =
+  let config = { Config.test with Config.n_pkgs = 1; dial_shards } in
+  let seed = "net-kill" in
+  with_fleet ~config ~seed (fun nd ->
+      Deployment.set_faults nd (Some (faults seed));
+      let (n1, n2, ndials), net_deltas =
+        with_fault_deltas (fun () ->
+            scenario
+              ~register:(fun c ->
+                match Net_deployment.register nd c with
+                | Ok () -> ()
+                | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e))
+              ~new_client:(fun email ->
+                Net_deployment.new_client nd ~email ~callbacks:Client.null_callbacks)
+              ~af_round:(fun () -> Net_deployment.run_addfriend_round nd ())
+              ~dial_round:(fun () -> Net_deployment.run_dialing_round nd ()))
+      in
+      (* the kill really aborted attempt 1 and recovery really ran *)
+      Alcotest.(check int) "af round 1 recovered on attempt 2" 2 n1.Deployment.af_attempts;
+      Alcotest.(check int) "af round 2 clean" 1 n2.Deployment.af_attempts;
+      Alcotest.(check int) "dial round 1 recovered on attempt 2" 2
+        (List.hd ndials).Deployment.dial_attempts;
+      Alcotest.(check bool) "bob accepted alice" true
+        (List.exists
+           (function "bob@x", Client.Friend_request_accepted "alice@x" -> true | _ -> false)
+           n1.Deployment.events);
+      Alcotest.(check bool) "alice confirmed" true
+        (List.exists
+           (function "alice@x", Client.Friend_confirmed "bob@x" -> true | _ -> false)
+           n2.Deployment.events);
+      Alcotest.(check bool) "bob rang" true
+        (List.exists
+           (fun d ->
+             List.exists
+               (function
+                 | "bob@x", Client.Incoming_call { peer = "alice@x"; intent = 1; _ } ->
+                   true
+                 | _ -> false)
+               d.Deployment.calls)
+           ndials);
+      (* byte-identical protocol results: replay the scenario
+         in-process under the same seed and fault schedule *)
+      let ip = Deployment.create ~config ~seed in
+      Deployment.set_faults ip (Some (faults seed));
+      let (i1, i2, idials), ip_deltas =
+        with_fault_deltas (fun () ->
+            scenario
+              ~register:(fun c ->
+                match Deployment.register ip c with
+                | Ok () -> ()
+                | Error _ -> Alcotest.fail "in-process register")
+              ~new_client:(fun email ->
+                Deployment.new_client ip ~email ~callbacks:Client.null_callbacks)
+              ~af_round:(fun () -> Deployment.run_addfriend_round ip ())
+              ~dial_round:(fun () -> Deployment.run_dialing_round ip ()))
+      in
+      Alcotest.(check bool) "af round 1 events identical" true
+        (n1.Deployment.events = i1.Deployment.events);
+      Alcotest.(check bool) "af round 2 events identical" true
+        (n2.Deployment.events = i2.Deployment.events);
+      Alcotest.(check bool) "dial events identical (incl. session keys)" true
+        (List.map (fun d -> d.Deployment.calls) ndials
+        = List.map (fun d -> d.Deployment.calls) idials);
+      Alcotest.(check int) "same af retries" i1.Deployment.af_attempts
+        n1.Deployment.af_attempts;
+      Alcotest.(check (list int)) "same dial retries"
+        (List.map (fun d -> d.Deployment.dial_attempts) idials)
+        (List.map (fun d -> d.Deployment.dial_attempts) ndials);
+      (* the same mailbox geometry and downloads, whatever the shard count *)
+      let geometry d =
+        (d.Deployment.dial_num_mailboxes, Array.to_list d.Deployment.filter_bytes,
+         d.Deployment.dial_noise_added)
+      in
+      Alcotest.(check (list (triple int (list int) int)))
+        "dial mailboxes, filter bytes and noise identical" (List.map geometry idials)
+        (List.map geometry ndials);
+      (* the §10 fault telemetry rises over sockets exactly as in process:
+         one abort, retry, injected crash and recovery per phase *)
+      Alcotest.(check deltas) "fault telemetry identical" ip_deltas net_deltas;
+      Alcotest.(check (list int)) "one of each per phase" [ 2; 2; 2; 2 ]
+        (List.map snd net_deltas))
+
+(* Two friends; bob sits out two dialing rounds (not a fault: he is simply
+   not among the participants) while alice calls him, then catches up from
+   the archive. *)
+let catch_up_scenario ~new_client ~register ~af_round ~dial_round ~catch_up =
+  let alice = new_client "alice@x" and bob = new_client "bob@x" in
+  register alice;
+  register bob;
+  Client.add_friend alice ~email:"bob@x" ();
+  ignore (af_round ());
+  ignore (af_round ());
+  Client.call alice ~email:"bob@x" ~intent:3;
+  let missed = List.init 2 (fun _ -> dial_round ~participants:[ alice ]) in
+  (missed, catch_up bob)
+
+let catch_up_over_sockets () =
+  let config = { Config.test with Config.n_pkgs = 1; dial_shards = 2 } in
+  let seed = "net-catch-up" in
+  let run d =
+    catch_up_scenario
+      ~new_client:(fun email -> Deployment.new_client d ~email ~callbacks:Client.null_callbacks)
+      ~register:(fun c ->
+        match Deployment.register d c with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e))
+      ~af_round:(fun () -> Deployment.run_addfriend_round d ())
+      ~dial_round:(fun ~participants -> Deployment.run_dialing_round d ~participants ())
+      ~catch_up:(Deployment.catch_up_client d)
+  in
+  let net_missed, net_events = with_fleet ~config ~seed run in
+  let ip_missed, ip_events = run (Deployment.create ~config ~seed) in
+  Alcotest.(check bool) "bob got nothing while away" true
+    (List.for_all (fun d -> d.Deployment.calls = []) net_missed);
+  (match net_events with
+  | [ Client.Incoming_call { peer = "alice@x"; intent = 3; _ } ] -> ()
+  | evs -> Alcotest.failf "expected alice's call on catch-up, got %d events" (List.length evs));
+  Alcotest.(check bool) "catch-up events identical (incl. session keys)" true
+    (net_events = ip_events);
+  Alcotest.(check bool) "missed rounds identical" true
+    (List.map (fun d -> d.Deployment.calls) net_missed
+    = List.map (fun d -> d.Deployment.calls) ip_missed)
+
 let recovery_tests =
   [
-    Alcotest.test_case "killed mixer: recover over sockets, match in-process" `Quick (fun () ->
-        let config = { Config.test with Config.n_pkgs = 1 } in
-        let seed = "net-kill" in
-        let pkg_hosted =
-          host (Servers.Pkg_server.handler (Servers.Pkg_server.create ~config ~seed ~index:0))
-        in
-        let mixer_at i =
-          host (Servers.Mixer_server.handler (Servers.Mixer_server.create ~config ~seed ~position:i))
-        in
-        let hosted = Array.init config.Config.chain_length (fun i -> ref (mixer_at i)) in
-        Fun.protect
-          ~finally:(fun () ->
-            stop_hosted pkg_hosted;
-            Array.iter (fun r -> try stop_hosted !r with _ -> ()) hosted)
-          (fun () ->
-            let ep h = { Net_deployment.host = "127.0.0.1"; port = Rpc.Server.port h.srv } in
-            let mixers =
-              Array.init config.Config.chain_length (fun i ->
-                  {
-                    Net_deployment.ep = ep !(hosted.(i));
-                    kill = (fun () -> stop_hosted !(hosted.(i)));
-                    restart =
-                      (fun () ->
-                        hosted.(i) := mixer_at i;
-                        ep !(hosted.(i)));
-                  })
-            in
-            let nd = Net_deployment.create ~config ~seed ~pkgs:[| ep pkg_hosted |] ~mixers () in
-            Fun.protect
-              ~finally:(fun () -> Net_deployment.close nd)
-              (fun () ->
-                Net_deployment.set_faults nd (Some (faults seed));
-                let n1, n2, ndials =
-                  scenario
-                    ~register:(fun c ->
-                      match Net_deployment.register nd c with
-                      | Ok () -> ()
-                      | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e))
-                    ~new_client:(fun email ->
-                      Net_deployment.new_client nd ~email ~callbacks:Client.null_callbacks)
-                    ~af_round:(fun () -> Net_deployment.run_addfriend_round nd ())
-                    ~dial_round:(fun () -> Net_deployment.run_dialing_round nd ())
-                in
-                (* the kill really aborted attempt 1 and recovery really ran *)
-                Alcotest.(check int) "af round 1 recovered on attempt 2" 2 n1.Deployment.af_attempts;
-                Alcotest.(check int) "af round 2 clean" 1 n2.Deployment.af_attempts;
-                Alcotest.(check int) "dial round 1 recovered on attempt 2" 2
-                  (List.hd ndials).Deployment.dial_attempts;
-                Alcotest.(check bool) "bob accepted alice" true
-                  (List.exists
-                     (function "bob@x", Client.Friend_request_accepted "alice@x" -> true | _ -> false)
-                     n1.Deployment.events);
-                Alcotest.(check bool) "alice confirmed" true
-                  (List.exists
-                     (function "alice@x", Client.Friend_confirmed "bob@x" -> true | _ -> false)
-                     n2.Deployment.events);
-                Alcotest.(check bool) "bob rang" true
-                  (List.exists
-                     (fun d ->
-                       List.exists
-                         (function
-                           | "bob@x", Client.Incoming_call { peer = "alice@x"; intent = 1; _ } ->
-                             true
-                           | _ -> false)
-                         d.Deployment.calls)
-                     ndials);
-                (* byte-identical protocol results: replay the scenario
-                   in-process under the same seed and fault schedule *)
-                let ip = Deployment.create ~config ~seed in
-                Deployment.set_faults ip (Some (faults seed));
-                let i1, i2, idials =
-                  scenario
-                    ~register:(fun c ->
-                      match Deployment.register ip c with
-                      | Ok () -> ()
-                      | Error _ -> Alcotest.fail "in-process register")
-                    ~new_client:(fun email ->
-                      Deployment.new_client ip ~email ~callbacks:Client.null_callbacks)
-                    ~af_round:(fun () -> Deployment.run_addfriend_round ip ())
-                    ~dial_round:(fun () -> Deployment.run_dialing_round ip ())
-                in
-                Alcotest.(check bool) "af round 1 events identical" true
-                  (n1.Deployment.events = i1.Deployment.events);
-                Alcotest.(check bool) "af round 2 events identical" true
-                  (n2.Deployment.events = i2.Deployment.events);
-                Alcotest.(check bool) "dial events identical (incl. session keys)" true
-                  (List.map (fun d -> d.Deployment.calls) ndials
-                  = List.map (fun d -> d.Deployment.calls) idials);
-                Alcotest.(check int) "same af retries" i1.Deployment.af_attempts
-                  n1.Deployment.af_attempts;
-                Alcotest.(check (list int)) "same dial retries"
-                  (List.map (fun d -> d.Deployment.dial_attempts) idials)
-                  (List.map (fun d -> d.Deployment.dial_attempts) ndials))));
+    Alcotest.test_case "killed mixer: recover over sockets, match in-process" `Quick
+      (killed_mixer ~dial_shards:0);
+    Alcotest.test_case "killed mixer at 2 dial shards: recover over sockets, match in-process"
+      `Quick (killed_mixer ~dial_shards:2);
+    Alcotest.test_case "catch-up over sockets matches in-process" `Quick catch_up_over_sockets;
   ]
 
 let suite = framing_tests @ rpc_tests @ listener_tests @ recovery_tests

@@ -213,8 +213,9 @@ let deployment_round tracer =
       | Error e -> Alcotest.fail (Alpenhorn_pkg.Pkg.error_to_string e))
     [ a; b ];
   Client.add_friend a ~email:"bob@example.org" ();
-  let s1 = Deployment.run_addfriend_round d ?tracer () in
-  let s2 = Deployment.run_addfriend_round d ?tracer () in
+  Deployment.set_tracer d tracer;
+  let s1 = Deployment.run_addfriend_round d () in
+  let s2 = Deployment.run_addfriend_round d () in
   (s1, s2)
 
 let deployment_tests =
