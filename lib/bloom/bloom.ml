@@ -62,18 +62,6 @@ let mem_sub t buf ~pos ~len = walk t ~set:false buf ~pos ~len
 let add t elem = add_sub t (Bytes.unsafe_of_string elem) ~pos:0 ~len:(String.length elem)
 let mem t elem = mem_sub t (Bytes.unsafe_of_string elem) ~pos:0 ~len:(String.length elem)
 
-let fill_ratio t =
-  let set = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let x = Char.code c in
-      (* popcount of one byte *)
-      let x = x - ((x lsr 1) land 0x55) in
-      let x = (x land 0x33) + ((x lsr 2) land 0x33) in
-      set := !set + ((x + (x lsr 4)) land 0x0f))
-    t.bits;
-  float_of_int !set /. float_of_int t.nbits
-
 let size_bits t = t.nbits
 let size_bytes t = Bytes.length t.bits + 12 (* header included, matching to_bytes *)
 let num_hashes t = t.k

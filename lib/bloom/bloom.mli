@@ -61,10 +61,6 @@ val add_sub : t -> bytes -> pos:int -> len:int -> unit
 val mem_sub : t -> bytes -> pos:int -> len:int -> bool
 (** Slice variant of [mem]; see {!add_sub}. *)
 
-val fill_ratio : t -> float
-(** Fraction of bits set — the direct load measurement behind
-    {!false_positive_estimate} ([fill_ratio^k] is the empirical FP rate). *)
-
 val size_bits : t -> int
 val size_bytes : t -> int
 val num_hashes : t -> int

@@ -130,7 +130,6 @@ let remove_friend t ~email =
 
 let pinned_key t ~email = Hashtbl.find_opt t.pinned email
 let pending_add_friends t = List.length t.addfriend_queue + List.length t.confirm_queue
-let pending_calls t = List.length t.call_queue
 
 (* ---- round abort recovery (DESIGN.md §10) ---- *)
 

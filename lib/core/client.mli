@@ -78,7 +78,6 @@ val pinned_key : t -> email:string -> Bls.public option
 (** The TOFU-pinned long-term key for a friend. *)
 
 val pending_add_friends : t -> int
-val pending_calls : t -> int
 
 (** {1 Round abort recovery (DESIGN.md §10)}
 

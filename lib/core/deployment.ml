@@ -170,7 +170,6 @@ let pkgs t =
 let pkg_public_keys t = t.b.pkg_public_keys
 let now t = t.clock
 let advance_clock t ~seconds = t.clock <- t.clock + seconds
-let addfriend_round_number t = t.af_round
 let dialing_round_number t = t.dial_round
 let set_tracer t tr = t.tracer <- tr
 let close t = t.b.close ()

@@ -156,7 +156,6 @@ val run_dialing_round : t -> ?participants:Client.t list -> unit -> dial_stats
     archived filters, as {!catch_up_client} does).
     @raise Round_failed when the retry budget is exhausted. *)
 
-val addfriend_round_number : t -> int
 val dialing_round_number : t -> int
 
 (** {1 Offline clients (§5.1)} *)

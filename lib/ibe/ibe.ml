@@ -17,8 +17,6 @@ let setup (params : Params.t) rng =
   let s = Bigint.add Bigint.one (Drbg.bigint_below rng (Bigint.sub params.q Bigint.one)) in
   (s, Params.mul_g params s)
 
-let master_public_of_secret (params : Params.t) s = Params.mul_g params s
-
 let extract (params : Params.t) s id = Curve.mul params.fp s (Pairing.hash_to_group params id)
 
 let aggregate_public (params : Params.t) pubs =

@@ -25,32 +25,43 @@ let read_be32 s pos =
 let encode ?(max_payload = default_max_payload) { tag; payload } =
   if tag < 0 || tag > 0xff then invalid_arg "Framing.encode: tag out of range";
   if String.length payload > max_payload then invalid_arg "Framing.encode: payload too large";
-  let b = Buffer.create (5 + String.length payload) in
-  Buffer.add_string b (be32 (1 + String.length payload));
-  Buffer.add_char b (Char.chr tag);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let n = String.length payload in
+  let b = Bytes.create (5 + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int (1 + n));
+  Bytes.set_uint8 b 4 tag;
+  Bytes.blit_string payload 0 b 5 n;
+  Bytes.unsafe_to_string b
 
 type decode_result =
   | Frame of frame * int
   | Need_more
   | Corrupt of string
 
-let decode ?(max_payload = default_max_payload) s ~pos =
-  let n = String.length s in
-  if pos < 0 || pos > n then Corrupt "bad offset"
-  else if n - pos < 4 then Need_more
+(* One decoder over any byte source of [length] bytes read through [byte]
+   and [sub], so a string and a receive buffer decode alike. *)
+let decode_with ~max_payload ~length ~byte ~sub ~pos =
+  if pos < 0 || pos > length then Corrupt "bad offset"
+  else if length - pos < 4 then Need_more
   else begin
-    let len = read_be32 s pos in
+    let len =
+      (byte pos lsl 24) lor (byte (pos + 1) lsl 16) lor (byte (pos + 2) lsl 8) lor byte (pos + 3)
+    in
     if len < 1 then Corrupt "frame length 0"
     else if len - 1 > max_payload then
       Corrupt (Printf.sprintf "frame of %d bytes exceeds the %d-byte bound" (len - 1) max_payload)
-    else if n - pos - 4 < len then Need_more
-    else begin
-      let tag = Char.code s.[pos + 4] in
-      Frame ({ tag; payload = String.sub s (pos + 5) (len - 1) }, pos + 4 + len)
-    end
+    else if length - pos - 4 < len then Need_more
+    else Frame ({ tag = byte (pos + 4); payload = sub (pos + 5) (len - 1) }, pos + 4 + len)
   end
+
+let decode ?(max_payload = default_max_payload) s ~pos =
+  decode_with ~max_payload ~length:(String.length s)
+    ~byte:(fun i -> Char.code s.[i])
+    ~sub:(String.sub s) ~pos
+
+let decode_buffer ?(max_payload = default_max_payload) b ~pos =
+  decode_with ~max_payload ~length:(Buffer.length b)
+    ~byte:(fun i -> Char.code (Buffer.nth b i))
+    ~sub:(Buffer.sub b) ~pos
 
 (* Total single-frame decoder: exactly one frame, nothing before or after. *)
 let of_string ?max_payload s =

@@ -29,6 +29,11 @@ val decode : ?max_payload:int -> string -> pos:int -> decode_result
 (** Decode the frame starting at [pos]. Total: never raises on malformed
     input (a [pos] outside the string is reported as [Corrupt]). *)
 
+val decode_buffer : ?max_payload:int -> Buffer.t -> pos:int -> decode_result
+(** {!decode} over a receive buffer. It copies nothing until the buffer
+    holds the whole frame its length prefix announces, so reassembling an
+    n-byte frame from many reads costs O(n), not a copy per read. *)
+
 val of_string : ?max_payload:int -> string -> frame option
 (** Total single-frame decoder: [Some] iff the input is exactly one
     well-formed frame with no trailing bytes. *)

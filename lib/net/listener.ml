@@ -1,6 +1,6 @@
-(* From-scratch select-loop HTTP listener. Single-domain loop, non-blocking
-   sockets, bounded buffering, self-pipe wakeup for cross-domain stop.
-   No opam dependencies: Unix + the in-tree telemetry registry. *)
+(* From-scratch HTTP/1.1 listener: request parsing and response rendering
+   on the shared {!Select_loop}, plus a minimal blocking client. No opam
+   dependencies: Unix + the in-tree telemetry registry. *)
 
 module Tel = Alpenhorn_telemetry.Telemetry
 
@@ -14,67 +14,13 @@ type request = {
 type response = { status : int; content_type : string; body : string }
 type handler = request -> response
 
+(* per-connection protocol state; the loop holds the bytes *)
 type conn = {
-  fd : Unix.file_descr;
-  inbuf : Buffer.t;
   opened_at : float;
   mutable scanned : int; (* head-terminator search resumes here, not at 0 *)
-  mutable out : string;
-  mutable out_off : int;
-  mutable writing : bool;
 }
 
-type t = {
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  handler : handler;
-  max_request_bytes : int;
-  conns : (Unix.file_descr, conn) Hashtbl.t; (* loop-domain only *)
-  stop_flag : bool Atomic.t;
-  pipe_rd : Unix.file_descr;
-  pipe_wr : Unix.file_descr;
-  mutable accepting : bool;
-  mutable closed : bool;
-  c_requests : int -> Tel.Counter.t;
-  h_request : Tel.Histogram.t;
-  g_open : Tel.Gauge.t;
-}
-
-let create ?(host = "127.0.0.1") ?(backlog = 16) ?(max_request_bytes = 8192) ~port handler =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  (try Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-   with e ->
-     Unix.close fd;
-     raise e);
-  Unix.listen fd backlog;
-  Unix.set_nonblock fd;
-  let bound_port =
-    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> port
-  in
-  let pipe_rd, pipe_wr = Unix.pipe () in
-  Unix.set_nonblock pipe_rd;
-  Unix.set_nonblock pipe_wr;
-  let reg = Tel.default in
-  {
-    listen_fd = fd;
-    bound_port;
-    handler;
-    max_request_bytes;
-    conns = Hashtbl.create 16;
-    stop_flag = Atomic.make false;
-    pipe_rd;
-    pipe_wr;
-    accepting = true;
-    closed = false;
-    c_requests =
-      (fun status ->
-        Tel.Counter.v reg ~labels:[ ("status", string_of_int status) ] "net.requests");
-    h_request = Tel.Histogram.v reg "net.request_seconds";
-    g_open = Tel.Gauge.v reg "net.open_connections";
-  }
-
-let port t = t.bound_port
+type t = conn Select_loop.t
 
 (* ---- request parsing ---- *)
 
@@ -158,26 +104,14 @@ let render_response (r : response) =
   Printf.sprintf "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
     r.status (status_text r.status) r.content_type (String.length r.body) r.body
 
-(* ---- the loop ---- *)
-
-let close_conn t c =
-  Hashtbl.remove t.conns c.fd;
-  (try Unix.close c.fd with Unix.Unix_error _ -> ());
-  Tel.Gauge.set t.g_open (float_of_int (Hashtbl.length t.conns))
-
-let respond t c (resp : response) =
-  Tel.Counter.inc (t.c_requests resp.status);
-  c.out <- render_response resp;
-  c.out_off <- 0;
-  c.writing <- true
+(* ---- HTTP on the select loop ---- *)
 
 (* The header terminator; tolerate bare-LF clients. The scan resumes at
    [c.scanned] (rewound 3 bytes so a terminator split across chunks is
    still seen) instead of offset 0 — a slow-trickle client used to cost a
    full rescan of the buffer per received chunk. [Buffer.nth] is O(1), so
    nothing is materialized until a terminator is actually found. *)
-let head_complete (c : conn) =
-  let b = c.inbuf in
+let head_complete (c : conn) b =
   let n = Buffer.length b in
   let ch i = Buffer.nth b i in
   let rec find i =
@@ -192,140 +126,43 @@ let head_complete (c : conn) =
   in
   find c.scanned
 
-let handle_readable t c =
-  let chunk = Bytes.create 4096 in
-  match Unix.read c.fd chunk 0 4096 with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> close_conn t c
-  | 0 -> close_conn t c (* peer closed before completing a request *)
-  | n -> (
-    Buffer.add_subbytes c.inbuf chunk 0 n;
-    if Buffer.length c.inbuf > t.max_request_bytes then
-      respond t c
-        {
-          status = 431;
-          content_type = "text/plain; charset=utf-8";
-          body = "request head too large\n";
-        }
+let plain status body = { status; content_type = "text/plain; charset=utf-8"; body }
+
+let create ?host ?backlog ?(max_request_bytes = 8192) ~port handler =
+  let reg = Tel.default in
+  let h_request = Tel.Histogram.v reg "net.request_seconds" in
+  (* one response per connection, then [Connection: close] *)
+  let respond c (resp : response) =
+    Tel.Counter.inc
+      (Tel.Counter.v reg ~labels:[ ("status", string_of_int resp.status) ] "net.requests");
+    Select_loop.send c (render_response resp);
+    Select_loop.Keep
+  in
+  let on_input c =
+    let b = Select_loop.input c in
+    if Buffer.length b > max_request_bytes then respond c (plain 431 "request head too large\n")
     else
-      match head_complete c with
-      | None -> ()
+      match head_complete (Select_loop.state c) b with
+      | None -> Select_loop.Keep
       | Some head -> (
         match parse_request head with
-        | None ->
-          respond t c
-            { status = 400; content_type = "text/plain; charset=utf-8"; body = "bad request\n" }
-        | Some req ->
-          let resp =
-            try t.handler req
-            with _ ->
-              {
-                status = 500;
-                content_type = "text/plain; charset=utf-8";
-                body = "internal error\n";
-              }
-          in
-          respond t c resp))
-
-let handle_writable t c =
-  let remaining = String.length c.out - c.out_off in
-  match Unix.write_substring c.fd c.out c.out_off remaining with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> close_conn t c
-  | n ->
-    c.out_off <- c.out_off + n;
-    if c.out_off >= String.length c.out then begin
-      Tel.Histogram.observe t.h_request (Unix.gettimeofday () -. c.opened_at);
-      close_conn t c
-    end
-
-let accept_ready t =
-  let rec go n =
-    match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> n
-    | exception Unix.Unix_error (_, _, _) -> n
-    | fd, _ ->
-      Unix.set_nonblock fd;
-      Hashtbl.replace t.conns fd
-        {
-          fd;
-          inbuf = Buffer.create 256;
-          opened_at = Unix.gettimeofday ();
-          scanned = 0;
-          out = "";
-          out_off = 0;
-          writing = false;
-        };
-      Tel.Gauge.set t.g_open (float_of_int (Hashtbl.length t.conns));
-      go (n + 1)
+        | None -> respond c (plain 400 "bad request\n")
+        | Some req -> respond c (try handler req with _ -> plain 500 "internal error\n"))
   in
-  go 0
-
-let drain_pipe t =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read t.pipe_rd buf 0 64 with
-    | exception Unix.Unix_error _ -> ()
-    | 0 -> ()
-    | _ -> go ()
+  let on_sent c =
+    Tel.Histogram.observe h_request (Unix.gettimeofday () -. (Select_loop.state c).opened_at);
+    Select_loop.Close
   in
-  go ()
+  Select_loop.create ?host ?backlog ~port
+    ~open_connections:(Tel.Gauge.v reg "net.open_connections")
+    ~init:(fun () -> { opened_at = Unix.gettimeofday (); scanned = 0 })
+    ~on_input ~on_sent ()
 
-let poll t ~timeout =
-  if t.closed then 0
-  else begin
-    if Atomic.get t.stop_flag then t.accepting <- false;
-    let readers = ref [ t.pipe_rd ] and writers = ref [] in
-    if t.accepting then readers := t.listen_fd :: !readers;
-    Hashtbl.iter
-      (fun fd c -> if c.writing then writers := fd :: !writers else readers := fd :: !readers)
-      t.conns;
-    match Unix.select !readers !writers [] timeout with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    | rs, ws, _ ->
-      let progressed = ref 0 in
-      List.iter
-        (fun fd ->
-          incr progressed;
-          if fd = t.pipe_rd then drain_pipe t
-          else if fd = t.listen_fd then ignore (accept_ready t)
-          else match Hashtbl.find_opt t.conns fd with Some c -> handle_readable t c | None -> ())
-        rs;
-      List.iter
-        (fun fd ->
-          incr progressed;
-          match Hashtbl.find_opt t.conns fd with Some c -> handle_writable t c | None -> ())
-        ws;
-      !progressed
-  end
-
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.close t.pipe_rd with Unix.Unix_error _ -> ());
-    (try Unix.close t.pipe_wr with Unix.Unix_error _ -> ());
-    Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
-    Hashtbl.reset t.conns;
-    Tel.Gauge.set t.g_open 0.0
-  end
-
-let stop t =
-  Atomic.set t.stop_flag true;
-  (* wake a parked select; harmless if nobody is parked *)
-  try ignore (Unix.write_substring t.pipe_wr "x" 0 1) with Unix.Unix_error _ -> ()
-
-let run t =
-  while not (Atomic.get t.stop_flag) do
-    ignore (poll t ~timeout:0.25)
-  done;
-  (* graceful drain: no new accepts (poll clears [accepting]); finish
-     in-flight responses, bounded *)
-  let deadline = Unix.gettimeofday () +. 2.0 in
-  while Hashtbl.length t.conns > 0 && Unix.gettimeofday () < deadline do
-    ignore (poll t ~timeout:0.05)
-  done;
-  close t
+let port = Select_loop.port
+let poll = Select_loop.poll
+let run = Select_loop.run
+let stop = Select_loop.stop
+let close = Select_loop.close
 
 (* ---- minimal blocking HTTP client ---- *)
 

@@ -1,13 +1,11 @@
-(** Zero-dependency TCP listener: a non-blocking [Unix.select] loop with
-    length-bounded HTTP/1.1 request parsing and graceful shutdown
-    (DESIGN.md §12).
+(** Zero-dependency HTTP/1.1 listener: length-bounded request parsing and
+    response rendering on the shared {!Select_loop} (DESIGN.md §12).
 
-    This is the first brick of the real wire deployment (ROADMAP item 1):
-    the PKG and mixnet server binaries will reuse this loop verbatim for
-    their control/metrics planes, which is why it lives in [lib/net]
-    rather than inside the telemetry library. It serves the live
-    telemetry endpoints today ({!Alpenhorn_telemetry.Expose} supplies the
-    handler).
+    It lives in [lib/net] rather than inside the telemetry library
+    because the PKG and mixer server binaries serve their metrics planes
+    with it, next to their {!Rpc.Server} on the same loop code. It
+    serves the live telemetry endpoints ({!Alpenhorn_telemetry.Expose}
+    supplies the handler).
 
     Shape: {!create} binds and listens (port [0] picks an ephemeral port
     — read it back with {!port}); {!run} drives the select loop until
@@ -17,10 +15,12 @@
     the loop through a self-pipe). Connections are handled to completion:
     read until the header terminator (bounded by [max_request_bytes] —
     oversized requests get HTTP 431 and the connection is closed), parse
-    the request line and headers, percent-decode the query, call the
-    handler, write the response with [Connection: close]. A graceful
-    {!stop} first stops accepting, then finishes writing every in-flight
-    response (bounded by a 2-second drain deadline) before closing.
+    the request line and headers (a malformed request line gets 400),
+    percent-decode the query, call the handler, write the response with
+    [Connection: close]. A graceful {!stop} first stops accepting, closes
+    idle connections, then finishes partly received requests and
+    in-flight responses (bounded by a 2-second drain deadline) before
+    closing.
 
     Telemetry: [net.requests{status}] counters, a [net.request_seconds]
     histogram (accept-to-last-byte, registry clock) and the

@@ -1,12 +1,11 @@
-(* Framed request/response RPC over TCP: the Listener's select machinery
-   generalized from HTTP to length-prefixed binary streams (DESIGN.md
-   §13). Differences from the HTTP listener:
+(* Framed request/response RPC over TCP (DESIGN.md §13): length-prefixed
+   binary streams on the shared {!Select_loop}. Differences from the HTTP
+   listener:
 
    - connections are persistent: a client sends any number of request
      frames and receives one response frame per request, in order;
-   - partial reads accumulate through the framing decoder (with an
-     explicit consumed-offset so nothing is rescanned), partial writes
-     drain through per-connection output state;
+   - partial reads accumulate in the loop's input buffer, which is decoded
+     only once it holds a whole frame, so reassembly stays linear;
    - a [Corrupt] verdict from the decoder drops the connection — framing
      errors are not recoverable mid-stream.
 
@@ -23,14 +22,6 @@ let error_tag = 0xff
 let error_frame msg = { Framing.tag = error_tag; payload = msg }
 
 module Server = struct
-  type conn = {
-    fd : Unix.file_descr;
-    inbuf : Buffer.t;
-    mutable consumed : int; (* frames before this offset are already handled *)
-    mutable out : string;
-    mutable out_off : int;
-  }
-
   (* Per-tag telemetry handles, resolved once per tag per server: the
      registration path (Counter.v / Histogram.v) hashes, the hit path is a
      lone atomic or a histogram lock. *)
@@ -40,236 +31,88 @@ module Server = struct
     tm_bytes : Tel.Histogram.t;
   }
 
-  type t = {
-    listen_fd : Unix.file_descr;
-    bound_port : int;
-    handler : traced_handler;
-    max_payload : int;
-    conns : (Unix.file_descr, conn) Hashtbl.t; (* loop-domain only *)
-    stop_flag : bool Atomic.t;
-    pipe_rd : Unix.file_descr;
-    pipe_wr : Unix.file_descr;
-    mutable accepting : bool;
-    mutable closed : bool;
-    c_calls : Tel.Counter.t;
-    c_errors : Tel.Counter.t;
-    g_open : Tel.Gauge.t;
-    by_tag : (int, tag_metrics) Hashtbl.t; (* loop-domain only *)
-  }
+  type t = unit Select_loop.t
 
-  let create_traced ?(host = "127.0.0.1") ?(backlog = 16)
-      ?(max_payload = Framing.default_max_payload) ~port handler =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    (try Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-     with e ->
-       Unix.close fd;
-       raise e);
-    Unix.listen fd backlog;
-    Unix.set_nonblock fd;
-    let bound_port =
-      match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> port
-    in
-    let pipe_rd, pipe_wr = Unix.pipe () in
-    Unix.set_nonblock pipe_rd;
-    Unix.set_nonblock pipe_wr;
+  let create_traced ?host ?backlog ?(max_payload = Framing.default_max_payload) ~port handler =
     let reg = Tel.default in
-    {
-      listen_fd = fd;
-      bound_port;
-      handler;
-      max_payload;
-      conns = Hashtbl.create 16;
-      stop_flag = Atomic.make false;
-      pipe_rd;
-      pipe_wr;
-      accepting = true;
-      closed = false;
-      c_calls = Tel.Counter.v reg "rpc.calls";
-      c_errors = Tel.Counter.v reg "rpc.errors";
-      g_open = Tel.Gauge.v reg "rpc.open_connections";
-      by_tag = Hashtbl.create 16;
-    }
+    let c_calls = Tel.Counter.v reg "rpc.calls" and c_errors = Tel.Counter.v reg "rpc.errors" in
+    let by_tag = Hashtbl.create 16 (* loop-domain only *) in
+    let tag_metrics tag =
+      match Hashtbl.find_opt by_tag tag with
+      | Some m -> m
+      | None ->
+        let labels = [ ("tag", Printf.sprintf "0x%02x" tag) ] in
+        let m =
+          {
+            tm_calls = Tel.Counter.v reg ~labels "rpc.call";
+            tm_seconds = Tel.Histogram.v reg ~labels "rpc.request_seconds";
+            tm_bytes = Tel.Histogram.v reg ~labels "rpc.payload_bytes";
+          }
+        in
+        Hashtbl.replace by_tag tag m;
+        m
+    in
+    let dispatch req =
+      Tel.Counter.inc c_calls;
+      (* a trace envelope is transport framing, not protocol: unwrap it
+         here so handlers and per-tag metrics see the inner request *)
+      let trace, req =
+        if req.Framing.tag = Framing.trace_tag then
+          match Framing.split_traced ~max_payload req with
+          | Some (labels, inner) -> (Some labels, inner)
+          | None -> (None, req) (* malformed envelope: dispatch as-is, handler rejects *)
+        else (None, req)
+      in
+      let m = tag_metrics req.Framing.tag in
+      Tel.Counter.inc m.tm_calls;
+      Tel.Histogram.observe m.tm_bytes (float_of_int (String.length req.Framing.payload));
+      let t0 = Unix.gettimeofday () in
+      let resp =
+        try handler ~trace req
+        with e ->
+          Tel.Counter.inc c_errors;
+          error_frame (Printexc.to_string e)
+      in
+      Tel.Histogram.observe m.tm_seconds (Unix.gettimeofday () -. t0);
+      Framing.encode ~max_payload resp
+    in
+    (* Answer every complete frame in the input, then keep only the
+       unfinished tail. A [Corrupt] verdict drops the connection: stream
+       framing errors are not recoverable. *)
+    let on_input c =
+      let b = Select_loop.input c in
+      let rec go pos =
+        match Framing.decode_buffer ~max_payload b ~pos with
+        | Framing.Frame (req, next) ->
+          Select_loop.send c (dispatch req);
+          go next
+        | Framing.Need_more ->
+          if pos > 0 then begin
+            let rest = Buffer.sub b pos (Buffer.length b - pos) in
+            Buffer.clear b;
+            Buffer.add_string b rest
+          end;
+          Select_loop.Keep
+        | Framing.Corrupt _ ->
+          Tel.Counter.inc c_errors;
+          Select_loop.Close
+      in
+      go 0
+    in
+    Select_loop.create ?host ?backlog ~port
+      ~open_connections:(Tel.Gauge.v reg "rpc.open_connections")
+      ~init:ignore ~on_input
+      ~on_sent:(fun _ -> Select_loop.Keep)
+      ()
 
   let create ?host ?backlog ?max_payload ~port handler =
     create_traced ?host ?backlog ?max_payload ~port (fun ~trace:_ req -> handler req)
 
-  let port t = t.bound_port
-
-  let tag_metrics t tag =
-    match Hashtbl.find_opt t.by_tag tag with
-    | Some m -> m
-    | None ->
-      let reg = Tel.default in
-      let labels = [ ("tag", Printf.sprintf "0x%02x" tag) ] in
-      let m =
-        {
-          tm_calls = Tel.Counter.v reg ~labels "rpc.call";
-          tm_seconds = Tel.Histogram.v reg ~labels "rpc.request_seconds";
-          tm_bytes = Tel.Histogram.v reg ~labels "rpc.payload_bytes";
-        }
-      in
-      Hashtbl.replace t.by_tag tag m;
-      m
-
-  let close_conn t c =
-    Hashtbl.remove t.conns c.fd;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
-    Tel.Gauge.set t.g_open (float_of_int (Hashtbl.length t.conns))
-
-  (* Handle every complete frame sitting in the input buffer, appending
-     responses to the output state; then compact the buffer so the consumed
-     prefix is not rescanned (or re-held) on the next chunk. *)
-  let drain_frames t c =
-    let data = Buffer.contents c.inbuf in
-    let responses = Buffer.create 64 in
-    let rec go pos =
-      match Framing.decode ~max_payload:t.max_payload data ~pos with
-      | Framing.Frame (req, next) ->
-        Tel.Counter.inc t.c_calls;
-        (* a trace envelope is transport framing, not protocol: unwrap it
-           here so handlers and per-tag metrics see the inner request *)
-        let trace, req =
-          if req.Framing.tag = Framing.trace_tag then
-            match Framing.split_traced ~max_payload:t.max_payload req with
-            | Some (labels, inner) -> (Some labels, inner)
-            | None -> (None, req) (* malformed envelope: dispatch as-is, handler rejects *)
-          else (None, req)
-        in
-        let m = tag_metrics t req.Framing.tag in
-        Tel.Counter.inc m.tm_calls;
-        Tel.Histogram.observe m.tm_bytes (float_of_int (String.length req.Framing.payload));
-        let t0 = Unix.gettimeofday () in
-        let resp =
-          try t.handler ~trace req
-          with e ->
-            Tel.Counter.inc t.c_errors;
-            error_frame (Printexc.to_string e)
-        in
-        Tel.Histogram.observe m.tm_seconds (Unix.gettimeofday () -. t0);
-        Buffer.add_string responses (Framing.encode ~max_payload:t.max_payload resp);
-        go next
-      | Framing.Need_more -> `Keep_from pos
-      | Framing.Corrupt _ ->
-        Tel.Counter.inc t.c_errors;
-        `Drop
-    in
-    match go c.consumed with
-    | `Drop -> close_conn t c
-    | `Keep_from pos ->
-      if pos > 0 then begin
-        let rest = String.sub data pos (String.length data - pos) in
-        Buffer.clear c.inbuf;
-        Buffer.add_string c.inbuf rest
-      end;
-      c.consumed <- 0;
-      if Buffer.length responses > 0 then c.out <- c.out ^ Buffer.contents responses
-
-  let handle_readable t c =
-    let chunk = Bytes.create 4096 in
-    match Unix.read c.fd chunk 0 4096 with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> close_conn t c
-    | 0 -> close_conn t c
-    | n ->
-      Buffer.add_subbytes c.inbuf chunk 0 n;
-      drain_frames t c
-
-  let handle_writable t c =
-    let remaining = String.length c.out - c.out_off in
-    match Unix.write_substring c.fd c.out c.out_off remaining with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> close_conn t c
-    | n ->
-      c.out_off <- c.out_off + n;
-      if c.out_off >= String.length c.out then begin
-        c.out <- "";
-        c.out_off <- 0
-      end
-
-  let accept_ready t =
-    let rec go n =
-      match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> n
-      | exception Unix.Unix_error (_, _, _) -> n
-      | fd, _ ->
-        Unix.set_nonblock fd;
-        Hashtbl.replace t.conns fd
-          { fd; inbuf = Buffer.create 256; consumed = 0; out = ""; out_off = 0 };
-        Tel.Gauge.set t.g_open (float_of_int (Hashtbl.length t.conns));
-        go (n + 1)
-    in
-    go 0
-
-  let drain_pipe t =
-    let buf = Bytes.create 64 in
-    let rec go () =
-      match Unix.read t.pipe_rd buf 0 64 with
-      | exception Unix.Unix_error _ -> ()
-      | 0 -> ()
-      | _ -> go ()
-    in
-    go ()
-
-  let poll t ~timeout =
-    if t.closed then 0
-    else begin
-      if Atomic.get t.stop_flag then t.accepting <- false;
-      let readers = ref [ t.pipe_rd ] and writers = ref [] in
-      if t.accepting then readers := t.listen_fd :: !readers;
-      Hashtbl.iter
-        (fun fd c ->
-          if c.out <> "" then writers := fd :: !writers else readers := fd :: !readers)
-        t.conns;
-      match Unix.select !readers !writers [] timeout with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
-      | rs, ws, _ ->
-        let progressed = ref 0 in
-        List.iter
-          (fun fd ->
-            incr progressed;
-            if fd = t.pipe_rd then drain_pipe t
-            else if fd = t.listen_fd then ignore (accept_ready t)
-            else
-              match Hashtbl.find_opt t.conns fd with Some c -> handle_readable t c | None -> ())
-          rs;
-        List.iter
-          (fun fd ->
-            incr progressed;
-            match Hashtbl.find_opt t.conns fd with Some c -> handle_writable t c | None -> ())
-          ws;
-        !progressed
-    end
-
-  let close t =
-    if not t.closed then begin
-      t.closed <- true;
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-      (try Unix.close t.pipe_rd with Unix.Unix_error _ -> ());
-      (try Unix.close t.pipe_wr with Unix.Unix_error _ -> ());
-      Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
-      Hashtbl.reset t.conns;
-      Tel.Gauge.set t.g_open 0.0
-    end
-
-  let stop t =
-    Atomic.set t.stop_flag true;
-    (try ignore (Unix.write_substring t.pipe_wr "x" 0 1) with Unix.Unix_error _ -> ())
-
-  let pending_writes t =
-    Hashtbl.fold (fun _ c n -> if c.out <> "" then n + 1 else n) t.conns 0
-
-  let run t =
-    while not (Atomic.get t.stop_flag) do
-      ignore (poll t ~timeout:0.25)
-    done;
-    (* graceful drain: flush in-flight responses, bounded; idle persistent
-       connections are simply closed — the peer sees EOF on its next call *)
-    let deadline = Unix.gettimeofday () +. 1.0 in
-    while pending_writes t > 0 && Unix.gettimeofday () < deadline do
-      ignore (poll t ~timeout:0.05)
-    done;
-    close t
+  let port = Select_loop.port
+  let poll = Select_loop.poll
+  let run = Select_loop.run
+  let stop = Select_loop.stop
+  let close = Select_loop.close
 end
 
 module Client = struct
@@ -320,10 +163,9 @@ module Client = struct
   let read_frame t =
     let chunk = Bytes.create 4096 in
     let rec go () =
-      match Framing.decode ~max_payload:t.max_payload (Buffer.contents t.inbuf) ~pos:0 with
+      match Framing.decode_buffer ~max_payload:t.max_payload t.inbuf ~pos:0 with
       | Framing.Frame (f, stop) ->
-        let data = Buffer.contents t.inbuf in
-        let rest = String.sub data stop (String.length data - stop) in
+        let rest = Buffer.sub t.inbuf stop (Buffer.length t.inbuf - stop) in
         Buffer.clear t.inbuf;
         Buffer.add_string t.inbuf rest;
         Ok f

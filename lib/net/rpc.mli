@@ -1,12 +1,13 @@
 (** Framed request/response RPC over TCP (DESIGN.md §13).
 
-    The {!Server} generalizes the {!Listener}'s non-blocking select
-    machinery from HTTP to {!Framing} streams: connections are
-    persistent, each request frame yields exactly one response frame (in
-    order), and every connection carries its own partial-read and
-    partial-write state so slow or bursty peers never block the loop. A
-    [Corrupt] framing verdict drops the connection — stream framing
-    errors are not recoverable.
+    The {!Server} runs {!Framing} streams on the shared {!Select_loop},
+    the loop under the HTTP {!Listener} too: connections are persistent,
+    each request frame yields exactly one response frame (in order), and
+    every connection carries its own partial-read and partial-write
+    state so slow or bursty peers never block the loop. A frame is
+    decoded only once its bytes have all arrived, so reassembly is
+    linear in the frame size. A [Corrupt] framing verdict drops the
+    connection — stream framing errors are not recoverable.
 
     The {!Client} is deliberately blocking (socket timeouts bound every
     syscall): RPC callers in this tree are orchestrators issuing one call
@@ -47,8 +48,10 @@ module Server : sig
   val port : t -> int
 
   val run : t -> unit
-  (** Serve until {!stop}, then flush in-flight responses (bounded) and
-      close every descriptor. Run this in its own domain or process. *)
+  (** Serve until {!stop}, then drain and close every descriptor: idle
+      connections close at once, while in-flight responses and partly
+      received requests get a 2-second deadline. Run this in its own
+      domain or process. *)
 
   val poll : t -> timeout:float -> int
   (** One select iteration — accept, read, dispatch, write — returning

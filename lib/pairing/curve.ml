@@ -59,95 +59,12 @@ let mul_affine f k p =
   done;
   !acc
 
-(* Jacobian coordinates (X : Y : Z) ≡ (X/Z², Y/Z³), Z = 0 for infinity:
-   scalar multiplication with a single inversion at the end instead of one
-   per point operation. This is the hot path under IBE encryption, BLS
-   signing and DH keygen; the affine ladder above is kept as the reference
-   the property tests compare against. *)
-module Jac = struct
-  type jpoint = { jx : Bigint.t; jy : Bigint.t; jz : Bigint.t }
-
-  let infinity = { jx = Bigint.one; jy = Bigint.one; jz = Bigint.zero }
-  let is_infinity p = Bigint.is_zero p.jz
-
-  let of_affine = function
-    | Inf -> infinity
-    | Affine { x; y } -> { jx = x; jy = y; jz = Bigint.one }
-
-  let to_affine f p =
-    if is_infinity p then Inf
-    else begin
-      let zinv = Field.inv f p.jz in
-      let zinv2 = Field.sqr f zinv in
-      Affine { x = Field.mul f p.jx zinv2; y = Field.mul f p.jy (Field.mul f zinv2 zinv) }
-    end
-
-  (* dbl-2009-l (curve coefficient a = 0): 2M + 5S *)
-  let double f p =
-    if is_infinity p || Bigint.is_zero p.jy then infinity
-    else begin
-      let a = Field.sqr f p.jx in
-      let b = Field.sqr f p.jy in
-      let c = Field.sqr f b in
-      let t = Field.sqr f (Field.add f p.jx b) in
-      let d = Field.mul_int f (Field.sub f (Field.sub f t a) c) 2 in
-      let e = Field.mul_int f a 3 in
-      let ff = Field.sqr f e in
-      let x3 = Field.sub f ff (Field.mul_int f d 2) in
-      let y3 = Field.sub f (Field.mul f e (Field.sub f d x3)) (Field.mul_int f c 8) in
-      let z3 = Field.mul_int f (Field.mul f p.jy p.jz) 2 in
-      { jx = x3; jy = y3; jz = z3 }
-    end
-
-  (* add-2007-bl: general Jacobian addition, 11M + 5S *)
-  let add f p q =
-    if is_infinity p then q
-    else if is_infinity q then p
-    else begin
-      let z1z1 = Field.sqr f p.jz in
-      let z2z2 = Field.sqr f q.jz in
-      let u1 = Field.mul f p.jx z2z2 in
-      let u2 = Field.mul f q.jx z1z1 in
-      let s1 = Field.mul f p.jy (Field.mul f q.jz z2z2) in
-      let s2 = Field.mul f q.jy (Field.mul f p.jz z1z1) in
-      if Field.equal u1 u2 then begin
-        if Field.equal s1 s2 then double f p else infinity
-      end
-      else begin
-        let h = Field.sub f u2 u1 in
-        let i = Field.sqr f (Field.mul_int f h 2) in
-        let j = Field.mul f h i in
-        let r = Field.mul_int f (Field.sub f s2 s1) 2 in
-        let v = Field.mul f u1 i in
-        let x3 = Field.sub f (Field.sub f (Field.sqr f r) j) (Field.mul_int f v 2) in
-        let y3 =
-          Field.sub f (Field.mul f r (Field.sub f v x3)) (Field.mul_int f (Field.mul f s1 j) 2)
-        in
-        let z3 =
-          Field.mul f
-            (Field.sub f (Field.sqr f (Field.add f p.jz q.jz)) (Field.add f z1z1 z2z2))
-            h
-        in
-        { jx = x3; jy = y3; jz = z3 }
-      end
-    end
-end
-
-let mul_jacobian f k p =
-  if Bigint.sign k < 0 then invalid_arg "Curve.mul: negative scalar";
-  let nb = Bigint.numbits k in
-  let acc = ref Jac.infinity and b = ref (Jac.of_affine p) in
-  for i = 0 to nb - 1 do
-    if Bigint.testbit k i then acc := Jac.add f !acc !b;
-    b := Jac.double f !b
-  done;
-  Jac.to_affine f !acc
-
-(* Jacobian coordinates over the fixed-limb Montgomery kernel: the same
-   dbl-2009-l / add-2007-bl formulas as [Jac], but every field operation is
-   an in-place FIOS multiplication on flat int arrays instead of Bigint +
-   Barrett. This is what [mul] and the fixed-base tables run on; [Jac] and
-   [mul_affine] stay as the references the property tests compare
+(* Jacobian coordinates (X : Y : Z) ≡ (X/Z², Y/Z³), Z = 0 for infinity,
+   over the fixed-limb Montgomery kernel: scalar multiplication with a
+   single inversion at the end instead of one per point operation, every
+   field operation an in-place FIOS multiplication on flat int arrays.
+   This is what [mul] and the fixed-base tables run on; the affine ladder
+   [mul_affine] above stays as the reference the property tests compare
    against. *)
 module Jm = struct
   (* the coordinates' arrays are updated in place; Z = 0 is infinity *)

@@ -41,13 +41,9 @@ val msm_batch : Field.t -> (Bigint.t * point) list list -> point list
     groups' affine conversions.
     @raise Invalid_argument on negative scalars. *)
 
-val mul_jacobian : Field.t -> Bigint.t -> point -> point
-(** Reference double-and-add over Bigint Jacobian coordinates (the
-    pre-Montgomery hot path, kept for cross-validation). *)
-
 val mul_affine : Field.t -> Bigint.t -> point -> point
 (** Reference ladder over affine operations (one inversion per step);
-    property tests check [mul] and [mul_jacobian] against it. *)
+    property tests check [mul] and {!Fixed_base.mul} against it. *)
 
 (** Precomputed tables for long-lived base points (the generator, PKG
     master keys): [mul] over a table costs ~one point addition per

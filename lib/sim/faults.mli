@@ -52,7 +52,6 @@ val of_list : ?seed:string -> fault list -> t
 val seed : t -> string
 val to_list : t -> fault list
 val is_empty : t -> bool
-val faults_at : t -> round:int -> fault list
 
 (** {1 Queries} Combined effect of every matching fault in the round:
     crash attempts take the max, stalls add, latency factors and loss

@@ -3,6 +3,7 @@ module Mailbox_id = Alpenhorn_mixnet.Mailbox_id
 module Shard = Alpenhorn_mixnet.Shard
 module Stream_writer = Alpenhorn_mixnet.Stream_writer
 module Mailbox = Alpenhorn_mixnet.Mailbox
+module Payload = Alpenhorn_mixnet.Payload
 module Bloom = Alpenhorn_bloom.Bloom
 module Parallel = Alpenhorn_parallel.Parallel
 module Tel = Alpenhorn_telemetry.Telemetry
@@ -11,18 +12,16 @@ module Tel = Alpenhorn_telemetry.Telemetry
    every onion layer and is bounded by public-key crypto to ~10^4 clients
    per round in-process; this driver keeps the paper's *distribution*
    pipeline — mailbox assignment, §5.1 sharding, §5.2 Bloom packing, the
-   client scan — bit-exact while replacing the mixnet's crypto with
-   synthetic 32-byte tokens, so 10^6 clients fit in one process and the
-   per-client memory and download budgets can be asserted in CI.
+   client scan — while replacing the mixnet's crypto with synthetic
+   32-byte tokens, so 10^6 clients fit in one process and the per-client
+   memory and download budgets can be asserted in CI.
 
-   Everything round-sized lives in flat preallocated buffers:
-
-   - [tok]     Bytes,            32 bytes per token (real + noise)
-   - [mb_of]   Bigarray int32,   mailbox id per token
-   - [order]   Bigarray int32,   token indices grouped by shard
-                                 (counting sort: counts -> prefix sums)
-
-   No per-client hashtable, list or closure exists anywhere on the path;
+   The tokens leave the generator as last-hop payloads (mailbox header +
+   token) and are packed by the last server's own
+   [Mailbox.distribute_sharded], so the gates measure the path real
+   dialing rounds run. Per token the round holds one payload string and
+   the distribution's two index words (shard id and permutation slot); no
+   per-client hashtable, list or closure exists anywhere on the path, so
    per-client cost is a constant number of words, which {!budget_words}
    pins down and the scale suite enforces. *)
 
@@ -49,9 +48,10 @@ type result = {
 
 (* Affine per-client memory budget, in heap words: a fixed process slack
    (runtime, pairing tables, metrics, the bounded writer) plus a constant
-   per client. The flat buffers cost ~6 words per token and the paper's
-   §6-balanced rounds carry ~1.3 tokens per client, so 48 words per client
-   is several times the measured cost (calibrated in BENCH_scale.json)
+   per client. A token costs ~9 words (its payload string and array slot,
+   plus the distribution's two index words) and the paper's §6-balanced
+   rounds carry ~1.2 tokens per client, so 48 words per client is several
+   times the measured cost (calibrated in BENCH_scale.json)
    while still failing loudly on any O(n) regression such as a per-client
    hashtable slipping back in. *)
 let budget_slack_words = 16_000_000
@@ -91,20 +91,15 @@ let run ?(seed = "scale") ?shards ?(noise_per_mailbox = 75_000) ?(active_fractio
   Gc.full_major ();
   let before = Gc.stat () in
   let t0 = Unix.gettimeofday () in
-  (* -- generate: synthetic tokens straight into the flat buffers -- *)
-  let tok = Bytes.create (n_tokens * token_bytes) in
-  let mb_of = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n_tokens in
+  (* -- generate: one last-hop payload (mailbox header + token) per dial
+     and per noise message, in contiguous chunks over the pool -- *)
+  let payloads = Array.make n_tokens "" in
   let n_chunks = Stdlib.max 1 (Stdlib.min (Parallel.size pool * 8) n_tokens) in
-  let chunk_bounds i =
-    (* contiguous, disjoint, exhaustive *)
-    (i * n_tokens / n_chunks, (i + 1) * n_tokens / n_chunks)
-  in
   ignore
     (Parallel.map_range pool
        (fun ci ->
-         let lo, hi = chunk_bounds ci in
-         for i = lo to hi - 1 do
-           let mb =
+         for i = ci * n_tokens / n_chunks to ((ci + 1) * n_tokens / n_chunks) - 1 do
+           let mailbox =
              if i < active then
                (* real dial: client i calls client (i + 1) mod clients, so
                   the token lands in the callee's mailbox *)
@@ -112,42 +107,13 @@ let run ?(seed = "scale") ?shards ?(noise_per_mailbox = 75_000) ?(active_fractio
              else (* noise: uniform over mailboxes, like the last hop's *)
                (i - active) mod num_mailboxes
            in
-           Bigarray.Array1.set mb_of i (Int32.of_int mb);
-           let d = Sha256.digest (Printf.sprintf "%s:tok:%d" seed i) in
-           Bytes.blit_string d 0 tok (i * token_bytes) token_bytes
-         done;
-         ())
+           let token = Sha256.digest (Printf.sprintf "%s:tok:%d" seed i) in
+           payloads.(i) <- Payload.encode ~mailbox token
+         done)
        n_chunks);
-  (* -- shard: one counting-sort pass over the flat id buffer -- *)
-  let counts = Array.make num_shards 0 in
-  for i = 0 to n_tokens - 1 do
-    let s = Shard.of_mailbox shard (Int32.to_int (Bigarray.Array1.get mb_of i)) in
-    counts.(s) <- counts.(s) + 1
-  done;
-  let offsets = Array.make (num_shards + 1) 0 in
-  for s = 0 to num_shards - 1 do
-    offsets.(s + 1) <- offsets.(s) + counts.(s)
-  done;
-  let next = Array.copy offsets in
-  let order = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (Stdlib.max 1 n_tokens) in
-  for i = 0 to n_tokens - 1 do
-    let s = Shard.of_mailbox shard (Int32.to_int (Bigarray.Array1.get mb_of i)) in
-    Bigarray.Array1.set order next.(s) (Int32.of_int i);
-    next.(s) <- next.(s) + 1
-  done;
-  (* -- pack: per-shard Bloom filters built in parallel, hashing straight
-     out of the token buffer -- *)
+  (* -- shard and pack: the last server's own sharded distribution -- *)
   let filters =
-    Parallel.map_range pool
-      (fun s ->
-        let lo = offsets.(s) and hi = offsets.(s + 1) in
-        let f = Bloom.create ~expected_elements:(Stdlib.max 1 (hi - lo)) in
-        for j = lo to hi - 1 do
-          let i = Int32.to_int (Bigarray.Array1.get order j) in
-          Bloom.add_sub f tok ~pos:(i * token_bytes) ~len:token_bytes
-        done;
-        f)
-      num_shards
+    Mailbox.filter_shards_exn (fst (Mailbox.distribute_sharded ~shard ~mode:`Dialing payloads))
   in
   (* -- publish: stream every shard through the bounded writer (a CDN
      upload in the real deployment); peak heap held by publishing is the
@@ -171,7 +137,11 @@ let run ?(seed = "scale") ?shards ?(noise_per_mailbox = 75_000) ?(active_fractio
         (* the token dialed *to* cid, if any: caller cid-1 sent token cid-1 *)
         let caller = (cid + clients - 1) mod clients in
         if caller < active then
-          if Bloom.mem_sub f tok ~pos:(caller * token_bytes) ~len:token_bytes then `Hit
+          if
+            Bloom.mem_sub f
+              (Bytes.unsafe_of_string payloads.(caller))
+              ~pos:Payload.overhead ~len:token_bytes
+          then `Hit
           else `Missed
         else begin
           let probe = Sha256.digest (Printf.sprintf "%s:probe:%d" seed cid) in

@@ -5,16 +5,17 @@
     streaming publish, client scan — at 10^6 clients in-process, with
     synthetic 32-byte tokens standing in for the mixnet's onions (the real
     crypto path is exercised end-to-end by {!Alpenhorn_core.Deployment} at
-    small scale; a regression test pins the two distributions to the same
-    bytes).
+    small scale).
 
-    Everything round-sized lives in flat preallocated buffers ([Bytes] for
-    tokens, [Bigarray] int32 for mailbox ids and the counting-sort
-    permutation) built and consumed in contiguous chunks on the
-    {!Alpenhorn_parallel.Parallel} pool; no per-client heap structure
-    exists, so peak memory is affine in the client count. {!budget_words}
-    states that budget and the scale suite (CI [@scale-smoke], [bench
-    scale]) asserts it.
+    The tokens are generated as last-hop payloads in contiguous chunks on
+    the {!Alpenhorn_parallel.Parallel} pool and packed by
+    {!Alpenhorn_mixnet.Mailbox.distribute_sharded}, the function every
+    dialing round's last server runs. Per token the round holds one
+    payload string plus two index words (the distribution's shard id and
+    permutation slot); no per-client heap structure exists, so peak
+    memory is affine in the client count. {!budget_words} states that
+    budget and the scale suite (CI [@scale-smoke], [bench scale]) asserts
+    it.
 
     Results land in the [scale.*] gauges/counters for the
     {!Alpenhorn_telemetry.Slo} scale rules. Deterministic for a given

@@ -96,9 +96,6 @@ let traces snap =
       (id, spans))
     ids
 
-let find_span snap ~trace_id ~span_id =
-  List.find_opt (fun ((c : ctx), _) -> c.trace_id = trace_id && c.span_id = span_id) (spans_of snap)
-
 let pp_timelines fmt snap =
   let plain_labels (sp : Telemetry.Snapshot.span) =
     List.filter (fun (k, _) -> k <> "trace" && k <> "span" && k <> "parent") sp.labels

@@ -70,8 +70,6 @@ val traces : Telemetry.Snapshot.t -> (int * (ctx * Telemetry.Snapshot.span) list
 (** Traced spans grouped by trace id, each group sorted by start time —
     the stitched causal timeline of one message. *)
 
-val find_span : Telemetry.Snapshot.t -> trace_id:int -> span_id:int -> (ctx * Telemetry.Snapshot.span) option
-
 val pp_timelines : Format.formatter -> Telemetry.Snapshot.t -> unit
 (** Human-readable per-message timeline summary: one block per trace,
     one line per span ([ts +dur [span <-parent] name{labels} (clock)]). *)

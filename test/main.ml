@@ -33,7 +33,6 @@ let () =
       ("net", Test_net.suite);
       ("robustness", Test_robustness.suite);
       ("faults", Test_faults.suite);
-      ("ledger", Test_ledger.suite);
       ("collector", Test_collector.suite);
       ("shard", Test_shard.suite);
       ("scale", Test_scale.suite);

@@ -374,6 +374,305 @@ let listener_tests =
                 Alcotest.(check bool) "body" true body_ok)));
   ]
 
+(* ---------- the select loop under both protocols ---------- *)
+
+let raw_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let read_to_eof fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      go ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Buffer.contents buf
+  in
+  go ()
+
+(* read exactly one response frame off a raw socket *)
+let read_frame fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match F.decode (Buffer.contents buf) ~pos:0 with
+    | F.Frame (f, _) -> f
+    | F.Corrupt m -> Alcotest.failf "corrupt response: %s" m
+    | F.Need_more -> (
+      match Unix.read fd chunk 0 4096 with
+      | 0 -> Alcotest.fail "connection closed before a whole frame"
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ())
+  in
+  go ()
+
+let echo (f : F.frame) = { F.tag = f.F.tag; payload = "echo:" ^ f.F.payload }
+
+let serving_rpc handler k =
+  let srv = Rpc.Server.create ~port:0 handler in
+  let dom = Domain.spawn (fun () -> Rpc.Server.run srv) in
+  Fun.protect
+    ~finally:(fun () ->
+      Rpc.Server.stop srv;
+      Domain.join dom)
+    (fun () -> k (Rpc.Server.port srv))
+
+let counter name =
+  Option.value ~default:0 (Tel.Snapshot.find_counter (Tel.Snapshot.take Tel.default) name)
+
+let call_exn c (f : F.frame) =
+  match Rpc.Client.call c f with Ok r -> r | Error e -> Alcotest.failf "call: %s" e
+
+(* single-step a loop until a [timeout]-long poll makes no progress: every
+   connection it can accept is accepted and every byte it can read is read *)
+let settle poll =
+  let rec go () = if poll ~timeout:0.3 > 0 then go () in
+  go ()
+
+let status_of resp = if String.length resp >= 12 then String.sub resp 9 3 else resp
+
+let loop_tests =
+  [
+    Alcotest.test_case "rpc: corrupt length prefix drops only that connection" `Quick (fun () ->
+        serving_rpc echo (fun port ->
+            match Rpc.Client.connect ~port () with
+            | Error e -> Alcotest.failf "connect: %s" e
+            | Ok good ->
+              Fun.protect
+                ~finally:(fun () -> Rpc.Client.close good)
+                (fun () ->
+                  Alcotest.check frame "before" { F.tag = 1; payload = "echo:a" }
+                    (call_exn good { F.tag = 1; payload = "a" });
+                  let errors0 = counter "rpc.errors" in
+                  let bad = raw_connect port in
+                  Fun.protect
+                    ~finally:(fun () -> Unix.close bad)
+                    (fun () ->
+                      (* a zero length prefix is not a frame *)
+                      write_all bad "\000\000\000\000\001";
+                      Alcotest.(check string) "corrupt connection closed, nothing sent" ""
+                        (read_to_eof bad));
+                  Alcotest.(check int) "rpc.errors bumped" 1 (counter "rpc.errors" - errors0);
+                  Alcotest.check frame "other connection still served"
+                    { F.tag = 2; payload = "echo:b" }
+                    (call_exn good { F.tag = 2; payload = "b" }))));
+    Alcotest.test_case "rpc: request written one byte at a time is answered" `Quick (fun () ->
+        serving_rpc echo (fun port ->
+            let fd = raw_connect port in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                String.iter
+                  (fun ch -> write_all fd (String.make 1 ch))
+                  (F.encode { F.tag = 9; payload = "drip" });
+                Alcotest.check frame "answered" { F.tag = 9; payload = "echo:drip" }
+                  (read_frame fd))));
+    Alcotest.test_case "rpc: stop frees the port and is idempotent" `Quick (fun () ->
+        let srv = Rpc.Server.create ~port:0 echo in
+        let port = Rpc.Server.port srv in
+        let dom = Domain.spawn (fun () -> Rpc.Server.run srv) in
+        (match Rpc.Client.connect ~port () with
+        | Error e -> Alcotest.failf "connect: %s" e
+        | Ok c ->
+          Alcotest.check frame "served" { F.tag = 3; payload = "echo:x" }
+            (call_exn c { F.tag = 3; payload = "x" });
+          Rpc.Client.close c);
+        Rpc.Server.stop srv;
+        Domain.join dom;
+        (* re-binding the same port proves the descriptors were released *)
+        let again = Rpc.Server.create ~port echo in
+        Rpc.Server.close again;
+        Rpc.Server.stop srv;
+        Rpc.Server.close srv);
+    Alcotest.test_case "listener: 400 on a malformed request line, 500 when the handler raises"
+      `Quick (fun () ->
+        let l =
+          Listener.create ~port:0 (fun req ->
+              if req.Listener.path = "/boom" then failwith "boom"
+              else { Listener.status = 200; content_type = "text/plain"; body = "ok" })
+        in
+        let port = Listener.port l in
+        let dom = Domain.spawn (fun () -> Listener.run l) in
+        Fun.protect
+          ~finally:(fun () ->
+            Listener.stop l;
+            Domain.join dom)
+          (fun () ->
+            let fd = raw_connect port in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                write_all fd "NOT A REQUEST\r\n\r\n";
+                Alcotest.(check string) "400" "400" (status_of (read_to_eof fd)));
+            (match Listener.fetch ~port "/boom" with
+            | Ok (status, _) -> Alcotest.(check int) "500" 500 status
+            | Error e -> Alcotest.failf "fetch: %s" e);
+            match Listener.fetch ~port "/fine" with
+            | Ok (status, body) ->
+              Alcotest.(check int) "loop survived" 200 status;
+              Alcotest.(check string) "body" "ok" body
+            | Error e -> Alcotest.failf "fetch after 500: %s" e));
+    (* [stop] then [run] in one domain: the drain alone must finish a request
+       whose first half the loop read before the stop *)
+    Alcotest.test_case "drain finishes partly received requests (http and rpc)" `Quick
+      (fun () ->
+        let l =
+          Listener.create ~port:0 (fun req ->
+              { Listener.status = 200; content_type = "text/plain"; body = "ok:" ^ req.Listener.path })
+        in
+        let fd = raw_connect (Listener.port l) in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            write_all fd "GET /late HTTP/1.1\r\n";
+            settle (Listener.poll l);
+            write_all fd "Host: t\r\n\r\n";
+            Listener.stop l;
+            Listener.run l;
+            let resp = read_to_eof fd in
+            Alcotest.(check string) "200" "200" (status_of resp);
+            Alcotest.(check bool) "body" true
+              (String.length resp > 8
+              && String.sub resp (String.length resp - 8) 8 = "ok:/late"));
+        let srv = Rpc.Server.create ~port:0 echo in
+        let fd = raw_connect (Rpc.Server.port srv) in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let req = F.encode { F.tag = 5; payload = "half and half" } in
+            write_all fd (String.sub req 0 7);
+            settle (Rpc.Server.poll srv);
+            write_all fd (String.sub req 7 (String.length req - 7));
+            Rpc.Server.stop srv;
+            Rpc.Server.run srv;
+            Alcotest.check frame "answered" { F.tag = 5; payload = "echo:half and half" }
+              (read_frame fd)));
+    Alcotest.test_case "drain finishes unsent output (http and rpc)" `Quick (fun () ->
+        (* more than loopback socket buffers take (~4 MB with Linux's
+           default limits), so output is still queued at the stop *)
+        let size = 5 * 1024 * 1024 in
+        let big = String.make size 'z' in
+        (* bytes up to EOF and how many are 'z', holding none of them *)
+        let count_to_eof fd =
+          let chunk = Bytes.create 65536 in
+          let rec go total zs =
+            match Unix.read fd chunk 0 65536 with
+            | 0 -> (total, zs)
+            | n ->
+              let z = ref 0 in
+              for i = 0 to n - 1 do
+                if Bytes.get chunk i = 'z' then incr z
+              done;
+              go (total + n) (zs + !z)
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go total zs
+          in
+          go 0 0
+        in
+        let drained ~poll ~stop ~run ~port ~request =
+          let fd = raw_connect port in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              write_all fd request;
+              (* accept, read and answer, writing what the socket takes *)
+              settle poll;
+              let reader = Domain.spawn (fun () -> count_to_eof fd) in
+              stop ();
+              run ();
+              Domain.join reader)
+        in
+        let l =
+          Listener.create ~port:0 (fun _ ->
+              { Listener.status = 200; content_type = "text/plain"; body = big })
+        in
+        let total, zs =
+          drained ~poll:(Listener.poll l)
+            ~stop:(fun () -> Listener.stop l)
+            ~run:(fun () -> Listener.run l)
+            ~port:(Listener.port l) ~request:"GET / HTTP/1.1\r\n\r\n"
+        in
+        Alcotest.(check int) "whole http body" size zs;
+        Alcotest.(check bool) "plus a head" true (total > size && total < size + 200);
+        let srv = Rpc.Server.create ~port:0 (fun f -> { f with F.payload = big }) in
+        let total, zs =
+          drained ~poll:(Rpc.Server.poll srv)
+            ~stop:(fun () -> Rpc.Server.stop srv)
+            ~run:(fun () -> Rpc.Server.run srv)
+            ~port:(Rpc.Server.port srv)
+            ~request:(F.encode { F.tag = 6; payload = "" })
+        in
+        Alcotest.(check int) "whole rpc payload" size zs;
+        Alcotest.(check int) "plus the frame header" (size + 5) total);
+    Alcotest.test_case "drain closes idle connections at once (http and rpc)" `Quick (fun () ->
+        let idle ~poll ~stop ~run ~port =
+          let fd = raw_connect port in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              settle poll;
+              stop ();
+              let t0 = Unix.gettimeofday () in
+              run ();
+              let took = Unix.gettimeofday () -. t0 in
+              Alcotest.(check string) "closed without a byte" "" (read_to_eof fd);
+              Alcotest.(check bool) (Printf.sprintf "no drain wait (%.2f s)" took) true (took < 1.0))
+        in
+        let l =
+          Listener.create ~port:0 (fun _ ->
+              { Listener.status = 200; content_type = "text/plain"; body = "" })
+        in
+        idle ~poll:(Listener.poll l)
+          ~stop:(fun () -> Listener.stop l)
+          ~run:(fun () -> Listener.run l)
+          ~port:(Listener.port l);
+        let srv = Rpc.Server.create ~port:0 echo in
+        idle ~poll:(Rpc.Server.poll srv)
+          ~stop:(fun () -> Rpc.Server.stop srv)
+          ~run:(fun () -> Rpc.Server.run srv)
+          ~port:(Rpc.Server.port srv));
+    (* Reassembly must be linear in the frame: decoding the buffer on every
+       4 KB read used to copy O(n^2 / 4096) bytes (~275 M words for 4 MB). *)
+    Alcotest.test_case "4 MB echo allocates a small multiple of the frame" `Quick (fun () ->
+        (* sweep earlier tests' large garbage first: the scale suite bounds
+           the process heap's high-water mark *)
+        Gc.full_major ();
+        let payload = String.make (4 * 1024 * 1024) 'e' in
+        serving_rpc
+          (fun f -> { f with F.tag = 7 })
+          (fun port ->
+            match Rpc.Client.connect ~timeout:30.0 ~port () with
+            | Error e -> Alcotest.failf "connect: %s" e
+            | Ok c ->
+              Fun.protect
+                ~finally:(fun () -> Rpc.Client.close c)
+                (fun () ->
+                  let words () =
+                    let _, promoted, major = Gc.counters () in
+                    Gc.minor_words () +. major -. promoted
+                  in
+                  let w0 = words () in
+                  let r = call_exn c { F.tag = 1; payload } in
+                  let used = words () -. w0 in
+                  Alcotest.(check bool) "echoed" true (r.F.tag = 7 && r.F.payload = payload);
+                  let frame_words = float_of_int (String.length payload / 8) in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%.1f M words on the calling domain <= 8 frames"
+                       (used /. 1e6))
+                    true
+                    (used <= 8.0 *. frame_words))));
+  ]
+
 (* ---------- kill a mixer mid-round, recover, match in-process results ---- *)
 
 type hosted = { srv : Rpc.Server.t; dom : unit Domain.t }
@@ -601,4 +900,4 @@ let recovery_tests =
     Alcotest.test_case "catch-up over sockets matches in-process" `Quick catch_up_over_sockets;
   ]
 
-let suite = framing_tests @ rpc_tests @ listener_tests @ recovery_tests
+let suite = framing_tests @ rpc_tests @ listener_tests @ recovery_tests @ loop_tests

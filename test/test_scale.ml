@@ -164,4 +164,38 @@ let deployment_tests =
              events));
   ]
 
-let suite = writer_tests @ parallel_tests @ scale_tests @ deployment_tests
+(* Recorded once, before Scale.run moved onto Mailbox.distribute_sharded,
+   and never edited: every deterministic result field for two shapes, one
+   with explicit shards and one with the default shard count. *)
+let pinned_tests =
+  [
+    Alcotest.test_case "result fields pinned for two fixed shapes" `Quick (fun () ->
+        let fields r =
+          Scale.
+            [
+              r.tokens;
+              r.noise;
+              r.num_mailboxes;
+              r.bytes_per_client;
+              r.total_filter_bytes;
+              r.scan_dialed;
+              r.scan_hits;
+              r.scan_false_positives;
+            ]
+        in
+        let a =
+          Scale.run ~seed:"pin-a" ~clients:6000 ~shards:5 ~noise_per_mailbox:400
+            ~scan_sample:700 ()
+        in
+        Alcotest.(check (list int)) "6000 clients, 5 shards"
+          [ 2300; 2000; 5; 2808; 13860; 35; 35; 0 ] (fields a);
+        let b =
+          Scale.run ~seed:"pin-b" ~clients:140_000 ~noise_per_mailbox:900 ~active_fraction:0.08
+            ~scan_sample:1500 ()
+        in
+        Alcotest.(check int) "default shard count" 2 b.Scale.shards;
+        Alcotest.(check (list int)) "140000 clients, default shards"
+          [ 22000; 10800; 12; 66402; 132024; 120; 120; 0 ] (fields b));
+  ]
+
+let suite = writer_tests @ parallel_tests @ scale_tests @ deployment_tests @ pinned_tests
