@@ -5,6 +5,8 @@
 module Params = Alpenhorn_pairing.Params
 module Pairing = Alpenhorn_pairing.Pairing
 module Curve = Alpenhorn_pairing.Curve
+module Field = Alpenhorn_pairing.Field
+module Mont = Alpenhorn_pairing.Mont
 module Ibe = Alpenhorn_ibe.Ibe
 module Bls = Alpenhorn_bls.Bls
 module Dh = Alpenhorn_dh.Dh
@@ -29,6 +31,15 @@ let cpu () =
   let ctxt = Ibe.encrypt pr rng mpk ~id:"bench@example.org" msg in
 
   let t_pairing = time_ns "pairing" (fun () -> Pairing.pair pr pr.Params.g d_id) in
+  (* one in-place field multiplication on each curve's field: the
+     straight-line kernels for 8 limbs (production) and 3 limbs (test) *)
+  let t_mont (fp : Field.t) =
+    let ctx = Field.mont_ctx fp in
+    let el () = Mont.of_bigint ctx (Drbg.bigint_below rng (Field.modulus fp)) in
+    let a = el () and b = el () in
+    time_ns "mont-mul" (fun () -> Mont.mul_into ctx a a b)
+  in
+  let t_mont8 = t_mont pr.Params.fp and t_mont3 = t_mont (Params.test ()).Params.fp in
   let t_ibe_dec = time_ns "ibe-decrypt" (fun () -> Ibe.decrypt pr d_id ctxt) in
   let t_ibe_enc =
     time_ns "ibe-encrypt" (fun () -> Ibe.encrypt pr rng mpk ~id:"bench@example.org" msg)
@@ -59,6 +70,8 @@ let cpu () =
   row [ pad 22 "IBE decrypt"; padl 12 (human_time t_ibe_dec); pad 34 "  1.25 ms (800/s/core)" ];
   row [ pad 22 "IBE encrypt"; padl 12 (human_time t_ibe_enc); pad 34 "  ~1.25 ms" ];
   row [ pad 22 "pairing"; padl 12 (human_time t_pairing); pad 34 "  (dominates IBE ops)" ];
+  row [ pad 22 "Mont mul (8 limbs)"; padl 12 (human_time t_mont8); pad 34 "  -" ];
+  row [ pad 22 "Mont mul (3 limbs)"; padl 12 (human_time t_mont3); pad 34 "  -" ];
   row [ pad 22 "PKG key extraction"; padl 12 (human_time t_extract); pad 34 "  0.23 ms (4310/s)" ];
   row [ pad 22 "keywheel hash"; padl 12 (human_time t_hash); pad 34 "  ~1 us (1M hashes/s/core)" ];
   row [ pad 22 "sha256 (64 B)"; padl 12 (human_time t_sha); pad 34 "  -" ];

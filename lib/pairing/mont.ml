@@ -10,7 +10,13 @@
    This is the multiplication that every pairing, IBE and BLS operation in
    the system bottoms out in; the generic Bigint + Barrett path in [Field]
    stays as the reference implementation the property tests compare
-   against. *)
+   against.
+
+   Multiplication, addition, subtraction and small-constant multiplication
+   match on the limb count: 3 and 8 limbs (the two curves' fields) run the
+   straight-line kernels of [Mont_kernels], generated at build time by
+   gen/gen_kernels.ml from the loops below, and every other limb count
+   runs the loops. *)
 
 module Bigint = Alpenhorn_bigint.Bigint
 module Tel = Alpenhorn_telemetry.Telemetry
@@ -36,7 +42,9 @@ type ctx = {
   sqrt_exp : Bigint.t; (* (p + 1)/4, the square-root exponent when p ≡ 3 (mod 4) *)
   cbrt_exp : Bigint.t option; (* (2p − 1)/3, the cube-root exponent, when p ≡ 2 (mod 3) *)
   p_big : Bigint.t;
-  acc : int array Domain.DLS.key; (* n+1 limbs: [mul_into]'s accumulator, one per domain *)
+  top_bits : int; (* bit length of p's top limb, in [1, 30] *)
+  p_recip : int; (* ⌊2^56 / (P + 1)⌋ for P the top 28 significant bits of p *)
+  acc : int array Domain.DLS.key; (* n+1 limbs: [mul_loop]'s accumulator, one per domain *)
   c_mul : Tel.Counter.t; (* kernel invocations ("pairing.mont_mul") *)
 }
 
@@ -75,11 +83,26 @@ let repack ~src_bits ~dst_bits src len =
 let limbs_of_bigint n x =
   repack ~src_bits:bigint_limb_bits ~dst_bits:limb_bits (Bigint.to_limbs x) n
 
+(* The top 30 significant bits of a value whose limbs n, n−1 and n−2 are
+   [hi], [mid] and [lo] (0 when absent), for a modulus whose top limb
+   n−1 has [top_bits] bits; exact when the value has fewer bits. *)
+let top30 ~top_bits hi mid lo =
+  (hi lsl (60 - top_bits)) lor (mid lsl (30 - top_bits)) lor (lo lsr top_bits)
+
+(* ⌊v/p⌋ or one less, for v < 12p given by [top30] of its top limbs. With
+   V and P the top 28 significant bits of v and p (28 so that the product
+   below stays under 2^62), V·⌊2^56/(P+1)⌋/2^56 ≤ V/(P+1) < v/p bounds
+   it from above, and it falls short of v/p by less than 13/P + 12/2^28 <
+   2^−22. The kernels of gen_kernels.ml inline the same formula. *)
+let quotient_estimate ctx top = ((top lsr 2) * ctx.p_recip) lsr 56
+
 let create p_big =
   if Bigint.is_even p_big || Bigint.sign p_big <= 0 then
     invalid_arg "Mont.create: modulus must be odd and positive";
   let n = (Bigint.numbits p_big + limb_bits - 1) / limb_bits in
   let p = limbs_of_bigint n p_big in
+  let top_bits = Bigint.numbits p_big - (limb_bits * (n - 1)) in
+  let p_top = top30 ~top_bits 0 p.(n - 1) (if n > 1 then p.(n - 2) else 0) in
   let r = Bigint.shift_left Bigint.one (limb_bits * n) in
   let one_raw = Array.make n 0 in
   one_raw.(0) <- 1;
@@ -97,6 +120,8 @@ let create p_big =
       (let e, r = Bigint.divmod (Bigint.sub (Bigint.mul_int p_big 2) Bigint.one) (Bigint.of_int 3) in
        if Bigint.is_zero r then Some e else None);
     p_big;
+    top_bits;
+    p_recip = (1 lsl 56) / ((p_top lsr 2) + 1);
     acc = Domain.DLS.new_key (fun () -> Array.make (n + 1) 0);
     c_mul = Tel.Counter.v Tel.default "pairing.mont_mul";
   }
@@ -153,8 +178,7 @@ let sub_p ctx (dst : el) (t : el) =
    one pass and shifts the accumulator down a limb, so t stays n+1 limbs.
    Inputs < p keep t < 2p (t.(n) ≤ 1): one conditional subtraction, whose
    final borrow cancels a set t.(n), brings it below p. *)
-let mul_into ctx (dst : el) (a : el) (b : el) =
-  Tel.Counter.inc ctx.c_mul;
+let mul_loop ctx (dst : el) (a : el) (b : el) =
   let n = ctx.n and p = ctx.p and p0inv = ctx.p0inv and t = Domain.DLS.get ctx.acc in
   for j = 0 to n do
     Array.unsafe_set t j 0
@@ -181,7 +205,15 @@ let mul_into ctx (dst : el) (a : el) (b : el) =
       Array.unsafe_set dst i (Array.unsafe_get t i)
     done
 
-let add_into ctx (dst : el) (a : el) (b : el) =
+(* the limb counts here must be the ones lib/pairing/dune generates *)
+let mul_into ctx dst a b =
+  Tel.Counter.inc ctx.c_mul;
+  match ctx.n with
+  | 8 -> Mont_kernels.mul8 ctx.p ctx.p0inv dst a b
+  | 3 -> Mont_kernels.mul3 ctx.p ctx.p0inv dst a b
+  | _ -> mul_loop ctx dst a b
+
+let add_loop ctx (dst : el) (a : el) (b : el) =
   let c = ref 0 in
   for i = 0 to ctx.n - 1 do
     let s = Array.unsafe_get a i + Array.unsafe_get b i + !c in
@@ -190,7 +222,13 @@ let add_into ctx (dst : el) (a : el) (b : el) =
   done;
   if !c <> 0 || geq_p ctx dst then ignore (sub_p ctx dst dst)
 
-let sub_into ctx (dst : el) (a : el) (b : el) =
+let add_into ctx dst a b =
+  match ctx.n with
+  | 8 -> Mont_kernels.add8 ctx.p dst a b
+  | 3 -> Mont_kernels.add3 ctx.p dst a b
+  | _ -> add_loop ctx dst a b
+
+let sub_loop ctx (dst : el) (a : el) (b : el) =
   let borrow = ref 0 in
   for i = 0 to ctx.n - 1 do
     let s = Array.unsafe_get a i - Array.unsafe_get b i - !borrow in
@@ -207,22 +245,45 @@ let sub_into ctx (dst : el) (a : el) (b : el) =
     done
   end
 
+let sub_into ctx dst a b =
+  match ctx.n with
+  | 8 -> Mont_kernels.sub8 ctx.p dst a b
+  | 3 -> Mont_kernels.sub3 ctx.p dst a b
+  | _ -> sub_loop ctx dst a b
+
 let neg_into ctx dst a = sub_into ctx dst ctx.zero_c a
 
-(* a·k for a small non-negative int k (curve formulas use k ≤ 12): n limbs
-   plus a carry word, then subtract p until in range — at most k times *)
-let mul_small_into ctx (dst : el) (a : el) k =
-  if k < 0 || k >= base then invalid_arg "Mont.mul_small";
+(* v = a·k is n limbs plus a top word and below 12p; subtracting q·p for
+   q = [quotient_estimate] leaves it below 2p, and one conditional
+   subtraction finishes *)
+let mul_small_loop ctx (dst : el) (a : el) k =
+  let n = ctx.n in
   let c = ref 0 in
-  for i = 0 to ctx.n - 1 do
+  for i = 0 to n - 1 do
     let s = (Array.unsafe_get a i * k) + !c in
     Array.unsafe_set dst i (s land mask);
     c := s lsr limb_bits
   done;
-  let hi = ref !c in
-  while !hi > 0 || geq_p ctx dst do
-    hi := !hi - sub_p ctx dst dst
-  done
+  let hi = !c in
+  let q =
+    quotient_estimate ctx
+      (top30 ~top_bits:ctx.top_bits hi (Array.unsafe_get dst (n - 1))
+         (if n > 1 then Array.unsafe_get dst (n - 2) else 0))
+  in
+  let borrow = ref 0 in
+  for i = 0 to n - 1 do
+    let s = Array.unsafe_get dst i - (q * Array.unsafe_get ctx.p i) + !borrow in
+    Array.unsafe_set dst i (s land mask);
+    borrow := s asr limb_bits
+  done;
+  if hi + !borrow > 0 || geq_p ctx dst then ignore (sub_p ctx dst dst)
+
+let mul_small_into ctx dst a k =
+  if k < 0 || k > 12 then invalid_arg "Mont.mul_small";
+  match ctx.n with
+  | 8 -> Mont_kernels.mul_small8 ctx.p ctx.top_bits ctx.p_recip dst a k
+  | 3 -> Mont_kernels.mul_small3 ctx.p ctx.top_bits ctx.p_recip dst a k
+  | _ -> mul_small_loop ctx dst a k
 
 (* MSB-first square-and-multiply; the exponent is a plain Bigint (not in
    Montgomery form). [a] is read throughout, so a [dst] that is [a] works

@@ -6,8 +6,20 @@
     integrated operand scanning): with 30-bit limbs each inner step
     [a_i·b_j + m·p_j + t_j + carry] stays below [2^62], inside OCaml's
     63-bit native [int], so the product and the Montgomery reduction share
-    one loop. A {!ctx} carries the modulus and the precomputed constants
-    ([−p⁻¹ mod 2^30], [R² mod p], the root exponents).
+    one pass. A {!ctx} carries the modulus and the precomputed constants
+    ([−p⁻¹ mod 2^30], [R² mod p], the root exponents, a reciprocal of p's
+    top bits for {!mul_small_into}).
+
+    {b Kernels per limb count.} {!mul_into}, {!add_into}, {!sub_into} (so
+    {!neg_into} and all of {!F2}) and {!mul_small_into} match on [n]. For
+    the two fields the system runs, 3 limbs (the test curve's 72-bit p)
+    and 8 limbs (the production curve's 237-bit p), they run straight-line
+    kernels that lib/pairing/gen/gen_kernels.ml generates at build time:
+    every limb index a constant, the accumulator in local variables, and
+    the final reduction one borrow pass over [t − p]. Every other limb
+    count runs the same algorithms as loops, with the multiplication's
+    [n+1]-limb accumulator kept per domain ([Domain.DLS]). Both give the
+    same canonical result in [[0, p)].
 
     Operations are destination-passing: [mul_into ctx dst a b] writes
     [a·b] into [dst], an element the caller owns, and allocates nothing;
@@ -21,14 +33,17 @@
     {!of_bigint}/{!to_bigint} pay the conversion and repack between these
     limbs and {!Bigint}'s 31-bit ones. The generic Bigint+Barrett path in
     {!Field} remains the reference implementation; [test/test_mont.ml]
-    cross-validates every operation against it.
+    cross-validates every operation against it, and checks the kernels on
+    raw limb arrays against a [Bigint] oracle on moduli of both kernel
+    sizes and of two loop sizes.
 
     Every multiplication bumps the ["pairing.mont_mul"] telemetry counter
     on the default registry, which is how `bench smoke` proves the fast
     path is actually selected. Not constant-time (see
     {!Alpenhorn_crypto}). A shared [ctx] is safe to use from several
-    domains at once: the multiplication's accumulator is domain-local
-    ([Domain.DLS]), and the context is otherwise read-only. *)
+    domains at once: it is read-only, the straight-line kernels keep their
+    intermediate values in locals, and the loops' accumulator is
+    domain-local. *)
 
 module Bigint = Alpenhorn_bigint.Bigint
 
@@ -74,8 +89,9 @@ val mul_into : ctx -> el -> el -> el -> unit
 (** FIOS Montgomery multiplication: [dst ← abR⁻¹ mod p]. *)
 
 val mul_small_into : ctx -> el -> el -> int -> unit
-(** Multiply by a small non-negative plain integer (the 2/3/8 of the
-    curve formulas). @raise Invalid_argument outside [[0, 2^30)]. *)
+(** Multiply by a small plain integer [k] (the 2, 3, 4 and 8 of the curve
+    and Miller formulas), in time linear in the limb count whatever [k].
+    @raise Invalid_argument outside [[0, 12]]. *)
 
 val pow_into : ctx -> el -> el -> Bigint.t -> unit
 (** The exponent is a plain (non-Montgomery) non-negative Bigint.

@@ -63,6 +63,7 @@ let ring_ops f a b =
   check_b "neg" (Field.neg f a) (out (Mont.neg ctx am));
   check_b "mul_small 2" (Field.mul_int f a 2) (out (Mont.mul_small ctx am 2));
   check_b "mul_small 3" (Field.mul_int f a 3) (out (Mont.mul_small ctx am 3));
+  check_b "mul_small 4" (Field.mul_int f a 4) (out (Mont.mul_small ctx am 4));
   check_b "mul_small 8" (Field.mul_int f a 8) (out (Mont.mul_small ctx am 8));
   check_b "mul_small 12" (Field.mul_int f a 12) (out (Mont.mul_small ctx am 12));
   Alcotest.(check bool) "equal agrees" (B.equal a b) (Mont.equal am bm);
@@ -188,6 +189,70 @@ let f2_ops f a b =
   if not (Fp2.is_zero x) then check_f2 "f2 inv" (Fp2.inv f x) (Mont.F2.inv ctx xm);
   check_f2 "f2 pow" (Fp2.pow f x b) (Mont.F2.pow ctx xm b)
 
+(* ---- raw limbs against a Bigint oracle ----
+
+   The tests above reach the kernel through [of_bigint], so it only sees
+   the limbs of aR mod p. These feed it hand-built limb arrays instead,
+   on moduli of the two straight-line sizes (3 and 8 limbs) that are not
+   the curves' and of two sizes that run the generic loop (5 and 9). *)
+
+let limb_base = B.shift_left B.one 30
+
+let value_of_limbs (x : Mont.el) =
+  Array.fold_right (fun l acc -> B.add (B.shift_left acc 30) (B.of_int l)) x B.zero
+
+let limbs_of_value n v =
+  Array.init n (fun i -> B.to_int (B.rem (B.shift_right v (30 * i)) limb_base))
+
+let oracle_moduli () =
+  let pow2 k = B.shift_left B.one k in
+  [
+    ("test p", Field.modulus (fp ()));
+    ("production p", Field.modulus (Lazy.force production_fp));
+    ("M89", B.sub (pow2 89) B.one);
+    ("P-224", B.add (B.sub (pow2 224) (pow2 96)) B.one);
+    ("M127", B.sub (pow2 127) B.one);
+    ("2^255 - 19", B.sub (pow2 255) (B.of_int 19));
+  ]
+
+(* 0, 1, p−1, p−2, 2^(30k)−1 for 0 < k < n, and every limb saturated
+   below a top limb one under p's *)
+let raw_edges n p =
+  let el = limbs_of_value n in
+  let p_top = (el p).(n - 1) in
+  [ el B.zero; el B.one; el (B.sub p B.one); el (B.sub p B.two) ]
+  @ List.init (n - 1) (fun k -> el (B.sub (B.shift_left B.one (30 * (k + 1))) B.one))
+  @ [ Array.init n (fun i -> if i = n - 1 then p_top - 1 else (1 lsl 30) - 1) ]
+
+let raw_oracle (name, p) =
+  let ctx = Mont.create p in
+  let n = Mont.limbs ctx in
+  let md v = B.rem v p in
+  let r_inv = B.mod_inv (B.shift_left B.one (30 * n)) p in
+  let lift = Array.copy and fresh () = Mont.zero ctx in
+  let check msg expected got = Alcotest.(check (array int)) (name ^ " " ^ msg) expected got in
+  let expect f x y = limbs_of_value n (md (f (value_of_limbs x) (value_of_limbs y))) in
+  let edges = raw_edges n p in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          let binary op_name op f = placements ~lift ~fresh ~check op_name op (expect f) x y in
+          binary "mul_into" (Mont.mul_into ctx) (fun a b -> B.mul (B.mul a b) r_inv);
+          binary "add_into" (Mont.add_into ctx) B.add;
+          binary "sub_into" (Mont.sub_into ctx) B.sub)
+        edges;
+      let unary op_name op f =
+        unary_placements ~lift ~fresh ~check op_name op (fun x -> expect (fun a _ -> f a) x x) x
+      in
+      unary "neg_into" (Mont.neg_into ctx) B.neg;
+      for k = 0 to 12 do
+        unary (Printf.sprintf "mul_small_into %d" k)
+          (fun d v -> Mont.mul_small_into ctx d v k)
+          (fun a -> B.mul_int a k)
+      done)
+    edges
+
 let kernel_tests =
   let t name check =
     Alcotest.test_case name `Quick (fun () ->
@@ -224,7 +289,58 @@ let kernel_tests =
         words "add_into" (fun () -> Mont.add_into ctx d a b);
         words "sub_into" (fun () -> Mont.sub_into ctx d a b);
         words "is_zero" (fun () -> ignore (Sys.opaque_identity (Mont.is_zero a)));
-        words "equal" (fun () -> ignore (Sys.opaque_identity (Mont.equal a b))));
+        words "equal" (fun () -> ignore (Sys.opaque_identity (Mont.equal a b)));
+        (* every in-place kernel at every placement of its destination, on
+           both curves' contexts *)
+        List.iter
+          (fun f ->
+            let ctx = Field.mont_ctx f in
+            let rnd () = Mont.of_bigint ctx (Drbg.bigint_below rng (Field.modulus f)) in
+            let curve = Printf.sprintf "%d limbs: " (Mont.limbs ctx) in
+            let binary name op =
+              let a = rnd () and b = rnd () and d = Mont.zero ctx in
+              words (curve ^ name ^ " fresh") (fun () -> op d a b);
+              words (curve ^ name ^ " dst = a") (fun () -> op a a b);
+              words (curve ^ name ^ " dst = b") (fun () -> op b a b);
+              words (curve ^ name ^ " dst = a = b") (fun () -> op a a a)
+            and unary name op =
+              let a = rnd () and d = Mont.zero ctx in
+              words (curve ^ name ^ " fresh") (fun () -> op d a);
+              words (curve ^ name ^ " dst = a") (fun () -> op a a)
+            in
+            binary "mul_into" (fun d x y -> Mont.mul_into ctx d x y);
+            binary "add_into" (fun d x y -> Mont.add_into ctx d x y);
+            binary "sub_into" (fun d x y -> Mont.sub_into ctx d x y);
+            unary "neg_into" (fun d x -> Mont.neg_into ctx d x);
+            List.iter
+              (fun k ->
+                unary (Printf.sprintf "mul_small_into %d" k) (fun d x ->
+                    Mont.mul_small_into ctx d x k))
+              [ 2; 3; 4; 8; 12 ];
+            let s = Mont.F2.scratch ctx in
+            let rnd2 () = { Mont.F2.re = rnd (); im = rnd () } in
+            let x = rnd2 () and y = rnd2 () and d = Mont.F2.zero ctx in
+            words (curve ^ "F2.mul_into fresh") (fun () -> Mont.F2.mul_into ctx s d x y);
+            words (curve ^ "F2.mul_into dst = a") (fun () -> Mont.F2.mul_into ctx s x x y);
+            words (curve ^ "F2.mul_into dst = b") (fun () -> Mont.F2.mul_into ctx s y x y);
+            words (curve ^ "F2.mul_into dst = a = b") (fun () -> Mont.F2.mul_into ctx s x x x);
+            words (curve ^ "F2.sqr_into fresh") (fun () -> Mont.F2.sqr_into ctx s d x);
+            words (curve ^ "F2.sqr_into dst = a") (fun () -> Mont.F2.sqr_into ctx s x x))
+          [ fp (); f ]);
+    Alcotest.test_case "kernels match a Bigint oracle on raw limbs" `Quick (fun () ->
+        List.iter raw_oracle (oracle_moduli ()));
+    Alcotest.test_case "mul_small rejects k outside [0, 12]" `Quick (fun () ->
+        (* the one-pass reduction is sized for k <= 12 *)
+        List.iter
+          (fun f ->
+            let ctx = Field.mont_ctx f in
+            let a = Mont.of_bigint ctx (B.sub (Field.modulus f) B.one) in
+            List.iter
+              (fun k ->
+                Alcotest.check_raises (Printf.sprintf "k = %d" k)
+                  (Invalid_argument "Mont.mul_small") (fun () -> ignore (Mont.mul_small ctx a k)))
+              [ -1; 13; (1 lsl 30) - 1; max_int ])
+          [ fp (); Lazy.force production_fp ]);
   ]
 
 (* ---- windowed and fixed-base scalar multiplication ---- *)
