@@ -37,4 +37,5 @@ let () =
       ("shard", Test_shard.suite);
       ("scale", Test_scale.suite);
       ("golden", Test_golden.suite);
+      ("codec", Test_codec.suite);
     ]
