@@ -1,5 +1,5 @@
 module Sha256 = Alpenhorn_crypto.Sha256
-module Util = Alpenhorn_crypto.Util
+module Codec = Alpenhorn_codec.Codec
 
 type t = { bits : Bytes.t; nbits : int; k : int; mutable n : int }
 
@@ -67,15 +67,20 @@ let size_bytes t = Bytes.length t.bits + 12 (* header included, matching to_byte
 let num_hashes t = t.k
 let count t = t.n
 
-let to_bytes t = Util.be32 t.nbits ^ Util.be32 t.k ^ Util.be32 t.n ^ Bytes.to_string t.bits
+(* Geometry header (bits, hashes, count), then the bit array. Encoding
+   reads the live array in place: [Codec.encode] copies it out before
+   returning, so the filter is never aliased. *)
+let codec =
+  Codec.(
+    map
+      (fun (nbits, k, n, bits) ->
+        if nbits <= 0 || k <= 0 || k > max_hashes || String.length bits <> (nbits + 7) / 8 then None
+        else Some { bits = Bytes.of_string bits; nbits; k; n })
+      (fun t -> (t.nbits, t.k, t.n, Bytes.unsafe_to_string t.bits))
+      (tup4 u32 u32 u32 rest))
 
-let of_bytes s =
-  if String.length s < 12 then None
-  else begin
-    let nbits = Util.read_be32 s 0 and k = Util.read_be32 s 4 and n = Util.read_be32 s 8 in
-    if nbits <= 0 || k <= 0 || k > max_hashes || String.length s <> 12 + ((nbits + 7) / 8) then None
-    else Some { bits = Bytes.of_string (String.sub s 12 (String.length s - 12)); nbits; k; n }
-  end
+let to_bytes t = Codec.encode codec t
+let of_bytes s = Codec.decode codec s
 
 let false_positive_estimate t =
   let frac = 1.0 -. exp (-.float_of_int (t.k * t.n) /. float_of_int t.nbits) in

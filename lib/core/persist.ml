@@ -5,7 +5,7 @@ module Curve = Alpenhorn_pairing.Curve
 module Aead = Alpenhorn_crypto.Aead
 module Hmac = Alpenhorn_crypto.Hmac
 module Sha256 = Alpenhorn_crypto.Sha256
-module Util = Alpenhorn_crypto.Util
+module Codec = Alpenhorn_codec.Codec
 
 type identity_backup = {
   email : string;
@@ -23,65 +23,37 @@ let stretch ~passphrase ~salt =
   done;
   Hmac.hkdf ~salt ~info:"alpenhorn-backup" ~len:32 !acc
 
-let put_str buf s =
-  Buffer.add_string buf (Util.be32 (String.length s));
-  Buffer.add_string buf s
+(* The signing secret rides as its minimal big-endian bytes: a leading
+   zero byte would be a second blob restoring the same identity. Pinned
+   keys must be points other than infinity. *)
+let plain (params : Params.t) =
+  let secret =
+    Codec.map
+      (fun s ->
+        let x = Bigint.of_bytes_be s in
+        if Bigint.to_bytes_be x = s then Some x else None)
+      (fun x -> Bigint.to_bytes_be x)
+      Codec.str
+  in
+  let key =
+    Codec.map
+      (fun s ->
+        match Bls.public_of_bytes params s with
+        | Some k when not (Curve.equal k Curve.Inf) -> Some k
+        | Some _ | None -> None)
+      (Bls.public_bytes params) Codec.str
+  in
+  Codec.(
+    map
+      (fun (m, email, signing_secret, pinned) ->
+        if m = magic then Some { email; signing_secret; pinned } else None)
+      (fun b -> (magic, b.email, b.signing_secret, b.pinned))
+      (tup4 str str secret (list (pair str key))))
 
-let get_str s pos =
-  if !pos + 4 > String.length s then None
-  else begin
-    let n = Util.read_be32 s !pos in
-    pos := !pos + 4;
-    if n < 0 || !pos + n > String.length s then None
-    else begin
-      let v = String.sub s !pos n in
-      pos := !pos + n;
-      Some v
-    end
-  end
+let encode_plain params ~email ~signing_secret ~pinned =
+  Codec.encode (plain params) { email; signing_secret; pinned }
 
-let encode_plain (params : Params.t) ~email ~signing_secret ~pinned =
-  let buf = Buffer.create 256 in
-  put_str buf magic;
-  put_str buf email;
-  put_str buf (Bigint.to_bytes_be signing_secret);
-  Buffer.add_string buf (Util.be32 (List.length pinned));
-  List.iter
-    (fun (friend, key) ->
-      put_str buf friend;
-      put_str buf (Bls.public_bytes params key))
-    pinned;
-  Buffer.contents buf
-
-let decode_plain (params : Params.t) s =
-  let pos = ref 0 in
-  let ( let* ) = Option.bind in
-  let* m = get_str s pos in
-  if m <> magic then None
-  else begin
-    let* email = get_str s pos in
-    let* sk_bytes = get_str s pos in
-    if !pos + 4 > String.length s then None
-    else begin
-      let n = Util.read_be32 s !pos in
-      pos := !pos + 4;
-      let rec entries i acc =
-        if i = 0 then Some (List.rev acc)
-        else begin
-          let* friend = get_str s pos in
-          let* key_bytes = get_str s pos in
-          let* key = Bls.public_of_bytes params key_bytes in
-          if Curve.equal key Curve.Inf then None else entries (i - 1) ((friend, key) :: acc)
-        end
-      in
-      let* pinned = entries n [] in
-      (* total: trailing bytes after the pinned list mean the blob was
-         corrupted or extended — a silently-truncating import would let a
-         tampered backup restore "successfully" *)
-      if !pos <> String.length s then None
-      else Some { email; signing_secret = Bigint.of_bytes_be sk_bytes; pinned }
-    end
-  end
+let decode_plain params s = Codec.decode (plain params) s
 
 let export_identity params ~passphrase ~email ~signing_secret ~pinned =
   (* deterministic salt/nonce from the content keeps the module free of an

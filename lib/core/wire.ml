@@ -1,4 +1,5 @@
 module Bigint = Alpenhorn_bigint.Bigint
+module Codec = Alpenhorn_codec.Codec
 module Util = Alpenhorn_crypto.Util
 module Params = Alpenhorn_pairing.Params
 module Curve = Alpenhorn_pairing.Curve
@@ -27,56 +28,47 @@ let sender_sig_message (params : Params.t) r =
   ^ Dh.public_bytes params r.dialing_key
   ^ Util.be32 r.dialing_round
 
-let point_size (params : Params.t) = Curve.point_bytes params.fp
+(* Fixed-width fields only, so every request has one size: the email
+   zero-padded to [max_email_length], four points in their canonical
+   compressed form, then the round. *)
+let build_request (params : Params.t) =
+  let point of_bytes to_bytes =
+    Codec.map (of_bytes params) (to_bytes params) (Codec.fixed (Curve.point_bytes params.fp))
+  in
+  let signature = point Bls.signature_of_bytes Bls.signature_bytes in
+  Codec.(
+    map
+      (fun ((sender_email, sender_key, sender_sig), (pkg_sigs, dialing_key, dialing_round)) ->
+        Some { sender_email; sender_key; sender_sig; pkg_sigs; dialing_key; dialing_round })
+      (fun r -> ((r.sender_email, r.sender_key, r.sender_sig), (r.pkg_sigs, r.dialing_key, r.dialing_round)))
+      (pair
+         (tup3 (padded max_email_length) (point Bls.public_of_bytes Bls.public_bytes) signature)
+         (tup3 signature (point Dh.public_of_bytes Dh.public_bytes) u32)))
 
-let request_plaintext_size params = 1 + max_email_length + (4 * point_size params) + 4
+(* Building a codec allocates, and the size is asked for every cover and
+   noise message, so each parameter set's codec is built once. A lost
+   race only builds one twice. *)
+let request =
+  let built = Atomic.make [] in
+  fun params ->
+    match List.assq_opt params (Atomic.get built) with
+    | Some c -> c
+    | None ->
+      let c = build_request params in
+      Atomic.set built ((params, c) :: Atomic.get built);
+      c
+
+let request_plaintext_size params = Option.get (Codec.size (request params))
 
 let request_ciphertext_size params =
   request_plaintext_size params + Alpenhorn_ibe.Ibe.ciphertext_overhead params
 
-let encode_request (params : Params.t) r =
-  let n = String.length r.sender_email in
-  if n > max_email_length then invalid_arg "Wire.encode_request: email too long";
-  let buf = Buffer.create (request_plaintext_size params) in
-  Buffer.add_char buf (Char.chr n);
-  Buffer.add_string buf r.sender_email;
-  Buffer.add_string buf (String.make (max_email_length - n) '\000');
-  Buffer.add_string buf (Bls.public_bytes params r.sender_key);
-  Buffer.add_string buf (Bls.signature_bytes params r.sender_sig);
-  Buffer.add_string buf (Bls.signature_bytes params r.pkg_sigs);
-  Buffer.add_string buf (Dh.public_bytes params r.dialing_key);
-  Buffer.add_string buf (Util.be32 r.dialing_round);
-  Buffer.contents buf
+let encode_request params r =
+  if String.length r.sender_email > max_email_length then
+    invalid_arg "Wire.encode_request: email too long";
+  Codec.encode (request params) r
 
-let decode_request (params : Params.t) s =
-  let ps = point_size params in
-  if String.length s <> request_plaintext_size params then None
-  else begin
-    let n = Char.code s.[0] in
-    if n > max_email_length then None
-    else begin
-      (* canonicality: the padding after the email must be all-zero, so
-         exactly one encoding decodes to a given request (no covert
-         channel, no signature-stripping games via padding malleability) *)
-      let padding_zero = ref true in
-      for i = 1 + n to max_email_length do
-        if s.[i] <> '\000' then padding_zero := false
-      done;
-      if not !padding_zero then None
-      else begin
-      let sender_email = String.sub s 1 n in
-      let off = 1 + max_email_length in
-      let field i = String.sub s (off + (i * ps)) ps in
-      let ( let* ) = Option.bind in
-      let* sender_key = Bls.public_of_bytes params (field 0) in
-      let* sender_sig = Bls.signature_of_bytes params (field 1) in
-      let* pkg_sigs = Bls.signature_of_bytes params (field 2) in
-      let* dialing_key = Dh.public_of_bytes params (field 3) in
-      let dialing_round = Util.read_be32 s (off + (4 * ps)) in
-      Some { sender_email; sender_key; sender_sig; pkg_sigs; dialing_key; dialing_round }
-      end
-    end
-  end
+let decode_request params s = Codec.decode (request params) s
 
 let noise_body params rng mode ~mpk_agg ~mailbox:_ =
   match (mode, mpk_agg) with

@@ -9,6 +9,8 @@ val cover : int
 
 val encode : mailbox:int -> string -> string
 val decode : string -> (int * string) option
+(** [None] when the input is shorter than the id, or the id is above
+    {!cover} — exactly the ids {!encode} refuses. *)
 
 val mailbox : string -> int option
 (** Header-only peek at the mailbox id — no body substring. The sharded

@@ -1,5 +1,5 @@
 module Drbg = Alpenhorn_crypto.Drbg
-module Util = Alpenhorn_crypto.Util
+module Codec = Alpenhorn_codec.Codec
 module Params = Alpenhorn_pairing.Params
 module Curve = Alpenhorn_pairing.Curve
 module Bls = Alpenhorn_bls.Bls
@@ -42,19 +42,18 @@ let serial_size = 16
 
 let fresh_serial rng = Drbg.bytes rng serial_size
 
-let token_size (params : Params.t) = serial_size + Curve.point_bytes params.fp
+let token (params : Params.t) =
+  Codec.(
+    map
+      (fun (serial, signature) -> Some { serial; signature })
+      (fun t -> (t.serial, t.signature))
+      (pair (fixed serial_size)
+         (map (Bls.signature_of_bytes params) (Bls.signature_bytes params)
+            (fixed (Curve.point_bytes params.fp)))))
 
-let token_bytes (params : Params.t) t =
-  if String.length t.serial <> serial_size then invalid_arg "Ratelimit.token_bytes: serial";
-  t.serial ^ Bls.signature_bytes params t.signature
-
-let token_of_bytes (params : Params.t) s =
-  if String.length s <> token_size params then None
-  else begin
-    match Bls.signature_of_bytes params (String.sub s serial_size (String.length s - serial_size)) with
-    | None -> None
-    | Some signature -> Some { serial = String.sub s 0 serial_size; signature }
-  end
+let token_size params = Option.get (Codec.size (token params))
+let token_bytes params t = Codec.encode (token params) t
+let token_of_bytes params s = Codec.decode (token params) s
 
 type gate = {
   gparams : Params.t;
@@ -103,5 +102,3 @@ let rollback_round g =
     List.length serials
 
 let spent_count g = Hashtbl.length g.seen
-
-let _ = Util.to_hex (* silence unused-module warning if Util becomes unused *)

@@ -7,9 +7,10 @@
     a [Corrupt] verdict — never an exception — and a configurable payload
     ceiling rejects absurd length prefixes before any buffering happens.
 
-    {!Fields} is the companion codec for frame payloads: u32be integers,
-    IEEE-754 floats, length-prefixed strings and string lists, read back
-    through a total option-returning cursor. *)
+    The frame header stays hand-written because it decodes incrementally
+    from a receive buffer ([Need_more]). Payloads are {!Alpenhorn_codec.Codec}
+    formats: the trace envelope below, and the RPC messages of
+    [Alpenhorn_remote.Proto]. *)
 
 type frame = { tag : int; payload : string }
 
@@ -64,28 +65,3 @@ val split_traced : ?max_payload:int -> frame -> ((string * string) list * frame)
     [None] when the frame is not an envelope, or the envelope is
     malformed (truncated labels, trailing bytes, nested envelope) —
     total, like every decoder here. *)
-
-(** Payload field codec: writers over [Buffer.t], total cursor readers. *)
-module Fields : sig
-  val u8 : Buffer.t -> int -> unit
-  val u32 : Buffer.t -> int -> unit
-  val f64 : Buffer.t -> float -> unit
-  val str : Buffer.t -> string -> unit
-  (** 4-byte length prefix, then the bytes. *)
-
-  val strs : Buffer.t -> string list -> unit
-  (** 4-byte count, then each string via {!str}. *)
-
-  type cursor
-
-  val cursor : string -> cursor
-  val finished : cursor -> bool
-  (** True when every byte has been consumed — callers reject trailing
-      garbage with this. *)
-
-  val get_u8 : cursor -> int option
-  val get_u32 : cursor -> int option
-  val get_f64 : cursor -> float option
-  val get_str : cursor -> string option
-  val get_strs : cursor -> string list option
-end

@@ -1,144 +1,126 @@
-(* The Alpenhorn RPC vocabulary (DESIGN.md §13): message tags and payload
-   codecs for the PKG and mixer server processes, plus blocking client
-   wrappers over [Rpc.Client].
+(* The Alpenhorn RPC vocabulary (DESIGN.md §13): one description per
+   operation — tag, span name, request codec, response codec — read both
+   by the blocking client wrappers and by the servers' table-driven
+   dispatch, so every message layout is written once.
 
    Conventions:
 
-   - a response frame reuses its request's tag; [Rpc.error_tag] (0xff) is
-     reserved for handler crashes;
-   - every response payload begins with a status byte: 0 = success,
-     1 = a {!Pkg.error} follows (the app-level failure of PKG ops);
+   - a response frame reuses its request's tag; [Rpc.error_tag] (0xff)
+     answers a request that does not decode, an unknown tag, or a
+     handler crash;
+   - every response payload is a [Codec.result]: status 0 and the body,
+     or status 1 and a {!Pkg.error} (the app-level failure of PKG ops);
    - group elements (BLS keys/signatures, IBE keys, DH round keys) ride
-     as their canonical byte serializations and are re-validated by the
-     receiver — a peer is never trusted to send well-formed points;
+     as length-prefixed canonical bytes and are decoded through the
+     curve's own [of_bytes] — a peer is never trusted to send well-formed
+     points;
    - [now] is explicit in the requests that consult the clock
      (registration lockout, liveness), because rounds run on the
      orchestrator's logical clock, not the server's wall clock. *)
 
+module Codec = Alpenhorn_codec.Codec
 module Framing = Alpenhorn_net.Framing
 module Rpc = Alpenhorn_net.Rpc
-module F = Framing.Fields
 module Params = Alpenhorn_pairing.Params
+module Curve = Alpenhorn_pairing.Curve
 module Bls = Alpenhorn_bls.Bls
 module Ibe = Alpenhorn_ibe.Ibe
 module Dh = Alpenhorn_dh.Dh
 module Pkg = Alpenhorn_pkg.Pkg
-
-(* ---- message tags ---- *)
-
-let tag_pkg_info = 0x10
-let tag_pkg_register = 0x11
-let tag_pkg_inbox = 0x12
-let tag_pkg_confirm = 0x13
-let tag_pkg_begin_round = 0x14
-let tag_pkg_reveal = 0x15
-let tag_pkg_extract = 0x16
-let tag_pkg_end_round = 0x17
-
-let tag_mix_info = 0x20
-let tag_mix_new_round = 0x21
-let tag_mix_process = 0x22
-let tag_mix_end_round = 0x23
-let tag_mix_ping = 0x24
-
-(* span names for server-side tracing: the same vocabulary the fleet
-   trace timelines print, so a stitched trace reads as protocol steps *)
-let tag_name tag =
-  if tag = tag_pkg_info then "pkg.info"
-  else if tag = tag_pkg_register then "pkg.register"
-  else if tag = tag_pkg_inbox then "pkg.inbox"
-  else if tag = tag_pkg_confirm then "pkg.confirm"
-  else if tag = tag_pkg_begin_round then "pkg.begin_round"
-  else if tag = tag_pkg_reveal then "pkg.reveal"
-  else if tag = tag_pkg_extract then "pkg.extract"
-  else if tag = tag_pkg_end_round then "pkg.end_round"
-  else if tag = tag_mix_info then "mix.info"
-  else if tag = tag_mix_new_round then "mix.new_round"
-  else if tag = tag_mix_process then "mix.process"
-  else if tag = tag_mix_end_round then "mix.end_round"
-  else if tag = tag_mix_ping then "mix.ping"
-  else Printf.sprintf "rpc.0x%02x" tag
+module Tel = Alpenhorn_telemetry.Telemetry
 
 type chain = Af | Dial
 
-let chain_byte = function Af -> 0 | Dial -> 1
-let chain_of_byte = function 0 -> Some Af | 1 -> Some Dial | _ -> None
+type ('q, 'r) rpc = {
+  tag : int;
+  name : string;
+  req : 'q Codec.t;
+  resp : ('r, Pkg.error) result Codec.t;
+}
 
-(* ---- Pkg.error codec ---- *)
+let pkg_error =
+  Codec.(
+    union
+      [
+        const 0 Pkg.Unknown_account;
+        const 1 Pkg.Not_confirmed;
+        const 2 Pkg.Already_registered;
+        const 3 Pkg.Bad_token;
+        const 4 Pkg.Bad_signature;
+        case 5 u32 (fun s -> Pkg.Locked_out s) (function Pkg.Locked_out s -> Some s | _ -> None);
+        const 6 Pkg.Wrong_round;
+        const 7 Pkg.Not_revealed;
+        const 8 Pkg.Unknown_provider;
+      ])
 
-let pkg_error_bytes b (e : Pkg.error) =
-  match e with
-  | Pkg.Unknown_account -> F.u8 b 0
-  | Pkg.Not_confirmed -> F.u8 b 1
-  | Pkg.Already_registered -> F.u8 b 2
-  | Pkg.Bad_token -> F.u8 b 3
-  | Pkg.Bad_signature -> F.u8 b 4
-  | Pkg.Locked_out s ->
-    F.u8 b 5;
-    F.u32 b s
-  | Pkg.Wrong_round -> F.u8 b 6
-  | Pkg.Not_revealed -> F.u8 b 7
-  | Pkg.Unknown_provider -> F.u8 b 8
+let rpc tag name req resp = { tag; name; req; resp = Codec.result resp pkg_error }
 
-let pkg_error_of_cursor c : Pkg.error option =
-  match F.get_u8 c with
-  | Some 0 -> Some Pkg.Unknown_account
-  | Some 1 -> Some Pkg.Not_confirmed
-  | Some 2 -> Some Pkg.Already_registered
-  | Some 3 -> Some Pkg.Bad_token
-  | Some 4 -> Some Pkg.Bad_signature
-  | Some 5 -> (match F.get_u32 c with Some s -> Some (Pkg.Locked_out s) | None -> None)
-  | Some 6 -> Some Pkg.Wrong_round
-  | Some 7 -> Some Pkg.Not_revealed
-  | Some 8 -> Some Pkg.Unknown_provider
-  | Some _ | None -> None
+(* A group element as length-prefixed canonical bytes. The prefix is
+   always the point size, so the format has one size and encoding never
+   serializes a point twice. *)
+let point (p : Params.t) of_bytes to_bytes =
+  let n = Curve.point_bytes p.fp in
+  Codec.(
+    map
+      (fun (len, s) -> if len = n then of_bytes p s else None)
+      (fun x -> (n, to_bytes p x))
+      (pair u32 (fixed n)))
+let chain = Codec.(union [ const 0 Af; const 1 Dial ])
 
-(* ---- response envelope ---- *)
+module Op = struct
+  open Codec
 
-let ok_payload fill =
-  let b = Buffer.create 64 in
-  F.u8 b 0;
-  fill b;
-  Buffer.contents b
+  let bls_public p = point p Bls.public_of_bytes Bls.public_bytes
+  let bls_signature p = point p Bls.signature_of_bytes Bls.signature_bytes
+  let pkg_info p = rpc 0x10 "pkg.info" unit (bls_public p)
+  let pkg_register p = rpc 0x11 "pkg.register" (tup3 u32 str (bls_public p)) unit
+  let pkg_inbox = rpc 0x12 "pkg.inbox" str (list str)
+  let pkg_confirm = rpc 0x13 "pkg.confirm" (tup3 u32 str str) unit
+  let pkg_begin_round = rpc 0x14 "pkg.begin_round" u32 str
 
-let err_payload e =
-  let b = Buffer.create 8 in
-  F.u8 b 1;
-  pkg_error_bytes b e;
-  Buffer.contents b
+  let pkg_reveal p =
+    rpc 0x15 "pkg.reveal" u32
+      (pair (point p Ibe.master_public_of_bytes Ibe.master_public_bytes) str)
 
-let respond tag = function
-  | Ok fill -> { Framing.tag; payload = ok_payload fill }
-  | Error e -> { Framing.tag; payload = err_payload e }
+  let pkg_extract p =
+    rpc 0x16 "pkg.extract"
+      (tup4 u32 u32 str (bls_signature p))
+      (pair (point p Ibe.identity_key_of_bytes Ibe.identity_key_bytes) (bls_signature p))
 
-(* Client side: one RPC round trip, unwrapping the envelope. [read] parses
-   the success body from the cursor; a [Pkg.error] status surfaces as
-   [Ok (Error e)] so protocol failures stay distinct from transport ones. *)
-let call conn ~tag ~payload ~read =
-  match Rpc.Client.call conn { Framing.tag; payload } with
+  let pkg_end_round = rpc 0x17 "pkg.end_round" u32 unit
+  let mix_info = rpc 0x20 "mix.info" unit (pair u32 u32)
+  let mix_new_round p = rpc 0x21 "mix.new_round" chain (point p Dh.public_of_bytes Dh.public_bytes)
+
+  (* the aggregate master key is empty when noise is not faithful *)
+  let mpk_agg_of_bytes p = function
+    | "" -> Some None
+    | s -> Option.map Option.some (Ibe.master_public_of_bytes p s)
+
+  let mix_process p =
+    let mpk_agg =
+      map (mpk_agg_of_bytes p) (function None -> "" | Some mpk -> Ibe.master_public_bytes p mpk) str
+    in
+    rpc 0x22 "mix.process"
+      (pair
+         (tup4 chain (list (point p Dh.public_of_bytes Dh.public_bytes)) f64 f64)
+         (tup3 u32 mpk_agg (array str)))
+      (pair u32 (array str))
+
+  let mix_end_round = rpc 0x23 "mix.end_round" chain unit
+  let mix_ping = rpc 0x24 "mix.ping" unit unit
+end
+
+(* ---- client side ---- *)
+
+(* One RPC round trip. A [Pkg.error] status surfaces as [Ok (Error e)] so
+   protocol failures stay distinct from transport ones. *)
+let call conn rpc q =
+  match Rpc.Client.call conn { Framing.tag = rpc.tag; payload = Codec.encode rpc.req q } with
   | Error _ as e -> e
-  | Ok resp ->
-    if resp.Framing.tag = Rpc.error_tag then Error ("server error: " ^ resp.Framing.payload)
-    else if resp.Framing.tag <> tag then
-      Error (Printf.sprintf "unexpected response tag 0x%02x" resp.Framing.tag)
-    else begin
-      let c = F.cursor resp.Framing.payload in
-      match F.get_u8 c with
-      | Some 0 -> (
-        match read c with
-        | Some v when F.finished c -> Ok (Ok v)
-        | Some _ | None -> Error "malformed response body")
-      | Some 1 -> (
-        match pkg_error_of_cursor c with
-        | Some e when F.finished c -> Ok (Error e)
-        | Some _ | None -> Error "malformed error body")
-      | Some _ | None -> Error "malformed response status"
-    end
-
-let req fill =
-  let b = Buffer.create 64 in
-  fill b;
-  Buffer.contents b
+  | Ok { Framing.tag; payload } ->
+    if tag = Rpc.error_tag then Error ("server error: " ^ payload)
+    else if tag <> rpc.tag then Error (Printf.sprintf "unexpected response tag 0x%02x" tag)
+    else Option.to_result ~none:("malformed " ^ rpc.name ^ " response") (Codec.decode rpc.resp payload)
 
 (* Unwrap ops that cannot fail at the protocol level: a [Pkg.error] from
    one of them is a peer bug, reported as a transport error. *)
@@ -147,117 +129,64 @@ let no_protocol_error = function
   | Ok (Ok v) -> Ok v
   | Ok (Error e) -> Error ("unexpected protocol error: " ^ Pkg.error_to_string e)
 
-(* ---- PKG operations: client side ---- *)
-
-let pkg_info conn ~params =
-  no_protocol_error
-  @@ call conn ~tag:tag_pkg_info ~payload:""
-       ~read:(fun c ->
-         match F.get_str c with
-         | None -> None
-         | Some pk -> Bls.public_of_bytes params pk)
-
-let pkg_register conn ~params ~now ~email ~pk =
-  call conn ~tag:tag_pkg_register
-    ~payload:
-      (req (fun b ->
-           F.u32 b now;
-           F.str b email;
-           F.str b (Bls.public_bytes params pk)))
-    ~read:(fun _ -> Some ())
-
-let pkg_inbox conn ~email =
-  no_protocol_error
-  @@ call conn ~tag:tag_pkg_inbox
-       ~payload:(req (fun b -> F.str b email))
-       ~read:F.get_strs
-
-let pkg_confirm conn ~now ~email ~token =
-  call conn ~tag:tag_pkg_confirm
-    ~payload:
-      (req (fun b ->
-           F.u32 b now;
-           F.str b email;
-           F.str b token))
-    ~read:(fun _ -> Some ())
-
-let pkg_begin_round conn ~round =
-  no_protocol_error
-  @@ call conn ~tag:tag_pkg_begin_round ~payload:(req (fun b -> F.u32 b round)) ~read:F.get_str
-
-let pkg_reveal conn ~params ~round =
-  call conn ~tag:tag_pkg_reveal
-    ~payload:(req (fun b -> F.u32 b round))
-    ~read:(fun c ->
-      match (F.get_str c, F.get_str c) with
-      | Some mpk, Some opening -> (
-        match Ibe.master_public_of_bytes params mpk with
-        | Some mpk -> Some (mpk, opening)
-        | None -> None)
-      | _ -> None)
+let pkg_info conn ~params = no_protocol_error (call conn (Op.pkg_info params) ())
+let pkg_register conn ~params ~now ~email ~pk = call conn (Op.pkg_register params) (now, email, pk)
+let pkg_inbox conn ~email = no_protocol_error (call conn Op.pkg_inbox email)
+let pkg_confirm conn ~now ~email ~token = call conn Op.pkg_confirm (now, email, token)
+let pkg_begin_round conn ~round = no_protocol_error (call conn Op.pkg_begin_round round)
+let pkg_reveal conn ~params ~round = call conn (Op.pkg_reveal params) round
 
 let pkg_extract conn ~params ~now ~round ~email ~signature =
-  call conn ~tag:tag_pkg_extract
-    ~payload:
-      (req (fun b ->
-           F.u32 b now;
-           F.u32 b round;
-           F.str b email;
-           F.str b (Bls.signature_bytes params signature)))
-    ~read:(fun c ->
-      match (F.get_str c, F.get_str c) with
-      | Some ik, Some att -> (
-        match (Ibe.identity_key_of_bytes params ik, Bls.signature_of_bytes params att) with
-        | Some ik, Some att -> Some (ik, att)
-        | _ -> None)
-      | _ -> None)
+  call conn (Op.pkg_extract params) (now, round, email, signature)
 
-let pkg_end_round conn ~round =
-  no_protocol_error
-  @@ call conn ~tag:tag_pkg_end_round
-       ~payload:(req (fun b -> F.u32 b round))
-       ~read:(fun _ -> Some ())
-
-(* ---- mixer operations: client side ---- *)
-
-let mix_info conn =
-  no_protocol_error
-  @@ call conn ~tag:tag_mix_info ~payload:""
-       ~read:(fun c ->
-         match (F.get_u32 c, F.get_u32 c) with
-         | Some position, Some chain_length -> Some (position, chain_length)
-         | _ -> None)
-
-let mix_new_round conn ~params ~chain =
-  no_protocol_error
-  @@ call conn ~tag:tag_mix_new_round
-       ~payload:(req (fun b -> F.u8 b (chain_byte chain)))
-       ~read:(fun c ->
-         match F.get_str c with None -> None | Some pk -> Dh.public_of_bytes params pk)
+let pkg_end_round conn ~round = no_protocol_error (call conn Op.pkg_end_round round)
+let mix_info conn = no_protocol_error (call conn Op.mix_info ())
+let mix_new_round conn ~params ~chain = no_protocol_error (call conn (Op.mix_new_round params) chain)
 
 let mix_process conn ~params ~chain ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes
     ~mpk_agg ~batch =
-  no_protocol_error
-  @@ call conn ~tag:tag_mix_process
-       ~payload:
-         (req (fun b ->
-              F.u8 b (chain_byte chain);
-              F.strs b (List.map (Dh.public_bytes params) downstream_pks);
-              F.f64 b noise_mu;
-              F.f64 b laplace_b;
-              F.u32 b num_mailboxes;
-              F.str b mpk_agg;
-              F.strs b (Array.to_list batch)))
-       ~read:(fun c ->
-         match (F.get_u32 c, F.get_strs c) with
-         | Some noise, Some out -> Some (Array.of_list out, noise)
-         | _ -> None)
+  match Op.mpk_agg_of_bytes params mpk_agg with
+  | None -> Error "mix_process: mpk_agg is not a point"
+  | Some mpk ->
+    no_protocol_error
+      (call conn (Op.mix_process params)
+         ((chain, downstream_pks, noise_mu, laplace_b), (num_mailboxes, mpk, batch)))
+    |> Result.map (fun (noise, out) -> (out, noise))
 
-let mix_end_round conn ~chain =
-  no_protocol_error
-  @@ call conn ~tag:tag_mix_end_round
-       ~payload:(req (fun b -> F.u8 b (chain_byte chain)))
-       ~read:(fun _ -> Some ())
+let mix_end_round conn ~chain = no_protocol_error (call conn Op.mix_end_round chain)
+let mix_ping conn = no_protocol_error (call conn Op.mix_ping ())
 
-let mix_ping conn =
-  no_protocol_error @@ call conn ~tag:tag_mix_ping ~payload:"" ~read:(fun _ -> Some ())
+(* ---- server side ---- *)
+
+type handler = Handler : ('q, 'r) rpc * ('q -> ('r, Pkg.error) result) -> handler
+
+(* Trace propagation (DESIGN.md §14): when the RPC envelope carried trace
+   labels, the request is timed and one span, named by its operation, is
+   emitted under those labels verbatim. Span ids are minted only by the
+   orchestrator's tracer — a server never mints, it replays the carried
+   identity — so spans emitted by every process of the fleet stitch into
+   one timeline when the collector merges their snapshots. Emitted even
+   when the handler raises: a failed protocol step still shows up in its
+   trace. *)
+let serve handlers =
+  let table = Hashtbl.create 16 in
+  List.iter (fun (Handler (rpc, _) as h) -> Hashtbl.replace table rpc.tag h) handlers;
+  fun ~trace (request : Framing.frame) ->
+    match Hashtbl.find_opt table request.Framing.tag with
+    | None -> Rpc.error_frame (Printf.sprintf "unknown request tag 0x%02x" request.Framing.tag)
+    | Some (Handler (rpc, f)) -> (
+      let answer () =
+        match Codec.decode rpc.req request.Framing.payload with
+        | None -> Rpc.error_frame ("malformed " ^ rpc.name ^ " request")
+        | Some q -> { Framing.tag = rpc.tag; payload = Codec.encode rpc.resp (f q) }
+      in
+      match trace with
+      | None -> answer ()
+      | Some labels ->
+        let t0 = Tel.now Tel.default in
+        Fun.protect
+          ~finally:(fun () ->
+            Tel.Span.emit Tel.default ~labels ~name:rpc.name ~ts:t0
+              ~dur:(Tel.now Tel.default -. t0)
+              ())
+          answer)

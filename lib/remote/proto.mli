@@ -1,20 +1,24 @@
-(** The Alpenhorn RPC vocabulary (DESIGN.md §13): frame tags, payload
-    codecs, and blocking client wrappers for the PKG and mixer server
-    processes.
+(** The Alpenhorn RPC vocabulary (DESIGN.md §13): one description per
+    operation, and the blocking client wrappers and table-driven server
+    dispatch that both read it.
 
-    Every response reuses its request's tag and opens with a status byte
-    (0 = success, 1 = a {!Pkg.error} follows); {!Alpenhorn_net.Rpc}'s
-    error tag is reserved for handler crashes. Group elements travel as
-    canonical bytes and are re-validated on receipt — peers are never
-    trusted to send well-formed points. [now] is explicit wherever the
-    PKG consults a clock, because rounds run on the orchestrator's
-    logical clock.
+    A description ({!rpc}) holds the frame tag, the span name, and the
+    {!Alpenhorn_codec.Codec} of the request and of the response, so each
+    of the 13 message layouts is written once. Every response reuses its
+    request's tag and is a [Codec.result]: status 0 and the body, or
+    status 1 and a {!Pkg.error}. {!Alpenhorn_net.Rpc}'s error tag answers
+    a request that does not decode, an unknown tag, or a handler crash.
+    Group elements travel as canonical bytes and are decoded through the
+    curve's own [of_bytes] — peers are never trusted to send well-formed
+    points. [now] is explicit wherever the PKG consults a clock, because
+    rounds run on the orchestrator's logical clock.
 
     Client wrappers return [(_, string) result] for transport/peer
     failures; the PKG ops that can fail at the protocol level
     ({!pkg_register}, {!pkg_confirm}, {!pkg_reveal}, {!pkg_extract})
     nest the {!Pkg.error} so the two failure kinds stay distinct. *)
 
+module Codec = Alpenhorn_codec.Codec
 module Framing = Alpenhorn_net.Framing
 module Rpc = Alpenhorn_net.Rpc
 module Params = Alpenhorn_pairing.Params
@@ -23,45 +27,63 @@ module Ibe = Alpenhorn_ibe.Ibe
 module Dh = Alpenhorn_dh.Dh
 module Pkg = Alpenhorn_pkg.Pkg
 
-(** {1 Message tags} *)
-
-val tag_pkg_info : int
-val tag_pkg_register : int
-val tag_pkg_inbox : int
-val tag_pkg_confirm : int
-val tag_pkg_begin_round : int
-val tag_pkg_reveal : int
-val tag_pkg_extract : int
-val tag_pkg_end_round : int
-val tag_mix_info : int
-val tag_mix_new_round : int
-val tag_mix_process : int
-val tag_mix_end_round : int
-val tag_mix_ping : int
-
-val tag_name : int -> string
-(** Human-readable span name for a request tag ([0x16] → ["pkg.extract"],
-    [0x22] → ["mix.process"]); unknown tags render as ["rpc.0xNN"]. The
-    traced server handlers name their spans with this, so a stitched
-    cross-process trace reads as protocol steps. *)
-
 (** A mixer process hosts one chain position of {e both} mixnet chains;
     requests select which. *)
 type chain = Af | Dial
 
-val chain_byte : chain -> int
-val chain_of_byte : int -> chain option
+type ('q, 'r) rpc = {
+  tag : int;
+  name : string;  (** span name of the server-side handling, e.g. ["pkg.extract"] *)
+  req : 'q Codec.t;
+  resp : ('r, Pkg.error) result Codec.t;
+}
 
-(** {1 Server-side helpers} *)
+val pkg_error : Pkg.error Codec.t
 
-val pkg_error_bytes : Buffer.t -> Pkg.error -> unit
-val pkg_error_of_cursor : Framing.Fields.cursor -> Pkg.error option
+(** {1 The operations}
 
-val respond : int -> ((Buffer.t -> unit, Pkg.error) result) -> Framing.frame
-(** Build the [tag]ged response frame: status 0 plus the filled body, or
-    status 1 plus the encoded error. *)
+    Descriptions whose messages carry group elements take the curve. *)
+module Op : sig
+  val pkg_info : Params.t -> (unit, Bls.public) rpc
+  val pkg_register : Params.t -> (int * string * Bls.public, unit) rpc
+  (** [(now, email, pk)]. *)
 
-(** {1 PKG operations (client side)} *)
+  val pkg_inbox : (string, string list) rpc
+  val pkg_confirm : (int * string * string, unit) rpc
+  (** [(now, email, token)]. *)
+
+  val pkg_begin_round : (int, string) rpc
+  val pkg_reveal : Params.t -> (int, Ibe.master_public * string) rpc
+
+  val pkg_extract :
+    Params.t -> (int * int * string * Bls.signature, Ibe.identity_key * Bls.signature) rpc
+  (** [(now, round, email, signature)]. *)
+
+  val pkg_end_round : (int, unit) rpc
+  val mix_info : (unit, int * int) rpc
+  val mix_new_round : Params.t -> (chain, Dh.public) rpc
+
+  val mpk_agg_of_bytes : Params.t -> string -> Ibe.master_public option option
+  (** The aggregate master key as {!mix_process} carries it: the empty
+      string for [None], otherwise the point's canonical bytes. *)
+
+  val mix_process :
+    Params.t ->
+    ( (chain * Dh.public list * float * float) * (int * Ibe.master_public option * string array),
+      int * string array )
+    rpc
+  (** [((chain, downstream_pks, noise_mu, laplace_b), (num_mailboxes,
+      mpk_agg, batch))] to [(noise, out)]. *)
+
+  val mix_end_round : (chain, unit) rpc
+  val mix_ping : (unit, unit) rpc
+end
+
+(** {1 Client side} *)
+
+val call : Rpc.Client.t -> ('q, 'r) rpc -> 'q -> (('r, Pkg.error) result, string) result
+(** One round trip. An error frame, a mismatched tag or a response that
+    does not decode is an [Error]. *)
 
 val pkg_info : Rpc.Client.t -> params:Params.t -> (Bls.public, string) result
 (** The PKG's long-term signing key. *)
@@ -93,8 +115,6 @@ val pkg_extract :
 
 val pkg_end_round : Rpc.Client.t -> round:int -> (unit, string) result
 
-(** {1 Mixer operations (client side)} *)
-
 val mix_info : Rpc.Client.t -> (int * int, string) result
 (** [(position, chain_length)]. *)
 
@@ -110,3 +130,16 @@ val mix_process :
 
 val mix_end_round : Rpc.Client.t -> chain:chain -> (unit, string) result
 val mix_ping : Rpc.Client.t -> (unit, string) result
+
+(** {1 Server side} *)
+
+type handler = Handler : ('q, 'r) rpc * ('q -> ('r, Pkg.error) result) -> handler
+
+val serve : handler list -> Rpc.traced_handler
+(** One dispatch over a table of operations. A request answers with its
+    handler's result under the request's tag; one that does not decode,
+    or carries a tag no handler serves, answers with an
+    {!Alpenhorn_net.Rpc.error_tag} frame. When the request arrived with
+    trace labels, one span named by the operation's [name] is emitted on
+    {!Alpenhorn_telemetry.Telemetry.default} under those labels
+    verbatim, even when the handler raises. *)

@@ -1,5 +1,6 @@
 (* Server-process logic for the framed RPC protocol: a PKG process and a
-   mixer process, each as a state record plus a pure-ish
+   mixer process, each as a state record plus the table of [Proto]
+   operations it serves, which [Proto.serve] turns into the
    [Framing.frame -> Framing.frame] handler that [Rpc.Server] dispatches.
 
    Determinism contract (DESIGN.md §13): a server process derives its DRBG
@@ -12,52 +13,14 @@
    event. *)
 
 module Framing = Alpenhorn_net.Framing
-module Rpc = Alpenhorn_net.Rpc
-module F = Framing.Fields
 module Drbg = Alpenhorn_crypto.Drbg
 module Params = Alpenhorn_pairing.Params
-module Bls = Alpenhorn_bls.Bls
-module Ibe = Alpenhorn_ibe.Ibe
-module Dh = Alpenhorn_dh.Dh
 module Pkg = Alpenhorn_pkg.Pkg
 module Server = Alpenhorn_mixnet.Server
 module Wire = Alpenhorn_core.Wire
 module Config = Alpenhorn_core.Config
 
 let root_rng ~seed = Drbg.create ~seed:("deployment" ^ seed)
-
-module Tel = Alpenhorn_telemetry.Telemetry
-
-let malformed () = failwith "malformed request"
-
-(* Trace propagation (DESIGN.md §14): when the RPC envelope carried
-   trace labels, time the handler and emit one span under those labels
-   verbatim. Span ids are minted only by the orchestrator's tracer — a
-   server never mints, it replays the carried identity — so spans
-   emitted by every process of the fleet stitch into one timeline when
-   the collector merges their snapshots. Emitted even when the handler
-   raises: a failed protocol step still shows up in its trace. *)
-let traced handler ~trace (request : Framing.frame) =
-  match trace with
-  | None -> handler request
-  | Some labels ->
-    let t0 = Tel.now Tel.default in
-    let finish () =
-      Tel.Span.emit Tel.default ~labels
-        ~name:(Proto.tag_name request.Framing.tag)
-        ~ts:t0
-        ~dur:(Tel.now Tel.default -. t0)
-        ()
-    in
-    (match handler request with
-    | resp ->
-      finish ();
-      resp
-    | exception e ->
-      finish ();
-      raise e)
-
-let expect_done c v = if F.finished c then v else malformed ()
 
 (* ---- PKG process ---- *)
 
@@ -87,86 +50,27 @@ module Pkg_server = struct
     let rng = Drbg.derive (root_rng ~seed) (Printf.sprintf "pkg-%d" index) in
     { params; pkg = Pkg.create params ~rng ~send_email:deliver (); inboxes }
 
-  let pkg t = t.pkg
+  let handler_traced t =
+    let p = t.params in
+    Proto.(
+      serve
+        [
+          Handler (Op.pkg_info p, fun () -> Ok (Pkg.long_term_public t.pkg));
+          Handler (Op.pkg_register p, fun (now, email, pk) -> Pkg.register t.pkg ~now ~email ~pk);
+          Handler
+            ( Op.pkg_inbox,
+              fun email ->
+                Ok (match Hashtbl.find_opt t.inboxes email with Some b -> !b | None -> []) );
+          Handler (Op.pkg_confirm, fun (now, email, token) -> Pkg.confirm t.pkg ~now ~email ~token);
+          Handler (Op.pkg_begin_round, fun round -> Ok (Pkg.begin_round t.pkg ~round));
+          Handler (Op.pkg_reveal p, fun round -> Pkg.reveal_round t.pkg ~round);
+          Handler
+            ( Op.pkg_extract p,
+              fun (now, round, email, signature) -> Pkg.extract t.pkg ~now ~round ~email ~signature );
+          Handler (Op.pkg_end_round, fun round -> Ok (Pkg.end_round t.pkg ~round));
+        ])
 
-  let handler t (request : Framing.frame) =
-    let tag = request.Framing.tag in
-    let c = F.cursor request.Framing.payload in
-    let get f = match f c with Some v -> v | None -> malformed () in
-    if tag = Proto.tag_pkg_info then begin
-      let () = expect_done c () in
-      Proto.respond tag (Ok (fun b -> F.str b (Bls.public_bytes t.params (Pkg.long_term_public t.pkg))))
-    end
-    else if tag = Proto.tag_pkg_register then begin
-      let now = get F.get_u32 in
-      let email = get F.get_str in
-      let pk_bytes = get F.get_str in
-      let () = expect_done c () in
-      let pk = match Bls.public_of_bytes t.params pk_bytes with Some pk -> pk | None -> malformed () in
-      match Pkg.register t.pkg ~now ~email ~pk with
-      | Ok () -> Proto.respond tag (Ok (fun _ -> ()))
-      | Error e -> Proto.respond tag (Error e)
-    end
-    else if tag = Proto.tag_pkg_inbox then begin
-      let email = get F.get_str in
-      let () = expect_done c () in
-      let tokens = match Hashtbl.find_opt t.inboxes email with Some b -> !b | None -> [] in
-      Proto.respond tag (Ok (fun b -> F.strs b tokens))
-    end
-    else if tag = Proto.tag_pkg_confirm then begin
-      let now = get F.get_u32 in
-      let email = get F.get_str in
-      let token = get F.get_str in
-      let () = expect_done c () in
-      match Pkg.confirm t.pkg ~now ~email ~token with
-      | Ok () -> Proto.respond tag (Ok (fun _ -> ()))
-      | Error e -> Proto.respond tag (Error e)
-    end
-    else if tag = Proto.tag_pkg_begin_round then begin
-      let round = get F.get_u32 in
-      let () = expect_done c () in
-      let commitment = Pkg.begin_round t.pkg ~round in
-      Proto.respond tag (Ok (fun b -> F.str b commitment))
-    end
-    else if tag = Proto.tag_pkg_reveal then begin
-      let round = get F.get_u32 in
-      let () = expect_done c () in
-      match Pkg.reveal_round t.pkg ~round with
-      | Ok (mpk, opening) ->
-        Proto.respond tag
-          (Ok
-             (fun b ->
-               F.str b (Ibe.master_public_bytes t.params mpk);
-               F.str b opening))
-      | Error e -> Proto.respond tag (Error e)
-    end
-    else if tag = Proto.tag_pkg_extract then begin
-      let now = get F.get_u32 in
-      let round = get F.get_u32 in
-      let email = get F.get_str in
-      let sig_bytes = get F.get_str in
-      let () = expect_done c () in
-      let signature =
-        match Bls.signature_of_bytes t.params sig_bytes with Some s -> s | None -> malformed ()
-      in
-      match Pkg.extract t.pkg ~now ~round ~email ~signature with
-      | Ok (ik, att) ->
-        Proto.respond tag
-          (Ok
-             (fun b ->
-               F.str b (Ibe.identity_key_bytes t.params ik);
-               F.str b (Bls.signature_bytes t.params att)))
-      | Error e -> Proto.respond tag (Error e)
-    end
-    else if tag = Proto.tag_pkg_end_round then begin
-      let round = get F.get_u32 in
-      let () = expect_done c () in
-      Pkg.end_round t.pkg ~round;
-      Proto.respond tag (Ok (fun _ -> ()))
-    end
-    else failwith (Printf.sprintf "unknown PKG request tag 0x%02x" tag)
-
-  let handler_traced t = traced (handler t)
+  let handler t = handler_traced t ~trace:None
 end
 
 (* ---- mixer process ---- *)
@@ -206,74 +110,27 @@ module Mixer_server = struct
 
   let server t = function Proto.Af -> t.af | Proto.Dial -> t.dial
 
-  let handler t (request : Framing.frame) =
-    let tag = request.Framing.tag in
-    let c = F.cursor request.Framing.payload in
-    let get f = match f c with Some v -> v | None -> malformed () in
-    let get_chain () =
-      match Proto.chain_of_byte (get F.get_u8) with Some ch -> ch | None -> malformed ()
-    in
-    if tag = Proto.tag_mix_info then begin
-      let () = expect_done c () in
-      Proto.respond tag
-        (Ok
-           (fun b ->
-             F.u32 b t.position;
-             F.u32 b t.chain_length))
-    end
-    else if tag = Proto.tag_mix_new_round then begin
-      let ch = get_chain () in
-      let () = expect_done c () in
-      let pk = Server.new_round (server t ch) in
-      Proto.respond tag (Ok (fun b -> F.str b (Dh.public_bytes t.params pk)))
-    end
-    else if tag = Proto.tag_mix_process then begin
-      let ch = get_chain () in
-      let pk_bytes = get F.get_strs in
-      let noise_mu = get F.get_f64 in
-      let laplace_b = get F.get_f64 in
-      let num_mailboxes = get F.get_u32 in
-      let mpk_bytes = get F.get_str in
-      let batch = Array.of_list (get F.get_strs) in
-      let () = expect_done c () in
-      let downstream_pks =
-        List.map
-          (fun s ->
-            match Dh.public_of_bytes t.params s with Some pk -> pk | None -> malformed ())
-          pk_bytes
-      in
-      let mpk_agg =
-        if mpk_bytes = "" then None
-        else
-          match Ibe.master_public_of_bytes t.params mpk_bytes with
-          | Some mpk -> Some mpk
-          | None -> malformed ()
-      in
-      let out, noise =
-        Server.process (server t ch) ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes
-          ~noise_body:
-            (Wire.noise_body t.params t.noise_rng
-               (match ch with Proto.Af -> `AddFriend | Proto.Dial -> `Dialing)
-               ~mpk_agg)
-          batch
-      in
-      Proto.respond tag
-        (Ok
-           (fun b ->
-             F.u32 b noise;
-             F.strs b (Array.to_list out)))
-    end
-    else if tag = Proto.tag_mix_end_round then begin
-      let ch = get_chain () in
-      let () = expect_done c () in
-      Server.end_round (server t ch);
-      Proto.respond tag (Ok (fun _ -> ()))
-    end
-    else if tag = Proto.tag_mix_ping then begin
-      let () = expect_done c () in
-      Proto.respond tag (Ok (fun _ -> ()))
-    end
-    else failwith (Printf.sprintf "unknown mixer request tag 0x%02x" tag)
+  let handler_traced t =
+    Proto.(
+      serve
+        [
+          Handler (Op.mix_info, fun () -> Ok (t.position, t.chain_length));
+          Handler (Op.mix_new_round t.params, fun ch -> Ok (Server.new_round (server t ch)));
+          Handler
+            ( Op.mix_process t.params,
+              fun ((ch, downstream_pks, noise_mu, laplace_b), (num_mailboxes, mpk_agg, batch)) ->
+                let out, noise =
+                  Server.process (server t ch) ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes
+                    ~noise_body:
+                      (Wire.noise_body t.params t.noise_rng
+                         (match ch with Af -> `AddFriend | Dial -> `Dialing)
+                         ~mpk_agg)
+                    batch
+                in
+                Ok (noise, out) );
+          Handler (Op.mix_end_round, fun ch -> Ok (Server.end_round (server t ch)));
+          Handler (Op.mix_ping, fun () -> Ok ());
+        ])
 
-  let handler_traced t = traced (handler t)
+  let handler t = handler_traced t ~trace:None
 end

@@ -1,5 +1,6 @@
 (** Server-process logic for the framed RPC protocol (DESIGN.md §13): a
-    PKG process and a mixer process, each a state record plus a
+    PKG process and a mixer process, each a state record plus the table of
+    {!Proto} operations it serves, dispatched by {!Proto.serve} as a
     [Framing.frame -> Framing.frame] handler for {!Alpenhorn_net.Rpc}.
 
     Determinism: a server derives its DRBG from the deployment seed along
@@ -11,7 +12,6 @@
 
 module Framing = Alpenhorn_net.Framing
 module Params = Alpenhorn_pairing.Params
-module Pkg = Alpenhorn_pkg.Pkg
 module Server = Alpenhorn_mixnet.Server
 module Config = Alpenhorn_core.Config
 
@@ -24,17 +24,18 @@ module Pkg_server : sig
   (** [index] selects the ["pkg-<index>"] DRBG derivation, matching PKG
       [index] of an in-process deployment created from the same seed. *)
 
-  val pkg : t -> Pkg.t
   val handler : t -> Framing.frame -> Framing.frame
-  (** Raises [Failure] on malformed or unknown requests; {!Alpenhorn_net.Rpc}
-      turns that into an error frame. *)
+  (** {!Proto.serve} over the PKG operations. A request that does not
+      decode, or an unknown tag, gets an {!Alpenhorn_net.Rpc.error_tag}
+      frame; the handler does not raise on it. *)
 
   val handler_traced : t -> trace:(string * string) list option -> Framing.frame -> Framing.frame
   (** {!handler}, plus one span per traced request: when the RPC envelope
-      carried trace labels, the handler is timed and a span named by
-      {!Proto.tag_name} is emitted on {!Alpenhorn_telemetry.Telemetry.default}
-      under those labels verbatim (span identity is minted only by the
-      orchestrator). Shaped for {!Alpenhorn_net.Rpc.Server.create_traced}. *)
+      carried trace labels, the handler is timed and a span named by the
+      operation's {!Proto.rpc} [name] is emitted on
+      {!Alpenhorn_telemetry.Telemetry.default} under those labels verbatim
+      (span identity is minted only by the orchestrator). Shaped for
+      {!Alpenhorn_net.Rpc.Server.create_traced}. *)
 end
 
 (** One chain position of {e both} mixnet chains (add-friend and dialing),
@@ -47,6 +48,7 @@ module Mixer_server : sig
       chain length. *)
 
   val handler : t -> Framing.frame -> Framing.frame
+  (** As {!Pkg_server.handler}, over the mixer operations. *)
 
   val handler_traced : t -> trace:(string * string) list option -> Framing.frame -> Framing.frame
   (** As {!Pkg_server.handler_traced}. *)

@@ -11,13 +11,6 @@ let severity_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let severity_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type event = {
   ts : float;
   clock : string;

@@ -18,7 +18,6 @@
 type severity = Debug | Info | Warn | Error
 
 val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
 
 type event = {
   ts : float;  (** seconds since the registry epoch, on its clock *)

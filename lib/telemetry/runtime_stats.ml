@@ -17,7 +17,6 @@ type t = {
   reg : Tel.registry;
   mu : Mutex.t; (* [sample] runs from both the orchestrator and the scrape domain *)
   mutable prev : Gc.stat;
-  mutable alarm : Gc.alarm option;
   mutable last_probe : float; (* wall time of the last pause probe *)
   min_probe_interval : float;
   mutable max_pause : float; (* all-time, unaffected by registry resets *)
@@ -48,7 +47,6 @@ let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
       reg;
       mu = Mutex.create ();
       prev = Gc.quick_stat ();
-      alarm = None;
       last_probe = 0.0;
       min_probe_interval;
       max_pause = 0.0;
@@ -70,15 +68,13 @@ let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
       h_cycle = Tel.Histogram.v reg "runtime.gc.major_cycle_seconds";
     }
   in
-  let alarm =
-    Gc.create_alarm (fun () ->
-        (* end of a major cycle: observe the interval since the last one *)
-        let now = Unix.gettimeofday () in
-        let prev = Atomic.exchange t.last_major_end now in
-        let dt = now -. prev in
-        if dt > 0.0 then Tel.Histogram.observe t.h_cycle dt)
-  in
-  t.alarm <- Some alarm;
+  ignore
+    (Gc.create_alarm (fun () ->
+         (* end of a major cycle: observe the interval since the last one *)
+         let now = Unix.gettimeofday () in
+         let prev = Atomic.exchange t.last_major_end now in
+         let dt = now -. prev in
+         if dt > 0.0 then Tel.Histogram.observe t.h_cycle dt));
   t
 
 (* Word-count deltas arrive as floats from quick_stat; saturate to int. *)
@@ -139,12 +135,5 @@ let get_default () =
     let t = install () in
     default_ref := Some t;
     t
-
-let uninstall t =
-  match t.alarm with
-  | Some a ->
-    Gc.delete_alarm a;
-    t.alarm <- None
-  | None -> ()
 
 let max_pause_seconds t = t.max_pause

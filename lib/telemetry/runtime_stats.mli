@@ -72,10 +72,6 @@ val sample : ?full:bool -> t -> unit
     for [runtime.live_words]/[runtime.free_words] — noticeably more
     expensive; reserve it for round boundaries. *)
 
-val uninstall : t -> unit
-(** Delete the major-cycle alarm. Idempotent; metrics keep their last
-    values. *)
-
 val max_pause_seconds : t -> float
 (** Largest probed pause since {!install} (not affected by registry
     resets); [0.] before the first probe. *)

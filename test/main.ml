@@ -31,6 +31,7 @@ let () =
       ("entry", Test_entry.suite);
       ("persist", Test_persist.suite);
       ("net", Test_net.suite);
+      ("net-envelope", Test_net.trace_envelope_tests);
       ("robustness", Test_robustness.suite);
       ("faults", Test_faults.suite);
       ("collector", Test_collector.suite);
@@ -38,4 +39,5 @@ let () =
       ("scale", Test_scale.suite);
       ("golden", Test_golden.suite);
       ("codec", Test_codec.suite);
+      ("formats", Test_formats.suite);
     ]

@@ -5,6 +5,7 @@
    Every socket in this file is a real TCP socket on localhost. *)
 
 module F = Alpenhorn_net.Framing
+module Codec = Alpenhorn_codec.Codec
 module Rpc = Alpenhorn_net.Rpc
 module Listener = Alpenhorn_net.Listener
 module Servers = Alpenhorn_remote.Servers
@@ -82,34 +83,29 @@ let framing_tests =
          | F.Corrupt _ -> ()
          | _ -> Alcotest.fail "pos past the buffer must be Corrupt"));
     Alcotest.test_case "Fields: roundtrip, trailing detection, hostile headers" `Quick (fun () ->
-        let b = Buffer.create 64 in
-        F.Fields.u8 b 200;
-        F.Fields.u32 b 123_456_789;
-        F.Fields.f64 b 3.5;
-        F.Fields.str b "hello";
-        F.Fields.strs b [ "a"; ""; "bb" ];
-        let c = F.Fields.cursor (Buffer.contents b) in
-        Alcotest.(check (option int)) "u8" (Some 200) (F.Fields.get_u8 c);
-        Alcotest.(check (option int)) "u32" (Some 123_456_789) (F.Fields.get_u32 c);
-        Alcotest.(check bool) "f64" true (F.Fields.get_f64 c = Some 3.5);
-        Alcotest.(check (option string)) "str" (Some "hello") (F.Fields.get_str c);
-        Alcotest.(check bool) "strs" true (F.Fields.get_strs c = Some [ "a"; ""; "bb" ]);
-        Alcotest.(check bool) "finished" true (F.Fields.finished c);
-        Alcotest.(check (option int)) "read past end" None (F.Fields.get_u8 c);
-        (* trailing byte is visible to the caller *)
-        let c2 = F.Fields.cursor "\x05x" in
-        Alcotest.(check (option int)) "one byte" (Some 5) (F.Fields.get_u8 c2);
-        Alcotest.(check bool) "not finished" false (F.Fields.finished c2);
+        let fields = Codec.(pair (tup4 u8 u32 f64 str) (list str)) in
+        let wire = Codec.encode fields ((200, 123_456_789, 3.5, "hello"), [ "a"; ""; "bb" ]) in
+        (match Codec.decode fields wire with
+        | None -> Alcotest.fail "fields did not decode"
+        | Some ((u8, u32, f64, str), strs) ->
+          Alcotest.(check int) "u8" 200 u8;
+          Alcotest.(check int) "u32" 123_456_789 u32;
+          Alcotest.(check bool) "f64" true (f64 = 3.5);
+          Alcotest.(check string) "str" "hello" str;
+          Alcotest.(check bool) "strs" true (strs = [ "a"; ""; "bb" ]));
+        (* a decode consumes every byte, and reading one more field fails *)
+        Alcotest.(check bool) "finished" true (Codec.decode fields wire <> None);
+        Alcotest.(check bool) "read past end" true (Codec.decode Codec.(pair fields u8) wire = None);
+        (* a trailing byte is rejected, not silently dropped *)
+        Alcotest.(check (option int)) "one byte" (Some 5) (Codec.decode Codec.u8 "\x05");
+        Alcotest.(check (option int)) "not finished" None (Codec.decode Codec.u8 "\x05x");
         (* a list header claiming 2^24 entries backed by 0 bytes must not
            allocate or loop — the count is bounded by the remaining bytes *)
-        let hostile = Buffer.create 8 in
-        F.Fields.u32 hostile 0xFF_FF_FF;
         Alcotest.(check bool) "hostile strs header" true
-          (F.Fields.get_strs (F.Fields.cursor (Buffer.contents hostile)) = None);
-        Alcotest.(check bool) "short u32" true
-          (F.Fields.get_u32 (F.Fields.cursor "ab") = None);
-        Alcotest.(check bool) "str length past end" true
-          (F.Fields.get_str (F.Fields.cursor "\x00\x00\x00\x09abc") = None));
+          (Codec.decode Codec.(list str) (Codec.encode Codec.u32 0xFF_FF_FF) = None);
+        Alcotest.(check (option int)) "short u32" None (Codec.decode Codec.u32 "ab");
+        Alcotest.(check (option string)) "str length past end" None
+          (Codec.decode Codec.str "\x00\x00\x00\x09abc"));
   ]
 
 (* ---------- trace envelope (DESIGN.md §14) ---------- *)
