@@ -73,6 +73,7 @@ let blit s b off =
   off + n
 
 let fixed n =
+  if n < 0 then invalid_arg "Codec.fixed";
   fixed_codec n
     ~write:(fun b off s ->
       if String.length s <> n then invalid_arg "Codec.fixed";

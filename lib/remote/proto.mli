@@ -39,6 +39,8 @@ type ('q, 'r) rpc = {
 }
 
 val pkg_error : Pkg.error Codec.t
+(** The error body of a status-1 response: one tag byte per {!Pkg.error}
+    case, then the lockout seconds for [Locked_out]. *)
 
 (** {1 The operations}
 
@@ -63,17 +65,14 @@ module Op : sig
   val mix_info : (unit, int * int) rpc
   val mix_new_round : Params.t -> (chain, Dh.public) rpc
 
-  val mpk_agg_of_bytes : Params.t -> string -> Ibe.master_public option option
-  (** The aggregate master key as {!mix_process} carries it: the empty
-      string for [None], otherwise the point's canonical bytes. *)
-
   val mix_process :
     Params.t ->
     ( (chain * Dh.public list * float * float) * (int * Ibe.master_public option * string array),
       int * string array )
     rpc
   (** [((chain, downstream_pks, noise_mu, laplace_b), (num_mailboxes,
-      mpk_agg, batch))] to [(noise, out)]. *)
+      mpk_agg, batch))] to [(noise, out)]. [mpk_agg] rides as the empty
+      string for [None], otherwise as the point's canonical bytes. *)
 
   val mix_end_round : (chain, unit) rpc
   val mix_ping : (unit, unit) rpc

@@ -9,10 +9,11 @@
       the mutant's bytes;
     - totality: no decoder raises on any mutant.
 
-    Mutants are bit flips, truncations, u32 length and count fields set
-    to 0, 2^30 − 1, 2^30 and 2^32 − 1, trailing bytes, and splices of two
-    valid encodings. Everything is derived from the seed, so a failure
-    reproduces from the seed, format name and mutant count. *)
+    Mutants are bit flips, bytes overwritten (with zero or at random),
+    truncations, u32 length and count fields set to 0, 2^30 − 1, 2^30
+    and 2^32 − 1, trailing bytes, and splices of two valid encodings.
+    Everything is derived from the seed, so a failure reproduces from the
+    seed, format name and mutant count. *)
 
 type entry =
   | Entry : {
