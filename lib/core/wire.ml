@@ -30,8 +30,10 @@ let sender_sig_message (params : Params.t) r =
 
 (* Fixed-width fields only, so every request has one size: the email
    zero-padded to [max_email_length], four points in their canonical
-   compressed form, then the round. *)
-let build_request (params : Params.t) =
+   compressed form, then the round. Built once per curve: the size is
+   asked for every cover and noise message. *)
+let request =
+  Params.derived @@ fun (params : Params.t) ->
   let point of_bytes to_bytes =
     Codec.map (of_bytes params) (to_bytes params) (Codec.fixed (Curve.point_bytes params.fp))
   in
@@ -44,19 +46,6 @@ let build_request (params : Params.t) =
       (pair
          (tup3 (padded max_email_length) (point Bls.public_of_bytes Bls.public_bytes) signature)
          (tup3 signature (point Dh.public_of_bytes Dh.public_bytes) u32)))
-
-(* Building a codec allocates, and the size is asked for every cover and
-   noise message, so each parameter set's codec is built once. A lost
-   race only builds one twice. *)
-let request =
-  let built = Atomic.make [] in
-  fun params ->
-    match List.assq_opt params (Atomic.get built) with
-    | Some c -> c
-    | None ->
-      let c = build_request params in
-      Atomic.set built ((params, c) :: Atomic.get built);
-      c
 
 let request_plaintext_size params = Option.get (Codec.size (request params))
 

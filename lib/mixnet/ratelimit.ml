@@ -42,7 +42,8 @@ let serial_size = 16
 
 let fresh_serial rng = Drbg.bytes rng serial_size
 
-let token (params : Params.t) =
+let token =
+  Params.derived @@ fun (params : Params.t) ->
   Codec.(
     map
       (fun (serial, signature) -> Some { serial; signature })

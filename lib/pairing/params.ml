@@ -163,3 +163,13 @@ let of_named = function
   | "test" -> test ()
   | "production" -> production ()
   | s -> invalid_arg ("Params.of_named: " ^ s)
+
+let derived f =
+  let built = Atomic.make [] in
+  fun p ->
+    match List.assq_opt p (Atomic.get built) with
+    | Some v -> v
+    | None ->
+      let v = f p in
+      Atomic.set built ((p, v) :: Atomic.get built);
+      v

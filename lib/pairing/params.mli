@@ -54,3 +54,9 @@ val production : unit -> t
 
 val of_named : string -> t
 (** ["test"] or ["production"]. @raise Invalid_argument otherwise. *)
+
+val derived : (t -> 'a) -> t -> 'a
+(** [derived f] computes [f p] once per parameter set [p] (told apart by
+    physical equality, which the memoized sets keep), for values such as
+    codecs that would otherwise be rebuilt on every call. Safe across
+    domains: a lost race only computes [f p] twice. *)

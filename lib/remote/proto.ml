@@ -72,31 +72,40 @@ module Op = struct
 
   let bls_public p = point p Bls.public_of_bytes Bls.public_bytes
   let bls_signature p = point p Bls.signature_of_bytes Bls.signature_bytes
-  let pkg_info p = rpc 0x10 "pkg.info" unit (bls_public p)
-  let pkg_register p = rpc 0x11 "pkg.register" (tup3 u32 str (bls_public p)) unit
+  let pkg_info = Params.derived @@ fun p -> rpc 0x10 "pkg.info" unit (bls_public p)
+
+  let pkg_register =
+    Params.derived @@ fun p -> rpc 0x11 "pkg.register" (tup3 u32 str (bls_public p)) unit
+
   let pkg_inbox = rpc 0x12 "pkg.inbox" str (list str)
   let pkg_confirm = rpc 0x13 "pkg.confirm" (tup3 u32 str str) unit
   let pkg_begin_round = rpc 0x14 "pkg.begin_round" u32 str
 
-  let pkg_reveal p =
+  let pkg_reveal =
+    Params.derived @@ fun p ->
     rpc 0x15 "pkg.reveal" u32
       (pair (point p Ibe.master_public_of_bytes Ibe.master_public_bytes) str)
 
-  let pkg_extract p =
+  let pkg_extract =
+    Params.derived @@ fun p ->
     rpc 0x16 "pkg.extract"
       (tup4 u32 u32 str (bls_signature p))
       (pair (point p Ibe.identity_key_of_bytes Ibe.identity_key_bytes) (bls_signature p))
 
   let pkg_end_round = rpc 0x17 "pkg.end_round" u32 unit
   let mix_info = rpc 0x20 "mix.info" unit (pair u32 u32)
-  let mix_new_round p = rpc 0x21 "mix.new_round" chain (point p Dh.public_of_bytes Dh.public_bytes)
+
+  let mix_new_round =
+    Params.derived @@ fun p ->
+    rpc 0x21 "mix.new_round" chain (point p Dh.public_of_bytes Dh.public_bytes)
 
   (* the aggregate master key is empty when noise is not faithful *)
   let mpk_agg_of_bytes p = function
     | "" -> Some None
     | s -> Option.map Option.some (Ibe.master_public_of_bytes p s)
 
-  let mix_process p =
+  let mix_process =
+    Params.derived @@ fun p ->
     let mpk_agg =
       map (mpk_agg_of_bytes p) (function None -> "" | Some mpk -> Ibe.master_public_bytes p mpk) str
     in

@@ -44,7 +44,8 @@ val pkg_error : Pkg.error Codec.t
 
 (** {1 The operations}
 
-    Descriptions whose messages carry group elements take the curve. *)
+    Descriptions whose messages carry group elements take the curve; each
+    is built once per curve ({!Params.derived}). *)
 module Op : sig
   val pkg_info : Params.t -> (unit, Bls.public) rpc
   val pkg_register : Params.t -> (int * string * Bls.public, unit) rpc
