@@ -65,6 +65,7 @@ let point (p : Params.t) of_bytes to_bytes =
       (fun (len, s) -> if len = n then of_bytes p s else None)
       (fun x -> (n, to_bytes p x))
       (pair u32 (fixed n)))
+
 let chain = Codec.(union [ const 0 Af; const 1 Dial ])
 
 module Op = struct
