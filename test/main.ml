@@ -31,7 +31,6 @@ let () =
       ("entry", Test_entry.suite);
       ("persist", Test_persist.suite);
       ("net", Test_net.suite);
-      ("net-envelope", Test_net.trace_envelope_tests);
       ("robustness", Test_robustness.suite);
       ("faults", Test_faults.suite);
       ("collector", Test_collector.suite);

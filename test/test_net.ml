@@ -896,4 +896,5 @@ let recovery_tests =
     Alcotest.test_case "catch-up over sockets matches in-process" `Quick catch_up_over_sockets;
   ]
 
-let suite = framing_tests @ rpc_tests @ listener_tests @ recovery_tests @ loop_tests
+let suite =
+  framing_tests @ rpc_tests @ listener_tests @ recovery_tests @ loop_tests @ trace_envelope_tests
