@@ -30,35 +30,45 @@ let words = Domain.DLS.new_key (fun () -> Array.make 8 0)
 (* Double hashing (Kirsch-Mitzenmacher) over two 62-bit values, which
    preserves the asymptotic FP rate: h1 and h2 are digest bytes 0-7 and
    8-15 read big-endian, [land max_int]; index i is
-   [abs (h1 + i*h2) mod nbits], wrapping as OCaml's 63-bit ints do. With
-   [set], sets every index and reports whether all were set already;
-   otherwise stops at the first clear bit. *)
-let walk t ~set buf ~pos ~len =
+   [abs (h1 + i*h2) mod nbits], wrapping as OCaml's 63-bit ints do
+   ([abs min_int] is negative: [Bytes.get] rejects that index). The
+   digest words land in the domain's [words]. *)
+let hash buf ~pos ~len =
   let d = Domain.DLS.get words in
   Sha256.digest_words_into d ~prefix:"bloom" buf ~pos ~len;
-  let h1 = ((d.(0) lsl 32) lor d.(1)) land max_int
-  and h2 = ((d.(2) lsl 32) lor d.(3)) land max_int in
-  let nbits = t.nbits and bits = t.bits in
-  let h2 = if h2 mod nbits = 0 then h2 + 1 else h2 in
+  d
+
+let h1 d = ((d.(0) lsl 32) lor d.(1)) land max_int
+
+let h2 t d =
+  let h2 = ((d.(2) lsl 32) lor d.(3)) land max_int in
+  if h2 mod t.nbits = 0 then h2 + 1 else h2
+
+(* Sets all k bits without testing them first: on a filter about half
+   full, a test-then-set branch mispredicts about every other bit. *)
+let add_sub t buf ~pos ~len =
+  let d = hash buf ~pos ~len in
+  let h1 = h1 d and h2 = h2 t d and nbits = t.nbits and bits = t.bits in
+  for i = 0 to t.k - 1 do
+    let idx = abs (h1 + (i * h2)) mod nbits in
+    let byte = idx lsr 3 in
+    let b = Char.code (Bytes.get bits byte) lor (1 lsl (idx land 7)) in
+    Bytes.unsafe_set bits byte (Char.unsafe_chr b)
+  done;
+  t.n <- t.n + 1
+
+(* Stops at the first clear bit: a miss reads about two bits. *)
+let mem_sub t buf ~pos ~len =
+  let d = hash buf ~pos ~len in
+  let h1 = h1 d and h2 = h2 t d and nbits = t.nbits and bits = t.bits in
   let all = ref true and i = ref 0 in
-  while !i < t.k && (set || !all) do
-    (* abs min_int is negative: Bytes.get rejects that index *)
+  while !all && !i < t.k do
     let idx = abs (h1 + (!i * h2)) mod nbits in
-    let byte = idx lsr 3 and m = 1 lsl (idx land 7) in
-    let b = Char.code (Bytes.get bits byte) in
-    if b land m = 0 then begin
-      all := false;
-      if set then Bytes.unsafe_set bits byte (Char.unsafe_chr (b lor m))
-    end;
+    all := Char.code (Bytes.get bits (idx lsr 3)) land (1 lsl (idx land 7)) <> 0;
     incr i
   done;
   !all
 
-let add_sub t buf ~pos ~len =
-  ignore (walk t ~set:true buf ~pos ~len);
-  t.n <- t.n + 1
-
-let mem_sub t buf ~pos ~len = walk t ~set:false buf ~pos ~len
 let add t elem = add_sub t (Bytes.unsafe_of_string elem) ~pos:0 ~len:(String.length elem)
 let mem t elem = mem_sub t (Bytes.unsafe_of_string elem) ~pos:0 ~len:(String.length elem)
 

@@ -27,8 +27,11 @@
 
     An element of at most 50 bytes (dial tokens are 32) costs one SHA-256
     compression and no allocation: the digest words land in a
-    domain-local array and feed the index loop directly. Longer elements
-    stream through a SHA-256 context into the same loop. *)
+    domain-local array and feed the index loops directly. Longer elements
+    stream through a SHA-256 context first. {!add} sets all [k] bits
+    without testing them, so its loop has no data-dependent branch (on a
+    filter about half full, a test before each set mispredicts about
+    every other bit); {!mem} stops at the first clear bit. *)
 
 type t
 

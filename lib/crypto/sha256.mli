@@ -5,10 +5,12 @@
     and known answers for every message length from 0 to 130 bytes.
 
     A 32-bit word is a native [int] in [\[0, 2^32)]; the compression masks
-    a word once, when a sum becomes a word again. The message schedule
-    and the padded block of the one-block entry live in a scratch record
-    owned by the kernel, one per domain ([Domain.DLS]), so a context is
-    just its eight state words, its partial block and its length. Any
+    a word once, when a sum becomes a word again. It is straight-line
+    code, generated at build time by [lib/crypto/gen/gen_sha256.ml]: the
+    message words and the schedule are locals, not an array. The padded
+    block of the one-block entry lives in a scratch record owned by the
+    kernel, one per domain ([Domain.DLS]), so a context is just its eight
+    state words, its partial block and its length. Any
     number of domains may hash at once; one context must not be updated
     from two domains at once. Hashing allocates nothing but the contexts
     it creates and the digest strings it returns. Not constant-time (see

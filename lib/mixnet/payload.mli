@@ -12,9 +12,10 @@ val decode : string -> (int * string) option
 (** [None] when the input is shorter than the id, or the id is above
     {!cover} — exactly the ids {!encode} refuses. *)
 
-val mailbox : string -> int option
-(** Header-only peek at the mailbox id — no body substring. The sharded
-    distribution's counting pass classifies millions of payloads with this
-    before touching any body bytes. *)
+val mailbox : string -> int
+(** Header-only peek at the mailbox id, or [-1] where {!decode} gives
+    [None]. It allocates nothing: the sharded distribution's counting pass
+    classifies millions of payloads with it before touching any body
+    bytes. *)
 
 val overhead : int

@@ -1,6 +1,7 @@
-(* Runtime/GC sampling: quick_stat deltas -> counters, heap levels ->
-   gauges, a Gc alarm at every major-cycle end, and a forced-minor pause
-   probe. No Gc.Memprof, no dependencies beyond Unix for the wall clock.
+(* Runtime/GC sampling: collection and allocation-counter deltas ->
+   counters, heap levels -> gauges, a Gc alarm at every major-cycle end,
+   and a forced-minor pause probe. No Gc.Memprof, no dependencies beyond
+   Unix for the wall clock.
 
    The pause probe is deliberately honest about what it measures: a
    forced minor collection is a real stop-the-world evacuation of
@@ -40,13 +41,23 @@ type t = {
   h_cycle : Tel.Histogram.t;
 }
 
+(* Gc.quick_stat's word counts advance only at minor collections (OCaml
+   5.1.1: 1 000 cells consed with no collection read 0 words), so they
+   are replaced by the calling domain's live counts: [Gc.minor_words]
+   reads the allocation pointer, and [Gc.counters]'s major and promoted
+   words are current. *)
+let stat ~full =
+  let s = if full then Gc.stat () else Gc.quick_stat () in
+  let _, promoted_words, major_words = Gc.counters () in
+  { s with Gc.minor_words = Gc.minor_words (); promoted_words; major_words }
+
 let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
   let reg = registry in
   let t =
     {
       reg;
       mu = Mutex.create ();
-      prev = Gc.quick_stat ();
+      prev = stat ~full:false;
       last_probe = 0.0;
       min_probe_interval;
       max_pause = 0.0;
@@ -77,7 +88,7 @@ let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
          if dt > 0.0 then Tel.Histogram.observe t.h_cycle dt));
   t
 
-(* Word-count deltas arrive as floats from quick_stat; saturate to int. *)
+(* Word-count deltas arrive as floats; saturate to int. *)
 let word_delta cur prev =
   let d = cur -. prev in
   if d <= 0.0 then 0
@@ -100,7 +111,7 @@ let probe_pause t now =
 let sample ?(full = false) t =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) @@ fun () ->
-  let s = if full then Gc.stat () else Gc.quick_stat () in
+  let s = stat ~full in
   let p = t.prev in
   t.prev <- s;
   Tel.Counter.add t.c_minor (max 0 (s.Gc.minor_collections - p.Gc.minor_collections));

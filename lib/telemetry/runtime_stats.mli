@@ -11,7 +11,7 @@
     profiler the operator attaches):
 
     - {b Deltas as counters.} Each {!sample} diffs the previous
-      [Gc.quick_stat] against the current one and adds the increments to
+      reading against the current one and adds the increments to
       [runtime.gc.minor_collections], [runtime.gc.major_collections],
       [runtime.gc.compactions], [runtime.alloc.minor_words],
       [runtime.alloc.promoted_words] and [runtime.alloc.major_words]
@@ -43,18 +43,20 @@
     {!install}, so they ride the existing exporters, the time-series ring
     and the SLO rules unchanged.
 
-    Statistics are per-domain in OCaml 5: [Gc.quick_stat] reports the
-    calling domain's minor counts plus the shared major heap. Install and
-    sample from the orchestrating domain (worker-domain minor allocation
-    is promoted through the shared major heap, which {e is} visible
-    here); the alarm fires on whichever domain ends the major cycle and
-    only touches its own atomic. *)
+    The word counters read the sampling domain's live allocation
+    counters ([Gc.minor_words], and [Gc.counters] for major and promoted
+    words): on OCaml 5.1 the word counts of [Gc.quick_stat] advance only
+    at minor collections, so a window without one would read zero. They
+    are the sampling domain's own allocation; the collection counts and
+    heap levels come from [Gc.quick_stat] and cover every domain. Install
+    and sample from the orchestrating domain; the alarm fires on whichever
+    domain ends the major cycle and only touches its own atomic. *)
 
 type t
 
 val install : ?registry:Telemetry.registry -> ?min_probe_interval:float -> unit -> t
 (** Register the gauges/counters/histograms (on {!Telemetry.default} by
-    default), take the baseline [Gc.quick_stat], and hook the major-cycle
+    default), take the baseline reading, and hook the major-cycle
     alarm. [min_probe_interval] (seconds of wall time, default [0.5])
     rate-limits the forced-minor pause probe; [0.] probes on every
     sample. Multiple installs coexist (each owns its own alarm and
@@ -67,7 +69,7 @@ val get_default : unit -> t
     registered exactly once. *)
 
 val sample : ?full:bool -> t -> unit
-(** Diff [Gc.quick_stat] against the previous sample and publish (see
+(** Diff the current reading against the previous sample and publish (see
     above). [~full:true] additionally runs the heap-walking [Gc.stat]
     for [runtime.live_words]/[runtime.free_words] — noticeably more
     expensive; reserve it for round boundaries. *)

@@ -9,6 +9,7 @@ module Payload = Alpenhorn_mixnet.Payload
 module Stream_writer = Alpenhorn_mixnet.Stream_writer
 module Bloom = Alpenhorn_bloom.Bloom
 module Sha256 = Alpenhorn_crypto.Sha256
+module Parallel = Alpenhorn_parallel.Parallel
 
 (* deterministic payload batch: [n] tokens spread over [k] mailboxes,
    bodies unique per index so multiset comparisons are meaningful *)
@@ -67,6 +68,29 @@ let property_tests =
            = Shard.of_mailbox t (Mailbox.mailbox_of_identity email ~num_mailboxes:k)));
   ]
 
+(* S = K: one mailbox per shard, so the sharded filters must equal the
+   unsharded ones byte for byte, on one domain and on four *)
+let check_identity ~k payloads =
+  let shard = Shard.create ~num_shards:k ~num_mailboxes:k in
+  let plain, _ = Mailbox.distribute ~num_mailboxes:k ~mode:`Dialing payloads in
+  let unsharded = Array.map Bloom.to_bytes (Mailbox.filters_exn plain) in
+  List.iter
+    (fun domains ->
+      let sharded, _ =
+        Parallel.with_default ~domains (fun () ->
+            Mailbox.distribute_sharded ~shard ~mode:`Dialing payloads)
+      in
+      let per_shard = Mailbox.filter_shards_exn sharded in
+      Alcotest.(check int) "same count" k (Array.length per_shard);
+      Array.iteri
+        (fun m bytes ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d domains: mailbox %d filter bytes" domains m)
+            true
+            (bytes = Bloom.to_bytes per_shard.(m)))
+        unsharded)
+    [ 1; 4 ]
+
 let unit_tests =
   [
     Alcotest.test_case "create rejects degenerate partitions" `Quick (fun () ->
@@ -96,7 +120,7 @@ let unit_tests =
             let ok =
               Stream_writer.iter_records blob (fun record ->
                   (match Payload.mailbox record with
-                  | Some m when m >= lo && m < hi -> ()
+                  | m when m >= lo && m < hi -> ()
                   | _ -> Alcotest.failf "record outside shard %d's range" sid);
                   recovered := record :: !recovered)
             in
@@ -151,6 +175,61 @@ let unit_tests =
               (Bloom.to_bytes f)
               (Bloom.to_bytes per_shard.(m)))
           unsharded);
+    Alcotest.test_case "dialing: S = K byte identity across gather chunks" `Quick (fun () ->
+        (* 3 200 tokens per mailbox, 0-80 bytes: the first half cycles
+           through every length, so a gather chunk fills at 1 024 tokens;
+           the second half is 80 bytes a token, so a chunk fills its 64 KiB
+           at 819. Tokens over 50 bytes stream through SHA-256. *)
+        let k = 4 in
+        let n = 3200 * k in
+        let payloads =
+          Array.init n (fun i ->
+              let len = if i < n / 2 then i mod 81 else 80 in
+              let d = Sha256.digest (Printf.sprintf "chunks:%d" i) in
+              Payload.encode ~mailbox:(i * 7 mod k) (String.sub (d ^ d ^ d) 0 len))
+        in
+        check_identity ~k payloads);
+    Alcotest.test_case "dialing: a token longer than the gather buffer is packed" `Quick
+      (fun () ->
+        (* a 65 536-byte token fills the buffer exactly; 65 537 and 65 538
+           bytes are added straight from their payloads *)
+        let k = 2 in
+        let payloads =
+          Array.init 600 (fun i ->
+              let body =
+                if i mod 100 = 50 then String.make (65536 + (i mod 3)) (Char.chr (i mod 256))
+                else Sha256.digest (Printf.sprintf "long:%d" i)
+              in
+              Payload.encode ~mailbox:(i mod k) body)
+        in
+        check_identity ~k payloads);
+    Alcotest.test_case "dialing distribution allocates nothing per token" `Quick (fun () ->
+        let n = 20_000 and s = 4 in
+        let payloads = batch ~seed:"alloc" ~n ~k:64 in
+        let shard = Shard.create ~num_shards:s ~num_mailboxes:64 in
+        Parallel.with_default ~domains:1 (fun () ->
+            let run () = Mailbox.distribute_sharded ~shard ~mode:`Dialing payloads in
+            (* the first call allocates this domain's gather buffer *)
+            ignore (run ());
+            let words () =
+              let _, promoted, major = Gc.counters () in
+              Gc.minor_words () +. major -. promoted
+            in
+            let w0 = words () in
+            let content, _ = run () in
+            let used = words () -. w0 in
+            (* the shard id and order arrays, each n words and a header,
+               the filters' bit arrays and records, and O(S) words *)
+            let filters =
+              Array.fold_left
+                (fun acc f -> acc + (Bloom.size_bytes f / 8) + 8)
+                0 (Mailbox.filter_shards_exn content)
+            in
+            let allowed = (2 * (n + 1)) + filters + (8 * s) + 16 in
+            Alcotest.(check bool)
+              (Printf.sprintf "%.0f words <= %d" used allowed)
+              true
+              (used <= float_of_int allowed)));
     Alcotest.test_case "per-shard Bloom false-positive estimate honors the §5.2 bound" `Quick
       (fun () ->
         let k = 40 and s = 4 in

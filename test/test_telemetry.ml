@@ -325,5 +325,42 @@ let reset_conservation_tests =
         Alcotest.(check int) "histogram observations conserved" (domains * per_domain) !seen_h);
   ]
 
+module Runtime_stats = Alpenhorn_telemetry.Runtime_stats
+
+let runtime_stats_tests =
+  [
+    Alcotest.test_case "runtime sampler counts words between collections" `Quick (fun () ->
+        let r = fresh () in
+        (* no pause probe, so sampling forces no collection *)
+        let rs = Runtime_stats.install ~registry:r ~min_probe_interval:infinity () in
+        let minor_words = Tel.Counter.v r "runtime.alloc.minor_words" in
+        let major_words = Tel.Counter.v r "runtime.alloc.major_words" in
+        (* an empty minor heap, so 1 000 cells fit without a collection *)
+        Gc.minor ();
+        let collections () = (Gc.quick_stat ()).Gc.minor_collections in
+        let c0 = collections () in
+        Runtime_stats.sample rs;
+        let w0 = Tel.Counter.value minor_words in
+        let cells = ref [] in
+        for i = 1 to 1000 do
+          cells := i :: !cells
+        done;
+        Runtime_stats.sample rs;
+        let w = Tel.Counter.value minor_words - w0 in
+        ignore (Sys.opaque_identity !cells);
+        Alcotest.(check int) "no collection in between" c0 (collections ());
+        Alcotest.(check bool)
+          (Printf.sprintf "%d words for 1 000 cells (3 each)" w)
+          true (w >= 3000);
+        (* an array past the minor heap's block limit is allocated in the
+           major heap directly *)
+        let m0 = Tel.Counter.value major_words in
+        ignore (Sys.opaque_identity (Array.make 1000 0));
+        Runtime_stats.sample rs;
+        let m = Tel.Counter.value major_words - m0 in
+        Alcotest.(check bool) (Printf.sprintf "%d major words for a 1 001-word array" m) true (m >= 1001));
+  ]
+
 let suite =
   unit_tests @ straddle_tests @ json_parse_tests @ events_tests @ reset_conservation_tests
+  @ runtime_stats_tests
