@@ -14,10 +14,27 @@
 
 module Tel = Telemetry
 
+(* One word counter. [Gc.quick_stat]'s word counts cover the whole
+   program, but only as of the last minor collection (OCaml 5.1.1: 1 000
+   cells consed with no collection read 0 words; a direct major
+   allocation shows only after a major slice and the next collection).
+   The calling domain's own counts ([Gc.minor_words], [Gc.counters]) are
+   current but cover that domain alone. A sample adds the sampling
+   domain's own words since that domain's previous sample, plus the
+   program-wide growth beyond the own words already added: [seen] is the
+   largest program-wide reading so far, [ahead] the own words counted
+   that it may not contain yet. Readings of two domains are never
+   diffed. *)
+type words = { c : Tel.Counter.t; mutable seen : float; mutable ahead : float }
+
+(* A domain's own minor and major words at its previous sample. *)
+type own = { mutable own_minor : float; mutable own_major : float }
+
 type t = {
   reg : Tel.registry;
   mu : Mutex.t; (* [sample] runs from both the orchestrator and the scrape domain *)
   mutable prev : Gc.stat;
+  own : own Domain.DLS.key;
   mutable last_probe : float; (* wall time of the last pause probe *)
   min_probe_interval : float;
   mutable max_pause : float; (* all-time, unaffected by registry resets *)
@@ -28,9 +45,9 @@ type t = {
   c_major : Tel.Counter.t;
   c_compact : Tel.Counter.t;
   c_forced : Tel.Counter.t;
-  c_minor_words : Tel.Counter.t;
-  c_promoted : Tel.Counter.t;
-  c_major_words : Tel.Counter.t;
+  w_minor : words;
+  w_promoted : words;
+  w_major : words;
   g_heap : Tel.Gauge.t;
   g_top_heap : Tel.Gauge.t;
   g_stack : Tel.Gauge.t;
@@ -41,23 +58,20 @@ type t = {
   h_cycle : Tel.Histogram.t;
 }
 
-(* Gc.quick_stat's word counts advance only at minor collections (OCaml
-   5.1.1: 1 000 cells consed with no collection read 0 words), so they
-   are replaced by the calling domain's live counts: [Gc.minor_words]
-   reads the allocation pointer, and [Gc.counters]'s major and promoted
-   words are current. *)
-let stat ~full =
-  let s = if full then Gc.stat () else Gc.quick_stat () in
-  let _, promoted_words, major_words = Gc.counters () in
-  { s with Gc.minor_words = Gc.minor_words (); promoted_words; major_words }
+let own_words () =
+  let _, _, major = Gc.counters () in
+  { own_minor = Gc.minor_words (); own_major = major }
 
 let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
   let reg = registry in
+  let s = Gc.quick_stat () in
+  let words name seen = { c = Tel.Counter.v reg name; seen; ahead = 0.0 } in
   let t =
     {
       reg;
       mu = Mutex.create ();
-      prev = stat ~full:false;
+      prev = s;
+      own = Domain.DLS.new_key own_words;
       last_probe = 0.0;
       min_probe_interval;
       max_pause = 0.0;
@@ -66,9 +80,9 @@ let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
       c_major = Tel.Counter.v reg "runtime.gc.major_collections";
       c_compact = Tel.Counter.v reg "runtime.gc.compactions";
       c_forced = Tel.Counter.v reg "runtime.gc.forced_major_collections";
-      c_minor_words = Tel.Counter.v reg "runtime.alloc.minor_words";
-      c_promoted = Tel.Counter.v reg "runtime.alloc.promoted_words";
-      c_major_words = Tel.Counter.v reg "runtime.alloc.major_words";
+      w_minor = words "runtime.alloc.minor_words" s.Gc.minor_words;
+      w_promoted = words "runtime.alloc.promoted_words" s.Gc.promoted_words;
+      w_major = words "runtime.alloc.major_words" s.Gc.major_words;
       g_heap = Tel.Gauge.v reg "runtime.heap_words";
       g_top_heap = Tel.Gauge.v reg "runtime.top_heap_words";
       g_stack = Tel.Gauge.v reg "runtime.stack_words";
@@ -79,6 +93,9 @@ let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
       h_cycle = Tel.Histogram.v reg "runtime.gc.major_cycle_seconds";
     }
   in
+  (* the installing domain's own counts start here; any other domain's
+     start at its first sample *)
+  ignore (Domain.DLS.get t.own);
   ignore
     (Gc.create_alarm (fun () ->
          (* end of a major cycle: observe the interval since the last one *)
@@ -88,12 +105,20 @@ let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
          if dt > 0.0 then Tel.Histogram.observe t.h_cycle dt));
   t
 
-(* Word-count deltas arrive as floats; saturate to int. *)
-let word_delta cur prev =
-  let d = cur -. prev in
-  if d <= 0.0 then 0
-  else if d >= float_of_int max_int then max_int
-  else int_of_float d
+(* Word counts arrive as floats; saturate to int. *)
+let to_words d =
+  if d <= 0.0 then 0 else if d >= float_of_int max_int then max_int else int_of_float d
+
+(* [program] is this sample's program-wide reading, [own] the sampling
+   domain's words since its previous sample. The counter stays at
+   [seen + ahead] (from install on): program-wide growth first pays off
+   the own words counted ahead of it, so no word is counted twice. *)
+let count w ~program ~own =
+  let grown = Float.max 0.0 (program -. w.seen) in
+  w.seen <- Float.max w.seen program;
+  let ahead = w.ahead +. own in
+  w.ahead <- Float.max 0.0 (ahead -. grown);
+  Tel.Counter.add w.c (to_words (own +. Float.max 0.0 (grown -. ahead)))
 
 let probe_pause t now =
   if now -. t.last_probe >= t.min_probe_interval then begin
@@ -111,7 +136,7 @@ let probe_pause t now =
 let sample ?(full = false) t =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) @@ fun () ->
-  let s = stat ~full in
+  let s = if full then Gc.stat () else Gc.quick_stat () in
   let p = t.prev in
   t.prev <- s;
   Tel.Counter.add t.c_minor (max 0 (s.Gc.minor_collections - p.Gc.minor_collections));
@@ -119,9 +144,15 @@ let sample ?(full = false) t =
   Tel.Counter.add t.c_compact (max 0 (s.Gc.compactions - p.Gc.compactions));
   Tel.Counter.add t.c_forced
     (max 0 (s.Gc.forced_major_collections - p.Gc.forced_major_collections));
-  Tel.Counter.add t.c_minor_words (word_delta s.Gc.minor_words p.Gc.minor_words);
-  Tel.Counter.add t.c_promoted (word_delta s.Gc.promoted_words p.Gc.promoted_words);
-  Tel.Counter.add t.c_major_words (word_delta s.Gc.major_words p.Gc.major_words);
+  let o = Domain.DLS.get t.own in
+  let now = own_words () in
+  count t.w_minor ~program:s.Gc.minor_words ~own:(now.own_minor -. o.own_minor);
+  count t.w_major ~program:s.Gc.major_words ~own:(now.own_major -. o.own_major);
+  (* only a collection promotes, and it stops every domain and brings
+     the program-wide count up to date *)
+  count t.w_promoted ~program:s.Gc.promoted_words ~own:0.0;
+  o.own_minor <- now.own_minor;
+  o.own_major <- now.own_major;
   Tel.Gauge.set t.g_heap (float_of_int s.Gc.heap_words);
   Tel.Gauge.set t.g_top_heap (float_of_int s.Gc.top_heap_words);
   Tel.Gauge.set t.g_stack (float_of_int s.Gc.stack_size);

@@ -43,14 +43,20 @@
     {!install}, so they ride the existing exporters, the time-series ring
     and the SLO rules unchanged.
 
-    The word counters read the sampling domain's live allocation
-    counters ([Gc.minor_words], and [Gc.counters] for major and promoted
-    words): on OCaml 5.1 the word counts of [Gc.quick_stat] advance only
-    at minor collections, so a window without one would read zero. They
-    are the sampling domain's own allocation; the collection counts and
-    heap levels come from [Gc.quick_stat] and cover every domain. Install
-    and sample from the orchestrating domain; the alarm fires on whichever
-    domain ends the major cycle and only touches its own atomic. *)
+    The word counters cover every domain, pool workers and finished
+    domains included. [Gc.quick_stat]'s word counts are program-wide but
+    (OCaml 5.1) advance only at minor collections, so a window without
+    one would read zero; each sample therefore also adds the sampling
+    domain's own words since that domain's previous sample, read from
+    its live counters ([Gc.minor_words], and [Gc.counters] for major
+    words) and diffed only against that same domain's earlier reading.
+    Program-wide growth counts only beyond the own words already added,
+    so no word is counted twice. A domain that never samples shows its
+    words at the next minor collection (at once when it ends); a domain
+    that samples shows them up to its sample. The collection counts and
+    heap levels come from [Gc.quick_stat]. Any domain may install and
+    sample; the alarm fires on whichever domain ends the major cycle and
+    only touches its own atomic. *)
 
 type t
 

@@ -359,6 +359,48 @@ let runtime_stats_tests =
         Runtime_stats.sample rs;
         let m = Tel.Counter.value major_words - m0 in
         Alcotest.(check bool) (Printf.sprintf "%d major words for a 1 001-word array" m) true (m >= 1001));
+    Alcotest.test_case "runtime sampler counts each domain's words once" `Quick (fun () ->
+        (* far more words on this domain's lifetime count than the test
+           allocates between its samples *)
+        ignore (Sys.opaque_identity (List.init 1_000_000 Fun.id));
+        let r = fresh () in
+        let rs = Runtime_stats.install ~registry:r ~min_probe_interval:infinity () in
+        let minor_words = Tel.Counter.v r "runtime.alloc.minor_words" in
+        let own () = Gc.minor_words () in
+        let cons n =
+          let cells = ref [] in
+          for i = 1 to n do
+            cells := i :: !cells
+          done;
+          ignore (Sys.opaque_identity !cells)
+        in
+        Gc.minor ();
+        Runtime_stats.sample rs;
+        let w0 = Tel.Counter.value minor_words and m0 = own () in
+        cons 10_000;
+        (* a second domain samples between this domain's two samples,
+           and allocates both before and after its sample *)
+        let worker =
+          Domain.spawn (fun () ->
+              let m0 = own () in
+              cons 10_000;
+              Runtime_stats.sample rs;
+              cons 10_000;
+              own () -. m0)
+        in
+        let theirs = Domain.join worker in
+        (* bring the program-wide count up to date *)
+        Gc.minor ();
+        Runtime_stats.sample rs;
+        let mine = own () -. m0 and w = float_of_int (Tel.Counter.value minor_words - w0) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f words counted, at least the 90 000 allocated" w)
+          true (w >= 90_000.0);
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f words counted, at most the %.0f allocated (+ 4 096)" w
+             (mine +. theirs))
+          true
+          (w <= mine +. theirs +. 4096.0));
   ]
 
 let suite =
