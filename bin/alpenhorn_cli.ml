@@ -150,7 +150,7 @@ let domains_arg =
 
 let apply_domains domains =
   if domains < 0 then begin
-    prerr_endline "alpenhorn: --domains must be >= 1";
+    prerr_endline "alpenhorn: --domains must be >= 0";
     exit 2
   end;
   if domains > 0 then Parallel.set_default_size domains
@@ -655,29 +655,22 @@ let serve_metrics_cmd =
 (* Rebuild a displayable SLO report from the /slo JSON body: only the
    rule name, value and pass bit matter to the dashboard. *)
 let report_of_slo_json body =
-  match Tel.Json.parse body with
-  | None -> None
-  | Some j -> (
-    match (Tel.Json.member "healthy" j, Tel.Json.member "checks" j) with
-    | Some (Tel.Json.Bool healthy), Some (Tel.Json.Arr checks) ->
-      let parse c =
-        match Tel.Json.member "rule" c with
-        | Some (Tel.Json.Str name) ->
-          let pass = match Tel.Json.member "pass" c with Some (Tel.Json.Bool b) -> b | _ -> false in
-          let value =
-            match Tel.Json.member "value" c with Some (Tel.Json.Num v) -> Some v | _ -> None
-          in
-          Some
-            {
-              Slo.rule =
-                Slo.rule ~name ~description:"" (Slo.Counter "") Slo.Le infinity;
-              value;
-              pass;
-            }
-        | _ -> None
-      in
-      Some { Slo.healthy; checks = List.filter_map parse checks }
-    | _ -> None)
+  let open Tel.Json in
+  let ( let* ) = Option.bind in
+  let bool = function Bool b -> Some b | _ -> None in
+  let check c =
+    let* name = get "rule" to_str c in
+    Some
+      {
+        Slo.rule = Slo.rule ~name ~description:"" (Slo.Counter "") Slo.Le infinity;
+        value = (match member "value" c with Some (Num v) -> Some v | _ -> None);
+        pass = get "pass" bool c = Some true;
+      }
+  in
+  let* j = parse body in
+  let* healthy = get "healthy" bool j in
+  let* checks = get "checks" (to_list Option.some) j in
+  Some { Slo.healthy; checks = List.filter_map check checks }
 
 (* Fleet table: one row per process from the collector's last snapshots. *)
 let print_fleet_rows coll =
@@ -728,13 +721,14 @@ let parse_fleet_targets spec =
     exit 2
   | items -> List.mapi parse_item items
 
+(* top reads /metrics.json only through a collector: a single endpoint
+   is a fleet of one *)
+let http_collector targets =
+  Collector.create ~fetch:(fun ~host ~port path -> Listener.fetch ~host ~port path) targets
+
 (* One row per process, refreshed every interval: the fleet view of top. *)
 let run_top_fleet spec interval frames =
-  let coll =
-    Collector.create
-      ~fetch:(fun ~host ~port path -> Listener.fetch ~host ~port path)
-      (parse_fleet_targets spec)
-  in
+  let coll = http_collector (parse_fleet_targets spec) in
   let rules = Collector.fleet_rules ~max_staleness:(Float.max 10.0 (interval *. 5.0)) () in
   let stop = ref false in
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true));
@@ -777,36 +771,30 @@ let run_top port host interval frames window replay color fleet =
       print_string (Dashboard.render ~color ~window ~ring ~slo:None ());
       0)
   | None ->
-    let ring = Timeseries.create_detached ~capacity:720 () in
+    let coll =
+      http_collector [ Collector.instance ~name:"endpoint" (Collector.Remote { host; port }) ]
+    in
     let window = if window > 0.0 then window else 60.0 in
     let stop = ref false in
     Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true));
     let i = ref 0 and failures = ref 0 in
     while (not !stop) && (frames = 0 || !i < frames) && !failures < 5 do
       incr i;
-      (match Listener.fetch ~host ~port "/metrics.json" with
-      | Error e ->
+      Collector.scrape coll;
+      (match Collector.status coll with
+      | [ (_, (Collector.Stale e | Collector.Never e), _) ] ->
         incr failures;
         Printf.eprintf "fetch http://%s:%d/metrics.json: %s\n%!" host port e
-      | Ok (status, _body) when status <> 200 ->
-        incr failures;
-        Printf.eprintf "fetch /metrics.json: HTTP %d\n%!" status
-      | Ok (_, body) -> (
+      | _ ->
         failures := 0;
-        match Tel.Json.parse body with
-        | None -> Printf.eprintf "fetch /metrics.json: unparseable body\n%!"
-        | Some j -> (
-          match Timeseries.record_json ring ~ts:(Unix.gettimeofday ()) j with
-          | Ok () ->
-            let slo =
-              match Listener.fetch ~host ~port "/slo" with
-              | Ok (_, slo_body) -> report_of_slo_json slo_body
-              | Error _ -> None
-            in
-            print_string Dashboard.ansi_clear;
-            print_string (Dashboard.render ~color ~window ~ring ~slo ());
-            flush stdout
-          | Error e -> Printf.eprintf "ring: %s\n%!" e)));
+        let slo =
+          match Listener.fetch ~host ~port "/slo" with
+          | Ok (_, slo_body) -> report_of_slo_json slo_body
+          | Error _ -> None
+        in
+        print_string Dashboard.ansi_clear;
+        print_string (Dashboard.render ~color ~window ~ring:(Collector.ring coll) ~slo ());
+        flush stdout);
       if (frames = 0 || !i < frames) && not !stop then Unix.sleepf interval
     done;
     if !failures >= 5 then begin
@@ -1140,7 +1128,6 @@ let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
       (* trace every round: all span ids are minted by this tracer, and
          servers replay carried identities, so merged snapshots stitch *)
       Deployment.set_tracer nd (Some (Trace.create Tel.default));
-      let fetch ~host ~port path = Listener.fetch ~host ~port path in
       let remote (c : child) = Collector.Remote { host = "127.0.0.1"; port = c.metrics } in
       let insts =
         Collector.instance ~role:"orch" ~name:"orchestrator" (Collector.Local Tel.default)
@@ -1153,7 +1140,7 @@ let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
                (fun i r -> Collector.instance ~name:(Printf.sprintf "mixer-%d" i) (remote !r))
                mixer_children)
       in
-      let c = Collector.create ~fetch insts in
+      let c = http_collector insts in
       collector := Some c;
       Printf.printf "scraping %d fleet instances (metrics ports %s)\n%!" (List.length insts)
         (String.concat ", "

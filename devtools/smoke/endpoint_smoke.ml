@@ -1,14 +1,20 @@
 (* CI endpoint smoke: serve the telemetry endpoints on an ephemeral port
    while a real deployment loops rounds on another domain, scrape
    /metrics, /metrics.json and /slo with the in-repo fetch client (no
-   curl), and assert status + parseability. Run via `dune build
-   @endpoint-smoke`; CI runs it at ALPENHORN_DOMAINS=1 and =4.
+   curl), and assert status + parseability. Then take `top`'s live path:
+   scrape the listener twice through a one-instance Collector with a
+   round in between, and render a Dashboard frame from the collector's
+   ring. Run via `dune build @endpoint-smoke` (which also replays a
+   recorded ring through `top --replay`); CI runs it at
+   ALPENHORN_DOMAINS=1 and =4.
 
    Exit codes: 0 all endpoints healthy, 1 assertion failed. *)
 
 module Tel = Alpenhorn_telemetry.Telemetry
 module Expose = Alpenhorn_telemetry.Expose
 module Timeseries = Alpenhorn_telemetry.Timeseries
+module Collector = Alpenhorn_telemetry.Collector
+module Dashboard = Alpenhorn_telemetry.Dashboard
 module Runtime_stats = Alpenhorn_telemetry.Runtime_stats
 module Listener = Alpenhorn_net.Listener
 module Deployment = Alpenhorn_core.Deployment
@@ -54,10 +60,13 @@ let () =
       | Error e -> failwith (Alpenhorn_pkg.Pkg.error_to_string e))
     [ a; b ];
   Client.add_friend a ~email:"bob@example.org" ();
-  for i = 1 to 3 do
+  let round_pair i =
     ignore (Deployment.run_addfriend_round d ());
     ignore (Deployment.run_dialing_round d ());
     Client.call a ~email:"bob@example.org" ~intent:(i mod 4)
+  in
+  for i = 1 to 3 do
+    round_pair i
   done;
   let status, body = fetch_ok ~port "/metrics" in
   check "/metrics answers 200" (status = 200);
@@ -81,6 +90,31 @@ let () =
   check "/slo is healthy after a clean run" (status = 200);
   let status, body = fetch_ok ~port "/series?name=round.completed" in
   check "/series answers 200 with JSON" (status = 200 && Tel.Json.is_valid body);
+  (* top's live mode: the endpoint as a fleet of one *)
+  let coll =
+    Collector.create
+      ~fetch:(fun ~host ~port path -> Listener.fetch ~host ~port path)
+      [ Collector.instance ~name:"endpoint" (Collector.Remote { host = "127.0.0.1"; port }) ]
+  in
+  Collector.scrape coll;
+  round_pair 4;
+  Collector.scrape coll;
+  check "both collector scrapes decode"
+    (match Collector.status coll with [ (_, Collector.Fresh, _) ] -> true | _ -> false);
+  let frame = Dashboard.render ~color:false ~ring:(Collector.ring coll) ~slo:None () in
+  print_string frame;
+  (* the row reads "  rounds  <rate>/s  <sparkline>" *)
+  let shown_rate =
+    String.split_on_char '\n' frame
+    |> List.find_map (fun l ->
+           match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+           | "rounds" :: rate :: _ -> Some rate
+           | _ -> None)
+  in
+  check "the dashboard's rounds row shows a nonzero rate"
+    (match shown_rate with
+    | Some rate -> String.exists (fun c -> c >= '1' && c <= '9') rate
+    | None -> false);
   Listener.stop t;
   Domain.join server;
   if !failed then exit 1;

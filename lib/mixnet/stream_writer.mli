@@ -42,11 +42,9 @@ val flush : t -> unit
 val written : t -> int
 (** Total bytes handed to the sink so far (excludes still-buffered bytes). *)
 
-val buffered : t -> int
-(** Bytes currently buffered, awaiting flush. *)
-
 val peak_buffered : t -> int
-(** High-water mark of {!buffered} — always [<= capacity]. *)
+(** High-water mark of the bytes held awaiting a flush — always
+    [<= capacity]. *)
 
 val iter_records : string -> (string -> unit) -> bool
 (** Decode a concatenation of {!write_record} frames, calling [f] per body

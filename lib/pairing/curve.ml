@@ -273,21 +273,6 @@ let to_affine_batch ctx js =
       js
   end
 
-(* n scalar multiplications paying one field inversion total *)
-let mul_batch f kps =
-  let ctx = Field.mont_ctx f in
-  let js =
-    List.map
-      (fun (k, p) ->
-        if Bigint.sign k < 0 then invalid_arg "Curve.mul_batch: negative scalar";
-        match p with
-        | Inf -> Jm.infinity ctx
-        | Affine _ when Bigint.is_zero k -> Jm.infinity ctx
-        | Affine _ -> mul_jm ctx k p)
-      kps
-  in
-  to_affine_batch ctx js
-
 (* Σ kᵢ·Pᵢ with one shared window walk: the accumulator is doubled once
    per window for all terms together, and the whole sum pays a single
    Jacobian→affine inversion — folding [mul] and [add] would pay the

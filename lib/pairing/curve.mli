@@ -23,12 +23,6 @@ val mul : Field.t -> Bigint.t -> point -> point
     coordinates on the fixed-limb Montgomery kernel, one field inversion
     total (the hot path of IBE, BLS and DH). *)
 
-val mul_batch : Field.t -> (Bigint.t * point) list -> point list
-(** [mul_batch f \[(k1,p1); …\]] is [\[k1·p1; …\]] — independent scalar
-    multiplications sharing a single field inversion for all the
-    Jacobian→affine conversions (Montgomery's batch-inversion trick).
-    @raise Invalid_argument on negative scalars. *)
-
 val msm : Field.t -> (Bigint.t * point) list -> point
 (** [msm f \[(k1,p1); …\]] is [Σ ki·pi], sharing one doubling chain and
     one final inversion across all terms — much cheaper than n [mul]s

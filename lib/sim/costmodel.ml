@@ -129,10 +129,22 @@ let pp_machine fmt m =
     m.t_pairing m.link_bandwidth m.client_bandwidth m.rtt
 
 let machine_to_json m =
-  Printf.sprintf
-    "{\"cores\":%d,\"client_cores\":%d,\"t_unwrap\":%.9g,\"t_ibe_prepare\":%.9g,\"t_ibe_decrypt\":%.9g,\"t_ibe_encrypt\":%.9g,\"t_token\":%.9g,\"t_pairing\":%.9g,\"link_bandwidth\":%.9g,\"client_bandwidth\":%.9g,\"rtt\":%.9g}"
-    m.cores m.client_cores m.t_unwrap m.t_ibe_prepare m.t_ibe_decrypt m.t_ibe_encrypt m.t_token
-    m.t_pairing m.link_bandwidth m.client_bandwidth m.rtt
+  Alpenhorn_telemetry.Telemetry.Json.(
+    to_string
+      (Obj
+         [
+           ("cores", int m.cores);
+           ("client_cores", int m.client_cores);
+           ("t_unwrap", Num m.t_unwrap);
+           ("t_ibe_prepare", Num m.t_ibe_prepare);
+           ("t_ibe_decrypt", Num m.t_ibe_decrypt);
+           ("t_ibe_encrypt", Num m.t_ibe_encrypt);
+           ("t_token", Num m.t_token);
+           ("t_pairing", Num m.t_pairing);
+           ("link_bandwidth", Num m.link_bandwidth);
+           ("client_bandwidth", Num m.client_bandwidth);
+           ("rtt", Num m.rtt);
+         ]))
 
 (* one key preparation on the scanning domain, then the trial
    decryptions across the client's cores *)

@@ -87,115 +87,6 @@ let set_target t ~name target =
   | None -> invalid_arg ("Collector.set_target: unknown instance " ^ name)
   | Some s -> s.inst.target <- target
 
-(* ---- /metrics.json back into a Snapshot.t ---- *)
-
-let json_labels j =
-  match j with
-  | Tel.Json.Obj fields ->
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | (k, Tel.Json.Str v) :: rest -> go ((k, v) :: acc) rest
-      | _ -> None
-    in
-    go [] fields
-  | _ -> None
-
-let mem name j = Tel.Json.member name j
-
-let num name j = Option.bind (mem name j) Tel.Json.to_num
-let str name j = Option.bind (mem name j) Tel.Json.to_str
-
-let metric_row j =
-  match (str "name" j, Option.bind (mem "labels" j) json_labels) with
-  | Some name, Some labels -> Some (name, labels)
-  | _ -> None
-
-let hist_of_json j =
-  match mem "buckets" j with
-  | Some (Tel.Json.Arr bs) ->
-    let parsed = List.filter_map Tel.Json.to_num bs in
-    if List.length parsed <> List.length bs then None
-    else begin
-      (* defensively size to the shared layout: a foreign document with a
-         different bucket count still merges pointwise *)
-      let buckets = Array.make Tel.Histogram.bucket_count 0 in
-      List.iteri
-        (fun i v -> if i < Array.length buckets then buckets.(i) <- int_of_float v)
-        parsed;
-      match (num "count" j, num "sum" j, num "min" j, num "max" j) with
-      | Some count, Some sum, Some min_v, Some max_v ->
-        let count = int_of_float count in
-        Some
-          {
-            Tel.Histogram.count;
-            sum;
-            min_v = (if count = 0 then infinity else min_v);
-            max_v = (if count = 0 then neg_infinity else max_v);
-            buckets;
-          }
-      | _ -> None
-    end
-  | _ -> None
-
-let span_of_json j =
-  match (str "name" j, Option.bind (mem "labels" j) json_labels) with
-  | Some name, Some labels -> (
-    match (num "ts" j, num "dur" j, num "depth" j, str "clock" j) with
-    | Some ts, Some dur, Some depth, Some clock ->
-      Some { Tel.Snapshot.name; labels; ts; dur; depth = int_of_float depth; clock }
-    | _ -> None)
-  | _ -> None
-
-let arr_members name j = match mem name j with Some (Tel.Json.Arr l) -> Some l | _ -> None
-
-let snapshot_of_json j =
-  (* tolerate the wrappers the tree emits: the --metrics-json machine
-     wrapper and the labeled /metrics.json both nest under "telemetry" *)
-  let j = match mem "telemetry" j with Some inner -> inner | None -> j in
-  match (arr_members "counters" j, arr_members "gauges" j, arr_members "histograms" j) with
-  | Some counters, Some gauges, Some histograms ->
-    let parse what of_json rows =
-      let parsed = List.filter_map of_json rows in
-      if List.length parsed <> List.length rows then Error ("malformed " ^ what) else Ok parsed
-    in
-    let ( let* ) = Result.bind in
-    let* counters =
-      parse "counter" (fun r ->
-          match (metric_row r, num "value" r) with
-          | Some (n, l), Some v -> Some (n, l, int_of_float v)
-          | _ -> None)
-        counters
-    in
-    let* gauges =
-      parse "gauge" (fun r ->
-          match (metric_row r, num "value" r) with
-          | Some (n, l), Some v -> Some (n, l, v)
-          | _ -> None)
-        gauges
-    in
-    let* histograms =
-      parse "histogram" (fun r ->
-          match (metric_row r, hist_of_json r) with
-          | Some (n, l), Some h -> Some (n, l, h)
-          | _ -> None)
-        histograms
-    in
-    let spans =
-      match arr_members "spans" j with
-      | Some rows -> List.filter_map span_of_json rows
-      | None -> []
-    in
-    Ok
-      {
-        Tel.Snapshot.clock = (match str "clock" j with Some c -> c | None -> "wall");
-        counters;
-        gauges;
-        histograms;
-        spans;
-        dropped_spans = (match num "dropped_spans" j with Some d -> int_of_float d | None -> 0);
-      }
-  | _ -> Error "not a telemetry snapshot (missing counters/gauges/histograms)"
-
 (* ---- merging under instance labels ---- *)
 
 let with_instance ~name ~role own =
@@ -237,7 +128,7 @@ let scrape_instance t s =
       | Ok (_, body) -> (
         match Tel.Json.parse body with
         | None -> Error "unparseable /metrics.json body"
-        | Some j -> snapshot_of_json j))
+        | Some j -> Tel.Snapshot.of_json j))
   in
   match result with
   | Ok snap ->

@@ -11,6 +11,12 @@
     registry joins the fleet as a {!Local} instance — no loopback HTTP
     round trip for the process doing the scraping.
 
+    A body is decoded by {!Telemetry.Snapshot.of_json}, the snapshot
+    document's one decoder; one that does not parse or decode counts as
+    a failed scrape. [top] reads [/metrics.json] only through a
+    collector: one instance for a single endpoint, one per process with
+    [--fleet].
+
     Staleness semantics: a failed scrape freezes the instance's last
     good snapshot in the merged view (cumulative metrics stay truthful)
     while two synthetic gauges report the failure —
@@ -118,13 +124,3 @@ type row = {
 val rows : t -> row list
 (** One row per instance from its last known snapshot — the [top
     --fleet] data source. *)
-
-(** {1 Parsing (exposed for tests)} *)
-
-val snapshot_of_json : Telemetry.Json.t -> (Telemetry.Snapshot.t, string) result
-(** Parse a [/metrics.json] document (bare, or wrapped under a
-    ["telemetry"] member) back into a snapshot. *)
-
-val merge_snapshots : (string * string * Telemetry.Snapshot.t) list -> Telemetry.Snapshot.t
-(** [(name, role, snapshot)] parts merged under instance labels —
-    {!scrape}'s merge step without the polling. *)

@@ -82,35 +82,18 @@ let clear t =
 
 (* ---- JSON-lines exporter ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_finite f then Printf.sprintf "%.9g" f else "0"
-
 let event_to_json ev =
-  let labels =
-    String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         ev.labels)
-  in
-  Printf.sprintf
-    "{\"ts\":%s,\"clock\":\"%s\",\"severity\":\"%s\",\"name\":\"%s\",\"labels\":{%s},\"detail\":\"%s\"}"
-    (json_float ev.ts) (json_escape ev.clock)
-    (severity_to_string ev.severity)
-    (json_escape ev.name) labels (json_escape ev.detail)
+  Telemetry.Json.(
+    to_string
+      (Obj
+         [
+           ("ts", Num ev.ts);
+           ("clock", Str ev.clock);
+           ("severity", Str (severity_to_string ev.severity));
+           ("name", Str ev.name);
+           ("labels", strings ev.labels);
+           ("detail", Str ev.detail);
+         ]))
 
 let to_jsonl t =
   let b = Buffer.create 4096 in

@@ -56,7 +56,8 @@ val to_list : t -> event list
 val clear : t -> unit
 
 val event_to_json : event -> string
-(** One event as a self-contained JSON object (no trailing newline). *)
+(** One event as a JSON object printed by {!Telemetry.Json.to_string}
+    (no trailing newline). *)
 
 val to_jsonl : t -> string
 (** JSON-lines: every retained event, oldest first, one object per line.

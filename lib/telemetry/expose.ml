@@ -149,19 +149,6 @@ let index_body =
    GET /slo           SLO health report (200 healthy / 503 unhealthy)\n\
    GET /series?name=METRIC[&window=SECONDS]  time-series ring query\n"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let series_response cfg query =
   match cfg.series with
   | None -> text_response 404 "no time-series ring attached\n"
@@ -186,17 +173,18 @@ let series_response cfg query =
         if not known then text_response 404 (Printf.sprintf "unknown series: %s\n" name)
         else begin
           let pts = Timeseries.points ring ?window name in
-          (* %.17g: wall-clock point timestamps need full double precision *)
-          let jf f = if Float.is_finite f then Printf.sprintf "%.17g" f else "0" in
           let body =
-            Printf.sprintf
-              "{\"name\":\"%s\",\"samples\":%d,\"rate_per_s\":%s,\"p50\":%s,\"p99\":%s,\"points\":[%s]}"
-              (json_escape name) (Timeseries.length ring)
-              (jf (Timeseries.rate ring ?window name))
-              (jf (Timeseries.quantile ring ?window name 0.5))
-              (jf (Timeseries.quantile ring ?window name 0.99))
-              (String.concat ","
-                 (List.map (fun (ts, v) -> Printf.sprintf "[%s,%s]" (jf ts) (jf v)) pts))
+            Tel.Json.(
+              to_string
+                (Obj
+                   [
+                     ("name", Str name);
+                     ("samples", int (Timeseries.length ring));
+                     ("rate_per_s", Num (Timeseries.rate ring ?window name));
+                     ("p50", Num (Timeseries.quantile ring ?window name 0.5));
+                     ("p99", Num (Timeseries.quantile ring ?window name 0.99));
+                     ("points", Arr (List.map (fun (ts, v) -> Arr [ Num ts; Num v ]) pts));
+                   ]))
           in
           json_response 200 body
         end))
@@ -218,16 +206,13 @@ let handle cfg ~meth ~path ~query () =
       let snap = Tel.Snapshot.take cfg.registry in
       let body = Tel.Snapshot.to_json snap in
       (* constant labels ride in a wrapper, never inside the snapshot:
-         Timeseries.record_json and the fleet collector both unwrap the
-         "telemetry" member *)
+         Snapshot.of_json, which the fleet collector and top decode
+         with, unwraps the "telemetry" member *)
       let body =
         if cfg.labels = [] then body
         else
-          Printf.sprintf "{\"labels\":{%s},\"telemetry\":%s}"
-            (String.concat ","
-               (List.map
-                  (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-                  cfg.labels))
+          Printf.sprintf {|{"labels":%s,"telemetry":%s}|}
+            (Tel.Json.to_string (Tel.Json.strings cfg.labels))
             body
       in
       json_response 200 body

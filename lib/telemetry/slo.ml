@@ -147,31 +147,18 @@ let pp_report fmt r =
         (cmp_to_string c.rule.cmp) c.rule.threshold c.rule.description)
     r.checks
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
-
 let report_to_json r =
-  let check_json c =
-    Printf.sprintf
-      "{\"rule\":\"%s\",\"description\":\"%s\",\"cmp\":\"%s\",\"threshold\":%s,\"value\":%s,\"pass\":%b}"
-      (json_escape c.rule.name)
-      (json_escape c.rule.description)
-      (cmp_to_string c.rule.cmp)
-      (json_float c.rule.threshold)
-      (match c.value with None -> "null" | Some v -> json_float v)
-      c.pass
+  let check c =
+    Telemetry.Json.(
+      Obj
+        [
+          ("rule", Str c.rule.name);
+          ("description", Str c.rule.description);
+          ("cmp", Str (cmp_to_string c.rule.cmp));
+          ("threshold", Num c.rule.threshold);
+          ("value", match c.value with None -> Null | Some v -> Num v);
+          ("pass", Bool c.pass);
+        ])
   in
-  Printf.sprintf "{\"healthy\":%b,\"checks\":[%s]}" r.healthy
-    (String.concat "," (List.map check_json r.checks))
+  Telemetry.Json.(
+    to_string (Obj [ ("healthy", Bool r.healthy); ("checks", Arr (List.map check r.checks)) ]))

@@ -99,5 +99,5 @@ val pp_report : Format.formatter -> report -> unit
 (** One line per rule: [[ok|FAIL|skip] name value cmp threshold]. *)
 
 val report_to_json : report -> string
-(** Self-contained JSON document; non-finite thresholds serialize as
-    [null]. *)
+(** Printed by {!Telemetry.Json.to_string}: a non-finite threshold or
+    value, like an absent value, is [null]. *)

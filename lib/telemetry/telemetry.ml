@@ -102,6 +102,10 @@ let with_clock r ~kind clock f =
 
 let normalize_labels labels = List.sort_uniq compare labels
 
+let metric_key name = function
+  | [] -> name
+  | labels -> name ^ "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels) ^ "}"
+
 let find_or_register r ~labels name make select =
   let key = (name, normalize_labels labels) in
   locked r (fun () ->
@@ -279,271 +283,7 @@ module Span = struct
       }
 end
 
-(* ---- snapshots ---- *)
-
-module Snapshot = struct
-  type span = { name : string; labels : labels; ts : float; dur : float; depth : int; clock : string }
-
-  type t = {
-    clock : string;
-    counters : (string * labels * int) list;
-    gauges : (string * labels * float) list;
-    histograms : (string * labels * Histogram.snap) list;
-    spans : span list;
-    dropped_spans : int;
-  }
-
-  (* Capture-and-reset must be a single atomic step per metric: the registry
-     mutex serializes [take] against registration, but counter/gauge hits from
-     worker domains never take that mutex. A read-then-zero reset would lose
-     every increment that lands between the two operations (regression-tested
-     with a 4-domain hammer in test_telemetry.ml), so the captured value IS
-     the exchanged value: [Atomic.exchange] for counters and gauges, and one
-     snapshot-and-zero critical section under the histogram's own lock.
-     Conservation law: sum of all reset snapshots + the live value afterwards
-     = everything ever recorded, no matter how many domains are writing. *)
-  let hist_take_reset (h : histogram) reset =
-    Mutex.lock h.hmu;
-    let s =
-      {
-        Histogram.count = h.count;
-        sum = h.sum;
-        min_v = h.min_v;
-        max_v = h.max_v;
-        buckets = Array.copy h.counts;
-      }
-    in
-    if reset then begin
-      h.count <- 0;
-      h.sum <- 0.0;
-      h.min_v <- infinity;
-      h.max_v <- neg_infinity;
-      Array.fill h.counts 0 n_buckets 0
-    end;
-    Mutex.unlock h.hmu;
-    s
-
-  let take ?(reset = false) r =
-    Mutex.lock r.mu;
-    let counters = ref [] and gauges = ref [] and hists = ref [] in
-    Hashtbl.iter
-      (fun (name, labels) m ->
-        match m with
-        | Counter c ->
-          let v = if reset then Atomic.exchange c 0 else Atomic.get c in
-          counters := (name, labels, v) :: !counters
-        | Gauge g ->
-          let v = if reset then Atomic.exchange g 0.0 else Atomic.get g in
-          gauges := (name, labels, v) :: !gauges
-        | Histogram h -> hists := (name, labels, hist_take_reset h reset) :: !hists)
-      r.metrics;
-    let by_key (n1, l1, _) (n2, l2, _) = compare (n1, l1) (n2, l2) in
-    let spans =
-      List.rev_map
-        (fun sp ->
-          {
-            name = sp.sp_name;
-            labels = sp.sp_labels;
-            ts = sp.sp_ts;
-            dur = sp.sp_dur;
-            depth = sp.sp_depth;
-            clock = sp.sp_clock;
-          })
-        r.spans
-    in
-    let snap =
-      {
-        clock = r.ckind;
-        counters = List.sort by_key !counters;
-        gauges = List.sort by_key !gauges;
-        histograms = List.sort by_key !hists;
-        spans;
-        dropped_spans = r.dropped_spans;
-      }
-    in
-    if reset then begin
-      (* metric values were already captured-and-zeroed above *)
-      r.spans <- [];
-      r.n_spans <- 0;
-      r.dropped_spans <- 0;
-      r.epoch <- r.clock ()
-    end;
-    Mutex.unlock r.mu;
-    snap
-
-  let counter_sum t name =
-    List.fold_left (fun acc (n, _, v) -> if n = name then acc + v else acc) 0 t.counters
-
-  let find_counter t ?labels name =
-    let labels = Option.map normalize_labels labels in
-    List.find_map
-      (fun (n, l, v) ->
-        if n = name && (labels = None || labels = Some l) then Some v else None)
-      t.counters
-
-  let hist_sum t name =
-    List.fold_left
-      (fun acc (n, _, (s : Histogram.snap)) -> if n = name then acc +. s.sum else acc)
-      0.0 t.histograms
-
-  let span_total t name =
-    List.fold_left (fun acc (sp : span) -> if sp.name = name then acc +. sp.dur else acc) 0.0 t.spans
-
-  let span_count t name =
-    List.fold_left (fun acc (sp : span) -> if sp.name = name then acc + 1 else acc) 0 t.spans
-
-  (* ---- table exporter ---- *)
-
-  let label_suffix = function
-    | [] -> ""
-    | labels -> "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels) ^ "}"
-
-  let human_seconds s =
-    if s = 0.0 then "0"
-    else if Float.abs s < 1e-6 then Printf.sprintf "%.0f ns" (s *. 1e9)
-    else if Float.abs s < 1e-3 then Printf.sprintf "%.1f us" (s *. 1e6)
-    else if Float.abs s < 1.0 then Printf.sprintf "%.1f ms" (s *. 1e3)
-    else Printf.sprintf "%.2f s" s
-
-  let pp_table fmt t =
-    let line name cells =
-      Format.fprintf fmt "  %-44s %s@\n" name
-        (String.concat "" (List.map (fun c -> Printf.sprintf "%12s" c) cells))
-    in
-    Format.fprintf fmt "telemetry snapshot (%s clock)@\n" t.clock;
-    if t.counters <> [] then begin
-      Format.fprintf fmt "counters:@\n";
-      List.iter (fun (n, l, v) -> line (n ^ label_suffix l) [ string_of_int v ]) t.counters
-    end;
-    if t.gauges <> [] then begin
-      Format.fprintf fmt "gauges:@\n";
-      List.iter (fun (n, l, v) -> line (n ^ label_suffix l) [ Printf.sprintf "%g" v ]) t.gauges
-    end;
-    if t.histograms <> [] then begin
-      Format.fprintf fmt "histograms:@\n";
-      line "" [ "count"; "mean"; "p50"; "p99"; "max" ];
-      List.iter
-        (fun (n, l, (s : Histogram.snap)) ->
-          (* name the unit from the metric name: "*_seconds" is a duration *)
-          let render =
-            if Filename.check_suffix n "_seconds" then human_seconds
-            else fun v -> Printf.sprintf "%g" v
-          in
-          if s.count > 0 then
-            line (n ^ label_suffix l)
-              [
-                string_of_int s.count;
-                render (Histogram.mean s);
-                render (Histogram.quantile s 0.5);
-                render (Histogram.quantile s 0.99);
-                render s.max_v;
-              ])
-        t.histograms
-    end;
-    if t.spans <> [] then begin
-      Format.fprintf fmt "spans:@\n";
-      line "" [ "count"; "total" ];
-      let names = List.sort_uniq compare (List.map (fun (sp : span) -> sp.name) t.spans) in
-      List.iter
-        (fun n -> line n [ string_of_int (span_count t n); human_seconds (span_total t n) ])
-        names
-    end;
-    if t.dropped_spans > 0 then Format.fprintf fmt "  (%d spans dropped)@\n" t.dropped_spans
-
-  (* ---- JSON exporters (hand-rolled; no dependencies) ---- *)
-
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let json_float f = if Float.is_finite f then Printf.sprintf "%.9g" f else "0"
-
-  let json_labels labels =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)) labels)
-    ^ "}"
-
-  let to_json t =
-    let b = Buffer.create 4096 in
-    let add = Buffer.add_string b in
-    add (Printf.sprintf "{\"clock\":\"%s\",\"counters\":[" (json_escape t.clock));
-    add
-      (String.concat ","
-         (List.map
-            (fun (n, l, v) ->
-              Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,\"value\":%d}" (json_escape n)
-                (json_labels l) v)
-            t.counters));
-    add "],\"gauges\":[";
-    add
-      (String.concat ","
-         (List.map
-            (fun (n, l, v) ->
-              Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,\"value\":%s}" (json_escape n)
-                (json_labels l) (json_float v))
-            t.gauges));
-    add "],\"histograms\":[";
-    add
-      (String.concat ","
-         (List.map
-            (fun (n, l, (s : Histogram.snap)) ->
-              Printf.sprintf
-                "{\"name\":\"%s\",\"labels\":%s,\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"buckets\":[%s]}"
-                (json_escape n) (json_labels l) s.count (json_float s.sum)
-                (json_float (if s.count = 0 then 0.0 else s.min_v))
-                (json_float (if s.count = 0 then 0.0 else s.max_v))
-                (String.concat "," (List.map string_of_int (Array.to_list s.buckets))))
-            t.histograms));
-    add "],\"spans\":[";
-    add
-      (String.concat ","
-         (List.map
-            (fun (sp : span) ->
-              Printf.sprintf
-                "{\"name\":\"%s\",\"labels\":%s,\"ts\":%s,\"dur\":%s,\"depth\":%d,\"clock\":\"%s\"}"
-                (json_escape sp.name) (json_labels sp.labels) (json_float sp.ts) (json_float sp.dur)
-                sp.depth (json_escape sp.clock))
-            t.spans));
-    add (Printf.sprintf "],\"dropped_spans\":%d}" t.dropped_spans);
-    Buffer.contents b
-
-  let to_chrome_trace t =
-    let tid (sp : span) =
-      match List.assoc_opt "server" sp.labels with
-      | Some s -> (match int_of_string_opt s with Some i -> i + 1 | None -> 0)
-      | None -> 0
-    in
-    let event (sp : span) =
-      let args =
-        ("clock", sp.clock) :: sp.labels
-        |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-        |> String.concat ","
-      in
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"alpenhorn\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":0,\"tid\":%d,\"args\":{%s}}"
-        (json_escape sp.name)
-        (json_float (sp.ts *. 1e6))
-        (json_float (sp.dur *. 1e6))
-        (tid sp) args
-    in
-    "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
-    ^ String.concat "," (List.map event t.spans)
-    ^ "]}"
-end
-
-(* ---- minimal JSON parser (strict RFC 8259) ---- *)
+(* ---- JSON: the one writer and the strict RFC 8259 reader ---- *)
 
 module Json = struct
   type t =
@@ -553,6 +293,64 @@ module Json = struct
     | Str of string
     | Arr of t list
     | Obj of (string * t) list
+
+  let int n = Num (float_of_int n)
+  let strings kvs = Obj (List.map (fun (k, v) -> (k, Str v)) kvs)
+
+  (* The fewest significant digits that read back to the same double.
+     %.15g already gives that for every value with a decimal of at most
+     15 digits (DBL_DIG), so only values that need 16 or 17 print longer.
+     JSON has no non-finite numbers: they print as null. *)
+  let number f =
+    if not (Float.is_finite f) then "null"
+    else
+      let rec go p =
+        let s = Printf.sprintf "%.*g" p f in
+        if p = 17 || float_of_string s = f then s else go (p + 1)
+      in
+      go 15
+
+  let write_string b s =
+    Buffer.add_char b '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when c < ' ' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+
+  let write_seq b l r f xs =
+    Buffer.add_char b l;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        f x)
+      xs;
+    Buffer.add_char b r
+
+  let rec write b = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (string_of_bool v)
+    | Num f -> Buffer.add_string b (number f)
+    | Str s -> write_string b s
+    | Arr vs -> write_seq b '[' ']' (write b) vs
+    | Obj kvs ->
+      write_seq b '{' '}'
+        (fun (k, v) ->
+          write_string b k;
+          Buffer.add_char b ':';
+          write b v)
+        kvs
+
+  let to_string v =
+    let b = Buffer.create 1024 in
+    write b v;
+    Buffer.contents b
 
   exception Bad
 
@@ -770,9 +568,31 @@ module Json = struct
   let is_valid s = parse s <> None
 
   let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+  let get k f v = Option.bind (member k v) f
   let index i = function Arr vs -> List.nth_opt vs i | _ -> None
-  let to_num = function Num f -> Some f | _ -> None
+
+  (* null is how the writer prints a non-finite number *)
+  let to_num = function Num f -> Some f | Null -> Some Float.nan | _ -> None
+
+  let to_int = function
+    | Num f when Float.is_integer f && Float.abs f <= 0x1p53 -> Some (int_of_float f)
+    | _ -> None
+
   let to_str = function Str s -> Some s | _ -> None
+
+  (* all or nothing: [None] as soon as one element does not decode *)
+  let all f l =
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | x :: rest -> ( match f x with Some y -> go (y :: acc) rest | None -> None)
+    in
+    go [] l
+
+  let to_list f = function Arr vs -> all f vs | _ -> None
+
+  let to_fields f = function
+    | Obj kvs -> all (fun (k, v) -> Option.map (fun x -> (k, x)) (f v)) kvs
+    | _ -> None
 
   let number_leaves v =
     let rec walk path v acc =
@@ -785,4 +605,284 @@ module Json = struct
       | Null | Bool _ | Str _ -> acc
     in
     List.rev (walk "" v [])
+end
+
+(* ---- snapshots ---- *)
+
+module Snapshot = struct
+  type span = { name : string; labels : labels; ts : float; dur : float; depth : int; clock : string }
+
+  type t = {
+    clock : string;
+    counters : (string * labels * int) list;
+    gauges : (string * labels * float) list;
+    histograms : (string * labels * Histogram.snap) list;
+    spans : span list;
+    dropped_spans : int;
+  }
+
+  (* Capture-and-reset must be a single atomic step per metric: the registry
+     mutex serializes [take] against registration, but counter/gauge hits from
+     worker domains never take that mutex. A read-then-zero reset would lose
+     every increment that lands between the two operations (regression-tested
+     with a 4-domain hammer in test_telemetry.ml), so the captured value IS
+     the exchanged value: [Atomic.exchange] for counters and gauges, and one
+     snapshot-and-zero critical section under the histogram's own lock.
+     Conservation law: sum of all reset snapshots + the live value afterwards
+     = everything ever recorded, no matter how many domains are writing. *)
+  let hist_take_reset (h : histogram) reset =
+    Mutex.lock h.hmu;
+    let s =
+      {
+        Histogram.count = h.count;
+        sum = h.sum;
+        min_v = h.min_v;
+        max_v = h.max_v;
+        buckets = Array.copy h.counts;
+      }
+    in
+    if reset then begin
+      h.count <- 0;
+      h.sum <- 0.0;
+      h.min_v <- infinity;
+      h.max_v <- neg_infinity;
+      Array.fill h.counts 0 n_buckets 0
+    end;
+    Mutex.unlock h.hmu;
+    s
+
+  let take ?(reset = false) r =
+    Mutex.lock r.mu;
+    let counters = ref [] and gauges = ref [] and hists = ref [] in
+    Hashtbl.iter
+      (fun (name, labels) m ->
+        match m with
+        | Counter c ->
+          let v = if reset then Atomic.exchange c 0 else Atomic.get c in
+          counters := (name, labels, v) :: !counters
+        | Gauge g ->
+          let v = if reset then Atomic.exchange g 0.0 else Atomic.get g in
+          gauges := (name, labels, v) :: !gauges
+        | Histogram h -> hists := (name, labels, hist_take_reset h reset) :: !hists)
+      r.metrics;
+    let by_key (n1, l1, _) (n2, l2, _) = compare (n1, l1) (n2, l2) in
+    let spans =
+      List.rev_map
+        (fun sp ->
+          {
+            name = sp.sp_name;
+            labels = sp.sp_labels;
+            ts = sp.sp_ts;
+            dur = sp.sp_dur;
+            depth = sp.sp_depth;
+            clock = sp.sp_clock;
+          })
+        r.spans
+    in
+    let snap =
+      {
+        clock = r.ckind;
+        counters = List.sort by_key !counters;
+        gauges = List.sort by_key !gauges;
+        histograms = List.sort by_key !hists;
+        spans;
+        dropped_spans = r.dropped_spans;
+      }
+    in
+    if reset then begin
+      (* metric values were already captured-and-zeroed above *)
+      r.spans <- [];
+      r.n_spans <- 0;
+      r.dropped_spans <- 0;
+      r.epoch <- r.clock ()
+    end;
+    Mutex.unlock r.mu;
+    snap
+
+  let counter_sum t name =
+    List.fold_left (fun acc (n, _, v) -> if n = name then acc + v else acc) 0 t.counters
+
+  let find_counter t ?labels name =
+    let labels = Option.map normalize_labels labels in
+    List.find_map
+      (fun (n, l, v) ->
+        if n = name && (labels = None || labels = Some l) then Some v else None)
+      t.counters
+
+  let hist_sum t name =
+    List.fold_left
+      (fun acc (n, _, (s : Histogram.snap)) -> if n = name then acc +. s.sum else acc)
+      0.0 t.histograms
+
+  let span_total t name =
+    List.fold_left (fun acc (sp : span) -> if sp.name = name then acc +. sp.dur else acc) 0.0 t.spans
+
+  let span_count t name =
+    List.fold_left (fun acc (sp : span) -> if sp.name = name then acc + 1 else acc) 0 t.spans
+
+  (* ---- table exporter ---- *)
+
+  let human_seconds s =
+    if s = 0.0 then "0"
+    else if Float.abs s < 1e-6 then Printf.sprintf "%.0f ns" (s *. 1e9)
+    else if Float.abs s < 1e-3 then Printf.sprintf "%.1f us" (s *. 1e6)
+    else if Float.abs s < 1.0 then Printf.sprintf "%.1f ms" (s *. 1e3)
+    else Printf.sprintf "%.2f s" s
+
+  let pp_table fmt t =
+    let line name cells =
+      Format.fprintf fmt "  %-44s %s@\n" name
+        (String.concat "" (List.map (fun c -> Printf.sprintf "%12s" c) cells))
+    in
+    Format.fprintf fmt "telemetry snapshot (%s clock)@\n" t.clock;
+    if t.counters <> [] then begin
+      Format.fprintf fmt "counters:@\n";
+      List.iter (fun (n, l, v) -> line (metric_key n l) [ string_of_int v ]) t.counters
+    end;
+    if t.gauges <> [] then begin
+      Format.fprintf fmt "gauges:@\n";
+      List.iter (fun (n, l, v) -> line (metric_key n l) [ Printf.sprintf "%g" v ]) t.gauges
+    end;
+    if t.histograms <> [] then begin
+      Format.fprintf fmt "histograms:@\n";
+      line "" [ "count"; "mean"; "p50"; "p99"; "max" ];
+      List.iter
+        (fun (n, l, (s : Histogram.snap)) ->
+          (* name the unit from the metric name: "*_seconds" is a duration *)
+          let render =
+            if Filename.check_suffix n "_seconds" then human_seconds
+            else fun v -> Printf.sprintf "%g" v
+          in
+          if s.count > 0 then
+            line (metric_key n l)
+              [
+                string_of_int s.count;
+                render (Histogram.mean s);
+                render (Histogram.quantile s 0.5);
+                render (Histogram.quantile s 0.99);
+                render s.max_v;
+              ])
+        t.histograms
+    end;
+    if t.spans <> [] then begin
+      Format.fprintf fmt "spans:@\n";
+      line "" [ "count"; "total" ];
+      let names = List.sort_uniq compare (List.map (fun (sp : span) -> sp.name) t.spans) in
+      List.iter
+        (fun n -> line n [ string_of_int (span_count t n); human_seconds (span_total t n) ])
+        names
+    end;
+    if t.dropped_spans > 0 then Format.fprintf fmt "  (%d spans dropped)@\n" t.dropped_spans
+
+  (* ---- JSON: the snapshot document and its decoder ---- *)
+
+  (* an empty histogram's min and max are infinite: it prints 0 and the
+     decoder restores them from count = 0 *)
+  let histogram_fields (h : Histogram.snap) =
+    let bound v = if h.count = 0 then 0.0 else v in
+    Json.
+      [
+        ("count", int h.count);
+        ("sum", Num h.sum);
+        ("min", Num (bound h.min_v));
+        ("max", Num (bound h.max_v));
+        ("buckets", Arr (List.map int (Array.to_list h.buckets)));
+      ]
+
+  let histogram_of_json j =
+    let open Json in
+    let ( let* ) = Option.bind in
+    let* count = get "count" to_int j in
+    let* sum = get "sum" to_num j in
+    let* min_v = get "min" to_num j in
+    let* max_v = get "max" to_num j in
+    let* buckets = get "buckets" (to_list to_int) j in
+    if List.length buckets <> n_buckets then None
+    else
+      Some
+        {
+          Histogram.count;
+          sum;
+          min_v = (if count = 0 then infinity else min_v);
+          max_v = (if count = 0 then neg_infinity else max_v);
+          buckets = Array.of_list buckets;
+        }
+
+  let to_json t =
+    let open Json in
+    let row name labels fields = Obj (("name", Str name) :: ("labels", strings labels) :: fields) in
+    let rows f l = Arr (List.map f l) in
+    let span (sp : span) =
+      row sp.name sp.labels
+        [ ("ts", Num sp.ts); ("dur", Num sp.dur); ("depth", int sp.depth); ("clock", Str sp.clock) ]
+    in
+    to_string
+      (Obj
+         [
+           ("clock", Str t.clock);
+           ("counters", rows (fun (n, l, v) -> row n l [ ("value", int v) ]) t.counters);
+           ("gauges", rows (fun (n, l, v) -> row n l [ ("value", Num v) ]) t.gauges);
+           ("histograms", rows (fun (n, l, h) -> row n l (histogram_fields h)) t.histograms);
+           ("spans", rows span t.spans);
+           ("dropped_spans", int t.dropped_spans);
+         ])
+
+  let of_json j =
+    let open Json in
+    let ( let* ) = Option.bind in
+    (* the --metrics-json machine wrapper and the labeled /metrics.json
+       both nest the snapshot under "telemetry" *)
+    let j = Option.value (member "telemetry" j) ~default:j in
+    let named r = (get "name" to_str r, get "labels" (to_fields to_str) r) in
+    let rows k value =
+      get k
+        (to_list (fun r ->
+             match (named r, value r) with
+             | (Some name, Some labels), Some v -> Some (name, labels, v)
+             | _ -> None))
+        j
+    in
+    let span r =
+      let* ts = get "ts" to_num r in
+      let* dur = get "dur" to_num r in
+      let* depth = get "depth" to_int r in
+      let* clock = get "clock" to_str r in
+      match named r with
+      | Some name, Some labels -> Some { name; labels; ts; dur; depth; clock }
+      | _ -> None
+    in
+    match
+      let* clock = get "clock" to_str j in
+      let* counters = rows "counters" (get "value" to_int) in
+      let* gauges = rows "gauges" (get "value" to_num) in
+      let* histograms = rows "histograms" histogram_of_json in
+      let* spans = get "spans" (to_list span) j in
+      let* dropped_spans = get "dropped_spans" to_int j in
+      Some { clock; counters; gauges; histograms; spans; dropped_spans }
+    with
+    | Some t -> Ok t
+    | None -> Error "not a telemetry snapshot document"
+
+  let to_chrome_trace t =
+    let tid (sp : span) =
+      match List.assoc_opt "server" sp.labels with
+      | Some s -> (match int_of_string_opt s with Some i -> i + 1 | None -> 0)
+      | None -> 0
+    in
+    let event (sp : span) =
+      Json.(
+        Obj
+          [
+            ("name", Str sp.name);
+            ("cat", Str "alpenhorn");
+            ("ph", Str "X");
+            ("ts", Num (sp.ts *. 1e6));
+            ("dur", Num (sp.dur *. 1e6));
+            ("pid", int 0);
+            ("tid", int (tid sp));
+            ("args", strings (("clock", sp.clock) :: sp.labels));
+          ])
+    in
+    Json.to_string
+      (Json.Obj [ ("displayTimeUnit", Json.Str "ms"); ("traceEvents", Json.Arr (List.map event t.spans)) ])
 end

@@ -26,9 +26,10 @@
       associative and commutative, safe to combine across shards.
 
     Exporters: a human-readable table ({!Snapshot.pp_table}), a JSON
-    snapshot ({!Snapshot.to_json}, consumed by [bench/]), and Chrome
-    [trace_event] JSON ({!Snapshot.to_chrome_trace}) loadable in
-    [about:tracing] / Perfetto for flamegraph viewing. *)
+    snapshot ({!Snapshot.to_json}, read back by {!Snapshot.of_json}), and
+    Chrome [trace_event] JSON ({!Snapshot.to_chrome_trace}) loadable in
+    [about:tracing] / Perfetto for flamegraph viewing. {!Json} prints and
+    parses every JSON document the telemetry library emits. *)
 
 type registry
 
@@ -67,6 +68,10 @@ type labels = (string * string) list
 (** Label sets distinguish instances of a metric (e.g.
     [("server", "0")]). They are sorted at registration, so order never
     matters. *)
+
+val metric_key : string -> labels -> string
+(** [name], or [name{k=v,...}] with the labels in the given order: the
+    key the table, the time-series ring and the trace timelines print. *)
 
 module Counter : sig
   type t
@@ -154,6 +159,76 @@ module Span : sig
       epoch. *)
 end
 
+(** {1 JSON}
+
+    Every telemetry document is printed by {!Json.to_string} and read by
+    {!Json.parse}: the snapshot ({!Snapshot.to_json}), the Chrome trace,
+    the time-series lines, structured events, the SLO report and the
+    endpoint's [/series] body. *)
+
+module Json : sig
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  val to_string : t -> string
+  (** Compact RFC 8259 text. Strings escape the quote, the backslash
+      and every control byte ([\n], [\r], [\t], else [\u00XX]); other
+      bytes, UTF-8 included, are copied. A finite number prints in the
+      fewest significant digits that read back to the same double; a
+      non-finite one prints as [null], which {!to_num} reads as [nan]. *)
+
+  val int : int -> t
+  (** [Num] of an int (exact up to 2{^53}). *)
+
+  val strings : (string * string) list -> t
+  (** An object of string members: a label set. *)
+
+  val parse : string -> t option
+  (** Strict RFC 8259 parser (no external dependencies). String escapes
+      are decoded ([\uXXXX] to UTF-8, surrogate pairs combined, lone
+      surrogates to U+FFFD). [None] on any deviation from the grammar. *)
+
+  val is_valid : string -> bool
+  (** [parse s <> None] — used by tests and the bench smoke target to
+      validate emitted snapshots. *)
+
+  (** {2 Decoding}
+
+      Total accessors: [None] on the wrong kind, never an exception. *)
+
+  val member : string -> t -> t option
+  (** Object field lookup; [None] on non-objects. *)
+
+  val get : string -> (t -> 'a option) -> t -> 'a option
+  (** [get k f v] decodes member [k] of [v] with [f]. *)
+
+  val index : int -> t -> t option
+
+  val to_num : t -> float option
+  (** A number, or [null] as [nan]. *)
+
+  val to_int : t -> int option
+  (** An integral number of magnitude at most 2{^53}. *)
+
+  val to_str : t -> string option
+
+  val to_list : (t -> 'a option) -> t -> 'a list option
+  (** An array whose every element decodes. *)
+
+  val to_fields : (t -> 'a option) -> t -> (string * 'a) list option
+  (** An object whose every member decodes, in document order. *)
+
+  val number_leaves : t -> (string * float) list
+  (** Every numeric leaf with its dotted path (array elements indexed), in
+      document order — the flattening {!Alpenhorn_bench_diff} compares
+      across benchmark snapshots. *)
+end
+
 (** {1 Snapshots and exporters} *)
 
 module Snapshot : sig
@@ -211,44 +286,29 @@ module Snapshot : sig
       count/mean/p50/p99/max, and per-name span rollups. *)
 
   val to_json : t -> string
-  (** Self-contained JSON document (no dependencies; schema in
-      DESIGN.md §7). *)
+  (** The snapshot document (schema in DESIGN.md §7), printed by
+      {!Json.to_string}: every number reads back to the same double, and
+      {!of_json} decodes it to an equal snapshot. *)
+
+  val of_json : Json.t -> (t, string) result
+  (** The one decoder of the snapshot document, bare or wrapped under a
+      ["telemetry"] member (the labeled [/metrics.json] and the
+      [--metrics-json] machine wrapper). Strict: a member of the wrong
+      kind, a fractional count or a histogram without
+      {!Histogram.bucket_count} buckets is an [Error]. Total: it never
+      raises. *)
+
+  val histogram_fields : Histogram.snap -> (string * Json.t) list
+  (** [count], [sum], [min], [max] and [buckets]: a histogram's members
+      in the snapshot document and in the time-series lines. An empty
+      histogram prints [min] and [max] as [0]. *)
+
+  val histogram_of_json : Json.t -> Histogram.snap option
+  (** Decodes {!histogram_fields} from an object, ignoring other
+      members; [min_v]/[max_v] of an empty histogram come back infinite. *)
 
   val to_chrome_trace : t -> string
   (** Chrome [trace_event] JSON: one ["ph":"X"] complete event per span,
       timestamps in microseconds, track chosen from the ["server"] label
       when present. Loadable in [about:tracing]. *)
-end
-
-(** {1 Minimal JSON parser} *)
-
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> t option
-  (** Strict RFC 8259 parser (no external dependencies). String escapes
-      are decoded ([\uXXXX] to UTF-8, surrogate pairs combined, lone
-      surrogates to U+FFFD). [None] on any deviation from the grammar. *)
-
-  val is_valid : string -> bool
-  (** [parse s <> None] — used by tests and the bench smoke target to
-      validate emitted snapshots. *)
-
-  val member : string -> t -> t option
-  (** Object field lookup; [None] on non-objects. *)
-
-  val index : int -> t -> t option
-  val to_num : t -> float option
-  val to_str : t -> string option
-
-  val number_leaves : t -> (string * float) list
-  (** Every numeric leaf with its dotted path (array elements indexed), in
-      document order — the flattening {!Alpenhorn_bench_diff} compares
-      across benchmark snapshots. *)
 end

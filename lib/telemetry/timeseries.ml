@@ -61,6 +61,7 @@ let samples_unlocked t =
 let newest_unlocked t =
   if t.len = 0 then None else t.ring.((t.head - 1 + t.cap) mod t.cap)
 
+let samples t = locked t (fun () -> samples_unlocked t)
 let last_ts t = locked t (fun () -> Option.map (fun s -> s.ts) (newest_unlocked t))
 
 let span_seconds t =
@@ -69,11 +70,7 @@ let span_seconds t =
       | [] | [ _ ] -> 0.0
       | first :: _ as all -> (List.nth all (List.length all - 1)).ts -. first.ts)
 
-let key name labels =
-  match labels with
-  | [] -> name
-  | l ->
-    name ^ "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) (List.sort compare l)) ^ "}"
+let key name labels = Tel.metric_key name (List.sort compare labels)
 
 let sample_of_snapshot ~ts (snap : Tel.Snapshot.t) =
   {
@@ -274,92 +271,28 @@ let points t ?window name =
 
 (* ---- JSONL round-trip ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* %.17g round-trips every finite double: wall-clock epochs need more
-   than 9 significant digits to keep sub-second spacing between samples *)
-let json_float f = if Float.is_finite f then Printf.sprintf "%.17g" f else "0"
-
 let sample_to_json s =
-  let obj fields = "{" ^ String.concat "," fields ^ "}" in
-  let kv render (k, v) = Printf.sprintf "\"%s\":%s" (json_escape k) (render v) in
-  let hist (h : Tel.Histogram.snap) =
-    obj
-      [
-        Printf.sprintf "\"count\":%d" h.Tel.Histogram.count;
-        Printf.sprintf "\"sum\":%s" (json_float h.Tel.Histogram.sum);
-        Printf.sprintf "\"min\":%s"
-          (json_float (if h.Tel.Histogram.count = 0 then 0.0 else h.Tel.Histogram.min_v));
-        Printf.sprintf "\"max\":%s"
-          (json_float (if h.Tel.Histogram.count = 0 then 0.0 else h.Tel.Histogram.max_v));
-        Printf.sprintf "\"buckets\":[%s]"
-          (String.concat ","
-             (List.map string_of_int (Array.to_list h.Tel.Histogram.buckets)));
-      ]
-  in
-  obj
-    [
-      Printf.sprintf "\"ts\":%s" (json_float s.ts);
-      Printf.sprintf "\"counters\":%s" (obj (List.map (kv string_of_int) s.counters));
-      Printf.sprintf "\"gauges\":%s" (obj (List.map (kv json_float) s.gauges));
-      Printf.sprintf "\"hists\":%s" (obj (List.map (kv hist) s.hists));
-    ]
+  let fields f l = Tel.Json.Obj (List.map (fun (k, v) -> (k, f v)) l) in
+  Tel.Json.(
+    to_string
+      (Obj
+         [
+           ("ts", Num s.ts);
+           ("counters", fields int s.counters);
+           ("gauges", fields (fun v -> Num v) s.gauges);
+           ("hists", fields (fun h -> Obj (Tel.Snapshot.histogram_fields h)) s.hists);
+         ]))
 
-let to_jsonl t =
-  let all = window_samples t None in
-  String.concat "" (List.map (fun s -> sample_to_json s ^ "\n") all)
+let to_jsonl t = String.concat "" (List.map (fun s -> sample_to_json s ^ "\n") (samples t))
 
-let hist_of_json j =
-  let num k = Option.bind (Tel.Json.member k j) Tel.Json.to_num in
-  match (num "count", num "sum") with
-  | Some count, Some sum ->
-    let buckets = Array.make Tel.Histogram.bucket_count 0 in
-    (match Tel.Json.member "buckets" j with
-    | Some (Tel.Json.Arr l) ->
-      List.iteri
-        (fun i v ->
-          if i < Tel.Histogram.bucket_count then
-            match Tel.Json.to_num v with Some f -> buckets.(i) <- int_of_float f | None -> ())
-        l
-    | _ -> ());
-    let count = int_of_float count in
-    Some
-      {
-        Tel.Histogram.count;
-        sum;
-        min_v =
-          (if count = 0 then infinity else Option.value ~default:0.0 (num "min"));
-        max_v =
-          (if count = 0 then neg_infinity else Option.value ~default:0.0 (num "max"));
-        buckets;
-      }
-  | _ -> None
-
-let sample_of_json ~ts j =
-  let fields section f =
-    match Tel.Json.member section j with
-    | Some (Tel.Json.Obj kvs) -> List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) (f v)) kvs
-    | _ -> []
-  in
-  {
-    ts;
-    counters = fields "counters" (fun v -> Option.map int_of_float (Tel.Json.to_num v));
-    gauges = fields "gauges" Tel.Json.to_num;
-    hists = fields "hists" hist_of_json;
-  }
+let sample_of_json j =
+  let open Tel.Json in
+  let ( let* ) = Option.bind in
+  let* ts = get "ts" to_num j in
+  let* counters = get "counters" (to_fields to_int) j in
+  let* gauges = get "gauges" (to_fields to_num) j in
+  let* hists = get "hists" (to_fields Tel.Snapshot.histogram_of_json) j in
+  Some { ts; counters; gauges; hists }
 
 let of_jsonl text =
   let lines =
@@ -368,12 +301,9 @@ let of_jsonl text =
   let rec go acc i = function
     | [] -> Ok (List.rev acc)
     | line :: rest -> (
-      match Tel.Json.parse line with
-      | None -> Error (Printf.sprintf "line %d: not valid JSON" i)
-      | Some j -> (
-        match Option.bind (Tel.Json.member "ts" j) Tel.Json.to_num with
-        | None -> Error (Printf.sprintf "line %d: missing ts" i)
-        | Some ts -> go (sample_of_json ~ts j :: acc) (i + 1) rest))
+      match Option.bind (Tel.Json.parse line) sample_of_json with
+      | None -> Error (Printf.sprintf "line %d: not a time-series sample" i)
+      | Some s -> go (s :: acc) (i + 1) rest)
   in
   match go [] 1 lines with
   | Error _ as e -> e
@@ -381,47 +311,3 @@ let of_jsonl text =
     let t = create_detached ~capacity:(max 2 (List.length samples)) () in
     List.iter (fun s -> locked t (fun () -> push_unlocked t s)) samples;
     Ok t
-
-(* ---- /metrics.json ingestion (remote-poll mode) ---- *)
-
-let record_json t ~ts j =
-  let doc = match Tel.Json.member "telemetry" j with Some inner -> inner | None -> j in
-  let entry v =
-    match (Tel.Json.member "name" v, Tel.Json.member "labels" v) with
-    | Some (Tel.Json.Str name), labels ->
-      let l =
-        match labels with
-        | Some (Tel.Json.Obj kvs) ->
-          List.filter_map
-            (fun (k, v) -> Option.map (fun s -> (k, s)) (Tel.Json.to_str v))
-            kvs
-        | _ -> []
-      in
-      Some (key name l, v)
-    | _ -> None
-  in
-  let section name =
-    match Tel.Json.member name doc with
-    | Some (Tel.Json.Arr l) -> List.filter_map entry l
-    | _ -> []
-  in
-  match Tel.Json.member "counters" doc with
-  | None -> Error "not a telemetry snapshot document (no counters member)"
-  | Some _ ->
-    let num_of v = Option.bind (Tel.Json.member "value" v) Tel.Json.to_num in
-    let s =
-      {
-        ts;
-        counters =
-          List.filter_map
-            (fun (k, v) -> Option.map (fun f -> (k, int_of_float f)) (num_of v))
-            (section "counters");
-        gauges = List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (num_of v))
-            (section "gauges");
-        hists =
-          List.filter_map (fun (k, v) -> Option.map (fun h -> (k, h)) (hist_of_json v))
-            (section "histograms");
-      }
-    in
-    append t s;
-    Ok ()

@@ -39,15 +39,24 @@
 
 type t
 
+type sample = {
+  ts : float;
+  counters : (string * int) list;  (** by key, see above *)
+  gauges : (string * float) list;
+  hists : (string * Telemetry.Histogram.snap) list;
+}
+(** One recorded sample: the cumulative values at [ts]. *)
+
 val create : ?capacity:int -> Telemetry.registry -> t
 (** Ring of [capacity] samples (default 720) recording from the given
     registry.
     @raise Invalid_argument if [capacity < 2] (windows need pairs). *)
 
 val create_detached : ?capacity:int -> unit -> t
-(** A ring not bound to a registry — populated via {!record_snapshot},
-    {!record_json} or {!of_jsonl} (replay and remote-poll modes).
-    {!record} on a detached ring raises [Invalid_argument]. *)
+(** A ring not bound to a registry — populated via {!record_snapshot}
+    (the {!Collector}'s ring, which [top] renders) or {!of_jsonl}
+    ([top --replay]). {!record} on a detached ring raises
+    [Invalid_argument]. *)
 
 val default : t
 (** Process-wide ring on {!Telemetry.default}; [Deployment] and
@@ -65,15 +74,12 @@ val record_snapshot : t -> ts:float -> Telemetry.Snapshot.t -> unit
 (** Append an externally captured snapshot at an explicit timestamp.
     @raise Invalid_argument if [ts] precedes the newest sample. *)
 
-val record_json : t -> ts:float -> Telemetry.Json.t -> (unit, string) result
-(** Append a sample parsed from a [/metrics.json] document (the
-    {!Telemetry.Snapshot.to_json} schema, or the [--metrics-json]
-    wrapper with a ["telemetry"] member) — the [top] dashboard's remote
-    polling path. *)
-
 val capacity : t -> int
 val length : t -> int
 val clear : t -> unit
+
+val samples : t -> sample list
+(** Retained samples, oldest first. *)
 
 val last_ts : t -> float option
 (** Timestamp of the newest sample. *)
@@ -112,9 +118,13 @@ val points : t -> ?window:float -> string -> (float * float) list
     (timestamped at the newer sample); gauges one per sample. *)
 
 val to_jsonl : t -> string
-(** One self-contained JSON object per retained sample, oldest first;
-    every line satisfies {!Telemetry.Json.is_valid}. *)
+(** One JSON object per retained sample, oldest first, printed by
+    {!Telemetry.Json.to_string}:
+    [{"ts":_,"counters":{key:n},"gauges":{key:x},"hists":{key:h}}], each
+    [h] in the snapshot document's histogram members
+    ({!Telemetry.Snapshot.histogram_fields}). *)
 
 val of_jsonl : string -> (t, string) result
 (** Parse a {!to_jsonl} dump into a detached ring sized to fit it
-    exactly. [Error] names the first offending line. *)
+    exactly; every value reads back bit for bit (a non-finite gauge as
+    [nan]). [Error] names the first line that is not a sample. *)

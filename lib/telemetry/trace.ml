@@ -105,13 +105,8 @@ let pp_timelines fmt snap =
       Format.fprintf fmt "trace %d (%d spans):@\n" id (List.length spans);
       List.iter
         (fun ((c : ctx), (sp : Telemetry.Snapshot.span)) ->
-          let labels =
-            match plain_labels sp with
-            | [] -> ""
-            | l -> "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) l) ^ "}"
-          in
           let parent = match c.parent with None -> "root" | Some p -> Printf.sprintf "<-%d" p in
-          Format.fprintf fmt "  %12.6f +%10.6f  [%d %s] %s%s (%s)@\n" sp.ts sp.dur c.span_id
-            parent sp.name labels sp.clock)
+          Format.fprintf fmt "  %12.6f +%10.6f  [%d %s] %s (%s)@\n" sp.ts sp.dur c.span_id
+            parent (Telemetry.metric_key sp.name (plain_labels sp)) sp.clock)
         spans)
     (traces snap)

@@ -150,7 +150,7 @@ let parse_tests =
           | None -> Alcotest.fail "snapshot JSON did not parse"
         in
         let back =
-          match Collector.snapshot_of_json doc with
+          match Tel.Snapshot.of_json doc with
           | Ok s -> s
           | Error e -> Alcotest.failf "snapshot_of_json: %s" e
         in
@@ -185,7 +185,7 @@ let parse_tests =
         match Tel.Json.parse wrapped with
         | None -> Alcotest.fail "wrapped JSON did not parse"
         | Some doc -> (
-          match Collector.snapshot_of_json doc with
+          match Tel.Snapshot.of_json doc with
           | Error e -> Alcotest.failf "wrapped form rejected: %s" e
           | Ok s ->
             Alcotest.(check int) "counter survives" 1 (Tel.Snapshot.counter_sum s "x")));
@@ -194,7 +194,7 @@ let parse_tests =
           match Tel.Json.parse s with
           | None -> ()
           | Some doc -> (
-            match Collector.snapshot_of_json doc with
+            match Tel.Snapshot.of_json doc with
             | Error _ -> ()
             | Ok _ -> Alcotest.failf "accepted %s" s)
         in

@@ -197,6 +197,41 @@ let timeseries_tests =
             "same gauge stats"
             (Option.map (fun (a, b, c) -> ((a, b), c)) (Timeseries.gauge_stats ring "depth"))
             (Option.map (fun (a, b, c) -> ((a, b), c)) (Timeseries.gauge_stats ring' "depth")));
+    Alcotest.test_case "to_jsonl/of_jsonl gives back every sample bit for bit" `Quick (fun () ->
+        let r = fresh () in
+        let c = Tel.Counter.v r ~labels:[ ("path", "a\"b\\c\nd\001\xc3\xbc") ] "bytes" in
+        let g = Tel.Gauge.v r "ratio" and nan_g = Tel.Gauge.v r "undefined" in
+        let h = Tel.Histogram.v r "mix.unwrap_seconds" in
+        ignore (Tel.Histogram.v r "never.observed");
+        let ring = Timeseries.create_detached ~capacity:8 () in
+        List.iteri
+          (fun i ts ->
+            Tel.Counter.add c (1 lsl 40);
+            Tel.Gauge.set g (0.1 +. (0.2 *. float_of_int i));
+            Tel.Gauge.set nan_g Float.nan;
+            Tel.Histogram.observe h (0.1 +. 0.2);
+            Timeseries.record_snapshot ring ~ts (Tel.Snapshot.take r))
+          (* wall-clock stamps 0.1 s apart need 17 significant digits *)
+          [ 1760745600.1234567; 1760745600.2234567; 1760745600.3234567 ];
+        let fingerprint ring =
+          List.map
+            (fun (s : Timeseries.sample) ->
+              let hist (h : Tel.Histogram.snap) =
+                (h.count, Int64.bits_of_float h.sum, Int64.bits_of_float h.min_v,
+                 Int64.bits_of_float h.max_v, Array.to_list h.buckets)
+              in
+              ( Int64.bits_of_float s.ts,
+                s.counters,
+                List.map (fun (k, v) -> (k, Int64.bits_of_float v)) s.gauges,
+                List.map (fun (k, v) -> (k, hist v)) s.hists ))
+            (Timeseries.samples ring)
+        in
+        match Timeseries.of_jsonl (Timeseries.to_jsonl ring) with
+        | Error e -> Alcotest.failf "of_jsonl: %s" e
+        | Ok ring' ->
+          Alcotest.(check int) "three samples" 3 (List.length (Timeseries.samples ring'));
+          if fingerprint ring' <> fingerprint ring then
+            Alcotest.failf "samples changed:\n%s%s" (Timeseries.to_jsonl ring) (Timeseries.to_jsonl ring'));
   ]
 
 (* The CI endpoint smoke test: a real listener on an ephemeral port,

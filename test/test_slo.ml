@@ -113,6 +113,41 @@ let exporter_tests =
             | Some (Tel.Json.Bool b) -> Some b
             | _ -> None)
         | None -> Alcotest.fail "unparseable report JSON");
+    Alcotest.test_case "report_to_json reads back every number" `Quick (fun () ->
+        let r = Tel.create () in
+        Tel.Gauge.set (Tel.Gauge.v r "ratio") (0.1 +. 0.2);
+        let rule threshold =
+          Slo.rule ~name:"ratio" ~description:"ratio \"bounded\"\n" (Slo.Gauge "ratio") Slo.Le threshold
+        in
+        let report =
+          Slo.evaluate
+            [
+              rule Float.infinity;
+              rule 1.234567890123;
+              Slo.rule ~name:"absent" ~description:"" (Slo.Gauge "nope") Slo.Ge 0.0;
+            ]
+            (Tel.Snapshot.take r)
+        in
+        let doc = Option.get (Tel.Json.parse (Slo.report_to_json report)) in
+        let checks = Option.get (Tel.Json.get "checks" (Tel.Json.to_list Option.some) doc) in
+        Alcotest.(check int) "one object per check" 3 (List.length checks);
+        (* JSON has no infinity: a non-finite number prints as null and
+           reads back as nan *)
+        let printed v = if Float.is_finite v then v else Float.nan in
+        List.iter2
+          (fun (c : Slo.check) j ->
+            let num k = Tel.Json.get k Tel.Json.to_num j in
+            Alcotest.(check (option int64)) "threshold"
+              (Some (Int64.bits_of_float (printed c.rule.Slo.threshold)))
+              (Option.map Int64.bits_of_float (num "threshold"));
+            Alcotest.(check (option int64)) "value"
+              (Option.map Int64.bits_of_float c.value)
+              (match Tel.Json.member "value" j with
+              | Some Tel.Json.Null -> None
+              | _ -> Option.map Int64.bits_of_float (num "value"));
+            Alcotest.(check (option string)) "description" (Some c.rule.Slo.description)
+              (Tel.Json.get "description" Tel.Json.to_str j))
+          report.Slo.checks checks);
   ]
 
 let suite = basic_tests @ default_rules_tests @ exporter_tests

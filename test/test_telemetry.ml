@@ -403,6 +403,156 @@ let runtime_stats_tests =
           (w <= mine +. theirs +. 4096.0));
   ]
 
+(* ---------- the one JSON writer: decode what was encoded ---------- *)
+
+let bits = Int64.bits_of_float
+
+(* a snapshot with every float as its bit pattern, so structural
+   equality is bit-for-bit equality (nan included) *)
+let fingerprint (s : Tel.Snapshot.t) =
+  let hist (h : Tel.Histogram.snap) =
+    (h.count, bits h.sum, bits h.min_v, bits h.max_v, Array.to_list h.buckets)
+  in
+  ( s.clock,
+    s.counters,
+    List.map (fun (n, l, v) -> (n, l, bits v)) s.gauges,
+    List.map (fun (n, l, h) -> (n, l, hist h)) s.histograms,
+    List.map
+      (fun (sp : Tel.Snapshot.span) -> (sp.name, sp.labels, bits sp.ts, bits sp.dur, sp.depth, sp.clock))
+      s.spans,
+    s.dropped_spans )
+
+(* labels no escaper may lose: quote, backslash, newline, tab, a raw
+   control byte and UTF-8 *)
+let hostile_labels =
+  [
+    ("q", "say \"hi\"");
+    ("bs", "C:\\dir");
+    ("nl", "a\nb");
+    ("tab", "a\tb");
+    ("ctl", "x\001y");
+    ("utf8", "z\xc3\xbcrich \xe2\x9c\x93");
+  ]
+
+(* needs all 17 significant digits *)
+let ts17 = 1760745600.1234567
+
+let tricky_snapshot =
+  let h = Tel.Histogram.v (fresh ()) "h" in
+  Tel.Histogram.observe h 0.1;
+  Tel.Histogram.observe h 0.2;
+  let full = Tel.Histogram.snapshot h in
+  {
+    Tel.Snapshot.clock = "wall";
+    counters = [ ("c.big", hostile_labels, 1 lsl 40); ("c.zero", [], 0) ];
+    gauges =
+      [
+        ("g.sum", [], 0.1 +. 0.2);
+        ("g.nan", [], Float.nan);
+        ("g.inf", [], Float.infinity);
+        ("g.neg_inf", hostile_labels, Float.neg_infinity);
+        ("g.neg_zero", [], -0.0);
+      ];
+    histograms = [ ("h.empty", [], Tel.Histogram.empty); ("h.full", [ ("k", "v") ], full) ];
+    spans =
+      [
+        {
+          Tel.Snapshot.name = "round.dialing";
+          labels = hostile_labels;
+          ts = ts17;
+          dur = 0.1 +. 0.2;
+          depth = 2;
+          clock = "sim";
+        };
+      ];
+    dropped_spans = 3;
+  }
+
+let json_roundtrip_tests =
+  [
+    Alcotest.test_case "Snapshot.of_json reads to_json back bit for bit" `Quick (fun () ->
+        Alcotest.(check bool) "ts17 needs 17 digits" false
+          (float_of_string (Printf.sprintf "%.16g" ts17) = ts17);
+        let full = List.find (fun (n, _, _) -> n = "h.full") tricky_snapshot.histograms in
+        Alcotest.(check (float 0.0)) "the full histogram's sum needs 17 digits" 0.30000000000000004
+          (let _, _, h = full in h.Tel.Histogram.sum);
+        let text = Tel.Snapshot.to_json tricky_snapshot in
+        let back =
+          match Option.map Tel.Snapshot.of_json (Tel.Json.parse text) with
+          | Some (Ok s) -> s
+          | Some (Error e) -> Alcotest.failf "of_json: %s" e
+          | None -> Alcotest.failf "unparseable: %s" text
+        in
+        (* JSON has no infinity: the writer prints every non-finite
+           number as null and the reader gives nan back *)
+        let expected =
+          {
+            tricky_snapshot with
+            gauges =
+              List.map
+                (fun (n, l, v) -> (n, l, if Float.is_finite v then v else Float.nan))
+                tricky_snapshot.gauges;
+          }
+        in
+        if fingerprint back <> fingerprint expected then
+          Alcotest.failf "round trip changed the snapshot:\n%s\n%s" text (Tel.Snapshot.to_json back));
+    Alcotest.test_case "Snapshot.of_json is total over one-member mutants" `Quick (fun () ->
+        let doc = Option.get (Tel.Json.parse (Tel.Snapshot.to_json tricky_snapshot)) in
+        let kinds =
+          Tel.Json.
+            [
+              Null; Bool true; Num 1e300; Num (-0.5); Num 3.0; Str "x"; Arr []; Arr [ Num 1.0 ]; Obj [];
+              Obj [ ("k", Str "v") ];
+            ]
+        in
+        (* every document that differs from [doc] in exactly one object
+           member or array element *)
+        let rec mutants (v : Tel.Json.t) =
+          let replace_each xs rebuild mutate_one =
+            List.concat
+              (List.mapi
+                 (fun i x ->
+                   let put y = rebuild (List.mapi (fun j x' -> if i = j then y else x') xs) in
+                   List.map put (mutate_one x))
+                 xs)
+          in
+          match v with
+          | Tel.Json.Obj kvs ->
+            replace_each kvs (fun kvs -> Tel.Json.Obj kvs) (fun (k, x) ->
+                List.map (fun y -> (k, y)) (kinds @ mutants x))
+          | Tel.Json.Arr xs -> replace_each xs (fun xs -> Tel.Json.Arr xs) (fun x -> kinds @ mutants x)
+          | _ -> []
+        in
+        let all = mutants doc in
+        Alcotest.(check bool) "hundreds of mutants" true (List.length all > 500);
+        let accepted =
+          List.fold_left
+            (fun n m ->
+              match Tel.Snapshot.of_json m with
+              | Ok _ -> n + 1
+              | Error _ -> n
+              | exception e -> Alcotest.failf "of_json raised %s" (Printexc.to_string e))
+            0 all
+        in
+        Alcotest.(check bool) "most mutants are rejected" true (accepted < List.length all / 2));
+    Alcotest.test_case "an event line reads back bit for bit" `Quick (fun () ->
+        let module E = Alpenhorn_telemetry.Events in
+        let now = ref 0.1 in
+        let r = Tel.create ~clock:(fun () -> !now) () in
+        let ev = E.create r in
+        now := 0.4;
+        E.log ev ~severity:E.Warn ~labels:hostile_labels ~detail:"d\"\\\n\001" "mix.decode_failure";
+        let e = List.hd (E.to_list ev) in
+        Alcotest.(check (float 0.0)) "ts needs 17 digits" 0.30000000000000004 e.E.ts;
+        let doc = Option.get (Tel.Json.parse (E.event_to_json e)) in
+        let get k f = Option.get (Tel.Json.get k f doc) in
+        Alcotest.(check int64) "ts" (bits e.E.ts) (bits (get "ts" Tel.Json.to_num));
+        Alcotest.(check string) "detail" e.E.detail (get "detail" Tel.Json.to_str);
+        Alcotest.(check (list (pair string string)))
+          "labels" e.E.labels
+          (get "labels" (Tel.Json.to_fields Tel.Json.to_str)));
+  ]
+
 let suite =
   unit_tests @ straddle_tests @ json_parse_tests @ events_tests @ reset_conservation_tests
-  @ runtime_stats_tests
+  @ runtime_stats_tests @ json_roundtrip_tests
