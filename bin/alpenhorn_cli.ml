@@ -34,7 +34,7 @@ module Collector = Alpenhorn_telemetry.Collector
 module Listener = Alpenhorn_net.Listener
 module Rpc = Alpenhorn_net.Rpc
 module Servers = Alpenhorn_remote.Servers
-module Net_deployment = Alpenhorn_remote.Net_deployment
+module Fleet = Alpenhorn_remote.Fleet
 module Parallel = Alpenhorn_parallel.Parallel
 
 open Cmdliner
@@ -327,6 +327,14 @@ let params_cmd =
 
 (* ---- simulate ---- *)
 
+(* a --faults spec (DESIGN.md §10 grammar), or exit 2 *)
+let parse_faults spec =
+  match Faults.parse spec with
+  | Ok t -> t
+  | Error e ->
+    Printf.eprintf "alpenhorn: bad --faults spec: %s\n" e;
+    exit 2
+
 let run_simulate users servers dial_minutes af_hours calibrate metrics metrics_json trace events
     slo trace_sample faults_spec fault_seed domains serve_port serve_hold record =
   apply_domains domains;
@@ -337,13 +345,7 @@ let run_simulate users servers dial_minutes af_hours calibrate metrics metrics_j
     | Some _, Some _ ->
       prerr_endline "alpenhorn: --faults and --fault-seed are mutually exclusive";
       exit 2
-    | Some spec, None -> begin
-      match Faults.parse spec with
-      | Ok t -> t
-      | Error e ->
-        Printf.eprintf "alpenhorn: bad --faults spec: %s\n" e;
-        exit 2
-    end
+    | Some spec, None -> parse_faults spec
     | None, Some seed -> Faults.generate ~seed ~rounds:1 ~n_servers:servers ()
     | None, None -> Faults.empty
   in
@@ -962,300 +964,109 @@ let serve_mixer_cmd =
 
 (* -- e2e-net: multi-process deployment driver -- *)
 
-type child = { pid : int; out : in_channel; port : int; metrics : int (* 0 = none *) }
-
-let spawn_child args =
-  let r, w = Unix.pipe () in
-  let argv = Array.of_list (Sys.executable_name :: args) in
-  let pid = Unix.create_process Sys.executable_name argv Unix.stdin w Unix.stderr in
-  Unix.close w;
-  let out = Unix.in_channel_of_descr r in
-  let rec wait_ready () =
-    match input_line out with
-    | line -> (
-      (* the extended handshake first — sscanf happily matches the short
-         form as a prefix of the long one *)
-      match Scanf.sscanf_opt line "READY port=%d metrics=%d" (fun p m -> (p, m)) with
-      | Some (port, metrics) -> { pid; out; port; metrics }
-      | None -> (
-        match Scanf.sscanf_opt line "READY port=%d" (fun p -> p) with
-        | Some port -> { pid; out; port; metrics = 0 }
-        | None -> wait_ready ()))
-    | exception End_of_file ->
-      ignore (Unix.waitpid [] pid);
-      failwith (Printf.sprintf "child %s exited before READY" (String.concat " " args))
+(* --scrape, after the rounds: scrape every process, then the three fleet
+   checks — a killed mixer goes stale on the next scrape and recovers
+   after its respawn, a trace stitches spans of >= 3 processes, and the
+   fleet SLO report is healthy. *)
+let fleet_checks fleet =
+  let remote (s : Fleet.server) = Collector.Remote { host = "127.0.0.1"; port = Option.get s.metrics } in
+  let coll =
+    http_collector
+      (Collector.instance ~role:"orch" ~name:"orchestrator" (Collector.Local Tel.default)
+      :: List.map (fun s -> Collector.instance ~name:s.Fleet.name (remote s)) (Fleet.servers fleet))
   in
-  wait_ready ()
-
-let kill_child c =
-  (try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] c.pid) with Unix.Unix_error _ -> ());
-  try close_in c.out with Sys_error _ -> ()
-
-let localhost port = { Net_deployment.host = "127.0.0.1"; port }
-
-let pp_af_event = function
-  | Client.Friend_request_accepted e -> "accepted:" ^ e
-  | Client.Friend_request_rejected e -> "rejected:" ^ e
-  | Client.Friend_request_key_mismatch e -> "key-mismatch:" ^ e
-  | Client.Friend_confirmed e -> "confirmed:" ^ e
-
-let pp_dial_event (Client.Incoming_call { peer; intent; session_key }) =
-  Printf.sprintf "call:%s:%d:%s" peer intent (Util.to_hex session_key)
-
-let pp_events evs = String.concat ", " (List.map (fun (who, ev) -> who ^ "<-" ^ ev) evs)
-
-(* The scripted scenario both deployments run: three clients, two
-   friendships, two calls. Returns, per round of each phase, the attempts
-   and the canonical event strings; [on_round] sees each round's summary. *)
-let run_scenario d ~rounds ~on_round =
-  let clients =
-    List.map
-      (fun email -> Deployment.new_client d ~email ~callbacks:Client.null_callbacks)
-      [ "alice@example.org"; "bob@example.org"; "carol@example.org" ]
+  (* a respawned mixer comes back on fresh ports *)
+  let scrape () =
+    List.iter (fun s -> Collector.set_target coll ~name:s.Fleet.name (remote s)) (Fleet.servers fleet);
+    Collector.scrape coll
   in
-  List.iter
-    (fun cl ->
-      match Deployment.register d cl with
-      | Ok () -> ()
-      | Error e -> failwith (Alpenhorn_pkg.Pkg.error_to_string e))
-    clients;
-  let a, b, c =
-    match clients with [ a; b; c ] -> (a, b, c) | _ -> assert false
+  let ok = ref true in
+  let fail msg =
+    prerr_endline ("fleet: FAIL — " ^ msg);
+    ok := false
   in
-  let round name number ~in_ ~noise attempts events =
-    on_round (Printf.sprintf "%s round %d" name number)
-      (Printf.sprintf "%d in, %d noise, attempts %d — %s" in_ noise attempts (pp_events events));
-    (attempts, events)
+  let mixer_0 () =
+    List.find_map (fun (n, st, _) -> if n = "mixer-0" then Some st else None) (Collector.status coll)
   in
-  Client.add_friend a ~email:"bob@example.org" ();
-  Client.add_friend c ~email:"bob@example.org" ();
-  let af_log =
-    List.init rounds (fun _ ->
-        let s = Deployment.run_addfriend_round d () in
-        round "af" s.Deployment.af_round ~in_:s.Deployment.requests_in
-          ~noise:s.Deployment.noise_added s.Deployment.af_attempts
-          (List.map (fun (w, e) -> (w, pp_af_event e)) s.Deployment.events))
-  in
-  Client.call a ~email:"bob@example.org" ~intent:1;
-  Client.call b ~email:"carol@example.org" ~intent:2;
-  let dial_log =
-    List.init rounds (fun _ ->
-        let s = Deployment.run_dialing_round d () in
-        round "dial" s.Deployment.dial_round ~in_:s.Deployment.tokens_in
-          ~noise:s.Deployment.dial_noise_added s.Deployment.dial_attempts
-          (List.map (fun (w, e) -> (w, pp_dial_event e)) s.Deployment.calls))
-  in
-  (af_log, dial_log)
+  Printf.printf "scraping %d fleet instances\n%!" (List.length (Collector.instances coll));
+  scrape ();
+  Fleet.kill_mixer fleet 0;
+  scrape ();
+  (match mixer_0 () with
+  | Some (Collector.Stale reason) -> Printf.printf "fleet: mixer-0 went stale after kill (%s)\n%!" reason
+  | _ -> fail "killed mixer-0 did not go stale on the next scrape");
+  Fleet.restart_mixer fleet 0;
+  scrape ();
+  (match mixer_0 () with
+  | Some Collector.Fresh -> Printf.printf "fleet: mixer-0 recovered after respawn\n%!"
+  | _ -> fail "respawned mixer-0 did not recover on the next scrape");
+  print_fleet_rows coll;
+  let crossing = Collector.cross_process_traces ~min_instances:3 coll in
+  Printf.printf "fleet: %d traces stitched, %d crossing >= 3 processes\n"
+    (List.length (Collector.traces coll))
+    (List.length crossing);
+  (match crossing with
+  | (id, spans) :: _ ->
+    Printf.printf "  e.g. trace %d: %d spans across %s\n" id (List.length spans)
+      (String.concat ", " (Collector.trace_instances spans))
+  | [] -> fail "no trace crosses >= 3 processes");
+  let report = Collector.evaluate coll (Collector.fleet_rules ~max_staleness:300.0 ()) in
+  Format.printf "%a@?" Slo.pp_report report;
+  if not report.Slo.healthy then fail "fleet SLO report unhealthy";
+  !ok
 
-let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
+(* Every round's whole stats record, and the faults.* telemetry each run
+   raised, must be identical over TCP and in process. *)
+let verdict ~rounds ((net_rounds, net_faults) as net) ((ref_rounds, ref_faults) as in_process) =
+  let delivered = function
+    | Fleet.Af s -> s.Deployment.events <> []
+    | Fleet.Dial s -> s.Deployment.calls <> []
+  in
+  if not (List.exists delivered net_rounds) then begin
+    prerr_endline "e2e-net: FAIL — no protocol events were delivered";
+    false
+  end
+  else if net = in_process then begin
+    Printf.printf
+      "e2e-net: PASS — %d add-friend + %d dialing rounds over TCP; every round's stats, events \
+       and session keys, and the faults.* telemetry, identical to the in-process deployment\n"
+      rounds rounds;
+    true
+  end
+  else begin
+    prerr_endline "e2e-net: FAIL — networked and in-process results diverge:";
+    List.iter2
+      (fun n r ->
+        if n <> r then
+          Printf.eprintf "  net: %s\n  ref: %s\n" (Fleet.round_to_string n) (Fleet.round_to_string r))
+      net_rounds ref_rounds;
+    let faults ds = String.concat ", " (List.map (fun (k, d) -> Printf.sprintf "%s +%d" k d) ds) in
+    Printf.eprintf "  net faults: %s\n  ref faults: %s\n" (faults net_faults) (faults ref_faults);
+    false
+  end
+
+let run_e2e_net seed rounds faults_spec scrape domains =
   apply_domains domains;
   if rounds < 2 then begin
     prerr_endline "alpenhorn: e2e-net needs --rounds >= 2 (request round + confirmation round)";
     exit 2
   end;
-  let with_metrics = scrape || fleet_slo in
-  let faults =
-    match faults_spec with
-    | "" | "none" -> Faults.empty
-    | spec -> (
-      match Faults.parse spec with
-      | Ok t -> t
-      | Error e ->
-        Printf.eprintf "alpenhorn: bad --faults spec: %s\n" e;
-        exit 2)
-  in
+  let faults = match faults_spec with "" | "none" -> Faults.empty | spec -> parse_faults spec in
   let config = { Config.test with Config.n_pkgs = 1 } in
   let fault_view = if Faults.is_empty faults then None else Some (Faults.deployment_view faults) in
-  (* spawn the anytrust deployment: one PKG + chain_length mixers, each its
-     own OS process on an ephemeral localhost port *)
-  let metrics_args = if with_metrics then [ "--metrics-port"; "0" ] else [] in
-  let spawn_pkg i =
-    spawn_child
-      ([ "serve-pkg"; "--seed"; seed; "--index"; string_of_int i; "--port"; "0" ] @ metrics_args)
-  in
-  let spawn_mixer i =
-    spawn_child
-      ([ "serve-mixer"; "--seed"; seed; "--position"; string_of_int i; "--port"; "0" ]
-      @ metrics_args)
-  in
-  let pkg_children = Array.init config.Config.n_pkgs spawn_pkg in
-  let mixer_children = Array.init config.Config.chain_length (fun i -> ref (spawn_mixer i)) in
-  let all_children () =
-    Array.to_list (Array.map (fun c -> c) pkg_children)
-    @ Array.to_list (Array.map (fun r -> !r) mixer_children)
-  in
-  let cleanup () = List.iter kill_child (all_children ()) in
+  Fleet.processes ~exe:Sys.executable_name ~metrics:scrape ?faults:fault_view ~config ~seed
+  @@ fun fleet ->
   Printf.printf "spawned %d mixer + %d PKG server processes (ports %s)\n%!"
-    (Array.length mixer_children) (Array.length pkg_children)
-    (String.concat ", "
-       (List.map (fun c -> string_of_int c.port) (all_children ())));
-  let finally f = Fun.protect ~finally:cleanup f in
-  finally @@ fun () ->
-  (* set after the deployment exists; restart closures consult it so a
-     respawned mixer's fresh metrics port is scraped, not the dead one *)
-  let collector = ref None in
-  let repoint_collector name metrics =
-    match !collector with
-    | Some coll when metrics > 0 ->
-      Collector.set_target coll ~name (Collector.Remote { host = "127.0.0.1"; port = metrics })
-    | _ -> ()
-  in
-  let mixers =
-    Array.mapi
-      (fun i r ->
-        {
-          Net_deployment.ep = localhost !r.port;
-          kill = (fun () -> kill_child !r);
-          restart =
-            (fun () ->
-              r := spawn_mixer i;
-              Printf.printf "mixer %d respawned (pid %d, port %d)\n%!" i !r.pid !r.port;
-              repoint_collector (Printf.sprintf "mixer-%d" i) !r.metrics;
-              localhost !r.port);
-        })
-      mixer_children
-  in
-  let nd =
-    Net_deployment.create ~config ~seed
-      ~pkgs:(Array.map (fun c -> localhost c.port) pkg_children)
-      ~mixers ()
-  in
-  Deployment.set_faults nd fault_view;
-  let coll =
-    if not with_metrics then None
-    else begin
-      (* trace every round: all span ids are minted by this tracer, and
-         servers replay carried identities, so merged snapshots stitch *)
-      Deployment.set_tracer nd (Some (Trace.create Tel.default));
-      let remote (c : child) = Collector.Remote { host = "127.0.0.1"; port = c.metrics } in
-      let insts =
-        Collector.instance ~role:"orch" ~name:"orchestrator" (Collector.Local Tel.default)
-        :: Array.to_list
-             (Array.mapi
-                (fun i c -> Collector.instance ~name:(Printf.sprintf "pkg-%d" i) (remote c))
-                pkg_children)
-        @ Array.to_list
-            (Array.mapi
-               (fun i r -> Collector.instance ~name:(Printf.sprintf "mixer-%d" i) (remote !r))
-               mixer_children)
-      in
-      let c = http_collector insts in
-      collector := Some c;
-      Printf.printf "scraping %d fleet instances (metrics ports %s)\n%!" (List.length insts)
-        (String.concat ", "
-           (List.map (fun c -> string_of_int c.metrics) (all_children ())));
-      Some c
-    end
-  in
-  let scrape_now () = Option.iter Collector.scrape coll in
-  if fault_view <> None then
-    Printf.printf "fault schedule: %s\n%!" (Faults.to_string faults);
-  let net_af, net_dial =
-    run_scenario nd ~rounds ~on_round:(fun name summary ->
-        Printf.printf "%s over TCP: %s\n%!" name summary;
-        scrape_now ())
-  in
-  Net_deployment.close nd;
-  (* ---- fleet observability checks (--scrape / --fleet-slo) ---- *)
-  let fleet_ok =
-    match coll with
-    | None -> true
-    | Some coll ->
-      let ok = ref true in
-      (* staleness demo: kill a mixer outright — the next scrape must mark
-         it stale (its metrics freeze, fleet.instance_up drops to 0) —
-         then respawn it and watch the scrape after that recover *)
-      let r0 = mixer_children.(0) in
-      kill_child !r0;
-      Collector.scrape coll;
-      let status_of name =
-        match List.find_opt (fun (n, _, _) -> n = name) (Collector.status coll) with
-        | Some (_, st, _) -> st
-        | None -> Collector.Never "missing"
-      in
-      (match status_of "mixer-0" with
-      | Collector.Stale reason ->
-        Printf.printf "fleet: mixer-0 went stale after kill (%s)\n%!" reason
-      | _ ->
-        prerr_endline "fleet: FAIL — killed mixer-0 did not go stale on the next scrape";
-        ok := false);
-      r0 := spawn_mixer 0;
-      repoint_collector "mixer-0" !r0.metrics;
-      Collector.scrape coll;
-      (match status_of "mixer-0" with
-      | Collector.Fresh -> Printf.printf "fleet: mixer-0 recovered after respawn\n%!"
-      | _ ->
-        prerr_endline "fleet: FAIL — respawned mixer-0 did not recover on the next scrape";
-        ok := false);
-      print_fleet_rows coll;
-      if scrape then begin
-        (* the tentpole proof: at least one stitched trace whose spans
-           were emitted by >= 3 distinct OS processes *)
-        let all = Collector.traces coll in
-        let crossing = Collector.cross_process_traces ~min_instances:3 coll in
-        Printf.printf "fleet: %d traces stitched, %d crossing >= 3 processes\n" (List.length all)
-          (List.length crossing);
-        (match crossing with
-        | (id, spans) :: _ ->
-          Printf.printf "  e.g. trace %d: %d spans across %s\n" id (List.length spans)
-            (String.concat ", " (Collector.trace_instances spans))
-        | [] ->
-          prerr_endline "fleet: FAIL — no trace crosses >= 3 processes";
-          ok := false)
-      end;
-      if fleet_slo then begin
-        let report =
-          Collector.evaluate coll (Collector.fleet_rules ~max_staleness:300.0 ())
-        in
-        Format.printf "%a@?" Slo.pp_report report;
-        if not report.Slo.healthy then begin
-          prerr_endline "fleet: FAIL — fleet SLO report unhealthy";
-          ok := false
-        end
-      end;
-      !ok
-  in
-  let net_events = net_af @ net_dial in
-  let base =
-  if List.for_all (fun (_, evs) -> evs = []) net_events then begin
-    prerr_endline "e2e-net: FAIL — no protocol events were delivered";
-    1
-  end
-  else if skip_verify then begin
-    Printf.printf "e2e-net: PASS (%d add-friend + %d dialing rounds over TCP; verification \
-                   against the in-process deployment skipped)\n"
-      rounds rounds;
-    0
-  end
-  else begin
-    (* replay the identical scenario on the in-process deployment — same
-       seed, same fault schedule (client RNG consumption on aborted
-       attempts must match) — and demand identical protocol results *)
-    let d = Deployment.create ~config ~seed in
-    Deployment.set_faults d fault_view;
-    let ref_af, ref_dial = run_scenario d ~rounds ~on_round:(fun _ _ -> ()) in
-    let ref_events = ref_af @ ref_dial in
-    if net_events = ref_events then begin
-      Printf.printf
-        "e2e-net: PASS — %d add-friend + %d dialing rounds over TCP, protocol results \
-         (events, session keys, retry counts) identical to the in-process deployment\n"
-        rounds rounds;
-      0
-    end
-    else begin
-      prerr_endline "e2e-net: FAIL — networked and in-process protocol results diverge:";
-      List.iteri
-        (fun i ((na, nev), (ra, rev)) ->
-          if (na, nev) <> (ra, rev) then
-            Printf.eprintf "  round %d:\n    net (attempts %d): %s\n    ref (attempts %d): %s\n" i
-              na (pp_events nev) ra (pp_events rev))
-        (List.combine net_events ref_events);
-      1
-    end
-  end
-  in
-  if base = 0 && not fleet_ok then 1 else base
+    config.Config.chain_length config.Config.n_pkgs
+    (String.concat ", " (List.map (fun s -> string_of_int s.Fleet.port) (Fleet.servers fleet)));
+  if fault_view <> None then Printf.printf "fault schedule: %s\n%!" (Faults.to_string faults);
+  (* trace every round: all span ids are minted by this tracer, and
+     servers replay carried identities, so merged snapshots stitch *)
+  if scrape then Deployment.set_tracer (Fleet.deployment fleet) (Some (Trace.create Tel.default));
+  let net, in_process = Fleet.check fleet (Fleet.scenario ~rounds) in
+  List.iter (fun r -> Printf.printf "over TCP: %s\n%!" (Fleet.round_to_string r)) (fst net);
+  let fleet_ok = (not scrape) || fleet_checks fleet in
+  if verdict ~rounds net in_process && fleet_ok then 0 else 1
 
 let e2e_net_cmd =
   let rounds =
@@ -1274,43 +1085,28 @@ let e2e_net_cmd =
             "Fault schedule (DESIGN.md §10 grammar): crash entries SIGKILL the mixer \
              process mid-round and recovery respawns it. \"none\" disables faults.")
   in
-  let skip_verify =
-    Arg.(
-      value & flag
-      & info [ "skip-verify" ]
-          ~doc:"Skip replaying the scenario on the in-process deployment for comparison.")
-  in
   let scrape =
     Arg.(
       value & flag
       & info [ "scrape" ]
           ~doc:
             "Give every server process a metrics endpoint (--metrics-port 0), trace every \
-             round, scrape the whole fleet after each round with the orchestrator-side \
-             collector, and demand at least one stitched trace whose spans cross three or \
-             more OS processes. Also runs the staleness demo: a mixer is killed after the \
-             scenario, shown stale on the next scrape, then respawned and shown recovered.")
-  in
-  let fleet_slo =
-    Arg.(
-      value & flag
-      & info [ "fleet-slo" ]
-          ~doc:
-            "Evaluate fleet-wide SLO rules (zero rpc.errors across all instances, every \
-             instance up, staleness and latency ceilings) over the merged fleet snapshot \
-             and print the report; implies the scraping infrastructure. Exit 1 when \
-             unhealthy.")
+             round, scrape the whole fleet with the orchestrator-side collector once the \
+             rounds are done, and run the three fleet checks: a mixer is killed, shown stale \
+             on the next scrape, then respawned and shown recovered; at least one stitched \
+             trace must cross three or more OS processes; and the fleet-wide SLO rules (zero \
+             rpc.errors, every instance up, staleness and latency ceilings) must report \
+             healthy. Exit 1 when a check fails.")
   in
   Cmd.v
     (Cmd.info "e2e-net"
        ~doc:
          "Spawn a 3-mixer + 1-PKG anytrust deployment as separate OS processes, run \
           add-friend and dialing rounds over localhost TCP (killing and respawning a \
-          mixer mid-round under the fault schedule), and verify the protocol results \
-          match the in-process deployment byte for byte.")
-    Term.(
-      const run_e2e_net $ seed_arg $ rounds $ faults $ skip_verify $ scrape $ fleet_slo
-      $ domains_arg)
+          mixer mid-round under the fault schedule), and verify that every round's stats, \
+          events and session keys, and the faults.* telemetry, match the in-process \
+          deployment.")
+    Term.(const run_e2e_net $ seed_arg $ rounds $ faults $ scrape $ domains_arg)
 
 let () =
   let doc = "Alpenhorn: metadata-private bootstrapping (OCaml reproduction)" in

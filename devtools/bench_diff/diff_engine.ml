@@ -1,4 +1,5 @@
-module Json = Alpenhorn_telemetry.Telemetry.Json
+module Tel = Alpenhorn_telemetry.Telemetry
+module Json = Tel.Json
 
 type row = {
   series : string;
@@ -9,51 +10,32 @@ type row = {
   carried : bool;  (* matched a --carry prefix: reported, never regresses *)
 }
 
-let str_of = function
-  | Json.Str s -> s
-  | Json.Num n -> Printf.sprintf "%g" n
-  | Json.Bool b -> string_of_bool b
-  | Json.Null -> "null"
-  | Json.Arr _ | Json.Obj _ -> "?"
-
-let label_suffix v =
-  match Json.member "labels" v with
-  | Some (Json.Obj []) | None -> ""
-  | Some (Json.Obj kvs) ->
-    "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ str_of v) kvs) ^ "}"
-  | Some _ -> ""
-
-(* Telemetry snapshots carry labeled metric entries in arrays, so the
-   generic dotted-path flattening would key them by array position —
-   unstable across runs that register metrics in a different order.
-   Re-key those sections by name+labels instead; any other JSON document
-   (e.g. BENCH_*.json) falls through to {!Json.number_leaves}. *)
+(* A telemetry snapshot document, bare or nested under "telemetry" (the
+   [--metrics-json --calibrate] wrapper), decodes through the snapshot's
+   one decoder and is keyed by section and [Telemetry.metric_key], so a
+   series never depends on array position; an empty histogram has no
+   min or max. The wrapper's other members, and any other JSON document
+   (e.g. BENCH_*.json), flatten through [Json.number_leaves]. *)
 let flatten doc =
-  match (Json.member "counters" doc, Json.member "gauges" doc) with
-  | Some (Json.Arr _), Some (Json.Arr _) ->
-    let metric_rows section fields =
-      match Json.member section doc with
-      | Some (Json.Arr entries) ->
-        List.concat_map
-          (fun e ->
-            match Json.member "name" e with
-            | Some (Json.Str name) ->
-              let key = section ^ "." ^ name ^ label_suffix e in
-              List.filter_map
-                (fun field ->
-                  match Option.bind (Json.member field e) Json.to_num with
-                  | Some v ->
-                    Some ((if field = "value" then key else key ^ "." ^ field), v)
-                  | None -> None)
-                fields
-            | _ -> [])
-          entries
+  match Tel.Snapshot.of_json doc with
+  | Error _ -> Json.number_leaves doc
+  | Ok snap ->
+    let key section name labels = section ^ "." ^ Tel.metric_key name labels in
+    let histogram (name, labels, (h : Tel.Histogram.snap)) =
+      let k = key "histograms" name labels in
+      [ (k ^ ".count", float_of_int h.count); (k ^ ".sum", h.sum) ]
+      @ if h.count = 0 then [] else [ (k ^ ".min", h.min_v); (k ^ ".max", h.max_v) ]
+    in
+    let wrapper =
+      match doc with
+      | Json.Obj kvs when List.mem_assoc "telemetry" kvs ->
+        Json.number_leaves (Json.Obj (List.remove_assoc "telemetry" kvs))
       | _ -> []
     in
-    metric_rows "counters" [ "value" ]
-    @ metric_rows "gauges" [ "value" ]
-    @ metric_rows "histograms" [ "count"; "sum"; "min"; "max" ]
-  | _ -> Json.number_leaves doc
+    wrapper
+    @ List.map (fun (n, l, v) -> (key "counters" n l, float_of_int v)) snap.Tel.Snapshot.counters
+    @ List.map (fun (n, l, v) -> (key "gauges" n l, v)) snap.Tel.Snapshot.gauges
+    @ List.concat_map histogram snap.Tel.Snapshot.histograms
 
 let keep filters series =
   filters = []

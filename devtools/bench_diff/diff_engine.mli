@@ -2,8 +2,9 @@
 
     Works on any JSON document by flattening numeric leaves to dotted
     paths ([after.pairing], [speedup.ibe_encrypt], …) — the shape of the
-    checked-in [BENCH_*.json] files — and understands the telemetry
-    snapshot schema ([--metrics-json] output) specially, keying metric
+    checked-in [BENCH_*.json] files — and decodes a telemetry snapshot
+    document ([--metrics-json] output, bare or under ["telemetry"]) with
+    {!Alpenhorn_telemetry.Telemetry.Snapshot.of_json}, keying metric
     entries by [section.name{labels}] instead of array position.
 
     All series are lower-is-better; the [bench_diff] executable wraps

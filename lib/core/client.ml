@@ -400,21 +400,22 @@ let scan_addfriend_mailbox t af ciphertexts =
         (* Trial decryption is the expensive, randomness-free part of the
            scan: prepare the key once, then fan the decryptions out across
            the domain pool, which only reads the prepared table. The hits
-           are then processed sequentially in mailbox order, because
-           [process_request] draws DH keys from the client's DRBG. *)
+           are then processed sequentially, sorted by plaintext bytes:
+           [process_request] draws DH keys from the client's DRBG, so
+           mailbox order — the mixnet's shuffle — would otherwise decide
+           who is confirmed first and every later session key. *)
         let pool = Parallel.get () in
         if Parallel.size pool > 1 then Pairing.warmup t.params;
         let plaintexts =
           Ibe.with_prepared_key t.params identity_key (fun key ->
               Parallel.map_list pool (fun ctxt -> Ibe.decrypt_prepared t.params key ctxt) ciphertexts)
         in
-        List.filter_map
-          (fun plaintext ->
-            match plaintext with
-            | None -> None (* someone else's request, or noise (§3.1 step 6) *)
-            | Some plaintext ->
-              Tel.Counter.inc m_scan_hits;
-              (match Wire.decode_request t.params plaintext with
+        (* a [None] is someone else's request, or noise (§3.1 step 6) *)
+        List.filter_map Fun.id plaintexts
+        |> List.sort String.compare
+        |> List.filter_map (fun plaintext ->
+               Tel.Counter.inc m_scan_hits;
+               match Wire.decode_request t.params plaintext with
                | None -> None
                | Some r ->
                  if r.sender_email = t.email then None
@@ -423,7 +424,6 @@ let scan_addfriend_mailbox t af ciphertexts =
                    | Error _ -> None (* forged or damaged: drop silently *)
                    | Ok () -> process_request t r
                  end))
-          plaintexts)
   in
   af.identity_key <- None;
   (* erase the round identity key (§4.4) *)

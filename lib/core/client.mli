@@ -188,7 +188,7 @@ val addfriend_submission_traced :
 (** {!addfriend_submission} plus an optional out-of-band trace context: a
     REAL submission (never cover traffic) is offered to the sampler and, if
     sampled, gets a root [client.submit] span whose context the caller
-    threads through {!Alpenhorn_mixnet.Chain.run_round_traced}. The onion
+    threads through {!Alpenhorn_mixnet.Chain.mix}. The onion
     bytes are identical with or without a tracer. *)
 
 type af_event =

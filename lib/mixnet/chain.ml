@@ -9,8 +9,6 @@ module Parallel = Alpenhorn_parallel.Parallel
 
 type t = { params : Params.t; servers : Server.t array }
 
-type stats = { real_in : int; noise_added : int; dropped : int; num_mailboxes : int }
-
 exception Aborted of { server : int }
 
 let create params ~rng ~chain_length =
@@ -119,17 +117,3 @@ let mix t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch =
                | Some _ | None -> None))
   in
   (Array.map fst !current, !total_noise, published)
-
-let run_round_traced t ~mode ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch =
-  let final, noise_added, published =
-    mix t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch
-  in
-  let mailboxes, dropped = Mailbox.distribute ~num_mailboxes ~mode final in
-  (mailboxes, { real_in = Array.length batch; noise_added; dropped; num_mailboxes }, published)
-
-let run_round t ~mode ~noise_mu ~laplace_b ~num_mailboxes ~noise_body batch =
-  let mailboxes, stats, _ =
-    run_round_traced t ~mode ~noise_mu ~laplace_b ~num_mailboxes ~noise_body
-      (Array.map (fun onion -> (onion, None)) batch)
-  in
-  (mailboxes, stats)

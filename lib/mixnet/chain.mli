@@ -1,29 +1,24 @@
-(** Whole-chain round orchestration: announce keys, run every server's
-    unwrap/noise/shuffle pass in order, distribute into mailboxes.
+(** Whole-chain round orchestration: announce keys, then run every
+    server's unwrap/noise/shuffle pass in order. The caller distributes
+    the final payloads into mailboxes ({!Mailbox.distribute} or
+    {!Mailbox.distribute_sharded}).
 
-    This is the in-process deployment used by examples, tests and
-    small-scale end-to-end benchmarks; the discrete-event simulator drives
-    the same {!Server} objects with explicit timing instead. *)
+    This is the in-process chain of {!Alpenhorn_core.Deployment}; the
+    discrete-event simulator drives the same {!Server} objects with
+    explicit timing instead. *)
 
 module Drbg = Alpenhorn_crypto.Drbg
 module Params = Alpenhorn_pairing.Params
 
 type t
 
-type stats = {
-  real_in : int;  (** onions submitted by clients *)
-  noise_added : int;  (** total noise messages across servers *)
-  dropped : int;  (** cover traffic + undecryptable *)
-  num_mailboxes : int;
-}
-
 exception Aborted of { server : int }
-(** Raised by {!mix} (and the round runners over it) when a server is down:
-    the anytrust design (§4.5) cannot complete a round without every
-    server, so the round aborts {e cleanly} — all per-round keys erased,
-    no mailbox published (not even partially), a severity-[Error]
-    [mix.round_abort] event logged — and the caller re-runs it after
-    backoff ({!Alpenhorn_core.Deployment} owns that retry loop). *)
+(** Raised by {!mix} when a server is down: the anytrust design (§4.5)
+    cannot complete a round without every server, so the round aborts
+    {e cleanly} — all per-round keys erased, no mailbox published (not
+    even partially), a severity-[Error] [mix.round_abort] event logged —
+    and the caller re-runs it after backoff ({!Alpenhorn_core.Deployment}
+    owns that retry loop). *)
 
 val create : Params.t -> rng:Drbg.t -> chain_length:int -> t
 val chain_length : t -> int
@@ -48,18 +43,6 @@ val begin_round : t -> Alpenhorn_dh.Dh.public list
 
 val round_pks : t -> Alpenhorn_dh.Dh.public list
 
-val run_round :
-  t ->
-  mode:[ `AddFriend | `Dialing ] ->
-  noise_mu:float ->
-  laplace_b:float ->
-  num_mailboxes:int ->
-  noise_body:Server.noise_body ->
-  string array ->
-  Mailbox.t * stats
-(** Process one batch end-to-end and erase all round keys.
-    @raise Aborted when any server is down. *)
-
 val mix :
   t ->
   noise_mu:float ->
@@ -78,16 +61,3 @@ val mix :
     out-of-band trace context (see {!Server.process_traced}; contexts never
     touch the wire).
     @raise Aborted when any server is down. *)
-
-val run_round_traced :
-  t ->
-  mode:[ `AddFriend | `Dialing ] ->
-  noise_mu:float ->
-  laplace_b:float ->
-  num_mailboxes:int ->
-  noise_body:Server.noise_body ->
-  ?tracer:Alpenhorn_telemetry.Trace.t ->
-  (string * Alpenhorn_telemetry.Trace.ctx option) array ->
-  Mailbox.t * stats * (int * Alpenhorn_telemetry.Trace.ctx) list
-(** {!mix} followed by {!Mailbox.distribute}: {!run_round} with
-    out-of-band trace contexts, returning {!mix}'s published contexts too. *)

@@ -8,8 +8,8 @@
    Determinism: server processes derive their DRBGs along the in-process
    deployment's labels ([Servers]) and clients derive identically in
    [Deployment], so this backend reproduces the in-process protocol results
-   (events and session keys), even across aborted attempts. Wire-level
-   bytes (noise, round keys after a process respawn) legitimately differ.
+   (events and session keys), even across aborted attempts. Noise bytes and
+   a respawned mixer's round keys and shuffle legitimately differ.
 
    Faults: a crash in the schedule kills the mixer's process (the
    harness's [kill]) and recovery respawns it ([restart]). The anytrust
@@ -36,8 +36,10 @@ type mixer = {
 
 type t = Deployment.t
 
+(* how long a connect or a call may take *)
+let call_timeout = 10.0
+
 type conns = {
-  call_timeout : float;
   cache : (string, Rpc.Client.t) Hashtbl.t; (* one connection per endpoint *)
   mutable round : (Trace.t * Trace.ctx) option; (* the traced round in flight *)
 }
@@ -61,7 +63,7 @@ let conn n ep =
       (fun c ->
         Hashtbl.replace n.cache key c;
         c)
-      (Rpc.Client.connect ~timeout:n.call_timeout ~host:ep.host ~port:ep.port ())
+      (Rpc.Client.connect ~timeout:call_timeout ~host:ep.host ~port:ep.port ())
 
 (* Cross-process trace propagation (DESIGN.md §14): under a traced round
    each RPC gets two child contexts of the round's root — [call_ctx] names
@@ -93,9 +95,9 @@ let call n ep ~peer f =
     if Result.is_error r then drop_conn n ep;
     r)
 
-let backend ~config ~call_timeout ~pkgs ~mixers =
+let backend ~config ~pkgs ~mixers =
   let params = Config.params config in
-  let n = { call_timeout; cache = Hashtbl.create 8; round = None } in
+  let n = { cache = Hashtbl.create 8; round = None } in
   (* PKGs are trusted infrastructure (the fault grammar targets mixers and
      clients): a PKG transport failure is fatal. *)
   let pkg i f =
@@ -215,7 +217,7 @@ let backend ~config ~call_timeout ~pkgs ~mixers =
         Hashtbl.reset n.cache);
   }
 
-let create ?(call_timeout = 10.0) ~config ~seed ~pkgs ~mixers () =
+let create ~config ~seed ~pkgs ~mixers () =
   (match Config.validate config with
   | Ok () -> ()
   | Error m -> invalid_arg ("Net_deployment.create: " ^ m));
@@ -223,7 +225,7 @@ let create ?(call_timeout = 10.0) ~config ~seed ~pkgs ~mixers () =
     invalid_arg "Net_deployment.create: pkg endpoint count <> n_pkgs";
   if Array.length mixers <> config.Config.chain_length then
     invalid_arg "Net_deployment.create: mixer count <> chain_length";
-  Deployment.of_backend ~config ~seed (backend ~config ~call_timeout ~pkgs ~mixers)
+  Deployment.of_backend ~config ~seed (backend ~config ~pkgs ~mixers)
 
 let close = Deployment.close
 let new_client = Deployment.new_client

@@ -4,16 +4,17 @@
 
     Clients live in the orchestrator process — the client library is
     transport-agnostic — while each PKG and each mixnet chain position is
-    a separate server (an OS process spawned by [alpenhorn_cli serve-pkg]
-    / [serve-mixer], or an {!Alpenhorn_net.Rpc.Server} in a test domain).
+    a separate server ({!Fleet} starts them as [alpenhorn_cli serve-pkg]
+    / [serve-mixer] processes or as RPC servers on domains).
     The orchestrator relays each batch through the mixers hop by hop and
     distributes the final payloads itself.
 
     {b Determinism.} Built from the same seed, this deployment reproduces
-    the in-process one's client-visible protocol results — the same
-    per-client events and session keys, round for round — provided both
-    run the same fault schedule. Noise bytes and post-respawn round keys
-    differ; no client event depends on them.
+    the in-process one's round stats — the same per-client events and
+    session keys, round for round — provided both run the same fault
+    schedule ({!Fleet.check}). Noise bytes differ, and so do a respawned
+    mixer's round keys and shuffle; no client result depends on them, as
+    a client processes its add-friend hits in plaintext order.
 
     {b Faults.} A crash in the schedule invokes the mixer's [kill]; the
     abort is detected as a transport failure ({!Alpenhorn_mixnet.Chain.Aborted}),
@@ -36,7 +37,6 @@ type mixer = {
 type t = Alpenhorn_core.Deployment.t
 
 val create :
-  ?call_timeout:float ->
   config:Alpenhorn_core.Config.t ->
   seed:string ->
   pkgs:endpoint array ->
@@ -46,7 +46,8 @@ val create :
 (** [pkgs] must have [config.n_pkgs] entries and [mixers]
     [config.chain_length] (mixer [i] serves position [i] of both chains).
     Fetches the PKGs' long-term keys once ({!Proto.pkg_info}); other
-    connections are opened lazily and cached per endpoint.
+    connections are opened lazily, cached per endpoint, and time out
+    after 10 s.
     @raise Invalid_argument on a bad config or count mismatch.
     @raise Failure when a PKG is unreachable. *)
 

@@ -7,10 +7,11 @@
    from the deployment seed exactly like the in-process [Deployment] does
    (the derivation is a pure HMAC fork, consuming nothing), so a
    multi-process deployment reproduces the in-process protocol results:
-   clients see the same events and session keys. Noise is the exception —
-   each mixer samples noise from its own ["net-noise-*"] stream instead of
-   the orchestrator's, which changes noise bytes but never a client-visible
-   event. *)
+   clients see the same events and session keys. Two things differ, never
+   a client-visible event: each mixer samples noise from its own
+   ["net-noise-*"] stream, and a respawned mixer restarts its DRBG where
+   the in-process server continues its stream, so its round keys and
+   shuffle change (clients scan add-friend hits in plaintext order). *)
 
 module Framing = Alpenhorn_net.Framing
 module Drbg = Alpenhorn_crypto.Drbg

@@ -7,8 +7,9 @@
     the exact path the in-process {!Alpenhorn_core.Deployment} uses
     ({!Alpenhorn_crypto.Drbg.derive} is a pure HMAC fork), so a
     multi-process deployment reproduces the in-process protocol results —
-    same client events, same session keys. Only noise bytes differ: each
-    mixer samples noise from its own local stream. *)
+    same client events, same session keys. Noise bytes differ (each mixer
+    samples noise from its own local stream), and so do a respawned
+    mixer's round keys and shuffle. *)
 
 module Framing = Alpenhorn_net.Framing
 module Params = Alpenhorn_pairing.Params

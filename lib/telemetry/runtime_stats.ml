@@ -1,7 +1,6 @@
 (* Runtime/GC sampling: collection and allocation-counter deltas ->
-   counters, heap levels -> gauges, a Gc alarm at every major-cycle end,
-   and a forced-minor pause probe. No Gc.Memprof, no dependencies beyond
-   Unix for the wall clock.
+   counters, heap levels -> gauges, and a forced-minor pause probe. No
+   Gc.Memprof, no dependencies beyond Unix for the wall clock.
 
    The pause probe is deliberately honest about what it measures: a
    forced minor collection is a real stop-the-world evacuation of
@@ -38,9 +37,6 @@ type t = {
   mutable last_probe : float; (* wall time of the last pause probe *)
   min_probe_interval : float;
   mutable max_pause : float; (* all-time, unaffected by registry resets *)
-  (* end of the previous major cycle, wall time; written by whichever
-     domain ends a cycle, hence atomic *)
-  last_major_end : float Atomic.t;
   c_minor : Tel.Counter.t;
   c_major : Tel.Counter.t;
   c_compact : Tel.Counter.t;
@@ -55,7 +51,6 @@ type t = {
   g_free : Tel.Gauge.t;
   g_max_pause : Tel.Gauge.t;
   h_pause : Tel.Histogram.t;
-  h_cycle : Tel.Histogram.t;
 }
 
 let own_words () =
@@ -75,7 +70,6 @@ let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
       last_probe = 0.0;
       min_probe_interval;
       max_pause = 0.0;
-      last_major_end = Atomic.make (Unix.gettimeofday ());
       c_minor = Tel.Counter.v reg "runtime.gc.minor_collections";
       c_major = Tel.Counter.v reg "runtime.gc.major_collections";
       c_compact = Tel.Counter.v reg "runtime.gc.compactions";
@@ -90,19 +84,11 @@ let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
       g_free = Tel.Gauge.v reg "runtime.free_words";
       g_max_pause = Tel.Gauge.v reg "runtime.gc.max_pause_seconds";
       h_pause = Tel.Histogram.v reg "runtime.gc.pause_seconds";
-      h_cycle = Tel.Histogram.v reg "runtime.gc.major_cycle_seconds";
     }
   in
   (* the installing domain's own counts start here; any other domain's
      start at its first sample *)
   ignore (Domain.DLS.get t.own);
-  ignore
-    (Gc.create_alarm (fun () ->
-         (* end of a major cycle: observe the interval since the last one *)
-         let now = Unix.gettimeofday () in
-         let prev = Atomic.exchange t.last_major_end now in
-         let dt = now -. prev in
-         if dt > 0.0 then Tel.Histogram.observe t.h_cycle dt));
   t
 
 (* Word counts arrive as floats; saturate to int. *)

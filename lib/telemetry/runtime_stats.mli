@@ -1,7 +1,7 @@
 (** Live OCaml runtime/GC observability: periodic sampling of
     [Gc.quick_stat] (and optionally the heap-walking [Gc.stat]) into the
-    telemetry registry, plus an end-of-major-cycle alarm hook and a
-    stop-the-world pause probe (DESIGN.md §12).
+    telemetry registry, plus a stop-the-world pause probe (DESIGN.md
+    §12).
 
     Alpenhorn is meant to run for months sustaining millions of users
     (§7), and its round latency budget lives or dies on allocation rate,
@@ -23,10 +23,6 @@
       and [runtime.stack_words] track the current heap; a [~full:true]
       sample also walks the heap ([Gc.stat]) for [runtime.live_words] and
       [runtime.free_words].
-    - {b Major-cycle alarm.} {!install} registers a [Gc.create_alarm]
-      hook; at the end of every major cycle it observes the wall-clock
-      interval since the previous cycle end into
-      [runtime.gc.major_cycle_seconds] — the cadence of full-heap marking.
     - {b Pause probe.} Each {!sample} (at most once per
       [min_probe_interval]) times one forced minor collection —
       a genuine stop-the-world pause, merely moved in time — into
@@ -55,24 +51,22 @@
     words at the next minor collection (at once when it ends); a domain
     that samples shows them up to its sample. The collection counts and
     heap levels come from [Gc.quick_stat]. Any domain may install and
-    sample; the alarm fires on whichever domain ends the major cycle and
-    only touches its own atomic. *)
+    sample. *)
 
 type t
 
 val install : ?registry:Telemetry.registry -> ?min_probe_interval:float -> unit -> t
 (** Register the gauges/counters/histograms (on {!Telemetry.default} by
-    default), take the baseline reading, and hook the major-cycle
-    alarm. [min_probe_interval] (seconds of wall time, default [0.5])
-    rate-limits the forced-minor pause probe; [0.] probes on every
-    sample. Multiple installs coexist (each owns its own alarm and
-    baseline). *)
+    default) and take the baseline reading. [min_probe_interval]
+    (seconds of wall time, default [0.5]) rate-limits the forced-minor
+    pause probe; [0.] probes on every sample. Multiple installs coexist
+    (each owns its own baseline). *)
 
 val get_default : unit -> t
 (** The process-wide sampler on {!Telemetry.default}, installed on first
     use (safe to call from any domain). [Deployment], [Round_sim] and
-    the metrics endpoint share this instance, so the alarm hook is
-    registered exactly once. *)
+    the metrics endpoint share this instance, so no delta is counted
+    twice. *)
 
 val sample : ?full:bool -> t -> unit
 (** Diff the current reading against the previous sample and publish (see

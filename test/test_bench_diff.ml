@@ -86,4 +86,20 @@ let suite =
         Alcotest.(check bool) "baseline has series" true (rows <> []);
         Alcotest.(check (list string)) "self-diff never regresses" []
           (List.map (fun (r : Diff.row) -> r.Diff.series) (Diff.regressions rows)));
+    Alcotest.test_case "a calibrated snapshot is keyed by metric name" `Quick (fun () ->
+        let r = Tel.create () in
+        Tel.Counter.add (Tel.Counter.v r ~labels:[ ("server", "1") ] "mix.onions_in") 7;
+        let snap = Tel.Snapshot.to_json (Tel.Snapshot.take r) in
+        let doc = parse (Printf.sprintf {|{"machine":{"pairing_ms":1.5},"telemetry":%s}|} snap) in
+        Alcotest.(check (list (pair string (float 1e-9))))
+          "the machine member, then the counter by name+labels, none by position"
+          [ ("machine.pairing_ms", 1.5); ("counters.mix.onions_in{server=1}", 7.0) ]
+          (Diff.flatten doc));
+    Alcotest.test_case "an empty histogram has no min or max series" `Quick (fun () ->
+        let r = Tel.create () in
+        ignore (Tel.Histogram.v r "scan.bytes");
+        let leaves = Diff.flatten (parse (Tel.Snapshot.to_json (Tel.Snapshot.take r))) in
+        Alcotest.(check (list string)) "count and sum only"
+          [ "histograms.scan.bytes.count"; "histograms.scan.bytes.sum" ]
+          (List.map fst leaves));
   ]

@@ -14,6 +14,9 @@ module Drbg = Alpenhorn_crypto.Drbg
 let params = lazy (Params.test ())
 let p () = Lazy.force params
 
+(* a batch for [Chain.mix], no submission traced *)
+let untraced batch = Array.map (fun onion -> (onion, None)) batch
+
 let unit_tests =
   [
     Alcotest.test_case "mailbox id golden values" `Quick (fun () ->
@@ -134,11 +137,12 @@ let unit_tests =
               Onion.wrap pr rng ~server_pks:pks
                 (Payload.encode ~mailbox:(i mod 3) (Printf.sprintf "p%d" i)))
         in
-        let mailboxes, stats =
-          Chain.run_round chain ~mode:`AddFriend ~noise_mu:1.0 ~laplace_b:0.0 ~num_mailboxes:3
-            ~noise_body:(fun ~mailbox:_ -> "noise!") batch
+        let final, noise, _ =
+          Chain.mix chain ~noise_mu:1.0 ~laplace_b:0.0 ~num_mailboxes:3
+            ~noise_body:(fun ~mailbox:_ -> "noise!") (untraced batch)
         in
-        Alcotest.(check int) "real in" 10 stats.Chain.real_in;
+        let mailboxes, _ = Mailbox.distribute ~num_mailboxes:3 ~mode:`AddFriend final in
+        Alcotest.(check int) "real in" 10 (Array.length final - noise);
         let buckets = Mailbox.plain_exn mailboxes in
         Alcotest.(check int) "3 mailboxes" 3 (Array.length buckets);
         for i = 0 to 9 do
@@ -156,11 +160,12 @@ let unit_tests =
           Array.init 5 (fun _ ->
               Onion.wrap pr rng ~server_pks:pks (Payload.encode ~mailbox:Payload.cover "cover"))
         in
-        let mailboxes, stats =
-          Chain.run_round chain ~mode:`AddFriend ~noise_mu:0.0 ~laplace_b:0.0 ~num_mailboxes:1
-            ~noise_body:(fun ~mailbox:_ -> "") batch
+        let final, _, _ =
+          Chain.mix chain ~noise_mu:0.0 ~laplace_b:0.0 ~num_mailboxes:1
+            ~noise_body:(fun ~mailbox:_ -> "") (untraced batch)
         in
-        Alcotest.(check int) "all cover dropped" 5 stats.Chain.dropped;
+        let mailboxes, dropped = Mailbox.distribute ~num_mailboxes:1 ~mode:`AddFriend final in
+        Alcotest.(check int) "all cover dropped" 5 dropped;
         Alcotest.(check int) "mailbox empty" 0 (List.length (Mailbox.plain_exn mailboxes).(0)));
     Alcotest.test_case "dialing mode packs Bloom filters" `Quick (fun () ->
         let pr = p () in
@@ -169,11 +174,12 @@ let unit_tests =
         let pks = Chain.begin_round chain in
         let token = Drbg.bytes rng 32 in
         let batch = [| Onion.wrap pr rng ~server_pks:pks (Payload.encode ~mailbox:0 token) |] in
-        let mailboxes, _ =
-          Chain.run_round chain ~mode:`Dialing ~noise_mu:2.0 ~laplace_b:0.0 ~num_mailboxes:1
+        let final, _, _ =
+          Chain.mix chain ~noise_mu:2.0 ~laplace_b:0.0 ~num_mailboxes:1
             ~noise_body:(fun ~mailbox:_ -> Drbg.bytes rng 32)
-            batch
+            (untraced batch)
         in
+        let mailboxes, _ = Mailbox.distribute ~num_mailboxes:1 ~mode:`Dialing final in
         let filters = Mailbox.filters_exn mailboxes in
         Alcotest.(check bool) "token in filter" true (Bloom.mem filters.(0) token);
         Alcotest.(check bool) "random token not in filter" false

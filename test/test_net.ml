@@ -1,15 +1,16 @@
 (* Wire-protocol tests: the framing codec, framed RPC over real sockets,
-   the HTTP listener fed one byte at a time, and Net_deployment rounds —
-   a mixer server killed mid-round and restarted, sharded dialing, and an
-   archive catch-up — each checked against the in-process deployment.
+   the HTTP listener fed one byte at a time, and Net_deployment rounds over
+   a Fleet of servers on domains — a mixer server killed mid-round and
+   restarted, sharded dialing, and an archive catch-up — each checked
+   against the in-process deployment.
    Every socket in this file is a real TCP socket on localhost. *)
 
 module F = Alpenhorn_net.Framing
 module Codec = Alpenhorn_codec.Codec
 module Rpc = Alpenhorn_net.Rpc
 module Listener = Alpenhorn_net.Listener
-module Servers = Alpenhorn_remote.Servers
-module Net_deployment = Alpenhorn_remote.Net_deployment
+module Fleet = Alpenhorn_remote.Fleet
+module Faults = Alpenhorn_sim.Faults
 module Config = Alpenhorn_core.Config
 module Client = Alpenhorn_core.Client
 module Deployment = Alpenhorn_core.Deployment
@@ -671,17 +672,6 @@ let loop_tests =
 
 (* ---------- kill a mixer mid-round, recover, match in-process results ---- *)
 
-type hosted = { srv : Rpc.Server.t; dom : unit Domain.t }
-
-let host handler =
-  let srv = Rpc.Server.create ~port:0 handler in
-  let dom = Domain.spawn (fun () -> Rpc.Server.run srv) in
-  { srv; dom }
-
-let stop_hosted h =
-  Rpc.Server.stop h.srv;
-  Domain.join h.dom
-
 (* crash mixer 1 on the first attempt of round 1 — of both phases *)
 let faults seed =
   {
@@ -691,191 +681,102 @@ let faults seed =
     fv_client_offline = (fun ~round:_ ~client:_ -> false);
   }
 
+let register d email =
+  let c = Deployment.new_client d ~email ~callbacks:Client.null_callbacks in
+  (match Deployment.register d c with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e));
+  c
+
 (* the same two-client scenario, against either deployment *)
-let scenario ~register ~new_client ~af_round ~dial_round =
-  let alice = new_client "alice@x" in
-  let bob = new_client "bob@x" in
-  register alice;
-  register bob;
+let scenario d =
+  let alice = register d "alice@x" in
+  let _bob = register d "bob@x" in
   Client.add_friend alice ~email:"bob@x" ();
-  let s1 = af_round () in
-  let s2 = af_round () in
+  let s1 = Deployment.run_addfriend_round d () in
+  let s2 = Deployment.run_addfriend_round d () in
   Client.call alice ~email:"bob@x" ~intent:1;
   (* the keywheel sync point is a couple of dial rounds ahead
      (propose_dialing_round), so run a few — the call rings when the
      wheel reaches the agreed round *)
-  let dials = List.init 3 (fun _ -> dial_round ()) in
+  let dials = List.init 3 (fun _ -> Deployment.run_dialing_round d ()) in
   (s1, s2, dials)
-
-(* One PKG and one mixer per chain position, each an RPC server in its own
-   domain, derived from [seed]; a mixer's [kill] stops its server and
-   [restart] hosts a fresh one. [f] runs against a Net_deployment over
-   them. *)
-let with_fleet ~config ~seed f =
-  let pkg_hosted =
-    host (Servers.Pkg_server.handler (Servers.Pkg_server.create ~config ~seed ~index:0))
-  in
-  let mixer_at i =
-    host (Servers.Mixer_server.handler (Servers.Mixer_server.create ~config ~seed ~position:i))
-  in
-  let hosted = Array.init config.Config.chain_length (fun i -> ref (mixer_at i)) in
-  Fun.protect
-    ~finally:(fun () ->
-      stop_hosted pkg_hosted;
-      Array.iter (fun r -> try stop_hosted !r with _ -> ()) hosted)
-    (fun () ->
-      let ep h = { Net_deployment.host = "127.0.0.1"; port = Rpc.Server.port h.srv } in
-      let mixers =
-        Array.init config.Config.chain_length (fun i ->
-            {
-              Net_deployment.ep = ep !(hosted.(i));
-              kill = (fun () -> stop_hosted !(hosted.(i)));
-              restart =
-                (fun () ->
-                  hosted.(i) := mixer_at i;
-                  ep !(hosted.(i)));
-            })
-      in
-      let nd = Net_deployment.create ~config ~seed ~pkgs:[| ep pkg_hosted |] ~mixers () in
-      Fun.protect ~finally:(fun () -> Net_deployment.close nd) (fun () -> f nd))
-
-(* The §10 fault metrics, read off the process-wide registry. *)
-let fault_metrics () =
-  let snap = Tel.Snapshot.take Tel.default in
-  let counter ?labels name =
-    Option.value ~default:0 (Tel.Snapshot.find_counter snap ?labels name)
-  in
-  [
-    ("faults.rounds_aborted", counter "faults.rounds_aborted");
-    ("faults.retries", counter "faults.retries");
-    ("faults.injected{kind=crash}", counter ~labels:[ ("kind", "crash") ] "faults.injected");
-    ( "faults.recovery_seconds count",
-      List.fold_left
-        (fun acc (name, _, (h : Tel.Histogram.snap)) ->
-          if name = "faults.recovery_seconds" then acc + h.count else acc)
-        0 snap.Tel.Snapshot.histograms );
-  ]
-
-(* [f ()] and how much each fault metric rose while it ran. *)
-let with_fault_deltas f =
-  let before = fault_metrics () in
-  let r = f () in
-  (r, List.map2 (fun (k, a) (_, b) -> (k, b - a)) before (fault_metrics ()))
 
 let deltas = Alcotest.(list (pair string int))
 
 let killed_mixer ~dial_shards () =
   let config = { Config.test with Config.n_pkgs = 1; dial_shards } in
   let seed = "net-kill" in
-  with_fleet ~config ~seed (fun nd ->
-      Deployment.set_faults nd (Some (faults seed));
-      let (n1, n2, ndials), net_deltas =
-        with_fault_deltas (fun () ->
-            scenario
-              ~register:(fun c ->
-                match Net_deployment.register nd c with
-                | Ok () -> ()
-                | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e))
-              ~new_client:(fun email ->
-                Net_deployment.new_client nd ~email ~callbacks:Client.null_callbacks)
-              ~af_round:(fun () -> Net_deployment.run_addfriend_round nd ())
-              ~dial_round:(fun () -> Net_deployment.run_dialing_round nd ()))
-      in
-      (* the kill really aborted attempt 1 and recovery really ran *)
-      Alcotest.(check int) "af round 1 recovered on attempt 2" 2 n1.Deployment.af_attempts;
-      Alcotest.(check int) "af round 2 clean" 1 n2.Deployment.af_attempts;
-      Alcotest.(check int) "dial round 1 recovered on attempt 2" 2
-        (List.hd ndials).Deployment.dial_attempts;
-      Alcotest.(check bool) "bob accepted alice" true
-        (List.exists
-           (function "bob@x", Client.Friend_request_accepted "alice@x" -> true | _ -> false)
-           n1.Deployment.events);
-      Alcotest.(check bool) "alice confirmed" true
-        (List.exists
-           (function "alice@x", Client.Friend_confirmed "bob@x" -> true | _ -> false)
-           n2.Deployment.events);
-      Alcotest.(check bool) "bob rang" true
-        (List.exists
-           (fun d ->
-             List.exists
-               (function
-                 | "bob@x", Client.Incoming_call { peer = "alice@x"; intent = 1; _ } ->
-                   true
-                 | _ -> false)
-               d.Deployment.calls)
-           ndials);
-      (* byte-identical protocol results: replay the scenario
-         in-process under the same seed and fault schedule *)
-      let ip = Deployment.create ~config ~seed in
-      Deployment.set_faults ip (Some (faults seed));
-      let (i1, i2, idials), ip_deltas =
-        with_fault_deltas (fun () ->
-            scenario
-              ~register:(fun c ->
-                match Deployment.register ip c with
-                | Ok () -> ()
-                | Error _ -> Alcotest.fail "in-process register")
-              ~new_client:(fun email ->
-                Deployment.new_client ip ~email ~callbacks:Client.null_callbacks)
-              ~af_round:(fun () -> Deployment.run_addfriend_round ip ())
-              ~dial_round:(fun () -> Deployment.run_dialing_round ip ()))
-      in
-      Alcotest.(check bool) "af round 1 events identical" true
-        (n1.Deployment.events = i1.Deployment.events);
-      Alcotest.(check bool) "af round 2 events identical" true
-        (n2.Deployment.events = i2.Deployment.events);
-      Alcotest.(check bool) "dial events identical (incl. session keys)" true
-        (List.map (fun d -> d.Deployment.calls) ndials
-        = List.map (fun d -> d.Deployment.calls) idials);
-      Alcotest.(check int) "same af retries" i1.Deployment.af_attempts
-        n1.Deployment.af_attempts;
-      Alcotest.(check (list int)) "same dial retries"
-        (List.map (fun d -> d.Deployment.dial_attempts) idials)
-        (List.map (fun d -> d.Deployment.dial_attempts) ndials);
-      (* the same mailbox geometry and downloads, whatever the shard count *)
-      let geometry d =
-        (d.Deployment.dial_num_mailboxes, Array.to_list d.Deployment.filter_bytes,
-         d.Deployment.dial_noise_added)
-      in
-      Alcotest.(check (list (triple int (list int) int)))
-        "dial mailboxes, filter bytes and noise identical" (List.map geometry idials)
-        (List.map geometry ndials);
-      (* the §10 fault telemetry rises over sockets exactly as in process:
-         one abort, retry, injected crash and recovery per phase *)
-      Alcotest.(check deltas) "fault telemetry identical" ip_deltas net_deltas;
-      Alcotest.(check (list int)) "one of each per phase" [ 2; 2; 2; 2 ]
-        (List.map snd net_deltas))
+  (* the scenario over sockets, then in process under the same seed and
+     fault schedule *)
+  let ((n1, n2, ndials), net_deltas), ((i1, i2, idials), ip_deltas) =
+    Fleet.domains ~faults:(faults seed) ~config ~seed (fun fleet -> Fleet.check fleet scenario)
+  in
+  (* the kill really aborted attempt 1 and recovery really ran *)
+  Alcotest.(check int) "af round 1 recovered on attempt 2" 2 n1.Deployment.af_attempts;
+  Alcotest.(check int) "af round 2 clean" 1 n2.Deployment.af_attempts;
+  Alcotest.(check int) "dial round 1 recovered on attempt 2" 2
+    (List.hd ndials).Deployment.dial_attempts;
+  Alcotest.(check bool) "bob accepted alice" true
+    (List.exists
+       (function "bob@x", Client.Friend_request_accepted "alice@x" -> true | _ -> false)
+       n1.Deployment.events);
+  Alcotest.(check bool) "alice confirmed" true
+    (List.exists
+       (function "alice@x", Client.Friend_confirmed "bob@x" -> true | _ -> false)
+       n2.Deployment.events);
+  Alcotest.(check bool) "bob rang" true
+    (List.exists
+       (fun d ->
+         List.exists
+           (function
+             | "bob@x", Client.Incoming_call { peer = "alice@x"; intent = 1; _ } -> true
+             | _ -> false)
+           d.Deployment.calls)
+       ndials);
+  (* byte-identical protocol results *)
+  Alcotest.(check bool) "af round 1 events identical" true
+    (n1.Deployment.events = i1.Deployment.events);
+  Alcotest.(check bool) "af round 2 events identical" true
+    (n2.Deployment.events = i2.Deployment.events);
+  Alcotest.(check bool) "dial events identical (incl. session keys)" true
+    (List.map (fun d -> d.Deployment.calls) ndials = List.map (fun d -> d.Deployment.calls) idials);
+  Alcotest.(check int) "same af retries" i1.Deployment.af_attempts n1.Deployment.af_attempts;
+  Alcotest.(check (list int)) "same dial retries"
+    (List.map (fun d -> d.Deployment.dial_attempts) idials)
+    (List.map (fun d -> d.Deployment.dial_attempts) ndials);
+  (* the same mailbox geometry and downloads, whatever the shard count *)
+  let geometry d =
+    (d.Deployment.dial_num_mailboxes, Array.to_list d.Deployment.filter_bytes,
+     d.Deployment.dial_noise_added)
+  in
+  Alcotest.(check (list (triple int (list int) int)))
+    "dial mailboxes, filter bytes and noise identical" (List.map geometry idials)
+    (List.map geometry ndials);
+  (* the §10 fault telemetry rises over sockets exactly as in process:
+     one abort, retry, injected crash and recovery per phase *)
+  Alcotest.(check deltas) "fault telemetry identical" ip_deltas net_deltas;
+  Alcotest.(check (list int)) "one of each per phase" [ 2; 2; 2; 2 ] (List.map snd net_deltas)
 
 (* Two friends; bob sits out two dialing rounds (not a fault: he is simply
    not among the participants) while alice calls him, then catches up from
    the archive. *)
-let catch_up_scenario ~new_client ~register ~af_round ~dial_round ~catch_up =
-  let alice = new_client "alice@x" and bob = new_client "bob@x" in
-  register alice;
-  register bob;
+let catch_up_scenario d =
+  let alice = register d "alice@x" in
+  let bob = register d "bob@x" in
   Client.add_friend alice ~email:"bob@x" ();
-  ignore (af_round ());
-  ignore (af_round ());
+  ignore (Deployment.run_addfriend_round d ());
+  ignore (Deployment.run_addfriend_round d ());
   Client.call alice ~email:"bob@x" ~intent:3;
-  let missed = List.init 2 (fun _ -> dial_round ~participants:[ alice ]) in
-  (missed, catch_up bob)
+  let missed = List.init 2 (fun _ -> Deployment.run_dialing_round d ~participants:[ alice ] ()) in
+  (missed, Deployment.catch_up_client d bob)
 
 let catch_up_over_sockets () =
   let config = { Config.test with Config.n_pkgs = 1; dial_shards = 2 } in
   let seed = "net-catch-up" in
-  let run d =
-    catch_up_scenario
-      ~new_client:(fun email -> Deployment.new_client d ~email ~callbacks:Client.null_callbacks)
-      ~register:(fun c ->
-        match Deployment.register d c with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e))
-      ~af_round:(fun () -> Deployment.run_addfriend_round d ())
-      ~dial_round:(fun ~participants -> Deployment.run_dialing_round d ~participants ())
-      ~catch_up:(Deployment.catch_up_client d)
+  let ((net_missed, net_events), _), ((ip_missed, ip_events), _) =
+    Fleet.domains ~config ~seed (fun fleet -> Fleet.check fleet catch_up_scenario)
   in
-  let net_missed, net_events = with_fleet ~config ~seed run in
-  let ip_missed, ip_events = run (Deployment.create ~config ~seed) in
   Alcotest.(check bool) "bob got nothing while away" true
     (List.for_all (fun d -> d.Deployment.calls = []) net_missed);
   (match net_events with
@@ -886,6 +787,22 @@ let catch_up_over_sockets () =
   Alcotest.(check bool) "missed rounds identical" true
     (List.map (fun d -> d.Deployment.calls) net_missed
     = List.map (fun d -> d.Deployment.calls) ip_missed)
+
+(* e2e-net's scripted scenario with mixer 1 killed in round 1: the
+   respawned mixer reshuffles from a fresh DRBG, so bob's two requests
+   reach him in another order than in process. Every round's stats and
+   the fault telemetry must still match. *)
+let scripted_crash ~dial_shards () =
+  let config = { Config.test with Config.n_pkgs = 1; dial_shards } in
+  let faults = Faults.deployment_view (Result.get_ok (Faults.parse "crash@1:server=1")) in
+  let (net, net_deltas), (ip, ip_deltas) =
+    Fleet.domains ~faults ~config ~seed:"ci" (fun fleet ->
+        Fleet.check fleet (Fleet.scenario ~rounds:3))
+  in
+  (* the printed round shows every field of its stats record *)
+  Alcotest.(check (list string)) "every round identical"
+    (List.map Fleet.round_to_string ip) (List.map Fleet.round_to_string net);
+  Alcotest.(check deltas) "fault telemetry identical" ip_deltas net_deltas
 
 let recovery_tests =
   [
@@ -898,3 +815,9 @@ let recovery_tests =
 
 let suite =
   framing_tests @ rpc_tests @ listener_tests @ recovery_tests @ loop_tests @ trace_envelope_tests
+  @ List.map
+      (fun dial_shards ->
+        Alcotest.test_case
+          (Printf.sprintf "scripted crash@1, %d dial shards: wire = in process" dial_shards)
+          `Quick (scripted_crash ~dial_shards))
+      [ 0; 2 ]

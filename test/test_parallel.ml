@@ -188,28 +188,29 @@ let determinism_tests =
                       (Payload.encode ~mailbox:(i mod 4) (Printf.sprintf "det-%02d" i)))
               in
               Events.clear Events.default;
-              let mailboxes, stats =
-                Chain.run_round chain ~mode:`AddFriend ~noise_mu:2.0 ~laplace_b:0.0
-                  ~num_mailboxes:4
+              let final, noise, _ =
+                Chain.mix chain ~noise_mu:2.0 ~laplace_b:0.0 ~num_mailboxes:4
                   ~noise_body:(fun ~mailbox:_ -> "nnnn")
-                  batch
+                  (Array.map (fun onion -> (onion, None)) batch)
               in
+              let mailboxes, dropped = Mailbox.distribute ~num_mailboxes:4 ~mode:`AddFriend final in
               let names =
                 List.map (fun e -> e.Events.name) (Events.to_list Events.default)
               in
-              (Mailbox.plain_exn mailboxes, stats, names))
+              (* real messages in, noise added, dropped *)
+              (Mailbox.plain_exn mailboxes, (Array.length final - noise, noise, dropped), names))
         in
-        let base_boxes, base_stats, base_names = run 1 in
-        Alcotest.(check int) "baseline real_in" 12 base_stats.Chain.real_in;
+        let base_boxes, ((base_real, _, _) as base_stats), base_names = run 1 in
+        Alcotest.(check int) "baseline real_in" 12 base_real;
         List.iter
           (fun domains ->
             let boxes, stats, names = run domains in
             Alcotest.(check bool)
               (Printf.sprintf "mailboxes byte-identical at %d domains" domains)
               true (boxes = base_boxes);
-            Alcotest.(check int)
+            Alcotest.(check (triple int int int))
               (Printf.sprintf "stats identical at %d domains" domains)
-              base_stats.Chain.real_in stats.Chain.real_in;
+              base_stats stats;
             Alcotest.(check (list string))
               (Printf.sprintf "event narrative identical at %d domains" domains)
               base_names names)

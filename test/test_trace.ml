@@ -160,12 +160,13 @@ let chain_round tracer =
   | _ -> ());
   let batch = Array.mapi (fun i o -> (o, if i = 0 then ctx0 else None)) onions in
   let nrng = Drbg.derive rng "noise" in
-  let mailboxes, stats, published =
-    Chain.run_round_traced chain ~mode:`AddFriend ~noise_mu:2.0 ~laplace_b:0.5 ~num_mailboxes:3
+  let final, noise, published =
+    Chain.mix chain ~noise_mu:2.0 ~laplace_b:0.5 ~num_mailboxes:3
       ~noise_body:(fun ~mailbox:_ -> Drbg.bytes nrng 24)
       ?tracer batch
   in
-  (onions, Mailbox.plain_exn mailboxes, stats, published)
+  let mailboxes, dropped = Mailbox.distribute ~num_mailboxes:3 ~mode:`AddFriend final in
+  (onions, Mailbox.plain_exn mailboxes, (noise, dropped), published)
 
 let wire_tests =
   [
