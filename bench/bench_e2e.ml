@@ -18,11 +18,6 @@ open Bench_util
    All timing comes out of the telemetry registry (round spans and the
    per-server unwrap histogram), not ad-hoc stopwatches — the same
    snapshot a deployment would export. *)
-(* label-merged histogram of a snapshot (same fold the SLO engine uses) *)
-let hist_merged (snap : Tel.Snapshot.t) name =
-  List.fold_left
-    (fun acc (n, _, s) -> if n = name then Tel.Histogram.merge acc s else acc)
-    Tel.Histogram.empty snap.Tel.Snapshot.histograms
 
 let e2e () =
   header "End-to-end: real protocol, in-process deployment (test curve)";
@@ -68,8 +63,11 @@ let e2e () =
       let scans = Tel.Snapshot.counter_sum snap "client.scan_attempts" in
       let hits = Tel.Snapshot.counter_sum snap "client.scan_hits" in
       let alloc_words = Tel.Snapshot.counter_sum snap "runtime.alloc.minor_words" in
-      let pause = hist_merged snap "runtime.gc.pause_seconds" in
-      let pause_max = if pause.Tel.Histogram.count = 0 then 0.0 else pause.Tel.Histogram.max_v in
+      let pause_max =
+        match Tel.Snapshot.histogram snap "runtime.gc.pause_seconds" with
+        | Some h when h.Tel.Histogram.count > 0 -> h.Tel.Histogram.max_v
+        | _ -> 0.0
+      in
       row
         [
           pad 10 (string_of_int n);

@@ -270,9 +270,8 @@ let figscale pc =
   in
   let snap = Alpenhorn_telemetry.Telemetry.Snapshot.take Alpenhorn_telemetry.Telemetry.default in
   let shard_bytes =
-    List.fold_left
-      (fun acc (n, _, v) -> if n = "scale.bytes_per_client" then v else acc)
-      0.0 snap.Alpenhorn_telemetry.Telemetry.Snapshot.gauges
+    List.fold_left Float.max 0.0
+      (Alpenhorn_telemetry.Telemetry.Snapshot.gauges snap "scale.bytes_per_client")
   in
   row
     [

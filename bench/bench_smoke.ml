@@ -27,15 +27,14 @@ let check_hops what (snap : Tel.Snapshot.t) ~n_servers =
     let labels = [ ("server", string_of_int i) ] in
     List.iter
       (fun name ->
-        match Tel.Snapshot.find_counter snap ~labels name with
+        match Tel.Snapshot.counter snap (Tel.metric_key name labels) with
         | Some v when v > 0 -> ()
         | _ -> fail "%s: counter %s{server=%d} missing or zero" what name i)
       [ "mix.onions_in"; "mix.onions_out"; "mix.noise_generated" ];
     let timed =
-      List.exists
-        (fun (n, l, (h : Tel.Histogram.snap)) ->
-          n = "mix.unwrap_seconds" && l = labels && h.count > 0)
-        snap.histograms
+      match Tel.Snapshot.histogram snap (Tel.metric_key "mix.unwrap_seconds" labels) with
+      | Some h -> h.count > 0
+      | None -> false
     in
     if not timed then fail "%s: histogram mix.unwrap_seconds{server=%d} missing or empty" what i
   done;

@@ -125,9 +125,9 @@ let slo_arg =
     value & flag
     & info [ "slo" ]
         ~doc:
-          "Evaluate the built-in SLO rules (round deadlines, mailbox-load ceiling, \
-           pairing-cache hit rate, zero drops) against the run and print a health report; \
-           exit 2 when unhealthy.")
+          "Evaluate the built-in SLO rules (round deadlines, fault recovery, zero drops, \
+           DES quiescence, scale budgets) against the run and print a health report; exit 2 \
+           when unhealthy.")
 
 let trace_sample_arg =
   Arg.(
@@ -654,26 +654,6 @@ let serve_metrics_cmd =
 
 (* ---- top: live dashboard over the ring ---- *)
 
-(* Rebuild a displayable SLO report from the /slo JSON body: only the
-   rule name, value and pass bit matter to the dashboard. *)
-let report_of_slo_json body =
-  let open Tel.Json in
-  let ( let* ) = Option.bind in
-  let bool = function Bool b -> Some b | _ -> None in
-  let check c =
-    let* name = get "rule" to_str c in
-    Some
-      {
-        Slo.rule = Slo.rule ~name ~description:"" (Slo.Counter "") Slo.Le infinity;
-        value = (match member "value" c with Some (Num v) -> Some v | _ -> None);
-        pass = get "pass" bool c = Some true;
-      }
-  in
-  let* j = parse body in
-  let* healthy = get "healthy" bool j in
-  let* checks = get "checks" (to_list Option.some) j in
-  Some { Slo.healthy; checks = List.filter_map check checks }
-
 (* Fleet table: one row per process from the collector's last snapshots. *)
 let print_fleet_rows coll =
   Printf.printf "%-14s %-7s %-30s %9s %6s %9s %7s %9s\n" "INSTANCE" "ROLE" "STATUS" "RPC" "ERR"
@@ -723,43 +703,20 @@ let parse_fleet_targets spec =
     exit 2
   | items -> List.mapi parse_item items
 
-(* top reads /metrics.json only through a collector: a single endpoint
-   is a fleet of one *)
 let http_collector targets =
   Collector.create ~fetch:(fun ~host ~port path -> Listener.fetch ~host ~port path) targets
 
-(* One row per process, refreshed every interval: the fleet view of top. *)
-let run_top_fleet spec interval frames =
-  let coll = http_collector (parse_fleet_targets spec) in
-  let rules = Collector.fleet_rules ~max_staleness:(Float.max 10.0 (interval *. 5.0)) () in
-  let stop = ref false in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true));
-  let i = ref 0 in
-  while (not !stop) && (frames = 0 || !i < frames) do
-    incr i;
-    Collector.scrape coll;
-    print_string Dashboard.ansi_clear;
-    print_fleet_rows coll;
-    Format.printf "%a@?" Slo.pp_report (Collector.evaluate coll rules);
-    flush stdout;
-    if (frames = 0 || !i < frames) && not !stop then Unix.sleepf interval
-  done;
-  0
-
-let run_top port host interval frames window replay color fleet =
-  let color = not color in
-  if fleet <> "" then run_top_fleet fleet interval frames
-  else
+(* top reads /metrics.json only through a collector: a single endpoint
+   is a fleet of one. Every frame scrapes it once and judges the merged
+   snapshot by the rules /slo serves (the default rules) or, with
+   --fleet, by the fleet rules. *)
+let run_top port host interval frames window replay no_color fleet =
+  let color = not no_color in
   match replay with
-  | Some path ->
+  | Some path when fleet = "" ->
     (* offline: render the recorded ring in one frame *)
     let body =
-      try
-        let ic = open_in path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
+      try In_channel.with_open_bin path In_channel.input_all
       with Sys_error e ->
         Printf.eprintf "alpenhorn: cannot read %s: %s\n" path e;
         exit 2
@@ -772,30 +729,40 @@ let run_top port host interval frames window replay color fleet =
       let window = if window > 0.0 then window else Float.max 60.0 (Timeseries.span_seconds ring) in
       print_string (Dashboard.render ~color ~window ~ring ~slo:None ());
       0)
-  | None ->
-    let coll =
-      http_collector [ Collector.instance ~name:"endpoint" (Collector.Remote { host; port }) ]
+  | _ ->
+    let single = fleet = "" in
+    let targets, rules =
+      if single then
+        ([ Collector.instance ~name:"endpoint" (Collector.Remote { host; port }) ], Slo.default_rules ())
+      else
+        ( parse_fleet_targets fleet,
+          Collector.fleet_rules ~max_staleness:(Float.max 10.0 (interval *. 5.0)) () )
     in
+    let coll = http_collector targets in
     let window = if window > 0.0 then window else 60.0 in
     let stop = ref false in
     Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true));
     let i = ref 0 and failures = ref 0 in
+    (* one endpoint gives up after 5 failed scrapes in a row; a fleet
+       keeps polling and shows its dead instances as rows *)
     while (not !stop) && (frames = 0 || !i < frames) && !failures < 5 do
       incr i;
       Collector.scrape coll;
       (match Collector.status coll with
-      | [ (_, (Collector.Stale e | Collector.Never e), _) ] ->
+      | [ (_, (Collector.Stale e | Collector.Never e), _) ] when single ->
         incr failures;
         Printf.eprintf "fetch http://%s:%d/metrics.json: %s\n%!" host port e
       | _ ->
         failures := 0;
-        let slo =
-          match Listener.fetch ~host ~port "/slo" with
-          | Ok (_, slo_body) -> report_of_slo_json slo_body
-          | Error _ -> None
-        in
+        let report = Collector.evaluate coll rules in
         print_string Dashboard.ansi_clear;
-        print_string (Dashboard.render ~color ~window ~ring:(Collector.ring coll) ~slo ());
+        if single then
+          print_string
+            (Dashboard.render ~color ~window ~ring:(Collector.ring coll) ~slo:(Some report) ())
+        else begin
+          print_fleet_rows coll;
+          Format.printf "%a@?" Slo.pp_report report
+        end;
         flush stdout);
       if (frames = 0 || !i < frames) && not !stop then Unix.sleepf interval
     done;

@@ -1,20 +1,20 @@
 (* CI endpoint smoke: serve the telemetry endpoints on an ephemeral port
    while a real deployment loops rounds on another domain, scrape
    /metrics, /metrics.json and /slo with the in-repo fetch client (no
-   curl), and assert status + parseability. Then take `top`'s live path:
-   scrape the listener twice through a one-instance Collector with a
-   round in between, and render a Dashboard frame from the collector's
-   ring. Run via `dune build @endpoint-smoke` (which also replays a
-   recorded ring through `top --replay`); CI runs it at
+   curl), and assert status + parseability. Then run the CLI's live
+   `top --port P --frames 2 --no-color` against the listener while
+   rounds keep completing, and check its last frame: the slo row reads
+   HEALTHY and the rounds row shows a nonzero rate. Run via
+   `dune build @endpoint-smoke` (which passes the CLI's path and also
+   replays a recorded ring through `top --replay`); CI runs it at
    ALPENHORN_DOMAINS=1 and =4.
 
-   Exit codes: 0 all endpoints healthy, 1 assertion failed. *)
+   Usage: endpoint_smoke.exe ALPENHORN_CLI
+   Exit codes: 0 all endpoints healthy, 1 assertion failed, 2 usage. *)
 
 module Tel = Alpenhorn_telemetry.Telemetry
 module Expose = Alpenhorn_telemetry.Expose
 module Timeseries = Alpenhorn_telemetry.Timeseries
-module Collector = Alpenhorn_telemetry.Collector
-module Dashboard = Alpenhorn_telemetry.Dashboard
 module Runtime_stats = Alpenhorn_telemetry.Runtime_stats
 module Listener = Alpenhorn_net.Listener
 module Deployment = Alpenhorn_core.Deployment
@@ -38,7 +38,48 @@ let fetch_ok ~port path =
     Printf.printf "FAIL fetch %s: %s\n%!" path e;
     (0, "")
 
+(* The CLI's `top` as an operator runs it, polling [port] until it has
+   rendered two frames; [between] runs meanwhile so the counters move.
+   Returns top's exit status and everything it printed. *)
+let run_top ~cli ~port ~between =
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process cli
+      [| cli; "top"; "--port"; string_of_int port; "--frames"; "2"; "--no-color" |]
+      Unix.stdin out_w Unix.stderr
+  in
+  Unix.close out_w;
+  (* two frames are a few KiB, well under a pipe's buffer: top never
+     blocks on its output before it exits *)
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+      between ();
+      wait ()
+    | _, status -> status
+  in
+  let status = wait () in
+  let ic = Unix.in_channel_of_descr out_r in
+  let out = In_channel.input_all ic in
+  close_in ic;
+  (status, out)
+
+(* the first two words of the frame row whose first word is [label] *)
+let row frame label =
+  String.split_on_char '\n' frame
+  |> List.find_map (fun l ->
+         match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+         | w :: v :: _ when w = label -> Some v
+         | _ -> None)
+
 let () =
+  let cli =
+    match Sys.argv with
+    | [| _; cli |] -> cli
+    | _ ->
+      prerr_endline "usage: endpoint_smoke.exe ALPENHORN_CLI";
+      exit 2
+  in
   let cfg =
     Expose.config ~series:Timeseries.default ~runtime:(Runtime_stats.get_default ()) ()
   in
@@ -90,29 +131,27 @@ let () =
   check "/slo is healthy after a clean run" (status = 200);
   let status, body = fetch_ok ~port "/series?name=round.completed" in
   check "/series answers 200 with JSON" (status = 200 && Tel.Json.is_valid body);
-  (* top's live mode: the endpoint as a fleet of one *)
-  let coll =
-    Collector.create
-      ~fetch:(fun ~host ~port path -> Listener.fetch ~host ~port path)
-      [ Collector.instance ~name:"endpoint" (Collector.Remote { host = "127.0.0.1"; port }) ]
+  let i = ref 3 in
+  let status, out =
+    run_top ~cli ~port ~between:(fun () ->
+        incr i;
+        round_pair !i)
   in
-  Collector.scrape coll;
-  round_pair 4;
-  Collector.scrape coll;
-  check "both collector scrapes decode"
-    (match Collector.status coll with [ (_, Collector.Fresh, _) ] -> true | _ -> false);
-  let frame = Dashboard.render ~color:false ~ring:(Collector.ring coll) ~slo:None () in
+  check "top exits 0" (status = Unix.WEXITED 0);
+  (* each frame follows the screen-clear sequence, ESC[2J ESC[H *)
+  let frames =
+    String.split_on_char '\x1b' out
+    |> List.filter_map (fun p ->
+           if String.starts_with ~prefix:"[H" p then Some (String.sub p 2 (String.length p - 2))
+           else None)
+  in
+  let frame = match List.rev frames with last :: _ -> last | [] -> "" in
   print_string frame;
+  check "top rendered two frames" (List.length frames >= 2);
+  check "top's slo row reads HEALTHY" (row frame "slo" = Some "HEALTHY");
   (* the row reads "  rounds  <rate>/s  <sparkline>" *)
-  let shown_rate =
-    String.split_on_char '\n' frame
-    |> List.find_map (fun l ->
-           match List.filter (( <> ) "") (String.split_on_char ' ' l) with
-           | "rounds" :: rate :: _ -> Some rate
-           | _ -> None)
-  in
-  check "the dashboard's rounds row shows a nonzero rate"
-    (match shown_rate with
+  check "top's rounds row shows a nonzero rate"
+    (match row frame "rounds" with
     | Some rate -> String.exists (fun c -> c >= '1' && c <= '9') rate
     | None -> false);
   Listener.stop t;

@@ -231,10 +231,6 @@ let begin_addfriend_round_with t ~round ~n_pkgs ~extract =
   let signature = sign_extraction_request t ~round in
   aggregate_extractions t ~round ~n_pkgs (fun j -> extract j ~email:t.email ~signature)
 
-let begin_addfriend_round t ~round ~now ~pkgs =
-  begin_addfriend_round_with t ~round ~n_pkgs:(Array.length pkgs) ~extract:(fun i ~email ~signature ->
-      Pkg.extract pkgs.(i) ~now ~round ~email ~signature)
-
 (* Batched variant for a whole deployment: one [extract_batch] call per
    PKG covers every client (in process, {!Pkg.extract_batch} fans the
    verify/extract/sign work across the domain pool), then each client's

@@ -7,7 +7,7 @@
     traffic otherwise — so the servers learn nothing from traffic patterns.
 
     The client is transport-agnostic: round participation is broken into
-    explicit steps ({!begin_addfriend_round} / {!addfriend_submission} /
+    explicit steps ({!begin_addfriend_round_with} / {!addfriend_submission} /
     {!scan_addfriend_mailbox}, and the dialing equivalents) that a driver —
     the in-process {!Deployment}, the discrete-event simulator, or a real
     network layer — sequences. *)
@@ -54,7 +54,6 @@ val email : t -> string
 val signing_public : t -> Bls.public
 (** Fig 1 [MySigningKey]. *)
 
-val sign_extraction_request : t -> round:int -> Bls.signature
 val sign_deregister : t -> Bls.signature
 
 (** {1 Address book} *)
@@ -124,15 +123,6 @@ type af_round
     attestations for this client, and the round number. Dropped at the end
     of the round (forward secrecy, §4.4). *)
 
-val begin_addfriend_round :
-  t ->
-  round:int ->
-  now:int ->
-  pkgs:Pkg.t array ->
-  (af_round, Pkg.error) result
-(** Step 1: authenticate to every PKG, collect and aggregate identity keys
-    and attestation signatures. *)
-
 val begin_addfriend_round_with :
   t ->
   round:int ->
@@ -143,11 +133,12 @@ val begin_addfriend_round_with :
     signature:Bls.signature ->
     (Ibe.identity_key * Bls.signature, Pkg.error) result) ->
   (af_round, Pkg.error) result
-(** The transport seam behind {!begin_addfriend_round}: [extract i] performs
-    the authenticated key-extraction round trip with the [i]th PKG, however
-    the caller reaches it — an in-process {!Pkg.t} handle or a network RPC
-    ({!Alpenhorn_remote}'s framed TCP transport). Identical aggregation and
-    first-error semantics. *)
+(** Step 1: authenticate to every PKG, collect and aggregate identity
+    keys and attestation signatures. [extract i] performs the
+    authenticated key-extraction round trip with the [i]th PKG, however
+    the caller reaches it — an in-process {!Pkg.t} handle ([Pkg.extract])
+    or a network RPC ({!Alpenhorn_remote}'s framed TCP transport). The
+    first error any PKG returns is the result. *)
 
 val begin_addfriend_round_batch :
   t list ->

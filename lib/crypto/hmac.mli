@@ -20,11 +20,6 @@ val update : t -> string -> unit
 val finalize : t -> string
 (** 32-byte tag. The computation must not be used afterwards. *)
 
-val hkdf_extract : salt:string -> ikm:string -> string
-(** 32-byte pseudorandom key. *)
-
-val hkdf_expand : prk:string -> info:string -> len:int -> string
-(** [len] bytes of output keying material, [len <= 255 * 32]. *)
-
 val hkdf : ?salt:string -> info:string -> len:int -> string -> string
-(** [hkdf ~info ~len ikm]: extract-then-expand convenience wrapper. *)
+(** [hkdf ~info ~len ikm]: extract-then-expand, [len <= 255 * 32] bytes
+    of output keying material. *)

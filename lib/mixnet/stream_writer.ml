@@ -31,11 +31,9 @@ let flush t =
     t.fill <- 0
   end
 
-let write_sub t src pos len =
-  if pos < 0 || len < 0 || pos + len > String.length src then
-    invalid_arg "Stream_writer.write_sub";
+let write t src =
   let cap = Bytes.length t.buf in
-  let pos = ref pos and remaining = ref len in
+  let pos = ref 0 and remaining = ref (String.length src) in
   while !remaining > 0 do
     if t.fill = cap then flush t;
     let chunk = Stdlib.min !remaining (cap - t.fill) in
@@ -45,8 +43,6 @@ let write_sub t src pos len =
     pos := !pos + chunk;
     remaining := !remaining - chunk
   done
-
-let write t s = write_sub t s 0 (String.length s)
 
 (* Length-prefixed records (u32be + body): the framing the sharded plain
    mailboxes stream through, total to decode. *)

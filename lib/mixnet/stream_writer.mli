@@ -29,10 +29,6 @@ val write : t -> string -> unit
 (** Append [s], flushing to the sink whenever the buffer fills; input
     larger than the capacity is cut into capacity-sized flushes. *)
 
-val write_sub : t -> string -> int -> int -> unit
-(** [write_sub t s pos len] appends the slice [s[pos, pos+len)].
-    @raise Invalid_argument on out-of-bounds slices. *)
-
 val write_record : t -> string -> unit
 (** Append a u32be length prefix followed by the body. *)
 

@@ -23,8 +23,7 @@
     [parallel.items] counters, a [parallel.chunk_size] histogram, and a
     per-slot [parallel.domain_util] gauge labeled [domain=0..size-1]
     (slot 0 is the submitting domain) giving each domain's busy fraction
-    of the last dispatch — the [parallel.pool_util] SLO floor reads its
-    minimum. *)
+    of the last dispatch — [top]'s pool util row plots the busiest. *)
 
 type t
 (** A fixed-size domain pool. *)

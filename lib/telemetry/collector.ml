@@ -89,23 +89,25 @@ let set_target t ~name target =
 
 (* ---- merging under instance labels ---- *)
 
+(* sorted, like every label set a registry hands out: an exact key
+   selects a merged metric the way it selects a local one *)
 let with_instance ~name ~role own =
   let constant =
     [ ("instance", name) ] @ (if role = "" then [] else [ ("role", role) ])
   in
-  List.filter (fun (k, _) -> not (List.mem_assoc k own)) constant @ own
+  List.sort compare (List.filter (fun (k, _) -> not (List.mem_assoc k own)) constant @ own)
 
 let merge_snapshots parts =
   let map f = List.concat_map (fun (name, role, (s : Tel.Snapshot.t)) -> f name role s) parts in
-  let sort l = List.sort (fun (a, al, _) (b, bl, _) -> compare (a, al) (b, bl)) l in
+  let metrics of_snap =
+    map (fun n r s -> List.map (fun (m, l, v) -> (m, with_instance ~name:n ~role:r l, v)) (of_snap s))
+    |> List.sort (fun (a, al, _) (b, bl, _) -> compare (a, al) (b, bl))
+  in
   {
     Tel.Snapshot.clock = "wall";
-    counters =
-      sort (map (fun n r s -> List.map (fun (m, l, v) -> (m, with_instance ~name:n ~role:r l, v)) s.counters));
-    gauges =
-      sort (map (fun n r s -> List.map (fun (m, l, v) -> (m, with_instance ~name:n ~role:r l, v)) s.gauges));
-    histograms =
-      sort (map (fun n r s -> List.map (fun (m, l, v) -> (m, with_instance ~name:n ~role:r l, v)) s.histograms));
+    counters = metrics (fun s -> s.counters);
+    gauges = metrics (fun s -> s.gauges);
+    histograms = metrics (fun s -> s.histograms);
     spans =
       map (fun n r s ->
           List.map
@@ -180,8 +182,7 @@ let status t =
 
 (* ---- fleet SLO rules over the merged snapshot ---- *)
 
-let fleet_rules ?(max_staleness = infinity) ?(rpc_p99_ceiling = infinity)
-    ?(rpc_max_ceiling = infinity) ?(round_ceiling = infinity) () =
+let fleet_rules ?(max_staleness = infinity) () =
   [
     (* fleet-wide sum over every instance and tag: any server-side handler
        failure or corrupt frame anywhere in the fleet breaches *)
@@ -195,18 +196,6 @@ let fleet_rules ?(max_staleness = infinity) ?(rpc_p99_ceiling = infinity)
     Slo.rule ~name:"fleet.staleness_seconds"
       ~description:"seconds since the stalest instance last answered a scrape"
       (Slo.Gauge "fleet.staleness_seconds") Slo.Le max_staleness;
-    (* label-merged across instances and tags: fleet-wide request latency *)
-    Slo.rule ~name:"fleet.rpc_p99_seconds"
-      ~description:"p99 RPC handler latency over every instance and tag"
-      (Slo.Hist_p99 "rpc.request_seconds") Slo.Le rpc_p99_ceiling;
-    (* cross-instance max: the slowest single handler invocation anywhere
-       (dominated by mix.process — the per-mixer round-latency ceiling) *)
-    Slo.rule ~name:"fleet.rpc_max_seconds"
-      ~description:"slowest single RPC handler invocation over all mixers and PKGs"
-      (Slo.Hist_max "rpc.request_seconds") Slo.Le rpc_max_ceiling;
-    (* orchestrator-side end-to-end round span, when tracing is on *)
-    Slo.rule ~name:"fleet.round_seconds" ~description:"slowest end-to-end round on the orchestrator"
-      (Slo.Span_max "net.round") Slo.Le round_ceiling;
   ]
 
 let evaluate t rules = Slo.evaluate rules t.merged
@@ -244,17 +233,6 @@ let rows t =
   List.map
     (fun s ->
       let snap = match s.last_snap with Some sn -> sn | None -> empty_snapshot in
-      let hist name =
-        List.fold_left
-          (fun acc (n, _, h) -> if n = name then Tel.Histogram.merge acc h else acc)
-          Tel.Histogram.empty snap.Tel.Snapshot.histograms
-      in
-      let gauge name =
-        List.fold_left
-          (fun acc (n, _, v) -> if n = name then Float.max acc v else acc)
-          0.0 snap.Tel.Snapshot.gauges
-      in
-      let lat = hist "rpc.request_seconds" in
       {
         row_name = s.inst.name;
         row_role = s.inst.role;
@@ -264,8 +242,11 @@ let rows t =
         row_staleness = Float.max 0.0 (now -. s.last_ok);
         row_rpc_calls = Tel.Snapshot.counter_sum snap "rpc.calls";
         row_rpc_errors = Tel.Snapshot.counter_sum snap "rpc.errors";
-        row_rpc_p99 = (if lat.Tel.Histogram.count = 0 then 0.0 else Tel.Histogram.quantile lat 0.99);
+        row_rpc_p99 =
+          (match Tel.Snapshot.histogram snap "rpc.request_seconds" with
+          | Some lat -> Tel.Histogram.quantile lat 0.99
+          | None -> 0.0);
         row_spans = List.length snap.Tel.Snapshot.spans;
-        row_heap_words = gauge "runtime.heap_words";
+        row_heap_words = List.fold_left Float.max 0.0 (Tel.Snapshot.gauges snap "runtime.heap_words");
       })
     t.states

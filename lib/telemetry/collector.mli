@@ -15,7 +15,7 @@
     document's one decoder; one that does not parse or decode counts as
     a failed scrape. [top] reads [/metrics.json] only through a
     collector: one instance for a single endpoint, one per process with
-    [--fleet].
+    [--fleet]; each frame judges {!merged} by the SLO rules.
 
     Staleness semantics: a failed scrape freezes the instance's last
     good snapshot in the merged view (cumulative metrics stay truthful)
@@ -65,9 +65,11 @@ val scrape : t -> unit
 
 val merged : t -> Telemetry.Snapshot.t
 (** The fleet snapshot from the most recent {!scrape} (empty before the
-    first). Every metric and span carries the owning instance's labels;
-    the synthetic [fleet.instance_up] / [fleet.staleness_seconds] gauges
-    cover all instances, scraped or not. *)
+    first). Every metric and span carries the owning instance's labels,
+    kept sorted as a registry keeps them, so an exact key selects a
+    merged metric; the synthetic [fleet.instance_up] /
+    [fleet.staleness_seconds] gauges cover all instances, scraped or
+    not. *)
 
 val ring : t -> Timeseries.t
 val scrapes : t -> int
@@ -75,20 +77,11 @@ val scrapes : t -> int
 val status : t -> (string * status * float) list
 (** Per instance: name, scrape status and seconds since last success. *)
 
-val fleet_rules :
-  ?max_staleness:float ->
-  ?rpc_p99_ceiling:float ->
-  ?rpc_max_ceiling:float ->
-  ?round_ceiling:float ->
-  unit ->
-  Slo.rule list
+val fleet_rules : ?max_staleness:float -> unit -> Slo.rule list
 (** Fleet-wide rules over the merged snapshot: zero [rpc.errors] summed
     over every instance, every [fleet.instance_up] at [1] (Gauge_min —
-    the worst instance), stalest instance under [max_staleness],
-    label-merged [rpc.request_seconds] p99 and single-invocation max
-    under their ceilings, and the orchestrator's [net.round] span max
-    under [round_ceiling]. All ceilings default to [infinity] (armed
-    only when passed). *)
+    the worst instance), and the stalest instance under
+    [max_staleness] (default [infinity]). *)
 
 val evaluate : t -> Slo.rule list -> Slo.report
 (** The rules against the current merged snapshot. *)

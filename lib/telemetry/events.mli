@@ -17,8 +17,6 @@
 
 type severity = Debug | Info | Warn | Error
 
-val severity_to_string : severity -> string
-
 type event = {
   ts : float;  (** seconds since the registry epoch, on its clock *)
   clock : string;  (** clock kind at logging time ("wall" / "sim") *)

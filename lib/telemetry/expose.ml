@@ -166,11 +166,8 @@ let series_response cfg query =
       with
       | Error () -> text_response 400 "window must be a positive number of seconds\n"
       | Ok window ->
-        (* a bare name also matches labeled instances, so check both forms *)
-        let known =
-          List.exists (fun k -> k = name || Timeseries.matches ~q:name k) (Timeseries.names ring)
-        in
-        if not known then text_response 404 (Printf.sprintf "unknown series: %s\n" name)
+        if not (Timeseries.mem ring name) then
+          text_response 404 (Printf.sprintf "unknown series: %s\n" name)
         else begin
           let pts = Timeseries.points ring ?window name in
           let body =

@@ -21,23 +21,19 @@ type rule = { name : string; description : string; source : source; cmp : cmp; t
 
 let rule ~name ~description source cmp threshold = { name; description; source; cmp; threshold }
 
-(* Gauges keep one value per label set; health cares about the worst.
+(* Every source reads its metric through the Snapshot selection rule.
+   Gauges keep one value per label set; health cares about the worst.
    For a ceiling the worst is the max, for a floor it is the min. *)
-let gauge_fold f (snap : Telemetry.Snapshot.t) name =
-  List.fold_left
-    (fun acc (n, _, v) -> if n = name then Some (match acc with None -> v | Some a -> f a v) else acc)
-    None snap.gauges
+let worst_gauge f snap key =
+  match Telemetry.Snapshot.gauges snap key with
+  | [] -> None
+  | v :: vs -> Some (List.fold_left f v vs)
 
-let gauge_max snap name = gauge_fold Float.max snap name
-let gauge_min snap name = gauge_fold Float.min snap name
-
-let hist_merged (snap : Telemetry.Snapshot.t) name =
-  let merged =
-    List.fold_left
-      (fun acc (n, _, s) -> if n = name then Telemetry.Histogram.merge acc s else acc)
-      Telemetry.Histogram.empty snap.histograms
-  in
-  if merged.Telemetry.Histogram.count = 0 then None else Some merged
+(* an empty histogram has no statistic to judge: the rule skips *)
+let histogram snap key =
+  match Telemetry.Snapshot.histogram snap key with
+  | Some h when h.Telemetry.Histogram.count > 0 -> Some h
+  | _ -> None
 
 let span_max (snap : Telemetry.Snapshot.t) name =
   List.fold_left
@@ -46,18 +42,13 @@ let span_max (snap : Telemetry.Snapshot.t) name =
       else acc)
     None snap.spans
 
-let counter_opt (snap : Telemetry.Snapshot.t) name =
-  if List.exists (fun (n, _, _) -> n = name) snap.counters then
-    Some (float_of_int (Telemetry.Snapshot.counter_sum snap name))
-  else None
-
 let rec value_of snap = function
-  | Counter n -> counter_opt snap n
-  | Gauge n -> gauge_max snap n
-  | Gauge_min n -> gauge_min snap n
-  | Hist_mean n -> Option.map Telemetry.Histogram.mean (hist_merged snap n)
-  | Hist_p99 n -> Option.map (fun s -> Telemetry.Histogram.quantile s 0.99) (hist_merged snap n)
-  | Hist_max n -> Option.map (fun s -> s.Telemetry.Histogram.max_v) (hist_merged snap n)
+  | Counter n -> Option.map float_of_int (Telemetry.Snapshot.counter snap n)
+  | Gauge n -> worst_gauge Float.max snap n
+  | Gauge_min n -> worst_gauge Float.min snap n
+  | Hist_mean n -> Option.map Telemetry.Histogram.mean (histogram snap n)
+  | Hist_p99 n -> Option.map (fun s -> Telemetry.Histogram.quantile s 0.99) (histogram snap n)
+  | Hist_max n -> Option.map (fun s -> s.Telemetry.Histogram.max_v) (histogram snap n)
   | Span_total n ->
     if Telemetry.Snapshot.span_count snap n = 0 then None
     else Some (Telemetry.Snapshot.span_total snap n)
@@ -89,10 +80,8 @@ let evaluate rules snap =
 (* ---- Alpenhorn's built-in rule set ---- *)
 
 let default_rules ?(addfriend_deadline = infinity) ?(dialing_deadline = infinity)
-    ?(mailbox_ceiling = infinity) ?(cache_hit_floor = 0.0) ?(max_consecutive_aborts = infinity)
-    ?(recovery_ceiling = infinity) ?(gc_pause_ceiling = infinity) ?(heap_words_ceiling = infinity)
-    ?(pool_util_floor = 0.0) ?(scale_bytes_per_client_ceiling = infinity)
-    ?(scale_words_per_client_ceiling = infinity) () =
+    ?(max_consecutive_aborts = infinity) ?(recovery_ceiling = infinity)
+    ?(scale_bytes_per_client_ceiling = infinity) ?(scale_words_per_client_ceiling = infinity) () =
   [
     rule ~name:"round.addfriend.deadline"
       ~description:"slowest add-friend round finishes within its deadline"
@@ -106,25 +95,10 @@ let default_rules ?(addfriend_deadline = infinity) ?(dialing_deadline = infinity
     rule ~name:"faults.recovery_time"
       ~description:"slowest abort-to-publish recovery stays under its ceiling"
       (Hist_max "faults.recovery_seconds") Le recovery_ceiling;
-    rule ~name:"mailbox.load"
-      ~description:"fullest mailbox stays under the section-6 load ceiling"
-      (Gauge "mailbox.max_load") Le mailbox_ceiling;
-    rule ~name:"pairing.cache_hit_rate"
-      ~description:"fixed-argument pairing cache keeps its hit-rate floor"
-      (Hit_rate ("pairing.cache_hits", "pairing.cache_misses"))
-      Ge cache_hit_floor;
     rule ~name:"mix.drops" ~description:"no onion failed to decrypt at any hop"
       (Counter "mix.onions_dropped") Le 0.0;
     rule ~name:"sim.quiescent" ~description:"DES event queue drained at snapshot time"
       (Gauge "sim.des_pending") Le 0.0;
-    rule ~name:"runtime.gc_pause"
-      ~description:"longest observed GC pause stays under its ceiling"
-      (Gauge "runtime.gc.max_pause_seconds") Le gc_pause_ceiling;
-    rule ~name:"runtime.heap" ~description:"major heap stays under its word ceiling"
-      (Gauge "runtime.heap_words") Le heap_words_ceiling;
-    rule ~name:"parallel.pool_util"
-      ~description:"least-utilized pool domain keeps its utilization floor"
-      (Gauge_min "parallel.domain_util") Ge pool_util_floor;
     rule ~name:"scale.bytes_per_client"
       ~description:"per-client shard download stays under its byte budget (§5.1)"
       (Gauge "scale.bytes_per_client") Le scale_bytes_per_client_ceiling;

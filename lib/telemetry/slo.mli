@@ -11,16 +11,20 @@
     and partial deployments alike.
 
     {!default_rules} is Alpenhorn's built-in set: round-deadline misses
-    for both phases, the §6 mailbox-load ceiling, the pairing-cache
-    hit-rate floor, zero undecryptable onions, and DES queue quiescence. *)
+    for both phases, the failure-model bounds, zero undecryptable
+    onions, DES queue quiescence and the scale budgets. Every source
+    reads its metric through {!Telemetry.Snapshot}'s one selection rule,
+    so a bare name judges every label set and a [name{k=v,...}] key one
+    of them. *)
 
 type source =
-  | Counter of string  (** {!Telemetry.Snapshot.counter_sum} *)
-  | Gauge of string  (** max over the gauge's label sets *)
+  | Counter of string  (** {!Telemetry.Snapshot.counter} *)
+  | Gauge of string  (** max over the selected gauges *)
   | Gauge_min of string
-      (** min over the gauge's label sets — the worst reading when the
-          rule is a floor (e.g. per-domain pool utilization) *)
-  | Hist_mean of string  (** mean of label-merged histogram *)
+      (** min over the selected gauges — the worst reading when the
+          rule is a floor (e.g. every fleet instance up) *)
+  | Hist_mean of string
+      (** mean of the merged histogram; an empty one skips the rule *)
   | Hist_p99 of string
   | Hist_max of string
   | Span_total of string  (** summed duration of spans with this name *)
@@ -54,39 +58,25 @@ type check = {
 
 type report = { checks : check list; healthy : bool }
 
-val check_rule : Telemetry.Snapshot.t -> rule -> check
 val evaluate : rule list -> Telemetry.Snapshot.t -> report
 
 val default_rules :
   ?addfriend_deadline:float ->
   ?dialing_deadline:float ->
-  ?mailbox_ceiling:float ->
-  ?cache_hit_floor:float ->
   ?max_consecutive_aborts:float ->
   ?recovery_ceiling:float ->
-  ?gc_pause_ceiling:float ->
-  ?heap_words_ceiling:float ->
-  ?pool_util_floor:float ->
   ?scale_bytes_per_client_ceiling:float ->
   ?scale_words_per_client_ceiling:float ->
   unit ->
   rule list
-(** Alpenhorn's built-in rule set. Deadlines, the mailbox ceiling and the
-    failure-model bounds ([max_consecutive_aborts] over the
+(** Alpenhorn's built-in rule set. Deadlines and the failure-model
+    bounds ([max_consecutive_aborts] over the
     [faults.consecutive_aborts] gauge, [recovery_ceiling] in seconds over
     the [faults.recovery_seconds] histogram — DESIGN.md §10) default to
-    [infinity] (never fail) and the cache floor to [0.0], so callers opt
-    into exactly the bounds they can justify; the zero-drop and
-    DES-quiescence rules are always armed. Fault metrics are absent in a
-    fault-free run, so those rules skip rather than pass vacuously.
-
-    Runtime rules (DESIGN.md §12) follow the same pattern:
-    [gc_pause_ceiling] bounds the [runtime.gc.max_pause_seconds] gauge,
-    [heap_words_ceiling] the [runtime.heap_words] gauge (both default
-    [infinity]), and [pool_util_floor] (default [0.0]) puts a
-    {!Gauge_min} floor under [parallel.domain_util] — every rule skips
-    when no {!Runtime_stats} sampler or domain pool has populated its
-    metric.
+    [infinity] (never fail), so callers opt into exactly the bounds they
+    can justify; the zero-drop and DES-quiescence rules are always
+    armed. Fault metrics are absent in a fault-free run, so those rules
+    skip rather than pass vacuously.
 
     Scale rules guard million-user rounds (DESIGN.md §15):
     [scale_bytes_per_client_ceiling] bounds the [scale.bytes_per_client]

@@ -699,20 +699,31 @@ module Snapshot = struct
     Mutex.unlock r.mu;
     snap
 
-  let counter_sum t name =
-    List.fold_left (fun acc (n, _, v) -> if n = name then acc + v else acc) 0 t.counters
+  (* The one selection rule: a bare name selects every label set of that
+     name, [name{k=v,...}] exactly the one [metric_key] prints that way.
+     Labels are sorted (at registration, and by the collector's merge),
+     so a label set has one printed key. *)
+  let select key entries =
+    match String.index_opt key '{' with
+    | None -> List.filter_map (fun (n, _, v) -> if n = key then Some v else None) entries
+    | Some i ->
+      let name = String.sub key 0 i in
+      List.filter_map
+        (fun (n, l, v) -> if n = name && metric_key n l = key then Some v else None)
+        entries
 
-  let find_counter t ?labels name =
-    let labels = Option.map normalize_labels labels in
-    List.find_map
-      (fun (n, l, v) ->
-        if n = name && (labels = None || labels = Some l) then Some v else None)
-      t.counters
+  let counter t key =
+    match select key t.counters with [] -> None | vs -> Some (List.fold_left ( + ) 0 vs)
 
-  let hist_sum t name =
-    List.fold_left
-      (fun acc (n, _, (s : Histogram.snap)) -> if n = name then acc +. s.sum else acc)
-      0.0 t.histograms
+  let gauges t key = select key t.gauges
+
+  let histogram t key =
+    match select key t.histograms with
+    | [] -> None
+    | hs -> Some (List.fold_left Histogram.merge Histogram.empty hs)
+
+  let counter_sum t name = Option.value ~default:0 (counter t name)
+  let hist_sum t name = match histogram t name with Some h -> h.sum | None -> 0.0
 
   let span_total t name =
     List.fold_left (fun acc (sp : span) -> if sp.name = name then acc +. sp.dur else acc) 0.0 t.spans

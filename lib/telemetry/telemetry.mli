@@ -71,7 +71,8 @@ type labels = (string * string) list
 
 val metric_key : string -> labels -> string
 (** [name], or [name{k=v,...}] with the labels in the given order: the
-    key the table, the time-series ring and the trace timelines print. *)
+    key the table and the trace timelines print, and the exact key a
+    snapshot reader selects by ({!Snapshot.counter}). *)
 
 module Counter : sig
   type t
@@ -269,12 +270,27 @@ module Snapshot : sig
       [push_span] takes the registry mutex, so a span lands wholly before
       or wholly after the snapshot. *)
 
-  val counter_sum : t -> string -> int
-  (** Sum over all label sets of a counter name (0 if absent). *)
+  (** {2 Selecting a metric}
 
-  val find_counter : t -> ?labels:labels -> string -> int option
+      One rule for every reader: a bare name selects every label set of
+      that name, and [name{k=v,...}] as {!metric_key} prints it selects
+      exactly that one. *)
+
+  val counter : t -> string -> int option
+  (** The selected counters summed; [None] when nothing matches. *)
+
+  val gauges : t -> string -> float list
+  (** The selected gauges, in snapshot order; the caller takes the max
+      or the min it needs. *)
+
+  val histogram : t -> string -> Histogram.snap option
+  (** The selected histograms merged; [None] when nothing matches. *)
+
+  val counter_sum : t -> string -> int
+  (** {!counter}, 0 if absent. *)
+
   val hist_sum : t -> string -> float
-  (** Summed [sum] over all label sets of a histogram name. *)
+  (** The [sum] of {!histogram}, 0 if absent. *)
 
   val span_total : t -> string -> float
   (** Total duration over all spans with this name. *)
@@ -297,15 +313,6 @@ module Snapshot : sig
       kind, a fractional count or a histogram without
       {!Histogram.bucket_count} buckets is an [Error]. Total: it never
       raises. *)
-
-  val histogram_fields : Histogram.snap -> (string * Json.t) list
-  (** [count], [sum], [min], [max] and [buckets]: a histogram's members
-      in the snapshot document and in the time-series lines. An empty
-      histogram prints [min] and [max] as [0]. *)
-
-  val histogram_of_json : Json.t -> Histogram.snap option
-  (** Decodes {!histogram_fields} from an object, ignoring other
-      members; [min_v]/[max_v] of an empty histogram come back infinite. *)
 
   val to_chrome_trace : t -> string
   (** Chrome [trace_event] JSON: one ["ph":"X"] complete event per span,

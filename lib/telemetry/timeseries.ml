@@ -12,12 +12,7 @@
 
 module Tel = Telemetry
 
-type sample = {
-  ts : float;
-  counters : (string * int) list; (* key = name or name{k=v,...}, sorted *)
-  gauges : (string * float) list;
-  hists : (string * Tel.Histogram.snap) list;
-}
+type sample = { ts : float; snap : Tel.Snapshot.t }
 
 type t = {
   reg : Tel.registry option;
@@ -43,12 +38,6 @@ let locked t f =
 let capacity t = t.cap
 let length t = locked t (fun () -> t.len)
 
-let clear t =
-  locked t (fun () ->
-      Array.fill t.ring 0 t.cap None;
-      t.head <- 0;
-      t.len <- 0)
-
 (* oldest-first list of retained samples; call under the lock *)
 let samples_unlocked t =
   let out = ref [] in
@@ -70,27 +59,28 @@ let span_seconds t =
       | [] | [ _ ] -> 0.0
       | first :: _ as all -> (List.nth all (List.length all - 1)).ts -. first.ts)
 
-let key name labels = Tel.metric_key name (List.sort compare labels)
-
-let sample_of_snapshot ~ts (snap : Tel.Snapshot.t) =
-  {
-    ts;
-    counters = List.map (fun (n, l, v) -> (key n l, v)) snap.Tel.Snapshot.counters;
-    gauges = List.map (fun (n, l, v) -> (key n l, v)) snap.Tel.Snapshot.gauges;
-    hists = List.map (fun (n, l, s) -> (key n l, s)) snap.Tel.Snapshot.histograms;
-  }
+(* the ring keeps the snapshot itself; spans are the round's trace, not
+   history, and would pin every span of every round in memory *)
+let sample ~ts (snap : Tel.Snapshot.t) = { ts; snap = { snap with spans = [] } }
 
 let push_unlocked t s =
   t.ring.(t.head) <- Some s;
   t.head <- (t.head + 1) mod t.cap;
   if t.len < t.cap then t.len <- t.len + 1
 
-let append t s =
+(* A sample older than the newest: [record_snapshot] rejects it, while
+   [record] reads it as a restarted registry clock (a new DES run) and
+   begins a new ring epoch — windows must not mix two timelines. *)
+let push t s ~restart =
   locked t (fun () ->
       (match newest_unlocked t with
       | Some prev when s.ts < prev.ts ->
-        invalid_arg
-          (Printf.sprintf "Timeseries: sample at %g precedes newest sample at %g" s.ts prev.ts)
+        if not restart then
+          invalid_arg
+            (Printf.sprintf "Timeseries: sample at %g precedes newest sample at %g" s.ts prev.ts);
+        Array.fill t.ring 0 t.cap None;
+        t.head <- 0;
+        t.len <- 0
       | _ -> ());
       push_unlocked t s)
 
@@ -99,44 +89,23 @@ let record t =
   | None -> invalid_arg "Timeseries.record: detached ring (use record_snapshot)"
   | Some reg ->
     let snap = Tel.Snapshot.take reg in
-    let s = sample_of_snapshot ~ts:(Tel.now reg) snap in
-    (* A backward clock reading means the registry clock was restarted (a
-       new DES run): begin a new ring epoch rather than rejecting the
-       sample — windows must not mix two simulated timelines. *)
-    locked t (fun () ->
-        (match newest_unlocked t with
-        | Some prev when s.ts < prev.ts ->
-          Array.fill t.ring 0 t.cap None;
-          t.head <- 0;
-          t.len <- 0
-        | _ -> ());
-        push_unlocked t s)
+    push t (sample ~ts:(Tel.now reg) snap) ~restart:true
 
-let record_snapshot t ~ts snap = append t (sample_of_snapshot ~ts snap)
+let record_snapshot t ~ts snap = push t (sample ~ts snap) ~restart:false
 
-(* ---- key matching: exact labeled key, or bare-name label merge ---- *)
+(* ---- one sample's values, read by the Snapshot selection rule ---- *)
 
-let matches ~q k =
-  q = k
-  || String.length k > String.length q
-     && String.sub k 0 (String.length q) = q
-     && k.[String.length q] = '{'
-     && not (String.contains q '{')
-
-let counter_at s q =
-  match List.filter (fun (k, _) -> matches ~q k) s.counters with
+(* the selected gauges' max *)
+let gauge s key =
+  match Tel.Snapshot.gauges s.snap key with
   | [] -> None
-  | l -> Some (List.fold_left (fun acc (_, v) -> acc + v) 0 l)
+  | v :: vs -> Some (List.fold_left Float.max v vs)
 
-let gauge_at s q =
-  match List.filter (fun (k, _) -> matches ~q k) s.gauges with
-  | [] -> None
-  | l -> Some (List.fold_left (fun acc (_, v) -> Float.max acc v) neg_infinity l)
-
-let hist_at s q =
-  match List.filter (fun (k, _) -> matches ~q k) s.hists with
-  | [] -> None
-  | l -> Some (List.fold_left (fun acc (_, h) -> Tel.Histogram.merge acc h) Tel.Histogram.empty l)
+let kind s key =
+  if Tel.Snapshot.counter s.snap key <> None then Some `Counter
+  else if gauge s key <> None then Some `Gauge
+  else if Tel.Snapshot.histogram s.snap key <> None then Some `Hist
+  else None
 
 (* trailing-window slice, oldest first *)
 let window_samples t window =
@@ -146,15 +115,7 @@ let window_samples t window =
       | None, _ | _, None -> all
       | Some w, Some newest -> List.filter (fun s -> s.ts >= newest.ts -. w) all)
 
-let names t =
-  let keys = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      List.iter (fun (k, _) -> Hashtbl.replace keys k ()) s.counters;
-      List.iter (fun (k, _) -> Hashtbl.replace keys k ()) s.gauges;
-      List.iter (fun (k, _) -> Hashtbl.replace keys k ()) s.hists)
-    (window_samples t None);
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) keys [])
+let mem t key = List.exists (fun s -> kind s key <> None) (samples t)
 
 let rec pairs = function
   | a :: (b :: _ as rest) -> (a, b) :: pairs rest
@@ -171,7 +132,7 @@ let rate t ?window name =
       let total =
         List.fold_left
           (fun acc (s1, s2) ->
-            match (counter_at s1 name, counter_at s2 name) with
+            match (Tel.Snapshot.counter s1.snap name, Tel.Snapshot.counter s2.snap name) with
             | Some c1, Some c2 -> acc + max 0 (c2 - c1)
             | None, Some c2 -> acc + max 0 c2 (* key appeared mid-window *)
             | _ -> acc)
@@ -182,7 +143,7 @@ let rate t ?window name =
 let gauge_stats t ?window name =
   List.fold_left
     (fun acc s ->
-      match gauge_at s name with
+      match gauge s name with
       | None -> acc
       | Some v -> (
         match acc with
@@ -228,9 +189,9 @@ let hist_window t ?window name =
   let all = window_samples t window in
   List.fold_left
     (fun acc (s1, s2) ->
-      match hist_at s2 name with
+      match Tel.Snapshot.histogram s2.snap name with
       | None -> acc
-      | Some h2 -> Tel.Histogram.merge acc (hist_delta (hist_at s1 name) h2))
+      | Some h2 -> Tel.Histogram.merge acc (hist_delta (Tel.Snapshot.histogram s1.snap name) h2))
     Tel.Histogram.empty (pairs all)
 
 let quantile t ?window name q = Tel.Histogram.quantile (hist_window t ?window name) q
@@ -238,23 +199,14 @@ let quantile t ?window name q = Tel.Histogram.quantile (hist_window t ?window na
 let points t ?window name =
   let all = window_samples t window in
   (* kind from the newest sample that carries the key *)
-  let kind =
-    List.fold_left
-      (fun acc s ->
-        if counter_at s name <> None then `Counter
-        else if gauge_at s name <> None then `Gauge
-        else if hist_at s name <> None then `Hist
-        else acc)
-      `Absent all
-  in
-  match kind with
+  match List.fold_left (fun acc s -> Option.value (kind s name) ~default:acc) `Absent all with
   | `Absent -> []
   | `Gauge ->
-    List.filter_map (fun s -> Option.map (fun v -> (s.ts, v)) (gauge_at s name)) all
+    List.filter_map (fun s -> Option.map (fun v -> (s.ts, v)) (gauge s name)) all
   | `Counter ->
     List.filter_map
       (fun (s1, s2) ->
-        match (counter_at s1 name, counter_at s2 name) with
+        match (Tel.Snapshot.counter s1.snap name, Tel.Snapshot.counter s2.snap name) with
         | Some c1, Some c2 ->
           let dt = s2.ts -. s1.ts in
           Some (s2.ts, if dt > 0.0 then float_of_int (max 0 (c2 - c1)) /. dt else 0.0)
@@ -263,36 +215,26 @@ let points t ?window name =
   | `Hist ->
     List.filter_map
       (fun (s1, s2) ->
-        match hist_at s2 name with
+        match Tel.Snapshot.histogram s2.snap name with
         | None -> None
         | Some h2 ->
-          Some (s2.ts, float_of_int (hist_delta (hist_at s1 name) h2).Tel.Histogram.count))
+          let delta = hist_delta (Tel.Snapshot.histogram s1.snap name) h2 in
+          Some (s2.ts, float_of_int delta.Tel.Histogram.count))
       (pairs all)
 
-(* ---- JSONL round-trip ---- *)
+(* ---- JSONL round-trip: one snapshot document per line ---- *)
 
-let sample_to_json s =
-  let fields f l = Tel.Json.Obj (List.map (fun (k, v) -> (k, f v)) l) in
-  Tel.Json.(
-    to_string
-      (Obj
-         [
-           ("ts", Num s.ts);
-           ("counters", fields int s.counters);
-           ("gauges", fields (fun v -> Num v) s.gauges);
-           ("hists", fields (fun h -> Obj (Tel.Snapshot.histogram_fields h)) s.hists);
-         ]))
-
-let to_jsonl t = String.concat "" (List.map (fun s -> sample_to_json s ^ "\n") (samples t))
-
-let sample_of_json j =
-  let open Tel.Json in
-  let ( let* ) = Option.bind in
-  let* ts = get "ts" to_num j in
-  let* counters = get "counters" (to_fields to_int) j in
-  let* gauges = get "gauges" (to_fields to_num) j in
-  let* hists = get "hists" (to_fields Tel.Snapshot.histogram_of_json) j in
-  Some { ts; counters; gauges; hists }
+(* the timestamp rides beside the document, which Snapshot.of_json
+   unwraps from its "telemetry" member *)
+let to_jsonl t =
+  String.concat ""
+    (List.map
+       (fun s ->
+         Printf.sprintf {|{"ts":%s,"telemetry":%s}|}
+           (Tel.Json.to_string (Tel.Json.Num s.ts))
+           (Tel.Snapshot.to_json s.snap)
+         ^ "\n")
+       (samples t))
 
 let of_jsonl text =
   let lines =
@@ -301,9 +243,10 @@ let of_jsonl text =
   let rec go acc i = function
     | [] -> Ok (List.rev acc)
     | line :: rest -> (
-      match Option.bind (Tel.Json.parse line) sample_of_json with
-      | None -> Error (Printf.sprintf "line %d: not a time-series sample" i)
-      | Some s -> go (s :: acc) (i + 1) rest)
+      let decoded j = (Tel.Json.get "ts" Tel.Json.to_num j, Tel.Snapshot.of_json j) in
+      match Option.map decoded (Tel.Json.parse line) with
+      | Some (Some ts, Ok snap) -> go ({ ts; snap } :: acc) (i + 1) rest
+      | _ -> Error (Printf.sprintf "line %d: not a time-series sample" i))
   in
   match go [] 1 lines with
   | Error _ as e -> e

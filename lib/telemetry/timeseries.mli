@@ -4,12 +4,12 @@
     Snapshots are point-in-time; an operator watching a live deployment
     needs {e history}: rounds per second over the last minute, the p99
     unwrap latency of the last five minutes, the heap-growth trend. A
-    {!t} is a ring of timestamped samples — each sample is the cumulative
-    counters, gauges and histogram states of one
-    {!Telemetry.Snapshot.take} — recorded at round boundaries (and on
-    scrape by the metrics listener). The ring overwrites its oldest
-    sample when full, so recording is O(metrics) forever and a server
-    that runs for months keeps a bounded sliding window.
+    {!t} is a ring of timestamped samples — each sample is one
+    {!Telemetry.Snapshot.t}, the cumulative counters, gauges and
+    histograms without the spans — recorded at round boundaries (and
+    on every fleet scrape by a {!Collector}). The ring overwrites its
+    oldest sample when full, so recording is O(metrics) forever and a
+    server that runs for months keeps a bounded sliding window.
 
     Windowed queries work on {e deltas between consecutive samples},
     clamped at zero, so they stay correct across
@@ -19,33 +19,30 @@
 
     - {!rate}: counter increase per second over the window.
     - {!gauge_stats}: min / max / last of a gauge over the window.
-    - {!hist_window} / {!quantile}: the merged {e delta} histogram of the
-      window (bucket-wise, the increments of each consecutive pair), so
-      p50/p99 describe only observations inside the window.
+    - {!quantile}: over the merged {e delta} histogram of the window
+      (bucket-wise, the increments of each consecutive pair), so p50/p99
+      describe only observations inside the window.
     - {!points}: one value per sample for sparklines — a counter yields
       its per-interval rate, a gauge its level, a histogram its
       per-interval observation count.
 
-    Metric keys are [name] or [name{k=v,...}] (labels sorted): an exact
-    labeled key selects one instance, a bare name label-merges every
-    instance (counters sum, gauges max, histograms merge).
+    Every query takes a metric key and reads each sample through the
+    snapshot's one selection rule ({!Telemetry.Snapshot.counter}): a
+    bare name label-merges every instance (counters sum, gauges max,
+    histograms merge), and [name{k=v,...}] as {!Telemetry.metric_key}
+    prints it selects one.
 
     Timestamps come from the owning registry's clock, so a DES-driven
     simulation records simulated seconds and a live deployment wall
     seconds — the queries and the [top] dashboard work identically on
     both. {!to_jsonl}/{!of_jsonl} round-trip the ring as JSON-lines (one
-    sample per line), which is how [serve-metrics --record] persists a
-    run and [top --replay] watches it offline. *)
+    snapshot document per line), which is how [serve-metrics --record]
+    persists a run and [top --replay] watches it offline. *)
 
 type t
 
-type sample = {
-  ts : float;
-  counters : (string * int) list;  (** by key, see above *)
-  gauges : (string * float) list;
-  hists : (string * Telemetry.Histogram.snap) list;
-}
-(** One recorded sample: the cumulative values at [ts]. *)
+type sample = { ts : float; snap : Telemetry.Snapshot.t }
+(** One recorded sample: the snapshot at [ts], its spans dropped. *)
 
 val create : ?capacity:int -> Telemetry.registry -> t
 (** Ring of [capacity] samples (default 720) recording from the given
@@ -76,7 +73,6 @@ val record_snapshot : t -> ts:float -> Telemetry.Snapshot.t -> unit
 
 val capacity : t -> int
 val length : t -> int
-val clear : t -> unit
 
 val samples : t -> sample list
 (** Retained samples, oldest first. *)
@@ -87,14 +83,8 @@ val last_ts : t -> float option
 val span_seconds : t -> float
 (** [newest ts - oldest ts]; [0.] with fewer than two samples. *)
 
-val names : t -> string list
-(** Every metric key observed across retained samples (bare and labeled
-    forms), sorted. *)
-
-val matches : q:string -> string -> bool
-(** [matches ~q key]: does ring key [key] answer query [q]? True on an
-    exact match, or when [q] is a bare name and [key] a labeled instance
-    of it ([q ^ "{...}"]). *)
+val mem : t -> string -> bool
+(** Does any retained sample hold a metric the key selects? *)
 
 val rate : t -> ?window:float -> string -> float
 (** Counter increase per second over the trailing [window] seconds
@@ -104,13 +94,10 @@ val rate : t -> ?window:float -> string -> float
 val gauge_stats : t -> ?window:float -> string -> (float * float * float) option
 (** [(min, max, last)] of a gauge over the window; [None] if absent. *)
 
-val hist_window : t -> ?window:float -> string -> Telemetry.Histogram.snap
-(** Merged delta histogram of the window ({!Telemetry.Histogram.empty}
-    when absent). Bucket bounds are the shared log-2 layout; [min_v] /
-    [max_v] are bucket-resolution estimates. *)
-
 val quantile : t -> ?window:float -> string -> float -> float
-(** [quantile t name q] over {!hist_window}; [0.] when empty. *)
+(** [quantile t name q] over the window's merged delta histogram, whose
+    [min_v] / [max_v] are bucket-resolution estimates; [0.] when
+    empty. *)
 
 val points : t -> ?window:float -> string -> (float * float) list
 (** Sparkline series, oldest first (see above for the per-kind value).
@@ -118,13 +105,12 @@ val points : t -> ?window:float -> string -> (float * float) list
     (timestamped at the newer sample); gauges one per sample. *)
 
 val to_jsonl : t -> string
-(** One JSON object per retained sample, oldest first, printed by
-    {!Telemetry.Json.to_string}:
-    [{"ts":_,"counters":{key:n},"gauges":{key:x},"hists":{key:h}}], each
-    [h] in the snapshot document's histogram members
-    ({!Telemetry.Snapshot.histogram_fields}). *)
+(** One line per retained sample, oldest first:
+    [{"ts":_,"telemetry":doc}], [doc] the sample's snapshot document
+    ({!Telemetry.Snapshot.to_json}). *)
 
 val of_jsonl : string -> (t, string) result
 (** Parse a {!to_jsonl} dump into a detached ring sized to fit it
-    exactly; every value reads back bit for bit (a non-finite gauge as
-    [nan]). [Error] names the first line that is not a sample. *)
+    exactly, each document decoded by {!Telemetry.Snapshot.of_json};
+    every value reads back bit for bit (a non-finite gauge as [nan]).
+    [Error] names the first line that is not a sample. *)

@@ -63,9 +63,6 @@ val ctx_of_labels : Telemetry.labels -> ctx option
 
 (** {1 Stitching a snapshot back into traces} *)
 
-val spans_of : Telemetry.Snapshot.t -> (ctx * Telemetry.Snapshot.span) list
-(** Every traced span in the snapshot, with its decoded context. *)
-
 val traces : Telemetry.Snapshot.t -> (int * (ctx * Telemetry.Snapshot.span) list) list
 (** Traced spans grouped by trace id, each group sorted by start time —
     the stitched causal timeline of one message. *)

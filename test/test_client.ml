@@ -142,8 +142,9 @@ let unit_tests =
         let mpk_agg = Alpenhorn_ibe.Ibe.aggregate_public (Deployment.params d) mpks in
         let rng = Drbg.create ~seed:"uniform-keys" in
         let server_pks = [ snd (Dh.keygen (Deployment.params d) rng) ] in
+        let extract i = Pkg.extract pkgs.(i) ~now:0 ~round in
         let ctx c =
-          match Client.begin_addfriend_round c ~round ~now:0 ~pkgs with
+          match Client.begin_addfriend_round_with c ~round ~n_pkgs:(Array.length pkgs) ~extract with
           | Ok ctx -> ctx
           | Error e -> Alcotest.failf "begin: %s" (Pkg.error_to_string e)
         in

@@ -8,6 +8,7 @@ module Tel = Alpenhorn_telemetry.Telemetry
 module Collector = Alpenhorn_telemetry.Collector
 module Expose = Alpenhorn_telemetry.Expose
 module Slo = Alpenhorn_telemetry.Slo
+module Timeseries = Alpenhorn_telemetry.Timeseries
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -27,9 +28,7 @@ let find_check (report : Slo.report) name =
   | None -> Alcotest.failf "rule %s missing from report" name
 
 let gauge_value snap ~labels name =
-  List.find_map
-    (fun (n, l, v) -> if n = name && l = List.sort compare labels then Some v else None)
-    snap.Tel.Snapshot.gauges
+  List.nth_opt (Tel.Snapshot.gauges snap (Tel.metric_key name (List.sort compare labels))) 0
 
 (* ---------- exposition: constant labels ---------- *)
 
@@ -90,9 +89,8 @@ let merge_tests =
         Alcotest.(check int) "fleet rpc.errors" 5 (Tel.Snapshot.counter_sum m "rpc.errors");
         Alcotest.(check (option int))
           "pkg-0 share" (Some 2)
-          (Tel.Snapshot.find_counter m
-             ~labels:[ ("instance", "pkg-0"); ("role", "pkg") ]
-             "rpc.errors");
+          (Tel.Snapshot.counter m
+             (Tel.metric_key "rpc.errors" [ ("instance", "pkg-0"); ("role", "pkg") ]));
         Alcotest.(check (option (float 0.0)))
           "mixer heap" (Some 250.0)
           (gauge_value m ~labels:[ ("instance", "mixer-1"); ("role", "mixer") ]
@@ -156,7 +154,7 @@ let parse_tests =
         in
         Alcotest.(check (option int))
           "counter" (Some 7)
-          (Tel.Snapshot.find_counter back ~labels:[ ("tag", "0x20") ] "rpc.call");
+          (Tel.Snapshot.counter back (Tel.metric_key "rpc.call" [ ("tag", "0x20") ]));
         Alcotest.(check (option (float 0.0)))
           "gauge" (Some 12.5) (gauge_value back ~labels:[] "mix.noise");
         (match back.Tel.Snapshot.histograms with
@@ -292,4 +290,84 @@ let staleness_tests =
         | exception Invalid_argument _ -> ());
   ]
 
-let suite = exposition_tests @ merge_tests @ parse_tests @ staleness_tests
+(* ---------- one selection rule ---------- *)
+
+(* The merge keeps label sets sorted, as a registry does, and every
+   reader of a local or merged snapshot answers alike for any key. *)
+let selection_tests =
+  [
+    Alcotest.test_case "merged labels sorted; every reader selects by one rule" `Quick (fun () ->
+        let r = Tel.create () in
+        let on kind domain = [ ("kind", kind); ("domain", domain) ] in
+        Tel.Counter.add (Tel.Counter.v r ~labels:(on "crash" "0") "faults.injected") 2;
+        Tel.Counter.add (Tel.Counter.v r ~labels:(on "stall" "1") "faults.injected") 5;
+        Tel.Gauge.set (Tel.Gauge.v r ~labels:(on "crash" "0") "faults.pending") 3.0;
+        Tel.Gauge.set (Tel.Gauge.v r ~labels:(on "stall" "1") "faults.pending") 7.0;
+        let recovery d = Tel.Histogram.v r ~labels:(on "crash" d) "faults.recovery_seconds" in
+        List.iter (fun (d, v) -> Tel.Histogram.observe (recovery d) v) [ ("0", 1.0); ("0", 2.0); ("1", 5.0) ];
+        Tel.Span.emit r ~labels:(on "crash" "0") ~name:"faults.recover" ~ts:0.0 ~dur:1.0 ();
+        let coll = Collector.create ~fetch:no_fetch [ Collector.instance ~name:"mixer-0" (Collector.Local r) ] in
+        Collector.scrape coll;
+        let plain = Tel.Snapshot.take r and merged = Collector.merged coll in
+        let labels l = List.map (fun (_, l, _) -> l) l in
+        List.iter
+          (fun l -> Alcotest.(check (list (pair string string))) "merged labels sorted" (List.sort compare l) l)
+          (labels merged.counters @ labels merged.gauges @ labels merged.histograms
+          @ List.map (fun (sp : Tel.Snapshot.span) -> sp.labels) merged.spans);
+        let f = Alcotest.float 0.0 in
+        let agree (snap : Tel.Snapshot.t) =
+          (* the snapshot after an empty one: the ring's deltas are its values *)
+          let ring = Timeseries.create_detached () in
+          Timeseries.record_snapshot ring ~ts:0.0 { snap with counters = []; gauges = []; histograms = [] };
+          Timeseries.record_snapshot ring ~ts:1.0 snap;
+          let ring' = Result.get_ok (Timeseries.of_jsonl (Timeseries.to_jsonl ring)) in
+          let printed l = List.map (fun (n, l, _) -> Tel.metric_key n l) l in
+          List.iter
+            (fun key ->
+              let c = Tel.Snapshot.counter snap key and h = Tel.Snapshot.histogram snap key in
+              let worst f =
+                match Tel.Snapshot.gauges snap key with [] -> None | v :: vs -> Some (List.fold_left f v vs)
+              in
+              let hist_max = Option.map (fun (h : Tel.Histogram.snap) -> h.max_v) h in
+              Alcotest.(check (list (option f)))
+                ("Slo " ^ key)
+                [ Option.map float_of_int c; worst Float.max; worst Float.min; hist_max ]
+                (List.map (Slo.value_of snap) [ Counter key; Gauge key; Gauge_min key; Hist_max key ]);
+              (* a histogram's one point is its count in the interval *)
+              let ring_answers ring =
+                [
+                  Some (Timeseries.rate ring key);
+                  Option.map (fun (_, mx, _) -> mx) (Timeseries.gauge_stats ring key);
+                  (match Timeseries.points ring key with [ (_, n) ] when h <> None -> Some n | _ -> None);
+                ]
+              in
+              let expected =
+                [
+                  Some (float_of_int (Option.value c ~default:0));
+                  worst Float.max;
+                  Option.map (fun (h : Tel.Histogram.snap) -> float_of_int h.count) h;
+                ]
+              in
+              Alcotest.(check (list (option f))) ("ring " ^ key) expected (ring_answers ring);
+              Alcotest.(check (list (option f))) ("ring read back " ^ key) expected (ring_answers ring');
+              Alcotest.(check bool) ("mem " ^ key) (c <> None || worst Float.max <> None || h <> None)
+                (Timeseries.mem ring' key))
+            ([ "faults.injected"; "faults.pending"; "faults.recovery_seconds"; "ghost" ]
+            @ [ "faults.injected{kind=crash,domain=0}" ]
+            @ printed snap.counters @ printed snap.gauges @ printed snap.histograms)
+        in
+        agree plain;
+        agree merged;
+        (* and the rule itself: a bare name sums, an exact key selects one *)
+        Alcotest.(check (list (option int)))
+          "counters" [ Some 7; Some 2; Some 7; Some 2 ]
+          (List.map2 Tel.Snapshot.counter [ plain; plain; merged; merged ]
+             [
+               "faults.injected";
+               "faults.injected{domain=0,kind=crash}";
+               "faults.injected";
+               "faults.injected{domain=0,instance=mixer-0,kind=crash,role=mixer}";
+             ]));
+  ]
+
+let suite = exposition_tests @ merge_tests @ parse_tests @ staleness_tests @ selection_tests

@@ -217,14 +217,13 @@ let trace_envelope_tests =
                   (* satellite: per-tag rpc telemetry on the default registry *)
                   let snap = Tel.Snapshot.take Tel.default in
                   let tag_labels = [ ("tag", "0x2a") ] in
-                  (match Tel.Snapshot.find_counter snap ~labels:tag_labels "rpc.call" with
+                  (match Tel.Snapshot.counter snap (Tel.metric_key "rpc.call" tag_labels) with
                   | Some n -> Alcotest.(check bool) "rpc.call{tag} counted" true (n >= 2)
                   | None -> Alcotest.fail "rpc.call{tag=0x2a} missing");
                   let hist name =
-                    List.exists
-                      (fun (n, l, (h : Tel.Histogram.snap)) ->
-                        n = name && l = tag_labels && h.Tel.Histogram.count >= 2)
-                      snap.Tel.Snapshot.histograms
+                    match Tel.Snapshot.histogram snap (Tel.metric_key name tag_labels) with
+                    | Some h -> h.Tel.Histogram.count >= 2
+                    | None -> false
                   in
                   Alcotest.(check bool) "rpc.request_seconds{tag}" true (hist "rpc.request_seconds");
                   Alcotest.(check bool) "rpc.payload_bytes{tag}" true (hist "rpc.payload_bytes"))));
@@ -426,7 +425,7 @@ let serving_rpc handler k =
     (fun () -> k (Rpc.Server.port srv))
 
 let counter name =
-  Option.value ~default:0 (Tel.Snapshot.find_counter (Tel.Snapshot.take Tel.default) name)
+  Option.value ~default:0 (Tel.Snapshot.counter (Tel.Snapshot.take Tel.default) name)
 
 let call_exn c (f : F.frame) =
   match Rpc.Client.call c f with Ok r -> r | Error e -> Alcotest.failf "call: %s" e

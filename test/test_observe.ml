@@ -221,9 +221,9 @@ let timeseries_tests =
                  Int64.bits_of_float h.max_v, Array.to_list h.buckets)
               in
               ( Int64.bits_of_float s.ts,
-                s.counters,
-                List.map (fun (k, v) -> (k, Int64.bits_of_float v)) s.gauges,
-                List.map (fun (k, v) -> (k, hist v)) s.hists ))
+                s.snap.counters,
+                List.map (fun (n, l, v) -> (n, l, Int64.bits_of_float v)) s.snap.gauges,
+                List.map (fun (n, l, v) -> (n, l, hist v)) s.snap.histograms ))
             (Timeseries.samples ring)
         in
         match Timeseries.of_jsonl (Timeseries.to_jsonl ring) with

@@ -308,11 +308,10 @@ let reset_conservation_tests =
         let ds = List.init domains (fun _ -> Domain.spawn writer) in
         let seen = ref 0 and seen_h = ref 0 in
         let accumulate (snap : Tel.Snapshot.t) =
-          List.iter (fun (n, _, v) -> if n = "conserved" then seen := !seen + v) snap.counters;
-          List.iter
-            (fun (n, _, (h : Tel.Histogram.snap)) ->
-              if n = "conserved_h" then seen_h := !seen_h + h.count)
-            snap.histograms
+          seen := !seen + Tel.Snapshot.counter_sum snap "conserved";
+          Option.iter
+            (fun (h : Tel.Histogram.snap) -> seen_h := !seen_h + h.count)
+            (Tel.Snapshot.histogram snap "conserved_h")
         in
         (* snapshot-and-reset while the writers are mid-flight *)
         while Atomic.get still_writing > 0 do

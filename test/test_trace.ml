@@ -22,11 +22,7 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let gauge snap name =
-  List.filter_map
-    (fun (n, _, v) -> if n = name then Some v else None)
-    snap.Tel.Snapshot.gauges
-  |> List.fold_left Float.max neg_infinity
+let gauge snap name = List.fold_left Float.max neg_infinity (Tel.Snapshot.gauges snap name)
 
 (* Follow parent pointers from the root: the causal chain of one trace. *)
 let causal_chain spans =
