@@ -3,13 +3,9 @@
    The paper's Pond integration is a command-line client that lets users
    friend and call each other and prints the resulting shared secret,
    ready to paste into PANDA. This binary provides that flow against an
-   in-process deployment, plus a parameter inspector and a what-if
-   simulator over the evaluation cost model.
-
-   Subcommands:
-     session   interactive-style scripted session (friend + call + secret)
-     params    show the pairing parameter sets
-     simulate  price a deployment with the §8 cost model *)
+   in-process deployment (session), and the tools around it: params,
+   simulate, scale, e2e-net, serve-pkg, serve-mixer, serve-metrics and
+   top, each described by its --help. *)
 
 module B = Alpenhorn_bigint.Bigint
 module Params = Alpenhorn_pairing.Params

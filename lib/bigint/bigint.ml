@@ -56,7 +56,10 @@ let mag_sub a b =
   assert (!borrow = 0);
   r
 
-let mag_mul_schoolbook a b =
+(* Schoolbook only: the largest products on any path are about 480 bits
+   (p·p and R² on the production curve, 16 limbs), so a Karatsuba split,
+   which pays only past a few dozen limbs, would never run. *)
+let mag_mul a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then [||]
   else begin
@@ -80,48 +83,6 @@ let mag_mul_schoolbook a b =
         done
       end
     done;
-    r
-  end
-
-let karatsuba_threshold = 32
-
-let rec mag_mul a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then [||]
-  else if la < karatsuba_threshold || lb < karatsuba_threshold then mag_mul_schoolbook a b
-  else begin
-    (* Karatsuba: split at half of the larger operand. *)
-    let h = (Stdlib.max la lb + 1) / 2 in
-    let lo x = mag_normalize (Array.sub x 0 (Stdlib.min h (Array.length x))) in
-    let hi x = if Array.length x <= h then [||] else Array.sub x h (Array.length x - h) in
-    let a0 = lo a and a1 = hi a and b0 = lo b and b1 = hi b in
-    let z0 = mag_mul a0 b0 in
-    let z2 = mag_mul a1 b1 in
-    let sa = mag_normalize (mag_add a0 a1) and sb = mag_normalize (mag_add b0 b1) in
-    let z1full = mag_mul sa sb in
-    (* z1 = z1full - z0 - z2 *)
-    let z1 = mag_normalize (mag_sub (mag_normalize z1full) (mag_normalize z0)) in
-    let z1 = mag_normalize (mag_sub z1 (mag_normalize z2)) in
-    let r = Array.make (la + lb + 1) 0 in
-    let add_at ofs x =
-      let carry = ref 0 in
-      let lx = Array.length x in
-      for i = 0 to lx - 1 do
-        let s = r.(ofs + i) + x.(i) + !carry in
-        r.(ofs + i) <- s land mask;
-        carry := s lsr limb_bits
-      done;
-      let k = ref (ofs + lx) in
-      while !carry <> 0 do
-        let s = r.(!k) + !carry in
-        r.(!k) <- s land mask;
-        carry := s lsr limb_bits;
-        incr k
-      done
-    in
-    add_at 0 (mag_normalize z0);
-    add_at h z1;
-    add_at (2 * h) (mag_normalize z2);
     r
   end
 

@@ -8,6 +8,9 @@ module Fp2 = Alpenhorn_pairing.Fp2
 type blinded = Curve.point
 type unblinder = Bigint.t
 
+(* Domain separator: blind-signed messages live in a different hash domain
+   from ordinary BLS messages, so a blind-signing oracle cannot be abused
+   to forge protocol signatures. *)
 let message_hash_prefix = "bls-blind"
 
 let hash_msg (params : Params.t) msg = Pairing.hash_to_group params (message_hash_prefix ^ msg)

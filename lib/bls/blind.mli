@@ -33,10 +33,5 @@ val unblind :
 (** Remove the blinding; the result verifies as a plain BLS signature on
     the original message under the signer's public key. *)
 
-val message_hash_prefix : string
-(** Domain separator: blind-signed messages live in a different hash
-    domain from ordinary BLS messages, so a blind-signing oracle cannot be
-    abused to forge protocol signatures. *)
-
 val verify : Params.t -> Bls.public -> msg:string -> Bls.signature -> bool
 (** Verification in the blind domain. *)

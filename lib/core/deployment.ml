@@ -2,9 +2,9 @@ module Drbg = Alpenhorn_crypto.Drbg
 module Params = Alpenhorn_pairing.Params
 module Ibe = Alpenhorn_ibe.Ibe
 module Bls = Alpenhorn_bls.Bls
-module Dh = Alpenhorn_dh.Dh
 module Pkg = Alpenhorn_pkg.Pkg
 module Chain = Alpenhorn_mixnet.Chain
+module Server = Alpenhorn_mixnet.Server
 module Mailbox = Alpenhorn_mixnet.Mailbox
 module Shard = Alpenhorn_mixnet.Shard
 module Bloom = Alpenhorn_bloom.Bloom
@@ -29,8 +29,9 @@ exception Round_failed of { phase : string; round : int; attempts : int }
 type mode = [ `AddFriend | `Dialing ]
 
 (* The seam between the rounds below, written once, and the servers they
-   run on: in process (function calls into Pkg.t and Chain.t, built by [create])
-   or over framed TCP RPC (Alpenhorn_remote.Net_deployment). *)
+   run on: in process (function calls into Pkg.t and local Chain hops,
+   built by [create]) or over framed TCP RPC
+   (Alpenhorn_remote.Net_deployment). *)
 type backend = {
   pkg_public_keys : Bls.public list;
   register : int -> now:int -> email:string -> pk:Bls.public -> (unit, Pkg.error) result;
@@ -45,17 +46,7 @@ type backend = {
     (string * Bls.signature) array ->
     (Ibe.identity_key * Bls.signature, Pkg.error) result array;
   end_round : int -> round:int -> unit;
-  new_round_keys : mode -> Dh.public list;
-  mix :
-    mode ->
-    tracer:Trace.t option ->
-    noise_mu:float ->
-    num_mailboxes:int ->
-    mpk_agg:Ibe.master_public option ->
-    (string * Trace.ctx option) array ->
-    string array * int * (int * Trace.ctx) list;
-  crash : mode -> server:int -> unit;
-  recover : mode -> unit;
+  chain : mode -> Ibe.master_public option Chain.t;
   trace_round : 'a. Trace.t -> phase:string -> round:int -> (Trace.t option -> 'a) -> 'a;
   close : unit -> unit;
 }
@@ -78,7 +69,31 @@ type t = {
   mutable worst_streak : int;
 }
 
+(* ---- the servers, built from the seed ---- *)
+
+(* Every server derives its DRBG from the deployment root along a fixed
+   label, whichever process builds it: [Drbg.derive] is a pure HMAC fork,
+   so a server process reproduces the in-process server of the same seed. *)
 let root_rng ~seed = Drbg.create ~seed:("deployment" ^ seed)
+
+let new_pkg ~config ~seed ~index =
+  (* the simulated email provider: address -> tokens, newest first *)
+  let inbox = Hashtbl.create 16 in
+  let read ~email = Option.value ~default:[] (Hashtbl.find_opt inbox email) in
+  let pkg =
+    Pkg.create (Config.params config)
+      ~rng:(Drbg.derive (root_rng ~seed) (Printf.sprintf "pkg-%d" index))
+      ~send_email:(fun ~to_ ~token -> Hashtbl.replace inbox to_ (token :: read ~email:to_))
+      ()
+  in
+  (pkg, read)
+
+let new_mix_server ~config ~seed mode ~position =
+  let chain = match mode with `AddFriend -> "af-chain" | `Dialing -> "dial-chain" in
+  let chain_rng = Drbg.derive (root_rng ~seed) chain in
+  Server.create (Config.params config)
+    ~rng:(Drbg.derive chain_rng (Printf.sprintf "mix-server-%d" position))
+    ~position ~chain_length:config.Config.chain_length
 
 let validate ~where config =
   match Config.validate config with Ok () -> () | Error m -> invalid_arg (where ^ ": " ^ m)
@@ -112,49 +127,28 @@ let create ~config ~seed =
   validate ~where:"Deployment.create" config;
   let params = Config.params config in
   let rng = root_rng ~seed in
-  (* the simulated email provider: (pkg, address) -> tokens, newest first *)
-  let inboxes = Hashtbl.create 256 in
-  let inbox i ~email = Option.value ~default:[] (Hashtbl.find_opt inboxes (i, email)) in
-  let pkgs =
-    Array.init config.Config.n_pkgs (fun i ->
-        Pkg.create params
-          ~rng:(Drbg.derive rng (Printf.sprintf "pkg-%d" i))
-          ~send_email:(fun ~to_ ~token ->
-            Hashtbl.replace inboxes (i, to_) (token :: inbox i ~email:to_))
-          ())
+  let pkgs, inboxes =
+    Array.split (Array.init config.Config.n_pkgs (fun index -> new_pkg ~config ~seed ~index))
   in
-  let chain_of label =
-    Chain.create params ~rng:(Drbg.derive rng label) ~chain_length:config.Config.chain_length
+  (* noise bodies come from the deployment root, in the chain's order *)
+  let chain_of mode =
+    Chain.create
+      (Array.init config.Config.chain_length (fun position ->
+           Chain.local (new_mix_server ~config ~seed mode ~position)
+             ~noise_body:(fun mpk_agg -> Wire.noise_body params rng mode ~mpk_agg)))
   in
-  let af_chain = chain_of "af-chain" and dial_chain = chain_of "dial-chain" in
-  let chain = function `AddFriend -> af_chain | `Dialing -> dial_chain in
+  let af_chain = chain_of `AddFriend and dial_chain = chain_of `Dialing in
   make ~config ~rng ~local_pkgs:pkgs
     {
       pkg_public_keys = Array.to_list (Array.map Pkg.long_term_public pkgs);
       register = (fun i ~now ~email ~pk -> Pkg.register pkgs.(i) ~now ~email ~pk);
-      inbox;
+      inbox = (fun i ~email -> inboxes.(i) ~email);
       confirm = (fun i ~now ~email ~token -> Pkg.confirm pkgs.(i) ~now ~email ~token);
       begin_round = (fun i ~round -> Pkg.begin_round pkgs.(i) ~round);
       reveal = (fun i ~round -> Pkg.reveal_round pkgs.(i) ~round);
       extract_batch = (fun i ~now ~round reqs -> Pkg.extract_batch pkgs.(i) ~now ~round reqs);
       end_round = (fun i ~round -> Pkg.end_round pkgs.(i) ~round);
-      new_round_keys = (fun mode -> Chain.begin_round (chain mode));
-      (* noise bodies come from the deployment root, in the chain's order *)
-      mix =
-        (fun mode ~tracer ~noise_mu ~num_mailboxes ~mpk_agg batch ->
-          Chain.mix (chain mode) ~noise_mu ~laplace_b:config.Config.laplace_b ~num_mailboxes
-            ~noise_body:
-              (Wire.noise_body params rng mode
-                 ~mpk_agg:(if config.Config.faithful_noise then mpk_agg else None))
-            ?tracer batch);
-      crash = (fun mode ~server -> Chain.crash_server (chain mode) ~server);
-      recover =
-        (fun mode ->
-          let c = chain mode in
-          Chain.abort_round c;
-          for s = 0 to Chain.chain_length c - 1 do
-            if Chain.server_down c ~server:s then Chain.restart_server c ~server:s
-          done);
+      chain = (function `AddFriend -> af_chain | `Dialing -> dial_chain);
       (* messages carry their trace contexts out of band through the chain *)
       trace_round = (fun tr ~phase:_ ~round:_ f -> f (Some tr));
       close = ignore;
@@ -244,7 +238,7 @@ let inject_faults t mode ~phase ~round ~attempt =
     let servers = t.config.Config.chain_length in
     for s = 0 to servers - 1 do
       if fv.fv_crash_attempts ~round ~server:s >= attempt then begin
-        t.b.crash mode ~server:s;
+        Chain.crash_server (t.b.chain mode) ~server:s;
         Tel.Counter.inc (c_injected "crash")
       end
     done;
@@ -307,7 +301,7 @@ let with_recovery t mode ~phase ~round ~clients ~cleanup body =
     | exception (Chain.Aborted _ | Stall_timeout) ->
       if !first_abort_clock = None then first_abort_clock := Some t.clock;
       record_abort t;
-      t.b.recover mode;
+      Chain.recover (t.b.chain mode);
       List.iter (fun (c, cp) -> Client.rollback c cp) checkpoints;
       cleanup ();
       if n >= policy.Client.max_attempts then begin
@@ -470,7 +464,7 @@ let run_addfriend_round (t : t) ?participants () =
     let mpk_agg = Tel.Span.with_ Tel.default "pkg.rotate" (fun () -> rotate t ~round) in
     let num_mailboxes = num_mailboxes t `AddFriend ~participants:(List.length clients) in
     (* 2. every client extracts identity keys and submits one onion *)
-    let server_pks = t.b.new_round_keys `AddFriend in
+    let server_pks = Chain.begin_round (t.b.chain `AddFriend) in
     after_begin ();
     let contexts, batch =
       Tel.Span.with_ Tel.default "client.submit" @@ fun () ->
@@ -491,10 +485,13 @@ let run_addfriend_round (t : t) ?participants () =
       in
       (contexts, batch)
     in
-    (* 3. the mixnet chain runs the round *)
+    (* 3. the mixnet chain runs the round; its noise is IBE ciphertexts
+       under the round's key when noise is faithful *)
     let final, noise_added, published =
-      t.b.mix `AddFriend ~tracer ~noise_mu:t.config.Config.addfriend_noise_mu ~num_mailboxes
-        ~mpk_agg:(Some mpk_agg) batch
+      Chain.mix (t.b.chain `AddFriend) ~noise_mu:t.config.Config.addfriend_noise_mu
+        ~laplace_b:t.config.Config.laplace_b ~num_mailboxes
+        ~noise:(if t.config.Config.faithful_noise then Some mpk_agg else None)
+        ?tracer batch
     in
     let mailboxes, dropped = Mailbox.distribute ~num_mailboxes ~mode:`AddFriend final in
     let buckets = Mailbox.plain_exn mailboxes in
@@ -577,7 +574,7 @@ let run_dialing_round (t : t) ?participants () =
     Tel.Span.with_ Tel.default "round.dialing" @@ fun () ->
     let num_mailboxes = num_mailboxes t `Dialing ~participants:(List.length clients) in
     List.iter (fun c -> Client.advance_dialing c ~round) clients;
-    let server_pks = t.b.new_round_keys `Dialing in
+    let server_pks = Chain.begin_round (t.b.chain `Dialing) in
     after_begin ();
     let batch =
       Tel.Span.with_ Tel.default "client.submit" @@ fun () ->
@@ -586,8 +583,8 @@ let run_dialing_round (t : t) ?participants () =
       |> Array.of_list
     in
     let final, noise_added, published =
-      t.b.mix `Dialing ~tracer ~noise_mu:t.config.Config.dialing_noise_mu ~num_mailboxes
-        ~mpk_agg:None batch
+      Chain.mix (t.b.chain `Dialing) ~noise_mu:t.config.Config.dialing_noise_mu
+        ~laplace_b:t.config.Config.laplace_b ~num_mailboxes ~noise:None ?tracer batch
     in
     (* §5.1 CDN model: one Bloom filter per shard of contiguous mailboxes;
        with no shard count configured, one shard per mailbox *)

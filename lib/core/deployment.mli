@@ -3,13 +3,14 @@
     clients — all driven round by round.
 
     This module is the one implementation of the rounds (DESIGN.md §13):
-    the add-friend round of Algorithm 1, the dialing round of §5, the §4.5
-    anytrust abort with the §10 recovery loop, and the §5.1 dialing
-    archive. It reaches the PKGs and mixnet servers only through a
-    {!backend} of closures. {!create} builds the in-process backend: the
-    real protocol end to end (every onion layer, IBE ciphertext, signature
-    and Bloom filter is genuine) with the network collapsed into function
-    calls.
+    the add-friend round of Algorithm 1, the dialing round of §5, the §10
+    recovery loop around the §4.5 anytrust abort, and the §5.1 dialing
+    archive. It reaches the PKGs through a {!backend} of closures and the
+    mixnet through the backend's {!Alpenhorn_mixnet.Chain}s, one mix
+    pipeline whatever the transport. {!create} builds the in-process
+    backend: the real protocol end to end (every onion layer, IBE
+    ciphertext, signature and Bloom filter is genuine) with the network
+    collapsed into function calls.
     [Alpenhorn_remote.Net_deployment] builds a backend that reaches server
     processes over framed TCP RPC. The latency/bandwidth figures of §8 use
     {!Alpenhorn_sim} instead, which prices the same message flows with a
@@ -22,11 +23,31 @@ module Pkg = Alpenhorn_pkg.Pkg
 
 type t
 
+type mode = [ `AddFriend | `Dialing ]
+
+(** {1 The servers}
+
+    Every server derives its DRBG from the deployment's root DRBG
+    ({!root_rng}) along a fixed label, whichever process builds it, so a
+    server process reproduces the in-process server of the same seed. *)
+
+val root_rng : seed:string -> Drbg.t
+
+val new_pkg : config:Config.t -> seed:string -> index:int -> Pkg.t * (email:string -> string list)
+(** PKG [index], along ["pkg-<index>"], with its simulated email
+    provider: the second component reads the confirmation tokens it
+    delivered to an address, most recent first. *)
+
+val new_mix_server :
+  config:Config.t -> seed:string -> mode -> position:int -> Alpenhorn_mixnet.Server.t
+(** Position [position] of one chain, along ["af-chain"] or
+    ["dial-chain"], then ["mix-server-<position>"].
+    @raise Invalid_argument when [position] is outside the chain. *)
+
 val create : config:Config.t -> seed:string -> t
-(** The in-process deployment. Every server derives its DRBG from [seed]:
-    PKG [i] along ["pkg-i"], the chains along ["af-chain"] and
-    ["dial-chain"]; clients along ["client-"^email]. Noise bodies are drawn
-    from the deployment's root DRBG. *)
+(** The in-process deployment, over {!new_pkg} and {!new_mix_server}
+    servers. Clients derive along ["client-"^email]. Noise bodies are
+    drawn from the root DRBG, in chain order. *)
 
 val config : t -> Config.t
 val params : t -> Params.t
@@ -82,7 +103,7 @@ val set_faults : t -> fault_view option -> unit
 (** Install (or clear) the fault schedule applied to subsequent rounds.
     Faults are injected just after the chain announces its round keys —
     the server-dies-mid-round case the anytrust abort path (§4.5) exists
-    for; a crash goes through the backend's [crash]. An aborted round
+    for; a crash goes through the chain's hop. An aborted round
     rolls every participant back and re-runs after deterministic
     exponential backoff (clock time, {!advance_clock}); aborts, retries,
     injected faults and recovery time land in the [faults.*] metrics and
@@ -173,13 +194,11 @@ val catch_up_client : t -> Client.t -> Client.dial_event list
 (** {1 The backend seam}
 
     Everything the rounds ask of the servers. PKGs are addressed by index
-    [0 .. n_pkgs-1]; mixnet servers by chain position, one chain per
-    {!mode}. A PKG failure is fatal ([Failure]); a mixnet server that is
+    [0 .. n_pkgs-1]; the mixnet is one {!Alpenhorn_mixnet.Chain.t} per
+    {!mode}. A PKG failure is fatal ([Failure]); a mixnet hop that is
     down or unreachable is the anytrust abort signal,
     {!Alpenhorn_mixnet.Chain.Aborted}, which the recovery loop answers
-    with [recover] and a retry. *)
-
-type mode = [ `AddFriend | `Dialing ]
+    with {!Alpenhorn_mixnet.Chain.recover} and a retry. *)
 
 type backend = {
   pkg_public_keys : Bls.public list;  (** fetched once, at creation *)
@@ -199,24 +218,9 @@ type backend = {
     (Alpenhorn_ibe.Ibe.identity_key * Bls.signature, Pkg.error) result array;
       (** every client's extraction request at PKG [i], answers in order *)
   end_round : int -> round:int -> unit;  (** erase the round's master secret *)
-  new_round_keys : mode -> Alpenhorn_dh.Dh.public list;
-      (** rotate every server's round key; the public keys in chain order *)
-  mix :
-    mode ->
-    tracer:Alpenhorn_telemetry.Trace.t option ->
-    noise_mu:float ->
-    num_mailboxes:int ->
-    mpk_agg:Alpenhorn_ibe.Ibe.master_public option ->
-    (string * Alpenhorn_telemetry.Trace.ctx option) array ->
-    string array * int * (int * Alpenhorn_telemetry.Trace.ctx) list;
-      (** one pass of the batch over the chain, then round key erasure:
-          the final payloads, the noise count, and the published trace
-          contexts as in {!Alpenhorn_mixnet.Chain.mix}. [mpk_agg] is the
-          round's aggregate IBE key in add-friend rounds (faithful noise).
-          @raise Alpenhorn_mixnet.Chain.Aborted when a server is down or
-          unreachable. *)
-  crash : mode -> server:int -> unit;  (** the fault schedule's crash: erase the key, stop *)
-  recover : mode -> unit;  (** after an abort: erase round keys, restart crashed servers *)
+  chain : mode -> Alpenhorn_ibe.Ibe.master_public option Alpenhorn_mixnet.Chain.t;
+      (** the mode's chain. Its noise value is the round's aggregate IBE
+          key when add-friend noise is faithful, [None] otherwise. *)
   trace_round :
     'a.
     Alpenhorn_telemetry.Trace.t ->

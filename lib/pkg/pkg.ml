@@ -41,6 +41,7 @@ let error_to_string = function
 
 let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
+(* 30 days, in seconds *)
 let default_lockout = 30 * 24 * 3600
 
 type account_state =

@@ -1,21 +1,21 @@
-(* The RPC backend of [Alpenhorn_core.Deployment]: every PKG and mixnet
-   server operation of its rounds becomes a framed TCP call
-   ([Proto]) to a server process. Clients live in this process (the client
-   library is transport-agnostic); the orchestrator relays the batch
-   through the mixer processes hop by hop, and [Deployment] distributes the
-   final payloads into mailboxes locally.
+(* The RPC backend of [Alpenhorn_core.Deployment]: every PKG operation of
+   its rounds becomes a framed TCP call ([Proto]) to a server process, and
+   each mixer process is one hop of both [Chain]s, so the in-process mix
+   pipeline relays the batch through the mixers. Clients live in this
+   process (the client library is transport-agnostic), and [Deployment]
+   distributes the final payloads into mailboxes locally.
 
-   Determinism: server processes derive their DRBGs along the in-process
-   deployment's labels ([Servers]) and clients derive identically in
+   Determinism: server processes build their servers with [Deployment]'s
+   own constructors ([Servers]) and clients derive identically in
    [Deployment], so this backend reproduces the in-process protocol results
    (events and session keys), even across aborted attempts. Noise bytes and
    a respawned mixer's round keys and shuffle legitimately differ.
 
-   Faults: a crash in the schedule kills the mixer's process (the
-   harness's [kill]) and recovery respawns it ([restart]). The anytrust
-   abort is detected as a transport failure: a dead mixer fails the
-   pre-processing ping (no mixer processes a batch on an aborted attempt)
-   or a mid-pipeline call. *)
+   Faults: a hop's crash kills the mixer's process (the harness's [kill])
+   and its restart respawns it ([restart]). A hop is down when its mixer
+   was killed or a call to it fails: a dead mixer fails the chain's
+   liveness ping (no mixer processes a batch on an aborted attempt) or a
+   mid-pipeline call. *)
 
 module Config = Alpenhorn_core.Config
 module Deployment = Alpenhorn_core.Deployment
@@ -105,17 +105,53 @@ let backend ~config ~pkgs ~mixers =
     | Ok v -> v
     | Error m -> failwith (Printf.sprintf "pkg %d: %s" i m)
   in
-  (* A mixer transport failure is the anytrust abort signal. *)
   let killed = Array.make (Array.length mixers) false in
-  let mixer i f =
-    if killed.(i) then raise (Chain.Aborted { server = i });
-    match call n mixers.(i).ep ~peer:(Printf.sprintf "mixer-%d" i) f with
-    | Ok v -> v
-    | Error _ -> raise (Chain.Aborted { server = i })
+  (* Mixer [i] as hop [i] of the chain [ch]: a killed mixer or a transport
+     failure is a hop that is down, the anytrust abort signal. The process
+     hosts both chains, so a crash takes down both of its hops. *)
+  let hop ch i =
+    let m = mixers.(i) in
+    let call f =
+      if killed.(i) then None
+      else Result.to_option (call n m.ep ~peer:(Printf.sprintf "mixer-%d" i) f)
+    in
+    {
+      Chain.rotate = (fun () -> call (fun c -> Proto.mix_new_round c ~params ~chain:ch));
+      (* trace contexts do not cross processes *)
+      process =
+        (fun ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes ~noise ~tracer:_ batch ->
+          let mpk_agg = Option.fold ~none:"" ~some:(Ibe.master_public_bytes params) noise in
+          call (fun c ->
+              Proto.mix_process c ~params ~chain:ch ~downstream_pks ~noise_mu ~laplace_b
+                ~num_mailboxes ~mpk_agg ~batch:(Chain.payloads batch))
+          |> Option.map (fun (out, added) -> (Chain.Plain out, added)));
+      (* a killed process lost its round key with the process *)
+      erase = (fun () -> ignore (call (fun c -> Proto.mix_end_round c ~chain:ch)));
+      is_up = (fun () -> Option.is_some (call Proto.mix_ping));
+      crash =
+        (fun () ->
+          if not killed.(i) then begin
+            drop_conn n m.ep;
+            m.kill ();
+            killed.(i) <- true;
+            Events.log Events.default ~severity:Warn
+              ~labels:[ ("server", string_of_int i) ]
+              ~detail:"mixer process killed by fault schedule" "net.mixer_killed"
+          end);
+      restart =
+        (fun () ->
+          if killed.(i) then begin
+            m.ep <- m.restart ();
+            killed.(i) <- false;
+            Events.log Events.default
+              ~labels:[ ("server", string_of_int i) ]
+              ~detail:(Printf.sprintf "mixer respawned on port %d" m.ep.port)
+              "net.mixer_restarted"
+          end);
+    }
   in
-  let each_mixer f = Array.iteri (fun i _ -> mixer i f) mixers in
-  let chain = function `AddFriend -> Proto.Af | `Dialing -> Proto.Dial in
-  let round_pks = Hashtbl.create 2 in
+  let chain ch = Chain.create (Array.init (Array.length mixers) (hop ch)) in
+  let af = chain Proto.Af and dial = chain Proto.Dial in
   {
     Deployment.pkg_public_keys =
       List.init (Array.length pkgs) (fun i -> pkg i (fun c -> Proto.pkg_info c ~params));
@@ -132,70 +168,7 @@ let backend ~config ~pkgs ~mixers =
             pkg i (fun c -> Proto.pkg_extract c ~params ~now ~round ~email ~signature))
           requests);
     end_round = (fun i ~round -> pkg i (fun c -> Proto.pkg_end_round c ~round));
-    new_round_keys =
-      (fun mode ->
-        let pks =
-          List.init (Array.length mixers) (fun i ->
-              mixer i (fun c -> Proto.mix_new_round c ~params ~chain:(chain mode)))
-        in
-        Hashtbl.replace round_pks (chain mode) (Array.of_list pks);
-        pks);
-    (* [Chain.mix], distributed: an up-front liveness ping, then one
-       [process] call per hop threading the batch, then key erasure
-       everywhere. Trace contexts do not cross processes. *)
-    mix =
-      (fun mode ~tracer:_ ~noise_mu ~num_mailboxes ~mpk_agg batch ->
-        let chain = chain mode in
-        each_mixer Proto.mix_ping;
-        let mpk_agg =
-          match mpk_agg with
-          | Some mpk when config.Config.faithful_noise -> Ibe.master_public_bytes params mpk
-          | _ -> ""
-        in
-        let pks = Hashtbl.find round_pks chain and hops = Array.length mixers in
-        let noise = ref 0 and current = ref (Array.map fst batch) in
-        for i = 0 to hops - 1 do
-          let downstream_pks = Array.to_list (Array.sub pks (i + 1) (hops - i - 1)) in
-          let out, added =
-            mixer i (fun c ->
-                Proto.mix_process c ~params ~chain ~downstream_pks ~noise_mu
-                  ~laplace_b:config.Config.laplace_b ~num_mailboxes ~mpk_agg ~batch:!current)
-          in
-          noise := !noise + added;
-          current := out
-        done;
-        each_mixer (fun c -> Proto.mix_end_round c ~chain);
-        (!current, !noise, []));
-    crash =
-      (fun _ ~server ->
-        if not killed.(server) then begin
-          drop_conn n mixers.(server).ep;
-          mixers.(server).kill ();
-          killed.(server) <- true;
-          Events.log Events.default ~severity:Warn
-            ~labels:[ ("server", string_of_int server) ]
-            ~detail:"mixer process killed by fault schedule" "net.mixer_killed"
-        end);
-    recover =
-      (fun mode ->
-        (* end-of-round key erasure on every mixer that still answers; a
-           killed process lost its round key with the process *)
-        Array.iteri
-          (fun i _ ->
-            try mixer i (fun c -> Proto.mix_end_round c ~chain:(chain mode))
-            with Chain.Aborted _ -> ())
-          mixers;
-        Array.iteri
-          (fun i m ->
-            if killed.(i) then begin
-              m.ep <- m.restart ();
-              killed.(i) <- false;
-              Events.log Events.default
-                ~labels:[ ("server", string_of_int i) ]
-                ~detail:(Printf.sprintf "mixer respawned on port %d" m.ep.port)
-                "net.mixer_restarted"
-            end)
-          mixers);
+    chain = (function `AddFriend -> af | `Dialing -> dial);
     (* one sampled root per round (retries included): "net.round", with
        every RPC of the round as a child *)
     trace_round =

@@ -6,8 +6,10 @@
     transport-agnostic — while each PKG and each mixnet chain position is
     a separate server ({!Fleet} starts them as [alpenhorn_cli serve-pkg]
     / [serve-mixer] processes or as RPC servers on domains).
-    The orchestrator relays each batch through the mixers hop by hop and
-    distributes the final payloads itself.
+    Each mixer is one hop of both {!Alpenhorn_mixnet.Chain}s, so the
+    orchestrator relays each batch through the mixers with the in-process
+    mix pipeline, its telemetry included, and distributes the final
+    payloads itself.
 
     {b Determinism.} Built from the same seed, this deployment reproduces
     the in-process one's round stats — the same per-client events and
@@ -16,9 +18,10 @@
     mixer's round keys and shuffle; no client result depends on them, as
     a client processes its add-friend hits in plaintext order.
 
-    {b Faults.} A crash in the schedule invokes the mixer's [kill]; the
-    abort is detected as a transport failure ({!Alpenhorn_mixnet.Chain.Aborted}),
-    and recovery invokes [restart] before the round re-runs.
+    {b Faults.} A crash in the schedule invokes the mixer's [kill]; a
+    killed or unreachable mixer is a hop that is down, so the chain
+    aborts ({!Alpenhorn_mixnet.Chain.Aborted}), and recovery invokes
+    [restart] before the round re-runs.
 
     {b Tracing.} Under {!Alpenhorn_core.Deployment.set_tracer}, each round
     runs under one [net.round] root span; every RPC emits a client-side

@@ -3,9 +3,9 @@
    operations it serves, which [Proto.serve] turns into the
    [Framing.frame -> Framing.frame] handler that [Rpc.Server] dispatches.
 
-   Determinism contract (DESIGN.md §13): a server process derives its DRBG
-   from the deployment seed exactly like the in-process [Deployment] does
-   (the derivation is a pure HMAC fork, consuming nothing), so a
+   Determinism contract (DESIGN.md §13): a server process builds its PKG
+   or mixnet servers with [Deployment]'s own constructors, which derive
+   each DRBG from the seed (a pure HMAC fork, consuming nothing), so a
    multi-process deployment reproduces the in-process protocol results:
    clients see the same events and session keys. Two things differ, never
    a client-visible event: each mixer samples noise from its own
@@ -20,8 +20,7 @@ module Pkg = Alpenhorn_pkg.Pkg
 module Server = Alpenhorn_mixnet.Server
 module Wire = Alpenhorn_core.Wire
 module Config = Alpenhorn_core.Config
-
-let root_rng ~seed = Drbg.create ~seed:("deployment" ^ seed)
+module Deployment = Alpenhorn_core.Deployment
 
 (* ---- PKG process ---- *)
 
@@ -29,27 +28,13 @@ module Pkg_server = struct
   type t = {
     params : Params.t;
     pkg : Pkg.t;
-    inboxes : (string, string list ref) Hashtbl.t; (* simulated provider, local *)
+    inbox : email:string -> string list; (* simulated provider, local *)
   }
 
-  (* Same derivation path as [Deployment.create]: PKG [index]'s rng is
-     ["pkg-<index>"] off the deployment root. *)
+  (* PKG [index] of [Deployment.create], built by the same constructor *)
   let create ~config ~seed ~index =
-    let params = Config.params config in
-    let inboxes = Hashtbl.create 16 in
-    let deliver ~to_ ~token =
-      let box =
-        match Hashtbl.find_opt inboxes to_ with
-        | Some b -> b
-        | None ->
-          let b = ref [] in
-          Hashtbl.replace inboxes to_ b;
-          b
-      in
-      box := token :: !box
-    in
-    let rng = Drbg.derive (root_rng ~seed) (Printf.sprintf "pkg-%d" index) in
-    { params; pkg = Pkg.create params ~rng ~send_email:deliver (); inboxes }
+    let pkg, inbox = Deployment.new_pkg ~config ~seed ~index in
+    { params = Config.params config; pkg; inbox }
 
   let handler_traced t =
     let p = t.params in
@@ -58,10 +43,7 @@ module Pkg_server = struct
         [
           Handler (Op.pkg_info p, fun () -> Ok (Pkg.long_term_public t.pkg));
           Handler (Op.pkg_register p, fun (now, email, pk) -> Pkg.register t.pkg ~now ~email ~pk);
-          Handler
-            ( Op.pkg_inbox,
-              fun email ->
-                Ok (match Hashtbl.find_opt t.inboxes email with Some b -> !b | None -> []) );
+          Handler (Op.pkg_inbox, fun email -> Ok (t.inbox ~email));
           Handler (Op.pkg_confirm, fun (now, email, token) -> Pkg.confirm t.pkg ~now ~email ~token);
           Handler (Op.pkg_begin_round, fun round -> Ok (Pkg.begin_round t.pkg ~round));
           Handler (Op.pkg_reveal p, fun round -> Pkg.reveal_round t.pkg ~round);
@@ -86,27 +68,17 @@ module Mixer_server = struct
     noise_rng : Drbg.t; (* mixer-local noise stream; see module header *)
   }
 
-  (* Chain position [position]'s servers derive exactly like
-     [Deployment.create] → [Chain.create]: ["af-chain"]/["dial-chain"] off
-     the root, then ["mix-server-<position>"]. *)
+  (* Chain position [position] of both chains of [Deployment.create], built
+     by the same constructor *)
   let create ~config ~seed ~position =
-    let params = Config.params config in
-    let chain_length = config.Config.chain_length in
-    if position < 0 || position >= chain_length then
-      invalid_arg "Mixer_server.create: position out of range";
-    let root = root_rng ~seed in
-    let server_of chain_label =
-      Server.create params
-        ~rng:(Drbg.derive (Drbg.derive root chain_label) (Printf.sprintf "mix-server-%d" position))
-        ~position ~chain_length
-    in
+    let server mode = Deployment.new_mix_server ~config ~seed mode ~position in
     {
-      params;
+      params = Config.params config;
       position;
-      chain_length;
-      af = server_of "af-chain";
-      dial = server_of "dial-chain";
-      noise_rng = Drbg.derive root (Printf.sprintf "net-noise-%d" position);
+      chain_length = config.Config.chain_length;
+      af = server `AddFriend;
+      dial = server `Dialing;
+      noise_rng = Drbg.derive (Deployment.root_rng ~seed) (Printf.sprintf "net-noise-%d" position);
     }
 
   let server t = function Proto.Af -> t.af | Proto.Dial -> t.dial

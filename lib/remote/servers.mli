@@ -3,10 +3,10 @@
     {!Proto} operations it serves, dispatched by {!Proto.serve} as a
     [Framing.frame -> Framing.frame] handler for {!Alpenhorn_net.Rpc}.
 
-    Determinism: a server derives its DRBG from the deployment seed along
-    the exact path the in-process {!Alpenhorn_core.Deployment} uses
-    ({!Alpenhorn_crypto.Drbg.derive} is a pure HMAC fork), so a
-    multi-process deployment reproduces the in-process protocol results —
+    Determinism: a server is built by the constructor the in-process
+    deployment uses ({!Alpenhorn_core.Deployment.new_pkg},
+    {!Alpenhorn_core.Deployment.new_mix_server}), so a multi-process
+    deployment reproduces the in-process protocol results —
     same client events, same session keys. Noise bytes differ (each mixer
     samples noise from its own local stream), and so do a respawned
     mixer's round keys and shuffle. *)
@@ -22,8 +22,8 @@ module Pkg_server : sig
   type t
 
   val create : config:Config.t -> seed:string -> index:int -> t
-  (** [index] selects the ["pkg-<index>"] DRBG derivation, matching PKG
-      [index] of an in-process deployment created from the same seed. *)
+  (** PKG [index] of an in-process deployment created from the same seed
+      ({!Alpenhorn_core.Deployment.new_pkg}). *)
 
   val handler : t -> Framing.frame -> Framing.frame
   (** {!Proto.serve} over the PKG operations. A request that does not

@@ -651,7 +651,7 @@ module Snapshot = struct
     Mutex.unlock h.hmu;
     s
 
-  let take ?(reset = false) r =
+  let capture ~reset ~spans r =
     Mutex.lock r.mu;
     let counters = ref [] and gauges = ref [] and hists = ref [] in
     Hashtbl.iter
@@ -667,17 +667,19 @@ module Snapshot = struct
       r.metrics;
     let by_key (n1, l1, _) (n2, l2, _) = compare (n1, l1) (n2, l2) in
     let spans =
-      List.rev_map
-        (fun sp ->
-          {
-            name = sp.sp_name;
-            labels = sp.sp_labels;
-            ts = sp.sp_ts;
-            dur = sp.sp_dur;
-            depth = sp.sp_depth;
-            clock = sp.sp_clock;
-          })
-        r.spans
+      if not spans then []
+      else
+        List.rev_map
+          (fun sp ->
+            {
+              name = sp.sp_name;
+              labels = sp.sp_labels;
+              ts = sp.sp_ts;
+              dur = sp.sp_dur;
+              depth = sp.sp_depth;
+              clock = sp.sp_clock;
+            })
+          r.spans
     in
     let snap =
       {
@@ -698,6 +700,9 @@ module Snapshot = struct
     end;
     Mutex.unlock r.mu;
     snap
+
+  let take ?(reset = false) r = capture ~reset ~spans:true r
+  let take_metrics r = capture ~reset:false ~spans:false r
 
   (* The one selection rule: a bare name selects every label set of that
      name, [name{k=v,...}] exactly the one [metric_key] prints that way.

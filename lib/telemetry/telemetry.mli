@@ -270,6 +270,11 @@ module Snapshot : sig
       [push_span] takes the registry mutex, so a span lands wholly before
       or wholly after the snapshot. *)
 
+  val take_metrics : registry -> t
+  (** {!take} without the spans ([spans = []], [dropped_spans] as
+      recorded) and without reset: what a periodic sampler keeps, at a
+      cost that does not grow with the spans the registry holds. *)
+
   (** {2 Selecting a metric}
 
       One rule for every reader: a bare name selects every label set of

@@ -88,8 +88,7 @@ let record t =
   match t.reg with
   | None -> invalid_arg "Timeseries.record: detached ring (use record_snapshot)"
   | Some reg ->
-    let snap = Tel.Snapshot.take reg in
-    push t (sample ~ts:(Tel.now reg) snap) ~restart:true
+    push t (sample ~ts:(Tel.now reg) (Tel.Snapshot.take_metrics reg)) ~restart:true
 
 let record_snapshot t ~ts snap = push t (sample ~ts snap) ~restart:false
 

@@ -61,8 +61,8 @@ val default : t
     real rounds with no configuration. *)
 
 val record : t -> unit
-(** Append one sample: [Snapshot.take] (no reset) at the registry
-    clock's current reading. A clock reading {e earlier} than the newest
+(** Append one sample: [Snapshot.take_metrics] at the registry clock's
+    current reading. A clock reading {e earlier} than the newest
     retained sample means the registry clock was restarted (a new DES
     run): the ring clears and starts a new epoch, so windows never mix
     two timelines. Thread-safe. *)

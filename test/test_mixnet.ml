@@ -14,6 +14,16 @@ module Drbg = Alpenhorn_crypto.Drbg
 let params = lazy (Params.test ())
 let p () = Lazy.force params
 
+(* an in-process chain of [n] servers, its noise value the noise body
+   itself (also used by test_trace and test_parallel) *)
+let local_chain pr ~rng n =
+  Chain.create
+    (Array.init n (fun i ->
+         Chain.local ~noise_body:Fun.id
+           (Server.create pr
+              ~rng:(Drbg.derive rng (Printf.sprintf "mix-server-%d" i))
+              ~position:i ~chain_length:n)))
+
 (* a batch for [Chain.mix], no submission traced *)
 let untraced batch = Array.map (fun onion -> (onion, None)) batch
 
@@ -130,7 +140,7 @@ let unit_tests =
     Alcotest.test_case "chain delivers payloads to the right mailboxes" `Quick (fun () ->
         let pr = p () in
         let rng = Drbg.create ~seed:"chain" in
-        let chain = Chain.create pr ~rng ~chain_length:3 in
+        let chain = local_chain pr ~rng 3 in
         let pks = Chain.begin_round chain in
         let batch =
           Array.init 10 (fun i ->
@@ -139,7 +149,7 @@ let unit_tests =
         in
         let final, noise, _ =
           Chain.mix chain ~noise_mu:1.0 ~laplace_b:0.0 ~num_mailboxes:3
-            ~noise_body:(fun ~mailbox:_ -> "noise!") (untraced batch)
+            ~noise:(fun ~mailbox:_ -> "noise!") (untraced batch)
         in
         let mailboxes, _ = Mailbox.distribute ~num_mailboxes:3 ~mode:`AddFriend final in
         Alcotest.(check int) "real in" 10 (Array.length final - noise);
@@ -154,7 +164,7 @@ let unit_tests =
     Alcotest.test_case "chain cover traffic is dropped" `Quick (fun () ->
         let pr = p () in
         let rng = Drbg.create ~seed:"chain2" in
-        let chain = Chain.create pr ~rng ~chain_length:2 in
+        let chain = local_chain pr ~rng 2 in
         let pks = Chain.begin_round chain in
         let batch =
           Array.init 5 (fun _ ->
@@ -162,7 +172,7 @@ let unit_tests =
         in
         let final, _, _ =
           Chain.mix chain ~noise_mu:0.0 ~laplace_b:0.0 ~num_mailboxes:1
-            ~noise_body:(fun ~mailbox:_ -> "") (untraced batch)
+            ~noise:(fun ~mailbox:_ -> "") (untraced batch)
         in
         let mailboxes, dropped = Mailbox.distribute ~num_mailboxes:1 ~mode:`AddFriend final in
         Alcotest.(check int) "all cover dropped" 5 dropped;
@@ -170,13 +180,13 @@ let unit_tests =
     Alcotest.test_case "dialing mode packs Bloom filters" `Quick (fun () ->
         let pr = p () in
         let rng = Drbg.create ~seed:"chain3" in
-        let chain = Chain.create pr ~rng ~chain_length:2 in
+        let chain = local_chain pr ~rng 2 in
         let pks = Chain.begin_round chain in
         let token = Drbg.bytes rng 32 in
         let batch = [| Onion.wrap pr rng ~server_pks:pks (Payload.encode ~mailbox:0 token) |] in
         let final, _, _ =
           Chain.mix chain ~noise_mu:2.0 ~laplace_b:0.0 ~num_mailboxes:1
-            ~noise_body:(fun ~mailbox:_ -> Drbg.bytes rng 32)
+            ~noise:(fun ~mailbox:_ -> Drbg.bytes rng 32)
             (untraced batch)
         in
         let mailboxes, _ = Mailbox.distribute ~num_mailboxes:1 ~mode:`Dialing final in

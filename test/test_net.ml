@@ -812,6 +812,64 @@ let recovery_tests =
     Alcotest.test_case "catch-up over sockets matches in-process" `Quick catch_up_over_sockets;
   ]
 
+(* ---------- one mix pipeline for both transports ---------- *)
+
+module Events = Alpenhorn_telemetry.Events
+
+(* What the mix pipeline records in this process while [f] runs: the
+   [mix.rounds] count, and the [server] label of every [mix.server_process]
+   span and of every [mix.round_abort] event, in order. *)
+let mix_telemetry f =
+  ignore (Tel.Snapshot.take ~reset:true Tel.default);
+  Events.clear Events.default;
+  f ();
+  let snap = Tel.Snapshot.take Tel.default in
+  let server labels = List.assoc "server" labels in
+  ( Option.value ~default:0 (Tel.Snapshot.counter snap "mix.rounds"),
+    List.filter_map
+      (fun (sp : Tel.Snapshot.span) ->
+        if sp.name = "mix.server_process" then Some (server sp.labels) else None)
+      snap.spans,
+    List.filter_map
+      (fun (e : Events.event) ->
+        if e.name = "mix.round_abort" then Some (server e.labels) else None)
+      (Events.to_list Events.default) )
+
+(* One add-friend and one dialing round over a fleet on domains, then the
+   same pair in process under the same seed and faults. The mixer servers
+   share this process's registry but run no chain: every span and event
+   counted here is the orchestrator's. *)
+let pipeline_pair ?faults ~seed () =
+  let config = { Config.test with Config.n_pkgs = 1 } in
+  let pair d =
+    let alice = register d "alice@x" in
+    ignore (register d "bob@x");
+    Client.add_friend alice ~email:"bob@x" ();
+    ignore (Deployment.run_addfriend_round d ());
+    ignore (Deployment.run_dialing_round d ())
+  in
+  Fleet.domains ?faults ~config ~seed (fun fleet ->
+      let wire = mix_telemetry (fun () -> pair (Fleet.deployment fleet)) in
+      let local = Deployment.create ~config ~seed in
+      Deployment.set_faults local faults;
+      (wire, mix_telemetry (fun () -> pair local)))
+
+let pipeline_tests =
+  let telemetry = Alcotest.(triple int (list string) (list string)) in
+  [
+    Alcotest.test_case "round pair: the wire records the in-process mix telemetry" `Quick
+      (fun () ->
+        let wire, local = pipeline_pair ~seed:"net-pipeline" () in
+        Alcotest.(check telemetry) "two mixes, one span per hop, no abort"
+          (2, [ "0"; "1"; "2"; "0"; "1"; "2" ], []) wire;
+        Alcotest.(check telemetry) "wire = in process" local wire);
+    Alcotest.test_case "crash@1:server=1: the wire logs the in-process abort" `Quick (fun () ->
+        let faults = Faults.deployment_view (Result.get_ok (Faults.parse "crash@1:server=1")) in
+        let ((_, _, aborts) as wire), local = pipeline_pair ~faults ~seed:"net-pipeline" () in
+        Alcotest.(check (list string)) "one abort at server 1 per phase" [ "1"; "1" ] aborts;
+        Alcotest.(check telemetry) "wire = in process" local wire);
+  ]
+
 let suite =
   framing_tests @ rpc_tests @ listener_tests @ recovery_tests @ loop_tests @ trace_envelope_tests
   @ List.map
@@ -820,3 +878,4 @@ let suite =
           (Printf.sprintf "scripted crash@1, %d dial shards: wire = in process" dial_shards)
           `Quick (scripted_crash ~dial_shards))
       [ 0; 2 ]
+  @ pipeline_tests

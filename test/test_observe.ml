@@ -365,4 +365,33 @@ let dashboard_tests =
                Alcotest.(check bool) "width respected" true (String.length l <= 80)));
   ]
 
-let suite = exposition_tests @ timeseries_tests @ listener_tests @ dashboard_tests
+(* A ring sample keeps no spans, so recording one must not copy them: one
+   [record] allocates the same words whether the registry holds no span or
+   10 000 of them. *)
+let record_cost_tests =
+  [
+    Alcotest.test_case "record allocates the same with 0 or 10 000 spans" `Quick (fun () ->
+        let r, now = sim_registry () in
+        let ring = Timeseries.create ~capacity:8 r in
+        Tel.Counter.add (Tel.Counter.v r "rounds") 3;
+        Tel.Histogram.observe (Tel.Histogram.v r "lat") 0.01;
+        let words () =
+          now := !now +. 1.0;
+          let w0 = Gc.minor_words () in
+          Timeseries.record ring;
+          Gc.minor_words () -. w0
+        in
+        ignore (words ());
+        let bare = words () in
+        for _ = 1 to 10_000 do
+          Tel.Span.emit r ~name:"s" ~ts:0.0 ~dur:0.0 ()
+        done;
+        let loaded = words () in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f words with 10 000 spans, %.0f with none" loaded bare)
+          true
+          (Float.abs (loaded -. bare) <= 64.0));
+  ]
+
+let suite =
+  exposition_tests @ timeseries_tests @ listener_tests @ dashboard_tests @ record_cost_tests

@@ -180,7 +180,7 @@ let determinism_tests =
         let run domains =
           Parallel.with_default ~domains (fun () ->
               let rng = Drbg.create ~seed:"chain-det" in
-              let chain = Chain.create pr ~rng ~chain_length:3 in
+              let chain = Test_mixnet.local_chain pr ~rng 3 in
               let pks = Chain.begin_round chain in
               let batch =
                 Array.init 12 (fun i ->
@@ -190,7 +190,7 @@ let determinism_tests =
               Events.clear Events.default;
               let final, noise, _ =
                 Chain.mix chain ~noise_mu:2.0 ~laplace_b:0.0 ~num_mailboxes:4
-                  ~noise_body:(fun ~mailbox:_ -> "nnnn")
+                  ~noise:(fun ~mailbox:_ -> "nnnn")
                   (Array.map (fun onion -> (onion, None)) batch)
               in
               let mailboxes, dropped = Mailbox.distribute ~num_mailboxes:4 ~mode:`AddFriend final in

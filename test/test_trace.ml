@@ -139,7 +139,7 @@ let chain_round tracer =
   ignore (Tel.Snapshot.take ~reset:true Tel.default);
   let pr = Lazy.force params in
   let rng = Drbg.create ~seed:"wire-identity" in
-  let chain = Chain.create pr ~rng:(Drbg.derive rng "chain") ~chain_length:3 in
+  let chain = Test_mixnet.local_chain pr ~rng:(Drbg.derive rng "chain") 3 in
   let server_pks = Chain.begin_round chain in
   let crng = Drbg.derive rng "clients" in
   let onions =
@@ -158,7 +158,7 @@ let chain_round tracer =
   let nrng = Drbg.derive rng "noise" in
   let final, noise, published =
     Chain.mix chain ~noise_mu:2.0 ~laplace_b:0.5 ~num_mailboxes:3
-      ~noise_body:(fun ~mailbox:_ -> Drbg.bytes nrng 24)
+      ~noise:(fun ~mailbox:_ -> Drbg.bytes nrng 24)
       ?tracer batch
   in
   let mailboxes, dropped = Mailbox.distribute ~num_mailboxes:3 ~mode:`AddFriend final in
