@@ -16,7 +16,7 @@ module Deployment = Alpenhorn_core.Deployment
 module Costmodel = Alpenhorn_sim.Costmodel
 module Round_sim = Alpenhorn_sim.Round_sim
 module Scale = Alpenhorn_sim.Scale
-module Faults = Alpenhorn_sim.Faults
+module Faults = Alpenhorn_core.Faults
 module Util = Alpenhorn_crypto.Util
 module Tel = Alpenhorn_telemetry.Telemetry
 module Trace = Alpenhorn_telemetry.Trace
@@ -1016,13 +1016,12 @@ let run_e2e_net seed rounds faults_spec scrape domains =
   end;
   let faults = match faults_spec with "" | "none" -> Faults.empty | spec -> parse_faults spec in
   let config = { Config.test with Config.n_pkgs = 1 } in
-  let fault_view = if Faults.is_empty faults then None else Some (Faults.deployment_view faults) in
-  Fleet.processes ~exe:Sys.executable_name ~metrics:scrape ?faults:fault_view ~config ~seed
+  Fleet.processes ~exe:Sys.executable_name ~metrics:scrape ~faults ~config ~seed
   @@ fun fleet ->
   Printf.printf "spawned %d mixer + %d PKG server processes (ports %s)\n%!"
     config.Config.chain_length config.Config.n_pkgs
     (String.concat ", " (List.map (fun s -> string_of_int s.Fleet.port) (Fleet.servers fleet)));
-  if fault_view <> None then Printf.printf "fault schedule: %s\n%!" (Faults.to_string faults);
+  if not (Faults.is_empty faults) then Printf.printf "fault schedule: %s\n%!" (Faults.to_string faults);
   (* trace every round: all span ids are minted by this tracer, and
      servers replay carried identities, so merged snapshots stitch *)
   if scrape then Deployment.set_tracer (Fleet.deployment fleet) (Some (Trace.create Tel.default));

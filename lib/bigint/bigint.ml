@@ -245,9 +245,6 @@ let compare a b =
   else mag_compare b.mag a.mag
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
-
 let neg t = if t.sign = 0 then t else { t with sign = -t.sign }
 let abs t = if t.sign < 0 then neg t else t
 
@@ -268,8 +265,6 @@ let mul a b =
   if a.sign = 0 || b.sign = 0 then zero else make (a.sign * b.sign) (mag_mul a.mag b.mag)
 
 let mul_int a n = mul a (of_int n)
-let sqr a = mul a a
-
 let is_even t = Array.length t.mag = 0 || t.mag.(0) land 1 = 0
 
 (* Euclidean divmod: remainder always in [0, |b|). *)
@@ -506,5 +501,3 @@ let is_probable_prime ?(rounds = 24) ~rand n =
       loop rounds
     end
   end
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

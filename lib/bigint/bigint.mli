@@ -55,8 +55,6 @@ val equal : t -> t -> bool
 val sign : t -> int
 val is_zero : t -> bool
 val is_even : t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 (** {1 Arithmetic} *)
 
@@ -66,7 +64,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val mul_int : t -> int -> t
-val sqr : t -> t
 
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(q, r)] with [a = q*b + r] and [0 <= r < |b|]
@@ -109,7 +106,3 @@ val random_bits : rand_bytes:(int -> string) -> int -> t
 
 val random_below : rand_bytes:(int -> string) -> t -> t
 (** Uniform in [\[0, bound)] by rejection sampling. [bound > 0]. *)
-
-(** {1 Pretty-printing} *)
-
-val pp : Format.formatter -> t -> unit

@@ -98,7 +98,6 @@ let create ~config ~rng ~email ~pkg_public_keys ~callbacks =
 let email t = t.email
 let signing_public t = t.pk
 let keywheel t = t.wheel
-let config t = t.config
 
 let sign_extraction_request t ~round =
   Bls.sign t.params t.sk (Pkg.extraction_request_message ~email:t.email ~round)
@@ -132,45 +131,6 @@ let pinned_key t ~email = Hashtbl.find_opt t.pinned email
 let pending_add_friends t = List.length t.addfriend_queue + List.length t.confirm_queue
 
 (* ---- round abort recovery (DESIGN.md §10) ---- *)
-
-type retry_policy = {
-  max_attempts : int;
-  base_delay : float;
-  backoff_factor : float;
-  max_delay : float;
-  jitter : float;
-  round_timeout : float;
-}
-
-let default_retry_policy =
-  {
-    max_attempts = 4;
-    base_delay = 5.0;
-    backoff_factor = 2.0;
-    max_delay = 60.0;
-    jitter = 0.2;
-    round_timeout = 600.0;
-  }
-
-let validate_retry_policy p =
-  if p.max_attempts < 1 then invalid_arg "Client: max_attempts must be >= 1";
-  if p.base_delay < 0.0 || p.max_delay < 0.0 then invalid_arg "Client: negative backoff delay";
-  if p.backoff_factor < 1.0 then invalid_arg "Client: backoff_factor must be >= 1";
-  if p.jitter < 0.0 || p.jitter > 1.0 then invalid_arg "Client: jitter must be in [0, 1]";
-  if p.round_timeout <= 0.0 then invalid_arg "Client: round_timeout must be > 0"
-
-let backoff_delay policy ~seed ~attempt =
-  validate_retry_policy policy;
-  if attempt < 1 then invalid_arg "Client.backoff_delay: attempt must be >= 1";
-  let raw =
-    Stdlib.min policy.max_delay
-      (policy.base_delay *. (policy.backoff_factor ** float_of_int (attempt - 1)))
-  in
-  (* Jitter comes from a DRBG keyed on (seed, attempt) only — never from the
-     client's protocol rng — so retries neither perturb the protocol's
-     randomness stream nor depend on how many draws preceded them. *)
-  let u = Drbg.float (Drbg.create ~seed:(Printf.sprintf "backoff:%s:%d" seed attempt)) in
-  Stdlib.max 0.0 (raw *. (1.0 +. (policy.jitter *. ((2.0 *. u) -. 1.0))))
 
 (* Building a submission consumes queue entries and stores fresh DH state in
    [outgoing]; if the round then aborts, the request never reached a mailbox

@@ -81,30 +81,10 @@ val pending_add_friends : t -> int
 (** {1 Round abort recovery (DESIGN.md §10)}
 
     Anytrust (§4.5) aborts a whole round when any server is down. The
-    driver retries the round under a {!retry_policy}; between attempts it
-    rolls each client back to its pre-round {!checkpoint} so queued
-    requests and DH state are replayed instead of silently dropped. *)
-
-type retry_policy = {
-  max_attempts : int;  (** total tries per round, including the first *)
-  base_delay : float;  (** seconds before the first retry *)
-  backoff_factor : float;  (** delay multiplier per further retry *)
-  max_delay : float;  (** backoff cap, before jitter *)
-  jitter : float;  (** fraction in [0, 1]: delay varies by ±jitter *)
-  round_timeout : float;  (** a round stalled past this is abandoned *)
-}
-
-val default_retry_policy : retry_policy
-(** 4 attempts, 5 s base, x2 growth capped at 60 s, ±20% jitter, 600 s
-    round timeout. *)
-
-val backoff_delay : retry_policy -> seed:string -> attempt:int -> float
-(** Delay before re-running a round after failed [attempt] (>= 1):
-    [min max_delay (base_delay * backoff_factor^(attempt-1))] jittered by
-    ±[jitter]. The jitter is drawn from a DRBG keyed on [(seed, attempt)]
-    only — never the client's protocol rng — so the delay sequence is
-    deterministic and retries leave the protocol's randomness untouched.
-    @raise Invalid_argument on a malformed policy or [attempt < 1]. *)
+    round driver retries the round through {!Faults.retry}; between
+    attempts it rolls each client back to its pre-round {!checkpoint} so
+    queued requests and DH state are replayed instead of silently
+    dropped. *)
 
 type checkpoint
 (** The client state a round submission mutates: the three request queues
@@ -257,4 +237,3 @@ val create_from_backup :
 (** {1 Introspection} *)
 
 val keywheel : t -> Alpenhorn_keywheel.Keywheel.t
-val config : t -> Config.t

@@ -14,16 +14,6 @@ module Events = Alpenhorn_telemetry.Events
 module Runtime_stats = Alpenhorn_telemetry.Runtime_stats
 module Timeseries = Alpenhorn_telemetry.Timeseries
 
-(* What the recovery loop needs to know about a fault schedule, as plain
-   closures: lib/core cannot depend on lib/sim, so Alpenhorn_sim.Faults
-   converts its schedule into this view (Faults.deployment_view). *)
-type fault_view = {
-  fv_seed : string;
-  fv_crash_attempts : round:int -> server:int -> int;
-  fv_stall_seconds : round:int -> server:int -> float;
-  fv_client_offline : round:int -> client:int -> bool;
-}
-
 exception Round_failed of { phase : string; round : int; attempts : int }
 
 type mode = [ `AddFriend | `Dialing ]
@@ -62,11 +52,9 @@ type t = {
   mutable af_round : int;
   mutable dial_round : int;
   mutable clock : int;
-  mutable faults : fault_view option;
-  mutable policy : Client.retry_policy;
+  mutable faults : Faults.t;
+  mutable policy : Faults.policy;
   mutable tracer : Trace.t option;
-  mutable abort_streak : int; (* consecutive aborted attempts; 0 after a good round *)
-  mutable worst_streak : int;
 }
 
 (* ---- the servers, built from the seed ---- *)
@@ -110,11 +98,9 @@ let make ~config ~rng ~local_pkgs b =
     af_round = 0;
     dial_round = 0;
     clock = 0;
-    faults = None;
-    policy = Client.default_retry_policy;
+    faults = Faults.empty;
+    policy = Faults.default_policy;
     tracer = None;
-    abort_streak = 0;
-    worst_streak = 0;
   }
 
 let of_backend ~config ~seed b =
@@ -154,7 +140,6 @@ let create ~config ~seed =
       close = ignore;
     }
 
-let config t = t.config
 let params t = t.params
 
 let pkgs t =
@@ -205,136 +190,89 @@ let register t client =
 
 (* ---- fault injection and recovery (DESIGN.md §10) ---- *)
 
-let set_faults t fv = t.faults <- fv
-let set_retry_policy t p = t.policy <- p
-let retry_policy t = t.policy
+let set_faults t faults = t.faults <- faults
 
-let c_aborts = Tel.Counter.v Tel.default "faults.rounds_aborted"
-let c_retries = Tel.Counter.v Tel.default "faults.retries"
-let g_consec = Tel.Gauge.v Tel.default "faults.consecutive_aborts"
-let h_recovery = Tel.Histogram.v Tel.default "faults.recovery_seconds"
+let set_retry_policy t p =
+  Faults.validate_policy p;
+  t.policy <- p
+
+let retry_policy t = t.policy
 let c_injected kind = Tel.Counter.v Tel.default ~labels:[ ("kind", kind) ] "faults.injected"
 
 (* A stall longer than the policy's round timeout: the round is abandoned
    exactly like a crash-abort, just with a different event. *)
 exception Stall_timeout
 
-let record_abort t =
-  t.abort_streak <- t.abort_streak + 1;
-  if t.abort_streak > t.worst_streak then t.worst_streak <- t.abort_streak;
-  (* high-water mark, so the SLO check sees mid-run streaks even when the
-     final round succeeded *)
-  Tel.Gauge.set g_consec (float_of_int t.worst_streak);
-  Tel.Counter.inc c_aborts
-
 (* Apply this attempt's scheduled faults. Called right after the chain
    announced its round keys — a crash injected here models a server dying
    after it announced its round key, the case the anytrust abort path
    exists for. *)
-let inject_faults t mode ~phase ~round ~attempt =
-  match t.faults with
-  | None -> ()
-  | Some fv ->
-    let servers = t.config.Config.chain_length in
+let inject_faults t mode ~labels ~round ~attempt =
+  let servers = t.config.Config.chain_length in
+  for s = 0 to servers - 1 do
+    if Faults.crash_attempts t.faults ~round ~server:s >= attempt then begin
+      Chain.crash_server (t.b.chain mode) ~server:s;
+      Tel.Counter.inc (c_injected "crash")
+    end
+  done;
+  if attempt = 1 then begin
+    let stall = ref 0.0 in
     for s = 0 to servers - 1 do
-      if fv.fv_crash_attempts ~round ~server:s >= attempt then begin
-        Chain.crash_server (t.b.chain mode) ~server:s;
-        Tel.Counter.inc (c_injected "crash")
-      end
+      stall := !stall +. Faults.stall_seconds t.faults ~round ~server:s
     done;
-    if attempt = 1 then begin
-      let stall = ref 0.0 in
-      for s = 0 to servers - 1 do
-        stall := !stall +. fv.fv_stall_seconds ~round ~server:s
-      done;
-      if !stall > 0.0 then begin
-        Tel.Counter.inc (c_injected "stall");
-        let timeout = t.policy.Client.round_timeout in
-        if !stall > timeout then begin
-          advance_clock t ~seconds:(int_of_float (Float.ceil timeout));
-          Events.log Events.default ~severity:Warn
-            ~labels:[ ("phase", phase); ("round", string_of_int round) ]
-            ~detail:
-              (Printf.sprintf "stall of %.0f s exceeds the %.0f s round timeout; aborting" !stall
-                 timeout)
-            "round.timeout";
-          raise Stall_timeout
-        end
-        else begin
-          advance_clock t ~seconds:(int_of_float (Float.ceil !stall));
-          Events.log Events.default ~severity:Warn
-            ~labels:[ ("phase", phase); ("round", string_of_int round) ]
-            ~detail:
-              (Printf.sprintf "server stalled %.0f s; round delayed but under the %.0f s timeout"
-                 !stall timeout)
-            "round.stall"
-        end
+    if !stall > 0.0 then begin
+      Tel.Counter.inc (c_injected "stall");
+      let timeout = t.policy.Faults.round_timeout in
+      if !stall > timeout then begin
+        advance_clock t ~seconds:(int_of_float (Float.ceil timeout));
+        Events.log Events.default ~severity:Warn ~labels
+          ~detail:
+            (Printf.sprintf "stall of %.0f s exceeds the %.0f s round timeout; aborting" !stall
+               timeout)
+          "round.timeout";
+        raise Stall_timeout
+      end
+      else begin
+        advance_clock t ~seconds:(int_of_float (Float.ceil !stall));
+        Events.log Events.default ~severity:Warn ~labels
+          ~detail:
+            (Printf.sprintf "server stalled %.0f s; round delayed but under the %.0f s timeout"
+               !stall timeout)
+          "round.stall"
       end
     end
+  end
 
-(* The recovery loop around one round: checkpoint every participating
-   client, run the round body, and on a clean abort (any server down, or a
-   stall past the timeout) roll everything per-round back — the backend
-   erases round keys and restarts crashed servers, client queues and DH
-   state are restored, [cleanup] drops phase-specific state (PKG round
-   secrets) — then re-run after deterministic backoff, up to the policy's
-   attempt budget. *)
+(* One round's attempts through the retry loop: checkpoint every
+   participating client, run the round body, and on a clean abort (any
+   server down, or a stall past the timeout) roll everything per-round
+   back — the chain erases round keys and restarts crashed servers, client
+   queues and DH state are restored, [cleanup] drops phase-specific state
+   (PKG round secrets). Backoff waits on the logical clock. *)
 let with_recovery t mode ~phase ~round ~clients ~cleanup body =
-  let policy = t.policy in
-  let seed = match t.faults with Some fv -> fv.fv_seed | None -> "faults" in
+  let labels = [ ("phase", phase); ("round", string_of_int round) ] in
   let checkpoints = List.map (fun c -> (c, Client.checkpoint c)) clients in
-  let first_abort_clock = ref None in
-  let rec attempt n =
-    match body ~after_begin:(fun () -> inject_faults t mode ~phase ~round ~attempt:n) with
-    | result ->
-      t.abort_streak <- 0;
-      (match !first_abort_clock with
-       | None -> ()
-       | Some t0 ->
-         let recovery = float_of_int (t.clock - t0) in
-         Tel.Histogram.observe h_recovery recovery;
-         Events.log Events.default
-           ~labels:[ ("phase", phase); ("round", string_of_int round) ]
-           ~detail:(Printf.sprintf "recovered on attempt %d after %.0f s" n recovery)
-           "round.recovered");
-      (result, n)
+  let attempt n =
+    match body ~after_begin:(fun () -> inject_faults t mode ~labels ~round ~attempt:n) with
+    | result -> Ok (result, float_of_int t.clock)
     | exception (Chain.Aborted _ | Stall_timeout) ->
-      if !first_abort_clock = None then first_abort_clock := Some t.clock;
-      record_abort t;
+      let aborted = float_of_int t.clock in
       Chain.recover (t.b.chain mode);
       List.iter (fun (c, cp) -> Client.rollback c cp) checkpoints;
       cleanup ();
-      if n >= policy.Client.max_attempts then begin
-        Events.log Events.default ~severity:Error
-          ~labels:[ ("phase", phase); ("round", string_of_int round) ]
-          ~detail:(Printf.sprintf "gave up after %d attempts" n)
-          "round.failed";
-        raise (Round_failed { phase; round; attempts = n })
-      end
-      else begin
-        let delay =
-          Client.backoff_delay policy
-            ~seed:(Printf.sprintf "%s:%s:%d" seed phase round)
-            ~attempt:n
-        in
-        advance_clock t ~seconds:(int_of_float (Float.ceil delay));
-        Tel.Counter.inc c_retries;
-        Events.log Events.default ~severity:Warn
-          ~labels:[ ("phase", phase); ("round", string_of_int round) ]
-          ~detail:(Printf.sprintf "attempt %d aborted; retrying after %.1f s backoff" n delay)
-          "round.retry";
-        attempt (n + 1)
-      end
+      Error aborted
   in
-  attempt 1
+  let wait delay = advance_clock t ~seconds:(int_of_float (Float.ceil delay)) in
+  match Faults.retry t.faults t.policy ~phase ~round ~labels ~wait attempt with
+  | Some result, n -> (result, n)
+  | None, n -> raise (Round_failed { phase; round; attempts = n })
 
 (* The round's participants minus the clients the schedule holds offline,
    identified by registration index (stable across the whole run). *)
 let online_clients t ~phase ~round participants =
   let clients = match participants with Some l -> l | None -> t.clients in
-  match t.faults with
-  | None -> clients
-  | Some fv ->
+  if Faults.is_empty t.faults then clients
+  else begin
     let index c =
       let rec go i = function [] -> -1 | x :: rest -> if x == c then i else go (i + 1) rest in
       go 0 t.clients
@@ -343,7 +281,7 @@ let online_clients t ~phase ~round participants =
       List.partition
         (fun c ->
           let i = index c in
-          i < 0 || not (fv.fv_client_offline ~round ~client:i))
+          i < 0 || not (Faults.client_offline t.faults ~round ~client:i))
         clients
     in
     if offline <> [] then begin
@@ -354,6 +292,7 @@ let online_clients t ~phase ~round participants =
         "client.offline"
     end;
     online
+  end
 
 (* ---- the rounds, written once for every backend ---- *)
 
@@ -563,7 +502,7 @@ let run_dialing_round (t : t) ?participants () =
      Only under a fault schedule: plain [?participants] churn keeps the
      explicit [catch_up_client] contract. *)
   let recovered =
-    if t.faults = None then []
+    if Faults.is_empty t.faults then []
     else
       List.concat_map
         (fun c -> List.map (fun ev -> (Client.email c, ev)) (catch_up_client t c))

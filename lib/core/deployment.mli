@@ -4,13 +4,13 @@
 
     This module is the one implementation of the rounds (DESIGN.md §13):
     the add-friend round of Algorithm 1, the dialing round of §5, the §10
-    recovery loop around the §4.5 anytrust abort, and the §5.1 dialing
-    archive. It reaches the PKGs through a {!backend} of closures and the
-    mixnet through the backend's {!Alpenhorn_mixnet.Chain}s, one mix
-    pipeline whatever the transport. {!create} builds the in-process
-    backend: the real protocol end to end (every onion layer, IBE
-    ciphertext, signature and Bloom filter is genuine) with the network
-    collapsed into function calls.
+    rollback around the §4.5 anytrust abort (its attempts run through
+    {!Faults.retry}), and the §5.1 dialing archive. It reaches the PKGs
+    through a {!backend} of closures and the mixnet through the backend's
+    {!Alpenhorn_mixnet.Chain}s, one mix pipeline whatever the transport.
+    {!create} builds the in-process backend: the real protocol end to end
+    (every onion layer, IBE ciphertext, signature and Bloom filter is
+    genuine) with the network collapsed into function calls.
     [Alpenhorn_remote.Net_deployment] builds a backend that reaches server
     processes over framed TCP RPC. The latency/bandwidth figures of §8 use
     {!Alpenhorn_sim} instead, which prices the same message flows with a
@@ -49,7 +49,6 @@ val create : config:Config.t -> seed:string -> t
     servers. Clients derive along ["client-"^email]. Noise bodies are
     drawn from the root DRBG, in chain order. *)
 
-val config : t -> Config.t
 val params : t -> Params.t
 
 val pkgs : t -> Pkg.t array
@@ -80,38 +79,30 @@ val close : t -> unit
 
 (** {1 Fault injection and recovery (DESIGN.md §10)} *)
 
-type fault_view = {
-  fv_seed : string;  (** keys the deterministic backoff jitter *)
-  fv_crash_attempts : round:int -> server:int -> int;
-      (** the server is down for the round's first N attempts *)
-  fv_stall_seconds : round:int -> server:int -> float;
-      (** first-attempt processing delay; past the policy's
-          [round_timeout] it aborts the round *)
-  fv_client_offline : round:int -> client:int -> bool;
-      (** client (by registration index) sits the round out *)
-}
-(** A fault schedule as plain closures. lib/core cannot see lib/sim, so
-    {!Alpenhorn_sim.Faults} converts its schedule into this view
-    ([Faults.deployment_view]); tests can also hand-roll one. *)
-
 exception Round_failed of { phase : string; round : int; attempts : int }
 (** Every attempt the retry policy allowed aborted. The deployment is
     left consistent: servers restarted, clients rolled back, nothing
     published — the next round can run normally. *)
 
-val set_faults : t -> fault_view option -> unit
-(** Install (or clear) the fault schedule applied to subsequent rounds.
-    Faults are injected just after the chain announces its round keys —
-    the server-dies-mid-round case the anytrust abort path (§4.5) exists
-    for; a crash goes through the chain's hop. An aborted round
-    rolls every participant back and re-runs after deterministic
-    exponential backoff (clock time, {!advance_clock}); aborts, retries,
-    injected faults and recovery time land in the [faults.*] metrics and
-    the [round.*] events, whatever the backend. *)
+val set_faults : t -> Faults.t -> unit
+(** Install the fault schedule applied to subsequent rounds;
+    {!Faults.empty} (the default) clears it. Crashes and stalls are
+    injected just after the chain announces its round keys — the
+    server-dies-mid-round case the anytrust abort path (§4.5) exists for;
+    a crash goes through the chain's hop, and the stalls of every server
+    add up against the policy's [round_timeout]. Link latency and loss
+    are not modeled here. An aborted round rolls every participant back
+    and runs again through {!Faults.retry}, its backoff on the logical
+    clock ({!advance_clock}); aborts, retries, injected faults and
+    recovery time land in the [faults.*] metrics and the [round.*] events
+    (labeled with the phase and the round), whatever the backend. *)
 
-val set_retry_policy : t -> Client.retry_policy -> unit
-val retry_policy : t -> Client.retry_policy
-(** Defaults to {!Client.default_retry_policy}. *)
+val set_retry_policy : t -> Faults.policy -> unit
+(** @raise Invalid_argument on a malformed policy
+    ({!Faults.validate_policy}). *)
+
+val retry_policy : t -> Faults.policy
+(** Defaults to {!Faults.default_policy}. *)
 
 (** {1 Tracing} *)
 

@@ -1,4 +1,6 @@
 module Drbg = Alpenhorn_crypto.Drbg
+module Tel = Alpenhorn_telemetry.Telemetry
+module Events = Alpenhorn_telemetry.Events
 
 type kind =
   | Server_crash of { server : int; attempts : int }
@@ -11,6 +13,7 @@ type fault = { round : int; kind : kind }
 
 type t = { seed : string; faults : fault list }
 
+(* Written so that a nan fails every bound: [not (x >= lo)] holds for it. *)
 let validate_fault f =
   if f.round < 1 then invalid_arg "Faults: round must be >= 1";
   match f.kind with
@@ -19,13 +22,14 @@ let validate_fault f =
     if attempts < 1 then invalid_arg "Faults: crash attempts"
   | Server_stall { server; seconds } ->
     if server < 0 then invalid_arg "Faults: stall server";
-    if seconds < 0.0 then invalid_arg "Faults: stall seconds"
+    if not (seconds >= 0.0 && Float.is_finite seconds) then invalid_arg "Faults: stall seconds"
   | Link_latency { server; factor } ->
     if server < 0 then invalid_arg "Faults: latency server";
-    if factor < 1.0 then invalid_arg "Faults: latency factor must be >= 1"
+    if not (factor >= 1.0 && Float.is_finite factor) then
+      invalid_arg "Faults: latency factor must be finite and >= 1"
   | Link_loss { server; fraction } ->
     if server < 0 then invalid_arg "Faults: loss server";
-    if fraction < 0.0 || fraction > 1.0 then invalid_arg "Faults: loss fraction"
+    if not (fraction >= 0.0 && fraction <= 1.0) then invalid_arg "Faults: loss fraction"
   | Client_offline { client; rounds } ->
     if client < 0 then invalid_arg "Faults: offline client";
     if rounds < 1 then invalid_arg "Faults: offline rounds"
@@ -108,12 +112,10 @@ let client_offline t ~round ~client =
      crash@2:server=1,attempts=2    latency@1:server=2,factor=3
      stall@3:server=0,seconds=45    loss@1:server=0,fraction=0.2
      offline@4:client=7,rounds=2
-   [to_string]/[parse] round-trip on the canonical form. *)
+   [to_string]/[parse] round-trip on the canonical form: a number prints
+   in the fewest digits that read back to the same double. *)
 
-let float_str v =
-  (* shortest form that reparses exactly *)
-  let s = Printf.sprintf "%.12g" v in
-  s
+let float_str v = Tel.Json.to_string (Tel.Json.Num v)
 
 let kind_to_string = function
   | Server_crash { server; attempts } ->
@@ -139,11 +141,6 @@ let fault_to_string f =
 
 let to_string t = String.concat ";" (List.map fault_to_string t.faults)
 
-let pp fmt t =
-  if is_empty t then Format.fprintf fmt "no faults"
-  else
-    List.iter (fun f -> Format.fprintf fmt "  round %-3d %s@\n" f.round (kind_to_string f.kind)) t.faults
-
 let split_on sep s = String.split_on_char sep s |> List.filter (fun x -> x <> "")
 
 let parse_kv entry =
@@ -151,6 +148,7 @@ let parse_kv entry =
     (fun acc kv ->
       match (acc, String.split_on_char '=' kv) with
       | Error _, _ -> acc
+      | Ok l, [ k; _ ] when List.mem_assoc k l -> Error (Printf.sprintf "repeated key %S" k)
       | Ok l, [ k; v ] -> Ok ((k, v) :: l)
       | Ok _, _ -> Error (Printf.sprintf "bad key=value %S" kv))
     (Ok []) entry
@@ -173,18 +171,17 @@ let parse_entry s =
       match parse_kv (split_on ',' kvs_str) with
       | Error e -> fail e
       | Ok kvs -> (
-        let int_kv ?default k =
+        (* every key a kind reads; any other key is a typo, not a default *)
+        let read = ref [] in
+        let kv of_string ?default k =
+          read := k :: !read;
           match (List.assoc_opt k kvs, default) with
-          | Some v, _ -> Option.to_result ~none:(Printf.sprintf "bad %s" k) (int_of_string_opt v)
+          | Some v, _ -> Option.to_result ~none:(Printf.sprintf "bad %s" k) (of_string v)
           | None, Some d -> Ok d
           | None, None -> Error (Printf.sprintf "missing %s" k)
         in
-        let float_kv ?default k =
-          match (List.assoc_opt k kvs, default) with
-          | Some v, _ -> Option.to_result ~none:(Printf.sprintf "bad %s" k) (float_of_string_opt v)
-          | None, Some d -> Ok d
-          | None, None -> Error (Printf.sprintf "missing %s" k)
-        in
+        let int_kv ?default k = kv int_of_string_opt ?default k in
+        let float_kv k = kv float_of_string_opt k in
         let ( let* ) r f = Result.bind r f in
         let kind =
           match kind_name with
@@ -210,7 +207,10 @@ let parse_entry s =
             Ok (Client_offline { client; rounds })
           | k -> Error (Printf.sprintf "unknown fault kind %S" k)
         in
-        match kind with Error e -> fail e | Ok kind -> Ok { round; kind })))
+        match (kind, List.find_opt (fun (k, _) -> not (List.mem k !read)) kvs) with
+        | Error e, _ -> fail e
+        | Ok _, Some (k, _) -> fail (Printf.sprintf "unknown key %S" k)
+        | Ok kind, None -> Ok { round; kind })))
 
 let parse ?(seed = "faults") s =
   let rec go acc = function
@@ -251,12 +251,9 @@ let generate ~seed ~rounds ~n_servers ?(n_clients = 0) ?(crash_p = 0.3) ?(stall_
   done;
   of_list ~seed (List.rev !faults)
 
-(* ---- retry / backoff policy ----
+(* ---- the retry policy and the one retry loop (DESIGN.md §10) ---- *)
 
-   The policy itself lives in Client (lib/core cannot see lib/sim); this
-   alias keeps the simulator's vocabulary self-contained. *)
-
-type policy = Alpenhorn_core.Client.retry_policy = {
+type policy = {
   max_attempts : int;
   base_delay : float;
   backoff_factor : float;
@@ -265,13 +262,74 @@ type policy = Alpenhorn_core.Client.retry_policy = {
   round_timeout : float;
 }
 
-let default_policy = Alpenhorn_core.Client.default_retry_policy
-let backoff_delay = Alpenhorn_core.Client.backoff_delay
-
-let deployment_view t =
+let default_policy =
   {
-    Alpenhorn_core.Deployment.fv_seed = t.seed;
-    fv_crash_attempts = (fun ~round ~server -> crash_attempts t ~round ~server);
-    fv_stall_seconds = (fun ~round ~server -> stall_seconds t ~round ~server);
-    fv_client_offline = (fun ~round ~client -> client_offline t ~round ~client);
+    max_attempts = 4;
+    base_delay = 5.0;
+    backoff_factor = 2.0;
+    max_delay = 60.0;
+    jitter = 0.2;
+    round_timeout = 600.0;
   }
+
+let validate_policy p =
+  if p.max_attempts < 1 then invalid_arg "Faults: max_attempts must be >= 1";
+  if not (p.base_delay >= 0.0 && p.max_delay >= 0.0) then
+    invalid_arg "Faults: backoff delays must be >= 0";
+  if not (p.backoff_factor >= 1.0) then invalid_arg "Faults: backoff_factor must be >= 1";
+  if not (p.jitter >= 0.0 && p.jitter <= 1.0) then invalid_arg "Faults: jitter must be in [0, 1]";
+  if not (p.round_timeout > 0.0) then invalid_arg "Faults: round_timeout must be > 0"
+
+let backoff_delay policy ~seed ~attempt =
+  validate_policy policy;
+  if attempt < 1 then invalid_arg "Faults.backoff_delay: attempt must be >= 1";
+  let raw =
+    Stdlib.min policy.max_delay
+      (policy.base_delay *. (policy.backoff_factor ** float_of_int (attempt - 1)))
+  in
+  (* Jitter comes from a DRBG keyed on (seed, attempt) only — never from a
+     protocol rng — so retries neither perturb the protocol's randomness
+     stream nor depend on how many draws preceded them. *)
+  let u = Drbg.float (Drbg.create ~seed:(Printf.sprintf "backoff:%s:%d" seed attempt)) in
+  Stdlib.max 0.0 (raw *. (1.0 +. (policy.jitter *. ((2.0 *. u) -. 1.0))))
+
+let c_aborts = Tel.Counter.v Tel.default "faults.rounds_aborted"
+let c_retries = Tel.Counter.v Tel.default "faults.retries"
+let g_streak = Tel.Gauge.v Tel.default "faults.consecutive_aborts"
+let h_recovery = Tel.Histogram.v Tel.default "faults.recovery_seconds"
+
+let retry t policy ?(events = Events.default) ~phase ~round ~labels ~wait attempt =
+  let log ?severity name detail = Events.log events ?severity ~labels ~detail name in
+  let rec go n first_abort =
+    match attempt n with
+    | Ok (v, published) ->
+      Option.iter
+        (fun t0 ->
+          let recovery = published -. t0 in
+          Tel.Histogram.observe h_recovery recovery;
+          log "round.recovered" (Printf.sprintf "recovered on attempt %d after %g s" n recovery))
+        first_abort;
+      (Some v, n)
+    | Error aborted ->
+      Tel.Counter.inc c_aborts;
+      (* attempts abort one after another until one publishes, so the
+         attempt number is the streak; the gauge keeps its high-water mark
+         since the registry's last reset *)
+      if float_of_int n > Tel.Gauge.value g_streak then Tel.Gauge.set g_streak (float_of_int n);
+      let first_abort = Some (Option.value first_abort ~default:aborted) in
+      if n >= policy.max_attempts then begin
+        log ~severity:Events.Error "round.failed" (Printf.sprintf "gave up after %d attempts" n);
+        (None, n)
+      end
+      else begin
+        let delay =
+          backoff_delay policy ~seed:(Printf.sprintf "%s:%s:%d" t.seed phase round) ~attempt:n
+        in
+        Tel.Counter.inc c_retries;
+        log ~severity:Events.Warn "round.retry"
+          (Printf.sprintf "attempt %d aborted; retrying after %.1f s backoff" n delay);
+        wait delay;
+        go (n + 1) first_abort
+      end
+  in
+  go 1 None

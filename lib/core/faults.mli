@@ -1,5 +1,5 @@
-(** Deterministic fault schedules and the retry/backoff policy (DESIGN.md
-    §10).
+(** Deterministic fault schedules, the retry policy and the one retry
+    loop (DESIGN.md §10).
 
     Alpenhorn's anytrust design (§3, §4.5) means a round cannot complete
     when {e any} mixnet or PKG server is down: the paper aborts the round
@@ -12,12 +12,13 @@
     same seed for backoff jitter) reproduces the same failure trace,
     event log included, byte for byte.
 
-    The schedule is consumed two ways: {!Alpenhorn_sim.Round_sim} applies
-    it on the DES clock (modeled timing), and
-    {!Alpenhorn_core.Deployment.set_faults} applies it to the real
-    in-process protocol (genuine abort/rollback/retry). Both key faults by
+    Two drivers apply a schedule, each injecting faults into its own
+    model: {!Deployment.set_faults} into the real protocol, in process or
+    over RPC (genuine abort/rollback/retry), and [Alpenhorn_sim.Round_sim]
+    into the replay on the DES clock (modeled timing). Both key faults by
     the {e per-phase} round number — a fault at round 2 fires in the 2nd
-    add-friend round and the 2nd dialing round alike. *)
+    add-friend round and the 2nd dialing round alike — and both run their
+    attempts through {!retry}. *)
 
 type kind =
   | Server_crash of { server : int; attempts : int }
@@ -47,7 +48,8 @@ val empty : t
 
 val of_list : ?seed:string -> fault list -> t
 (** Sorts into canonical order; [seed] (default ["faults"]) keys backoff
-    jitter. @raise Invalid_argument on out-of-range fields. *)
+    jitter. @raise Invalid_argument on out-of-range or non-finite
+    fields. *)
 
 val seed : t -> string
 val to_list : t -> fault list
@@ -71,10 +73,12 @@ val client_offline : t -> round:int -> client:int -> bool
     [attempts] and [rounds] default to 1. *)
 
 val to_string : t -> string
-(** Canonical spec; [parse (to_string t) = Ok t]. *)
+(** Canonical spec, each number in the fewest digits that read back to
+    the same double; [parse ~seed:(seed t) (to_string t) = Ok t]. *)
 
 val parse : ?seed:string -> string -> (t, string) result
-val pp : Format.formatter -> t -> unit
+(** [Error] on an unknown kind or key, a repeated key, a malformed or
+    non-finite number, or a value out of range. *)
 
 val generate :
   seed:string ->
@@ -93,12 +97,10 @@ val generate :
     loss 0.2, offline 0.2 — offline only when [n_clients > 0]). Same seed,
     same schedule, forever. *)
 
-(** {1 Retry policy} Bounded retry with exponential backoff and
-    deterministic jitter. An alias of
-    {!Alpenhorn_core.Client.retry_policy} (the policy lives in core for
-    layering reasons; the simulator re-exports it). *)
+(** {1 Retry} Bounded retry with exponential backoff and deterministic
+    jitter, and the loop every driver runs its round's attempts through. *)
 
-type policy = Alpenhorn_core.Client.retry_policy = {
+type policy = {
   max_attempts : int;  (** total tries per round, including the first *)
   base_delay : float;  (** seconds before the first retry *)
   backoff_factor : float;  (** delay multiplier per further retry *)
@@ -111,14 +113,47 @@ val default_policy : policy
 (** 4 attempts, 5 s base, x2 growth capped at 60 s, ±20% jitter, 600 s
     round timeout. *)
 
+val validate_policy : policy -> unit
+(** @raise Invalid_argument unless [max_attempts >= 1], both delays
+    [>= 0], [backoff_factor >= 1], [jitter] in [0, 1] and
+    [round_timeout > 0] (a nan fails every bound). *)
+
 val backoff_delay : policy -> seed:string -> attempt:int -> float
-(** Delay before re-running the round after failed [attempt] (>= 1):
+(** Delay before re-running a round after failed [attempt] (>= 1):
     [min max_delay (base_delay * backoff_factor^(attempt-1))] jittered by
-    ±[jitter], the jitter drawn from a DRBG keyed on [(seed, attempt)]
-    only — deterministic under the sim clock and across reruns.
+    ±[jitter]. The jitter is drawn from a DRBG keyed on [(seed, attempt)]
+    only — never a protocol rng — so the delay sequence is deterministic
+    under any clock and retries leave the protocol's randomness untouched.
     @raise Invalid_argument on a malformed policy or [attempt < 1]. *)
 
-val deployment_view : t -> Alpenhorn_core.Deployment.fault_view
-(** The schedule as the closure record
-    {!Alpenhorn_core.Deployment.set_faults} takes (link latency and loss
-    are simulator-only and do not appear in the view). *)
+val retry :
+  t ->
+  policy ->
+  ?events:Alpenhorn_telemetry.Events.t ->
+  phase:string ->
+  round:int ->
+  labels:(string * string) list ->
+  wait:(float -> unit) ->
+  (int -> ('a * float, float) result) ->
+  'a option * int
+(** [retry t policy ~phase ~round ~labels ~wait attempt] runs [attempt 1],
+    [attempt 2], … on the driver's clock until one publishes or
+    [max_attempts] have aborted. An attempt returns [Ok (v, at)] when it
+    published at clock reading [at], or [Error at] when it aborted at
+    [at], after undoing whatever the attempt changed.
+
+    After an abort the loop counts [faults.rounds_aborted] and raises the
+    [faults.consecutive_aborts] gauge to the attempt number (the streak
+    within the round) if that beats the gauge's value: the gauge holds the
+    high-water mark since the registry's last reset. It then logs
+    [round.failed] and gives up, or counts [faults.retries], logs
+    [round.retry], and calls [wait] with {!backoff_delay}'s delay, keyed
+    on [(seed t, phase, round)]. A publication after an abort observes
+    [faults.recovery_seconds] (publication minus first abort) and logs
+    [round.recovered]. Events go to [events] (default
+    {!Alpenhorn_telemetry.Events.default}) under [labels], metrics to
+    {!Alpenhorn_telemetry.Telemetry.default}.
+
+    Returns [(Some v, n)] when attempt [n] published, [(None, n)] when
+    every attempt aborted ([n = max_attempts]). [policy] must pass
+    {!validate_policy}; both drivers check it before the first attempt. *)

@@ -11,8 +11,6 @@ let keygen (params : Params.t) rng =
   let s = Bigint.add Bigint.one (Drbg.bigint_below rng (Bigint.sub params.q Bigint.one)) in
   (s, Params.mul_g params s)
 
-let public_of_secret (params : Params.t) s = Params.mul_g params s
-
 let shared_secret (params : Params.t) sk peer =
   match peer with
   | Curve.Inf -> invalid_arg "Dh.shared_secret: infinity"

@@ -19,7 +19,6 @@ type secret = Bigint.t
 type public = Alpenhorn_pairing.Curve.point
 
 val keygen : Params.t -> Drbg.t -> secret * public
-val public_of_secret : Params.t -> secret -> public
 
 val shared_secret : Params.t -> secret -> public -> string
 (** 32-byte shared key: KDF of the compressed shared point. Both sides

@@ -46,7 +46,6 @@ let create params ~rng ~position ~chain_length =
   in
   { params; rng; pos = position; chain_length; round_key = None; down = false; tel }
 
-let position t = t.pos
 
 (* Crash/restart model the anytrust failure mode (§4.5): a down server
    refuses to process; its round key is dropped immediately so an aborted

@@ -21,8 +21,6 @@ type noise_body = mailbox:int -> string
 val create : Params.t -> rng:Drbg.t -> position:int -> chain_length:int -> t
 (** [position] is 0-based within the chain. *)
 
-val position : t -> int
-
 (** {2 Fault injection (DESIGN.md §10)} *)
 
 val crash : t -> unit

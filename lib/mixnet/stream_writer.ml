@@ -20,7 +20,6 @@ let create ?(capacity = default_capacity) sink =
   if capacity < 8 then invalid_arg "Stream_writer.create: capacity must be >= 8";
   { sink; buf = Bytes.create capacity; fill = 0; written = 0; peak = 0 }
 
-let capacity t = Bytes.length t.buf
 let written t = t.written
 let peak_buffered t = t.peak
 

@@ -23,8 +23,6 @@ val default_capacity : int
 val create : ?capacity:int -> sink -> t
 (** @raise Invalid_argument when [capacity < 8]. *)
 
-val capacity : t -> int
-
 val write : t -> string -> unit
 (** Append [s], flushing to the sink whenever the buffer fills; input
     larger than the capacity is cut into capacity-sized flushes. *)

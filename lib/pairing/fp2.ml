@@ -13,7 +13,6 @@ let in_base_field a = Bigint.is_zero a.im
 
 let add f a b = { re = Field.add f a.re b.re; im = Field.add f a.im b.im }
 let sub f a b = { re = Field.sub f a.re b.re; im = Field.sub f a.im b.im }
-let neg f a = { re = Field.neg f a.re; im = Field.neg f a.im }
 
 let mul f a b =
   (* (a.re + a.im i)(b.re + b.im i), i² = -1, Karatsuba-style 3 mults *)

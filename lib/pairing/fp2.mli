@@ -20,7 +20,6 @@ val in_base_field : el -> bool
 
 val add : Field.t -> el -> el -> el
 val sub : Field.t -> el -> el -> el
-val neg : Field.t -> el -> el
 val mul : Field.t -> el -> el -> el
 val sqr : Field.t -> el -> el
 val mul_fp : Field.t -> el -> Bigint.t -> el

@@ -1,12 +1,13 @@
 (* A localhost fleet for Net_deployment, as child processes or as RPC
    servers on domains; the scripted scenario e2e-net runs over it; and the
    check, which replays a scenario in process under the same config, seed
-   and fault view and measures the [faults.*] telemetry each run raised
+   and fault schedule and measures the [faults.*] telemetry each run raised
    (DESIGN.md §13). *)
 
 module Config = Alpenhorn_core.Config
 module Client = Alpenhorn_core.Client
 module Deployment = Alpenhorn_core.Deployment
+module Faults = Alpenhorn_core.Faults
 module Rpc = Alpenhorn_net.Rpc
 module Tel = Alpenhorn_telemetry.Telemetry
 
@@ -18,7 +19,7 @@ type running = { server : server; stop : unit -> unit }
 type t = {
   config : Config.t;
   seed : string;
-  faults : Deployment.fault_view option;
+  faults : Faults.t;
   pkgs : running array;
   mixers : running array; (* replaced on restart *)
   restart : int -> unit;
@@ -30,7 +31,7 @@ let endpoint r = { Net_deployment.host = "127.0.0.1"; port = r.server.port }
 (* One server per PKG and chain position, and the deployment over them.
    Every server ever started, respawns included, is stopped at the end;
    a stop runs at most once. *)
-let launch ~start ?faults ~config ~seed f =
+let launch ~start ?(faults = Faults.empty) ~config ~seed f =
   let started = ref [] in
   let start role i =
     let r = start role (Printf.sprintf "%s-%d" role i) i in

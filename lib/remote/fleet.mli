@@ -4,11 +4,12 @@
 
     A fleet is one PKG server per [config.n_pkgs] and one mixer server per
     chain position, each on an ephemeral port of 127.0.0.1, and the
-    {!Net_deployment} over them, with the fault view installed. A mixer's
-    [kill] stops its server and [restart] starts a fresh one from the same
-    seed, so a crash in the fault schedule takes a real server down. The
-    launchers run [f] on the fleet, then close the deployment and stop
-    every server however [f] ends. *)
+    {!Net_deployment} over them, with the fault schedule installed
+    (default {!Alpenhorn_core.Faults.empty}). A mixer's [kill] stops its
+    server and [restart] starts a fresh one from the same seed, so a crash
+    in the fault schedule takes a real server down. The launchers run [f]
+    on the fleet, then close the deployment and stop every server however
+    [f] ends. *)
 
 module Config = Alpenhorn_core.Config
 module Deployment = Alpenhorn_core.Deployment
@@ -22,7 +23,7 @@ type server = {
 type t
 
 val processes :
-  exe:string -> ?metrics:bool -> ?faults:Deployment.fault_view ->
+  exe:string -> ?metrics:bool -> ?faults:Alpenhorn_core.Faults.t ->
   config:Config.t -> seed:string -> (t -> 'a) -> 'a
 (** Every server a child process [exe serve-pkg] or [exe serve-mixer] (the
     CLI, which serves {!Config.test}'s curve and chain length), its ports
@@ -32,7 +33,7 @@ val processes :
     @raise Failure when a child exits before READY. *)
 
 val domains :
-  ?faults:Deployment.fault_view -> config:Config.t -> seed:string -> (t -> 'a) -> 'a
+  ?faults:Alpenhorn_core.Faults.t -> config:Config.t -> seed:string -> (t -> 'a) -> 'a
 (** Every server an {!Alpenhorn_net.Rpc.Server} on a domain of this
     process; a killed one is stopped and its domain joined. *)
 
@@ -61,9 +62,9 @@ val round_to_string : round -> string
 
 val check : t -> (Deployment.t -> 'a) -> ('a * (string * int) list) * ('a * (string * int) list)
 (** Run the scenario over the fleet's deployment, then replay it on
-    {!Deployment.create} with the fleet's config, seed and fault view: the
-    wire run's result first, each with the rise of every [faults.*]
-    counter and histogram [.count] of
+    {!Deployment.create} with the fleet's config, seed and fault
+    schedule: the wire run's result first, each with the rise of every
+    [faults.*] counter and histogram [.count] of
     {!Alpenhorn_telemetry.Telemetry.default} that rose during it (keyed by
     {!Alpenhorn_telemetry.Telemetry.metric_key}). The two must agree for
     every backend whose servers derive like the in-process ones. *)

@@ -79,11 +79,8 @@ module Op : sig
   val mix_ping : (unit, unit) rpc
 end
 
-(** {1 Client side} *)
-
-val call : Rpc.Client.t -> ('q, 'r) rpc -> 'q -> (('r, Pkg.error) result, string) result
-(** One round trip. An error frame, a mismatched tag or a response that
-    does not decode is an [Error]. *)
+(** {1 Client side} Each stub is one round trip: an error frame, a
+    mismatched tag or a response that does not decode is an [Error]. *)
 
 val pkg_info : Rpc.Client.t -> params:Params.t -> (Bls.public, string) result
 (** The PKG's long-term signing key. *)

@@ -24,9 +24,6 @@ val after : t -> delay:float -> (unit -> unit) -> unit
 val run : t -> unit
 (** Execute events (which may schedule further events) until none remain. *)
 
-val step : t -> bool
-(** Execute the single earliest event; [false] if the queue was empty. *)
-
 val pending : t -> int
 (** Events currently queued — the instantaneous queue depth. *)
 

@@ -1,4 +1,5 @@
 module Mailbox = Alpenhorn_mixnet.Mailbox
+module Faults = Alpenhorn_core.Faults
 module Tel = Alpenhorn_telemetry.Telemetry
 module Trace = Alpenhorn_telemetry.Trace
 module Events = Alpenhorn_telemetry.Events
@@ -12,11 +13,6 @@ type timeline = {
   attempts : int;
   completed : bool;
 }
-
-(* High-water mark of consecutive aborted attempts across every replay in
-   the process, mirrored into the faults.consecutive_aborts gauge for the
-   SLO engine (a gauge alone would be overwritten by the next round). *)
-let worst_streak = ref 0
 
 (* One round: [batch0] messages enter server 0 at t = 0 in [chunks] equal
    parts. Each server has a single processing pipeline (it works on one
@@ -39,10 +35,10 @@ let worst_streak = ref 0
    chunk as an OCaml value only; modeled message sizes and counts are
    unchanged (trace contexts never touch the wire, DESIGN.md §9).
 
-   With a [faults] schedule (DESIGN.md §10) the replay becomes an attempt
-   loop on the same DES clock: a chunk arriving at a crashed server aborts
-   the whole attempt (anytrust, §4.5 — nothing publishes), the round backs
-   off deterministically ({!Faults.backoff_delay}) and re-runs; a stalled
+   With a [faults] schedule (DESIGN.md §10) each attempt runs through
+   {!Faults.retry} on the same DES clock: a chunk arriving at a crashed
+   server aborts the whole attempt (anytrust, §4.5 — nothing publishes),
+   the round backs off deterministically and re-runs; a stalled
    server delays its first chunk (or aborts, past the policy's round
    timeout); link latency multiplies a server's outbound transfer time and
    link loss thins its outbound chunks. Same schedule, same seed ⇒ the
@@ -54,6 +50,7 @@ let replay (m : Costmodel.machine) ?tracer ?(events = Events.default) ?(faults =
     ~batch0 ~noise_per_server ~t_noise ~msg_bytes ~mailbox_bytes ~mailbox_load ~scan_seconds
     ~chunks () =
   if chunks < 1 then invalid_arg "Round_sim: chunks";
+  Faults.validate_policy policy;
   let have_faults = not (Faults.is_empty faults) in
   let des = Des.create () in
   let reg = Tel.default in
@@ -69,10 +66,6 @@ let replay (m : Costmodel.machine) ?tracer ?(events = Events.default) ?(faults =
     Array.init n_servers (fun i -> Tel.Histogram.v reg ~labels:(labels i) "mix.unwrap_seconds")
   in
   let c_scan = Tel.Counter.v reg scan_metric in
-  let c_aborts = Tel.Counter.v reg "faults.rounds_aborted" in
-  let c_retries = Tel.Counter.v reg "faults.retries" in
-  let g_consec = Tel.Gauge.v reg "faults.consecutive_aborts" in
-  let h_recovery = Tel.Histogram.v reg "faults.recovery_seconds" in
   let c_injected kind = Tel.Counter.v reg ~labels:[ ("kind", kind) ] "faults.injected" in
   let g_pending = Tel.Gauge.v reg "sim.des_pending" in
   let g_pending_max = Tel.Gauge.v reg "sim.des_pending_max" in
@@ -83,8 +76,8 @@ let replay (m : Costmodel.machine) ?tracer ?(events = Events.default) ?(faults =
   (* per-server: when its pipeline becomes free *)
   let free_at = Array.make n_servers 0.0 in
   let chunks_seen = Array.make n_servers 0 in
-  let aborted = ref false in
-  let first_abort = ref None in
+  (* when the running attempt aborted, on the DES clock *)
+  let aborted = ref None in
   let sample_queue_depth () =
     Tel.Gauge.set g_pending (float_of_int (Des.pending des));
     Tel.Gauge.set g_pending_max (float_of_int (Des.max_pending des))
@@ -99,22 +92,13 @@ let replay (m : Costmodel.machine) ?tracer ?(events = Events.default) ?(faults =
      can parent to it even when publish waits for a later chunk *)
   let traced_mb = ref None in
   let abort_attempt ~attempt ~severity ~labels:ls ~detail name =
-    aborted := true;
-    if !first_abort = None then first_abort := Some (Des.now des);
-    Tel.Counter.inc c_aborts;
-    let streak = attempt in
-    (* attempts abort consecutively until one succeeds, so the attempt
-       number IS the streak within this round *)
-    if streak > !worst_streak then begin
-      worst_streak := streak;
-      Tel.Gauge.set g_consec (float_of_int streak)
-    end;
+    aborted := Some (Des.now des);
     Events.log events ~severity ~labels:(("attempt", string_of_int attempt) :: ls) ~detail name;
     sample_queue_depth ()
   in
   (* messages per chunk grows along the chain as servers add noise *)
   let rec deliver ~attempt server chunk_msgs chunk_index trace =
-    if !aborted then sample_queue_depth () (* a sibling chunk already killed the attempt *)
+    if !aborted <> None then sample_queue_depth () (* a sibling chunk already killed the attempt *)
     else if Faults.crash_attempts faults ~round:fault_round ~server >= attempt then begin
       Tel.Counter.inc (c_injected "crash");
       abort_attempt ~attempt ~severity:Events.Error ~labels:(labels server)
@@ -189,7 +173,7 @@ let replay (m : Costmodel.machine) ?tracer ?(events = Events.default) ?(faults =
           (* last server: chunk lands in the mailboxes; publish after the final
              chunk, then the client downloads and scans *)
           Des.schedule des ~at:arrival (fun () ->
-              if not !aborted then begin
+              if !aborted = None then begin
                 (match trace_child hop with
                 | Some ctx ->
                   trace_emit ctx "mailbox.publish" ~ts:(Des.now des) ~dur:0.0;
@@ -219,7 +203,6 @@ let replay (m : Costmodel.machine) ?tracer ?(events = Events.default) ?(faults =
       end
     end
   in
-  let attempts = ref 0 and completed = ref false in
   Tel.with_clock reg ~kind:"sim" (fun () -> Des.now des) (fun () ->
       Events.log events
         ~labels:[ ("phase", phase) ]
@@ -231,9 +214,8 @@ let replay (m : Costmodel.machine) ?tracer ?(events = Events.default) ?(faults =
       Timeseries.record Timeseries.default;
       Tel.Gauge.set g_mailbox_load mailbox_load;
       let per_chunk = float_of_int batch0 /. float_of_int chunks in
-      let rec run_attempt attempt =
-        attempts := attempt;
-        aborted := false;
+      let attempt n =
+        aborted := None;
         let start_at = Des.now des in
         Array.fill free_at 0 n_servers start_at;
         Array.fill chunks_seen 0 n_servers 0;
@@ -245,48 +227,24 @@ let replay (m : Costmodel.machine) ?tracer ?(events = Events.default) ?(faults =
         Option.iter (fun ctx -> trace_emit ctx "client.submit" ~ts:start_at ~dur:0.0) root;
         for i = 0 to chunks - 1 do
           let trace = if i = 0 then root else None in
-          Des.schedule des ~at:start_at (fun () -> deliver ~attempt 0 per_chunk i trace)
+          Des.schedule des ~at:start_at (fun () -> deliver ~attempt:n 0 per_chunk i trace)
         done;
         Des.run des;
         sample_queue_depth ();
-        if not !aborted then begin
-          completed := true;
-          if attempt > 1 then begin
-            (match !first_abort with
-            | Some t0 ->
-              let recovery = !publish -. t0 in
-              Tel.Histogram.observe h_recovery recovery;
-              Events.log events
-                ~labels:[ ("phase", phase) ]
-                ~detail:(Printf.sprintf "recovered on attempt %d after %g s" attempt recovery)
-                "round.recovered"
-            | None -> ())
-          end
-        end
-        else if attempt >= policy.Faults.max_attempts then
-          Events.log events ~severity:Error
-            ~labels:[ ("phase", phase) ]
-            ~detail:(Printf.sprintf "gave up after %d attempts" attempt)
-            "round.failed"
-        else begin
-          let delay =
-            Faults.backoff_delay policy
-              ~seed:(Printf.sprintf "%s:%s:%d" (Faults.seed faults) phase fault_round)
-              ~attempt
-          in
-          Tel.Counter.inc c_retries;
-          Events.log events ~severity:Warn
-            ~labels:[ ("phase", phase) ]
-            ~detail:(Printf.sprintf "attempt %d aborted; retrying after %.1f s backoff" attempt delay)
-            "round.retry";
-          Des.after des ~delay (fun () -> ());
-          Des.run des;
-          run_attempt (attempt + 1)
-        end
+        match !aborted with None -> Ok ((), !publish) | Some at -> Error at
       in
-      run_attempt 1;
+      let wait delay =
+        Des.after des ~delay ignore;
+        Des.run des
+      in
+      let published, attempts =
+        Faults.retry faults policy ~events ~phase ~round:fault_round
+          ~labels:[ ("phase", phase) ]
+          ~wait attempt
+      in
+      let completed = published <> None in
       Tel.Span.emit reg ~name:("round." ^ phase) ~ts:0.0 ~dur:!client_done ();
-      if !completed then
+      if completed then
         Tel.Counter.inc
           (Tel.Counter.v reg ~labels:[ ("phase", phase) ] "round.completed");
       Runtime_stats.sample (Runtime_stats.get_default ());
@@ -294,16 +252,10 @@ let replay (m : Costmodel.machine) ?tracer ?(events = Events.default) ?(faults =
       Events.log events
         ~labels:[ ("phase", phase) ]
         ~detail:
-          (if !completed then Printf.sprintf "client done at %g s" !client_done
-           else Printf.sprintf "round failed after %d attempts" !attempts)
-        "round.close");
-  {
-    server_done;
-    publish = !publish;
-    client_done = !client_done;
-    attempts = !attempts;
-    completed = !completed;
-  }
+          (if completed then Printf.sprintf "client done at %g s" !client_done
+           else Printf.sprintf "round failed after %d attempts" attempts)
+        "round.close";
+      { server_done; publish = !publish; client_done = !client_done; attempts; completed })
 
 let addfriend m ?tracer ?events ?faults ?fault_round ?policy (pc : Costmodel.protocol_costs)
     ~n_users ~n_servers ~noise_mu ~active_fraction ~chunks =

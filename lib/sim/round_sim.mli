@@ -42,19 +42,22 @@
       [mailbox.max_load] carries the modeled per-mailbox load for the
       {!Alpenhorn_telemetry.Slo} §6 ceiling rule.
 
-    Fault injection (DESIGN.md §10): with [?faults] (a {!Faults.t}
-    schedule, keyed by [?fault_round], default 1) the replay becomes a
-    bounded attempt loop on the same DES clock. A chunk arriving at a
-    crashed server aborts the whole attempt — nothing publishes, matching
-    the anytrust abort (§4.5) — and the round re-runs after
-    {!Faults.backoff_delay}'s deterministic backoff under [?policy]
-    (default {!Faults.default_policy}). Stalls delay a server's first
-    chunk, or abort past the policy's round timeout; link latency
-    multiplies a server's outbound transfer time; link loss thins its
-    outbound chunks. Aborts, retries and recovery time land in the
-    [faults.*] metrics. Same schedule and seed ⇒ the same failure trace,
-    event log included, byte for byte; an empty schedule follows the
-    exact no-fault code path. *)
+    Fault injection (DESIGN.md §10): with [?faults] (a
+    {!Alpenhorn_core.Faults.t} schedule, keyed by [?fault_round], default
+    1) each attempt of the replay runs through
+    {!Alpenhorn_core.Faults.retry}, the loop the deployments run, under
+    [?policy] (default {!Alpenhorn_core.Faults.default_policy}; a
+    malformed one raises [Invalid_argument] before anything is recorded),
+    its backoff waiting on the DES clock. A chunk arriving at a crashed
+    server aborts the whole attempt — nothing publishes, matching the
+    anytrust abort (§4.5). A server's stall delays its first chunk, or
+    aborts past the policy's round timeout (each server is checked on its
+    own); link latency multiplies a server's outbound transfer time; link
+    loss thins its outbound chunks. The loop's [round.*] events carry the
+    [phase] label, and recovery time runs from the first abort to the
+    publish. Same schedule and seed ⇒ the same failure trace, event log
+    included, byte for byte; an empty schedule follows the exact no-fault
+    code path. *)
 
 type timeline = {
   server_done : float array;  (** when each server finished its last chunk *)
@@ -68,9 +71,9 @@ val addfriend :
   Costmodel.machine ->
   ?tracer:Alpenhorn_telemetry.Trace.t ->
   ?events:Alpenhorn_telemetry.Events.t ->
-  ?faults:Faults.t ->
+  ?faults:Alpenhorn_core.Faults.t ->
   ?fault_round:int ->
-  ?policy:Faults.policy ->
+  ?policy:Alpenhorn_core.Faults.policy ->
   Costmodel.protocol_costs ->
   n_users:int ->
   n_servers:int ->
@@ -84,9 +87,9 @@ val dialing :
   Costmodel.machine ->
   ?tracer:Alpenhorn_telemetry.Trace.t ->
   ?events:Alpenhorn_telemetry.Events.t ->
-  ?faults:Faults.t ->
+  ?faults:Alpenhorn_core.Faults.t ->
   ?fault_round:int ->
-  ?policy:Faults.policy ->
+  ?policy:Alpenhorn_core.Faults.policy ->
   ?num_shards:int ->
   Costmodel.protocol_costs ->
   n_users:int ->

@@ -37,7 +37,6 @@ let create ?(capacity = default_capacity) reg =
 
 let default = create Telemetry.default
 
-let capacity t = Array.length t.ring
 let length t = t.len
 let dropped t = t.dropped
 

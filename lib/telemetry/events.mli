@@ -42,7 +42,6 @@ val log :
 (** Append one event ([severity] defaults to [Info]). O(1); overwrites
     the oldest event when the ring is full. *)
 
-val capacity : t -> int
 val length : t -> int
 
 val dropped : t -> int

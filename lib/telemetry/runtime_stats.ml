@@ -36,7 +36,6 @@ type t = {
   own : own Domain.DLS.key;
   mutable last_probe : float; (* wall time of the last pause probe *)
   min_probe_interval : float;
-  mutable max_pause : float; (* all-time, unaffected by registry resets *)
   c_minor : Tel.Counter.t;
   c_major : Tel.Counter.t;
   c_compact : Tel.Counter.t;
@@ -69,7 +68,6 @@ let install ?(registry = Tel.default) ?(min_probe_interval = 0.5) () =
       own = Domain.DLS.new_key own_words;
       last_probe = 0.0;
       min_probe_interval;
-      max_pause = 0.0;
       c_minor = Tel.Counter.v reg "runtime.gc.minor_collections";
       c_major = Tel.Counter.v reg "runtime.gc.major_collections";
       c_compact = Tel.Counter.v reg "runtime.gc.compactions";
@@ -113,7 +111,6 @@ let probe_pause t now =
     Gc.minor ();
     let pause = Unix.gettimeofday () -. t0 in
     Tel.Histogram.observe t.h_pause pause;
-    if pause > t.max_pause then t.max_pause <- pause;
     (* window max: the gauge is zeroed by snapshot resets, so keep it at
        the largest probe of the current window *)
     if pause > Tel.Gauge.value t.g_max_pause then Tel.Gauge.set t.g_max_pause pause
@@ -163,5 +160,3 @@ let get_default () =
     let t = install () in
     default_ref := Some t;
     t
-
-let max_pause_seconds t = t.max_pause

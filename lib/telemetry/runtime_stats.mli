@@ -73,7 +73,3 @@ val sample : ?full:bool -> t -> unit
     above). [~full:true] additionally runs the heap-walking [Gc.stat]
     for [runtime.live_words]/[runtime.free_words] — noticeably more
     expensive; reserve it for round boundaries. *)
-
-val max_pause_seconds : t -> float
-(** Largest probed pause since {!install} (not affected by registry
-    resets); [0.] before the first probe. *)

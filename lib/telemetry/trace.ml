@@ -22,7 +22,6 @@ let create ?(rate = 1.0) ?(seed = 0x5eed) reg =
   if Float.is_nan rate || rate < 0.0 || rate > 1.0 then invalid_arg "Trace.create: rate";
   { reg; rate; next_trace_id = 1; next_span_id = 1; lcg = seed land 0x3fffffff }
 
-let rate t = t.rate
 let registry t = t.reg
 
 (* Deterministic 31-bit LCG (Lehmer-style constants): sampling decisions

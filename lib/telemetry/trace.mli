@@ -35,7 +35,6 @@ val create : ?rate:float -> ?seed:int -> Telemetry.registry -> t
     sequence reproducible.
     @raise Invalid_argument if [rate] is outside [0, 1]. *)
 
-val rate : t -> float
 val registry : t -> Telemetry.registry
 
 val sample : t -> ctx option

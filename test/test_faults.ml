@@ -14,21 +14,13 @@ module Client = Alpenhorn_core.Client
 module Deployment = Alpenhorn_core.Deployment
 module Costmodel = Alpenhorn_sim.Costmodel
 module Round_sim = Alpenhorn_sim.Round_sim
-module Faults = Alpenhorn_sim.Faults
+module Faults = Alpenhorn_core.Faults
 module Drbg = Alpenhorn_crypto.Drbg
 module Tel = Alpenhorn_telemetry.Telemetry
 module Events = Alpenhorn_telemetry.Events
 
 let params = lazy (Params.test ())
 let p () = Lazy.force params
-
-let no_faults =
-  {
-    Deployment.fv_seed = "none";
-    fv_crash_attempts = (fun ~round:_ ~server:_ -> 0);
-    fv_stall_seconds = (fun ~round:_ ~server:_ -> 0.0);
-    fv_client_offline = (fun ~round:_ ~client:_ -> false);
-  }
 
 (* ---- schedule unit tests ---- *)
 
@@ -113,7 +105,7 @@ let schedule_tests =
             && d <= raw *. (1.0 +. policy.Faults.jitter) +. 1e-9)
         done;
         Alcotest.check_raises "attempt 0 rejected"
-          (Invalid_argument "Client.backoff_delay: attempt must be >= 1") (fun () ->
+          (Invalid_argument "Faults.backoff_delay: attempt must be >= 1") (fun () ->
             ignore (Faults.backoff_delay policy ~seed:"s" ~attempt:0)));
   ]
 
@@ -245,7 +237,7 @@ let deployment_tests =
               Faults.of_list
                 [ { Faults.round = 1; kind = Server_crash { server = 1; attempts = 1 } } ]
             in
-            Deployment.set_faults d (Some (Faults.deployment_view faults))
+            Deployment.set_faults d faults
           end;
           Client.add_friend alice ~email:"bob@x" ();
           let s1 = Deployment.run_addfriend_round d () in
@@ -268,12 +260,11 @@ let deployment_tests =
       `Quick (fun () ->
         let d = Deployment.create ~config:Config.test ~seed:"chaos-fail" in
         let alice, bob = new_pair d in
-        Deployment.set_retry_policy d
-          { Client.default_retry_policy with Client.max_attempts = 2 };
+        Deployment.set_retry_policy d { Faults.default_policy with Faults.max_attempts = 2 };
         let faults =
           Faults.of_list [ { Faults.round = 1; kind = Server_crash { server = 0; attempts = 99 } } ]
         in
-        Deployment.set_faults d (Some (Faults.deployment_view faults));
+        Deployment.set_faults d faults;
         Client.add_friend alice ~email:"bob@x" ();
         (match Deployment.run_addfriend_round d () with
         | _ -> Alcotest.fail "round should have failed"
@@ -284,7 +275,7 @@ let deployment_tests =
         (* nothing published, client state rolled back: the queued request
            survives and the next (clean) rounds deliver it *)
         Alcotest.(check int) "request still queued" 1 (Client.pending_add_friends alice);
-        Deployment.set_faults d None;
+        Deployment.set_faults d Faults.empty;
         ignore (Deployment.run_addfriend_round d ());
         ignore (Deployment.run_addfriend_round d ());
         Alcotest.(check bool) "friendship established after recovery" true
@@ -295,19 +286,19 @@ let deployment_tests =
         let alice, _bob = new_pair d in
         let policy = Deployment.retry_policy d in
         Deployment.set_faults d
-          (Some
-             {
-               no_faults with
-               Deployment.fv_stall_seconds =
-                 (fun ~round ~server ->
-                   if round = 1 && server = 0 then policy.Client.round_timeout +. 50.0 else 0.0);
-             });
+          (Faults.of_list ~seed:"none"
+             [
+               {
+                 Faults.round = 1;
+                 kind = Server_stall { server = 0; seconds = policy.Faults.round_timeout +. 50.0 };
+               };
+             ]);
         Client.add_friend alice ~email:"bob@x" ();
         let before = Deployment.now d in
         let s = Deployment.run_addfriend_round d () in
         Alcotest.(check int) "timeout burned the first attempt" 2 s.Deployment.af_attempts;
         Alcotest.(check bool) "clock advanced past the timeout" true
-          (Deployment.now d - before >= int_of_float policy.Client.round_timeout));
+          (Deployment.now d - before >= int_of_float policy.Faults.round_timeout));
     Alcotest.test_case "offline client misses a call, catches up from the archive" `Quick
       (fun () ->
         let got_call = ref None in
@@ -330,12 +321,8 @@ let deployment_tests =
         ignore (Deployment.run_addfriend_round d ());
         (* bob (registration index 1) is offline for dialing round 1 only *)
         Deployment.set_faults d
-          (Some
-             {
-               no_faults with
-               Deployment.fv_client_offline =
-                 (fun ~round ~client -> round = 1 && client = 1);
-             });
+          (Faults.of_list ~seed:"none"
+             [ { Faults.round = 1; kind = Client_offline { client = 1; rounds = 1 } } ]);
         Client.call alice ~email:"bob@x" ~intent:1;
         let s1 = Deployment.run_dialing_round d () in
         Alcotest.(check bool) "offline round delivered nothing to bob" true
@@ -480,5 +467,82 @@ let keywheel_tests =
         Alcotest.(check int) "copy keeps the friend" 1 (Keywheel.friend_count twin));
   ]
 
+(* ---- canonical specs, policy validation and the one streak rule ---- *)
+
+let rejects what f =
+  match f () with
+  | _ -> Alcotest.failf "accepted %s" what
+  | exception Invalid_argument _ -> ()
+
+(* The high-water mark of the streak gauge in a snapshot of the shared
+   registry; [~reset:true] also zeroes it, as a per-round scrape does. *)
+let streak ~reset =
+  List.fold_left Float.max 0.0
+    (Tel.Snapshot.gauges (Tel.Snapshot.take ~reset Tel.default) "faults.consecutive_aborts")
+
+let crash_round ~seed ~attempts =
+  let d = Deployment.create ~config:Config.test ~seed in
+  ignore (new_pair d);
+  Deployment.set_faults d
+    (Faults.of_list [ { Faults.round = 1; kind = Server_crash { server = 0; attempts } } ]);
+  (Deployment.run_addfriend_round d ()).Deployment.af_attempts
+
+let canonical_tests =
+  [
+    Alcotest.test_case "generated schedules print and parse back exactly" `Quick (fun () ->
+        for i = 1 to 50 do
+          let seed = Printf.sprintf "chaos-%d" i in
+          let t = Faults.generate ~seed ~rounds:3 ~n_servers:3 ~n_clients:4 () in
+          let spec = Faults.to_string t in
+          Alcotest.(check bool) (seed ^ ": " ^ spec) true (Faults.parse ~seed spec = Ok t)
+        done);
+    Alcotest.test_case "parse rejects unknown and repeated keys and non-finite numbers" `Quick
+      (fun () ->
+        List.iter
+          (fun spec ->
+            match Faults.parse spec with
+            | Ok t -> Alcotest.failf "accepted %S as %S" spec (Faults.to_string t)
+            | Error _ -> ())
+          [
+            "crash@1:server=1,attempt=2"; "crash@1:server=1,server=2"; "loss@1:server=0,fraction=nan";
+            "latency@1:server=0,factor=inf"; "stall@1:server=0,seconds=nan";
+          ];
+        List.iter
+          (fun (what, kind) -> rejects what (fun () -> Faults.of_list [ { Faults.round = 1; kind } ]))
+          [
+            ("a stall of nan s", Faults.Server_stall { server = 0; seconds = Float.nan });
+            ("a stall of inf s", Faults.Server_stall { server = 0; seconds = Float.infinity });
+            ("a latency factor of inf", Faults.Link_latency { server = 0; factor = Float.infinity });
+            ("a loss fraction of nan", Faults.Link_loss { server = 0; fraction = Float.nan });
+          ]);
+    Alcotest.test_case "a malformed retry policy is rejected when it is set" `Quick (fun () ->
+        let bad = { Faults.default_policy with Faults.jitter = 2.0 } in
+        let d = Deployment.create ~config:Config.test ~seed:"bad-policy" in
+        rejects "jitter 2 in a deployment" (fun () -> Deployment.set_retry_policy d bad);
+        Alcotest.(check bool) "the policy in force is unchanged" true
+          (Deployment.retry_policy d = Faults.default_policy);
+        rejects "jitter 2 in a replay" (fun () ->
+            let m = Costmodel.paper_machine in
+            Round_sim.addfriend m ~policy:bad (Costmodel.protocol_costs (p ())) ~n_users:5_000
+              ~n_servers:3 ~noise_mu:1000.0 ~active_fraction:0.05 ~chunks:2));
+    Alcotest.test_case "streak gauge: a replay after a registry reset reads its streak" `Quick
+      (fun () ->
+        ignore (streak ~reset:true);
+        let faults = Result.get_ok (Faults.parse "crash@1:server=1,attempts=2") in
+        ignore (replay ~faults ());
+        Alcotest.(check (float 0.0)) "first replay" 2.0 (streak ~reset:true);
+        ignore (replay ~faults ());
+        Alcotest.(check (float 0.0)) "identical replay after the reset" 2.0 (streak ~reset:true));
+    Alcotest.test_case "streak gauge: a later deployment keeps the high-water mark" `Quick
+      (fun () ->
+        ignore (streak ~reset:true);
+        Alcotest.(check int) "three aborts, then a publish" 4
+          (crash_round ~seed:"streak-a" ~attempts:3);
+        Alcotest.(check (float 0.0)) "first deployment" 3.0 (streak ~reset:false);
+        Alcotest.(check int) "one abort, then a publish" 2 (crash_round ~seed:"streak-b" ~attempts:1);
+        Alcotest.(check (float 0.0)) "second deployment" 3.0 (streak ~reset:false));
+  ]
+
 let suite =
   schedule_tests @ sim_tests @ deployment_tests @ rollback_tests @ keywheel_tests
+  @ canonical_tests

@@ -1,8 +1,8 @@
 (* Golden pin of the in-process deployment's results. A fixed scenario —
    4 clients, two friendships, two calls, 4 add-friend and 4 dialing rounds
-   under a hand-rolled fault schedule (a stall past the round timeout, a
-   mixer crash, a client offline) — is reduced to one SHA-256 over every
-   stats field, every add-friend event, every call with its session key,
+   under a fault schedule (a stall past the round timeout, a mixer crash,
+   a client offline) — is reduced to one SHA-256 over every stats field,
+   every add-friend event, every call with its session key,
    the archived dialing filter of every client for every retained round,
    and the final logical clock. The digests were recorded once and are
    never edited: the in-process ≡ wire oracle compares two paths that share
@@ -12,6 +12,7 @@
 module Config = Alpenhorn_core.Config
 module Client = Alpenhorn_core.Client
 module Deployment = Alpenhorn_core.Deployment
+module Faults = Alpenhorn_core.Faults
 module Bloom = Alpenhorn_bloom.Bloom
 module Sha256 = Alpenhorn_crypto.Sha256
 module Util = Alpenhorn_crypto.Util
@@ -21,12 +22,12 @@ let emails = [ "alice@g"; "bob@g"; "carol@g"; "dave@g" ]
 (* stall 700 s (past the 600 s timeout) on server 0 in round 1, crash
    server 1 in round 2, client 1 offline in round 2 — of both phases *)
 let faults =
-  {
-    Deployment.fv_seed = "golden";
-    fv_crash_attempts = (fun ~round ~server -> if round = 2 && server = 1 then 1 else 0);
-    fv_stall_seconds = (fun ~round ~server -> if round = 1 && server = 0 then 700.0 else 0.0);
-    fv_client_offline = (fun ~round ~client -> round = 2 && client = 1);
-  }
+  Faults.of_list ~seed:"golden"
+    [
+      { Faults.round = 1; kind = Server_stall { server = 0; seconds = 700.0 } };
+      { Faults.round = 2; kind = Server_crash { server = 1; attempts = 1 } };
+      { Faults.round = 2; kind = Client_offline { client = 1; rounds = 1 } };
+    ]
 
 let af_event = function
   | Client.Friend_request_accepted e -> "accepted:" ^ e
@@ -49,7 +50,7 @@ let digest ~dial_shards =
       | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e))
     clients;
   let c i = List.nth clients i in
-  Deployment.set_faults d (Some faults);
+  Deployment.set_faults d faults;
   Client.add_friend (c 0) ~email:"bob@g" ();
   Client.add_friend (c 2) ~email:"dave@g" ();
   let buf = Buffer.create 4096 in

@@ -10,7 +10,7 @@ module Codec = Alpenhorn_codec.Codec
 module Rpc = Alpenhorn_net.Rpc
 module Listener = Alpenhorn_net.Listener
 module Fleet = Alpenhorn_remote.Fleet
-module Faults = Alpenhorn_sim.Faults
+module Faults = Alpenhorn_core.Faults
 module Config = Alpenhorn_core.Config
 module Client = Alpenhorn_core.Client
 module Deployment = Alpenhorn_core.Deployment
@@ -673,12 +673,7 @@ let loop_tests =
 
 (* crash mixer 1 on the first attempt of round 1 — of both phases *)
 let faults seed =
-  {
-    Deployment.fv_seed = seed;
-    fv_crash_attempts = (fun ~round ~server -> if round = 1 && server = 1 then 1 else 0);
-    fv_stall_seconds = (fun ~round:_ ~server:_ -> 0.0);
-    fv_client_offline = (fun ~round:_ ~client:_ -> false);
-  }
+  Faults.of_list ~seed [ { Faults.round = 1; kind = Server_crash { server = 1; attempts = 1 } } ]
 
 let register d email =
   let c = Deployment.new_client d ~email ~callbacks:Client.null_callbacks in
@@ -793,7 +788,7 @@ let catch_up_over_sockets () =
    the fault telemetry must still match. *)
 let scripted_crash ~dial_shards () =
   let config = { Config.test with Config.n_pkgs = 1; dial_shards } in
-  let faults = Faults.deployment_view (Result.get_ok (Faults.parse "crash@1:server=1")) in
+  let faults = Result.get_ok (Faults.parse "crash@1:server=1") in
   let (net, net_deltas), (ip, ip_deltas) =
     Fleet.domains ~faults ~config ~seed:"ci" (fun fleet ->
         Fleet.check fleet (Fleet.scenario ~rounds:3))
@@ -839,7 +834,7 @@ let mix_telemetry f =
    same pair in process under the same seed and faults. The mixer servers
    share this process's registry but run no chain: every span and event
    counted here is the orchestrator's. *)
-let pipeline_pair ?faults ~seed () =
+let pipeline_pair ?(faults = Faults.empty) ~seed () =
   let config = { Config.test with Config.n_pkgs = 1 } in
   let pair d =
     let alice = register d "alice@x" in
@@ -848,7 +843,7 @@ let pipeline_pair ?faults ~seed () =
     ignore (Deployment.run_addfriend_round d ());
     ignore (Deployment.run_dialing_round d ())
   in
-  Fleet.domains ?faults ~config ~seed (fun fleet ->
+  Fleet.domains ~faults ~config ~seed (fun fleet ->
       let wire = mix_telemetry (fun () -> pair (Fleet.deployment fleet)) in
       let local = Deployment.create ~config ~seed in
       Deployment.set_faults local faults;
@@ -864,7 +859,7 @@ let pipeline_tests =
           (2, [ "0"; "1"; "2"; "0"; "1"; "2" ], []) wire;
         Alcotest.(check telemetry) "wire = in process" local wire);
     Alcotest.test_case "crash@1:server=1: the wire logs the in-process abort" `Quick (fun () ->
-        let faults = Faults.deployment_view (Result.get_ok (Faults.parse "crash@1:server=1")) in
+        let faults = Result.get_ok (Faults.parse "crash@1:server=1") in
         let ((_, _, aborts) as wire), local = pipeline_pair ~faults ~seed:"net-pipeline" () in
         Alcotest.(check (list string)) "one abort at server 1 per phase" [ "1"; "1" ] aborts;
         Alcotest.(check telemetry) "wire = in process" local wire);
