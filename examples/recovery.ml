@@ -23,7 +23,9 @@ let step =
     Printf.printf "\n%d. %s\n%!" !n msg
 
 let () =
-  let d = Deployment.create ~config:Config.test ~seed:"recovery" in
+  (* the in-process deployment, with its PKG handles for the deregistration *)
+  let pkgs, backend = Deployment.local_backend ~config:Config.test ~seed:"recovery" in
+  let d = Deployment.of_backend ~config:Config.test ~seed:"recovery" backend in
   let alice = Deployment.new_client d ~email:"alice@x" ~callbacks:Client.null_callbacks in
   let bob = Deployment.new_client d ~email:"bob@x" ~callbacks:Client.null_callbacks in
   List.iter
@@ -50,7 +52,7 @@ let () =
       match Pkg.deregister pkg ~now:(Deployment.now d) ~email:"alice@x" ~signature with
       | Ok () -> ()
       | Error e -> failwith (Pkg.error_to_string e))
-    (Deployment.pkgs d);
+    pkgs;
   Printf.printf "   deregistered at every PKG\n";
 
   step "The thief (who also controls her email) tries to register immediately";
@@ -85,8 +87,9 @@ let () =
   Client.add_friend alice2 ~email:"bob@x" ();
   ignore (Deployment.run_addfriend_round d ~participants:[ alice2; bob ] ());
   ignore (Deployment.run_addfriend_round d ~participants:[ alice2; bob ] ());
-  Printf.printf "   friends again: %b (fresh keywheel, new long-term key)\n"
-    (Client.is_friend bob ~email:"alice@x");
+  let friends = Client.is_friend bob ~email:"alice@x" in
+  Printf.printf "   friends again: %b (fresh keywheel, new long-term key)\n" friends;
+  if not friends then failwith "re-friending failed";
 
   step "A call under the new keywheel still works";
   Client.call alice2 ~email:"bob@x" ~intent:0;
@@ -96,4 +99,5 @@ let () =
     if ds.Deployment.calls <> [] then got := true
   done;
   Printf.printf "   call delivered: %b\n" !got;
+  if not !got then failwith "the call was not delivered";
   Printf.printf "\nRecovery complete: the thief never obtained the new account.\n"

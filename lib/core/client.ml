@@ -359,7 +359,8 @@ let scan_addfriend_mailbox t af ciphertexts =
            are then processed sequentially, sorted by plaintext bytes:
            [process_request] draws DH keys from the client's DRBG, so
            mailbox order — the mixnet's shuffle — would otherwise decide
-           who is confirmed first and every later session key. *)
+           who is confirmed first and every later session key. A copy of
+           a hit (a mixer may duplicate onions) is processed once. *)
         let pool = Parallel.get () in
         if Parallel.size pool > 1 then Pairing.warmup t.params;
         let plaintexts =
@@ -368,7 +369,7 @@ let scan_addfriend_mailbox t af ciphertexts =
         in
         (* a [None] is someone else's request, or noise (§3.1 step 6) *)
         List.filter_map Fun.id plaintexts
-        |> List.sort String.compare
+        |> List.sort_uniq String.compare
         |> List.filter_map (fun plaintext ->
                Tel.Counter.inc m_scan_hits;
                match Wire.decode_request t.params plaintext with

@@ -172,8 +172,9 @@ val scan_addfriend_mailbox : t -> af_round -> string list -> af_event list
 (** Steps 4-6: try to decrypt every ciphertext with the round identity key
     (prepared once for the mailbox, {!Ibe.with_prepared_key}), validate
     signatures (sender sig and PKG multisignature), fire callbacks, update
-    keywheels, queue confirmations. Consumes [af_round]: the identity key
-    and its prepared table are erased. *)
+    keywheels, queue confirmations. Copies of one plaintext count once.
+    Consumes [af_round]: the identity key and its prepared table are
+    erased. *)
 
 val verify_request :
   t -> round:int -> Wire.friend_request -> (unit, [ `Bad_pkg_sigs | `Bad_sender_sig ]) result

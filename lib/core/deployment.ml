@@ -20,22 +20,26 @@ type mode = [ `AddFriend | `Dialing ]
 
 (* The seam between the rounds below, written once, and the servers they
    run on: in process (function calls into Pkg.t and local Chain hops,
-   built by [create]) or over framed TCP RPC
-   (Alpenhorn_remote.Net_deployment). *)
-type backend = {
-  pkg_public_keys : Bls.public list;
-  register : int -> now:int -> email:string -> pk:Bls.public -> (unit, Pkg.error) result;
-  inbox : int -> email:string -> string list;
-  confirm : int -> now:int -> email:string -> token:string -> (unit, Pkg.error) result;
-  begin_round : int -> round:int -> string;
-  reveal : int -> round:int -> (Ibe.master_public * string, Pkg.error) result;
+   built by [local_backend]) or over framed TCP RPC
+   (Alpenhorn_remote.Net_deployment). A PKG's round operations return
+   [None] when it is down, as a [Chain.hop]'s do. *)
+type pkg = {
+  public_key : Bls.public;
+  register : now:int -> email:string -> pk:Bls.public -> (unit, Pkg.error) result;
+  inbox : email:string -> string list;
+  confirm : now:int -> email:string -> token:string -> (unit, Pkg.error) result;
+  begin_round : round:int -> string option;
+  reveal : round:int -> (Ibe.master_public * string, Pkg.error) result option;
   extract_batch :
-    int ->
     now:int ->
     round:int ->
     (string * Bls.signature) array ->
-    (Ibe.identity_key * Bls.signature, Pkg.error) result array;
-  end_round : int -> round:int -> unit;
+    (Ibe.identity_key * Bls.signature, Pkg.error) result array option;
+  end_round : round:int -> unit;
+}
+
+type backend = {
+  pkgs : pkg array;
   chain : mode -> Ibe.master_public option Chain.t;
   trace_round : 'a. Trace.t -> phase:string -> round:int -> (Trace.t option -> 'a) -> 'a;
   close : unit -> unit;
@@ -44,9 +48,8 @@ type backend = {
 type t = {
   config : Config.t;
   params : Params.t;
-  rng : Drbg.t; (* deployment root: client derivations, in-process noise *)
+  rng : Drbg.t; (* deployment root: client derivations *)
   b : backend;
-  local_pkgs : Pkg.t array; (* in process only; empty behind RPC *)
   dial_archive : (int, Bloom.t array * Shard.t) Hashtbl.t; (* round -> its filters (§5.1) *)
   mutable clients : Client.t list; (* registered clients *)
   mutable af_round : int;
@@ -86,13 +89,13 @@ let new_mix_server ~config ~seed mode ~position =
 let validate ~where config =
   match Config.validate config with Ok () -> () | Error m -> invalid_arg (where ^ ": " ^ m)
 
-let make ~config ~rng ~local_pkgs b =
+let of_backend ~config ~seed b =
+  validate ~where:"Deployment.of_backend" config;
   {
     config;
     params = Config.params config;
-    rng;
+    rng = root_rng ~seed;
     b;
-    local_pkgs;
     dial_archive = Hashtbl.create 64;
     clients = [];
     af_round = 0;
@@ -103,19 +106,25 @@ let make ~config ~rng ~local_pkgs b =
     tracer = None;
   }
 
-let of_backend ~config ~seed b =
-  validate ~where:"Deployment.of_backend" config;
-  make ~config ~rng:(root_rng ~seed) ~local_pkgs:[||] b
-
 (* ---- the in-process backend ---- *)
 
-let create ~config ~seed =
-  validate ~where:"Deployment.create" config;
+let local_backend ~config ~seed =
+  validate ~where:"Deployment.local_backend" config;
   let params = Config.params config in
   let rng = root_rng ~seed in
-  let pkgs, inboxes =
-    Array.split (Array.init config.Config.n_pkgs (fun index -> new_pkg ~config ~seed ~index))
+  let local (pkg, inbox) =
+    {
+      public_key = Pkg.long_term_public pkg;
+      register = Pkg.register pkg;
+      inbox;
+      confirm = Pkg.confirm pkg;
+      begin_round = (fun ~round -> Some (Pkg.begin_round pkg ~round));
+      reveal = (fun ~round -> Some (Pkg.reveal_round pkg ~round));
+      extract_batch = (fun ~now ~round reqs -> Some (Pkg.extract_batch pkg ~now ~round reqs));
+      end_round = Pkg.end_round pkg;
+    }
   in
+  let pkgs = Array.init config.Config.n_pkgs (fun index -> new_pkg ~config ~seed ~index) in
   (* noise bodies come from the deployment root, in the chain's order *)
   let chain_of mode =
     Chain.create
@@ -124,69 +133,41 @@ let create ~config ~seed =
              ~noise_body:(fun mpk_agg -> Wire.noise_body params rng mode ~mpk_agg)))
   in
   let af_chain = chain_of `AddFriend and dial_chain = chain_of `Dialing in
-  make ~config ~rng ~local_pkgs:pkgs
+  ( Array.map fst pkgs,
     {
-      pkg_public_keys = Array.to_list (Array.map Pkg.long_term_public pkgs);
-      register = (fun i ~now ~email ~pk -> Pkg.register pkgs.(i) ~now ~email ~pk);
-      inbox = (fun i ~email -> inboxes.(i) ~email);
-      confirm = (fun i ~now ~email ~token -> Pkg.confirm pkgs.(i) ~now ~email ~token);
-      begin_round = (fun i ~round -> Pkg.begin_round pkgs.(i) ~round);
-      reveal = (fun i ~round -> Pkg.reveal_round pkgs.(i) ~round);
-      extract_batch = (fun i ~now ~round reqs -> Pkg.extract_batch pkgs.(i) ~now ~round reqs);
-      end_round = (fun i ~round -> Pkg.end_round pkgs.(i) ~round);
+      pkgs = Array.map local pkgs;
       chain = (function `AddFriend -> af_chain | `Dialing -> dial_chain);
       (* messages carry their trace contexts out of band through the chain *)
       trace_round = (fun tr ~phase:_ ~round:_ f -> f (Some tr));
       close = ignore;
-    }
+    } )
 
+let create ~config ~seed = of_backend ~config ~seed (snd (local_backend ~config ~seed))
 let params t = t.params
-
-let pkgs t =
-  if Array.length t.local_pkgs = 0 then invalid_arg "Deployment.pkgs: the PKGs are remote";
-  t.local_pkgs
-
-let pkg_public_keys t = t.b.pkg_public_keys
+let pkg_public_keys t = Array.to_list (Array.map (fun p -> p.public_key) t.b.pkgs)
 let now t = t.clock
 let advance_clock t ~seconds = t.clock <- t.clock + seconds
 let dialing_round_number t = t.dial_round
 let set_tracer t tr = t.tracer <- tr
 let close t = t.b.close ()
-let n_pkgs t = t.config.Config.n_pkgs
 
 let new_client t ~email ~callbacks =
   Client.create ~config:t.config
     ~rng:(Drbg.derive t.rng ("client-" ^ email))
     ~email ~pkg_public_keys:(pkg_public_keys t) ~callbacks
 
-let inbox t ~email =
-  List.concat (List.init (n_pkgs t) (fun i -> List.map (fun tok -> (i, tok)) (t.b.inbox i ~email)))
-
 let register t client =
-  let email = Client.email client in
-  let pk = Client.signing_public client in
-  let rec per_pkg i =
-    if i = n_pkgs t then Ok ()
-    else begin
-      match t.b.register i ~now:t.clock ~email ~pk with
-      | Error e -> Error e
-      | Ok () ->
-        (* the user reads the confirmation email and echoes the token *)
-        let token =
-          match t.b.inbox i ~email with
-          | tok :: _ -> tok
-          | [] -> "" (* no email delivered: confirmation will fail below *)
-        in
-        (match t.b.confirm i ~now:t.clock ~email ~token with
-         | Error e -> Error e
-         | Ok () -> per_pkg (i + 1))
-    end
+  let email = Client.email client and pk = Client.signing_public client in
+  let at p () =
+    Result.bind (p.register ~now:t.clock ~email ~pk) @@ fun () ->
+    (* the user reads the confirmation email and echoes the token; with no
+       email delivered, confirmation fails *)
+    p.confirm ~now:t.clock ~email ~token:(match p.inbox ~email with tok :: _ -> tok | [] -> "")
   in
-  match per_pkg 0 with
-  | Error e -> Error e
-  | Ok () ->
-    if not (List.memq client t.clients) then t.clients <- t.clients @ [ client ];
-    Ok ()
+  let result = Array.fold_left (fun r p -> Result.bind r (at p)) (Ok ()) t.b.pkgs in
+  if Result.is_ok result && not (List.memq client t.clients) then
+    t.clients <- t.clients @ [ client ];
+  result
 
 (* ---- fault injection and recovery (DESIGN.md §10) ---- *)
 
@@ -199,9 +180,10 @@ let set_retry_policy t p =
 let retry_policy t = t.policy
 let c_injected kind = Tel.Counter.v Tel.default ~labels:[ ("kind", kind) ] "faults.injected"
 
-(* A stall longer than the policy's round timeout: the round is abandoned
-   exactly like a crash-abort, just with a different event. *)
-exception Stall_timeout
+(* An attempt abandoned outside the chain, on a stall longer than the
+   policy's round timeout or a PKG fault: the round aborts exactly like a
+   mixer crash, just with a different event. *)
+exception Aborted
 
 (* Apply this attempt's scheduled faults. Called right after the chain
    announced its round keys — a crash injected here models a server dying
@@ -230,7 +212,7 @@ let inject_faults t mode ~labels ~round ~attempt =
             (Printf.sprintf "stall of %.0f s exceeds the %.0f s round timeout; aborting" !stall
                timeout)
           "round.timeout";
-        raise Stall_timeout
+        raise Aborted
       end
       else begin
         advance_clock t ~seconds:(int_of_float (Float.ceil !stall));
@@ -247,19 +229,18 @@ let inject_faults t mode ~labels ~round ~attempt =
    participating client, run the round body, and on a clean abort (any
    server down, or a stall past the timeout) roll everything per-round
    back — the chain erases round keys and restarts crashed servers, client
-   queues and DH state are restored, [cleanup] drops phase-specific state
-   (PKG round secrets). Backoff waits on the logical clock. *)
-let with_recovery t mode ~phase ~round ~clients ~cleanup body =
+   queues and DH state are restored; the add-friend body erases the PKGs'
+   round secrets itself. Backoff waits on the logical clock. *)
+let with_recovery t mode ~phase ~round ~clients body =
   let labels = [ ("phase", phase); ("round", string_of_int round) ] in
   let checkpoints = List.map (fun c -> (c, Client.checkpoint c)) clients in
   let attempt n =
     match body ~after_begin:(fun () -> inject_faults t mode ~labels ~round ~attempt:n) with
     | result -> Ok (result, float_of_int t.clock)
-    | exception (Chain.Aborted _ | Stall_timeout) ->
+    | exception (Chain.Aborted _ | Aborted) ->
       let aborted = float_of_int t.clock in
       Chain.recover (t.b.chain mode);
       List.iter (fun (c, cp) -> Client.rollback c cp) checkpoints;
-      cleanup ();
       Error aborted
   in
   let wait delay = advance_clock t ~seconds:(int_of_float (Float.ceil delay)) in
@@ -321,10 +302,10 @@ let log_round ~phase name detail =
    process-wide time-series ring, so a live scrape (or [top]) sees history
    filling while rounds run. The tracer, if any, goes to the backend's
    round trace. *)
-let run_round t mode ~phase ~round ~clients ~cleanup body =
+let run_round t mode ~phase ~round ~clients body =
   log_round ~phase "round.start"
     (Printf.sprintf "round %d, %d clients" round (List.length clients));
-  let run tracer = with_recovery t mode ~phase ~round ~clients ~cleanup (body ~tracer) in
+  let run tracer = with_recovery t mode ~phase ~round ~clients (body ~tracer) in
   let result, attempts =
     match t.tracer with None -> run None | Some tr -> t.b.trace_round tr ~phase ~round run
   in
@@ -375,23 +356,31 @@ type af_stats = {
   events : (string * Client.af_event) list;
 }
 
+(* Anytrust (§4.5): a round needs every PKG as it needs every mixer, so
+   a PKG that is down, fails its reveal or opens another key than the one
+   it committed to aborts the attempt. *)
+let pkg_abort j detail =
+  Events.log Events.default ~severity:Error
+    ~labels:[ ("pkg", string_of_int j) ]
+    ~detail:(detail ^ "; round secrets erased, no mailboxes published")
+    "pkg.round_abort";
+  raise Aborted
+
+let answered j = function Some v -> v | None -> pkg_abort j "PKG down mid-round"
+
 (* PKGs rotate master keys: commit, then reveal; verify every opening and
    aggregate the revealed keys. *)
 let rotate t ~round =
-  let commitments = Array.init (n_pkgs t) (fun i -> t.b.begin_round i ~round) in
-  List.init (n_pkgs t) (fun i ->
-      match t.b.reveal i ~round with
-      | Error e -> failwith ("Deployment: reveal failed: " ^ Pkg.error_to_string e)
+  let commitments = Array.mapi (fun j p -> answered j (p.begin_round ~round)) t.b.pkgs in
+  Array.mapi
+    (fun j p ->
+      match answered j (p.reveal ~round) with
+      | Error e -> pkg_abort j ("reveal failed: " ^ Pkg.error_to_string e)
       | Ok (mpk, opening) ->
-        if not (Pkg.verify_commitment t.params ~commitment:commitments.(i) ~mpk ~opening) then
-          failwith "Deployment: PKG commitment mismatch";
-        mpk)
-  |> Ibe.aggregate_public t.params
-
-let end_pkg_round t ~round =
-  for i = 0 to n_pkgs t - 1 do
-    t.b.end_round i ~round
-  done
+        if Pkg.verify_commitment t.params ~commitment:commitments.(j) ~mpk ~opening then mpk
+        else pkg_abort j "revealed a key other than its commitment")
+    t.b.pkgs
+  |> Array.to_list |> Ibe.aggregate_public t.params
 
 let run_addfriend_round (t : t) ?participants () =
   t.af_round <- t.af_round + 1;
@@ -399,21 +388,31 @@ let run_addfriend_round (t : t) ?participants () =
   let clients = online_clients t ~phase ~round participants in
   let body ~tracer ~after_begin =
     Tel.Span.with_ Tel.default "round.addfriend" @@ fun () ->
+    (* PKGs erase master secrets however the attempt ends (§4.4) *)
+    Fun.protect ~finally:(fun () -> Array.iter (fun p -> p.end_round ~round) t.b.pkgs)
+    @@ fun () ->
     (* 1. PKGs rotate master keys *)
     let mpk_agg = Tel.Span.with_ Tel.default "pkg.rotate" (fun () -> rotate t ~round) in
     let num_mailboxes = num_mailboxes t `AddFriend ~participants:(List.length clients) in
-    (* 2. every client extracts identity keys and submits one onion *)
+    (* 2. every client extracts identity keys and submits one onion; a
+       client a PKG refuses sits the round out *)
     let server_pks = Chain.begin_round (t.b.chain `AddFriend) in
     after_begin ();
     let contexts, batch =
       Tel.Span.with_ Tel.default "client.submit" @@ fun () ->
       let contexts =
-        Client.begin_addfriend_round_batch clients ~round ~n_pkgs:(n_pkgs t)
-          ~extract_batch:(fun i -> t.b.extract_batch i ~now:t.clock ~round)
-        |> List.map (fun (c, result) ->
+        Client.begin_addfriend_round_batch clients ~round ~n_pkgs:(Array.length t.b.pkgs)
+          ~extract_batch:(fun j reqs ->
+            answered j (t.b.pkgs.(j).extract_batch ~now:t.clock ~round reqs))
+        |> List.filter_map (fun (c, result) ->
                match result with
-               | Error e -> failwith ("Deployment: extraction failed: " ^ Pkg.error_to_string e)
-               | Ok ctx -> (c, ctx))
+               | Ok ctx -> Some (c, ctx)
+               | Error e ->
+                 Events.log Events.default ~severity:Warn
+                   ~labels:[ ("client", Client.email c) ]
+                   ~detail:(Printf.sprintf "round %d: %s" round (Pkg.error_to_string e))
+                   "client.extract_failed";
+                 None)
       in
       let batch =
         List.map
@@ -444,8 +443,6 @@ let run_addfriend_round (t : t) ?participants () =
            (fun (c, ctx) -> (c, fun mb -> Client.scan_addfriend_mailbox c ctx buckets.(mb)))
            contexts)
     in
-    (* PKGs erase master secrets *)
-    end_pkg_round t ~round;
     advance_clock t ~seconds:t.config.Config.addfriend_round_seconds;
     log_close ~phase ~round ~real_in:(Array.length batch) ~noise:noise_added ~dropped;
     {
@@ -459,9 +456,7 @@ let run_addfriend_round (t : t) ?participants () =
       events;
     }
   in
-  let stats, attempts =
-    run_round t `AddFriend ~phase ~round ~clients ~cleanup:(fun () -> end_pkg_round t ~round) body
-  in
+  let stats, attempts = run_round t `AddFriend ~phase ~round ~clients body in
   { stats with af_attempts = attempts }
 
 (* ---- dialing round (§5) ---- *)
@@ -558,5 +553,5 @@ let run_dialing_round (t : t) ?participants () =
       calls;
     }
   in
-  let stats, attempts = run_round t `Dialing ~phase ~round ~clients ~cleanup:ignore body in
+  let stats, attempts = run_round t `Dialing ~phase ~round ~clients body in
   { stats with dial_attempts = attempts; calls = recovered @ stats.calls }

@@ -6,9 +6,10 @@
     the add-friend round of Algorithm 1, the dialing round of §5, the §10
     rollback around the §4.5 anytrust abort (its attempts run through
     {!Faults.retry}), and the §5.1 dialing archive. It reaches the PKGs
-    through a {!backend} of closures and the mixnet through the backend's
-    {!Alpenhorn_mixnet.Chain}s, one mix pipeline whatever the transport.
-    {!create} builds the in-process backend: the real protocol end to end
+    through the {!backend}'s {!pkg} records and the mixnet through its
+    {!Alpenhorn_mixnet.Chain}s, one mix pipeline whatever the transport;
+    a PKG or a mixer that fails a round aborts it the same way.
+    {!create} runs on {!local_backend}: the real protocol end to end
     (every onion layer, IBE ciphertext, signature and Bloom filter is
     genuine) with the network collapsed into function calls.
     [Alpenhorn_remote.Net_deployment] builds a backend that reaches server
@@ -45,15 +46,10 @@ val new_mix_server :
     @raise Invalid_argument when [position] is outside the chain. *)
 
 val create : config:Config.t -> seed:string -> t
-(** The in-process deployment, over {!new_pkg} and {!new_mix_server}
-    servers. Clients derive along ["client-"^email]. Noise bodies are
-    drawn from the root DRBG, in chain order. *)
+(** The in-process deployment: {!of_backend} over {!local_backend}.
+    Clients derive along ["client-"^email]. *)
 
 val params : t -> Params.t
-
-val pkgs : t -> Pkg.t array
-(** The in-process PKG handles, for compromise tests.
-    @raise Invalid_argument for a deployment whose PKGs are remote. *)
 
 val pkg_public_keys : t -> Bls.public list
 (** The PKGs' long-term signing keys, pre-distributed to clients (§3.3). *)
@@ -68,10 +64,6 @@ val new_client : t -> email:string -> callbacks:Client.callbacks -> Client.t
 val register : t -> Client.t -> (unit, Pkg.error) result
 (** Fig 1 [Register]: register the client's long-term key with every PKG,
     completing the email-confirmation flow through the provider (§4.6). *)
-
-val inbox : t -> email:string -> (int * string) list
-(** Tokens the email provider delivered to [email]: (pkg index, token)
-    pairs, by PKG, each PKG's most recent first. For compromise tests. *)
 
 val close : t -> unit
 (** Release the backend's resources (RPC connections); servers are not
@@ -141,11 +133,15 @@ val run_addfriend_round : t -> ?participants:Client.t list -> unit -> af_stats
     [round.completed], samples the runtime stats and records one
     time-series sample.
 
-    Under a fault schedule ({!set_faults}) the round may abort and re-run;
-    [af_attempts] reports how many tries it took.
-    @raise Round_failed when the retry budget is exhausted.
-    @raise Failure when a PKG fails (PKGs are trusted infrastructure; only
-    mixnet servers are crashed by the fault schedule). *)
+    The round may abort and re-run, under a fault schedule
+    ({!set_faults}) or when a PKG is down, fails its reveal or reveals a
+    key other than its commitment (a severity-[Error] [pkg.round_abort]
+    event names it); [af_attempts] reports how many tries it took. A
+    client a PKG refuses to extract for (say, an account deregistered
+    since) sits the round out, as an offline client does: it submits
+    nothing and keeps its queues, and a severity-[Warn]
+    [client.extract_failed] event names it and the error.
+    @raise Round_failed when the retry budget is exhausted. *)
 
 type dial_stats = {
   dial_round : int;
@@ -184,31 +180,35 @@ val catch_up_client : t -> Client.t -> Client.dial_event list
 
 (** {1 The backend seam}
 
-    Everything the rounds ask of the servers. PKGs are addressed by index
-    [0 .. n_pkgs-1]; the mixnet is one {!Alpenhorn_mixnet.Chain.t} per
-    {!mode}. A PKG failure is fatal ([Failure]); a mixnet hop that is
-    down or unreachable is the anytrust abort signal,
-    {!Alpenhorn_mixnet.Chain.Aborted}, which the recovery loop answers
-    with {!Alpenhorn_mixnet.Chain.recover} and a retry. *)
+    Everything the rounds ask of the servers: one {!pkg} record per PKG
+    and one {!Alpenhorn_mixnet.Chain.t} per {!mode}. A PKG or mixnet hop
+    that is down or unreachable in a round is the anytrust abort signal:
+    the attempt aborts, every PKG and mixer erases its round secrets,
+    participants roll back, and {!Faults.retry} runs it again. *)
 
-type backend = {
-  pkg_public_keys : Bls.public list;  (** fetched once, at creation *)
-  register : int -> now:int -> email:string -> pk:Bls.public -> (unit, Pkg.error) result;
-  inbox : int -> email:string -> string list;
-      (** confirmation tokens PKG [i] mailed to [email], most recent first *)
-  confirm : int -> now:int -> email:string -> token:string -> (unit, Pkg.error) result;
-  begin_round : int -> round:int -> string;  (** the commitment to the round key *)
+type pkg = {
+  public_key : Bls.public;  (** the long-term signing key, fetched once *)
+  register : now:int -> email:string -> pk:Bls.public -> (unit, Pkg.error) result;
+  inbox : email:string -> string list;
+      (** confirmation tokens the PKG mailed to [email], most recent first *)
+  confirm : now:int -> email:string -> token:string -> (unit, Pkg.error) result;
+  begin_round : round:int -> string option;
+      (** the commitment to the round key; [None] when the PKG is down *)
   reveal :
-    int -> round:int -> (Alpenhorn_ibe.Ibe.master_public * string, Pkg.error) result;
+    round:int -> (Alpenhorn_ibe.Ibe.master_public * string, Pkg.error) result option;
       (** the round's master public key and the commitment opening *)
   extract_batch :
-    int ->
     now:int ->
     round:int ->
     (string * Bls.signature) array ->
-    (Alpenhorn_ibe.Ibe.identity_key * Bls.signature, Pkg.error) result array;
-      (** every client's extraction request at PKG [i], answers in order *)
-  end_round : int -> round:int -> unit;  (** erase the round's master secret *)
+    (Alpenhorn_ibe.Ibe.identity_key * Bls.signature, Pkg.error) result array option;
+      (** every client's extraction request, answers in order *)
+  end_round : round:int -> unit;  (** erase the round's master secret, if the PKG answers *)
+}
+(** One PKG behind a transport. Registration runs outside any round. *)
+
+type backend = {
+  pkgs : pkg array;  (** PKG [j] at index [j] *)
   chain : mode -> Alpenhorn_ibe.Ibe.master_public option Alpenhorn_mixnet.Chain.t;
       (** the mode's chain. Its noise value is the round's aggregate IBE
           key when add-friend noise is faithful, [None] otherwise. *)
@@ -226,6 +226,14 @@ type backend = {
           [None]. *)
   close : unit -> unit;
 }
+
+val local_backend : config:Config.t -> seed:string -> Pkg.t array * backend
+(** The backend {!create} runs on: the {!new_pkg} PKGs as function calls
+    (never down), and chains of {!Alpenhorn_mixnet.Chain.local} hops over
+    {!new_mix_server} servers, their noise bodies drawn from the root DRBG
+    in chain order. The PKG handles come beside it, for compromise tests;
+    a test can substitute a faulty PKG record or chain before
+    {!of_backend}. @raise Invalid_argument on a bad config. *)
 
 val of_backend : config:Config.t -> seed:string -> backend -> t
 (** A deployment driven through [backend]. Clients derive from [seed]

@@ -121,6 +121,7 @@ let domains ?faults ~config ~seed f =
 let deployment t = t.nd
 let servers t = List.map (fun r -> r.server) (Array.to_list (Array.append t.pkgs t.mixers))
 let kill_mixer t i = t.mixers.(i).stop ()
+let kill_pkg t i = t.pkgs.(i).stop ()
 let restart_mixer t i = t.restart i
 
 (* ---- the scripted scenario and the check ---- *)

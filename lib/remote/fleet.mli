@@ -48,6 +48,9 @@ val kill_mixer : t -> int -> unit
 
 val restart_mixer : t -> int -> unit
 
+val kill_pkg : t -> int -> unit
+(** Between rounds only. A PKG has no restart: its later rounds fail. *)
+
 (** {1 The scripted scenario and the check} *)
 
 type round = Af of Deployment.af_stats | Dial of Deployment.dial_stats

@@ -15,7 +15,8 @@
    and its restart respawns it ([restart]). A hop is down when its mixer
    was killed or a call to it fails: a dead mixer fails the chain's
    liveness ping (no mixer processes a batch on an aborted attempt) or a
-   mid-pipeline call. *)
+   mid-pipeline call. A PKG is down when a call to it fails in a round;
+   [Deployment] aborts the attempt either way. *)
 
 module Config = Alpenhorn_core.Config
 module Deployment = Alpenhorn_core.Deployment
@@ -98,12 +99,34 @@ let call n ep ~peer f =
 let backend ~config ~pkgs ~mixers =
   let params = Config.params config in
   let n = { cache = Hashtbl.create 8; round = None } in
-  (* PKGs are trusted infrastructure (the fault grammar targets mixers and
-     clients): a PKG transport failure is fatal. *)
-  let pkg i f =
-    match call n pkgs.(i) ~peer:(Printf.sprintf "pkg-%d" i) f with
-    | Ok v -> v
-    | Error m -> failwith (Printf.sprintf "pkg %d: %s" i m)
+  (* PKG [j]: in a round, a transport failure is a PKG that is down, the
+     anytrust abort signal; registration runs outside any round, so there
+     it is fatal. *)
+  let pkg j ep =
+    let call f = call n ep ~peer:(Printf.sprintf "pkg-%d" j) f in
+    let fatal f =
+      match call f with Ok v -> v | Error m -> failwith (Printf.sprintf "pkg %d: %s" j m)
+    in
+    {
+      Deployment.public_key = fatal (Proto.pkg_info ~params);
+      register = (fun ~now ~email ~pk -> fatal (Proto.pkg_register ~params ~now ~email ~pk));
+      inbox = (fun ~email -> fatal (Proto.pkg_inbox ~email));
+      confirm = (fun ~now ~email ~token -> fatal (Proto.pkg_confirm ~now ~email ~token));
+      begin_round = (fun ~round -> Result.to_option (call (Proto.pkg_begin_round ~round)));
+      reveal = (fun ~round -> Result.to_option (call (Proto.pkg_reveal ~params ~round)));
+      (* one call per request, up to the first transport failure *)
+      extract_batch =
+        (fun ~now ~round requests ->
+          let exception Down in
+          let extract (email, signature) =
+            match call (Proto.pkg_extract ~params ~now ~round ~email ~signature) with
+            | Ok answer -> answer
+            | Error _ -> raise Down
+          in
+          try Some (Array.map extract requests) with Down -> None);
+      (* a PKG that is down cannot be told *)
+      end_round = (fun ~round -> ignore (call (Proto.pkg_end_round ~round)));
+    }
   in
   let killed = Array.make (Array.length mixers) false in
   (* Mixer [i] as hop [i] of the chain [ch]: a killed mixer or a transport
@@ -153,21 +176,7 @@ let backend ~config ~pkgs ~mixers =
   let chain ch = Chain.create (Array.init (Array.length mixers) (hop ch)) in
   let af = chain Proto.Af and dial = chain Proto.Dial in
   {
-    Deployment.pkg_public_keys =
-      List.init (Array.length pkgs) (fun i -> pkg i (fun c -> Proto.pkg_info c ~params));
-    register =
-      (fun i ~now ~email ~pk -> pkg i (fun c -> Proto.pkg_register c ~params ~now ~email ~pk));
-    inbox = (fun i ~email -> pkg i (fun c -> Proto.pkg_inbox c ~email));
-    confirm = (fun i ~now ~email ~token -> pkg i (fun c -> Proto.pkg_confirm c ~now ~email ~token));
-    begin_round = (fun i ~round -> pkg i (fun c -> Proto.pkg_begin_round c ~round));
-    reveal = (fun i ~round -> pkg i (fun c -> Proto.pkg_reveal c ~params ~round));
-    extract_batch =
-      (fun i ~now ~round requests ->
-        Array.map
-          (fun (email, signature) ->
-            pkg i (fun c -> Proto.pkg_extract c ~params ~now ~round ~email ~signature))
-          requests);
-    end_round = (fun i ~round -> pkg i (fun c -> Proto.pkg_end_round c ~round));
+    Deployment.pkgs = Array.mapi pkg pkgs;
     chain = (function `AddFriend -> af | `Dialing -> dial);
     (* one sampled root per round (retries included): "net.round", with
        every RPC of the round as a child *)

@@ -21,7 +21,13 @@
     {b Faults.} A crash in the schedule invokes the mixer's [kill]; a
     killed or unreachable mixer is a hop that is down, so the chain
     aborts ({!Alpenhorn_mixnet.Chain.Aborted}), and recovery invokes
-    [restart] before the round re-runs.
+    [restart] before the round re-runs. A PKG call that fails in a round
+    (transport error, error frame, timeout) means the PKG is down: the
+    attempt aborts and re-runs the same way, and the erasure of its round
+    secret is best effort. There is no PKG restart: a PKG that stays
+    down ends its rounds in
+    {!Alpenhorn_core.Deployment.Round_failed}. Registration runs outside
+    any round, and there an unreachable PKG raises [Failure].
 
     {b Tracing.} Under {!Alpenhorn_core.Deployment.set_tracer}, each round
     runs under one [net.round] root span; every RPC emits a client-side
@@ -63,6 +69,7 @@ val new_client :
   t -> email:string -> callbacks:Alpenhorn_core.Client.callbacks -> Alpenhorn_core.Client.t
 
 val register : t -> Alpenhorn_core.Client.t -> (unit, Alpenhorn_pkg.Pkg.error) result
+(** @raise Failure when a PKG is unreachable. *)
 
 val run_addfriend_round :
   t -> ?participants:Alpenhorn_core.Client.t list -> unit -> Alpenhorn_core.Deployment.af_stats

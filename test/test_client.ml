@@ -124,14 +124,14 @@ let unit_tests =
          | Ok () -> Alcotest.fail "forged attestation accepted"
          | Error `Bad_sender_sig -> Alcotest.fail "wrong error"));
     Alcotest.test_case "submissions are uniform: cover vs real same length" `Quick (fun () ->
-        let d = Deployment.create ~config:Config.test ~seed:"uniform" in
+        let pkgs, backend = Deployment.local_backend ~config:Config.test ~seed:"uniform" in
+        let d = Deployment.of_backend ~config:Config.test ~seed:"uniform" backend in
         let alice = Deployment.new_client d ~email:"alice@x" ~callbacks:Client.null_callbacks in
         let bob = Deployment.new_client d ~email:"bob@x" ~callbacks:Client.null_callbacks in
         (match Deployment.register d alice with Ok () -> () | Error _ -> assert false);
         (match Deployment.register d bob with Ok () -> () | Error _ -> assert false);
         (* alice has a queued request, bob sends cover: capture both onions *)
         Client.add_friend alice ~email:"bob@x" ();
-        let pkgs = Deployment.pkgs d in
         let round = 1 in
         let commitments = Array.map (fun pkg -> Pkg.begin_round pkg ~round) pkgs in
         ignore commitments;
@@ -169,7 +169,8 @@ let unit_tests =
         let real = Client.dialing_submission alice ~num_mailboxes:1 ~server_pks in
         Alcotest.(check int) "same size" (String.length cover) (String.length real));
     Alcotest.test_case "sender_sig binds the dialing key (MITM swap rejected)" `Quick (fun () ->
-        let d = Deployment.create ~config:Config.test ~seed:"client-swap" in
+        let pkgs, backend = Deployment.local_backend ~config:Config.test ~seed:"client-swap" in
+        let d = Deployment.of_backend ~config:Config.test ~seed:"client-swap" backend in
         let pr = Deployment.params d in
         let bob = Deployment.new_client d ~email:"bob@x" ~callbacks:Client.null_callbacks in
         (* register a raw keypair for mallory directly with the PKGs so the
@@ -184,24 +185,27 @@ let unit_tests =
             match Pkg.register pkg ~now ~email ~pk:mpk with
             | Ok () -> ()
             | Error e -> Alcotest.failf "register: %s" (Pkg.error_to_string e))
-          (Deployment.pkgs d);
-        List.iter
-          (fun (i, token) ->
-            match Pkg.confirm (Deployment.pkgs d).(i) ~now ~email ~token with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "confirm: %s" (Pkg.error_to_string e))
-          (Deployment.inbox d ~email);
+          pkgs;
+        Array.iteri
+          (fun i (p : Deployment.pkg) ->
+            List.iter
+              (fun token ->
+                match Pkg.confirm pkgs.(i) ~now ~email ~token with
+                | Ok () -> ()
+                | Error e -> Alcotest.failf "confirm: %s" (Pkg.error_to_string e))
+              (p.inbox ~email))
+          backend.Deployment.pkgs;
         let round = 1 in
-        Array.iter (fun pkg -> ignore (Pkg.begin_round pkg ~round)) (Deployment.pkgs d);
+        Array.iter (fun pkg -> ignore (Pkg.begin_round pkg ~round)) pkgs;
         Array.iter
           (fun pkg ->
             match Pkg.reveal_round pkg ~round with
             | Ok _ -> ()
             | Error e -> Alcotest.failf "reveal: %s" (Pkg.error_to_string e))
-          (Deployment.pkgs d);
+          pkgs;
         let ext_sig = Bls.sign pr msk (Pkg.extraction_request_message ~email ~round) in
         let atts =
-          Array.to_list (Deployment.pkgs d)
+          Array.to_list pkgs
           |> List.map (fun pkg ->
                  match Pkg.extract pkg ~now ~round ~email ~signature:ext_sig with
                  | Ok (_, att) -> att
@@ -258,4 +262,65 @@ let unit_tests =
         Alcotest.(check (option reject)) "no pinned key" None (Client.pinned_key c ~email:"bob@x"));
   ]
 
-let suite = unit_tests
+(* One add-friend round by hand over the in-process PKGs, with no mixnet:
+   alice's submission wrapped for no server is the bare payload, and its body
+   the IBE ciphertext a mixnet would deliver to bob's mailbox. *)
+let hand_round pkgs ~round alice bob =
+  Array.iter (fun pkg -> ignore (Pkg.begin_round pkg ~round)) pkgs;
+  let mpks =
+    Array.to_list pkgs
+    |> List.map (fun pkg ->
+           match Pkg.reveal_round pkg ~round with
+           | Ok (mpk, _) -> mpk
+           | Error e -> Alcotest.failf "reveal: %s" (Pkg.error_to_string e))
+  in
+  let mpk_agg = Alpenhorn_ibe.Ibe.aggregate_public (p ()) mpks in
+  let ctx c =
+    match
+      Client.begin_addfriend_round_with c ~round ~n_pkgs:(Array.length pkgs)
+        ~extract:(fun i -> Pkg.extract pkgs.(i) ~now:0 ~round)
+    with
+    | Ok ctx -> ctx
+    | Error e -> Alcotest.failf "begin: %s" (Pkg.error_to_string e)
+  in
+  let submission =
+    Client.addfriend_submission alice (ctx alice) ~mpk_agg ~num_mailboxes:1 ~server_pks:[]
+  in
+  (snd (Option.get (Alpenhorn_mixnet.Payload.decode submission)), ctx bob)
+
+let two_clients seed =
+  let pkgs, backend = Deployment.local_backend ~config:Config.test ~seed in
+  let d = Deployment.of_backend ~config:Config.test ~seed backend in
+  let client email =
+    let c = Deployment.new_client d ~email ~callbacks:Client.null_callbacks in
+    (match Deployment.register d c with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "register: %s" (Pkg.error_to_string e));
+    c
+  in
+  let alice = client "alice@x" in
+  (pkgs, alice, client "bob@x")
+
+let scan_tests =
+  [
+    Alcotest.test_case "a ciphertext twice in one mailbox is one request" `Quick (fun () ->
+        let pkgs, alice, bob = two_clients "scan-dup" in
+        Client.add_friend alice ~email:"bob@x" ();
+        let ctxt, bob_ctx = hand_round pkgs ~round:1 alice bob in
+        let events = Client.scan_addfriend_mailbox bob bob_ctx [ ctxt; ctxt ] in
+        Alcotest.(check int) "one event" 1 (List.length events);
+        Alcotest.(check bool) "bob accepted alice" true
+          (events = [ Client.Friend_request_accepted "alice@x" ]);
+        Alcotest.(check int) "one confirmation queued" 1 (Client.pending_add_friends bob));
+    Alcotest.test_case "a ciphertext replayed into the next round is no request" `Quick
+      (fun () ->
+        let pkgs, alice, bob = two_clients "scan-replay" in
+        Client.add_friend alice ~email:"bob@x" ();
+        let ctxt, _ = hand_round pkgs ~round:1 alice bob in
+        let _, bob_ctx = hand_round pkgs ~round:2 alice bob in
+        Alcotest.(check int) "no event" 0
+          (List.length (Client.scan_addfriend_mailbox bob bob_ctx [ ctxt ]));
+        Alcotest.(check int) "nothing queued" 0 (Client.pending_add_friends bob));
+  ]
+
+let suite = unit_tests @ scan_tests

@@ -18,6 +18,7 @@ module Faults = Alpenhorn_core.Faults
 module Drbg = Alpenhorn_crypto.Drbg
 module Tel = Alpenhorn_telemetry.Telemetry
 module Events = Alpenhorn_telemetry.Events
+module Pkg = Alpenhorn_pkg.Pkg
 
 let params = lazy (Params.test ())
 let p () = Lazy.force params
@@ -543,6 +544,101 @@ let canonical_tests =
         Alcotest.(check (float 0.0)) "second deployment" 3.0 (streak ~reset:false));
   ]
 
+(* ---- PKG faults: the abort path mixers take ---- *)
+
+type pkg_fault = Reveal_error | Mismatch | Down_at_begin | Down_at_reveal | Down_at_extract
+
+(* A PKG record faulted in add-friend round 2, on its first [times]
+   attempts: each attempt calls each operation once. *)
+let faulty fault ~times (pkg : Deployment.pkg) =
+  let left = ref times in
+  let hit round =
+    let fire = round = 2 && !left > 0 in
+    if fire then decr left;
+    fire
+  in
+  match fault with
+  | Reveal_error ->
+    let reveal ~round = if hit round then Some (Error Pkg.Wrong_round) else pkg.reveal ~round in
+    { pkg with reveal }
+  | Mismatch ->
+    (* a key other than the committed one, with the genuine opening *)
+    let other = snd (Alpenhorn_ibe.Ibe.setup (p ()) (Drbg.create ~seed:"other-key")) in
+    {
+      pkg with
+      reveal =
+        (fun ~round ->
+          match pkg.reveal ~round with
+          | Some (Ok (_, opening)) when hit round -> Some (Ok (other, opening))
+          | r -> r);
+    }
+  | Down_at_begin ->
+    { pkg with begin_round = (fun ~round -> if hit round then None else pkg.begin_round ~round) }
+  | Down_at_reveal ->
+    { pkg with reveal = (fun ~round -> if hit round then None else pkg.reveal ~round) }
+  | Down_at_extract ->
+    {
+      pkg with
+      extract_batch =
+        (fun ~now ~round reqs -> if hit round then None else pkg.extract_batch ~now ~round reqs);
+    }
+
+(* Alice adds bob over three add-friend rounds, PKG 1 faulted: each
+   round's attempts and sorted events, or the attempts of a round that
+   failed, and the [pkg] label of every [pkg.round_abort] event. *)
+let pkg_fault_rounds ?fault ~times () =
+  let config = Config.test and seed = "pkg-fault" in
+  let _, backend = Deployment.local_backend ~config ~seed in
+  let pkgs =
+    Array.mapi
+      (fun j pkg -> match fault with Some f when j = 1 -> faulty f ~times pkg | _ -> pkg)
+      backend.Deployment.pkgs
+  in
+  let d = Deployment.of_backend ~config ~seed { backend with pkgs } in
+  let alice, _bob = new_pair d in
+  Client.add_friend alice ~email:"bob@x" ();
+  Events.clear Events.default;
+  let round () =
+    match Deployment.run_addfriend_round d () with
+    | s -> Ok (s.Deployment.af_attempts, List.sort compare s.Deployment.events)
+    | exception Deployment.Round_failed { attempts; _ } -> Error attempts
+  in
+  let rounds = List.init 3 (fun _ -> round ()) in
+  ( rounds,
+    List.filter_map
+      (fun (e : Events.event) ->
+        if e.name = "pkg.round_abort" then Some (List.assoc "pkg" e.labels) else None)
+      (Events.to_list Events.default) )
+
+let pkg_fault_case name fault =
+  Alcotest.test_case
+    (Printf.sprintf "PKG %s: aborts like a mixer, once or every attempt" name)
+    `Quick (fun () ->
+      let attempts = List.map (Result.map fst) and events = List.map (Result.map snd) in
+      let twin, _ = pkg_fault_rounds ~times:0 () in
+      let once, once_aborts = pkg_fault_rounds ~fault ~times:1 () in
+      Alcotest.(check (list (result int int))) "round 2 recovers on attempt 2"
+        [ Ok 1; Ok 2; Ok 1 ] (attempts once);
+      Alcotest.(check bool) "the fault-free run's events" true (events once = events twin);
+      Alcotest.(check (list string)) "one abort, at PKG 1" [ "1" ] once_aborts;
+      let always, always_aborts = pkg_fault_rounds ~fault ~times:max_int () in
+      Alcotest.(check (list (result int int))) "round 2 fails, round 3 runs"
+        [ Ok 1; Error 4; Ok 1 ] (attempts always);
+      Alcotest.(check (list string)) "every attempt aborts at PKG 1" [ "1"; "1"; "1"; "1" ]
+        always_aborts;
+      (* rolled back: round 3 delivers what round 2 did in the twin *)
+      Alcotest.(check bool) "round 3 delivers round 2's events" true
+        (List.nth (events always) 2 = List.nth (events twin) 1))
+
+let pkg_fault_tests =
+  [
+    pkg_fault_case "reveal error" Reveal_error;
+    pkg_fault_case "commitment mismatch" Mismatch;
+    pkg_fault_case "down at begin" Down_at_begin;
+    pkg_fault_case "down at reveal" Down_at_reveal;
+    pkg_fault_case "down at extract" Down_at_extract;
+  ]
+
 let suite =
   schedule_tests @ sim_tests @ deployment_tests @ rollback_tests @ keywheel_tests
-  @ canonical_tests
+  @ canonical_tests @ pkg_fault_tests

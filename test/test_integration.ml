@@ -7,9 +7,15 @@ module Config = Alpenhorn_core.Config
 module Client = Alpenhorn_core.Client
 module Deployment = Alpenhorn_core.Deployment
 module Pkg = Alpenhorn_pkg.Pkg
+module Chain = Alpenhorn_mixnet.Chain
+module Events = Alpenhorn_telemetry.Events
 
-let setup ?(config = Config.test) ~seed emails =
-  let d = Deployment.create ~config ~seed in
+let setup ?(config = Config.test) ?backend ~seed emails =
+  let d =
+    match backend with
+    | Some b -> Deployment.of_backend ~config ~seed b
+    | None -> Deployment.create ~config ~seed
+  in
   let clients =
     List.map (fun email -> Deployment.new_client d ~email ~callbacks:Client.null_callbacks) emails
   in
@@ -214,7 +220,8 @@ let unit_tests =
         Alcotest.(check int) "dial submissions" 4 ds.Deployment.tokens_in;
         Alcotest.(check bool) "clock advanced" true (Deployment.now d > 0));
     Alcotest.test_case "client state compromise recovery (§9)" `Quick (fun () ->
-        let d, clients = setup ~seed:"i13" [ "alice@x"; "bob@x" ] in
+        let pkgs, backend = Deployment.local_backend ~config:Config.test ~seed:"i13" in
+        let d, clients = setup ~backend ~seed:"i13" [ "alice@x"; "bob@x" ] in
         let alice = List.nth clients 0 and bob = List.nth clients 1 in
         let _ = befriend d alice bob in
         (* alice's machine is compromised: she deregisters everywhere with
@@ -225,7 +232,7 @@ let unit_tests =
             match Pkg.deregister pkg ~now:(Deployment.now d) ~email:"alice@x" ~signature:sig_ with
             | Ok () -> ()
             | Error e -> Alcotest.failf "deregister: %s" (Pkg.error_to_string e))
-          (Deployment.pkgs d);
+          pkgs;
         Deployment.advance_clock d ~seconds:(31 * 24 * 3600);
         let alice2 = Deployment.new_client d ~email:"alice@x" ~callbacks:Client.null_callbacks in
         (match Deployment.register d alice2 with
@@ -359,3 +366,93 @@ let consistency_tests =
   ]
 
 let suite = suite @ consistency_tests
+
+(* ---- one failure path: misbehaving servers and refused clients ---- *)
+
+(* The add-friend chain of the in-process backend, except that its first
+   mixer emits every onion twice. *)
+let duplicating_chain ~config ~seed =
+  let params = Config.params config and rng = Deployment.root_rng ~seed in
+  let noise_body mpk_agg = Alpenhorn_core.Wire.noise_body params rng `AddFriend ~mpk_agg in
+  let twice = function
+    | Chain.Traced b -> Chain.Traced (Array.append b b)
+    | Chain.Plain b -> Chain.Plain (Array.append b b)
+  in
+  Chain.create
+    (Array.init config.Config.chain_length (fun position ->
+         let hop =
+           Chain.local (Deployment.new_mix_server ~config ~seed `AddFriend ~position) ~noise_body
+         in
+         if position > 0 then hop
+         else
+           {
+             hop with
+             Chain.process =
+               (fun ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes ~noise ~tracer batch ->
+                 Option.map
+                   (fun (out, added) -> (twice out, added))
+                   (hop.process ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes ~noise ~tracer
+                      batch));
+           }))
+
+let failure_path_tests =
+  [
+    Alcotest.test_case "a mixer that duplicates onions does not break a friendship" `Quick
+      (fun () ->
+        let config = Config.test and seed = "dup" in
+        let _, backend = Deployment.local_backend ~config ~seed in
+        let af = duplicating_chain ~config ~seed in
+        let chain = function `AddFriend -> af | `Dialing -> backend.Deployment.chain `Dialing in
+        let backend = { backend with chain } in
+        let d, clients = setup ~backend ~seed [ "alice@x"; "bob@x" ] in
+        let alice = List.nth clients 0 in
+        Client.add_friend alice ~email:"bob@x" ();
+        Alcotest.(check (list int)) "events per round" [ 1; 1; 0; 0 ]
+          (List.map (fun s -> List.length s.Deployment.events) (run_af d 4));
+        Client.call alice ~email:"bob@x" ~intent:0;
+        Alcotest.(check bool) "bob rang" true
+          (has_call (run_dial d 6) (function
+            | "bob@x", Client.Incoming_call { peer = "alice@x"; _ } -> true
+            | _ -> false)));
+    Alcotest.test_case "a deregistered client sits out; rounds complete and erase their keys"
+      `Quick (fun () ->
+        let pkgs, backend = Deployment.local_backend ~config:Config.test ~seed:"dereg" in
+        let d, clients = setup ~backend ~seed:"dereg" [ "alice@x"; "bob@x"; "carol@x" ] in
+        let alice, bob, carol =
+          match clients with [ a; b; c ] -> (a, b, c) | _ -> assert false
+        in
+        Client.add_friend bob ~email:"carol@x" ();
+        ignore (Deployment.run_addfriend_round d ());
+        let signature = Client.sign_deregister alice in
+        Array.iter
+          (fun pkg ->
+            match Pkg.deregister pkg ~now:(Deployment.now d) ~email:"alice@x" ~signature with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "deregister: %s" (Pkg.error_to_string e))
+          pkgs;
+        Events.clear Events.default;
+        let stats = run_af d 2 in
+        Alcotest.(check (list int)) "rounds 2 and 3 in one attempt each" [ 1; 1 ]
+          (List.map (fun s -> s.Deployment.af_attempts) stats);
+        Alcotest.(check bool) "bob befriended carol" true
+          (Client.is_friend bob ~email:"carol@x" && Client.is_friend carol ~email:"bob@x");
+        Alcotest.(check (list string)) "alice sat out both rounds" [ "alice@x"; "alice@x" ]
+          (List.filter_map
+             (fun (e : Events.event) ->
+               if e.name = "client.extract_failed" then Some (List.assoc "client" e.labels)
+               else None)
+             (Events.to_list Events.default));
+        (* every round's master secret is gone, at every PKG *)
+        List.iter
+          (fun round ->
+            match
+              Client.begin_addfriend_round_with bob ~round ~n_pkgs:(Array.length pkgs)
+                ~extract:(fun j -> Pkg.extract pkgs.(j) ~now:(Deployment.now d) ~round)
+            with
+            | Error Pkg.Wrong_round -> ()
+            | Ok _ -> Alcotest.failf "round %d's master secret survived" round
+            | Error e -> Alcotest.failf "round %d: %s" round (Pkg.error_to_string e))
+          [ 1; 2; 3 ]);
+  ]
+
+let suite = suite @ failure_path_tests

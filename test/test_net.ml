@@ -865,6 +865,59 @@ let pipeline_tests =
         Alcotest.(check telemetry) "wire = in process" local wire);
   ]
 
+(* ---------- one failure path for PKGs and mixers ---------- *)
+
+(* alice befriends bob and calls him, with a never-registered client among
+   the participants of every round *)
+let unregistered_scenario d =
+  let alice = register d "alice@x" in
+  let bob = register d "bob@x" in
+  let participants =
+    [ alice; bob; Deployment.new_client d ~email:"mallory@x" ~callbacks:Client.null_callbacks ]
+  in
+  Client.add_friend alice ~email:"bob@x" ();
+  let af = List.init 2 (fun _ -> Fleet.Af (Deployment.run_addfriend_round d ~participants ())) in
+  Client.call alice ~email:"bob@x" ~intent:1;
+  af @ List.init 3 (fun _ -> Fleet.Dial (Deployment.run_dialing_round d ~participants ()))
+
+let pkg_failure_tests =
+  [
+    Alcotest.test_case "unregistered participant: it sits out, wire = in process" `Quick
+      (fun () ->
+        let config = { Config.test with Config.n_pkgs = 1 } in
+        let (net, net_deltas), (ip, ip_deltas) =
+          Fleet.domains ~config ~seed:"net-unregistered" (fun fleet ->
+              Fleet.check fleet unregistered_scenario)
+        in
+        Alcotest.(check (list string)) "every round identical"
+          (List.map Fleet.round_to_string ip) (List.map Fleet.round_to_string net);
+        Alcotest.(check deltas) "fault telemetry identical" ip_deltas net_deltas;
+        Alcotest.(check bool) "bob rang" true
+          (List.exists
+             (function
+               | Fleet.Dial d ->
+                 List.exists
+                   (function
+                     | "bob@x", Client.Incoming_call { peer = "alice@x"; _ } -> true
+                     | _ -> false)
+                   d.Deployment.calls
+               | Fleet.Af _ -> false)
+             net));
+    Alcotest.test_case "stopped PKG server: the next round fails cleanly" `Quick (fun () ->
+        let config = { Config.test with Config.n_pkgs = 1 } in
+        Fleet.domains ~config ~seed:"net-pkg-stop" (fun fleet ->
+            let d = Fleet.deployment fleet in
+            let alice = register d "alice@x" in
+            ignore (register d "bob@x");
+            Client.add_friend alice ~email:"bob@x" ();
+            ignore (Deployment.run_addfriend_round d ());
+            Fleet.kill_pkg fleet 0;
+            match Deployment.run_addfriend_round d () with
+            | _ -> Alcotest.fail "a round completed without its PKG"
+            | exception Deployment.Round_failed { round; attempts; _ } ->
+              Alcotest.(check (pair int int)) "round 2, every attempt" (2, 4) (round, attempts)));
+  ]
+
 let suite =
   framing_tests @ rpc_tests @ listener_tests @ recovery_tests @ loop_tests @ trace_envelope_tests
   @ List.map
@@ -873,4 +926,4 @@ let suite =
           (Printf.sprintf "scripted crash@1, %d dial shards: wire = in process" dial_shards)
           `Quick (scripted_crash ~dial_shards))
       [ 0; 2 ]
-  @ pipeline_tests
+  @ pipeline_tests @ pkg_failure_tests
