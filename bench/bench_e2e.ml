@@ -161,7 +161,10 @@ let ablation_mailboxes () =
   row [ pad 10 "mailboxes"; padl 14 "download"; padl 16 "total noise"; padl 16 "noise fraction" ];
   List.iter
     (fun k ->
-      let per_mailbox = (float_of_int active /. float_of_int k) +. (mu *. float_of_int servers) in
+      let per_mailbox =
+        Mailbox.expected_load ~expected_real:active ~noise_mu:mu ~chain_length:servers
+          ~num_mailboxes:k
+      in
       let download = int_of_float (per_mailbox *. float_of_int request_bytes) in
       let total_noise = int_of_float (mu *. float_of_int (servers * k)) in
       row
@@ -174,8 +177,8 @@ let ablation_mailboxes () =
                (100.0 *. float_of_int total_noise /. float_of_int (total_noise + active)));
         ])
     [ 1; 2; 4; 8; 16; 42 ];
-  let balanced = Mailbox.num_mailboxes_for ~expected_real:active ~noise_mu:mu ~chain_length:servers in
-  Printf.printf "the §6 balance rule picks K = %d: noise ≈ real per mailbox.\n" balanced
+  Printf.printf "the §6 balance rule picks K = %d: noise ≈ real per mailbox.\n"
+    (Mailbox.plan ~expected_real:active ~noise_mu:mu ~chain_length:servers ~shards:0).num_mailboxes
 
 (* §9 DoS mitigation: cost of the blind-signature admission control. *)
 let ratelimit () =

@@ -96,6 +96,18 @@ let fig9 pc =
   let local = Costmodel.measure_local (Alpenhorn_pairing.Params.production ()) in
   latency_table pc local ~dial:true ~label:""
 
+(* The evaluation's workload under Zipf skew [s]: 5% of [n_users] active,
+   3 servers, no Laplace variance. *)
+let skewed ~n_users ~noise_mu s =
+  {
+    Workload.n_users;
+    active_fraction = 0.05;
+    recipient_skew = s;
+    noise_mu;
+    laplace_b = 0.0;
+    chain_length = 3;
+  }
+
 (* Fig 10 + §8.4: latency and mailbox sizes under Zipf-skewed popularity.
    We sample the real per-mailbox request distribution and price each
    mailbox's download+scan individually. *)
@@ -105,18 +117,8 @@ let fig10 pc =
   row [ pad 8 "skew s"; padl 10 "min"; padl 10 "median"; padl 10 "max"; padl 14 "mailbox range" ];
   List.iter
     (fun s ->
-      let spec =
-        {
-          Workload.n_users = 1_000_000;
-          active_fraction = 0.05;
-          recipient_skew = s;
-          noise_mu = 4000.0;
-          laplace_b = 0.0;
-          chain_length = 3;
-        }
-      in
       let rng = Drbg.create ~seed:(Printf.sprintf "fig10-%.2f" s) in
-      let load = Workload.generate spec rng in
+      let load = Workload.generate (skewed ~n_users:1_000_000 ~noise_mu:4000.0 s) rng in
       let totals = Workload.total load in
       (* per-request latency: each real request lands in a mailbox whose
          size fixes the receiver's download + scan time *)
@@ -153,18 +155,8 @@ let skewsize pc =
   let machine = Costmodel.paper_machine in
   List.iter
     (fun s ->
-      let spec =
-        {
-          Workload.n_users = 10_000_000;
-          active_fraction = 0.05;
-          recipient_skew = s;
-          noise_mu = 25000.0;
-          laplace_b = 0.0;
-          chain_length = 3;
-        }
-      in
       let rng = Drbg.create ~seed:(Printf.sprintf "skewsize-%.2f" s) in
-      let load = Workload.generate spec rng in
+      let load = Workload.generate (skewed ~n_users:10_000_000 ~noise_mu:25000.0 s) rng in
       let totals = Workload.total load in
       let filter_bytes = Array.map (fun n -> n * Bloom.bits_per_element / 8) totals in
       let lat m =
@@ -232,18 +224,8 @@ let figscale pc =
     ];
   (* fig 10 shape at 1M: the skewed median must stay flat vs the uniform row *)
   let median s =
-    let spec =
-      {
-        Workload.n_users;
-        active_fraction = 0.05;
-        recipient_skew = s;
-        noise_mu = 4000.0;
-        laplace_b = 0.0;
-        chain_length = 3;
-      }
-    in
     let rng = Drbg.create ~seed:(Printf.sprintf "figscale-%.2f" s) in
-    let load = Workload.generate spec rng in
+    let load = Workload.generate (skewed ~n_users ~noise_mu:4000.0 s) rng in
     let totals = Workload.total load in
     let lat m =
       (Costmodel.addfriend_round machine pc ~n_users ~n_servers:3 ~noise_mu:4000.0

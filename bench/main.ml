@@ -2,9 +2,9 @@
    §8, plus the DESIGN.md ablations.
 
    Usage: dune exec bench/main.exe [-- section...]
-   Sections: fig6 fig7 fig8 fig9 fig10 figscale skewsize cpu parallel sizes
-             extract e2e ablation-onion ablation-bloom ablation-mailboxes
-             scale smoke
+   Sections: fig6 fig7 fig8 fig9 fig10 figscale skewsize privacy cpu
+             parallel sizes extract e2e ablation-onion ablation-bloom
+             ablation-mailboxes ratelimit ablation-pipeline scale smoke
    With no arguments, every section runs. The "smoke" section also runs
    under `dune runtest`: it validates the telemetry exporters on one tiny
    instrumented round (see bench_smoke.ml). *)

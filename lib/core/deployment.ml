@@ -279,20 +279,13 @@ let online_clients t ~phase ~round participants =
 
 let g_mailbox_load = Tel.Gauge.v Tel.default "mailbox.max_load"
 
-(* §6 mailbox-count policy: real traffic and noise roughly balanced. A
-   dialing round has at least one mailbox per shard (§5.1). *)
-let num_mailboxes t mode ~participants =
+(* The §6/§5.1 mailbox plan of a round with [clients] submitting. *)
+let plan t ~clients ~noise_mu ~shards =
   let c = t.config in
-  let noise_mu =
-    match mode with
-    | `AddFriend -> c.Config.addfriend_noise_mu
-    | `Dialing -> c.Config.dialing_noise_mu
-  in
-  let expected_real =
-    int_of_float (Float.round (float_of_int participants *. c.Config.active_fraction))
-  in
-  let k = Mailbox.num_mailboxes_for ~expected_real ~noise_mu ~chain_length:c.Config.chain_length in
-  match mode with `AddFriend -> k | `Dialing -> Stdlib.max k c.Config.dial_shards
+  Mailbox.plan
+    ~expected_real:
+      (int_of_float (Float.round (float_of_int (List.length clients) *. c.Config.active_fraction)))
+    ~noise_mu ~chain_length:c.Config.chain_length ~shards
 
 let log_round ~phase name detail =
   Events.log Events.default ~labels:[ ("phase", phase) ] ~detail name
@@ -393,7 +386,9 @@ let run_addfriend_round (t : t) ?participants () =
     @@ fun () ->
     (* 1. PKGs rotate master keys *)
     let mpk_agg = Tel.Span.with_ Tel.default "pkg.rotate" (fun () -> rotate t ~round) in
-    let num_mailboxes = num_mailboxes t `AddFriend ~participants:(List.length clients) in
+    let num_mailboxes =
+      (plan t ~clients ~noise_mu:t.config.Config.addfriend_noise_mu ~shards:0).num_mailboxes
+    in
     (* 2. every client extracts identity keys and submits one onion; a
        client a PKG refuses sits the round out *)
     let server_pks = Chain.begin_round (t.b.chain `AddFriend) in
@@ -491,22 +486,25 @@ let catch_up_client (t : t) client =
 let run_dialing_round (t : t) ?participants () =
   let round = t.dial_round + 1 and phase = "dialing" in
   let clients = online_clients t ~phase ~round participants in
-  (* A faulted client coming back online first replays the archived filters
-     of the rounds it slept through (§5.1/§5.3) — before this round runs,
-     so its keywheel is caught up and this round's tokens still reach it.
-     Only under a fault schedule: plain [?participants] churn keeps the
-     explicit [catch_up_client] contract. *)
+  (* A client coming back online, whether it sat out under a fault
+     schedule or was left out of [?participants], first replays the
+     archived filters of the rounds it missed (§5.1/§5.3) — before this
+     round runs, so its keywheel is caught up and this round's tokens
+     still reach it. *)
   let recovered =
-    if Faults.is_empty t.faults then []
-    else
-      List.concat_map
-        (fun c -> List.map (fun ev -> (Client.email c, ev)) (catch_up_client t c))
-        clients
+    List.concat_map
+      (fun c -> List.map (fun ev -> (Client.email c, ev)) (catch_up_client t c))
+      clients
   in
   t.dial_round <- round;
   let body ~tracer ~after_begin =
     Tel.Span.with_ Tel.default "round.dialing" @@ fun () ->
-    let num_mailboxes = num_mailboxes t `Dialing ~participants:(List.length clients) in
+    (* §5.1 CDN model: one Bloom filter per shard of contiguous mailboxes;
+       with no shard count configured, one shard per mailbox *)
+    let { Mailbox.num_mailboxes; num_shards; _ } =
+      plan t ~clients ~noise_mu:t.config.Config.dialing_noise_mu
+        ~shards:t.config.Config.dial_shards
+    in
     List.iter (fun c -> Client.advance_dialing c ~round) clients;
     let server_pks = Chain.begin_round (t.b.chain `Dialing) in
     after_begin ();
@@ -519,11 +517,6 @@ let run_dialing_round (t : t) ?participants () =
     let final, noise_added, published =
       Chain.mix (t.b.chain `Dialing) ~noise_mu:t.config.Config.dialing_noise_mu
         ~laplace_b:t.config.Config.laplace_b ~num_mailboxes ~noise:None ?tracer batch
-    in
-    (* §5.1 CDN model: one Bloom filter per shard of contiguous mailboxes;
-       with no shard count configured, one shard per mailbox *)
-    let num_shards =
-      if t.config.Config.dial_shards = 0 then num_mailboxes else t.config.Config.dial_shards
     in
     let shard = Shard.create ~num_shards ~num_mailboxes in
     let shards, dropped = Mailbox.distribute_sharded ~shard ~mode:`Dialing final in

@@ -158,10 +158,11 @@ val run_dialing_round : t -> ?participants:Client.t list -> unit -> dial_stats
 (** One dialing round (§5); same observability hooks as
     {!run_addfriend_round}. Distribution is always sharded (§5.1,
     {!Alpenhorn_mixnet.Mailbox.distribute_sharded}): [Config.dial_shards]
-    shards, or one per mailbox when it is 0. Under a fault schedule, a
-    round may abort and re-run (see {!set_faults}; [calls] then also
-    carries events recovered by returning offline clients replaying
-    archived filters, as {!catch_up_client} does).
+    shards, or one per mailbox when it is 0. A participant that missed
+    earlier rounds (left out of [?participants], or offline under a fault
+    schedule) first replays the archived filters, as {!catch_up_client}
+    does, and [calls] also carries the events it recovers. Under a fault
+    schedule, a round may abort and re-run (see {!set_faults}).
     @raise Round_failed when the retry budget is exhausted. *)
 
 val dialing_round_number : t -> int

@@ -65,11 +65,6 @@ let new_round t =
 
 let round_public t = Option.map snd t.round_key
 
-let sample_noise_count rng ~mu ~b =
-  let x = Drbg.laplace rng ~mu ~b in
-  let n = int_of_float (Float.round x) in
-  if n < 0 then 0 else n
-
 (* The traced variant carries an optional per-message trace context
    ALONGSIDE each onion — an OCaml value, never serialized — so a sampled
    message's hop can be recorded and its child context handed to the next
@@ -127,7 +122,7 @@ let process_traced t ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes ~noise_
   let t1 = Tel.now Tel.default in
   let noise = ref [] and noise_count = ref 0 in
   for mailbox = 0 to num_mailboxes - 1 do
-    let n = sample_noise_count t.rng ~mu:noise_mu ~b:laplace_b in
+    let n = Mailbox.noise_count t.rng ~mu:noise_mu ~b:laplace_b in
     noise_count := !noise_count + n;
     for _ = 1 to n do
       let payload = Payload.encode ~mailbox (noise_body ~mailbox) in

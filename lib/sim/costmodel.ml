@@ -151,6 +151,9 @@ let machine_to_json m =
 let addfriend_scan_seconds m ~requests =
   m.t_ibe_prepare +. (requests *. m.t_ibe_decrypt /. float_of_int m.client_cores)
 
+(* one keywheel hash per expected token, across the client's cores *)
+let dialing_scan_seconds m ~tokens = tokens *. m.t_token /. float_of_int m.client_cores
+
 type protocol_costs = {
   request_bytes : int;
   dial_token_bytes : int;
@@ -177,107 +180,73 @@ type round_breakdown = {
   uplink_bytes : int;
 }
 
-(* Shared pipeline skeleton: each server unwraps the batch it receives,
-   generates its noise, and ships the grown batch to the next hop. *)
-let pipeline m ~n_servers ~batch0 ~noise_per_server ~t_noise ~body_bytes ~pc =
+let round_plan ~n_users ~n_servers ~noise_mu ~active_fraction ~shards =
+  Mailbox.plan
+    ~expected_real:(int_of_float (Float.round (float_of_int n_users *. active_fraction)))
+    ~noise_mu ~chain_length:n_servers ~shards
+
+(* a payload of [body_bytes] under [layers] onion layers *)
+let onion_bytes pc ~layers ~body_bytes =
+  body_bytes + pc.payload_header_bytes + (layers * pc.onion_layer_bytes)
+
+(* One round: each server unwraps the batch it receives, generates its
+   noise, µ per mailbox, and ships the grown batch to the next hop; then
+   the client downloads [mailbox_bytes] and scans them. *)
+let breakdown m pc ~n_users ~n_servers ~noise_mu ~(plan : Mailbox.plan) ~t_noise ~body_bytes
+    ~mailbox_bytes ~scan_seconds =
+  let noise_per_server = noise_mu *. float_of_int plan.num_mailboxes in
   let server_seconds = Array.make n_servers 0.0 in
-  let batch = ref (float_of_int batch0) in
+  let batch = ref (float_of_int n_users) in
   for i = 0 to n_servers - 1 do
     let unwrap = !batch *. m.t_unwrap /. float_of_int m.cores in
     let noise_gen = noise_per_server *. t_noise /. float_of_int m.cores in
     batch := !batch +. noise_per_server;
-    (* bytes on the wire to the next hop: remaining onion layers shrink, so
-       approximate with the body + residual layers *)
-    let layers_left = n_servers - 1 - i in
-    let msg_bytes =
-      float_of_int (body_bytes + pc.payload_header_bytes + (layers_left * pc.onion_layer_bytes))
-    in
+    (* bytes on the wire to the next hop: the body under the layers left *)
+    let msg_bytes = float_of_int (onion_bytes pc ~layers:(n_servers - 1 - i) ~body_bytes) in
     let transfer = !batch *. msg_bytes /. m.link_bandwidth in
     server_seconds.(i) <- unwrap +. noise_gen +. transfer +. m.rtt
   done;
-  (server_seconds, !batch)
-
-let addfriend_round m pc ~n_users ~n_servers ~noise_mu ~active_fraction ?mailbox_requests () =
-  let active = int_of_float (Float.round (float_of_int n_users *. active_fraction)) in
-  let k = Mailbox.num_mailboxes_for ~expected_real:active ~noise_mu ~chain_length:n_servers in
-  let noise_per_server = noise_mu *. float_of_int k in
-  let server_seconds, _ =
-    pipeline m ~n_servers ~batch0:n_users ~noise_per_server ~t_noise:m.t_ibe_encrypt
-      ~body_bytes:pc.request_bytes ~pc
-  in
-  let requests_in_mailbox =
-    match mailbox_requests with
-    | Some r -> r
-    | None ->
-      int_of_float
-        (Float.round ((float_of_int active /. float_of_int k) +. (noise_mu *. float_of_int n_servers)))
-  in
-  let mailbox_bytes = requests_in_mailbox * pc.request_bytes in
   let download_seconds = float_of_int mailbox_bytes /. m.client_bandwidth in
-  let scan_seconds = addfriend_scan_seconds m ~requests:(float_of_int requests_in_mailbox) in
-  let uplink_bytes =
-    pc.request_bytes + pc.payload_header_bytes + (n_servers * pc.onion_layer_bytes)
-  in
   {
     server_seconds;
     download_seconds;
     scan_seconds;
     total_seconds = Array.fold_left ( +. ) 0.0 server_seconds +. download_seconds +. scan_seconds;
     mailbox_bytes;
-    uplink_bytes;
+    uplink_bytes = onion_bytes pc ~layers:n_servers ~body_bytes;
   }
+
+let addfriend_round m pc ~n_users ~n_servers ~noise_mu ~active_fraction ?mailbox_requests () =
+  let plan = round_plan ~n_users ~n_servers ~noise_mu ~active_fraction ~shards:0 in
+  let requests =
+    Option.value mailbox_requests ~default:(int_of_float (Float.round plan.mailbox_load))
+  in
+  breakdown m pc ~n_users ~n_servers ~noise_mu ~plan ~t_noise:m.t_ibe_encrypt
+    ~body_bytes:pc.request_bytes ~mailbox_bytes:(requests * pc.request_bytes)
+    ~scan_seconds:(addfriend_scan_seconds m ~requests:(float_of_int requests))
 
 let dialing_round m pc ~n_users ~n_servers ~noise_mu ~active_fraction ~friends ~intents
     ?mailbox_tokens () =
-  let active = int_of_float (Float.round (float_of_int n_users *. active_fraction)) in
-  let k = Mailbox.num_mailboxes_for ~expected_real:active ~noise_mu ~chain_length:n_servers in
-  let noise_per_server = noise_mu *. float_of_int k in
-  let server_seconds, _ =
-    pipeline m ~n_servers ~batch0:n_users ~noise_per_server ~t_noise:m.t_token
-      ~body_bytes:pc.dial_token_bytes ~pc
+  let plan = round_plan ~n_users ~n_servers ~noise_mu ~active_fraction ~shards:0 in
+  let tokens =
+    Option.value mailbox_tokens ~default:(int_of_float (Float.round plan.mailbox_load))
   in
-  let tokens_in_mailbox =
-    match mailbox_tokens with
-    | Some t -> t
-    | None ->
-      int_of_float
-        (Float.round ((float_of_int active /. float_of_int k) +. (noise_mu *. float_of_int n_servers)))
-  in
-  let mailbox_bytes = tokens_in_mailbox * pc.bloom_bits_per_token / 8 in
-  let download_seconds = float_of_int mailbox_bytes /. m.client_bandwidth in
-  let scan_seconds = float_of_int (friends * intents) *. m.t_token /. float_of_int m.client_cores in
-  let uplink_bytes =
-    pc.dial_token_bytes + pc.payload_header_bytes + (n_servers * pc.onion_layer_bytes)
-  in
-  {
-    server_seconds;
-    download_seconds;
-    scan_seconds;
-    total_seconds = Array.fold_left ( +. ) 0.0 server_seconds +. download_seconds +. scan_seconds;
-    mailbox_bytes;
-    uplink_bytes;
-  }
+  breakdown m pc ~n_users ~n_servers ~noise_mu ~plan ~t_noise:m.t_token
+    ~body_bytes:pc.dial_token_bytes
+    ~mailbox_bytes:(tokens * pc.bloom_bits_per_token / 8)
+    ~scan_seconds:(dialing_scan_seconds m ~tokens:(float_of_int (friends * intents)))
 
-let addfriend_bandwidth pc ~n_users ~n_servers ~noise_mu ~active_fraction ~round_seconds =
-  let active = int_of_float (Float.round (float_of_int n_users *. active_fraction)) in
-  let k = Mailbox.num_mailboxes_for ~expected_real:active ~noise_mu ~chain_length:n_servers in
-  let per_mailbox =
-    (float_of_int active /. float_of_int k) +. (noise_mu *. float_of_int n_servers)
-  in
-  let download = per_mailbox *. float_of_int pc.request_bytes in
-  let uplink =
-    float_of_int (pc.request_bytes + pc.payload_header_bytes + (n_servers * pc.onion_layer_bytes))
-  in
-  (download +. uplink) /. round_seconds
+(* download of one balanced mailbox of [message_bytes]-byte entries plus
+   the uplink, per second of round *)
+let bandwidth pc ~n_users ~n_servers ~noise_mu ~active_fraction ~round_seconds ~body_bytes
+    ~message_bytes =
+  let plan = round_plan ~n_users ~n_servers ~noise_mu ~active_fraction ~shards:0 in
+  let uplink = float_of_int (onion_bytes pc ~layers:n_servers ~body_bytes) in
+  ((plan.mailbox_load *. message_bytes) +. uplink) /. round_seconds
 
-let dialing_bandwidth pc ~n_users ~n_servers ~noise_mu ~active_fraction ~round_seconds =
-  let active = int_of_float (Float.round (float_of_int n_users *. active_fraction)) in
-  let k = Mailbox.num_mailboxes_for ~expected_real:active ~noise_mu ~chain_length:n_servers in
-  let per_mailbox =
-    (float_of_int active /. float_of_int k) +. (noise_mu *. float_of_int n_servers)
-  in
-  let download = per_mailbox *. float_of_int pc.bloom_bits_per_token /. 8.0 in
-  let uplink =
-    float_of_int (pc.dial_token_bytes + pc.payload_header_bytes + (n_servers * pc.onion_layer_bytes))
-  in
-  (download +. uplink) /. round_seconds
+let addfriend_bandwidth pc =
+  bandwidth pc ~body_bytes:pc.request_bytes ~message_bytes:(float_of_int pc.request_bytes)
+
+let dialing_bandwidth pc =
+  bandwidth pc ~body_bytes:pc.dial_token_bytes
+    ~message_bytes:(float_of_int pc.bloom_bits_per_token /. 8.0)

@@ -54,6 +54,10 @@ val addfriend_scan_seconds : machine -> requests:float -> float
 (** One client's add-friend mailbox scan: [t_ibe_prepare] once, then
     [requests] trial decryptions spread over [client_cores]. *)
 
+val dialing_scan_seconds : machine -> tokens:float -> float
+(** One client's dialing scan: [tokens] keywheel hashes (friends ×
+    intents) spread over [client_cores]. *)
+
 val pp_machine : Format.formatter -> machine -> unit
 (** Human-readable calibration record. *)
 
@@ -71,6 +75,16 @@ type protocol_costs = {
 }
 
 val protocol_costs : Params.t -> protocol_costs
+
+val round_plan :
+  n_users:int ->
+  n_servers:int ->
+  noise_mu:float ->
+  active_fraction:float ->
+  shards:int ->
+  Alpenhorn_mixnet.Mailbox.plan
+(** {!Alpenhorn_mixnet.Mailbox.plan} for a round of [n_users] clients of
+    which [active_fraction] submit, through [n_servers] servers. *)
 
 type round_breakdown = {
   server_seconds : float array;  (** per-server processing + transfer *)

@@ -1,4 +1,3 @@
-module Mailbox = Alpenhorn_mixnet.Mailbox
 module Faults = Alpenhorn_core.Faults
 module Tel = Alpenhorn_telemetry.Telemetry
 module Trace = Alpenhorn_telemetry.Trace
@@ -259,14 +258,12 @@ let replay (m : Costmodel.machine) ?tracer ?(events = Events.default) ?(faults =
 
 let addfriend m ?tracer ?events ?faults ?fault_round ?policy (pc : Costmodel.protocol_costs)
     ~n_users ~n_servers ~noise_mu ~active_fraction ~chunks =
-  let active = int_of_float (Float.round (float_of_int n_users *. active_fraction)) in
-  let k = Mailbox.num_mailboxes_for ~expected_real:active ~noise_mu ~chain_length:n_servers in
-  let requests_in_mailbox =
-    (float_of_int active /. float_of_int k) +. (noise_mu *. float_of_int n_servers)
-  in
+  let plan = Costmodel.round_plan ~n_users ~n_servers ~noise_mu ~active_fraction ~shards:0 in
+  let requests_in_mailbox = plan.mailbox_load in
   replay m ?tracer ?events ?faults ?fault_round ?policy ~phase:"addfriend"
     ~scan_metric:"client.scan_attempts" ~scan_ops:requests_in_mailbox ~n_servers ~batch0:n_users
-    ~noise_per_server:(noise_mu *. float_of_int k) ~t_noise:m.Costmodel.t_ibe_encrypt
+    ~noise_per_server:(noise_mu *. float_of_int plan.num_mailboxes)
+    ~t_noise:m.Costmodel.t_ibe_encrypt
     ~msg_bytes:(float_of_int (pc.Costmodel.request_bytes + pc.Costmodel.payload_header_bytes))
     ~mailbox_bytes:(requests_in_mailbox *. float_of_int pc.Costmodel.request_bytes)
     ~mailbox_load:requests_in_mailbox
@@ -276,35 +273,23 @@ let addfriend m ?tracer ?events ?faults ?fault_round ?policy (pc : Costmodel.pro
 let dialing m ?tracer ?events ?faults ?fault_round ?policy ?(num_shards = 0)
     (pc : Costmodel.protocol_costs) ~n_users ~n_servers ~noise_mu ~active_fraction ~friends
     ~intents ~chunks =
-  if num_shards < 0 then invalid_arg "Round_sim.dialing: num_shards";
-  let active = int_of_float (Float.round (float_of_int n_users *. active_fraction)) in
-  let k =
-    Stdlib.max
-      (Mailbox.num_mailboxes_for ~expected_real:active ~noise_mu ~chain_length:n_servers)
-      num_shards
-  in
-  let tokens_in_mailbox =
-    (float_of_int active /. float_of_int k) +. (noise_mu *. float_of_int n_servers)
+  let plan =
+    Costmodel.round_plan ~n_users ~n_servers ~noise_mu ~active_fraction ~shards:num_shards
   in
   (* Sharded download (§5.1): the client fetches the Bloom filter of its
      whole shard — K/S mailboxes' worth of tokens — instead of one
      mailbox's. Per-mailbox load (the §6 ceiling) is unchanged. *)
-  let download_tokens =
-    if num_shards = 0 then tokens_in_mailbox
-    else tokens_in_mailbox *. (float_of_int k /. float_of_int num_shards)
-  in
-  let mailbox_bytes = download_tokens *. float_of_int pc.Costmodel.bloom_bits_per_token /. 8.0 in
+  let mailbox_bytes = plan.shard_load *. float_of_int pc.Costmodel.bloom_bits_per_token /. 8.0 in
   if num_shards > 0 then begin
     Tel.Gauge.set (Tel.Gauge.v Tel.default "scale.shards") (float_of_int num_shards);
     Tel.Gauge.set (Tel.Gauge.v Tel.default "scale.bytes_per_client") mailbox_bytes
   end;
+  let scan_ops = float_of_int (friends * intents) in
   replay m ?tracer ?events ?faults ?fault_round ?policy ~phase:"dialing"
-    ~scan_metric:"client.dial_tokens_checked" ~scan_ops:(float_of_int (friends * intents))
-    ~n_servers ~batch0:n_users ~noise_per_server:(noise_mu *. float_of_int k)
+    ~scan_metric:"client.dial_tokens_checked" ~scan_ops ~n_servers ~batch0:n_users
+    ~noise_per_server:(noise_mu *. float_of_int plan.num_mailboxes)
     ~t_noise:m.Costmodel.t_token
     ~msg_bytes:(float_of_int (pc.Costmodel.dial_token_bytes + pc.Costmodel.payload_header_bytes))
-    ~mailbox_bytes ~mailbox_load:tokens_in_mailbox
-    ~scan_seconds:
-      (float_of_int (friends * intents) *. m.Costmodel.t_token
-      /. float_of_int m.Costmodel.client_cores)
+    ~mailbox_bytes ~mailbox_load:plan.mailbox_load
+    ~scan_seconds:(Costmodel.dialing_scan_seconds m ~tokens:scan_ops)
     ~chunks ()

@@ -105,5 +105,6 @@ val dialing :
     mailboxes' worth of tokens, where [K] is raised to at least [S] — and
     the [scale.shards] / [scale.bytes_per_client] gauges are set for the
     {!Alpenhorn_telemetry.Slo} scale rules. Per-mailbox load (the §6
-    ceiling) is unchanged. Default [0]: per-mailbox download, exactly the
-    legacy model. *)
+    ceiling) is unchanged. Default [0]: one shard per mailbox
+    ({!Alpenhorn_mixnet.Mailbox.plan}), so the download is one mailbox.
+    @raise Invalid_argument when [num_shards < 0]. *)

@@ -69,8 +69,7 @@ let run ?(seed = "scale") ?shards ?(noise_per_mailbox = 75_000) ?(active_fractio
   if noise_per_mailbox < 0 then invalid_arg "Scale.run: noise_per_mailbox";
   let pool = Parallel.get () in
   let active = Stdlib.max 1 (int_of_float (Float.round (float_of_int clients *. active_fraction))) in
-  (* §6 balance picks K; §5.1 sharding needs K >= S. One shard per ~64k
-     clients keeps shard downloads CDN-sized. *)
+  (* One shard per ~64k clients keeps shard downloads CDN-sized. *)
   let num_shards =
     match shards with
     | Some s ->
@@ -78,12 +77,10 @@ let run ?(seed = "scale") ?shards ?(noise_per_mailbox = 75_000) ?(active_fractio
       s
     | None -> Stdlib.max 1 (clients / 65_536)
   in
-  let num_mailboxes =
-    Stdlib.max
-      (Mailbox.num_mailboxes_for ~expected_real:active
-         ~noise_mu:(float_of_int noise_per_mailbox /. 3.0)
-         ~chain_length:3)
-      num_shards
+  let { Mailbox.num_mailboxes; _ } =
+    Mailbox.plan ~expected_real:active
+      ~noise_mu:(float_of_int noise_per_mailbox /. 3.0)
+      ~chain_length:3 ~shards:num_shards
   in
   let shard = Shard.create ~num_shards ~num_mailboxes in
   let noise = num_mailboxes * noise_per_mailbox in

@@ -14,8 +14,9 @@ let active_count spec =
   int_of_float (Float.round (float_of_int spec.n_users *. spec.active_fraction))
 
 let num_mailboxes spec =
-  Mailbox.num_mailboxes_for ~expected_real:(active_count spec) ~noise_mu:spec.noise_mu
-    ~chain_length:spec.chain_length
+  (Mailbox.plan ~expected_real:(active_count spec) ~noise_mu:spec.noise_mu
+     ~chain_length:spec.chain_length ~shards:0)
+    .num_mailboxes
 
 type mailbox_load = { real : int array; noise : int array }
 
@@ -26,24 +27,19 @@ let generate spec rng =
   let assign_mailbox rank =
     Mailbox.mailbox_of_identity (Printf.sprintf "user-%d@sim" rank) ~num_mailboxes:k
   in
-  if spec.recipient_skew = 0.0 then
-    (* uniform recipients: sample per-mailbox counts directly *)
-    for _ = 1 to actives do
-      let rank = 1 + Drbg.int rng spec.n_users in
-      let m = assign_mailbox rank in
-      real.(m) <- real.(m) + 1
-    done
-  else begin
-    let zipf = Zipf.create ~n:spec.n_users ~s:spec.recipient_skew in
-    for _ = 1 to actives do
-      let m = assign_mailbox (Zipf.sample zipf rng) in
-      real.(m) <- real.(m) + 1
-    done
-  end;
+  let recipient =
+    if spec.recipient_skew = 0.0 then fun () -> 1 + Drbg.int rng spec.n_users
+    else
+      let zipf = Zipf.create ~n:spec.n_users ~s:spec.recipient_skew in
+      fun () -> Zipf.sample zipf rng
+  in
+  for _ = 1 to actives do
+    let m = assign_mailbox (recipient ()) in
+    real.(m) <- real.(m) + 1
+  done;
   for m = 0 to k - 1 do
     for _ = 1 to spec.chain_length do
-      let x = Drbg.laplace rng ~mu:spec.noise_mu ~b:spec.laplace_b in
-      noise.(m) <- noise.(m) + Stdlib.max 0 (int_of_float (Float.round x))
+      noise.(m) <- noise.(m) + Mailbox.noise_count rng ~mu:spec.noise_mu ~b:spec.laplace_b
     done
   done;
   { real; noise }

@@ -4,7 +4,8 @@
     what drives latency and bandwidth is {e how many} requests land in each
     mailbox. This module samples exactly that — recipients drawn uniformly
     or Zipf-skewed, mapped to mailboxes by the same hash rule the real
-    mixnet uses, plus per-server Laplace noise per mailbox. *)
+    mixnet uses, plus per-server Laplace noise per mailbox drawn as the
+    servers draw it ({!Alpenhorn_mixnet.Mailbox.noise_count}). *)
 
 module Drbg = Alpenhorn_crypto.Drbg
 
@@ -20,7 +21,7 @@ type spec = {
 val active_count : spec -> int
 
 val num_mailboxes : spec -> int
-(** The §6 balance rule: [max 1 (round (active / (µ · chain)))]. *)
+(** K of {!Alpenhorn_mixnet.Mailbox.plan}: the §6 balance rule. *)
 
 type mailbox_load = {
   real : int array;  (** real requests per mailbox *)

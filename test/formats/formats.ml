@@ -9,6 +9,7 @@ module Curve = Alpenhorn_pairing.Curve
 module Pkg = Alpenhorn_pkg.Pkg
 module Bloom = Alpenhorn_bloom.Bloom
 module Payload = Alpenhorn_mixnet.Payload
+module Stream_writer = Alpenhorn_mixnet.Stream_writer
 module Ratelimit = Alpenhorn_mixnet.Ratelimit
 module Wire = Alpenhorn_core.Wire
 module Persist = Alpenhorn_core.Persist
@@ -174,6 +175,28 @@ let entries () =
       on_curve "test";
       on_curve "production";
       proto (Params.test ());
+      [
+        (* the blob an add-friend shard is published as: one record per
+           payload; a blob decodes only when every byte of it parses *)
+        Entry
+          {
+            name = "Stream_writer.records";
+            encode =
+              (fun records ->
+                let buf = Buffer.create 256 in
+                let w = Stream_writer.create (Stream_writer.buffer_sink buf) in
+                List.iter (Stream_writer.write_record w) records;
+                Stream_writer.flush w;
+                Buffer.contents buf);
+            decode =
+              (fun s ->
+                match Stream_writer.fold_records s (fun acc r -> r :: acc) [] with
+                | records, true -> Some (List.rev records)
+                | _, false -> None);
+            gen =
+              g_list ~max:6 (fun r -> Payload.encode ~mailbox:(Drbg.int r 64) (g_str ~max:40 r));
+          };
+      ];
     ]
 
 (* ---- mutation ---- *)

@@ -27,8 +27,9 @@ type entry =
 val entries : unit -> entry list
 (** The codecs of [Wire], [Persist], [Bloom], [Ratelimit], the trace
     envelope and every [Proto] request, response and error on the curves
-    they run on; plus frames, [Payload] and curve points through their
-    own hand-written functions. *)
+    they run on; plus frames, [Payload], curve points and the
+    [Stream_writer] record blobs of add-friend shards through their own
+    hand-written functions. *)
 
 val name : entry -> string
 

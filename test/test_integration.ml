@@ -456,3 +456,31 @@ let failure_path_tests =
   ]
 
 let suite = suite @ failure_path_tests
+
+(* §5.1 again: a client left out of [?participants] replays the archive by
+   itself when it rejoins, as a client offline under a fault schedule does. *)
+let rejoin_tests =
+  [
+    Alcotest.test_case "a client left out of the participants recovers its call on rejoining"
+      `Quick (fun () ->
+        let d, clients = setup ~seed:"probe-catchup" [ "alice@x"; "bob@x" ] in
+        let alice = List.nth clients 0 and bob = List.nth clients 1 in
+        let _ = befriend d alice bob in
+        ignore (run_dial d 4);
+        Client.call alice ~email:"bob@x" ~intent:1;
+        for _ = 1 to 2 do
+          ignore (Deployment.run_dialing_round d ~participants:[ alice ] ())
+        done;
+        let stats = Deployment.run_dialing_round d () in
+        Alcotest.(check int) "bob's calls from alice" 1
+          (List.length
+             (List.filter
+                (function
+                  | "bob@x", Client.Incoming_call { peer = "alice@x"; intent = 1; _ } -> true
+                  | _ -> false)
+                stats.Deployment.calls));
+        Alcotest.(check int) "bob synced" (Deployment.dialing_round_number d)
+          (Client.dialing_round bob));
+  ]
+
+let suite = suite @ rejoin_tests

@@ -352,3 +352,41 @@ let property_tests =
   ]
 
 let suite = unit_tests @ corrupt_encoding_tests @ property_tests
+
+(* The §6 noise as every server draws it, Laplace(µ, b) rounded to the
+   nearest count and clamped at 0, against that law's CDF:
+   P(N <= n) = F(n + 1/2) for n >= 0, all mass below 1/2 landing on 0.
+   Both CDFs are steps on the integers, so the Kolmogorov-Smirnov
+   distance is the largest gap at n = 0 .. max draw. *)
+let noise_tests =
+  let laplace_cdf ~mu ~b x =
+    if x < mu then 0.5 *. exp ((x -. mu) /. b) else 1.0 -. (0.5 *. exp ((mu -. x) /. b))
+  in
+  let ks_distance ~mu ~b ~draws =
+    let rng = Drbg.create ~seed:"noise-ks" in
+    let samples = Array.init draws (fun _ -> Mailbox.noise_count rng ~mu ~b) in
+    let counts = Array.make (Array.fold_left max 0 samples + 1) 0 in
+    Array.iter (fun n -> counts.(n) <- counts.(n) + 1) samples;
+    let below = ref 0 and d = ref 0.0 in
+    Array.iteri
+      (fun n c ->
+        below := !below + c;
+        let empirical = float_of_int !below /. float_of_int draws in
+        d := Float.max !d (Float.abs (empirical -. laplace_cdf ~mu ~b (float_of_int n +. 0.5))))
+      counts;
+    !d
+  in
+  [
+    Alcotest.test_case "noise draws follow the rounded, truncated Laplace law" `Quick (fun () ->
+        (* the §8.1 add-friend setting, and one where rounding and the
+           clamp at 0 dominate *)
+        List.iter
+          (fun (mu, b) ->
+            let d = ks_distance ~mu ~b ~draws:100_000 in
+            Alcotest.(check bool)
+              (Printf.sprintf "KS %.4f < 0.01 at (%g, %g)" d mu b)
+              true (d < 0.01))
+          [ (4000.0, 406.0); (2.0, 2.0) ]);
+  ]
+
+let suite = suite @ noise_tests
