@@ -11,6 +11,7 @@ module Ibe = Alpenhorn_ibe.Ibe
 module Bls = Alpenhorn_bls.Bls
 module Dh = Alpenhorn_dh.Dh
 module Onion = Alpenhorn_mixnet.Onion
+module Payload = Alpenhorn_mixnet.Payload
 module Keywheel = Alpenhorn_keywheel.Keywheel
 module Bloom = Alpenhorn_bloom.Bloom
 module Hmac = Alpenhorn_crypto.Hmac
@@ -91,6 +92,30 @@ let cpu () =
   row [ pad 22 "BLS sign"; padl 12 (human_time t_sign); pad 34 "  -" ];
   row [ pad 22 "G1 scalar mult"; padl 12 (human_time t_smul); pad 34 "  -" ];
   row [ pad 22 "G1 fixed-base mult"; padl 12 (human_time t_smul_fb); pad 34 "  -" ];
+
+  (* A mixer hop's curve work, per onion: a noise layer wrapped in a batch
+     of 500 for one downstream key (the comb path) or alone, and an
+     onion unwrapped in a batch of 1000 (one shared inversion) or alone. *)
+  let hop (pr : Params.t) =
+    let ssk, spk = Dh.keygen pr rng in
+    let body = Payload.encode ~mailbox:0 (String.make Wire.dial_token_size 'd') in
+    let noise = Array.init 500 (fun _ -> (Onion.secrets pr rng ~layers:1, body)) in
+    let onions = Array.init 1000 (fun _ -> Onion.wrap pr rng ~server_pks:[ spk ] body) in
+    let per n t = t /. float_of_int n in
+    ( per 500 (time_ns ~quota:2.0 "wrap-batch" (fun () -> Onion.wrap_batch pr ~server_pks:[ spk ] noise)),
+      time_ns "wrap" (fun () -> Onion.wrap pr rng ~server_pks:[ spk ] body),
+      per 1000 (time_ns ~quota:2.0 "unwrap-batch" (fun () -> Onion.unwrap_batch pr ~sk:ssk onions)),
+      time_ns "unwrap" (fun () -> Onion.unwrap pr ~sk:ssk onions.(0)) )
+  in
+  let tw, tw1, tu, tu1 = hop (Params.test ()) and pw, pw1, pu, pu1 = hop pr in
+  header "Mixer hop, per onion (one downstream key)";
+  row [ pad 34 "operation"; padl 12 "test curve"; padl 12 "production" ];
+  List.iter
+    (fun (name, t, p) -> row [ pad 34 name; padl 12 (human_time t); padl 12 (human_time p) ])
+    [ ("noise layer, batch of 500 per key", tw, pw);
+      ("noise layer, single Onion.wrap", tw1, pw1);
+      ("unwrap, batch of 1000", tu, pu);
+      ("unwrap, single Onion.unwrap", tu1, pu1) ];
 
   header "Derived rates";
   Printf.printf "IBE decryptions/s/core: %.0f (paper: 800)\n" (1e9 /. t_ibe_dec);

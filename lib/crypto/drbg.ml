@@ -1,33 +1,44 @@
 module Bigint = Alpenhorn_bigint.Bigint
 
 (* ChaCha20 keystream with a 64-bit block counter spread over the RFC nonce
-   space; rekeys never needed at simulation scales. *)
-type t = { key : string; mutable counter : int; mutable pool : string; mutable pos : int }
+   space; rekeys never needed at simulation scales. Each refill writes the
+   next block over [pool], through the nonce buffer, in place. *)
+type t = { key : string; mutable counter : int; pool : Bytes.t; nonce : Bytes.t; mutable pos : int }
 
-let create ~seed = { key = Sha256.digest ("alpenhorn-drbg-seed" ^ seed); counter = 0; pool = ""; pos = 0 }
+let create ~seed =
+  {
+    key = Sha256.digest ("alpenhorn-drbg-seed" ^ seed);
+    counter = 0;
+    pool = Bytes.create 64;
+    nonce = Bytes.make 12 '\000';
+    pos = 64;
+  }
 
 let derive t label = create ~seed:(Hmac.hmac_sha256 ~key:t.key ("derive:" ^ label))
 
-let nonce_of_counter c =
-  String.init 12 (fun i -> if i < 8 then Char.chr ((c lsr (8 * i)) land 0xff) else '\000')
-
 let refill t =
-  t.pool <- Chacha20.block ~key:t.key ~nonce:(nonce_of_counter t.counter) ~counter:0;
+  Bytes.set_int64_le t.nonce 0 (Int64.of_int t.counter);
+  Chacha20.block_into ~key:t.key ~nonce:(Bytes.unsafe_to_string t.nonce) ~counter:0 t.pool;
   t.counter <- t.counter + 1;
   t.pos <- 0
 
 let byte t =
-  if t.pos >= String.length t.pool then refill t;
-  let b = Char.code t.pool.[t.pos] in
+  if t.pos >= 64 then refill t;
+  let b = Bytes.get_uint8 t.pool t.pos in
   t.pos <- t.pos + 1;
   b
 
 let bytes t n =
   let out = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set out i (Char.chr (byte t))
+  let filled = ref 0 in
+  while !filled < n do
+    if t.pos >= 64 then refill t;
+    let len = Stdlib.min (n - !filled) (64 - t.pos) in
+    Bytes.blit t.pool t.pos out !filled len;
+    t.pos <- t.pos + len;
+    filled := !filled + len
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let int64 t =
   let v = ref 0L in

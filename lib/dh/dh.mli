@@ -18,6 +18,9 @@ module Params = Alpenhorn_pairing.Params
 type secret = Bigint.t
 type public = Alpenhorn_pairing.Curve.point
 
+val random_secret : Params.t -> Drbg.t -> secret
+(** A secret uniform in [[1, q)]: the one draw {!keygen} makes. *)
+
 val keygen : Params.t -> Drbg.t -> secret * public
 
 val shared_secret : Params.t -> secret -> public -> string
@@ -25,6 +28,17 @@ val shared_secret : Params.t -> secret -> public -> string
     compute the same value; never returns the identity encoding for honest
     inputs.
     @raise Invalid_argument if the peer key is the point at infinity. *)
+
+val exchange_batch : Params.t -> (secret * public) array -> (public * string) array
+(** [(s, peer)] ↦ [(s·g, shared_secret s peer)] for every job, in order:
+    the public half of [s] and the key it shares with [peer], all from
+    one {!Params.mul_batch}.
+    @raise Invalid_argument if a peer key is the point at infinity. *)
+
+val shared_secret_batch : Params.t -> secret -> public array -> string array
+(** {!shared_secret} with every peer, in order, from one
+    {!Params.mul_batch}.
+    @raise Invalid_argument if a peer key is the point at infinity. *)
 
 val public_bytes : Params.t -> public -> string
 val public_of_bytes : Params.t -> string -> public option

@@ -65,6 +65,13 @@ let new_round t =
 
 let round_public t = Option.map snd t.round_key
 
+(* Onions per curve batch, in the unwrap and the noise wrap: enough that
+   a batch's comb for a downstream key costs a few multiplications per
+   layer, few enough that memory stays flat whatever the noise count. *)
+let chunk = 256
+
+let ceil_div a b = (a + b - 1) / b
+
 (* The traced variant carries an optional per-message trace context
    ALONGSIDE each onion — an OCaml value, never serialized — so a sampled
    message's hop can be recorded and its child context handed to the next
@@ -81,13 +88,22 @@ let process_traced t ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes ~noise_
   Tel.Counter.add t.tel.c_in (Array.length batch);
   Tel.Histogram.observe t.tel.h_batch (float_of_int (Array.length batch));
   let t0 = Tel.now Tel.default in
-  (* The unwrap of each onion is independent and draws no randomness, so it
-     fans out across the domain pool; order is preserved, and the
-     randomness-consuming phases below (noise, shuffle) stay sequential, so
-     every pool size produces the same output as the 1-domain path. *)
+  (* The onions are unwrapped a chunk at a time, one curve batch each. The
+     unwrap draws no randomness, so the chunks fan out across the domain
+     pool; order is preserved, and the randomness-consuming phases below
+     (noise, shuffle) stay sequential, so every pool size produces the same
+     output as the 1-domain path. *)
   let pool = Parallel.get () in
   if Parallel.size pool > 1 then Params.force_tables t.params;
-  let inners = Parallel.map pool (fun (onion, _) -> Onion.unwrap t.params ~sk onion) batch in
+  let onions = Array.map fst batch in
+  let n = Array.length onions in
+  let size = Int.max 1 (Int.min chunk (ceil_div n (Parallel.size pool))) in
+  let inners =
+    Array.init (ceil_div n size) (fun c ->
+        Array.sub onions (c * size) (Int.min size (n - (c * size))))
+    |> Parallel.map pool (Onion.unwrap_batch t.params ~sk)
+    |> Array.to_list |> Array.concat
+  in
   let unwrapped =
     Array.to_list (Array.mapi (fun i (_, ctx) -> (inners.(i), ctx)) batch)
     |> List.filter_map (fun (inner, ctx) -> Option.map (fun x -> (x, ctx)) inner)
@@ -118,18 +134,31 @@ let process_traced t ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes ~noise_
         unwrapped
   in
   (* Noise for every real mailbox, wrapped for the rest of the chain so the
-     next servers cannot distinguish it from client traffic. *)
+     next servers cannot distinguish it from client traffic. Each message's
+     body and secrets are drawn in turn, and the drawn messages wrapped a
+     chunk at a time: the wrap draws nothing, so the stream is the
+     per-message loop's. *)
   let t1 = Tel.now Tel.default in
+  let layers = List.length downstream_pks in
   let noise = ref [] and noise_count = ref 0 in
+  let drawn = ref [] and ndrawn = ref 0 in
+  let wrap_drawn () =
+    Onion.wrap_batch t.params ~server_pks:downstream_pks (Array.of_list (List.rev !drawn))
+    |> Array.iter (fun onion -> noise := (onion, None) :: !noise);
+    drawn := [];
+    ndrawn := 0
+  in
   for mailbox = 0 to num_mailboxes - 1 do
     let n = Mailbox.noise_count t.rng ~mu:noise_mu ~b:laplace_b in
     noise_count := !noise_count + n;
     for _ = 1 to n do
       let payload = Payload.encode ~mailbox (noise_body ~mailbox) in
-      let wrapped = Onion.wrap t.params t.rng ~server_pks:downstream_pks payload in
-      noise := (wrapped, None) :: !noise
+      drawn := (Onion.secrets t.params t.rng ~layers, payload) :: !drawn;
+      incr ndrawn;
+      if !ndrawn = chunk then wrap_drawn ()
     done
   done;
+  wrap_drawn ();
   Tel.Histogram.observe t.tel.h_noise_gen (Tel.now Tel.default -. t1);
   Tel.Counter.add t.tel.c_noise !noise_count;
   let out = Array.of_list (List.rev_append !noise unwrapped) in

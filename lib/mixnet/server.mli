@@ -53,7 +53,16 @@ val process :
     servers after this one (empty for the last). Returns the outgoing batch
     and the number of noise messages added. Onions that fail to decrypt are
     dropped (client DoS resilience, §3.3) and logged as a
-    [mix.decode_failure] event. *)
+    [mix.decode_failure] event.
+
+    {b Draw order.} The server's DRBG gives, per mailbox in order, its
+    noise count ({!Mailbox.noise_count}), then per noise message its body
+    ([noise_body] is called here, so its own draws interleave) and its
+    layer secrets ({!Onion.secrets}), then the shuffle. This is the order
+    of a loop that wraps each message with {!Onion.wrap} as it goes; the
+    noise is wrapped in batches of a few hundred messages instead
+    ({!Onion.wrap_batch}), and the inbound batch is unwrapped in chunks
+    ({!Onion.unwrap_batch}), which draw nothing. *)
 
 val process_traced :
   t ->

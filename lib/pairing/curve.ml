@@ -63,9 +63,9 @@ let mul_affine f k p =
    over the fixed-limb Montgomery kernel: scalar multiplication with a
    single inversion at the end instead of one per point operation, every
    field operation an in-place FIOS multiplication on flat int arrays.
-   This is what [mul] and the fixed-base tables run on; the affine ladder
-   [mul_affine] above stays as the reference the property tests compare
-   against. *)
+   This is what [mul], the combs and the batches run on; the affine
+   ladder [mul_affine] above stays as the reference the property tests
+   compare against. *)
 module Jm = struct
   (* the coordinates' arrays are updated in place; Z = 0 is infinity *)
   type t = { x : Mont.el; y : Mont.el; z : Mont.el }
@@ -94,17 +94,45 @@ module Jm = struct
     | Inf -> infinity ctx
     | Affine { x; y } -> { x = Mont.of_bigint ctx x; y = Mont.of_bigint ctx y; z = Mont.one ctx }
 
-  let to_affine ctx p =
-    if is_infinity p then Inf
-    else begin
-      let zinv = Mont.inv ctx p.z in
-      let zinv2 = Mont.sqr ctx zinv in
-      Affine
-        {
-          x = Mont.to_bigint ctx (Mont.mul ctx p.x zinv2);
-          y = Mont.to_bigint ctx (Mont.mul ctx p.y (Mont.mul ctx zinv2 zinv));
-        }
+  (* Every finite point of [ps] to Z = 1, in place. Montgomery's trick
+     shares one inversion (a Fermat exponentiation) among them all, for
+     3(n−1) multiplications, then each point takes 4 more. *)
+  let normalize ctx ps =
+    let fin = Array.of_seq (Seq.filter (fun p -> not (is_infinity p)) (Array.to_seq ps)) in
+    let n = Array.length fin in
+    if n > 0 then begin
+      (* prefix.(i) = z₀·…·zᵢ *)
+      let prefix = Array.init n (fun _ -> Mont.zero ctx) in
+      Mont.copy_into prefix.(0) fin.(0).z;
+      for i = 1 to n - 1 do
+        Mont.mul_into ctx prefix.(i) prefix.(i - 1) fin.(i).z
+      done;
+      (* u = (z₀·…·zᵢ)⁻¹ as i walks down *)
+      let u = Mont.inv ctx prefix.(n - 1) in
+      let zinv = Mont.zero ctx and t = Mont.zero ctx in
+      for i = n - 1 downto 0 do
+        let p = fin.(i) in
+        if i = 0 then Mont.copy_into zinv u
+        else begin
+          Mont.mul_into ctx zinv u prefix.(i - 1);
+          Mont.mul_into ctx u u p.z
+        end;
+        Mont.mul_into ctx t zinv zinv;
+        Mont.mul_into ctx p.x p.x t;
+        Mont.mul_into ctx t t zinv;
+        Mont.mul_into ctx p.y p.y t;
+        Mont.one_into ctx p.z
+      done
     end
+
+  (* a normalized point back to [Bigint] coordinates *)
+  let to_point ctx p =
+    if is_infinity p then Inf
+    else Affine { x = Mont.to_bigint ctx p.x; y = Mont.to_bigint ctx p.y }
+
+  let to_affine ctx p =
+    normalize ctx [| p |];
+    to_point ctx p
 
   (* p ← 2p (dbl-2009-l, 2M + 5S) *)
   let double_into ctx s p =
@@ -183,6 +211,52 @@ module Jm = struct
         Mont.sub_into ctx acc.y s.c s.e
       end
     end
+
+  (* acc ← acc + q for a normalized q (Z = 1, or 0 for infinity), the
+     mixed addition madd-2007-bl (7M + 4S). [q] is only read and must not
+     be [acc]. *)
+  let madd_into ctx s acc q =
+    if is_infinity q then ()
+    else if is_infinity acc then begin
+      Mont.copy_into acc.x q.x;
+      Mont.copy_into acc.y q.y;
+      Mont.one_into ctx acc.z
+    end
+    else begin
+      Mont.mul_into ctx s.a acc.z acc.z (* Z1Z1 *);
+      Mont.mul_into ctx s.b q.x s.a (* U2 *);
+      Mont.mul_into ctx s.c acc.z s.a;
+      Mont.mul_into ctx s.c q.y s.c (* S2 *);
+      if Mont.equal s.b acc.x then begin
+        if Mont.equal s.c acc.y then double_into ctx s acc else Mont.zero_into acc.z
+      end
+      else begin
+        (* H = U2 − X1, HH = H², I = 4·HH, J = H·I, r = 2(S2 − Y1), V = X1·I *)
+        Mont.sub_into ctx s.b s.b acc.x;
+        Mont.mul_into ctx s.d s.b s.b;
+        Mont.mul_small_into ctx s.e s.d 4;
+        Mont.mul_into ctx s.f s.b s.e;
+        Mont.sub_into ctx s.c s.c acc.y;
+        Mont.mul_small_into ctx s.c s.c 2;
+        Mont.mul_into ctx s.e acc.x s.e;
+        (* Z3 = (Z1 + H)² − Z1Z1 − HH *)
+        Mont.add_into ctx acc.z acc.z s.b;
+        Mont.mul_into ctx acc.z acc.z acc.z;
+        Mont.sub_into ctx acc.z acc.z s.a;
+        Mont.sub_into ctx acc.z acc.z s.d;
+        (* X3 = r² − J − 2V *)
+        Mont.mul_into ctx acc.x s.c s.c;
+        Mont.sub_into ctx acc.x acc.x s.f;
+        Mont.mul_small_into ctx s.g s.e 2;
+        Mont.sub_into ctx acc.x acc.x s.g;
+        (* Y3 = r(V − X3) − 2·Y1·J *)
+        Mont.sub_into ctx s.e s.e acc.x;
+        Mont.mul_into ctx s.e s.c s.e;
+        Mont.mul_into ctx s.f acc.y s.f;
+        Mont.mul_small_into ctx s.f s.f 2;
+        Mont.sub_into ctx acc.y s.e s.f
+      end
+    end
 end
 
 let window_bits = 4
@@ -195,8 +269,9 @@ let digit k w =
   lor (if Bigint.testbit k (b + 2) then 4 else 0)
   lor (if Bigint.testbit k (b + 3) then 8 else 0)
 
-(* odd multiples would halve the table, but 1..15 keeps the window loop
-   branch-free: one add per nonzero digit, no signed recoding *)
+(* the ladder's table: every multiple 0·P .. 15·P. Odd multiples would
+   halve it, but 1..15 keeps the window loop branch-free: one add per
+   nonzero digit, no signed recoding *)
 let small_multiples ctx s base =
   let tbl = Array.make 16 base in
   tbl.(0) <- Jm.infinity ctx;
@@ -208,11 +283,10 @@ let small_multiples ctx s base =
   done;
   tbl
 
-(* windowed ladder core: [p] must be affine, [k] positive; the result
-   stays Jacobian so callers can share the affine-conversion inversion *)
-let mul_jm ctx k p =
-  let s = Jm.scratch ctx in
-  let tbl = small_multiples ctx s (Jm.of_affine ctx p) in
+(* windowed ladder over a [small_multiples] table, [k] non-negative; the
+   result stays Jacobian so callers can share the affine-conversion
+   inversion *)
+let ladder_jm ctx s tbl k =
   let nwin = (Bigint.numbits k + window_bits - 1) / window_bits in
   let acc = Jm.infinity ctx in
   for w = nwin - 1 downto 0 do
@@ -232,46 +306,8 @@ let mul f k p =
   | Affine _ when Bigint.is_zero k -> Inf
   | Affine _ ->
     let ctx = Field.mont_ctx f in
-    Jm.to_affine ctx (mul_jm ctx k p)
-
-(* shared Jacobian→affine conversion: Montgomery's trick turns the n
-   inversions (one Fermat exponentiation each) into one inversion plus
-   3(n−1) multiplications *)
-let to_affine_batch ctx js =
-  let zs =
-    Array.of_list
-      (List.filter_map (fun j -> if Jm.is_infinity j then None else Some j.Jm.z) js)
-  in
-  let n = Array.length zs in
-  if n = 0 then List.map (fun _ -> Inf) js
-  else begin
-    let c = Array.make n zs.(0) in
-    for i = 1 to n - 1 do
-      c.(i) <- Mont.mul ctx c.(i - 1) zs.(i)
-    done;
-    let u = ref (Mont.inv ctx c.(n - 1)) in
-    let zinvs = Array.make n !u in
-    for i = n - 1 downto 1 do
-      zinvs.(i) <- Mont.mul ctx !u c.(i - 1);
-      u := Mont.mul ctx !u zs.(i)
-    done;
-    zinvs.(0) <- !u;
-    let idx = ref 0 in
-    List.map
-      (fun j ->
-        if Jm.is_infinity j then Inf
-        else begin
-          let zinv = zinvs.(!idx) in
-          incr idx;
-          let zinv2 = Mont.sqr ctx zinv in
-          Affine
-            {
-              x = Mont.to_bigint ctx (Mont.mul ctx j.Jm.x zinv2);
-              y = Mont.to_bigint ctx (Mont.mul ctx j.Jm.y (Mont.mul ctx zinv2 zinv));
-            }
-        end)
-      js
-  end
+    let s = Jm.scratch ctx in
+    Jm.to_affine ctx (ladder_jm ctx s (small_multiples ctx s (Jm.of_affine ctx p)) k)
 
 (* Σ kᵢ·Pᵢ with one shared window walk: the accumulator is doubled once
    per window for all terms together, and the whole sum pays a single
@@ -314,57 +350,150 @@ let msm f kps =
 (* one Σ kᵢ·Pᵢ per group, all groups sharing a single final inversion *)
 let msm_batch f groups =
   let ctx = Field.mont_ctx f in
-  to_affine_batch ctx (List.map (msm_jm ctx) groups)
+  let sums = List.map (msm_jm ctx) groups in
+  Jm.normalize ctx (Array.of_list sums);
+  List.map (Jm.to_point ctx) sums
 
-(* Fixed-base comb: for a long-lived point (the generator, a PKG master
-   key) precompute j·2^(4i)·P for every window i and digit j, turning each
-   scalar multiplication into ~numbits(k)/4 additions and no doublings. *)
-module Fixed_base = struct
-  type table = { point : point; windows : Jm.t array array (* windows.(i).(j-1) = j·2^(4i)·P *) }
+(* Lim–Lee comb: with [cols] = ⌈bits / w⌉, entry i − 1 (0 < i < 2^w) is
+   Σ 2^(j·cols)·P over the set bits j of i, so column c of a scalar's bits
+   (bits c, cols + c, …, (w − 1)·cols + c) names one entry, and k·P is
+   [cols] rounds of a doubling and a mixed addition. *)
+module Comb = struct
+  type t = { base : point; w : int; cols : int; entries : Jm.t array (* normalized *) }
 
-  let make f p =
-    match p with
-    | Inf -> { point = p; windows = [||] }
-    | Affine _ ->
-      let ctx = Field.mont_ctx f in
-      (* cover any scalar below p; protocol scalars are below q < p *)
-      let nwin = (Bigint.numbits (Field.modulus f) + window_bits - 1) / window_bits in
-      let windows = Array.make nwin [||] in
-      let s = Jm.scratch ctx in
-      let b = ref (Jm.of_affine ctx p) in
-      for i = 0 to nwin - 1 do
-        let row = Array.make 15 !b in
-        for j = 1 to 14 do
-          let pt = Jm.copy row.(j - 1) in
-          Jm.add_into ctx s pt !b;
-          row.(j) <- pt
+  (* the highest set bit of i > 0 *)
+  let rec top_bit i = if i land (i - 1) = 0 then i else top_bit (i land (i - 1))
+
+  let make f ~w ~bits base =
+    if w < 1 || w > 16 then invalid_arg "Curve.Comb.make: w";
+    let ctx = Field.mont_ctx f in
+    let s = Jm.scratch ctx in
+    let cols = Stdlib.max 1 ((bits + w - 1) / w) in
+    let size = (1 lsl w) - 1 in
+    let entries = Array.make size (Jm.infinity ctx) in
+    (* the teeth: entry 2^j − 1 is 2^(j·cols)·P *)
+    let tooth = ref (Jm.of_affine ctx base) in
+    for j = 0 to w - 1 do
+      entries.((1 lsl j) - 1) <- !tooth;
+      if j < w - 1 then begin
+        let next = Jm.copy !tooth in
+        for _ = 1 to cols do
+          Jm.double_into ctx s next
         done;
-        windows.(i) <- row;
-        (* 2^(4(i+1))·P = 2 · (8·2^(4i)·P) *)
-        let next = Jm.copy row.(7) in
-        Jm.double_into ctx s next;
-        b := next
-      done;
-      { point = p; windows }
-
-  let mul f tbl k =
-    if Bigint.sign k < 0 then invalid_arg "Curve.Fixed_base.mul: negative scalar";
-    match tbl.point with
-    | Inf -> Inf
-    | Affine _ when Bigint.is_zero k -> Inf
-    | Affine _ ->
-      let nwin = Array.length tbl.windows in
-      if Bigint.numbits k > window_bits * nwin then mul f k tbl.point
-      else begin
-        let ctx = Field.mont_ctx f in
-        let s = Jm.scratch ctx and acc = Jm.infinity ctx in
-        for w = 0 to nwin - 1 do
-          let d = digit k w in
-          if d <> 0 then Jm.add_into ctx s acc tbl.windows.(w).(d - 1)
-        done;
-        Jm.to_affine ctx acc
+        tooth := next
       end
+    done;
+    (* every other entry: the one without its top bit, plus that tooth *)
+    for i = 3 to size do
+      if i land (i - 1) <> 0 then begin
+        let top = top_bit i in
+        let e = Jm.copy entries.(i - top - 1) in
+        Jm.add_into ctx s e entries.(top - 1);
+        entries.(i - 1) <- e
+      end
+    done;
+    Jm.normalize ctx entries;
+    { base; w; cols; entries }
+
+  let walk ctx s c k =
+    let acc = Jm.infinity ctx in
+    for col = c.cols - 1 downto 0 do
+      Jm.double_into ctx s acc;
+      let i = ref 0 in
+      for j = c.w - 1 downto 0 do
+        i := (!i lsl 1) lor Bool.to_int (Bigint.testbit k ((j * c.cols) + col))
+      done;
+      if !i <> 0 then Jm.madd_into ctx s acc c.entries.(!i - 1)
+    done;
+    acc
+
+  let mul f c k =
+    if Bigint.sign k < 0 then invalid_arg "Curve.Comb.mul: negative scalar";
+    if Bigint.numbits k > c.w * c.cols then mul f k c.base
+    else begin
+      let ctx = Field.mont_ctx f in
+      Jm.to_affine ctx (walk ctx (Jm.scratch ctx) c k)
+    end
 end
+
+(* Field multiplications of each step above (mul_small_into excluded),
+   which decide a batch's method for each base. *)
+let dbl_muls = 7
+let add_muls = 16
+let madd_muls = 11
+let normalize_muls = 7
+
+(* a Fermat inversion: a squaring per bit of p and a multiplication per
+   set bit, about half of them *)
+let inv_muls f = 3 * Bigint.numbits (Field.modulus f) / 2
+
+let ladder_table_muls = 7 * (dbl_muls + add_muls)
+
+let ladder_walk_muls bits =
+  let nwin = (bits + window_bits - 1) / window_bits in
+  (window_bits * (nwin - 1) * dbl_muls) + (nwin * add_muls)
+
+(* the width of the combs a batch builds *)
+let batch_comb_w = 6
+
+let comb_cols bits = (bits + batch_comb_w - 1) / batch_comb_w
+let comb_walk_muls bits = comb_cols bits * (dbl_muls + madd_muls)
+
+let comb_build_muls f bits =
+  let size = (1 lsl batch_comb_w) - 1 in
+  ((batch_comb_w - 1) * comb_cols bits * dbl_muls)
+  + ((size - batch_comb_w) * add_muls)
+  + (size * normalize_muls) + inv_muls f
+
+let comb_pays f ~uses bits =
+  comb_build_muls f bits + (uses * comb_walk_muls bits)
+  < ladder_table_muls + (uses * ladder_walk_muls bits)
+
+(* a total order on points, to group a batch's jobs by base *)
+let compare_points a b =
+  match (a, b) with
+  | Inf, Inf -> 0
+  | Inf, Affine _ -> -1
+  | Affine _, Inf -> 1
+  | Affine a, Affine b ->
+    let c = Bigint.compare a.x b.x in
+    if c <> 0 then c else Bigint.compare a.y b.y
+
+let mul_batch f ?(combs = []) jobs =
+  Array.iter
+    (fun (k, _) -> if Bigint.sign k < 0 then invalid_arg "Curve.mul_batch: negative scalar")
+    jobs;
+  let ctx = Field.mont_ctx f in
+  let s = Jm.scratch ctx in
+  let n = Array.length jobs in
+  let order = Array.init n Fun.id in
+  Array.sort (fun i j -> compare_points (snd jobs.(i)) (snd jobs.(j))) order;
+  let out = Array.make n (Jm.infinity ctx) in
+  let lo = ref 0 in
+  while !lo < n do
+    let base = snd jobs.(order.(!lo)) in
+    let hi = ref (!lo + 1) in
+    while !hi < n && compare_points (snd jobs.(order.(!hi))) base = 0 do
+      incr hi
+    done;
+    let group = Array.sub order !lo (!hi - !lo) in
+    let bits = Array.fold_left (fun m i -> Stdlib.max m (Bigint.numbits (fst jobs.(i)))) 0 group in
+    (match base with
+     | Inf -> ()
+     | Affine _ when bits = 0 -> ()
+     | Affine _ ->
+       let walk =
+         match List.find_opt (fun c -> equal c.Comb.base base && bits <= c.w * c.cols) combs with
+         | Some c -> Comb.walk ctx s c
+         | None when comb_pays f ~uses:(Array.length group) bits ->
+           Comb.walk ctx s (Comb.make f ~w:batch_comb_w ~bits base)
+         | None -> ladder_jm ctx s (small_multiples ctx s (Jm.of_affine ctx base))
+       in
+       Array.iter (fun i -> out.(i) <- walk (fst jobs.(i))) group);
+    lo := !hi
+  done;
+  Jm.normalize ctx out;
+  Array.map (Jm.to_point ctx) out
 
 let point_bytes f = Field.element_bytes f + 1
 

@@ -1,7 +1,6 @@
 module Bigint = Alpenhorn_bigint.Bigint
 module Sha256 = Alpenhorn_crypto.Sha256
 module Tel = Alpenhorn_telemetry.Telemetry
-module Events = Alpenhorn_telemetry.Events
 
 (* Evaluate the line through [t] and [u] (tangent if equal) at the distorted
    point (xq, yq) ∈ F_p², and the vertical line at [t + u]. Returns
@@ -592,10 +591,12 @@ let pair_cache_capacity = 512
 
 let c_cache_hit = lazy (Tel.Counter.v Tel.default "pairing.cache_hits")
 let c_cache_miss = lazy (Tel.Counter.v Tel.default "pairing.cache_misses")
+let c_cache_evict = lazy (Tel.Counter.v Tel.default "pairing.cache_evictions")
 
 let warmup (params : Params.t) =
   ignore (Lazy.force c_cache_hit);
   ignore (Lazy.force c_cache_miss);
+  ignore (Lazy.force c_cache_evict);
   Params.force_tables params
 
 let pair_cached (params : Params.t) a b =
@@ -616,9 +617,7 @@ let pair_cached (params : Params.t) a b =
         match Queue.take_opt cache.Params.pc_fifo with
         | Some oldest ->
           Hashtbl.remove cache.Params.pc_table oldest;
-          Events.log Events.default ~severity:Debug
-            ~detail:(Printf.sprintf "capacity %d" pair_cache_capacity)
-            "pairing.cache_evict"
+          Tel.Counter.inc (Lazy.force c_cache_evict)
         | None -> ()
       end;
       Hashtbl.replace cache.Params.pc_table key gt;

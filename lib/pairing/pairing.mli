@@ -35,7 +35,9 @@ val pair_cached : Params.t -> Curve.point -> Curve.point -> Fp2.el
     contend). Callers with recurring pairs — IBE encryption to a master
     key, BLS verification against known signers — use this; hit and miss
     counts land on the ["pairing.cache_hits"/"pairing.cache_misses"]
-    telemetry counters. *)
+    telemetry counters, and each eviction on ["pairing.cache_evictions"]
+    (a counter, not an event: a PKG evicts on most extraction requests,
+    and events would crowd its round and fault events out of the ring). *)
 
 type prepared
 (** A first argument with its Miller chain precomputed: every line and
@@ -83,7 +85,7 @@ val pair_product : Params.t -> (Curve.point * Curve.point) list -> Fp2.el
 
 val warmup : Params.t -> unit
 (** Force lazily initialised shared state touched by pairing operations
-    (fixed-base tables, Montgomery context, cache-counter handles) so that
+    (the generator's comb, Montgomery context, cache-counter handles) so that
     worker domains only ever read it. Called at the edge of every parallel
     region; idempotent. *)
 

@@ -13,7 +13,7 @@ type t = {
   zeta : Fp2.el;
   g : Curve.point;
   tate_exp : Bigint.t;
-  g_table : Curve.Fixed_base.table Lazy.t;
+  g_table : Curve.Comb.t Lazy.t;
   table_mu : Mutex.t;
   pair_cache : pair_cache Domain.DLS.key;
 }
@@ -32,7 +32,8 @@ let force_g_table t =
       (fun () -> Lazy.force t.g_table)
   end
 
-let mul_g t k = Curve.Fixed_base.mul t.fp (force_g_table t) k
+let mul_g t k = Curve.Comb.mul t.fp (force_g_table t) k
+let mul_batch t jobs = Curve.mul_batch t.fp ~combs:[ force_g_table t ] jobs
 
 let force_tables t =
   ignore (force_g_table t);
@@ -102,7 +103,9 @@ let build q l =
     zeta;
     g;
     tate_exp = Bigint.div (Bigint.sub (Bigint.mul p p) Bigint.one) q;
-    g_table = lazy (Curve.Fixed_base.make fp g);
+    (* 255 entries: 29 doublings and additions per product on the
+       production curve, 8 on the test curve *)
+    g_table = lazy (Curve.Comb.make fp ~w:8 ~bits:(Bigint.numbits q) g);
     table_mu = Mutex.create ();
     pair_cache = Domain.DLS.new_key fresh_pair_cache;
   }

@@ -24,17 +24,21 @@ type t = {
   zeta : Fp2.el; (* primitive cube root of unity, distortion map *)
   g : Curve.point; (* generator of G1 *)
   tate_exp : Bigint.t; (* (p² − 1) / q *)
-  g_table : Curve.Fixed_base.table Lazy.t; (* fixed-base windows for g *)
+  g_table : Curve.Comb.t Lazy.t; (* comb for g, scalars below 2^numbits(q) *)
   table_mu : Mutex.t; (* guards first forcing of the lazy tables *)
   pair_cache : pair_cache Domain.DLS.key; (* per-domain, so parallel verifies never contend *)
 }
 
 val mul_g : t -> Bigint.t -> Curve.point
-(** [k·g] through the precomputed fixed-base table (built lazily on first
+(** [k·g] through the generator's comb (w = 8, built lazily on first
     use) — every keygen / IBE ephemeral / blinding factor computes this. *)
 
+val mul_batch : t -> (Bigint.t * Curve.point) array -> Curve.point array
+(** {!Curve.mul_batch} with the generator's comb: jobs on [g] walk it
+    whatever their number. *)
+
 val force_tables : t -> unit
-(** Force the lazily built shared tables (fixed-base windows for [g] and
+(** Force the lazily built shared tables (the comb for [g] and
     the field's Montgomery context) before handing the parameter set to
     multiple domains.  Forcing the same lazy concurrently from two domains
     raises; the parallel wiring (Server/Pkg/Client) calls this at the edge

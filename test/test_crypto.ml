@@ -433,4 +433,22 @@ let property_tests =
         Hmac.hmac_sha256 ~key:k1 m <> Hmac.hmac_sha256 ~key:k2 m);
   ]
 
-let suite = unit_tests @ property_tests
+let rfc8439_block_tests =
+  [
+    Alcotest.test_case "chacha20 rfc8439 block function" `Quick (fun () ->
+        (* RFC 8439 §2.3.2 *)
+        let key = Util.of_hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" in
+        let nonce = Util.of_hex "000000090000004a00000000" in
+        let expected =
+          "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+          ^ "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+        in
+        Alcotest.(check string) "block" expected (hex (Chacha20.block ~key ~nonce ~counter:1));
+        let buf = Bytes.make 64 'x' in
+        Chacha20.block_into ~key ~nonce ~counter:1 buf;
+        Alcotest.(check string) "block_into" expected (hex (Bytes.to_string buf));
+        Alcotest.(check string) "keystream" expected
+          (hex (Chacha20.xor_stream ~key ~nonce ~counter:1 (String.make 64 '\000'))));
+  ]
+
+let suite = unit_tests @ property_tests @ rfc8439_block_tests

@@ -390,3 +390,173 @@ let noise_tests =
   ]
 
 let suite = suite @ noise_tests
+
+(* ---- the batches against the per-message code they replaced ---- *)
+
+module Aead = Alpenhorn_crypto.Aead
+module Curve = Alpenhorn_pairing.Curve
+module Field = Alpenhorn_pairing.Field
+module B = Alpenhorn_bigint.Bigint
+
+let zero_nonce = String.make 12 '\000'
+
+(* one layer at a time, one keygen and one shared secret per layer *)
+let reference_wrap pr rng ~server_pks body =
+  List.fold_left
+    (fun acc pk ->
+      let esk, epk = Dh.keygen pr rng in
+      let key = Dh.shared_secret pr esk pk in
+      Dh.public_bytes pr epk ^ Aead.seal ~key ~nonce:zero_nonce acc)
+    body (List.rev server_pks)
+
+let reference_unwrap pr ~sk msg =
+  let pklen = Dh.public_size pr in
+  if String.length msg < pklen + Aead.overhead then None
+  else
+    match Dh.public_of_bytes pr (String.sub msg 0 pklen) with
+    | None -> None
+    | Some epk ->
+      Aead.open_ ~key:(Dh.shared_secret pr sk epk) ~nonce:zero_nonce
+        (String.sub msg pklen (String.length msg - pklen))
+
+(* Server.process as a loop over messages: the round key, the unwraps,
+   then per mailbox its noise count and per noise message its body and
+   its onion, then the shuffle, all on the server's DRBG *)
+let reference_process pr ~seed ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes batch =
+  let rng = Drbg.create ~seed in
+  let sk, _ = Dh.keygen pr rng in
+  let unwrapped = List.filter_map (reference_unwrap pr ~sk) (Array.to_list batch) in
+  let noise = ref [] and count = ref 0 in
+  for mailbox = 0 to num_mailboxes - 1 do
+    let n = Mailbox.noise_count rng ~mu:noise_mu ~b:laplace_b in
+    count := !count + n;
+    for _ = 1 to n do
+      let body = Drbg.bytes rng 8 ^ string_of_int mailbox in
+      let onion = reference_wrap pr rng ~server_pks:downstream_pks (Payload.encode ~mailbox body) in
+      noise := onion :: !noise
+    done
+  done;
+  let out = Array.of_list (List.rev_append !noise unwrapped) in
+  Drbg.shuffle rng out;
+  (out, !count)
+
+let batch_tests =
+  [
+    Alcotest.test_case "batch wrap and unwrap match the per-message code" `Quick (fun () ->
+        List.iter
+          (fun (name, pr, n) ->
+            for layers = 0 to 3 do
+              let rng = Drbg.create ~seed:(Printf.sprintf "batch-%s-%d" name layers) in
+              let keys = List.init layers (fun _ -> Dh.keygen pr rng) in
+              let server_pks = List.map snd keys in
+              let bodies = Array.init n (fun i -> Printf.sprintf "body %d %s" i (String.make i 'b')) in
+              let draws () = Drbg.create ~seed:"batch-draws" in
+              let reference = Array.map (reference_wrap pr (draws ()) ~server_pks) bodies in
+              let rng = draws () in
+              let batch =
+                Onion.wrap_batch pr ~server_pks
+                  (Array.map (fun body -> (Onion.secrets pr rng ~layers, body)) bodies)
+              in
+              let label what = Printf.sprintf "%s, %d layers: %s" name layers what in
+              Alcotest.(check (array string)) (label "wrap_batch") reference batch;
+              let rng = draws () in
+              Alcotest.(check (array string)) (label "wrap")
+                reference (Array.map (Onion.wrap pr rng ~server_pks) bodies);
+              match keys with
+              | [] -> ()
+              | (sk, _) :: _ ->
+                Alcotest.(check (array (option string))) (label "unwrap_batch")
+                  (Array.map (reference_unwrap pr ~sk) batch) (Onion.unwrap_batch pr ~sk batch);
+                Alcotest.(check (array (option string))) (label "unwrap")
+                  (Array.map (reference_unwrap pr ~sk) batch)
+                  (Array.map (Onion.unwrap pr ~sk) batch)
+            done)
+          [ ("test", p (), 12); ("production", Params.production (), 5) ]);
+    Alcotest.test_case "hostile onions in a batch unwrap to None, as alone" `Quick (fun () ->
+        let pr = p () in
+        let f = pr.Params.fp in
+        let rng = Drbg.create ~seed:"batch-hostile" in
+        let sk, pk = Dh.keygen pr rng in
+        let good =
+          Array.init 3 (fun i -> Onion.wrap pr rng ~server_pks:[ pk ] (Printf.sprintf "ok %d" i))
+        in
+        let pklen = Dh.public_size pr in
+        let body = String.sub good.(0) pklen (String.length good.(0) - pklen) in
+        let tampered =
+          let b = Bytes.of_string good.(0) in
+          let last = Bytes.length b - 1 in
+          Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
+          Bytes.to_string b
+        in
+        let rec off_curve x =
+          let rhs = Field.add f (Field.mul f (Field.sqr f x) x) B.one in
+          if Option.is_none (Field.sqrt f rhs) then Field.to_bytes f x ^ "\x00"
+          else off_curve (B.add x B.one)
+        in
+        (* (p − 1, 0) has order 2; the key decoder accepts it *)
+        let small_order = Curve.to_bytes f (Curve.make f ~x:(Field.neg f B.one) ~y:B.zero) in
+        Alcotest.(check bool) "small-order key accepted" true
+          (Option.is_some (Dh.public_of_bytes pr small_order));
+        let hostile =
+          [ ("tampered tag", tampered);
+            ("truncated", String.sub good.(1) 0 (pklen + Alpenhorn_crypto.Aead.overhead - 1));
+            ("infinity key", String.make pklen '\xff' ^ body);
+            ("off-curve key", off_curve B.two ^ body);
+            ("small-order key", small_order ^ body) ]
+        in
+        List.iter
+          (fun (name, onion) ->
+            Alcotest.(check (option string)) (name ^ " alone") None (Onion.unwrap pr ~sk onion))
+          hostile;
+        let batch =
+          Array.of_list (List.concat (List.mapi (fun i (_, o) -> [ o; good.(i mod 3) ]) hostile))
+        in
+        let got = Onion.unwrap_batch pr ~sk batch in
+        Alcotest.(check (array (option string))) "batch = per onion"
+          (Array.map (reference_unwrap pr ~sk) batch) got;
+        Array.iteri
+          (fun i r ->
+            Alcotest.(check bool) (Printf.sprintf "onion %d" i) (i mod 2 = 1) (Option.is_some r))
+          got);
+    Alcotest.test_case "Server.process matches the per-message loop" `Quick (fun () ->
+        let run pr ~noise_mu ~laplace_b ~num_mailboxes ~downstream =
+          let seed = Printf.sprintf "process-%g-%g-%d" noise_mu laplace_b downstream in
+          let rng = Drbg.create ~seed:(seed ^ "-keys") in
+          let downstream_pks = List.init downstream (fun _ -> snd (Dh.keygen pr rng)) in
+          let srng = Drbg.create ~seed in
+          let server = Server.create pr ~rng:srng ~position:0 ~chain_length:(downstream + 1) in
+          let pk = Server.new_round server in
+          let batch =
+            Array.init 6 (fun i ->
+                if i = 4 then "not an onion"
+                else
+                  Onion.wrap pr rng ~server_pks:(pk :: downstream_pks)
+                    (Payload.encode ~mailbox:(i mod num_mailboxes) (Printf.sprintf "real %d" i)))
+          in
+          let got =
+            Server.process server ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes
+              ~noise_body:(fun ~mailbox -> Drbg.bytes srng 8 ^ string_of_int mailbox)
+              batch
+          in
+          let want =
+            reference_process pr ~seed ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes batch
+          in
+          Alcotest.(check (pair (array string) int))
+            (Printf.sprintf "µ %g, b %g, %d mailboxes, %d downstream" noise_mu laplace_b
+               num_mailboxes downstream)
+            want got
+        in
+        List.iter
+          (fun downstream ->
+            List.iter
+              (fun pr ->
+                List.iter
+                  (fun noise_mu -> run pr ~noise_mu ~laplace_b:0.0 ~num_mailboxes:2 ~downstream)
+                  [ 0.0; 1.0; 2.0 ];
+                run pr ~noise_mu:2.0 ~laplace_b:1.0 ~num_mailboxes:3 ~downstream)
+              [ p (); Params.production () ];
+            run (p ()) ~noise_mu:500.0 ~laplace_b:0.0 ~num_mailboxes:1 ~downstream)
+          [ 0; 1; 2; 3 ]);
+  ]
+
+let suite = suite @ batch_tests

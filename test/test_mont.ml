@@ -385,24 +385,24 @@ let scalar_mult_tests =
         let pr = Lazy.force params in
         let f = pr.Params.fp in
         let rng = Drbg.create ~seed:"mont-fixed" in
-        let tbl = Curve.Fixed_base.make f pr.Params.g in
+        let tbl = Curve.Comb.make f ~w:8 ~bits:(B.numbits pr.Params.q) pr.Params.g in
         for _ = 1 to 100 do
           let k = Drbg.bigint_below rng pr.Params.q in
           Alcotest.(check bool) "fixed = affine" true
-            (Curve.equal (Curve.Fixed_base.mul f tbl k) (Curve.mul_affine f k pr.Params.g))
+            (Curve.equal (Curve.Comb.mul f tbl k) (Curve.mul_affine f k pr.Params.g))
         done;
         List.iter
           (fun k ->
             Alcotest.(check bool) "edge scalar" true
-              (Curve.equal (Curve.Fixed_base.mul f tbl k) (Curve.mul_affine f k pr.Params.g)))
+              (Curve.equal (Curve.Comb.mul f tbl k) (Curve.mul_affine f k pr.Params.g)))
           [ B.zero; B.one; B.two; B.of_int 16; pr.Params.q; B.sub pr.Params.q B.one;
             (* wider than the table's windows: falls back to the generic path *)
             B.mul (Field.modulus f) (Field.modulus f) ]);
     Alcotest.test_case "fixed-base table for infinity" `Quick (fun () ->
         let f = (Lazy.force params).Params.fp in
-        let tbl = Curve.Fixed_base.make f Curve.infinity in
+        let tbl = Curve.Comb.make f ~w:8 ~bits:64 Curve.infinity in
         Alcotest.(check bool) "0 * Inf" true
-          (Curve.equal Curve.infinity (Curve.Fixed_base.mul f tbl (B.of_int 12345))));
+          (Curve.equal Curve.infinity (Curve.Comb.mul f tbl (B.of_int 12345))));
     Alcotest.test_case "Params.mul_g matches plain mul of g" `Quick (fun () ->
         let pr = Lazy.force params in
         let rng = Drbg.create ~seed:"mont-mulg" in
@@ -414,3 +414,70 @@ let scalar_mult_tests =
   ]
 
 let suite = kernel_tests @ scalar_mult_tests
+
+(* The combs a batch builds for round keys (w = 6) and the generator's
+   (w = 8), and the batch itself, against the affine reference. *)
+let affine_equal f k pt got = Curve.equal got (Curve.mul_affine f k pt)
+
+let batch_tests =
+  [
+    Alcotest.test_case "comb matches affine ladder on any base" `Quick (fun () ->
+        List.iter
+          (fun pr ->
+            let f = pr.Params.fp and q = pr.Params.q in
+            let rng = Drbg.create ~seed:"mont-comb" in
+            let base = Curve.mul f (Drbg.bigint_below rng q) pr.Params.g in
+            let two_torsion = Curve.make f ~x:(Field.neg f B.one) ~y:B.zero in
+            let scalars =
+              [ B.zero; B.one; B.sub q B.one; Drbg.bigint_below rng q; Drbg.bigint_below rng q;
+                (* wider than the table: the ladder *)
+                B.mul q q ]
+            in
+            List.iter
+              (fun (w, pt) ->
+                let tbl = Curve.Comb.make f ~w ~bits:(B.numbits q) pt in
+                List.iter
+                  (fun k ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "w = %d, k = %s" w (B.to_string k))
+                      true
+                      (affine_equal f k pt (Curve.Comb.mul f tbl k)))
+                  scalars)
+              [ (6, base); (8, base); (6, two_torsion); (1, base) ])
+          [ Lazy.force params; Params.production () ]);
+    Alcotest.test_case "batch multiplication matches affine ladder" `Quick (fun () ->
+        List.iter
+          (fun (pr, uses) ->
+            let f = pr.Params.fp and q = pr.Params.q and g = pr.Params.g in
+            let rng = Drbg.create ~seed:"mont-batch" in
+            let point () = Curve.mul f (Drbg.bigint_below rng q) g in
+            let on_comb = point () and once = point () in
+            let two_torsion = Curve.make f ~x:(Field.neg f B.one) ~y:B.zero in
+            let k () = Drbg.bigint_below rng q in
+            (* a base used [uses] times gets a comb; [once] stays on the
+               ladder; zero scalars and infinity bases give infinity *)
+            let jobs =
+              Array.concat
+                [ Array.init uses (fun _ -> (k (), on_comb));
+                  [| (B.zero, on_comb); (B.sub q B.one, on_comb); (B.mul q q, on_comb) |];
+                  [| (k (), once); (k (), Curve.infinity); (B.zero, Curve.infinity) |];
+                  Array.init uses (fun _ -> (k (), two_torsion));
+                  Array.init 3 (fun _ -> (k (), g));
+                  [| (B.zero, point ()) |] ]
+            in
+            (* shuffled, so a base's jobs are not adjacent *)
+            Drbg.shuffle rng jobs;
+            let check name got =
+              Array.iteri
+                (fun i (k, pt) ->
+                  Alcotest.(check bool) (Printf.sprintf "%s job %d" name i) true
+                    (affine_equal f k pt got.(i)))
+                jobs
+            in
+            check "Curve.mul_batch" (Curve.mul_batch f jobs);
+            check "Params.mul_batch" (Params.mul_batch pr jobs);
+            Alcotest.(check int) "empty" 0 (Array.length (Curve.mul_batch f [||])))
+          [ (Lazy.force params, 4); (Params.production (), 2) ]);
+  ]
+
+let suite = suite @ batch_tests

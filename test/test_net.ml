@@ -918,6 +918,19 @@ let pkg_failure_tests =
               Alcotest.(check (pair int int)) "round 2, every attempt" (2, 4) (round, attempts)));
   ]
 
+(* Dialing noise at 64 per mailbox and server: the mixers wrap it on
+   combs and unwrap it in more than one curve batch, over the wire and in
+   process alike. *)
+let comb_noise_over_sockets () =
+  let config = { Config.test with Config.n_pkgs = 1; dialing_noise_mu = 64.0 } in
+  let (net, net_deltas), (ip, ip_deltas) =
+    Fleet.domains ~config ~seed:"net-noise-64" (fun fleet ->
+        Fleet.check fleet (Fleet.scenario ~rounds:2))
+  in
+  Alcotest.(check (list string)) "every round identical"
+    (List.map Fleet.round_to_string ip) (List.map Fleet.round_to_string net);
+  Alcotest.(check deltas) "fault telemetry identical" ip_deltas net_deltas
+
 let suite =
   framing_tests @ rpc_tests @ listener_tests @ recovery_tests @ loop_tests @ trace_envelope_tests
   @ List.map
@@ -927,3 +940,4 @@ let suite =
           `Quick (scripted_crash ~dial_shards))
       [ 0; 2 ]
   @ pipeline_tests @ pkg_failure_tests
+  @ [ Alcotest.test_case "dialing noise 64: wire = in process" `Quick comb_noise_over_sockets ]

@@ -350,3 +350,30 @@ let property_tests =
 
 let suite =
   unit_tests @ two_torsion_tests @ fast_path_tests @ prepared_tests @ budget_tests @ property_tests
+
+module Events = Alpenhorn_telemetry.Events
+
+let eviction_tests =
+  [
+    Alcotest.test_case "cache evictions are counted, not logged" `Quick (fun () ->
+        let pr = p () in
+        let f = pr.Params.fp and g = pr.Params.g in
+        let rng = Drbg.create ~seed:"pair-evict" in
+        let fresh () = Curve.mul f (Drbg.bigint_below rng pr.Params.q) g in
+        let evictions () =
+          Tel.Snapshot.counter_sum (Tel.Snapshot.take Tel.default) "pairing.cache_evictions"
+        in
+        (* more fresh pairs than the 512-entry cache holds: it is full *)
+        for _ = 1 to 520 do
+          ignore (Pairing.pair_cached pr g (fresh ()))
+        done;
+        let events = Events.to_list Events.default and before = evictions () in
+        for _ = 1 to 20 do
+          ignore (Pairing.pair_cached pr g (fresh ()))
+        done;
+        Alcotest.(check int) "one eviction per miss on a full cache" 20 (evictions () - before);
+        Alcotest.(check int) "no event" (List.length events) (List.length (Events.to_list Events.default));
+        Alcotest.(check bool) "same ring" true (events = Events.to_list Events.default));
+  ]
+
+let suite = suite @ eviction_tests

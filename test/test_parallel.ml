@@ -172,49 +172,52 @@ let hash_hammer_tests =
 (* Satellite: pool size must not affect results. The same seeded chain
    round is run at 1, 2 and 4 domains; mailbox contents must be
    byte-identical and the event-log narrative identical. *)
+let chain_round_identical ~noise_mu () =
+  let pr = p () in
+  Pairing.warmup pr;
+  let run domains =
+    Parallel.with_default ~domains (fun () ->
+        let rng = Drbg.create ~seed:"chain-det" in
+        let chain = Test_mixnet.local_chain pr ~rng 3 in
+        let pks = Chain.begin_round chain in
+        let batch =
+          Array.init 12 (fun i ->
+              Onion.wrap pr rng ~server_pks:pks
+                (Payload.encode ~mailbox:(i mod 4) (Printf.sprintf "det-%02d" i)))
+        in
+        Events.clear Events.default;
+        let final, noise, _ =
+          Chain.mix chain ~noise_mu ~laplace_b:0.0 ~num_mailboxes:4
+            ~noise:(fun ~mailbox:_ -> "nnnn")
+            (Array.map (fun onion -> (onion, None)) batch)
+        in
+        let mailboxes, dropped = Mailbox.distribute ~num_mailboxes:4 ~mode:`AddFriend final in
+        let names =
+          List.map (fun e -> e.Events.name) (Events.to_list Events.default)
+        in
+        (* real messages in, noise added, dropped *)
+        (Mailbox.plain_exn mailboxes, (Array.length final - noise, noise, dropped), names))
+  in
+  let base_boxes, ((base_real, _, _) as base_stats), base_names = run 1 in
+  Alcotest.(check int) "baseline real_in" 12 base_real;
+  List.iter
+    (fun domains ->
+      let boxes, stats, names = run domains in
+      Alcotest.(check bool)
+        (Printf.sprintf "mailboxes byte-identical at %d domains" domains)
+        true (boxes = base_boxes);
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "stats identical at %d domains" domains)
+        base_stats stats;
+      Alcotest.(check (list string))
+        (Printf.sprintf "event narrative identical at %d domains" domains)
+        base_names names)
+    [ 2; 4 ]
+
 let determinism_tests =
   [
-    Alcotest.test_case "chain round identical at 1/2/4 domains" `Quick (fun () ->
-        let pr = p () in
-        Pairing.warmup pr;
-        let run domains =
-          Parallel.with_default ~domains (fun () ->
-              let rng = Drbg.create ~seed:"chain-det" in
-              let chain = Test_mixnet.local_chain pr ~rng 3 in
-              let pks = Chain.begin_round chain in
-              let batch =
-                Array.init 12 (fun i ->
-                    Onion.wrap pr rng ~server_pks:pks
-                      (Payload.encode ~mailbox:(i mod 4) (Printf.sprintf "det-%02d" i)))
-              in
-              Events.clear Events.default;
-              let final, noise, _ =
-                Chain.mix chain ~noise_mu:2.0 ~laplace_b:0.0 ~num_mailboxes:4
-                  ~noise:(fun ~mailbox:_ -> "nnnn")
-                  (Array.map (fun onion -> (onion, None)) batch)
-              in
-              let mailboxes, dropped = Mailbox.distribute ~num_mailboxes:4 ~mode:`AddFriend final in
-              let names =
-                List.map (fun e -> e.Events.name) (Events.to_list Events.default)
-              in
-              (* real messages in, noise added, dropped *)
-              (Mailbox.plain_exn mailboxes, (Array.length final - noise, noise, dropped), names))
-        in
-        let base_boxes, ((base_real, _, _) as base_stats), base_names = run 1 in
-        Alcotest.(check int) "baseline real_in" 12 base_real;
-        List.iter
-          (fun domains ->
-            let boxes, stats, names = run domains in
-            Alcotest.(check bool)
-              (Printf.sprintf "mailboxes byte-identical at %d domains" domains)
-              true (boxes = base_boxes);
-            Alcotest.(check (triple int int int))
-              (Printf.sprintf "stats identical at %d domains" domains)
-              base_stats stats;
-            Alcotest.(check (list string))
-              (Printf.sprintf "event narrative identical at %d domains" domains)
-              base_names names)
-          [ 2; 4 ]);
+    Alcotest.test_case "chain round identical at 1/2/4 domains" `Quick
+      (chain_round_identical ~noise_mu:2.0);
     Alcotest.test_case "with_default restores the previous pool" `Quick (fun () ->
         let before = Parallel.size (Parallel.get ()) in
         Parallel.with_default ~domains:3 (fun () ->
@@ -229,4 +232,12 @@ let determinism_tests =
         Alcotest.(check int) "env parse" expected (Parallel.default_size_from_env ()));
   ]
 
-let suite = map_semantics @ hammer_tests @ hash_hammer_tests @ determinism_tests
+(* 64 noise per mailbox and server: the hops wrap their noise on combs,
+   and the later hops unwrap more than one curve batch of onions *)
+let comb_noise_tests =
+  [
+    Alcotest.test_case "chain round at 64 noise identical at 1/2/4 domains" `Quick
+      (chain_round_identical ~noise_mu:64.0);
+  ]
+
+let suite = map_semantics @ hammer_tests @ hash_hammer_tests @ determinism_tests @ comb_noise_tests
