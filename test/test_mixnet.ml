@@ -560,3 +560,61 @@ let batch_tests =
   ]
 
 let suite = suite @ batch_tests
+
+(* Montgomery multiplications (the deterministic "pairing.mont_mul"
+   count) of the hop paths, against budgets set from the per-message
+   code the batches replaced. *)
+let work_tests =
+  [
+    Alcotest.test_case "hop work stays within its multiplication budget" `Quick (fun () ->
+        let muls = Alpenhorn_telemetry.Telemetry.(Counter.v default "pairing.mont_mul") in
+        let count f =
+          let m0 = Alpenhorn_telemetry.Telemetry.Counter.value muls in
+          ignore (Sys.opaque_identity (f ()));
+          Alpenhorn_telemetry.Telemetry.Counter.value muls - m0
+        in
+        let budget name ~max n =
+          if n > max then Alcotest.failf "%s runs %d multiplications (at most %d)" name n max
+        in
+        (* pair-fleet's dialing shape: 3 hops, 48 inbound onions, one
+           mailbox, [noise_mu] noise per server *)
+        let chain pr ~noise_mu =
+          Params.force_tables pr;
+          let rng = Drbg.create ~seed:"work-chain" in
+          let servers =
+            Array.init 3 (fun position ->
+                Server.create pr
+                  ~rng:(Drbg.derive rng (string_of_int position))
+                  ~position ~chain_length:3)
+          in
+          let pks = Array.to_list (Array.map Server.new_round servers) in
+          let batch =
+            Array.init 48 (fun i ->
+                Onion.wrap pr rng ~server_pks:pks (Payload.encode ~mailbox:0 (Printf.sprintf "%032d" i)))
+          in
+          count (fun () ->
+              Array.fold_left
+                (fun (batch, i) server ->
+                  let downstream_pks = List.filteri (fun j _ -> j > i) pks in
+                  let out, _ =
+                    Server.process server ~downstream_pks ~noise_mu ~laplace_b:0.0 ~num_mailboxes:1
+                      ~noise_body:(fun ~mailbox:_ -> Drbg.bytes rng 32)
+                      batch
+                  in
+                  (out, i + 1))
+                (batch, 0) servers)
+        in
+        budget "test-curve chain at 500 noise" ~max:2_300_000 (chain (p ()) ~noise_mu:500.0);
+        budget "production chain at 2 noise" ~max:515_000 (chain (Params.production ()) ~noise_mu:2.0);
+        List.iter
+          (fun (name, pr, layer, mul_g) ->
+            let rng = Drbg.create ~seed:"work-onion" in
+            let server_pks = List.init 3 (fun _ -> snd (Dh.keygen pr rng)) in
+            budget (name ^ " 3-layer onion") ~max:(3 * layer)
+              (count (fun () -> Onion.wrap pr rng ~server_pks (String.make 64 'x')));
+            budget (name ^ " mul_g") ~max:mul_g
+              (count (fun () -> Params.mul_g pr (Drbg.bigint_below rng pr.Params.q))))
+          [ ("test", p (), 1258, 357); ("production", Params.production (), 4094, 1214) ]);
+  ]
+
+let suite = suite @ work_tests
