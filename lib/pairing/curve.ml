@@ -449,15 +449,14 @@ let comb_pays f ~uses bits =
   comb_build_muls f bits + (uses * comb_walk_muls bits)
   < ladder_table_muls + (uses * ladder_walk_muls bits)
 
-(* a total order on points, to group a batch's jobs by base *)
-let compare_points a b =
-  match (a, b) with
-  | Inf, Inf -> 0
-  | Inf, Affine _ -> -1
-  | Affine _, Inf -> 1
-  | Affine a, Affine b ->
-    let c = Bigint.compare a.x b.x in
-    if c <> 0 then c else Bigint.compare a.y b.y
+(* to group a batch's jobs by base; a base that recurs is mostly the
+   same value, so physical equality settles most lookups *)
+module Point_tbl = Hashtbl.Make (struct
+  type t = point
+
+  let equal a b = a == b || equal a b
+  let hash = Hashtbl.hash
+end)
 
 let mul_batch f ?(combs = []) jobs =
   Array.iter
@@ -465,33 +464,32 @@ let mul_batch f ?(combs = []) jobs =
     jobs;
   let ctx = Field.mont_ctx f in
   let s = Jm.scratch ctx in
-  let n = Array.length jobs in
-  let order = Array.init n Fun.id in
-  Array.sort (fun i j -> compare_points (snd jobs.(i)) (snd jobs.(j))) order;
-  let out = Array.make n (Jm.infinity ctx) in
-  let lo = ref 0 in
-  while !lo < n do
-    let base = snd jobs.(order.(!lo)) in
-    let hi = ref (!lo + 1) in
-    while !hi < n && compare_points (snd jobs.(order.(!hi))) base = 0 do
-      incr hi
-    done;
-    let group = Array.sub order !lo (!hi - !lo) in
-    let bits = Array.fold_left (fun m i -> Stdlib.max m (Bigint.numbits (fst jobs.(i)))) 0 group in
-    (match base with
-     | Inf -> ()
-     | Affine _ when bits = 0 -> ()
-     | Affine _ ->
-       let walk =
-         match List.find_opt (fun c -> equal c.Comb.base base && bits <= c.w * c.cols) combs with
-         | Some c -> Comb.walk ctx s c
-         | None when comb_pays f ~uses:(Array.length group) bits ->
-           Comb.walk ctx s (Comb.make f ~w:batch_comb_w ~bits base)
-         | None -> ladder_jm ctx s (small_multiples ctx s (Jm.of_affine ctx base))
-       in
-       Array.iter (fun i -> out.(i) <- walk (fst jobs.(i))) group);
-    lo := !hi
-  done;
+  (* each base's jobs, latest first *)
+  let groups = Point_tbl.create 16 in
+  Array.iteri
+    (fun i (_, base) ->
+      match Point_tbl.find_opt groups base with
+      | Some js -> js := i :: !js
+      | None -> Point_tbl.add groups base (ref [ i ]))
+    jobs;
+  let out = Array.make (Array.length jobs) (Jm.infinity ctx) in
+  Point_tbl.iter
+    (fun base js ->
+      let group = !js in
+      let bits = List.fold_left (fun m i -> Stdlib.max m (Bigint.numbits (fst jobs.(i)))) 0 group in
+      match base with
+      | Inf -> ()
+      | Affine _ when bits = 0 -> ()
+      | Affine _ ->
+        let walk =
+          match List.find_opt (fun c -> equal c.Comb.base base && bits <= c.w * c.cols) combs with
+          | Some c -> Comb.walk ctx s c
+          | None when comb_pays f ~uses:(List.length group) bits ->
+            Comb.walk ctx s (Comb.make f ~w:batch_comb_w ~bits base)
+          | None -> ladder_jm ctx s (small_multiples ctx s (Jm.of_affine ctx base))
+        in
+        List.iter (fun i -> out.(i) <- walk (fst jobs.(i))) group)
+    groups;
   Jm.normalize ctx out;
   Array.map (Jm.to_point ctx) out
 
