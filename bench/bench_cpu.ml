@@ -21,7 +21,79 @@ module Wire = Alpenhorn_core.Wire
 module Pkg = Alpenhorn_pkg.Pkg
 module Parallel = Alpenhorn_parallel.Parallel
 module Costmodel = Alpenhorn_sim.Costmodel
+module Tel = Alpenhorn_telemetry.Telemetry
+module Client = Alpenhorn_core.Client
+module Bigint = Alpenhorn_bigint.Bigint
 open Bench_util
+
+let muls = Tel.Counter.v Tel.default "pairing.mont_mul"
+
+(* ns per call of [f] and its "pairing.mont_mul" count per call *)
+let time_and_muls name ~per f =
+  let m0 = Tel.Counter.value muls in
+  ignore (f ());
+  let m = (Tel.Counter.value muls - m0) / per in
+  (time_ns name f /. float_of_int per, m)
+
+(* Trial decryption as a scan runs it, per ciphertext: a miss (a request
+   to someone else) or a hit, alone or in a full batch (Client.scan_chunk)
+   under one prepared key *)
+let scan_costs (pr : Params.t) =
+  let rng = Drbg.create ~seed:"bench-scan" in
+  let msk, mpk = Ibe.setup pr rng in
+  let me = "bench@example.org" in
+  let bls_sk, bls_pk = Bls.keygen pr rng in
+  let sig_ = Bls.sign pr bls_sk "bench" in
+  let request =
+    Wire.encode_request pr
+      {
+        Wire.sender_email = "friend@example.org";
+        sender_key = bls_pk;
+        sender_sig = sig_;
+        pkg_sigs = sig_;
+        dialing_key = snd (Dh.keygen pr rng);
+        dialing_round = 1;
+      }
+  in
+  let miss () =
+    Ibe.encrypt pr rng mpk ~id:"other@example.org" (Drbg.bytes rng (String.length request))
+  in
+  let hit () = Ibe.encrypt pr rng mpk ~id:me request in
+  let decode = Wire.decode_request pr in
+  let full = Printf.sprintf "batch of %d" Client.scan_chunk in
+  Ibe.with_prepared_key pr (Ibe.extract pr msk me) (fun key ->
+      let per batch =
+        time_and_muls "scan" ~per:(List.length batch) (fun () -> Ibe.decrypt_batch pr key ~decode batch)
+      in
+      [
+        ("miss, alone", per [ miss () ]);
+        ("miss, " ^ full, per (List.init Client.scan_chunk (fun _ -> miss ())));
+        ("hit, alone", per [ hit () ]);
+        ("hit, " ^ full, per (List.init Client.scan_chunk (fun _ -> hit ())));
+      ])
+
+(* The trace-zero sign rule's Legendre symbol of a norm: Mont.legendre's
+   binary Jacobi algorithm, and Euler's criterion (a power to (p − 1)/2) *)
+let legendre_costs (fp : Field.t) =
+  let ctx = Field.mont_ctx fp in
+  let rng = Drbg.create ~seed:"bench-legendre" in
+  let a = Mont.of_bigint ctx (Drbg.bigint_below rng (Field.modulus fp)) and r = Mont.zero ctx in
+  let half = Bigint.shift_right (Bigint.sub (Field.modulus fp) Bigint.one) 1 in
+  [
+    ("Jacobi (Mont.legendre)", time_and_muls "legendre" ~per:1 (fun () -> Mont.legendre ctx a));
+    ("Euler, a^((p-1)/2)", time_and_muls "euler" ~per:1 (fun () -> Mont.pow_into ctx r a half));
+  ]
+
+(* rows of (name, (ns, muls)) per curve, test curve first *)
+let print_by_curve first test prod =
+  row [ pad 24 first; padl 12 "test curve"; padl 7 "muls"; padl 12 "production"; padl 7 "muls" ];
+  List.iter
+    (fun (name, (t, m)) ->
+      let tp, mp = List.assoc name prod in
+      row
+        [ pad 24 name; padl 12 (human_time t); padl 7 (string_of_int m); padl 12 (human_time tp);
+          padl 7 (string_of_int mp) ])
+    test
 
 let cpu () =
   let pr = Params.production () in
@@ -43,16 +115,6 @@ let cpu () =
   in
   let t_mont8 = t_mont pr.Params.fp and t_mont3 = t_mont (Params.test ()).Params.fp in
   let t_ibe_dec = time_ns "ibe-decrypt" (fun () -> Ibe.decrypt pr d_id ctxt) in
-  (* the scan as clients run it, in seconds: one key preparation per
-     mailbox, then every trial decryption under the prepared key *)
-  let t_ibe_prepare =
-    time_ns "ibe-prepare" (fun () -> Ibe.with_prepared_key pr d_id ignore) /. 1e9
-  in
-  let t_ibe_decrypt =
-    Ibe.with_prepared_key pr d_id (fun key ->
-        time_ns "ibe-decrypt-prepared" (fun () -> Ibe.decrypt_prepared pr key ctxt))
-    /. 1e9
-  in
   let t_ibe_enc =
     time_ns "ibe-encrypt" (fun () -> Ibe.encrypt pr rng mpk ~id:"bench@example.org" msg)
   in
@@ -117,6 +179,11 @@ let cpu () =
       ("unwrap, batch of 1000", tu, pu);
       ("unwrap, single Onion.unwrap", tu1, pu1) ];
 
+  header "Mailbox scan, per ciphertext (Ibe.decrypt_batch under a prepared key)";
+  print_by_curve "ciphertext" (scan_costs (Params.test ())) (scan_costs pr);
+  header "Legendre symbol of a norm (the trace-zero sign rule)";
+  print_by_curve "method" (legendre_costs (Params.test ()).Params.fp) (legendre_costs pr.Params.fp);
+
   header "Derived rates";
   Printf.printf "IBE decryptions/s/core: %.0f (paper: 800)\n" (1e9 /. t_ibe_dec);
   Printf.printf "keywheel hashes/s/core: %.0f (paper: ~1,000,000)\n" (1e9 /. t_hash);
@@ -126,7 +193,17 @@ let cpu () =
 
   header "Mailbox scan projections (paper Section 8.2)";
   let scan_requests = 24_000 in
-  let one_core = { Costmodel.paper_machine with client_cores = 1; t_ibe_prepare; t_ibe_decrypt } in
+  (* the scan as clients run it, priced as Costmodel prices it: one key
+     preparation per mailbox, then full batches of misses *)
+  let local = Costmodel.measure_local pr in
+  let one_core =
+    {
+      Costmodel.paper_machine with
+      client_cores = 1;
+      t_ibe_prepare = local.Costmodel.t_ibe_prepare;
+      t_ibe_decrypt = local.Costmodel.t_ibe_decrypt;
+    }
+  in
   Printf.printf "add-friend mailbox of %d requests: %.1f s on 1 core (paper: 8 s on 4 cores)\n"
     scan_requests
     (Costmodel.addfriend_scan_seconds one_core ~requests:(float_of_int scan_requests));

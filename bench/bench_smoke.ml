@@ -4,8 +4,10 @@
    clock (in-process deployment, test curve) and once replayed on the DES
    simulated clock — then validates that every exporter emits well-formed
    JSON and that the per-hop mixnet counters are nonzero for every server
-   in both snapshots. Exits nonzero on any failure, so `dune runtest`
-   catches exporter regressions. *)
+   in both snapshots, and that the real round's pairings ran on the
+   Montgomery kernel and its scans on the trace-zero batches. Exits
+   nonzero on any failure, so `dune runtest` catches exporter
+   regressions. *)
 
 module Config = Alpenhorn_core.Config
 module Client = Alpenhorn_core.Client
@@ -65,6 +67,12 @@ let smoke () =
   (* the round's IBE/BLS work must have gone through the Montgomery kernel *)
   if Tel.Snapshot.counter_sum wall "pairing.mont_mul" = 0 then
     fail "no Montgomery multiplications recorded — pairing fast path not in use";
+  (* and the scan's trial decryptions through the trace-zero batches *)
+  (match
+     Tel.Snapshot.counter wall (Tel.metric_key "pairing.prepared_evals" [ ("path", "trace_zero") ])
+   with
+   | Some v when v > 0 -> ()
+   | _ -> fail "no trace-zero prepared pairing batch recorded — the scan's fast path not in use");
   check_hops "wall snapshot" wall ~n_servers;
   check_json "wall to_json" (Tel.Snapshot.to_json wall);
   check_json "wall to_chrome_trace" (Tel.Snapshot.to_chrome_trace wall);

@@ -344,6 +344,13 @@ let process_request t (r : Wire.friend_request) =
       Some (Friend_request_accepted peer)
     end
 
+(* Ciphertexts per batched trial decryption: enough that a batch shares
+   its inversions over many pairings, few enough that the chunks spread
+   over the domain pool (as Server's unwrap chunks do). *)
+let scan_chunk = 256
+
+let ceil_div a b = (a + b - 1) / b
+
 let scan_addfriend_mailbox t af ciphertexts =
   let identity_key =
     match af.identity_key with
@@ -354,33 +361,39 @@ let scan_addfriend_mailbox t af ciphertexts =
     Tel.Span.with_ Tel.default "client.scan_addfriend" (fun () ->
         Tel.Counter.add m_scan_attempts (List.length ciphertexts);
         (* Trial decryption is the expensive, randomness-free part of the
-           scan: prepare the key once, then fan the decryptions out across
-           the domain pool, which only reads the prepared table. The hits
-           are then processed sequentially, sorted by plaintext bytes:
-           [process_request] draws DH keys from the client's DRBG, so
-           mailbox order — the mixnet's shuffle — would otherwise decide
-           who is confirmed first and every later session key. A copy of
-           a hit (a mixer may duplicate onions) is processed once. *)
+           scan: prepare the key once, then fan batches of decryptions out
+           across the domain pool, which only reads the prepared table. A
+           batch decodes each plaintext before its Fujisaki-Okamoto check,
+           so someone else's request or noise (§3.1 step 6) stops at the
+           decode. The hits are then processed sequentially, sorted by
+           plaintext bytes: [process_request] draws DH keys from the
+           client's DRBG, so mailbox order — the mixnet's shuffle — would
+           otherwise decide who is confirmed first and every later session
+           key. A copy of a hit (a mixer may duplicate onions) is processed
+           once. *)
         let pool = Parallel.get () in
         if Parallel.size pool > 1 then Pairing.warmup t.params;
-        let plaintexts =
+        let all = Array.of_list ciphertexts in
+        let n = Array.length all in
+        let size = Int.max 1 (Int.min scan_chunk (ceil_div n (Parallel.size pool))) in
+        let decode = Wire.decode_request t.params in
+        let hits =
           Ibe.with_prepared_key t.params identity_key (fun key ->
-              Parallel.map_list pool (fun ctxt -> Ibe.decrypt_prepared t.params key ctxt) ciphertexts)
+              List.init (ceil_div n size) (fun c ->
+                  Array.to_list (Array.sub all (c * size) (Int.min size (n - (c * size)))))
+              |> Parallel.map_list pool (Ibe.decrypt_batch t.params key ~decode)
+              |> List.concat)
         in
-        (* a [None] is someone else's request, or noise (§3.1 step 6) *)
-        List.filter_map Fun.id plaintexts
-        |> List.sort_uniq String.compare
-        |> List.filter_map (fun plaintext ->
+        List.filter_map Fun.id hits
+        |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
+        |> List.filter_map (fun (_, (r : Wire.friend_request)) ->
                Tel.Counter.inc m_scan_hits;
-               match Wire.decode_request t.params plaintext with
-               | None -> None
-               | Some r ->
-                 if r.sender_email = t.email then None
-                 else begin
-                   match verify_request t ~round:af.af_round_num r with
-                   | Error _ -> None (* forged or damaged: drop silently *)
-                   | Ok () -> process_request t r
-                 end))
+               if r.sender_email = t.email then None
+               else begin
+                 match verify_request t ~round:af.af_round_num r with
+                 | Error _ -> None (* forged or damaged: drop silently *)
+                 | Ok () -> process_request t r
+               end))
   in
   af.identity_key <- None;
   (* erase the round identity key (§4.4) *)

@@ -168,9 +168,15 @@ type af_event =
   | Friend_request_key_mismatch of string  (** TOFU or out-of-band key conflict *)
   | Friend_confirmed of string  (** our request was acked; keywheel entry live *)
 
+val scan_chunk : int
+(** The most ciphertexts one batched trial decryption
+    ({!Ibe.decrypt_batch}) of a scan takes: a mailbox of [n] is split into
+    chunks of [min scan_chunk ⌈n / domains⌉]. *)
+
 val scan_addfriend_mailbox : t -> af_round -> string list -> af_event list
 (** Steps 4-6: try to decrypt every ciphertext with the round identity key
-    (prepared once for the mailbox, {!Ibe.with_prepared_key}), validate
+    (prepared once for the mailbox, {!Ibe.with_prepared_key}, and paired
+    in batches of at most {!scan_chunk}), validate
     signatures (sender sig and PKG multisignature), fire callbacks, update
     keywheels, queue confirmations. Copies of one plaintext count once.
     Consumes [af_round]: the identity key and its prepared table are

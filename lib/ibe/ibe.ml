@@ -50,27 +50,34 @@ let encrypt (params : Params.t) rng mpk ~id msg =
   let w = Chacha20.xor_stream ~key:(h4 sigma) ~nonce:stream_nonce msg in
   Curve.to_bytes fp u ^ v ^ w
 
-(* [pair_u u] is e(d_id, U) for the decrypting key *)
-let decrypt_with (params : Params.t) pair_u ctxt =
+(* U, V and W of a ciphertext; [None] unless U is a finite curve point *)
+let parse (params : Params.t) ctxt =
   let fp = params.fp in
   let pb = Curve.point_bytes fp in
   if String.length ctxt < pb + 32 then None
   else begin
     match Curve.of_bytes fp (String.sub ctxt 0 pb) with
     | None | Some Curve.Inf -> None
-    | Some u ->
-      let v = String.sub ctxt pb 32 in
-      let w = String.sub ctxt (pb + 32) (String.length ctxt - pb - 32) in
-      let mask = h2 (Pairing.gt_bytes params (pair_u u)) in
-      let sigma = Util.xor v mask in
-      let msg = Chacha20.xor_stream ~key:(h4 sigma) ~nonce:stream_nonce w in
-      let r = h3 params sigma msg in
-      (* Fujisaki-Okamoto consistency check: U must equal rP *)
-      if Curve.equal u (Params.mul_g params r) then Some msg else None
+    | Some u -> Some (u, String.sub ctxt pb 32, String.sub ctxt (pb + 32) (String.length ctxt - pb - 32))
   end
 
+(* σ and the plaintext, from V, W and e(d_id, U) *)
+let unmask (params : Params.t) gt v w =
+  let sigma = Util.xor v (h2 (Pairing.gt_bytes params gt)) in
+  (sigma, Chacha20.xor_stream ~key:(h4 sigma) ~nonce:stream_nonce w)
+
+(* Fujisaki-Okamoto consistency check: U must equal h3(σ, m)·g *)
+let fo_holds (params : Params.t) u sigma msg = Curve.equal u (Params.mul_g params (h3 params sigma msg))
+
 let decrypt (params : Params.t) d_id ctxt =
-  if Curve.equal d_id Curve.Inf then None else decrypt_with params (Pairing.pair params d_id) ctxt
+  if Curve.equal d_id Curve.Inf then None
+  else begin
+    match parse params ctxt with
+    | None -> None
+    | Some (u, v, w) ->
+      let sigma, msg = unmask params (Pairing.pair params d_id u) v w in
+      if fo_holds params u sigma msg then Some msg else None
+  end
 
 (* None for the point at infinity, which decrypts nothing *)
 type prepared_key = Pairing.prepared option
@@ -79,10 +86,29 @@ let with_prepared_key (params : Params.t) d_id f =
   if Curve.equal d_id Curve.Inf then f None
   else Pairing.with_prepared params d_id (fun k -> f (Some k))
 
-let decrypt_prepared (params : Params.t) key ctxt =
+let decrypt_batch (params : Params.t) key ~decode ctxts =
   match key with
-  | None -> None
-  | Some k -> decrypt_with params (Pairing.pair_prepared k) ctxt
+  | None -> List.map (fun _ -> None) ctxts
+  | Some k ->
+    let parsed = Array.of_list (List.map (parse params) ctxts) in
+    let us = Array.of_list (List.filter_map (Option.map (fun (u, _, _) -> u)) (Array.to_list parsed)) in
+    let gts = Pairing.pair_batch k us in
+    (* [gts] holds the pairings of the parsed ciphertexts, in order *)
+    let next = ref 0 in
+    Array.to_list
+      (Array.map
+         (function
+           | None -> None
+           | Some (u, v, w) -> (
+             let gt = gts.(!next) in
+             incr next;
+             let sigma, msg = unmask params gt v w in
+             (* a miss almost never decodes, so it skips h3 and the
+                multiplication by g *)
+             match decode msg with
+             | Some x when fo_holds params u sigma msg -> Some (msg, x)
+             | Some _ | None -> None))
+         parsed)
 
 let master_public_bytes (params : Params.t) pk = Curve.to_bytes params.fp pk
 let master_public_of_bytes (params : Params.t) s = Curve.of_bytes params.fp s

@@ -42,9 +42,8 @@ val encrypt : Params.t -> Drbg.t -> master_public -> id:string -> string -> stri
 
 val decrypt : Params.t -> identity_key -> string -> string option
 (** [None] if the ciphertext is malformed, was encrypted to a different
-    identity, or fails the Fujisaki-Okamoto consistency check. Constant
-    shape regardless of failure mode (mailbox scanning calls this on every
-    ciphertext, §3.1 step 6). *)
+    identity, or fails the Fujisaki-Okamoto consistency check. A mailbox
+    scan (§3.1 step 6) runs {!decrypt_batch} instead. *)
 
 type prepared_key
 (** An identity key prepared for decrypting many ciphertexts
@@ -56,10 +55,18 @@ val with_prepared_key : Params.t -> identity_key -> (prepared_key -> 'a) -> 'a
     when [f] returns or raises. Worth it from two ciphertexts per key: a
     mailbox scan. *)
 
-val decrypt_prepared : Params.t -> prepared_key -> string -> string option
-(** [decrypt] under a prepared key: the same result as [decrypt] with the
-    key it was prepared from, at about half the cost. Safe to call from
-    several domains at once.
+val decrypt_batch :
+  Params.t -> prepared_key -> decode:(string -> 'a option) -> string list -> (string * 'a) option list
+(** Trial decryption of a mailbox chunk under a prepared key, in order:
+    [Some (m, x)] exactly when [decrypt] with the key it was prepared from
+    gives [Some m] and [decode m = Some x]. Every U is paired in one
+    {!Alpenhorn_pairing.Pairing.pair_batch}, and [decode] runs on each
+    plaintext before the Fujisaki-Okamoto check, so a ciphertext whose
+    plaintext does not decode (someone else's request, noise) skips the
+    check's hash and multiplication by g; every plaintext that decodes
+    still passes the check or gives [None]. [decode] must be safe to call
+    from pool workers. Several domains may run batches under one key at
+    once.
     @raise Invalid_argument if a well-formed ciphertext reaches the
     pairing after the key's [with_prepared_key] scope has ended. *)
 

@@ -94,36 +94,23 @@ module Jm = struct
     | Inf -> infinity ctx
     | Affine { x; y } -> { x = Mont.of_bigint ctx x; y = Mont.of_bigint ctx y; z = Mont.one ctx }
 
-  (* Every finite point of [ps] to Z = 1, in place. Montgomery's trick
-     shares one inversion (a Fermat exponentiation) among them all, for
-     3(n−1) multiplications, then each point takes 4 more. *)
+  (* Every finite point of [ps] to Z = 1, in place. [Mont.inv_all] shares
+     one inversion (a Fermat exponentiation) among them all, for 3(n−1)
+     multiplications, then each point takes 4 more. No two points share a
+     coordinate array, so each Z is inverted where it lies. *)
   let normalize ctx ps =
     let fin = Array.of_seq (Seq.filter (fun p -> not (is_infinity p)) (Array.to_seq ps)) in
-    let n = Array.length fin in
-    if n > 0 then begin
-      (* prefix.(i) = z₀·…·zᵢ *)
-      let prefix = Array.init n (fun _ -> Mont.zero ctx) in
-      Mont.copy_into prefix.(0) fin.(0).z;
-      for i = 1 to n - 1 do
-        Mont.mul_into ctx prefix.(i) prefix.(i - 1) fin.(i).z
-      done;
-      (* u = (z₀·…·zᵢ)⁻¹ as i walks down *)
-      let u = Mont.inv ctx prefix.(n - 1) in
-      let zinv = Mont.zero ctx and t = Mont.zero ctx in
-      for i = n - 1 downto 0 do
-        let p = fin.(i) in
-        if i = 0 then Mont.copy_into zinv u
-        else begin
-          Mont.mul_into ctx zinv u prefix.(i - 1);
-          Mont.mul_into ctx u u p.z
-        end;
-        Mont.mul_into ctx t zinv zinv;
+    Mont.inv_all ctx (Array.map (fun p -> p.z) fin);
+    let t = Mont.zero ctx in
+    Array.iter
+      (fun p ->
+        (* Z holds 1/Z *)
+        Mont.mul_into ctx t p.z p.z;
         Mont.mul_into ctx p.x p.x t;
-        Mont.mul_into ctx t t zinv;
+        Mont.mul_into ctx t t p.z;
         Mont.mul_into ctx p.y p.y t;
-        Mont.one_into ctx p.z
-      done
-    end
+        Mont.one_into ctx p.z)
+      fin
 
   (* a normalized point back to [Bigint] coordinates *)
   let to_point ctx p =

@@ -305,6 +305,28 @@ let inv_into ctx dst a =
   if is_zero a then raise Division_by_zero;
   pow_into ctx dst a ctx.pm2
 
+(* Montgomery's trick: one inversion of the product, then 2 multiplications
+   per element to peel it apart *)
+let inv_all ctx (els : el array) =
+  let k = Array.length els in
+  if k > 0 then begin
+    (* prefix.(j) = e₀⋯e_j *)
+    let prefix = Array.init k (fun _ -> zero ctx) in
+    copy_into prefix.(0) els.(0);
+    for j = 1 to k - 1 do
+      mul_into ctx prefix.(j) prefix.(j - 1) els.(j)
+    done;
+    (* u = 1/(e₀⋯e_j) as j walks down *)
+    let u = zero ctx in
+    inv_into ctx u prefix.(k - 1);
+    for j = k - 1 downto 1 do
+      mul_into ctx prefix.(j) u prefix.(j - 1);
+      mul_into ctx u u els.(j);
+      copy_into els.(j) prefix.(j)
+    done;
+    copy_into els.(0) u
+  end
+
 (* for p ≡ 3 (mod 4), a^((p+1)/4) squares to a exactly when a is a square *)
 let sqrt_into ctx dst a =
   if not (Bigint.testbit ctx.p_big 1) then invalid_arg "Mont.sqrt: modulus must be 3 mod 4";
@@ -320,6 +342,92 @@ let cbrt_into ctx dst a =
   match ctx.cbrt_exp with
   | Some e -> pow_into ctx dst a e
   | None -> invalid_arg "Mont.cbrt: modulus must be 2 mod 3"
+
+(* The Jacobi symbol (a | b) for odd b of one word, by Euclid: strip twos
+   from a (each flips the sign when b ≡ ±3 mod 8), swap by reciprocity (a
+   flip when both are 3 mod 4), reduce. *)
+let rec jacobi_word a b sign =
+  if a = 0 then if b = 1 then sign else 0
+  else begin
+    let k = ref 0 in
+    while (a lsr !k) land 1 = 0 do
+      incr k
+    done;
+    let a = a lsr !k and r = b land 7 in
+    let sign = if !k land 1 = 1 && (r = 3 || r = 5) then -sign else sign in
+    let sign = if a land 3 = 3 && b land 3 = 3 then -sign else sign in
+    jacobi_word (b mod a) a sign
+  end
+
+(* The binary Jacobi algorithm, on the limbs paired into 60-bit words so
+   it costs no multiplication, until both values fit one word: strip twos
+   from a (a whole word is 60 of them, an even number), order a ≥ b by
+   reciprocity, then a ← a − b, over the words up to the top one. b
+   starts as p. The element holds a·R, and χ(R) = 1 since R = 2^(30n) is
+   a square, so the symbol of the limbs is the element's. *)
+let legendre ctx (x : el) =
+  let bits = 2 * limb_bits in
+  let wmask = (1 lsl bits) - 1 in
+  let words (v : el) =
+    Array.init ((ctx.n + 1) / 2) (fun i ->
+        v.(2 * i) lor if (2 * i) + 1 < ctx.n then v.((2 * i) + 1) lsl limb_bits else 0)
+  in
+  let a = ref (words x) and b = ref (words ctx.p) and sign = ref 1 in
+  let top = ref (Array.length !a - 1) in
+  let trim () =
+    while !top > 0 && !a.(!top) = 0 && !b.(!top) = 0 do
+      decr top
+    done
+  in
+  let nonzero v =
+    let r = ref false in
+    for i = 0 to !top do
+      if v.(i) <> 0 then r := true
+    done;
+    !r
+  in
+  let less v w =
+    let i = ref !top in
+    while !i > 0 && v.(!i) = w.(!i) do
+      decr i
+    done;
+    v.(!i) < w.(!i)
+  in
+  trim ();
+  while !top > 0 && nonzero !a do
+    let v = !a and t = !top in
+    while v.(0) = 0 do
+      Array.blit v 1 v 0 t;
+      v.(t) <- 0
+    done;
+    let k = ref 0 in
+    while (v.(0) lsr !k) land 1 = 0 do
+      incr k
+    done;
+    if !k > 0 then begin
+      let k = !k in
+      for i = 0 to t - 1 do
+        v.(i) <- (v.(i) lsr k) lor ((v.(i + 1) lsl (bits - k)) land wmask)
+      done;
+      v.(t) <- v.(t) lsr k;
+      let r = !b.(0) land 7 in
+      if k land 1 = 1 && (r = 3 || r = 5) then sign := - !sign
+    end;
+    if less v !b then begin
+      a := !b;
+      b := v;
+      if !a.(0) land 3 = 3 && v.(0) land 3 = 3 then sign := - !sign
+    end;
+    let v = !a and w = !b and borrow = ref 0 in
+    for i = 0 to t do
+      let d = v.(i) - w.(i) + !borrow in
+      v.(i) <- d land wmask;
+      borrow := d asr bits
+    done;
+    trim ()
+  done;
+  (* a = 0 with b over a word: gcd(x, p) > 1 *)
+  if !top > 0 then 0 else jacobi_word !a.(0) !b.(0) !sign
 
 let mul ctx a b = let r = zero ctx in mul_into ctx r a b; r
 let sqr ctx a = mul ctx a a

@@ -101,6 +101,12 @@ val inv_into : ctx -> el -> el -> unit
 (** Fermat inversion [a^(p−2)]; p must be prime (true for every field
     this repo constructs). @raise Division_by_zero on zero. *)
 
+val inv_all : ctx -> el array -> unit
+(** Replaces every element by its inverse, in place, with one inversion
+    and [3(k − 1)] multiplications for [k] elements (Montgomery's trick).
+    The elements must be distinct arrays. Allocates [k] elements.
+    @raise Division_by_zero if any element is zero. *)
+
 val sqrt_into : ctx -> el -> el -> bool
 (** Writes [a^((p+1)/4)] and returns whether it squares to [a] ([false]
     when [a] is a non-residue) — the same root {!Field.sqrt} returns.
@@ -110,6 +116,11 @@ val sqrt_into : ctx -> el -> el -> bool
 val cbrt_into : ctx -> el -> el -> unit
 (** The unique cube root [a^((2p−1)/3)] — the root {!Field.cbrt}
     returns. @raise Invalid_argument unless p ≡ 2 (mod 3). *)
+
+val legendre : ctx -> el -> int
+(** The Legendre symbol of the element modulo p (prime): [1], [−1], or [0]
+    for zero. Runs on the limbs, with no multiplication; allocates two
+    copies of them. *)
 
 (** {1 Allocating} *)
 

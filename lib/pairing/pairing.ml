@@ -378,36 +378,44 @@ let pair_product (params : Params.t) pairs =
 (* ---- prepared first argument ----
 
    A mailbox scan pairs every ciphertext's U with the same identity key,
-   so T's chain of multiples — and with it every line and vertical — is
-   the same for each ciphertext; only Q changes. Preparation runs the
-   chain once and divides each factor by its leading coefficient, with
-   one batch inversion for the whole chain: lines become yq + b·xq + c,
-   verticals xq − x. The divisors lie in F_p* and die in the final
-   exponent like the Jacobian scalings, so evaluating the table is exactly
-   [pair]: 2 multiplications per line, none per vertical, one accumulator
-   f ← f²·l·conj(v).
+   so T's chain of multiples — and with it every line of the Miller loop —
+   is the same for each ciphertext; only the second argument changes.
+   Preparation runs the chain once and divides each line by its leading
+   coefficient, with one batch inversion for the whole chain: lines
+   become yq + b·xq + c. The divisors lie in F_p* and die in the final
+   exponent like the Jacobian scalings.
+
+   The chain also tells whether the key lies in G1: it ends at q·a, which
+   is O (Z = 0) exactly then. A G1 key evaluates the lines at the
+   trace-zero point (see [trace_zero] below), where every vertical lies in
+   F_p* and is dropped, so the table holds no verticals. A key outside G1
+   is never an honest identity key; [pair_batch] pairs it with [pair].
 
    Everything lives in one flat int array, n = limb count:
-   - the table, one [1 + 3n]-int slot per step: the step's tag, then b
-     (or the vertical line's x), c, and the vertical's x;
-   - after it, the batch inversion's work area: one [2n] entry per leading
-     coefficient in step order (at most two per step), holding the
-     coefficient and the product of all coefficients up to it.
+   - the table, one [1 + 2n]-int slot per step: the step's tag, then b and
+     c when the step has a line;
+   - after it, the batch inversion's work area: one [2n] entry per line in
+     step order, holding its leading coefficient and the product of all
+     coefficients up to it.
    Keeping the whole chain in the array rather than in boxed per-step
    values is what keeps a scan from promoting them to the major heap. The
    array decrypts exactly as the key does, so it is a per-domain buffer
    borrowed for one [with_prepared] scope and zeroed on release. *)
 
-type prepared = { prep_params : Params.t; table : int array; mutable live : bool }
+type prepared = {
+  prep_params : Params.t;
+  table : int array;
+  mutable key : Curve.point; (* the prepared point, until the scope ends *)
+  mutable live : bool;
+  mutable g1 : bool; (* the key lies in G1 *)
+}
 
-let slot_words n = 1 + (3 * n)
+let slot_words n = 1 + (2 * n)
 
 let steps (params : Params.t) =
   let k = ref 0 in
   iter_schedule params.q ~dbl:(fun () -> incr k) ~add:(fun () -> incr k);
   !k
-
-let buffer_words params n = steps params * (slot_words n + (4 * n))
 
 let load buf off (dst : M.el) =
   for i = 0 to Array.length dst - 1 do
@@ -419,56 +427,38 @@ let store buf off (src : M.el) =
     buf.(off + i) <- src.(i)
   done
 
+(* fills [buf] and returns whether T = q·a is O *)
 let prepare_into (params : Params.t) ctx ax ay buf =
   let n = M.limbs ctx in
   let work = steps params * slot_words n in
   let s = scratch ctx and t = chain_of ctx ax ay in
-  (* forward: run the chain, storing numerators in the slots and leading
-     coefficients with their running product in the work area *)
+  (* forward: run the chain, storing each line's numerators in its slot,
+     and its leading coefficient with their running product in the work
+     area *)
   let prod = M.one ctx in
-  let slot = ref 0 and entries = ref 0 in
-  let lead c =
-    let w = work + (!entries * 2 * n) in
-    M.mul_into ctx prod prod c;
-    store buf w c;
-    store buf (w + n) prod;
-    incr entries
-  in
+  let slot = ref 0 and lines = ref 0 in
   let record tag =
+    buf.(!slot) <- tag;
     if tag land line <> 0 then begin
+      let w = work + (!lines * 2 * n) in
       store buf (!slot + 1) t.m;
       store buf (!slot + 1 + n) t.c0;
-      lead t.ly
-    end
-    else if tag land vert_line <> 0 then begin
-      store buf (!slot + 1) t.tx;
-      lead t.tzz
+      M.mul_into ctx prod prod t.ly;
+      store buf w t.ly;
+      store buf (w + n) prod;
+      incr lines
     end;
-    if tag land vertical <> 0 then begin
-      store buf (!slot + 1 + (2 * n)) t.tx;
-      lead t.tzz
-    end;
-    buf.(!slot) <- tag;
     slot := !slot + slot_words n
   in
   iter_schedule params.q
     ~dbl:(fun () -> record (dbl_step ctx s t))
     ~add:(fun () -> record (add_step ctx s t));
-  (* backward: u = 1/(c_0⋯c_e) peels one coefficient per entry
-     (Montgomery's trick), normalising the numerators in place *)
+  (* backward: u = 1/(ly_0⋯ly_j) peels one coefficient per line
+     (Montgomery's trick, on the flat work area: [Mont.inv_all] would box
+     every coefficient, and its arrays of a few hundred go straight to the
+     major heap), normalising b = −m/ly and c = c0/ly in place *)
   let u = M.zero ctx and inv = M.zero ctx and c = M.zero ctx in
   M.inv_into ctx u prod;
-  let inverse () =
-    decr entries;
-    let w = work + (!entries * 2 * n) in
-    if !entries = 0 then M.copy_into inv u
-    else begin
-      load buf (w - n) c;
-      M.mul_into ctx inv u c
-    end;
-    load buf w c;
-    M.mul_into ctx u u c
-  in
   let scale ?(negate = false) off =
     load buf off c;
     M.mul_into ctx c c inv;
@@ -477,21 +467,21 @@ let prepare_into (params : Params.t) ctx ax ay buf =
   in
   while !slot > 0 do
     slot := !slot - slot_words n;
-    let tag = buf.(!slot) in
-    if tag land vertical <> 0 then begin
-      inverse ();
-      scale (!slot + 1 + (2 * n))
-    end;
-    if tag land line <> 0 then begin
-      inverse ();
+    if buf.(!slot) land line <> 0 then begin
+      decr lines;
+      let w = work + (!lines * 2 * n) in
+      if !lines = 0 then M.copy_into inv u
+      else begin
+        load buf (w - n) c;
+        M.mul_into ctx inv u c
+      end;
+      load buf w c;
+      M.mul_into ctx u u c;
       scale ~negate:true (!slot + 1);
       scale (!slot + 1 + n)
     end
-    else if tag land vert_line <> 0 then begin
-      inverse ();
-      scale (!slot + 1)
-    end
-  done
+  done;
+  M.is_zero t.tz
 
 type borrowed = { mutable buf : int array; mutable busy : bool }
 
@@ -502,7 +492,10 @@ let with_prepared (params : Params.t) a f =
   | Curve.Inf -> invalid_arg "Pairing.with_prepared: point at infinity"
   | Curve.Affine { x; y } ->
     let ctx = Field.mont_ctx params.fp in
-    let words = buffer_words params (M.limbs ctx) in
+    let n = M.limbs ctx in
+    (* the table, then the work area: per line, its coefficient and the
+       running product *)
+    let words = steps params * (slot_words n + (2 * n)) in
     let s = Domain.DLS.get table_buffer in
     (* a preparation nested inside another on this domain gets its own buffer *)
     let borrowed = not s.busy in
@@ -514,67 +507,143 @@ let with_prepared (params : Params.t) a f =
         s.buf
       end
     in
-    let prep = { prep_params = params; table; live = true } in
+    let prep = { prep_params = params; table; key = a; live = true; g1 = false } in
     Fun.protect
       ~finally:(fun () ->
         prep.live <- false;
+        prep.key <- Curve.Inf;
         Array.fill table 0 words 0;
         if borrowed then s.busy <- false)
       (fun () ->
-        prepare_into params ctx x y table;
+        prep.g1 <- prepare_into params ctx x y table;
         f prep)
 
 let prepared_table prep = prep.table
+let is_g1 prep = prep.g1
 
-let pair_prepared prep b =
-  if not prep.live then invalid_arg "Pairing.pair_prepared: key used after its with_prepared scope";
-  match b with
-  | Curve.Inf -> invalid_arg "Pairing.pair: point at infinity"
-  | Curve.Affine { x = bx; y = by } ->
-    let params = prep.prep_params and tbl = prep.table in
-    let ctx = Field.mont_ctx params.fp in
-    let n = M.limbs ctx in
-    let q = distort params ctx bx by in
-    (* coefficients are copied out of the shared table, never written to it *)
-    let s = scratch ctx in
-    let f = s.f and l = s.l and b = s.t0 and c = s.t1 in
-    let base = ref 0 in
-    let step () =
-      let tag = tbl.(!base) in
-      if tag land line <> 0 then begin
-        (* yq + b·xq + c *)
-        load tbl (!base + 1) b;
-        load tbl (!base + 1 + n) c;
-        M.mul_into ctx l.re b q.xq.re;
-        M.add_into ctx l.re l.re q.yq;
-        M.add_into ctx l.re l.re c;
-        M.mul_into ctx l.im b q.xq.im;
-        F2.mul_into ctx s.w f f l
-      end
-      else if tag land vert_line <> 0 then begin
-        (* xq − x *)
-        load tbl (!base + 1) b;
-        M.sub_into ctx l.re q.xq.re b;
-        M.copy_into l.im q.xq.im;
-        F2.mul_into ctx s.w f f l
+(* ---- the trace-zero evaluation, for keys in G1 ----
+
+   Frobenius π fixes a ∈ G1, so the Tate pairing's Galois invariance
+   gives e(a, π(Q)) = e(a, Q)^p, and at Q₂ = Q − π(Q) for Q = φ(b):
+   e(a, Q₂) = ê(a, b)^(1−p) = ê(a, b)², as p ≡ −1 (mod q). With
+   φ(b) = (ζx, y) and π(φ(b)) = (ζ²x, y), the chord has slope −i·L for
+   L = y/(ζ_im·x), and
+       Q₂ = (x − L², i·L·(x − L² − ζ_re·x)),
+   an x in F_p and a y in i·F_p (π(Q₂) = −Q₂). The verticals of the
+   chain, xq − x_T, are then in F_p* and die in the final exponent, so
+   they are dropped; each line costs one multiplication,
+   (b·xq + c) + i·yq, and the F_p² product.
+
+   The Miller value f (up to F_p* factors) gives ê(a, b)² = g^(12l) for
+   g = f^(p−1) = conj(f)²/N(f). Of the two roots ±g^(6l), ê(a, b) is the
+   one of order q, and (g^(6l))^q = f^((p²−1)/2) = N(f)^((p−1)/2) = χ(N(f)),
+   which F_p* factors do not change (χ(c²) = 1), so
+       ê(a, b) = χ(N(f))·g^(6l),
+   equal to [pair] bit for bit. b = (0, ±1), the points of order 3, make
+   Q₂ = O; they pair to 1 with any key in G1. The batch shares the
+   inversions of the x and of the norms (Montgomery's trick). *)
+let trace_zero prep ctx coords =
+  let params = prep.prep_params and tbl = prep.table in
+  let tz = Params.trace_zero params in
+  let n = M.limbs ctx in
+  let s = scratch ctx in
+  let f = s.f and l = s.l and b = s.t0 and c = s.t1 and xq = s.t2 and lam = s.t3 in
+  let xs = Array.map (fun (x, _) -> M.of_bigint ctx x) coords in
+  let inv_xs = Array.map Array.copy xs in
+  M.inv_all ctx inv_xs;
+  (* a line at Q₂ = (xq, i·yq), with yq kept in l.im: (b·xq + c) + i·yq *)
+  let base = ref 0 in
+  let step () =
+    if tbl.(!base) land line <> 0 then begin
+      load tbl (!base + 1) b;
+      load tbl (!base + 1 + n) c;
+      M.mul_into ctx l.re b xq;
+      M.add_into ctx l.re l.re c;
+      F2.mul_into ctx s.w f f l
+    end;
+    base := !base + slot_words n
+  in
+  let fs =
+    Array.mapi
+      (fun j (_, y) ->
+        let x = xs.(j) in
+        (* L = y/(ζ_im·x); xq = x − L², yq = L·(xq − ζ_re·x) *)
+        M.mul_into ctx lam (M.of_bigint ctx y) inv_xs.(j);
+        M.mul_into ctx lam lam tz.inv_zeta_im;
+        M.mul_into ctx xq lam lam;
+        M.sub_into ctx xq x xq;
+        M.mul_into ctx s.t4 tz.zeta_re x;
+        M.sub_into ctx s.t4 xq s.t4;
+        M.mul_into ctx l.im lam s.t4;
+        F2.one_into ctx f;
+        base := 0;
+        iter_schedule params.q
+          ~dbl:(fun () ->
+            F2.sqr_into ctx s.w f f;
+            step ())
+          ~add:step;
+        { F2.re = Array.copy f.re; im = Array.copy f.im })
+      coords
+  in
+  let norms =
+    Array.map
+      (fun (g : F2.f2) ->
+        let nm = M.zero ctx in
+        M.mul_into ctx nm g.re g.re;
+        M.mul_into ctx s.t4 g.im g.im;
+        M.add_into ctx nm nm s.t4;
+        nm)
+      fs
+  in
+  let inv_norms = Array.map Array.copy norms in
+  M.inv_all ctx inv_norms;
+  Array.mapi
+    (fun j (g : F2.f2) ->
+      (* χ(N(f))·g^(6l) for g = conj(f)²/N(f) *)
+      F2.conj_into ctx g g;
+      F2.sqr_into ctx s.w g g;
+      F2.mul_el_into ctx g g inv_norms.(j);
+      F2.pow_into ctx s.w l g tz.half_cofactor;
+      if M.legendre ctx norms.(j) < 0 then begin
+        M.neg_into ctx l.re l.re;
+        M.neg_into ctx l.im l.im
       end;
-      if tag land vertical <> 0 then begin
-        (* conj(xq − x) *)
-        load tbl (!base + 1 + (2 * n)) b;
-        M.sub_into ctx l.re q.xq.re b;
-        M.copy_into l.im q.nxq.im;
-        F2.mul_into ctx s.w f f l
-      end;
-      base := !base + slot_words n
+      lower ctx l)
+    fs
+
+let pair_batch prep bs =
+  if not prep.live then invalid_arg "Pairing.pair_batch: key used after its with_prepared scope";
+  let count path k =
+    if k > 0 then
+      Tel.Counter.add (Tel.Counter.v Tel.default ~labels:[ ("path", path) ] "pairing.prepared_evals") k
+  in
+  if not prep.g1 then begin
+    let vals = Array.map (pair prep.prep_params prep.key) bs in
+    count "general" (Array.length vals);
+    vals
+  end
+  else begin
+    let coords =
+      Array.map
+        (function
+          | Curve.Affine { x; y } -> (x, y)
+          | Curve.Inf -> invalid_arg "Pairing.pair: point at infinity")
+        bs
     in
-    F2.one_into ctx f;
-    iter_schedule params.q
-      ~dbl:(fun () ->
-        F2.sqr_into ctx s.w f f;
-        step ())
-      ~add:step;
-    final_exp_into params ctx s l f;
-    lower ctx l
+    let ctx = Field.mont_ctx prep.prep_params.fp in
+    let tz = List.filter (fun (x, _) -> not (Bigint.is_zero x)) (Array.to_list coords) in
+    let vals = trace_zero prep ctx (Array.of_list tz) in
+    count "trace_zero" (Array.length vals);
+    let next = ref 0 in
+    Array.map
+      (fun (x, _) ->
+        if Bigint.is_zero x then Fp2.one
+        else begin
+          incr next;
+          vals.(!next - 1)
+        end)
+      coords
+  end
 
 (* ---- fixed-argument pairing cache ----
 

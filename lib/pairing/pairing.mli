@@ -6,15 +6,17 @@
     (ê(g, g) ≠ 1), which is what Boneh-Franklin IBE and BLS signatures
     need. Bilinearity: ê(aP, bQ) = ê(P, Q)^{ab}.
 
-    Denominator elimination does not apply (the distorted point's
-    x-coordinate is not in F_p), so every vertical stays a factor.
+    Denominator elimination does not apply at the distorted point (its
+    x-coordinate is not in F_p), so every vertical of [pair] stays a
+    factor; {!pair_batch} moves the second argument to the trace-zero
+    subgroup, where it does apply, for first arguments in G1.
 
     [pair] runs the Miller loop in Jacobian coordinates over the
     fixed-limb Montgomery kernel ({!Mont}) — no field inversions inside
     the loop, every line scaled by factors in F_p* that the final
     exponentiation kills, verticals multiplied in conjugated rather than
     divided out, and {!final_exp} in place of the full power.
-    {!with_prepared}/{!pair_prepared} split it for a first argument that
+    {!with_prepared}/{!pair_batch} split it for a first argument that
     pairs with many second arguments. [pair_reference] is the affine
     Bigint+Barrett implementation all of them are property-tested
     against. *)
@@ -40,23 +42,39 @@ val pair_cached : Params.t -> Curve.point -> Curve.point -> Fp2.el
     and events would crowd its round and fault events out of the ring). *)
 
 type prepared
-(** A first argument with its Miller chain precomputed: every line and
-    vertical of the loop, divided by its leading coefficient, in a flat
-    table. It decrypts exactly as the point does. *)
+(** A first argument with its Miller chain precomputed: every line of the
+    loop, divided by its leading coefficient, in a flat table, and whether
+    the point lies in G1. It decrypts exactly as the point does. *)
 
 val with_prepared : Params.t -> Curve.point -> (prepared -> 'a) -> 'a
-(** [with_prepared params a f] prepares [a] (about two prepared
-    pairings' work, a little less than one [pair]),
+(** [with_prepared params a f] prepares [a] (a little less work than
+    one [pair]),
     runs [f] on it and then zeroes the table, also when [f] raises. The
     table lives in a buffer of the calling domain, borrowed for the
     scope; [f] may hand the key to pool workers, which only read it.
+    The chain ends at [q·a], so preparing learns for free whether [a] lies
+    in G1 (exactly when that is O).
     @raise Invalid_argument if [a] is the point at infinity. *)
 
-val pair_prepared : prepared -> Curve.point -> Fp2.el
-(** [pair_prepared k b] is [pair params a b] for the key [k] prepared
-    from [a], at about 40% of its cost.
+val is_g1 : prepared -> bool
+(** Whether the prepared point lies in G1 (has order q). *)
+
+val pair_batch : prepared -> Curve.point array -> Fp2.el array
+(** [pair_batch k bs] is [Array.map (pair params a) bs] for the key [k]
+    prepared from [a], bit for bit, in order. For [a] in G1 (every
+    honest identity key) each [b = (x, y)] with [x ≠ 0] is evaluated at the
+    trace-zero point [φ(b) − π(φ(b))], where every vertical of the loop
+    lies in F_p* and is dropped: the loop yields [ê(a, b)²], and
+    [ê(a, b) = χ(N(f))·(conj(f)²/N(f))^(6l)] for its Miller value [f].
+    The batch shares one inversion of the [x] and one of the final
+    exponentiations' norms; [b = (0, ±1)] (order 3) pairs to 1. A key
+    outside G1 (never an honest identity key) is paired by [pair] itself,
+    one [b] at a time. Counts the batch's evaluations once on the
+    ["pairing.prepared_evals"] counter, labelled [path=trace_zero] or,
+    for a key outside G1, [path=general]. Pool workers may run batches of
+    one key at once.
     @raise Invalid_argument after [k]'s [with_prepared] scope has ended,
-    or if [b] is the point at infinity. *)
+    or if some [b] is the point at infinity. *)
 
 val prepared_table : prepared -> int array
 (** The table itself, not a copy — exposed so tests can check that the

@@ -6,6 +6,8 @@ type pair_cache = {
   pc_fifo : string Queue.t;
 }
 
+type trace_zero = { zeta_re : Mont.el; inv_zeta_im : Mont.el; half_cofactor : Bigint.t }
+
 type t = {
   fp : Field.t;
   q : Bigint.t;
@@ -14,6 +16,7 @@ type t = {
   g : Curve.point;
   tate_exp : Bigint.t;
   g_table : Curve.Comb.t Lazy.t;
+  trace_zero : trace_zero Lazy.t;
   table_mu : Mutex.t;
   pair_cache : pair_cache Domain.DLS.key;
 }
@@ -23,24 +26,21 @@ let fresh_pair_cache () = { pc_table = Hashtbl.create 64; pc_fifo = Queue.create
 (* Concurrent [Lazy.force] from two domains raises [Lazy.Undefined]; the
    mutex (with an is_val fast path once forced) makes first-use safe even if
    a caller forgot [force_tables] before going parallel. *)
-let force_g_table t =
-  if Lazy.is_val t.g_table then Lazy.force t.g_table
+let force t l =
+  if Lazy.is_val l then Lazy.force l
   else begin
     Mutex.lock t.table_mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.table_mu)
-      (fun () -> Lazy.force t.g_table)
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.table_mu) (fun () -> Lazy.force l)
   end
 
+let force_g_table t = force t t.g_table
+let trace_zero t = force t t.trace_zero
 let mul_g t k = Curve.Comb.mul t.fp (force_g_table t) k
 let mul_batch t jobs = Curve.mul_batch t.fp ~combs:[ force_g_table t ] jobs
 
 let force_tables t =
   ignore (force_g_table t);
-  Mutex.lock t.table_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.table_mu)
-    (fun () -> ignore (Field.mont_ctx t.fp))
+  ignore (trace_zero t)
 
 let is_prime rng n =
   Bigint.is_probable_prime ~rounds:24 ~rand:(fun ~bits -> Drbg.bigint_bits rng bits) n
@@ -106,6 +106,15 @@ let build q l =
     (* 255 entries: 29 doublings and additions per product on the
        production curve, 8 on the test curve *)
     g_table = lazy (Curve.Comb.make fp ~w:8 ~bits:(Bigint.numbits q) g);
+    (* forcing it also builds the field's Montgomery context *)
+    trace_zero =
+      lazy
+        (let ctx = Field.mont_ctx fp in
+         {
+           zeta_re = Mont.of_bigint ctx zeta.Fp2.re;
+           inv_zeta_im = Mont.of_bigint ctx (Field.inv fp zeta.Fp2.im);
+           half_cofactor = Bigint.mul_int l 6;
+         });
     table_mu = Mutex.create ();
     pair_cache = Domain.DLS.new_key fresh_pair_cache;
   }

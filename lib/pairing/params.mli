@@ -17,6 +17,14 @@ type pair_cache = {
   pc_fifo : string Queue.t; (* insertion order, for bounded eviction *)
 }
 
+(** The constants of {!Pairing}'s trace-zero evaluation, in the field's
+    Montgomery form. *)
+type trace_zero = {
+  zeta_re : Mont.el; (* ζ's real part *)
+  inv_zeta_im : Mont.el; (* the inverse of ζ's imaginary part *)
+  half_cofactor : Bigint.t; (* 6·l, the power of that path's final exponentiation *)
+}
+
 type t = {
   fp : Field.t;
   q : Bigint.t; (* prime order of G1 *)
@@ -25,6 +33,7 @@ type t = {
   g : Curve.point; (* generator of G1 *)
   tate_exp : Bigint.t; (* (p² − 1) / q *)
   g_table : Curve.Comb.t Lazy.t; (* comb for g, scalars below 2^numbits(q) *)
+  trace_zero : trace_zero Lazy.t; (* read through [trace_zero] *)
   table_mu : Mutex.t; (* guards first forcing of the lazy tables *)
   pair_cache : pair_cache Domain.DLS.key; (* per-domain, so parallel verifies never contend *)
 }
@@ -37,9 +46,12 @@ val mul_batch : t -> (Bigint.t * Curve.point) array -> Curve.point array
 (** {!Curve.mul_batch} with the generator's comb: jobs on [g] walk it
     whatever their number. *)
 
+val trace_zero : t -> trace_zero
+(** The trace-zero constants, built on first use. *)
+
 val force_tables : t -> unit
-(** Force the lazily built shared tables (the comb for [g] and
-    the field's Montgomery context) before handing the parameter set to
+(** Force the lazily built shared tables (the comb for [g], the
+    trace-zero constants and the field's Montgomery context) before handing the parameter set to
     multiple domains.  Forcing the same lazy concurrently from two domains
     raises; the parallel wiring (Server/Pkg/Client) calls this at the edge
     of every parallel region. Idempotent and cheap once forced. *)

@@ -1,5 +1,6 @@
 module Params = Alpenhorn_pairing.Params
 module Wire = Alpenhorn_core.Wire
+module Client = Alpenhorn_core.Client
 module Mailbox = Alpenhorn_mixnet.Mailbox
 module Onion = Alpenhorn_mixnet.Onion
 module Payload = Alpenhorn_mixnet.Payload
@@ -70,13 +71,20 @@ let measure_local ?pool (params : Params.t) =
   let rng = Drbg.create ~seed:"costmodel-measure" in
   let msk, mpk = Ibe.setup params rng in
   let d_id = Ibe.extract params msk "probe@local" in
-  let ctxt = Ibe.encrypt params rng mpk ~id:"probe@local" (String.make 64 'x') in
-  (* the scan as Client runs it: one preparation per mailbox, then every
-     trial decryption under the prepared key *)
+  (* the scan as Client runs it: one preparation per mailbox, then the
+     trial decryptions in batches under the prepared key, nearly all of
+     them misses (requests to other users, and noise); a large mailbox's
+     batches are full *)
   let t_ibe_prepare = time_per_op (fun () -> Ibe.with_prepared_key params d_id ignore) 5 in
+  let misses =
+    List.init Client.scan_chunk (fun i ->
+        Ibe.encrypt params rng mpk ~id:(Printf.sprintf "other%d@local" i)
+          (Drbg.bytes rng (Wire.request_plaintext_size params)))
+  in
   let t_ibe_decrypt =
     Ibe.with_prepared_key params d_id (fun key ->
-        time_per_op (fun () -> Ibe.decrypt_prepared params key ctxt) 5)
+        time_per_op (fun () -> Ibe.decrypt_batch params key ~decode:(Wire.decode_request params) misses) 3)
+    /. float_of_int Client.scan_chunk
   in
   let t_ibe_encrypt =
     time_per_op (fun () -> Ibe.encrypt params rng mpk ~id:"probe@local" (String.make 64 'x')) 5

@@ -31,7 +31,10 @@ type machine = {
   client_cores : int;
   t_unwrap : float;  (** s/core per onion layer (DH + AEAD) *)
   t_ibe_prepare : float;  (** s per mailbox scan: preparing the identity key *)
-  t_ibe_decrypt : float;  (** s/core per mailbox-scan attempt under the prepared key *)
+  t_ibe_decrypt : float;
+      (** s/core per mailbox-scan attempt under the prepared key: a miss,
+          in a full batch ({!Alpenhorn_ibe.Ibe.decrypt_batch} of
+          {!Alpenhorn_core.Client.scan_chunk}) *)
   t_ibe_encrypt : float;  (** s/core per noise request (add-friend) *)
   t_token : float;  (** s/core per dial-token hash *)
   t_pairing : float;  (** s/core per Tate pairing (the IBE/BLS kernel) *)

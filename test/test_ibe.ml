@@ -3,6 +3,7 @@
 module B = Alpenhorn_bigint.Bigint
 module Curve = Alpenhorn_pairing.Curve
 module Params = Alpenhorn_pairing.Params
+module Field = Alpenhorn_pairing.Field
 module Ibe = Alpenhorn_ibe.Ibe
 module Drbg = Alpenhorn_crypto.Drbg
 
@@ -109,11 +110,31 @@ let unit_tests =
            | None -> false));
     Alcotest.test_case "prepared key decrypts exactly as the key" `Quick (fun () ->
         let pr = p () and rng = rng () in
+        let fp = pr.Params.fp in
         let msk, mpk = Ibe.setup pr rng in
         let d = Ibe.extract pr msk "alice@example.org" in
         let mine = Ibe.encrypt pr rng mpk ~id:"alice@example.org" "for alice" in
         let tampered = Bytes.of_string mine in
         Bytes.set tampered 3 (Char.chr (Char.code (Bytes.get tampered 3) lxor 1));
+        (* [mine] with its U replaced by another encoding *)
+        let pb = Curve.point_bytes fp in
+        let with_u u = u ^ String.sub mine pb (String.length mine - pb) in
+        let point x y = Curve.to_bytes fp (Curve.make fp ~x ~y) in
+        let minus_one = Field.neg fp B.one in
+        let rec off_curve x =
+          let s = Field.to_bytes fp (B.of_int x) ^ "\x00" in
+          if Curve.of_bytes fp s = None then s else off_curve (x + 1)
+        in
+        (* Two encryptions that draw the same σ: U and V of one with W of
+           the other decrypt to the other's plaintext, which decodes, but
+           U is not h3(σ, m)·g, so the Fujisaki-Okamoto check rejects it. *)
+        let same_sigma m =
+          Ibe.encrypt pr (Drbg.create ~seed:"same-sigma") mpk ~id:"alice@example.org" m
+        in
+        let c1 = same_sigma "for alice, forged" and c2 = same_sigma "for alice, sealed" in
+        let forged = String.sub c2 0 (pb + 32) ^ String.sub c1 (pb + 32) (String.length c1 - pb - 32) in
+        Alcotest.(check (option string)) "both halves decrypt" (Some "for alice, sealed")
+          (Ibe.decrypt pr d c2);
         let mailbox =
           [
             mine;
@@ -122,18 +143,37 @@ let unit_tests =
             "";
             String.make (Ibe.ciphertext_overhead pr + 10) '\xAB';
             Ibe.encrypt pr rng mpk ~id:"alice@example.org" "";
+            with_u (String.make pb '\xff');
+            with_u (point minus_one B.zero);
+            with_u (point B.zero B.one);
+            with_u (point B.zero minus_one);
+            with_u (off_curve 2);
+            forged;
+            c1;
           ]
         in
-        let prepared =
-          Ibe.with_prepared_key pr d (fun key -> List.map (Ibe.decrypt_prepared pr key) mailbox)
+        (* accepts plaintexts that start with 'f' *)
+        let decode m = if String.length m > 0 && m.[0] = 'f' then Some (String.length m) else None in
+        let expected =
+          List.map
+            (fun c -> Option.bind (Ibe.decrypt pr d c) (fun m -> Option.map (fun x -> (m, x)) (decode m)))
+            mailbox
         in
-        Alcotest.(check (list (option string))) "same results" (List.map (Ibe.decrypt pr d) mailbox)
-          prepared;
-        Alcotest.(check (option string)) "only its own" (Some "for alice") (List.hd prepared);
-        Alcotest.(check (list (option string))) "infinity decrypts nothing"
+        let batch, alone =
+          Ibe.with_prepared_key pr d (fun key ->
+              ( Ibe.decrypt_batch pr key ~decode mailbox,
+                List.concat_map (fun c -> Ibe.decrypt_batch pr key ~decode [ c ]) mailbox ))
+        in
+        let results = Alcotest.(list (option (pair string int))) in
+        Alcotest.check results "same results" expected batch;
+        Alcotest.check results "each alone" expected alone;
+        Alcotest.(check (option (pair string int))) "only its own" (Some ("for alice", 9)) (List.hd batch);
+        Alcotest.(check (option string)) "the forged plaintext fails FO" None (Ibe.decrypt pr d forged);
+        Alcotest.(check (option (pair string int))) "and decodes, but is rejected" None
+          (List.nth batch 11);
+        Alcotest.check results "infinity decrypts nothing"
           (List.map (fun _ -> None) mailbox)
-          (Ibe.with_prepared_key pr Curve.Inf (fun key ->
-               List.map (Ibe.decrypt_prepared pr key) mailbox)));
+          (Ibe.with_prepared_key pr Curve.Inf (fun key -> Ibe.decrypt_batch pr key ~decode mailbox)));
     Alcotest.test_case "distinct randomness yields distinct ciphertexts" `Quick (fun () ->
         let pr = p () and rng = rng () in
         let _, mpk = Ibe.setup pr rng in

@@ -329,6 +329,23 @@ let kernel_tests =
           [ fp (); f ]);
     Alcotest.test_case "kernels match a Bigint oracle on raw limbs" `Quick (fun () ->
         List.iter raw_oracle (oracle_moduli ()));
+    Alcotest.test_case "legendre matches Euler's criterion" `Quick (fun () ->
+        List.iter
+          (fun (name, p) ->
+            let ctx = Mont.create p in
+            let half = B.shift_right (B.sub p B.one) 1 in
+            let euler x =
+              let e = Mont.pow ctx x half in
+              if Mont.is_zero e then 0 else if Mont.equal e (Mont.one ctx) then 1 else -1
+            in
+            let rng = Drbg.create ~seed:("legendre-" ^ name) in
+            (* raw limbs are elements too: the symbol is read off them *)
+            List.map (fun v -> Mont.of_bigint ctx v) [ B.zero; B.one; B.two; B.sub p B.one; B.sub p B.two ]
+            @ raw_edges (Mont.limbs ctx) p
+            @ List.init 100 (fun _ -> Mont.of_bigint ctx (Drbg.bigint_below rng p))
+            |> List.iter (fun x ->
+                   Alcotest.(check int) (name ^ " symbol") (euler x) (Mont.legendre ctx x)))
+          (oracle_moduli ()));
     Alcotest.test_case "mul_small rejects k outside [0, 12]" `Quick (fun () ->
         (* the one-pass reduction is sized for k <= 12 *)
         List.iter

@@ -196,18 +196,28 @@ let sample_points pr ~seed ~g1 ~off =
   @ List.init off (fun _ -> off_g1 ())
   @ [ two_torsion pr ]
 
-(* every point as the prepared first argument against every point *)
-let prepared_agrees pr pts =
-  List.iter
-    (fun a ->
+(* Every point as the prepared first argument, against every point and
+   the order-3 points (0, ±1) in one batch (as second arguments only:
+   [pair] itself raises with them as the first). The first [g1] points are
+   in G1 and take the trace-zero path; the others fall back to [pair]. *)
+let prepared_agrees pr pts ~g1 =
+  let f = pr.Params.fp in
+  let order3 = [ Curve.make f ~x:B.zero ~y:B.one; Curve.make f ~x:B.zero ~y:(Field.neg f B.one) ] in
+  let bs = Array.of_list (pts @ order3) in
+  List.iteri
+    (fun i a ->
       Pairing.with_prepared pr a (fun k ->
-          List.iter
-            (fun b ->
+          Alcotest.(check bool) (Printf.sprintf "point %d in G1" i) (i < g1) (Pairing.is_g1 k);
+          Alcotest.(check int) "empty batch" 0 (Array.length (Pairing.pair_batch k [||]));
+          let got = Pairing.pair_batch k bs in
+          Array.iteri
+            (fun j b ->
               let e = Pairing.pair pr a b in
-              Alcotest.(check bool) "prepared = pair" true (Fp2.equal (Pairing.pair_prepared k b) e);
+              Alcotest.(check bool) (Printf.sprintf "batch = pair at %d, %d" i j) true
+                (Fp2.equal got.(j) e);
               Alcotest.(check bool) "pair = reference" true
                 (Fp2.equal e (Pairing.pair_reference pr a b)))
-            pts))
+            bs))
     pts
 
 let prepared_tests =
@@ -216,11 +226,11 @@ let prepared_tests =
     Alcotest.test_case "prepared key equals pair and the reference on the test curve" `Quick
       (fun () ->
         let pr = p () in
-        prepared_agrees pr (sample_points pr ~seed:"prep-test" ~g1:3 ~off:2));
+        prepared_agrees pr (sample_points pr ~seed:"prep-test" ~g1:3 ~off:2) ~g1:3);
     Alcotest.test_case "prepared key equals pair and the reference on the production curve" `Slow
       (fun () ->
         let pr = Params.production () in
-        prepared_agrees pr (sample_points pr ~seed:"prep-prod" ~g1:1 ~off:1));
+        prepared_agrees pr (sample_points pr ~seed:"prep-prod" ~g1:1 ~off:1) ~g1:1);
     Alcotest.test_case "one prepared key at many second arguments across 4 domains" `Quick
       (fun () ->
         let pr = p () in
@@ -233,14 +243,24 @@ let prepared_tests =
         in
         let expected = Array.map (Pairing.pair pr a) bs in
         let pool = Parallel.create ~domains:4 in
-        let got =
+        (* the whole batch on this domain, and four quarters of it as
+           batches on the pool *)
+        let whole, split =
           Fun.protect
             ~finally:(fun () -> Parallel.shutdown pool)
             (fun () ->
-              Pairing.with_prepared pr a (fun k -> Parallel.map pool (Pairing.pair_prepared k) bs))
+              Pairing.with_prepared pr a (fun k ->
+                  let n = Array.length bs in
+                  let quarters =
+                    Array.init 4 (fun c -> Array.sub bs (c * n / 4) (((c + 1) * n / 4) - (c * n / 4)))
+                  in
+                  ( Pairing.pair_batch k bs,
+                    Array.concat (Array.to_list (Parallel.map pool (Pairing.pair_batch k) quarters)) )))
         in
         Array.iteri
-          (fun i e -> Alcotest.(check bool) (Printf.sprintf "point %d" i) true (Fp2.equal got.(i) e))
+          (fun i e ->
+            Alcotest.(check bool) (Printf.sprintf "point %d" i) true (Fp2.equal whole.(i) e);
+            Alcotest.(check bool) (Printf.sprintf "point %d split" i) true (Fp2.equal split.(i) e))
           expected);
     Alcotest.test_case "prepared key dies with its scope, which zeroes the table" `Quick (fun () ->
         let pr = p () in
@@ -253,8 +273,8 @@ let prepared_tests =
         in
         Alcotest.(check bool) "zeroed on release" true (all_zero table);
         Alcotest.check_raises "used after its scope"
-          (Invalid_argument "Pairing.pair_prepared: key used after its with_prepared scope")
-          (fun () -> ignore (Pairing.pair_prepared k h));
+          (Invalid_argument "Pairing.pair_batch: key used after its with_prepared scope")
+          (fun () -> ignore (Pairing.pair_batch k [| h |]));
         let seen = ref [||] in
         Alcotest.check_raises "the callback's exception passes through" (Failure "scan aborted")
           (fun () ->
@@ -265,10 +285,10 @@ let prepared_tests =
           (Array.length !seen > 0 && all_zero !seen);
         (* a nested preparation on the same domain gets its own table *)
         Pairing.with_prepared pr g (fun outer ->
-            let inner = Pairing.with_prepared pr h (fun inner -> Pairing.pair_prepared inner g) in
-            Alcotest.(check bool) "inner" true (Fp2.equal inner (Pairing.pair pr h g));
+            let inner = Pairing.with_prepared pr h (fun inner -> Pairing.pair_batch inner [| g |]) in
+            Alcotest.(check bool) "inner" true (Fp2.equal inner.(0) (Pairing.pair pr h g));
             Alcotest.(check bool) "outer still live" true
-              (Fp2.equal (Pairing.pair_prepared outer h) (Pairing.pair pr g h)));
+              (Fp2.equal (Pairing.pair_batch outer [| h |]).(0) (Pairing.pair pr g h)));
         Alcotest.check_raises "infinity" (Invalid_argument "Pairing.with_prepared: point at infinity")
           (fun () -> Pairing.with_prepared pr Curve.Inf ignore));
     Alcotest.test_case "final_exp equals the full power" `Quick (fun () ->
@@ -292,9 +312,9 @@ let prepared_tests =
   ]
 
 (* Words allocated and kernel multiplications per call on the production
-   curve. The word budgets are a tenth of what the allocating kernel
-   spent (248 k per pair, 108 k per prepared pairing, 90 k per scalar
-   multiplication); the multiplication counts are the allocating
+   curve. The word budgets of [pair] and [Curve.mul] are a tenth of what
+   the allocating kernel spent (248 k per pair, 90 k per scalar
+   multiplication), and [pair]'s multiplication count is the allocating
    kernel's, which the in-place one must not exceed. *)
 let budget_tests =
   [
@@ -315,8 +335,14 @@ let budget_tests =
             max_muls
         in
         cost "pair" ~words:25_000. ~max_muls:8030 (fun () -> Pairing.pair pr a b);
+        (* a prepared G1 key on a batch of 18, and alone: the trace-zero
+           path, about 5% above the 1 807 and 2 484 multiplications and
+           340 and 643 words it was measured at *)
+        let bs = Array.init 18 (fun i -> Pairing.hash_to_group pr (Printf.sprintf "budget-%d" i)) in
         Pairing.with_prepared pr a (fun key ->
-            cost "pair_prepared" ~words:11_000. ~max_muls:3399 (fun () -> Pairing.pair_prepared key b));
+            cost "pair_batch of 18" ~words:(18. *. 360.) ~max_muls:(18 * 1_900) (fun () ->
+                Pairing.pair_batch key bs);
+            cost "pair_batch of 1" ~words:680. ~max_muls:2_610 (fun () -> Pairing.pair_batch key [| b |]));
         cost "Curve.mul" ~words:9_000. (fun () -> Curve.mul pr.Params.fp (B.sub pr.Params.q B.one) a));
   ]
 

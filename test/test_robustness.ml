@@ -41,7 +41,12 @@ let fuzz_tests =
   let dh_sk, _ = Dh.keygen pr (Drbg.create ~seed:"fuzz-dh") in
   [
     fuzz "curve point" (fun s -> ignore (Curve.of_bytes pr.Params.fp s));
-    fuzz "ibe ciphertext" (fun s -> ignore (Ibe.decrypt pr d_id s));
+    fuzz "ibe ciphertext" (fun s ->
+        (* the scan's batch must agree with decrypt then decode *)
+        let decode = Wire.decode_request pr in
+        let expected = Option.bind (Ibe.decrypt pr d_id s) (fun m -> Option.map (fun _ -> m) (decode m)) in
+        let got = Ibe.with_prepared_key pr d_id (fun k -> Ibe.decrypt_batch pr k ~decode [ s ]) in
+        if List.map (Option.map fst) got <> [ expected ] then Alcotest.fail "batch differs from decrypt");
     fuzz "onion" (fun s -> ignore (Onion.unwrap pr ~sk:dh_sk s));
     fuzz "payload" (fun s -> ignore (Payload.decode s));
     fuzz "bloom filter" (fun s -> ignore (Bloom.of_bytes s));
