@@ -335,30 +335,33 @@ let mod_inv a m =
 
 (* ---- strings and bytes ---- *)
 
+(* Bytes and 31-bit limbs are packed into each other directly, the low
+   end first: a byte's bits go to the current limb and spill into the next
+   one, so both codecs are linear in the length. *)
 let of_bytes_be s =
   let n = String.length s in
-  let acc = ref zero in
+  let mag = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
   for i = 0 to n - 1 do
-    acc := add (shift_left !acc 8) (of_int (Char.code s.[i]))
+    let v = Char.code s.[n - 1 - i] and bit = 8 * i in
+    let j = bit / limb_bits and off = bit mod limb_bits in
+    mag.(j) <- mag.(j) lor ((v lsl off) land mask);
+    if off > limb_bits - 8 then mag.(j + 1) <- mag.(j + 1) lor (v lsr (limb_bits - off))
   done;
-  !acc
+  make 1 mag
 
 let to_bytes_be ?len t =
-  let t = abs t in
   let nbytes = (numbits t + 7) / 8 in
-  let nbytes = Stdlib.max nbytes 1 in
   let out_len = match len with
-    | None -> nbytes
-    | Some l -> if l < nbytes then invalid_arg "Bigint.to_bytes_be: len too small" else l
+    | None -> Stdlib.max nbytes 1
+    | Some l -> if l < Stdlib.max nbytes 1 then invalid_arg "Bigint.to_bytes_be: len too small" else l
   in
-  let b = Bytes.make out_len '\000' in
-  let cur = ref t in
-  for i = out_len - 1 downto 0 do
-    if not (is_zero !cur) then begin
-      let q, r = divmod !cur (of_int 256) in
-      Bytes.set b i (Char.chr (to_int r));
-      cur := q
-    end
+  let b = Bytes.make out_len '\000' and la = Array.length t.mag in
+  for i = 0 to nbytes - 1 do
+    let bit = 8 * i in
+    let j = bit / limb_bits and off = bit mod limb_bits in
+    let v = t.mag.(j) lsr off in
+    let v = if off > limb_bits - 8 && j + 1 < la then v lor (t.mag.(j + 1) lsl (limb_bits - off)) else v in
+    Bytes.set b (out_len - 1 - i) (Char.unsafe_chr (v land 0xff))
   done;
   Bytes.to_string b
 

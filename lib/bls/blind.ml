@@ -3,7 +3,6 @@ module Drbg = Alpenhorn_crypto.Drbg
 module Params = Alpenhorn_pairing.Params
 module Curve = Alpenhorn_pairing.Curve
 module Pairing = Alpenhorn_pairing.Pairing
-module Fp2 = Alpenhorn_pairing.Fp2
 
 type blinded = Curve.point
 type unblinder = Bigint.t
@@ -26,10 +25,7 @@ let unblind (params : Params.t) pk ~signed r =
   Curve.add params.fp signed (Curve.neg params.fp (Curve.mul params.fp r pk))
 
 let verify (params : Params.t) pk ~msg signature =
-  match (pk, signature) with
-  | Curve.Inf, _ | _, Curve.Inf -> false
-  | _ ->
-    Curve.is_on_curve params.fp signature
-    && Fp2.equal
-         (Pairing.pair_cached params signature params.g)
-         (Pairing.pair_cached params (hash_msg params msg) pk)
+  (not (Curve.is_infinity pk || Curve.is_infinity signature))
+  && Pairing.gt_equal
+       (Pairing.pair_cached params signature params.g)
+       (Pairing.pair_cached params (hash_msg params msg) pk)

@@ -3,7 +3,6 @@ module Drbg = Alpenhorn_crypto.Drbg
 module Params = Alpenhorn_pairing.Params
 module Curve = Alpenhorn_pairing.Curve
 module Pairing = Alpenhorn_pairing.Pairing
-module Fp2 = Alpenhorn_pairing.Fp2
 
 type secret = Bigint.t
 type public = Curve.point
@@ -19,16 +18,13 @@ let hash_msg (params : Params.t) msg = Pairing.hash_to_group params ("bls-msg" ^
 
 let sign (params : Params.t) sk msg = Curve.mul params.fp sk (hash_msg params msg)
 
+(* re-verifying the same attestation (same signer key, same round
+   message) recurs across clients in a round: both pairings memoize *)
 let verify (params : Params.t) pk msg sg =
-  match (pk, sg) with
-  | Curve.Inf, _ | _, Curve.Inf -> false
-  | _ ->
-    (* re-verifying the same attestation (same signer key, same round
-       message) recurs across clients in a round: both pairings memoize *)
-    Curve.is_on_curve params.fp sg
-    && Fp2.equal
-         (Pairing.pair_cached params sg params.g)
-         (Pairing.pair_cached params (hash_msg params msg) pk)
+  (not (Curve.is_infinity pk || Curve.is_infinity sg))
+  && Pairing.gt_equal
+       (Pairing.pair_cached params sg params.g)
+       (Pairing.pair_cached params (hash_msg params msg) pk)
 
 (* Small-exponent batch verification: with random scalars r_i, all of
    e(sg_i, g) = e(H(m_i), pk_i) hold iff (with probability 1 - 2^-63 over
@@ -46,12 +42,8 @@ let verify_batch (params : Params.t) items =
     let pk, msg, sg = items.(0) in
     verify params pk msg sg
   | _ ->
-    let structurally_ok (pk, _, sg) =
-      match (pk, sg) with
-      | Curve.Inf, _ | _, Curve.Inf -> false
-      | _ -> Curve.is_on_curve fp sg
-    in
-    Array.for_all structurally_ok items
+    let finite (pk, _, sg) = not (Curve.is_infinity pk || Curve.is_infinity sg) in
+    Array.for_all finite items
     && begin
       let seed = Buffer.create 256 in
       Buffer.add_string seed "bls-batch";
@@ -74,16 +66,12 @@ let verify_batch (params : Params.t) items =
             if Bigint.is_zero r then Bigint.one else r)
           items
       in
-      let s =
-        Curve.msm fp
-          (List.mapi (fun i (_, _, sg) -> (scalars.(i), sg)) (Array.to_list items))
-      in
       (* group the hash side by signer: e(A, pk)·e(B, pk) = e(A+B, pk), so
          signatures sharing a key (the dominant Alpenhorn shape — a small
          anytrust PKG set attesting many announcements) collapse to one
-         pairing per distinct key. Each group's Σ r_i·H(m_i) comes from one
-         multi-scalar ladder, and all groups share one affine-conversion
-         inversion (msm_batch). *)
+         pairing per distinct key. Each group's Σ r_i·H(m_i), and
+         Σ r_i·sg_i, comes from one multi-scalar ladder, and all share one
+         affine-conversion inversion (msm_batch). *)
       let order = ref [] (* distinct pks, first-seen order *) in
       let by_pk = Hashtbl.create (Array.length items) in
       Array.iteri
@@ -96,29 +84,29 @@ let verify_batch (params : Params.t) items =
             order := (key, pk) :: !order;
             Hashtbl.add by_pk key (ref [ term ]))
         items;
-      let groups = List.rev !order in
-      let sums = Curve.msm_batch fp (List.map (fun (key, _) -> !(Hashtbl.find by_pk key)) groups) in
-      (* a zero sum contributes e(Inf, ·) = 1, so its factor is omitted;
-         same for Σ r_i·sg_i (e.g. signatures cancelling) *)
-      let hashes =
-        List.concat
-          (List.map2
-             (fun (_, pk) sum ->
-               match sum with Curve.Inf -> [] | _ -> [ (Curve.neg fp sum, pk) ])
-             groups sums)
+      let groups =
+        (params.g, List.mapi (fun i (_, _, sg) -> (scalars.(i), sg)) (Array.to_list items))
+        :: List.rev_map (fun (key, pk) -> (pk, !(Hashtbl.find by_pk key))) !order
       in
+      (* e(−Σ r_i·sg_i, g)·Π e(Σ r_i·H(m_i), pk) = 1; a zero sum
+         contributes e(O, ·) = 1 (e.g. signatures cancelling), so its
+         factor is omitted *)
+      let sums = Curve.msm_batch fp (List.map snd groups) in
+      let sums = Curve.neg fp (List.hd sums) :: List.tl sums in
       let pairs =
-        match s with Curve.Inf -> hashes | _ -> (s, params.g) :: hashes
+        List.filter_map
+          (fun ((pk, _), sum) -> if Curve.is_infinity sum then None else Some (sum, pk))
+          (List.combine groups sums)
       in
-      Fp2.equal (Pairing.pair_product params pairs) Fp2.one
+      Pairing.gt_equal (Pairing.pair_product params pairs) (Pairing.gt_one params)
     end
 
-let aggregate (params : Params.t) sigs = List.fold_left (Curve.add params.fp) Curve.infinity sigs
+let aggregate (params : Params.t) sigs = Curve.sum params.fp sigs
 let aggregate_public = aggregate
 
 let verify_multi (params : Params.t) pks msg sg = verify params (aggregate_public params pks) msg sg
 
 let public_bytes (params : Params.t) pk = Curve.to_bytes params.fp pk
-let public_of_bytes (params : Params.t) s = Curve.of_bytes params.fp s
+let public_of_bytes = Params.g1_of_bytes
 let signature_bytes = public_bytes
 let signature_of_bytes = public_of_bytes

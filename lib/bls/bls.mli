@@ -47,6 +47,10 @@ val verify_multi : Params.t -> public list -> string -> signature -> bool
 (** Verify an aggregated same-message multisignature. *)
 
 val public_bytes : Params.t -> public -> string
+
 val public_of_bytes : Params.t -> string -> public option
+(** {!Params.g1_of_bytes}: a point outside G1 is rejected, so a signature
+    plus a point of small order does not decode. *)
+
 val signature_bytes : Params.t -> signature -> string
 val signature_of_bytes : Params.t -> string -> signature option

@@ -39,7 +39,7 @@ let plain (params : Params.t) =
     Codec.map
       (fun s ->
         match Bls.public_of_bytes params s with
-        | Some k when not (Curve.equal k Curve.Inf) -> Some k
+        | Some k when not (Curve.is_infinity k) -> Some k
         | Some _ | None -> None)
       (Bls.public_bytes params) Codec.str
   in

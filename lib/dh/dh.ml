@@ -14,7 +14,7 @@ let keygen (params : Params.t) rng =
   let s = random_secret params rng in
   (s, Params.mul_g params s)
 
-let check_peer = function Curve.Inf -> invalid_arg "Dh.shared_secret: infinity" | _ -> ()
+let check_peer peer = if Curve.is_infinity peer then invalid_arg "Dh.shared_secret: infinity"
 let kdf (params : Params.t) shared =
   Hmac.hkdf ~info:"alpenhorn-dh" ~len:32 (Curve.to_bytes params.fp shared)
 
@@ -38,7 +38,7 @@ let public_bytes (params : Params.t) pk = Curve.to_bytes params.fp pk
 
 let public_of_bytes (params : Params.t) s =
   match Curve.of_bytes params.fp s with
-  | None | Some Curve.Inf -> None
-  | Some p -> Some p
+  | Some p when not (Curve.is_infinity p) -> Some p
+  | Some _ | None -> None
 
 let public_size (params : Params.t) = Curve.point_bytes params.fp

@@ -19,8 +19,7 @@ let setup (params : Params.t) rng =
 
 let extract (params : Params.t) s id = Curve.mul params.fp s (Pairing.hash_to_group params id)
 
-let aggregate_public (params : Params.t) pubs =
-  List.fold_left (Curve.add params.fp) Curve.infinity pubs
+let aggregate_public (params : Params.t) pubs = Curve.sum params.fp pubs
 
 let aggregate_identity = aggregate_public
 
@@ -57,8 +56,9 @@ let parse (params : Params.t) ctxt =
   if String.length ctxt < pb + 32 then None
   else begin
     match Curve.of_bytes fp (String.sub ctxt 0 pb) with
-    | None | Some Curve.Inf -> None
-    | Some u -> Some (u, String.sub ctxt pb 32, String.sub ctxt (pb + 32) (String.length ctxt - pb - 32))
+    | Some u when not (Curve.is_infinity u) ->
+      Some (u, String.sub ctxt pb 32, String.sub ctxt (pb + 32) (String.length ctxt - pb - 32))
+    | Some _ | None -> None
   end
 
 (* σ and the plaintext, from V, W and e(d_id, U) *)
@@ -70,7 +70,7 @@ let unmask (params : Params.t) gt v w =
 let fo_holds (params : Params.t) u sigma msg = Curve.equal u (Params.mul_g params (h3 params sigma msg))
 
 let decrypt (params : Params.t) d_id ctxt =
-  if Curve.equal d_id Curve.Inf then None
+  if Curve.is_infinity d_id then None
   else begin
     match parse params ctxt with
     | None -> None
@@ -83,7 +83,7 @@ let decrypt (params : Params.t) d_id ctxt =
 type prepared_key = Pairing.prepared option
 
 let with_prepared_key (params : Params.t) d_id f =
-  if Curve.equal d_id Curve.Inf then f None
+  if Curve.is_infinity d_id then f None
   else Pairing.with_prepared params d_id (fun k -> f (Some k))
 
 let decrypt_batch (params : Params.t) key ~decode ctxts =
@@ -111,6 +111,6 @@ let decrypt_batch (params : Params.t) key ~decode ctxts =
          parsed)
 
 let master_public_bytes (params : Params.t) pk = Curve.to_bytes params.fp pk
-let master_public_of_bytes (params : Params.t) s = Curve.of_bytes params.fp s
+let master_public_of_bytes = Params.g1_of_bytes
 let identity_key_bytes = master_public_bytes
 let identity_key_of_bytes = master_public_of_bytes

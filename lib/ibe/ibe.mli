@@ -71,6 +71,10 @@ val decrypt_batch :
     pairing after the key's [with_prepared_key] scope has ended. *)
 
 val master_public_bytes : Params.t -> master_public -> string
+
 val master_public_of_bytes : Params.t -> string -> master_public option
+(** {!Params.g1_of_bytes}, as is {!identity_key_of_bytes}: every key
+    decoded lies in G1, which {!with_prepared_key} requires. *)
+
 val identity_key_bytes : Params.t -> identity_key -> string
 val identity_key_of_bytes : Params.t -> string -> identity_key option

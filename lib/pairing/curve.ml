@@ -1,71 +1,10 @@
 module Bigint = Alpenhorn_bigint.Bigint
 
-type point = Inf | Affine of { x : Bigint.t; y : Bigint.t }
-
-let infinity = Inf
-
-let is_on_curve f p =
-  match p with
-  | Inf -> true
-  | Affine { x; y } ->
-    Field.equal (Field.sqr f y) (Field.add f (Field.mul f (Field.sqr f x) x) Bigint.one)
-
-let make f ~x ~y =
-  let p = Affine { x; y } in
-  if is_on_curve f p then p else invalid_arg "Curve.make: not on curve"
-
-let equal a b =
-  match (a, b) with
-  | Inf, Inf -> true
-  | Affine a, Affine b -> Bigint.equal a.x b.x && Bigint.equal a.y b.y
-  | Inf, Affine _ | Affine _, Inf -> false
-
-let neg f p =
-  match p with Inf -> Inf | Affine { x; y } -> Affine { x; y = Field.neg f y }
-
-let double f p =
-  match p with
-  | Inf -> Inf
-  | Affine { x; y } ->
-    if Field.is_zero y then Inf
-    else begin
-      let lambda = Field.mul f (Field.mul_int f (Field.sqr f x) 3) (Field.inv f (Field.mul_int f y 2)) in
-      let x3 = Field.sub f (Field.sqr f lambda) (Field.mul_int f x 2) in
-      let y3 = Field.sub f (Field.mul f lambda (Field.sub f x x3)) y in
-      Affine { x = x3; y = y3 }
-    end
-
-let add f p q =
-  match (p, q) with
-  | Inf, r | r, Inf -> r
-  | Affine a, Affine b ->
-    if Bigint.equal a.x b.x then begin
-      if Bigint.equal a.y b.y then double f p else Inf
-    end
-    else begin
-      let lambda = Field.mul f (Field.sub f b.y a.y) (Field.inv f (Field.sub f b.x a.x)) in
-      let x3 = Field.sub f (Field.sub f (Field.sqr f lambda) a.x) b.x in
-      let y3 = Field.sub f (Field.mul f lambda (Field.sub f a.x x3)) a.y in
-      Affine { x = x3; y = y3 }
-    end
-
-let mul_affine f k p =
-  if Bigint.sign k < 0 then invalid_arg "Curve.mul: negative scalar";
-  let nb = Bigint.numbits k in
-  let acc = ref Inf and b = ref p in
-  for i = 0 to nb - 1 do
-    if Bigint.testbit k i then acc := add f !acc !b;
-    b := double f !b
-  done;
-  !acc
-
 (* Jacobian coordinates (X : Y : Z) ≡ (X/Z², Y/Z³), Z = 0 for infinity,
-   over the fixed-limb Montgomery kernel: scalar multiplication with a
+   over the fixed-limb Montgomery kernel: every operation runs with a
    single inversion at the end instead of one per point operation, every
-   field operation an in-place FIOS multiplication on flat int arrays.
-   This is what [mul], the combs and the batches run on; the affine
-   ladder [mul_affine] above stays as the reference the property tests
-   compare against. *)
+   field operation an in-place FIOS multiplication on flat int arrays. A
+   [point] is one of these, normalized. *)
 module Jm = struct
   (* the coordinates' arrays are updated in place; Z = 0 is infinity *)
   type t = { x : Mont.el; y : Mont.el; z : Mont.el }
@@ -90,10 +29,6 @@ module Jm = struct
   let is_infinity p = Mont.is_zero p.z
   let copy p = { x = Array.copy p.x; y = Array.copy p.y; z = Array.copy p.z }
 
-  let of_affine ctx = function
-    | Inf -> infinity ctx
-    | Affine { x; y } -> { x = Mont.of_bigint ctx x; y = Mont.of_bigint ctx y; z = Mont.one ctx }
-
   (* Every finite point of [ps] to Z = 1, in place. [Mont.inv_all] shares
      one inversion (a Fermat exponentiation) among them all, for 3(n−1)
      multiplications, then each point takes 4 more. No two points share a
@@ -111,15 +46,6 @@ module Jm = struct
         Mont.mul_into ctx p.y p.y t;
         Mont.one_into ctx p.z)
       fin
-
-  (* a normalized point back to [Bigint] coordinates *)
-  let to_point ctx p =
-    if is_infinity p then Inf
-    else Affine { x = Mont.to_bigint ctx p.x; y = Mont.to_bigint ctx p.y }
-
-  let to_affine ctx p =
-    normalize ctx [| p |];
-    to_point ctx p
 
   (* p ← 2p (dbl-2009-l, 2M + 5S) *)
   let double_into ctx s p =
@@ -246,6 +172,91 @@ module Jm = struct
     end
 end
 
+(* A normalized Jacobian point (Z = 1), or [infinity]. The arrays of a
+   point are never written once it is returned: combs, [Params.g], the
+   pairing cache and pool workers share them. *)
+type point = Jm.t
+
+(* the one infinite point: empty coordinates, so [Jm.is_infinity] holds *)
+let infinity : point = { Jm.x = [||]; y = [||]; z = [||] }
+
+let is_infinity = Jm.is_infinity
+
+let equal (a : point) (b : point) =
+  if is_infinity a || is_infinity b then is_infinity a && is_infinity b
+  else Mont.equal a.Jm.x b.Jm.x && Mont.equal a.y b.y
+
+(* y² = x³ + 1 *)
+let on_curve ctx x y =
+  let rhs = Mont.mul ctx (Mont.sqr ctx x) x in
+  Mont.add_into ctx rhs rhs (Mont.one ctx);
+  Mont.equal (Mont.sqr ctx y) rhs
+
+let of_mont f ~x ~y =
+  let ctx = Field.mont_ctx f in
+  if on_curve ctx x y then { Jm.x; y; z = Mont.one ctx }
+  else invalid_arg "Curve.make: not on curve"
+
+let make f ~x ~y =
+  let ctx = Field.mont_ctx f in
+  of_mont f ~x:(Mont.of_bigint ctx x) ~y:(Mont.of_bigint ctx y)
+
+let mont_coords (p : point) = (p.Jm.x, p.y)
+
+let coords f (p : point) =
+  let ctx = Field.mont_ctx f in
+  if is_infinity p then None else Some (Mont.to_bigint ctx p.Jm.x, Mont.to_bigint ctx p.y)
+
+(* Jacobian results as points: one shared inversion, then every infinity
+   is the canonical one *)
+let to_points ctx (ps : Jm.t array) : point array =
+  Jm.normalize ctx ps;
+  Array.map (fun p -> if is_infinity p then infinity else p) ps
+
+let to_point ctx p = (to_points ctx [| p |]).(0)
+
+let neg f (p : point) : point =
+  if is_infinity p then p else { p with Jm.y = Mont.neg (Field.mont_ctx f) p.y }
+
+(* mixed additions into one accumulator, then one inversion *)
+let sum f ps =
+  let ctx = Field.mont_ctx f in
+  let s = Jm.scratch ctx and acc = Jm.infinity ctx in
+  List.iter (Jm.madd_into ctx s acc) ps;
+  to_point ctx acc
+
+let add f a b = sum f [ a; b ]
+
+(* ---- the affine reference ----
+
+   Bigint coordinates and one inversion per step: the ladder the property
+   tests hold the kernel's scalar multiplications to. *)
+
+(* the chord, or the tangent when p = q; O when it is vertical *)
+let add_affine f p q =
+  match (p, q) with
+  | None, r | r, None -> r
+  | Some (ax, ay), Some (bx, by) ->
+    let tangent = Bigint.equal ax bx in
+    if tangent && ((not (Bigint.equal ay by)) || Field.is_zero ay) then None
+    else begin
+      let lambda =
+        if tangent then Field.mul f (Field.mul_int f (Field.sqr f ax) 3) (Field.inv f (Field.mul_int f ay 2))
+        else Field.mul f (Field.sub f by ay) (Field.inv f (Field.sub f bx ax))
+      in
+      let x3 = Field.sub f (Field.sub f (Field.sqr f lambda) ax) bx in
+      Some (x3, Field.sub f (Field.mul f lambda (Field.sub f ax x3)) ay)
+    end
+
+let mul_affine f k p =
+  if Bigint.sign k < 0 then invalid_arg "Curve.mul: negative scalar";
+  let acc = ref None and b = ref (coords f p) in
+  for i = 0 to Bigint.numbits k - 1 do
+    if Bigint.testbit k i then acc := add_affine f !acc !b;
+    b := add_affine f !b !b
+  done;
+  match !acc with None -> infinity | Some (x, y) -> make f ~x ~y
+
 let window_bits = 4
 
 (* bits [4w .. 4w+3] of k *)
@@ -286,15 +297,20 @@ let ladder_jm ctx s tbl k =
   done;
   acc
 
+(* k·p, Jacobian, for k > 0 and a finite p *)
+let ladder f k p =
+  let ctx = Field.mont_ctx f in
+  let s = Jm.scratch ctx in
+  ladder_jm ctx s (small_multiples ctx s p) k
+
 let mul f k p =
   if Bigint.sign k < 0 then invalid_arg "Curve.mul: negative scalar";
-  match p with
-  | Inf -> Inf
-  | Affine _ when Bigint.is_zero k -> Inf
-  | Affine _ ->
-    let ctx = Field.mont_ctx f in
-    let s = Jm.scratch ctx in
-    Jm.to_affine ctx (ladder_jm ctx s (small_multiples ctx s (Jm.of_affine ctx p)) k)
+  if is_infinity p || Bigint.is_zero k then infinity else to_point (Field.mont_ctx f) (ladder f k p)
+
+(* no inversion: k·p is O exactly when its Jacobian Z is 0 *)
+let order_divides f k p =
+  if Bigint.sign k < 0 then invalid_arg "Curve.order_divides: negative scalar";
+  is_infinity p || Bigint.is_zero k || Jm.is_infinity (ladder f k p)
 
 (* Σ kᵢ·Pᵢ with one shared window walk: the accumulator is doubled once
    per window for all terms together, and the whole sum pays a single
@@ -305,15 +321,15 @@ let msm_jm ctx kps =
   let kps =
     List.filter
       (fun (k, p) ->
-        if Bigint.sign k < 0 then invalid_arg "Curve.msm: negative scalar";
-        (not (Bigint.is_zero k)) && match p with Inf -> false | Affine _ -> true)
+        if Bigint.sign k < 0 then invalid_arg "Curve.msm_batch: negative scalar";
+        not (Bigint.is_zero k || is_infinity p))
       kps
   in
   match kps with
   | [] -> Jm.infinity ctx
   | kps ->
     let s = Jm.scratch ctx in
-    let terms = List.map (fun (k, p) -> (k, small_multiples ctx s (Jm.of_affine ctx p))) kps in
+    let terms = List.map (fun (k, p) -> (k, small_multiples ctx s p)) kps in
     let maxbits = List.fold_left (fun m (k, _) -> Stdlib.max m (Bigint.numbits k)) 0 kps in
     let nwin = (maxbits + window_bits - 1) / window_bits in
     let acc = Jm.infinity ctx in
@@ -330,16 +346,10 @@ let msm_jm ctx kps =
     done;
     acc
 
-let msm f kps =
-  let ctx = Field.mont_ctx f in
-  Jm.to_affine ctx (msm_jm ctx kps)
-
 (* one Σ kᵢ·Pᵢ per group, all groups sharing a single final inversion *)
 let msm_batch f groups =
   let ctx = Field.mont_ctx f in
-  let sums = List.map (msm_jm ctx) groups in
-  Jm.normalize ctx (Array.of_list sums);
-  List.map (Jm.to_point ctx) sums
+  Array.to_list (to_points ctx (Array.of_list (List.map (msm_jm ctx) groups)))
 
 (* Lim–Lee comb: with [cols] = ⌈bits / w⌉, entry i − 1 (0 < i < 2^w) is
    Σ 2^(j·cols)·P over the set bits j of i, so column c of a scalar's bits
@@ -358,8 +368,9 @@ module Comb = struct
     let cols = Stdlib.max 1 ((bits + w - 1) / w) in
     let size = (1 lsl w) - 1 in
     let entries = Array.make size (Jm.infinity ctx) in
-    (* the teeth: entry 2^j − 1 is 2^(j·cols)·P *)
-    let tooth = ref (Jm.of_affine ctx base) in
+    (* the teeth: entry 2^j − 1 is 2^(j·cols)·P; normalizing the entries
+       writes them, so the first is a copy of P *)
+    let tooth = ref (if is_infinity base then Jm.infinity ctx else Jm.copy base) in
     for j = 0 to w - 1 do
       entries.((1 lsl j) - 1) <- !tooth;
       if j < w - 1 then begin
@@ -399,7 +410,7 @@ module Comb = struct
     if Bigint.numbits k > c.w * c.cols then mul f k c.base
     else begin
       let ctx = Field.mont_ctx f in
-      Jm.to_affine ctx (walk ctx (Jm.scratch ctx) c k)
+      to_point ctx (walk ctx (Jm.scratch ctx) c k)
     end
 end
 
@@ -442,7 +453,7 @@ module Point_tbl = Hashtbl.Make (struct
   type t = point
 
   let equal a b = a == b || equal a b
-  let hash = Hashtbl.hash
+  let hash (p : point) = Hashtbl.hash p.Jm.x
 end)
 
 let mul_batch f ?(combs = []) jobs =
@@ -464,33 +475,34 @@ let mul_batch f ?(combs = []) jobs =
     (fun base js ->
       let group = !js in
       let bits = List.fold_left (fun m i -> Stdlib.max m (Bigint.numbits (fst jobs.(i)))) 0 group in
-      match base with
-      | Inf -> ()
-      | Affine _ when bits = 0 -> ()
-      | Affine _ ->
+      if bits > 0 && not (is_infinity base) then begin
         let walk =
           match List.find_opt (fun c -> equal c.Comb.base base && bits <= c.w * c.cols) combs with
           | Some c -> Comb.walk ctx s c
           | None when comb_pays f ~uses:(List.length group) bits ->
             Comb.walk ctx s (Comb.make f ~w:batch_comb_w ~bits base)
-          | None -> ladder_jm ctx s (small_multiples ctx s (Jm.of_affine ctx base))
+          | None -> ladder_jm ctx s (small_multiples ctx s base)
         in
-        List.iter (fun i -> out.(i) <- walk (fst jobs.(i))) group)
+        List.iter (fun i -> out.(i) <- walk (fst jobs.(i))) group
+      end)
     groups;
-  Jm.normalize ctx out;
-  Array.map (Jm.to_point ctx) out
+  to_points ctx out
 
 let point_bytes f = Field.element_bytes f + 1
 
+(* The byte boundary: coordinates leave and enter Montgomery form here. *)
 let to_bytes f p =
-  match p with
-  | Inf -> String.make (point_bytes f) '\xff'
-  | Affine { x; y } ->
-    Field.to_bytes f x ^ String.make 1 (if Bigint.is_even y then '\x00' else '\x01')
+  if is_infinity p then String.make (point_bytes f) '\xff'
+  else begin
+    let ctx = Field.mont_ctx f in
+    let x, y = mont_coords p in
+    Field.to_bytes f (Mont.to_bigint ctx x)
+    ^ String.make 1 (if Bigint.is_even (Mont.to_bigint ctx y) then '\x00' else '\x01')
+  end
 
 let of_bytes f s =
   if String.length s <> point_bytes f then None
-  else if String.for_all (fun c -> c = '\xff') s then Some Inf
+  else if String.for_all (fun c -> c = '\xff') s then Some infinity
   else begin
     let n = Field.element_bytes f in
     match s.[n] with
@@ -499,18 +511,18 @@ let of_bytes f s =
       | None -> None
       | Some x ->
         let ctx = Field.mont_ctx f in
-        let xm = Mont.of_bigint ctx x in
-        let rhs = Mont.add ctx (Mont.mul ctx (Mont.sqr ctx xm) xm) (Mont.one ctx) in
+        let x = Mont.of_bigint ctx x in
+        let rhs = Mont.add ctx (Mont.mul ctx (Mont.sqr ctx x) x) (Mont.one ctx) in
         (match Mont.sqrt ctx rhs with
          | None -> None
          | Some y ->
-           let y = Mont.to_bigint ctx y in
+           let odd = not (Bigint.is_even (Mont.to_bigint ctx y)) in
            let want_odd = s.[n] = '\x01' in
            (* −0 = 0 keeps its parity: (x, 0) has only the even encoding *)
-           if want_odd && Bigint.is_zero y then None
+           if want_odd && Mont.is_zero y then None
            else begin
-             let y = if Bigint.is_even y = want_odd then Field.neg f y else y in
-             Some (Affine { x; y })
+             if odd <> want_odd then Mont.neg_into ctx y y;
+             Some { Jm.x; y; z = Mont.one ctx }
            end)
     end
     | _ -> None

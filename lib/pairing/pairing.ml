@@ -1,6 +1,13 @@
 module Bigint = Alpenhorn_bigint.Bigint
-module Sha256 = Alpenhorn_crypto.Sha256
 module Tel = Alpenhorn_telemetry.Telemetry
+
+type gt = Mont.F2.f2
+
+(* ---- the affine reference ----
+
+   The Miller loop on Bigint affine points [Some (x, y)] ([None] is O)
+   and Fp2 values, one inversion per step: what every Montgomery path
+   below is property-tested against. *)
 
 (* Evaluate the line through [t] and [u] (tangent if equal) at the distorted
    point (xq, yq) ∈ F_p², and the vertical line at [t + u]. Returns
@@ -9,32 +16,30 @@ module Tel = Alpenhorn_telemetry.Telemetry
    evaluations at distorted points are never zero. *)
 let line_and_add fp t u ~xq ~yq =
   match (t, u) with
-  | Curve.Inf, Curve.Inf -> (Fp2.one, Fp2.one, Curve.Inf)
-  | Curve.Inf, Curve.Affine a | Curve.Affine a, Curve.Inf ->
+  | None, None -> (Fp2.one, Fp2.one, None)
+  | None, Some (x, _) | Some (x, _), None ->
     (* vertical line through the affine point *)
-    let l = Fp2.sub fp xq (Fp2.of_fp a.x) in
-    ((l, Fp2.one, Curve.add fp t u) : Fp2.el * Fp2.el * Curve.point)
-  | Curve.Affine a, Curve.Affine b ->
-    let tangent = Bigint.equal a.x b.x && Bigint.equal a.y b.y in
-    if Bigint.equal a.x b.x && (not tangent || Field.is_zero a.y) then begin
+    (Fp2.sub fp xq (Fp2.of_fp x), Fp2.one, if t = None then u else t)
+  | Some (ax, ay), Some (bx, by) ->
+    let tangent = Bigint.equal ax bx && Bigint.equal ay by in
+    if Bigint.equal ax bx && (not tangent || Field.is_zero ay) then begin
       (* u = -t (chord is the vertical through t), or t is 2-torsion (the
          tangent at y = 0 is that same vertical); t+u = O so v ≡ 1 *)
-      (Fp2.sub fp xq (Fp2.of_fp a.x), Fp2.one, Curve.Inf)
+      (Fp2.sub fp xq (Fp2.of_fp ax), Fp2.one, None)
     end
     else begin
       let lambda =
         if tangent then
-          Field.mul fp (Field.mul_int fp (Field.sqr fp a.x) 3) (Field.inv fp (Field.mul_int fp a.y 2))
-        else Field.mul fp (Field.sub fp b.y a.y) (Field.inv fp (Field.sub fp b.x a.x))
+          Field.mul fp (Field.mul_int fp (Field.sqr fp ax) 3) (Field.inv fp (Field.mul_int fp ay 2))
+        else Field.mul fp (Field.sub fp by ay) (Field.inv fp (Field.sub fp bx ax))
       in
-      let x3 = Field.sub fp (Field.sub fp (Field.sqr fp lambda) a.x) b.x in
-      let y3 = Field.sub fp (Field.mul fp lambda (Field.sub fp a.x x3)) a.y in
-      (* l(Q) = (yq - a.y) - λ(xq - a.x) *)
+      let x3 = Field.sub fp (Field.sub fp (Field.sqr fp lambda) ax) bx in
+      let y3 = Field.sub fp (Field.mul fp lambda (Field.sub fp ax x3)) ay in
+      (* l(Q) = (yq - ay) - λ(xq - ax) *)
       let l =
-        Fp2.sub fp (Fp2.sub fp yq (Fp2.of_fp a.y)) (Fp2.mul_fp fp (Fp2.sub fp xq (Fp2.of_fp a.x)) lambda)
+        Fp2.sub fp (Fp2.sub fp yq (Fp2.of_fp ay)) (Fp2.mul_fp fp (Fp2.sub fp xq (Fp2.of_fp ax)) lambda)
       in
-      let v = Fp2.sub fp xq (Fp2.of_fp x3) in
-      (l, v, Curve.Affine { x = x3; y = y3 })
+      (l, Fp2.sub fp xq (Fp2.of_fp x3), Some (x3, y3))
     end
 
 let miller (params : Params.t) p ~xq ~yq =
@@ -57,15 +62,16 @@ let miller (params : Params.t) p ~xq ~yq =
   Fp2.mul fp !num (Fp2.inv fp !den)
 
 let pair_reference (params : Params.t) a b =
-  match (a, b) with
-  | Curve.Inf, _ | _, Curve.Inf -> invalid_arg "Pairing.pair: point at infinity"
-  | Curve.Affine _, Curve.Affine { x = bx; y = by } ->
-    let fp = params.fp in
+  let fp = params.fp in
+  match (Curve.coords fp a, Curve.coords fp b) with
+  | None, _ | _, None -> invalid_arg "Pairing.pair: point at infinity"
+  | a, Some (bx, by) ->
     (* distortion map: Q = (ζ·bx, by) ∈ E(F_p²) *)
     let xq = Fp2.mul_fp fp params.zeta bx in
     let yq = Fp2.of_fp by in
-    let f = miller params a ~xq ~yq in
-    Fp2.pow fp f params.tate_exp
+    let f = Fp2.pow fp (miller params a ~xq ~yq) params.tate_exp in
+    let ctx = Field.mont_ctx fp in
+    { Mont.F2.re = Mont.of_bigint ctx f.re; im = Mont.of_bigint ctx f.im }
 
 (* ---- Montgomery-kernel Miller loop ----
 
@@ -154,8 +160,9 @@ let scratch ctx =
     l = F2.zero ctx;
   }
 
-let chain_of ctx x y =
-  let px = M.of_bigint ctx x and py = M.of_bigint ctx y in
+(* the chain only reads [a]'s coordinates *)
+let chain_of ctx a =
+  let px, py = Curve.mont_coords a in
   {
     px;
     py;
@@ -278,15 +285,11 @@ let iter_schedule q ~dbl ~add =
    the lines' −m·xq term; yq lies in F_p *)
 type point2 = { xq : F2.f2; nxq : F2.f2; yq : M.el }
 
-let distort (params : Params.t) ctx bx by =
-  let bx = M.of_bigint ctx bx in
-  let xq =
-    {
-      F2.re = M.mul ctx (M.of_bigint ctx params.zeta.Fp2.re) bx;
-      im = M.mul ctx (M.of_bigint ctx params.zeta.Fp2.im) bx;
-    }
-  in
-  { xq; nxq = { re = M.neg ctx xq.re; im = M.neg ctx xq.im }; yq = M.of_bigint ctx by }
+let distort (params : Params.t) ctx b =
+  let bx, by = Curve.mont_coords b in
+  let zeta = (Params.consts params).zeta_m in
+  let xq = F2.mul_el ctx zeta bx in
+  { xq; nxq = { re = M.neg ctx xq.re; im = M.neg ctx xq.im }; yq = by }
 
 (* f ← f·l(Q)·conj(v(Q)) for the factors a step left in [t] *)
 let absorb ctx s q t tag =
@@ -344,36 +347,23 @@ let final_exp (params : Params.t) f =
   final_exp_into params ctx s r s.f;
   r
 
-let lower ctx (g : F2.f2) = Fp2.make (M.to_bigint ctx g.re) (M.to_bigint ctx g.im)
-
-(* the Miller loop leaves [s.f]; the factor buffer [s.l] takes the result *)
-let miller_final (params : Params.t) ctx s pairs =
-  miller_product params ctx s pairs;
-  final_exp_into params ctx s s.l s.f;
-  lower ctx s.l
-
-let pair (params : Params.t) a b =
-  match (a, b) with
-  | Curve.Affine { x = ax; y = ay }, Curve.Affine { x = bx; y = by } ->
-    let ctx = Field.mont_ctx params.fp in
-    miller_final params ctx (scratch ctx) [ (chain_of ctx ax ay, distort params ctx bx by) ]
-  | Curve.Inf, _ | _, Curve.Inf -> invalid_arg "Pairing.pair: point at infinity"
-
-(* Batch verification (Bls.verify_batch) needs Π e(a_i, b_i): the Miller
-   loops share one accumulator and the product takes a single final
-   exponentiation, valid because the final powering is a homomorphism of
-   F_p²*. *)
+(* Π e(a_i, b_i): the Miller loops share one accumulator and the product
+   takes a single final exponentiation, valid because the final powering
+   is a homomorphism of F_p²*. The loop leaves [s.f]; the factor buffer
+   [s.l], of this call's own scratch, takes the result. *)
 let pair_product (params : Params.t) pairs =
   let ctx = Field.mont_ctx params.fp in
-  let pairs =
-    List.map
-      (function
-        | Curve.Affine { x = ax; y = ay }, Curve.Affine { x = bx; y = by } ->
-          (chain_of ctx ax ay, distort params ctx bx by)
-        | Curve.Inf, _ | _, Curve.Inf -> invalid_arg "Pairing.pair_product: point at infinity")
-      pairs
-  in
-  miller_final params ctx (scratch ctx) pairs
+  let s = scratch ctx in
+  miller_product params ctx s
+    (List.map
+       (fun (a, b) ->
+         if Curve.is_infinity a || Curve.is_infinity b then invalid_arg "Pairing.pair: point at infinity";
+         (chain_of ctx a, distort params ctx b))
+       pairs);
+  final_exp_into params ctx s s.l s.f;
+  s.l
+
+let pair params a b = pair_product params [ (a, b) ]
 
 (* ---- prepared first argument ----
 
@@ -386,10 +376,9 @@ let pair_product (params : Params.t) pairs =
    exponent like the Jacobian scalings.
 
    The chain also tells whether the key lies in G1: it ends at q·a, which
-   is O (Z = 0) exactly then. A G1 key evaluates the lines at the
-   trace-zero point (see [trace_zero] below), where every vertical lies in
-   F_p* and is dropped, so the table holds no verticals. A key outside G1
-   is never an honest identity key; [pair_batch] pairs it with [pair].
+   is O (Z = 0) exactly then. Only a G1 key is prepared: it evaluates the
+   lines at the trace-zero point (see [trace_zero] below), where every
+   vertical lies in F_p* and is dropped, so the table holds no verticals.
 
    Everything lives in one flat int array, n = limb count:
    - the table, one [1 + 2n]-int slot per step: the step's tag, then b and
@@ -402,13 +391,7 @@ let pair_product (params : Params.t) pairs =
    array decrypts exactly as the key does, so it is a per-domain buffer
    borrowed for one [with_prepared] scope and zeroed on release. *)
 
-type prepared = {
-  prep_params : Params.t;
-  table : int array;
-  mutable key : Curve.point; (* the prepared point, until the scope ends *)
-  mutable live : bool;
-  mutable g1 : bool; (* the key lies in G1 *)
-}
+type prepared = { prep_params : Params.t; table : int array; mutable live : bool }
 
 let slot_words n = 1 + (2 * n)
 
@@ -428,10 +411,10 @@ let store buf off (src : M.el) =
   done
 
 (* fills [buf] and returns whether T = q·a is O *)
-let prepare_into (params : Params.t) ctx ax ay buf =
+let prepare_into (params : Params.t) ctx a buf =
   let n = M.limbs ctx in
   let work = steps params * slot_words n in
-  let s = scratch ctx and t = chain_of ctx ax ay in
+  let s = scratch ctx and t = chain_of ctx a in
   (* forward: run the chain, storing each line's numerators in its slot,
      and its leading coefficient with their running product in the work
      area *)
@@ -488,40 +471,37 @@ type borrowed = { mutable buf : int array; mutable busy : bool }
 let table_buffer = Domain.DLS.new_key (fun () -> { buf = [||]; busy = false })
 
 let with_prepared (params : Params.t) a f =
-  match a with
-  | Curve.Inf -> invalid_arg "Pairing.with_prepared: point at infinity"
-  | Curve.Affine { x; y } ->
-    let ctx = Field.mont_ctx params.fp in
-    let n = M.limbs ctx in
-    (* the table, then the work area: per line, its coefficient and the
-       running product *)
-    let words = steps params * (slot_words n + (2 * n)) in
-    let s = Domain.DLS.get table_buffer in
-    (* a preparation nested inside another on this domain gets its own buffer *)
-    let borrowed = not s.busy in
-    let table =
-      if not borrowed then Array.make words 0
-      else begin
-        if Array.length s.buf < words then s.buf <- Array.make words 0;
-        s.busy <- true;
-        s.buf
-      end
-    in
-    let prep = { prep_params = params; table; key = a; live = true; g1 = false } in
-    Fun.protect
-      ~finally:(fun () ->
-        prep.live <- false;
-        prep.key <- Curve.Inf;
-        Array.fill table 0 words 0;
-        if borrowed then s.busy <- false)
-      (fun () ->
-        prep.g1 <- prepare_into params ctx x y table;
-        f prep)
+  if Curve.is_infinity a then invalid_arg "Pairing.with_prepared: point at infinity";
+  let ctx = Field.mont_ctx params.fp in
+  let n = M.limbs ctx in
+  (* the table, then the work area: per line, its coefficient and the
+     running product *)
+  let words = steps params * (slot_words n + (2 * n)) in
+  let s = Domain.DLS.get table_buffer in
+  (* a preparation nested inside another on this domain gets its own buffer *)
+  let borrowed = not s.busy in
+  let table =
+    if not borrowed then Array.make words 0
+    else begin
+      if Array.length s.buf < words then s.buf <- Array.make words 0;
+      s.busy <- true;
+      s.buf
+    end
+  in
+  let prep = { prep_params = params; table; live = true } in
+  Fun.protect
+    ~finally:(fun () ->
+      prep.live <- false;
+      Array.fill table 0 words 0;
+      if borrowed then s.busy <- false)
+    (fun () ->
+      if not (prepare_into params ctx a table) then
+        invalid_arg "Pairing.with_prepared: point outside G1";
+      f prep)
 
 let prepared_table prep = prep.table
-let is_g1 prep = prep.g1
 
-(* ---- the trace-zero evaluation, for keys in G1 ----
+(* ---- the trace-zero evaluation ----
 
    Frobenius π fixes a ∈ G1, so the Tate pairing's Galois invariance
    gives e(a, π(Q)) = e(a, Q)^p, and at Q₂ = Q − π(Q) for Q = φ(b):
@@ -542,14 +522,13 @@ let is_g1 prep = prep.g1
    equal to [pair] bit for bit. b = (0, ±1), the points of order 3, make
    Q₂ = O; they pair to 1 with any key in G1. The batch shares the
    inversions of the x and of the norms (Montgomery's trick). *)
-let trace_zero prep ctx coords =
+let trace_zero prep ctx bs =
   let params = prep.prep_params and tbl = prep.table in
-  let tz = Params.trace_zero params in
+  let tz = Params.consts params in
   let n = M.limbs ctx in
   let s = scratch ctx in
   let f = s.f and l = s.l and b = s.t0 and c = s.t1 and xq = s.t2 and lam = s.t3 in
-  let xs = Array.map (fun (x, _) -> M.of_bigint ctx x) coords in
-  let inv_xs = Array.map Array.copy xs in
+  let inv_xs = Array.map (fun b -> Array.copy (fst (Curve.mont_coords b))) bs in
   M.inv_all ctx inv_xs;
   (* a line at Q₂ = (xq, i·yq), with yq kept in l.im: (b·xq + c) + i·yq *)
   let base = ref 0 in
@@ -565,14 +544,14 @@ let trace_zero prep ctx coords =
   in
   let fs =
     Array.mapi
-      (fun j (_, y) ->
-        let x = xs.(j) in
+      (fun j b ->
+        let x, y = Curve.mont_coords b in
         (* L = y/(ζ_im·x); xq = x − L², yq = L·(xq − ζ_re·x) *)
-        M.mul_into ctx lam (M.of_bigint ctx y) inv_xs.(j);
+        M.mul_into ctx lam y inv_xs.(j);
         M.mul_into ctx lam lam tz.inv_zeta_im;
         M.mul_into ctx xq lam lam;
         M.sub_into ctx xq x xq;
-        M.mul_into ctx s.t4 tz.zeta_re x;
+        M.mul_into ctx s.t4 tz.zeta_m.re x;
         M.sub_into ctx s.t4 xq s.t4;
         M.mul_into ctx l.im lam s.t4;
         F2.one_into ctx f;
@@ -583,7 +562,7 @@ let trace_zero prep ctx coords =
             step ())
           ~add:step;
         { F2.re = Array.copy f.re; im = Array.copy f.im })
-      coords
+      bs
   in
   let norms =
     Array.map
@@ -608,42 +587,22 @@ let trace_zero prep ctx coords =
         M.neg_into ctx l.re l.re;
         M.neg_into ctx l.im l.im
       end;
-      lower ctx l)
+      { F2.re = Array.copy l.re; im = Array.copy l.im })
     fs
+
+let gt_one (params : Params.t) =
+  let ctx = Field.mont_ctx params.fp in
+  { F2.re = M.one ctx; im = M.zero ctx }
 
 let pair_batch prep bs =
   if not prep.live then invalid_arg "Pairing.pair_batch: key used after its with_prepared scope";
-  let count path k =
-    if k > 0 then
-      Tel.Counter.add (Tel.Counter.v Tel.default ~labels:[ ("path", path) ] "pairing.prepared_evals") k
-  in
-  if not prep.g1 then begin
-    let vals = Array.map (pair prep.prep_params prep.key) bs in
-    count "general" (Array.length vals);
-    vals
-  end
-  else begin
-    let coords =
-      Array.map
-        (function
-          | Curve.Affine { x; y } -> (x, y)
-          | Curve.Inf -> invalid_arg "Pairing.pair: point at infinity")
-        bs
-    in
-    let ctx = Field.mont_ctx prep.prep_params.fp in
-    let tz = List.filter (fun (x, _) -> not (Bigint.is_zero x)) (Array.to_list coords) in
-    let vals = trace_zero prep ctx (Array.of_list tz) in
-    count "trace_zero" (Array.length vals);
-    let next = ref 0 in
-    Array.map
-      (fun (x, _) ->
-        if Bigint.is_zero x then Fp2.one
-        else begin
-          incr next;
-          vals.(!next - 1)
-        end)
-      coords
-  end
+  Array.iter (fun b -> if Curve.is_infinity b then invalid_arg "Pairing.pair: point at infinity") bs;
+  let params = prep.prep_params in
+  let order3 b = M.is_zero (fst (Curve.mont_coords b)) in
+  let vals = trace_zero prep (Field.mont_ctx params.fp) (Array.of_seq (Seq.filter (fun b -> not (order3 b)) (Array.to_seq bs))) in
+  if Array.length vals > 0 then Tel.Counter.add (Tel.Counter.v Tel.default "pairing.prepared_evals") (Array.length vals);
+  let next = Seq.to_dispenser (Array.to_seq vals) and one = gt_one params in
+  Array.map (fun b -> if order3 b then one else Option.get (next ())) bs
 
 (* ---- fixed-argument pairing cache ----
 
@@ -669,36 +628,36 @@ let warmup (params : Params.t) =
   Params.force_tables params
 
 let pair_cached (params : Params.t) a b =
-  match (a, b) with
-  | Curve.Inf, _ | _, Curve.Inf -> invalid_arg "Pairing.pair: point at infinity"
-  | Curve.Affine _, Curve.Affine _ -> begin
-    let fp = params.fp in
-    let cache = Domain.DLS.get params.pair_cache in
-    let key = Curve.to_bytes fp a ^ Curve.to_bytes fp b in
-    match Hashtbl.find_opt cache.Params.pc_table key with
-    | Some gt ->
-      Tel.Counter.inc (Lazy.force c_cache_hit);
-      gt
-    | None ->
-      Tel.Counter.inc (Lazy.force c_cache_miss);
-      let gt = pair params a b in
-      if Hashtbl.length cache.Params.pc_table >= pair_cache_capacity then begin
-        match Queue.take_opt cache.Params.pc_fifo with
-        | Some oldest ->
-          Hashtbl.remove cache.Params.pc_table oldest;
-          Tel.Counter.inc (Lazy.force c_cache_evict)
-        | None -> ()
-      end;
-      Hashtbl.replace cache.Params.pc_table key gt;
-      Queue.push key cache.Params.pc_fifo;
-      gt
-  end
+  let fp = params.fp in
+  let cache = Domain.DLS.get params.pair_cache in
+  let key = Curve.to_bytes fp a ^ Curve.to_bytes fp b in
+  match Hashtbl.find_opt cache.Params.pc_table key with
+  | Some gt ->
+    Tel.Counter.inc (Lazy.force c_cache_hit);
+    gt
+  | None ->
+    Tel.Counter.inc (Lazy.force c_cache_miss);
+    let gt = pair params a b in
+    if Hashtbl.length cache.Params.pc_table >= pair_cache_capacity then begin
+      match Queue.take_opt cache.Params.pc_fifo with
+      | Some oldest ->
+        Hashtbl.remove cache.Params.pc_table oldest;
+        Tel.Counter.inc (Lazy.force c_cache_evict)
+      | None -> ()
+    end;
+    Hashtbl.replace cache.Params.pc_table key gt;
+    Queue.push key cache.Params.pc_fifo;
+    gt
 
-let gt_bytes (params : Params.t) el = Fp2.to_bytes params.fp el
+let gt_equal = F2.equal
 
-let gt_pow (params : Params.t) (g : Fp2.el) e =
-  let ctx = Field.mont_ctx params.fp in
-  lower ctx (F2.pow ctx { re = M.of_bigint ctx g.re; im = M.of_bigint ctx g.im } e)
+(* the byte boundary: both components leave Montgomery form here *)
+let gt_bytes (params : Params.t) (g : gt) =
+  let fp = params.fp in
+  let ctx = Field.mont_ctx fp in
+  Field.to_bytes fp (M.to_bigint ctx g.re) ^ Field.to_bytes fp (M.to_bigint ctx g.im)
+
+let gt_pow (params : Params.t) g e = F2.pow (Field.mont_ctx params.fp) g e
 
 let hash_to_group (params : Params.t) id =
   let fp = params.fp in
@@ -711,16 +670,13 @@ let hash_to_group (params : Params.t) id =
       let stream =
         Alpenhorn_crypto.Hmac.hkdf ~info:(Printf.sprintf "alpenhorn-h2g-%d" ctr) ~len:need id
       in
-      let y = Bigint.rem (Bigint.of_bytes_be stream) p in
-      let y2m1 = M.sqr ctx (M.of_bigint ctx y) in
+      let y = M.of_bigint ctx (Bigint.rem (Bigint.of_bytes_be stream) p) in
+      let y2m1 = M.sqr ctx y in
       M.sub_into ctx y2m1 y2m1 (M.one ctx);
       if M.is_zero y2m1 then attempt (ctr + 1)
       else begin
-        let x = M.to_bigint ctx (M.cbrt ctx y2m1) in
-        let pt = Curve.Affine { x; y } in
-        match Curve.mul fp params.cofactor pt with
-        | Curve.Inf -> attempt (ctr + 1)
-        | g -> g
+        let g = Curve.mul fp params.cofactor (Curve.of_mont fp ~x:(M.cbrt ctx y2m1) ~y) in
+        if Curve.is_infinity g then attempt (ctr + 1) else g
       end
     end
   in

@@ -19,19 +19,30 @@
     {!with_prepared}/{!pair_batch} split it for a first argument that
     pairs with many second arguments. [pair_reference] is the affine
     Bigint+Barrett implementation all of them are property-tested
-    against. *)
+    against.
+
+    Points are read in the Montgomery form {!Curve.point} holds them in,
+    and a pairing value stays in that form ({!gt}) until {!gt_bytes}
+    writes it out. *)
 
 module Bigint = Alpenhorn_bigint.Bigint
 
-val pair : Params.t -> Curve.point -> Curve.point -> Fp2.el
+type gt
+(** An element of GT ⊂ F_p²*, in Montgomery form. Never written after it
+    is returned: the pairing cache hands the same value to every caller. *)
+
+val gt_equal : gt -> gt -> bool
+val gt_one : Params.t -> gt
+
+val pair : Params.t -> Curve.point -> Curve.point -> gt
 (** @raise Invalid_argument if either argument is the point at infinity
     (those never arise in honest protocol runs; ciphertext decoding rejects
     them earlier). *)
 
-val pair_reference : Params.t -> Curve.point -> Curve.point -> Fp2.el
-(** Affine reference implementation; agrees with [pair] exactly. *)
+val pair_reference : Params.t -> Curve.point -> Curve.point -> gt
+(** Affine [Bigint] reference implementation; agrees with [pair] exactly. *)
 
-val pair_cached : Params.t -> Curve.point -> Curve.point -> Fp2.el
+val pair_cached : Params.t -> Curve.point -> Curve.point -> gt
 (** [pair] through the parameter set's bounded fixed-argument memo
     (FIFO-evicted, one cache per domain so parallel verifies never
     contend). Callers with recurring pairs — IBE encryption to a master
@@ -42,9 +53,9 @@ val pair_cached : Params.t -> Curve.point -> Curve.point -> Fp2.el
     and events would crowd its round and fault events out of the ring). *)
 
 type prepared
-(** A first argument with its Miller chain precomputed: every line of the
-    loop, divided by its leading coefficient, in a flat table, and whether
-    the point lies in G1. It decrypts exactly as the point does. *)
+(** A first argument in G1 with its Miller chain precomputed: every line
+    of the loop, divided by its leading coefficient, in a flat table. It
+    decrypts exactly as the point does. *)
 
 val with_prepared : Params.t -> Curve.point -> (prepared -> 'a) -> 'a
 (** [with_prepared params a f] prepares [a] (a little less work than
@@ -52,26 +63,21 @@ val with_prepared : Params.t -> Curve.point -> (prepared -> 'a) -> 'a
     runs [f] on it and then zeroes the table, also when [f] raises. The
     table lives in a buffer of the calling domain, borrowed for the
     scope; [f] may hand the key to pool workers, which only read it.
-    The chain ends at [q·a], so preparing learns for free whether [a] lies
-    in G1 (exactly when that is O).
-    @raise Invalid_argument if [a] is the point at infinity. *)
+    The chain ends at [q·a], which is O exactly when [a] lies in G1, as
+    every identity key does.
+    @raise Invalid_argument if [a] is the point at infinity or lies
+    outside G1. *)
 
-val is_g1 : prepared -> bool
-(** Whether the prepared point lies in G1 (has order q). *)
-
-val pair_batch : prepared -> Curve.point array -> Fp2.el array
+val pair_batch : prepared -> Curve.point array -> gt array
 (** [pair_batch k bs] is [Array.map (pair params a) bs] for the key [k]
-    prepared from [a], bit for bit, in order. For [a] in G1 (every
-    honest identity key) each [b = (x, y)] with [x ≠ 0] is evaluated at the
-    trace-zero point [φ(b) − π(φ(b))], where every vertical of the loop
-    lies in F_p* and is dropped: the loop yields [ê(a, b)²], and
-    [ê(a, b) = χ(N(f))·(conj(f)²/N(f))^(6l)] for its Miller value [f].
-    The batch shares one inversion of the [x] and one of the final
-    exponentiations' norms; [b = (0, ±1)] (order 3) pairs to 1. A key
-    outside G1 (never an honest identity key) is paired by [pair] itself,
-    one [b] at a time. Counts the batch's evaluations once on the
-    ["pairing.prepared_evals"] counter, labelled [path=trace_zero] or,
-    for a key outside G1, [path=general]. Pool workers may run batches of
+    prepared from [a], bit for bit, in order. Each [b = (x, y)] with
+    [x ≠ 0] is evaluated at the trace-zero point [φ(b) − π(φ(b))], where
+    every vertical of the loop lies in F_p* and is dropped: the loop
+    yields [ê(a, b)²], and [ê(a, b) = χ(N(f))·(conj(f)²/N(f))^(6l)] for
+    its Miller value [f]. The batch shares one inversion of the [x] and
+    one of the final exponentiations' norms; [b = (0, ±1)] (order 3)
+    pairs to 1. Counts the batch's evaluations once on the
+    ["pairing.prepared_evals"] counter. Pool workers may run batches of
     one key at once.
     @raise Invalid_argument after [k]'s [with_prepared] scope has ended,
     or if some [b] is the point at infinity. *)
@@ -86,18 +92,17 @@ val final_exp : Params.t -> Mont.F2.f2 -> Mont.F2.f2
     conj(f)/f]. Equal to [Mont.F2.pow f tate_exp].
     @raise Division_by_zero on zero. *)
 
-val gt_pow : Params.t -> Fp2.el -> Bigint.t -> Fp2.el
-(** Exponentiation in GT on the Montgomery kernel; equal to
-    [Fp2.pow]. *)
+val gt_pow : Params.t -> gt -> Bigint.t -> gt
+(** Exponentiation in GT; equal to [Fp2.pow]. *)
 
-val pair_product : Params.t -> (Curve.point * Curve.point) list -> Fp2.el
+val pair_product : Params.t -> (Curve.point * Curve.point) list -> gt
 (** [pair_product params \[(a1,b1); …; (an,bn)\]] is [Π ê(ai, bi)],
     computed by driving all n Miller loops in lockstep over one shared
     accumulator — the per-iteration accumulator squarings are paid once
     for the whole product, not once per pair — followed by a single
     shared final exponentiation (the final powering is multiplicative in
     F_p²). n pairings therefore cost well under n standalone [pair]
-    calls. The workhorse of [Bls.verify_batch]. Returns [Fp2.one] on the
+    calls. The workhorse of [Bls.verify_batch]. Returns {!gt_one} on the
     empty list.
     @raise Invalid_argument if any point is the point at infinity. *)
 
@@ -109,18 +114,20 @@ val warmup : Params.t -> unit
 
 val line_and_add :
   Field.t ->
-  Curve.point ->
-  Curve.point ->
+  (Bigint.t * Bigint.t) option ->
+  (Bigint.t * Bigint.t) option ->
   xq:Fp2.el ->
   yq:Fp2.el ->
-  Fp2.el * Fp2.el * Curve.point
-(** One reference Miller step: the line through [t] and [u] (tangent when
-    equal, vertical when the sum is O — including the 2-torsion tangent)
-    and the vertical at [t + u], both evaluated at [(xq, yq)]. Exposed for
-    the regression tests. *)
+  Fp2.el * Fp2.el * (Bigint.t * Bigint.t) option
+(** One step of [pair_reference]'s Miller loop, on affine points as
+    {!Curve.coords} gives them ([None] is O): the line through [t] and
+    [u] (tangent when equal, vertical when the sum is O — including the
+    2-torsion tangent) and the vertical at [t + u], both evaluated at
+    [(xq, yq)]. Exposed for the regression tests. *)
 
-val gt_bytes : Params.t -> Fp2.el -> string
-(** Canonical serialization of a GT element, for hashing. *)
+val gt_bytes : Params.t -> gt -> string
+(** Canonical serialization of a GT element, for hashing: [re || im],
+    each a fixed-width big-endian field element. *)
 
 val hash_to_group : Params.t -> string -> Curve.point
 (** Boneh-Franklin admissible encoding: hash the identity string to y,

@@ -2,11 +2,11 @@ module Bigint = Alpenhorn_bigint.Bigint
 module Drbg = Alpenhorn_crypto.Drbg
 
 type pair_cache = {
-  pc_table : (string, Fp2.el) Hashtbl.t;
+  pc_table : (string, Mont.F2.f2) Hashtbl.t;
   pc_fifo : string Queue.t;
 }
 
-type trace_zero = { zeta_re : Mont.el; inv_zeta_im : Mont.el; half_cofactor : Bigint.t }
+type consts = { zeta_m : Mont.F2.f2; inv_zeta_im : Mont.el; half_cofactor : Bigint.t }
 
 type t = {
   fp : Field.t;
@@ -16,7 +16,7 @@ type t = {
   g : Curve.point;
   tate_exp : Bigint.t;
   g_table : Curve.Comb.t Lazy.t;
-  trace_zero : trace_zero Lazy.t;
+  consts : consts Lazy.t;
   table_mu : Mutex.t;
   pair_cache : pair_cache Domain.DLS.key;
 }
@@ -34,13 +34,16 @@ let force t l =
   end
 
 let force_g_table t = force t t.g_table
-let trace_zero t = force t t.trace_zero
+let consts t = force t t.consts
 let mul_g t k = Curve.Comb.mul t.fp (force_g_table t) k
 let mul_batch t jobs = Curve.mul_batch t.fp ~combs:[ force_g_table t ] jobs
 
+let g1_of_bytes t s =
+  Option.bind (Curve.of_bytes t.fp s) (fun p -> if Curve.order_divides t.fp t.q p then Some p else None)
+
 let force_tables t =
   ignore (force_g_table t);
-  ignore (trace_zero t)
+  ignore (consts t)
 
 let is_prime rng n =
   Bigint.is_probable_prime ~rounds:24 ~rand:(fun ~bits -> Drbg.bigint_bits rng bits) n
@@ -77,15 +80,8 @@ let find_generator rng fp cofactor q =
   let rec go () =
     let y = Drbg.bigint_below rng p in
     let y2m1 = Field.sub fp (Field.sqr fp y) Bigint.one in
-    let x = Field.cbrt fp y2m1 in
-    let pt = Curve.Affine { x; y } in
-    if not (Curve.is_on_curve fp pt) then go ()
-    else begin
-      let g = Curve.mul fp cofactor pt in
-      match g with
-      | Curve.Inf -> go ()
-      | g -> if Curve.equal (Curve.mul fp q g) Curve.Inf then g else go ()
-    end
+    let g = Curve.mul fp cofactor (Curve.make fp ~x:(Field.cbrt fp y2m1) ~y) in
+    if Curve.is_infinity g || not (Curve.order_divides fp q g) then go () else g
   in
   go ()
 
@@ -106,12 +102,11 @@ let build q l =
     (* 255 entries: 29 doublings and additions per product on the
        production curve, 8 on the test curve *)
     g_table = lazy (Curve.Comb.make fp ~w:8 ~bits:(Bigint.numbits q) g);
-    (* forcing it also builds the field's Montgomery context *)
-    trace_zero =
+    consts =
       lazy
         (let ctx = Field.mont_ctx fp in
          {
-           zeta_re = Mont.of_bigint ctx zeta.Fp2.re;
+           zeta_m = { Mont.F2.re = Mont.of_bigint ctx zeta.Fp2.re; im = Mont.of_bigint ctx zeta.Fp2.im };
            inv_zeta_im = Mont.of_bigint ctx (Field.inv fp zeta.Fp2.im);
            half_cofactor = Bigint.mul_int l 6;
          });
@@ -140,9 +135,8 @@ let validate t =
   check "zeta nontrivial" (not (Fp2.equal t.zeta Fp2.one));
   check "zeta^3 = 1" (Fp2.equal (Fp2.mul t.fp t.zeta (Fp2.sqr t.fp t.zeta)) Fp2.one);
   check "zeta not in F_p" (not (Fp2.in_base_field t.zeta));
-  check "g on curve" (Curve.is_on_curve t.fp t.g);
-  check "g not infinity" (not (Curve.equal t.g Curve.Inf));
-  check "g has order q" (Curve.equal (Curve.mul t.fp t.q t.g) Curve.Inf);
+  check "g not infinity" (not (Curve.is_infinity t.g));
+  check "g has order q" (Curve.order_divides t.fp t.q t.g);
   check "tate_exp * q = p^2 - 1"
     (Bigint.equal (Bigint.mul t.tate_exp t.q) (Bigint.sub (Bigint.mul p p) Bigint.one))
 

@@ -13,27 +13,27 @@
 module Bigint = Alpenhorn_bigint.Bigint
 
 type pair_cache = {
-  pc_table : (string, Fp2.el) Hashtbl.t; (* fixed-argument pairing memo, see Pairing.pair_cached *)
+  pc_table : (string, Mont.F2.f2) Hashtbl.t; (* fixed-argument pairing memo, see Pairing.pair_cached *)
   pc_fifo : string Queue.t; (* insertion order, for bounded eviction *)
 }
 
-(** The constants of {!Pairing}'s trace-zero evaluation, in the field's
-    Montgomery form. *)
-type trace_zero = {
-  zeta_re : Mont.el; (* ζ's real part *)
+(** The constants of {!Pairing}'s distortion map and trace-zero
+    evaluation, in the field's Montgomery form. *)
+type consts = {
+  zeta_m : Mont.F2.f2; (* ζ *)
   inv_zeta_im : Mont.el; (* the inverse of ζ's imaginary part *)
-  half_cofactor : Bigint.t; (* 6·l, the power of that path's final exponentiation *)
+  half_cofactor : Bigint.t; (* 6·l, the power of the trace-zero final exponentiation *)
 }
 
 type t = {
   fp : Field.t;
   q : Bigint.t; (* prime order of G1 *)
   cofactor : Bigint.t; (* 12·l, with p + 1 = 12·l·q *)
-  zeta : Fp2.el; (* primitive cube root of unity, distortion map *)
+  zeta : Fp2.el; (* primitive cube root of unity, distortion map; for set-up and the reference *)
   g : Curve.point; (* generator of G1 *)
   tate_exp : Bigint.t; (* (p² − 1) / q *)
   g_table : Curve.Comb.t Lazy.t; (* comb for g, scalars below 2^numbits(q) *)
-  trace_zero : trace_zero Lazy.t; (* read through [trace_zero] *)
+  consts : consts Lazy.t; (* read through [consts] *)
   table_mu : Mutex.t; (* guards first forcing of the lazy tables *)
   pair_cache : pair_cache Domain.DLS.key; (* per-domain, so parallel verifies never contend *)
 }
@@ -46,12 +46,18 @@ val mul_batch : t -> (Bigint.t * Curve.point) array -> Curve.point array
 (** {!Curve.mul_batch} with the generator's comb: jobs on [g] walk it
     whatever their number. *)
 
-val trace_zero : t -> trace_zero
-(** The trace-zero constants, built on first use. *)
+val consts : t -> consts
+(** The Montgomery constants, built on first use. *)
+
+val g1_of_bytes : t -> string -> Curve.point option
+(** {!Curve.of_bytes}, then the subgroup check [q·P = O]: [None] unless
+    the point lies in G1 (infinity does). The decoder of BLS keys and
+    signatures and of IBE keys; the check costs a scalar multiplication
+    by q (2 507 Montgomery multiplications on the production curve). *)
 
 val force_tables : t -> unit
 (** Force the lazily built shared tables (the comb for [g], the
-    trace-zero constants and the field's Montgomery context) before handing the parameter set to
+    Montgomery constants and the field's Montgomery context) before handing the parameter set to
     multiple domains.  Forcing the same lazy concurrently from two domains
     raises; the parallel wiring (Server/Pkg/Client) calls this at the edge
     of every parallel region. Idempotent and cheap once forced. *)

@@ -102,12 +102,13 @@ let processes ~exe ?(metrics = false) ?faults ~config ~seed f =
   in
   launch ~start ?faults ~config ~seed f
 
-let domains ?faults ~config ~seed f =
+let domains ?faults ?(wrap = fun _ handler -> handler) ~config ~seed f =
   let start role name i =
     let srv =
       Rpc.Server.create ~port:0
-        (if role = "pkg" then Servers.Pkg_server.handler (Servers.Pkg_server.create ~config ~seed ~index:i)
-         else Servers.Mixer_server.handler (Servers.Mixer_server.create ~config ~seed ~position:i))
+        (wrap name
+           (if role = "pkg" then Servers.Pkg_server.handler (Servers.Pkg_server.create ~config ~seed ~index:i)
+            else Servers.Mixer_server.handler (Servers.Mixer_server.create ~config ~seed ~position:i)))
     in
     let dom = Domain.spawn (fun () -> Rpc.Server.run srv) in
     let stop () =

@@ -33,9 +33,13 @@ val processes :
     @raise Failure when a child exits before READY. *)
 
 val domains :
-  ?faults:Alpenhorn_core.Faults.t -> config:Config.t -> seed:string -> (t -> 'a) -> 'a
+  ?faults:Alpenhorn_core.Faults.t ->
+  ?wrap:(string -> Alpenhorn_net.Rpc.handler -> Alpenhorn_net.Rpc.handler) ->
+  config:Config.t -> seed:string -> (t -> 'a) -> 'a
 (** Every server an {!Alpenhorn_net.Rpc.Server} on a domain of this
-    process; a killed one is stopped and its domain joined. *)
+    process; a killed one is stopped and its domain joined. A test hook:
+    server [name] runs [wrap name handler] in place of its [handler]
+    (default: the handler itself), to record the frames it answers. *)
 
 val deployment : t -> Deployment.t
 

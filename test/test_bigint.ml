@@ -248,3 +248,57 @@ let edge_tests =
   ]
 
 let suite = suite @ edge_tests
+
+(* The byte codecs pack bytes into limbs directly; the per-byte
+   definitions below (a shift and an add per byte read, a division by 256
+   per byte written) are the oracle they must match bit for bit. *)
+let of_bytes_per_byte s =
+  let acc = ref B.zero in
+  String.iter (fun c -> acc := B.add (B.shift_left !acc 8) (B.of_int (Char.code c))) s;
+  !acc
+
+let to_bytes_per_byte ?len t =
+  let t = B.abs t in
+  let nbytes = Stdlib.max ((B.numbits t + 7) / 8) 1 in
+  let out_len =
+    match len with
+    | None -> nbytes
+    | Some l -> if l < nbytes then invalid_arg "Bigint.to_bytes_be: len too small" else l
+  in
+  let b = Bytes.make out_len '\000' in
+  let cur = ref t in
+  for i = out_len - 1 downto 0 do
+    if not (B.is_zero !cur) then begin
+      let q, r = B.divmod !cur (B.of_int 256) in
+      Bytes.set b i (Char.chr (B.to_int r));
+      cur := q
+    end
+  done;
+  Bytes.to_string b
+
+let codec_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"byte codecs match the per-byte definitions" ~count:300
+         QCheck.(pair (string_of_size Gen.(int_range 0 70)) (arb_bigint ~bits:400 ()))
+         (fun (s, v) ->
+           let widths = [ None; Some ((B.numbits v + 7) / 8); Some ((B.numbits v + 7) / 8 + 3); Some 0 ] in
+           B.equal (B.of_bytes_be s) (of_bytes_per_byte s)
+           && List.for_all
+                (fun len ->
+                  let run f = match f ?len v with s -> Ok s | exception Invalid_argument m -> Error m in
+                  run B.to_bytes_be = run to_bytes_per_byte)
+                widths));
+    Alcotest.test_case "byte codecs on edge values" `Quick (fun () ->
+        List.iter
+          (fun s ->
+            Alcotest.(check string) "of_bytes_be" (B.to_hex (of_bytes_per_byte s)) (B.to_hex (B.of_bytes_be s)))
+          [ ""; "\000"; "\000\000\001"; "\255"; String.make 49 '\255'; String.make 31 '\128' ];
+        List.iter
+          (fun v ->
+            Alcotest.(check string) "to_bytes_be" (to_bytes_per_byte v) (B.to_bytes_be v);
+            Alcotest.(check string) "to_bytes_be ~len" (to_bytes_per_byte ~len:40 v) (B.to_bytes_be ~len:40 v))
+          [ B.zero; B.one; B.of_int (-255); B.sub (B.shift_left B.one 248) B.one; B.shift_left B.one 279 ]);
+  ]
+
+let suite = suite @ codec_tests

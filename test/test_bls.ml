@@ -4,6 +4,8 @@ module B = Alpenhorn_bigint.Bigint
 module Curve = Alpenhorn_pairing.Curve
 module Params = Alpenhorn_pairing.Params
 module Bls = Alpenhorn_bls.Bls
+module Ibe = Alpenhorn_ibe.Ibe
+module Field = Alpenhorn_pairing.Field
 module Drbg = Alpenhorn_crypto.Drbg
 
 let params = lazy (Params.test ())
@@ -32,8 +34,8 @@ let unit_tests =
     Alcotest.test_case "infinity is never valid" `Quick (fun () ->
         let pr = p () and rng = rng () in
         let _, pk = Bls.keygen pr rng in
-        Alcotest.(check bool) "inf sig" false (Bls.verify pr pk "m" Curve.Inf);
-        Alcotest.(check bool) "inf key" false (Bls.verify pr Curve.Inf "m" (Bls.sign pr B.one "m")));
+        Alcotest.(check bool) "inf sig" false (Bls.verify pr pk "m" Curve.infinity);
+        Alcotest.(check bool) "inf key" false (Bls.verify pr Curve.infinity "m" (Bls.sign pr B.one "m")));
     Alcotest.test_case "multisignature verifies with all signers" `Quick (fun () ->
         let pr = p () and rng = rng () in
         let signers = List.init 5 (fun _ -> Bls.keygen pr rng) in
@@ -66,6 +68,37 @@ let unit_tests =
           (match Bls.signature_of_bytes pr (Bls.signature_bytes pr s) with
            | Some s2 -> Curve.equal s2 s
            | None -> false));
+  ]
+
+(* A point of small order added to a public key leaves every signature
+   under it verifying (the pairing's second argument is taken modulo
+   q·E, which holds the point), so only the decoder's subgroup check keeps
+   keys and signatures unique: every BLS and IBE point decoder rejects a
+   point outside G1. *)
+let decode_tests =
+  [
+    Alcotest.test_case "a signature plus a point of order 2 is rejected at decode" `Quick (fun () ->
+        List.iter
+          (fun pr ->
+            let fp = pr.Params.fp in
+            let sk, pk = Bls.keygen pr (rng ()) in
+            let s = Bls.sign pr sk "m" in
+            let t = Curve.make fp ~x:(Field.neg fp B.one) ~y:B.zero in
+            let forged = Curve.add fp s t in
+            Alcotest.(check bool) "a key plus the point still verifies" true
+              (Bls.verify pr (Curve.add fp pk t) "m" s);
+            let rejected name decode bytes = Alcotest.(check bool) name true (decode pr bytes = None) in
+            rejected "signature" Bls.signature_of_bytes (Bls.signature_bytes pr forged);
+            rejected "public key" Bls.public_of_bytes (Bls.public_bytes pr (Curve.add fp pk t));
+            rejected "master public key" Ibe.master_public_of_bytes (Curve.to_bytes fp (Curve.add fp pk t));
+            rejected "identity key" Ibe.identity_key_of_bytes (Curve.to_bytes fp forged);
+            rejected "the order-2 point itself" Bls.signature_of_bytes (Curve.to_bytes fp t);
+            Alcotest.(check bool) "the signature decodes" true
+              (Option.map (Curve.equal s) (Bls.signature_of_bytes pr (Bls.signature_bytes pr s)) = Some true);
+            Alcotest.(check bool) "infinity decodes" true
+              (Option.map Curve.is_infinity (Bls.public_of_bytes pr (Curve.to_bytes fp Curve.infinity))
+              = Some true))
+          [ p (); Params.production () ]);
   ]
 
 (* batch verification: the product-of-pairings fast path must agree with
@@ -121,11 +154,11 @@ let batch_tests =
         let items = batch_of pr 3 ~seed:"vb-inf" in
         let with_inf_sig = Array.copy items in
         let pk, m, _ = with_inf_sig.(1) in
-        with_inf_sig.(1) <- (pk, m, Curve.Inf);
+        with_inf_sig.(1) <- (pk, m, Curve.infinity);
         Alcotest.(check bool) "inf sig" false (Bls.verify_batch pr with_inf_sig);
         let with_inf_pk = Array.copy items in
         let _, m, s = with_inf_pk.(2) in
-        with_inf_pk.(2) <- (Curve.Inf, m, s);
+        with_inf_pk.(2) <- (Curve.infinity, m, s);
         Alcotest.(check bool) "inf key" false (Bls.verify_batch pr with_inf_pk));
   ]
 
@@ -153,4 +186,4 @@ let property_tests =
         Curve.equal (Bls.aggregate pr sigs) (Bls.aggregate pr (List.rev sigs)));
   ]
 
-let suite = unit_tests @ batch_tests @ property_tests
+let suite = unit_tests @ decode_tests @ batch_tests @ property_tests

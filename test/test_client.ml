@@ -326,7 +326,9 @@ let scan_tests =
 (* Montgomery multiplications ("pairing.mont_mul") of one scan of an
    18-ciphertext mailbox, 17 misses and 1 hit: the key's preparation, 18
    batched trial decryptions, and the hit's decryption check and
-   processing. Per-ciphertext decryption with a Fujisaki-Okamoto check on
+   processing, whose request decodes three points checked to lie in G1
+   (837 multiplications each on the test curve, 2 612 on the production
+   curve). Per-ciphertext decryption with a Fujisaki-Okamoto check on
    every plaintext exceeds these budgets (on the production curve,
    6 895 + 18 × 4 629 before the hit's checks). *)
 let work_tests =
@@ -353,7 +355,7 @@ let work_tests =
               (events = [ Client.Friend_request_accepted "alice@x" ]);
             if m > budget then
               Alcotest.failf "%s scan runs %d multiplications (at most %d)" param_name m budget)
-          [ ("test", 28_200); ("production", 82_800) ]);
+          [ ("test", 30_800); ("production", 91_000) ]);
   ]
 
 let suite = unit_tests @ scan_tests @ work_tests

@@ -7,8 +7,8 @@
 
 module Framing = Alpenhorn_net.Framing
 module Rpc = Alpenhorn_net.Rpc
-module Servers = Alpenhorn_remote.Servers
-module Net_deployment = Alpenhorn_remote.Net_deployment
+module Fleet = Alpenhorn_remote.Fleet
+module Deployment = Alpenhorn_core.Deployment
 module Config = Alpenhorn_core.Config
 module Client = Alpenhorn_core.Client
 module Wire = Alpenhorn_core.Wire
@@ -37,69 +37,45 @@ let recording handler log (req : Framing.frame) =
 let transcript () =
   let config = { Config.test with Config.n_pkgs = 1 } and seed = "codec-kat" in
   let logs = Array.init (1 + config.Config.chain_length) (fun _ -> ref []) in
-  let host log handler =
-    let srv = Rpc.Server.create ~port:0 (recording handler log) in
-    (srv, Domain.spawn (fun () -> Rpc.Server.run srv))
+  (* "pkg-0" logs first, then "mixer-i" *)
+  let wrap name handler =
+    recording handler logs.(Scanf.sscanf name "%s@-%d" (fun role i -> if role = "pkg" then i else i + 1))
   in
-  let pkg = host logs.(0) (Servers.Pkg_server.handler (Servers.Pkg_server.create ~config ~seed ~index:0)) in
-  let mixers =
-    Array.init config.Config.chain_length (fun i ->
-        host logs.(i + 1)
-          (Servers.Mixer_server.handler (Servers.Mixer_server.create ~config ~seed ~position:i)))
-  in
-  let stop (srv, dom) =
-    Rpc.Server.stop srv;
-    Domain.join dom
-  in
-  let ep (srv, _) = { Net_deployment.host = "127.0.0.1"; port = Rpc.Server.port srv } in
-  Fun.protect
-    ~finally:(fun () ->
-      stop pkg;
-      Array.iter stop mixers)
-    (fun () ->
-      let nd =
-        Net_deployment.create ~config ~seed ~pkgs:[| ep pkg |]
-          ~mixers:
-            (Array.map
-               (fun m -> { Net_deployment.ep = ep m; kill = ignore; restart = (fun () -> ep m) })
-               mixers)
-          ()
+  Fleet.domains ~wrap ~config ~seed (fun fleet ->
+      let nd = Fleet.deployment fleet in
+      let client email = Deployment.new_client nd ~email ~callbacks:Client.null_callbacks in
+      let alice = client "alice@x" and bob = client "bob@x" in
+      let registered c =
+        match Deployment.register nd c with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e)
       in
-      Fun.protect
-        ~finally:(fun () -> Net_deployment.close nd)
-        (fun () ->
-          let client email = Net_deployment.new_client nd ~email ~callbacks:Client.null_callbacks in
-          let alice = client "alice@x" and bob = client "bob@x" in
-          let registered c =
-            match Net_deployment.register nd c with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e)
-          in
-          registered alice;
-          registered bob;
-          (match Net_deployment.register nd alice with
-          | Ok () -> Alcotest.fail "a repeated registration succeeded"
-          | Error _ -> ());
-          Client.add_friend alice ~email:"bob@x" ();
-          ignore (Net_deployment.run_addfriend_round nd ());
-          ignore (Net_deployment.run_addfriend_round nd ());
-          Client.call alice ~email:"bob@x" ~intent:1;
-          for _ = 1 to 3 do
-            ignore (Net_deployment.run_dialing_round nd ())
-          done;
-          (* the one operation the round driver never sends *)
-          Array.iter
-            (fun m ->
-              match Rpc.Client.connect ~port:(ep m).Net_deployment.port () with
-              | Error e -> Alcotest.failf "connect: %s" e
-              | Ok c ->
-                Fun.protect
-                  ~finally:(fun () -> Rpc.Client.close c)
-                  (fun () ->
-                    match Alpenhorn_remote.Proto.mix_info c with
-                    | Ok _ -> ()
-                    | Error e -> Alcotest.failf "mix_info: %s" e))
-            mixers));
+      registered alice;
+      registered bob;
+      (match Deployment.register nd alice with
+      | Ok () -> Alcotest.fail "a repeated registration succeeded"
+      | Error _ -> ());
+      Client.add_friend alice ~email:"bob@x" ();
+      ignore (Deployment.run_addfriend_round nd ());
+      ignore (Deployment.run_addfriend_round nd ());
+      Client.call alice ~email:"bob@x" ~intent:1;
+      for _ = 1 to 3 do
+        ignore (Deployment.run_dialing_round nd ())
+      done;
+      (* the one operation the round driver never sends *)
+      List.iter
+        (fun (s : Fleet.server) ->
+          if String.starts_with ~prefix:"mixer-" s.name then
+            match Rpc.Client.connect ~port:s.port () with
+            | Error e -> Alcotest.failf "connect: %s" e
+            | Ok c ->
+              Fun.protect
+                ~finally:(fun () -> Rpc.Client.close c)
+                (fun () ->
+                  match Alpenhorn_remote.Proto.mix_info c with
+                  | Ok _ -> ()
+                  | Error e -> Alcotest.failf "mix_info: %s" e))
+        (Fleet.servers fleet));
   Array.map (fun log -> List.rev !log) logs
 
 (* Per request tag: how many frames carried it (requests and their

@@ -173,7 +173,7 @@ let unit_tests =
           (List.nth batch 11);
         Alcotest.check results "infinity decrypts nothing"
           (List.map (fun _ -> None) mailbox)
-          (Ibe.with_prepared_key pr Curve.Inf (fun key -> Ibe.decrypt_batch pr key ~decode mailbox)));
+          (Ibe.with_prepared_key pr Curve.infinity (fun key -> Ibe.decrypt_batch pr key ~decode mailbox)));
     Alcotest.test_case "distinct randomness yields distinct ciphertexts" `Quick (fun () ->
         let pr = p () and rng = rng () in
         let _, mpk = Ibe.setup pr rng in
